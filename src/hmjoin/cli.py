@@ -22,6 +22,7 @@ from .errors import (
     CarryForwardError,
     HmJoinError,
     InvalidParametersError,
+    SpecValidationError,
     TheoremViolationError,
 )
 from .exactlinalg import rational_eigenvalues

@@ -6,17 +6,20 @@ values. Determinants go through fraction-free integer Bareiss elimination
 after clearing row denominators; characteristic polynomials of scalar
 matrices use evaluation at the integer points 0..n followed by Newton
 interpolation, and `charpoly_with_adjugate` uses the Faddeev-LeVerrier
-recurrence when the full adjugate of (xI - M) is needed. Setting the
-environment variable HMJOIN_THREADS > 1 lets `polymatrix_det` process its
-evaluation points on a thread pool; results are recombined by index, so
-the output is deterministic either way.
+recurrence when the full adjugate of (xI - M) is needed.
+
+Matrices of polynomials have one evaluator, `polymatrix_det_values`: it
+clears each row's coefficient denominators once, then takes one
+fraction-free Bareiss determinant of the integer matrix at each requested
+integer point. Callers that know the degree of what they want pick their
+own points (the block pipeline in `spectra` asks for n + 1 points that
+avoid the roots of the main-function denominators); `polymatrix_det`
+evaluates at 0..D for a degree bound D and interpolates.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -226,56 +229,42 @@ def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:
     return acc
 
 
-def polymatrix_det(entries, degree_bound: Optional[int] = None) -> Polynomial:
-    """Determinant of a square matrix of Polynomials, via evaluation at the
-    integer points 0..D and interpolation. D defaults to the row-degree
-    bound sum_r max_j deg(entries[r][j]), which dominates deg(det)."""
-    k = _require_square(entries)
-    if k == 0:
-        return Polynomial.one()
+def polymatrix_det_values(entries, points: Sequence[int]) -> List[Fraction]:
+    """det(entries(t)) for each integer t in `points`, where `entries` is a
+    square matrix of Polynomials: row denominators are cleared once, then
+    each point costs one fraction-free Bareiss determinant."""
+    _require_square(entries)
     int_rows = []
     scale = 1
-    row_degrees = []
     for row in entries:
         l = 1
-        max_deg = 0
         for p in row:
             if not isinstance(p, Polynomial):
                 raise InvalidParametersError("polymatrix_det expects Polynomial entries")
-            max_deg = max(max_deg, p.degree)
             for c in p.coeffs:
                 if c.denominator != 1:
                     l = math.lcm(l, c.denominator)
-        if max_deg < 0:
-            return Polynomial.zero()
-        row_degrees.append(max_deg)
         scale *= l
         int_rows.append([[c.numerator * (l // c.denominator) for c in p.coeffs] for p in row])
-    bound = sum(row_degrees) if degree_bound is None else degree_bound
-    if bound < 0:
-        raise InvalidParametersError("degree bound must be non-negative")
-    points = list(range(bound + 1))
-
-    def eval_point(t: int) -> Fraction:
+    values = []
+    for t in points:
         work = [[_int_coeff_eval(c, t) for c in row] for row in int_rows]
-        return Fraction(_det_int(work), scale)
+        values.append(Fraction(_det_int(work), scale))
+    return values
 
-    threads = _thread_count()
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(eval_point, points))
-    else:
-        values = [eval_point(t) for t in points]
+
+def polymatrix_det(entries, degree_bound: Optional[int] = None) -> Polynomial:
+    """Determinant of a square matrix of Polynomials, via its values at the
+    integer points 0..D and interpolation. D defaults to the row-degree
+    bound sum_r max_j deg(entries[r][j]), which dominates deg(det)."""
+    if degree_bound is None:
+        # entries that are not Polynomials are rejected by the evaluator
+        degree_bound = sum(max([0] + [p.degree for p in row if isinstance(p, Polynomial)]) for row in entries)
+    if degree_bound < 0:
+        raise InvalidParametersError("degree bound must be non-negative")
+    points = range(degree_bound + 1)
+    values = polymatrix_det_values(entries, points)
     return interpolate(list(zip(points, values)))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HMJOIN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParametersError(f"HMJOIN_THREADS must be an integer, got {raw!r}")
-    return max(value, 1)
 
 
 # ---------------------------------------------------------------------------

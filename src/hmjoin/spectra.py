@@ -16,6 +16,16 @@ f_i = g_i Gamma_i), giving the fully exact pipeline
 
     det(xI - M) = prod_i phi_i * Phi / prod_i g_i^m.
 
+The block path evaluates this identity, not Phi: deg Phi is
+m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
+At each of the first n + 1 non-negative integers t where no g_i vanishes,
+one integer Bareiss determinant of the km x km block gives Phi(t), hence
+det(tI - M); interpolating those n + 1 values gives the block
+characteristic polynomial. Phi itself, kept in the report, is then the
+exact quotient det(xI - M) * prod_i g_i^m / prod_i phi_i. The direct
+characteristic polynomial of the assembled matrix is always computed too,
+and any difference raises BlockFactorizationError.
+
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
 E-main, so classification is gcd arithmetic, no root finding. Main
@@ -41,7 +51,7 @@ from .exactlinalg import (
     mat_mul,
     mat_shape,
     mat_transpose,
-    polymatrix_det,
+    polymatrix_det_values,
     rational_eigenvalues,
 )
 from .graphs import UniversalParams, universal_matrix
@@ -49,6 +59,7 @@ from .joins import JoinSpec, degree_corrections, hm_join
 from .polynomials import (
     Polynomial,
     RationalFunction,
+    interpolate,
     poly_divexact,
     poly_gcd,
     rational_root_multiplicity,
@@ -278,20 +289,36 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> 
                 for b in range(m):
                     if not fi[a][b].is_zero:
                         block[i * m + a][j * m + b] = -off_scale * fi[a][b]
-    phi_det = polymatrix_det(block)
-    numerator = phi_det
-    for mf in mfs:
-        numerator = numerator * mf.charpoly
-    denominator = Polynomial.one()
-    for mf in mfs:
-        denominator = denominator * mf.denominator ** m
-    charpoly_block = poly_divexact(numerator, denominator)
+    # det(xI - M) has degree n, so n + 1 values determine it; the identity
+    # holds pointwise wherever no g_i vanishes, so skip the roots of the g_i
+    n = len(direct_matrix)
+    points = []
+    t = 0
+    while len(points) <= n:
+        if all(mf.denominator(t) for mf in mfs):
+            points.append(t)
+        t += 1
+    values = []
+    for t, value in zip(points, polymatrix_det_values(block, points)):
+        for mf in mfs:
+            value = value * mf.charpoly(t) / mf.denominator(t) ** m
+        values.append((t, value))
+    charpoly_block = interpolate(values)
     charpoly_direct = charpoly(direct_matrix)
     if charpoly_block != charpoly_direct:
+        top = max(charpoly_block.degree, charpoly_direct.degree)
+        degree = next(d for d in range(top + 1) if charpoly_block.coefficient(d) != charpoly_direct.coefficient(d))
         raise BlockFactorizationError(
-            "block factorization identity violated: "
-            f"block path gives {charpoly_block}, direct path gives {charpoly_direct}"
+            f"block factorization identity violated: the coefficients of x^{degree} differ, "
+            f"block path gives {charpoly_block.coefficient(degree)}, "
+            f"direct path gives {charpoly_direct.coefficient(degree)}"
         )
+    numerator = charpoly_block
+    denominator = Polynomial.one()
+    for mf in mfs:
+        numerator = numerator * mf.denominator ** m
+        denominator = denominator * mf.charpoly
+    phi_det = poly_divexact(numerator, denominator)
     flags = []
     carry = []
     for i, (mat, mf) in enumerate(zip(factor_matrices, mfs)):

@@ -219,6 +219,28 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     assert "/indexing/0/0" in err3
 
 
+def test_cospectral_check_rejects_labeled_spec(capsys):
+    code, out, err = run_cli(capsys, "cospectral", "check",
+                             str(FIXTURES / "p3_3.json"), str(FIXTURES / "p3_3.json"),
+                             "--kind", "A")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "generalized specs" in err
+    assert "Traceback" not in err
+
+
+def test_cospectral_search_rejects_non_json_catalog(capsys, tmp_path):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("not a catalog\n")
+    code, out, err = run_cli(capsys, "cospectral", "search", str(catalog), "--kind", "A")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "invalid catalog JSON" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_one_for_violations(capsys, monkeypatch):
     def explode(spec):
         raise CarryForwardError("observed multiplicity below the guaranteed bound")

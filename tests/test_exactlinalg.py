@@ -15,6 +15,7 @@ from hmjoin.exactlinalg import (
     identity_matrix,
     mat_mul,
     polymatrix_det,
+    polymatrix_det_values,
     rational_eigenvalues,
 )
 from hmjoin.polynomials import Polynomial, RationalFunction
@@ -129,16 +130,22 @@ def test_polymatrix_det_zero_row_short_circuit():
     assert polymatrix_det([[z, z], [one, one]]).is_zero
 
 
-def test_polymatrix_det_thread_parallelism_deterministic(monkeypatch):
-    rng = random.Random(7)
-    entries = [[Polynomial([Fraction(rng.randint(-3, 3)) for _ in range(3)])
-                for _ in range(4)] for _ in range(4)]
-    serial = polymatrix_det(entries)
-    monkeypatch.setenv("HMJOIN_THREADS", "3")
-    assert polymatrix_det(entries) == serial
-    monkeypatch.setenv("HMJOIN_THREADS", "zebra")
+def test_polymatrix_det_values_match_cofactor_oracle():
+    rng = random.Random(9)
+    for n in range(0, 4):
+        entries = [[Polynomial([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(rng.randint(0, 3))])
+                    for _ in range(n)] for _ in range(n)]
+        points = [0, 2, 3, 7, 11]
+        values = polymatrix_det_values(entries, points)
+        assert len(values) == len(points)
+        for t, value in zip(points, values):
+            at_t = [[p(t) for p in row] for row in entries]
+            assert value == cofactor_det(at_t)
     with pytest.raises(InvalidParametersError):
-        polymatrix_det(entries)
+        polymatrix_det_values([[Fraction(1)]], [0])
+    with pytest.raises(SizeMismatchError):
+        polymatrix_det_values([[Polynomial.one()], []], [0])
 
 
 def test_rational_eigenvalues_planted_triangular():

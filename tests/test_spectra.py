@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_spec
-from hmjoin.errors import InvalidParametersError, NonSymmetricInputError
-from hmjoin.exactlinalg import charpoly, rational_eigenvalues
+import hmjoin.spectra as spectra
+from hmjoin.errors import BlockFactorizationError, InvalidParametersError, NonSymmetricInputError
+from hmjoin.exactlinalg import charpoly, polymatrix_det, rational_eigenvalues
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
 from hmjoin.polynomials import Polynomial, RationalFunction, poly_divexact
@@ -197,6 +198,77 @@ def test_identity_factorization_pieces():
             lhs = lhs * mf.denominator ** spec.m
             rhs = rhs * mf.charpoly
         assert lhs == rhs
+
+
+def reduced_block_oracle(spec: JoinSpec, report, off_scale=1) -> Polynomial:
+    """Phi rebuilt from the report's main functions and the host: the km x km
+    polynomial block (g_i I_m on the diagonal, -rho f_i towards host
+    neighbours j) and its determinant by evaluation over the full row-degree
+    bound."""
+    k, m = spec.k, spec.m
+    host = spec.host.adjacency_matrix()
+    block = [[Polynomial.zero()] * (k * m) for _ in range(k * m)]
+    for i, mf in enumerate(report.gammas):
+        for a in range(m):
+            block[i * m + a][i * m + a] = mf.denominator
+            for j in range(k):
+                if j != i and host[i][j]:
+                    for b in range(m):
+                        block[i * m + a][j * m + b] = mf.numerator[a][b] * (-off_scale)
+    return polymatrix_det(block)
+
+
+def test_phi_matches_reduced_block_determinant_on_corpus(corpus_specs, corpus_reports):
+    for spec, report in zip(corpus_specs, corpus_reports):
+        assert report.phi_polynomial == reduced_block_oracle(spec, report)
+
+
+def test_block_charpoly_skips_roots_of_main_denominators():
+    x = Polynomial.x()
+    # P3 with its end vertices in different label classes: 0 is an E-main
+    # eigenvalue, so g(0) = 0 and the evaluation point 0 must be skipped
+    spec_zero = JoinSpec(make_named("complete", [2]),
+                         [make_named("path", [3]), make_named("complete", [2])], 2,
+                         [IndexingMap([1, None, 2], 2), IndexingMap([1, 2], 2)])
+    # K5 fully labeled by one class: g = x - 4, so the point 4 is skipped
+    spec_four = JoinSpec(make_named("path", [2]),
+                         [make_named("complete", [5]), make_named("path", [2])], 1,
+                         [IndexingMap([1] * 5, 1), IndexingMap([1, None], 1)])
+    # a factor with no labeled vertex: g = 1, nothing to skip for it
+    spec_unlabeled = JoinSpec(make_named("path", [3]),
+                              [make_named("complete", [2]), make_named("path", [3]),
+                               make_named("complete", [1])], 1,
+                              [IndexingMap([1, 1], 1), IndexingMap([None] * 3, 1),
+                               IndexingMap([1], 1)])
+    reports = [block_charpoly(spec) for spec in (spec_zero, spec_four, spec_unlabeled)]
+    assert reports[0].gammas[0].denominator(0) == 0
+    assert reports[1].gammas[0].denominator == x - Polynomial.constant(4)
+    assert reports[2].gammas[1].denominator == Polynomial.one()
+    for spec, report in zip((spec_zero, spec_four, spec_unlabeled), reports):
+        assert report.charpoly_block == report.charpoly_direct
+        assert report.charpoly_direct == charpoly(hm_join(spec).adjacency_matrix())
+        assert report.phi_polynomial == reduced_block_oracle(spec, report)
+
+    # universal matrix with a rational alpha: g has non-integer coefficients
+    params = UniversalParams.preset("Aalpha:97/100")
+    for spec in (example_3_10_spec(), spec_zero, spec_four):
+        report = universal_block_charpoly(spec, params)
+        assert any(c.denominator != 1 for mf in report.gammas for c in mf.denominator.coeffs)
+        assert report.charpoly_block == charpoly(universal_matrix(hm_join(spec), params))
+        assert report.charpoly_block == report.charpoly_direct
+        assert report.phi_polynomial == reduced_block_oracle(spec, report, params.alpha)
+
+
+def test_block_factorization_error_names_first_differing_coefficient(monkeypatch):
+    spec = example_3_7_spec()
+    true = charpoly(hm_join(spec).adjacency_matrix())
+    monkeypatch.setattr(spectra, "charpoly", lambda m: charpoly(m) + Polynomial([0, 0, 5, 1]))
+    with pytest.raises(BlockFactorizationError) as info:
+        block_charpoly(spec)
+    message = str(info.value)
+    assert "x^2" in message
+    assert "block path gives %s" % true.coefficient(2) in message
+    assert "direct path gives %s" % (true.coefficient(2) + 5) in message
 
 
 def test_carry_forward_worked_example():
