@@ -32,7 +32,6 @@ from .polynomials import (
 from .exactlinalg import (
     RatFunMatrix,
     charpoly,
-    charpoly_with_adjugate,
     det_bareiss,
     polymatrix_det,
     rational_eigenvalues,

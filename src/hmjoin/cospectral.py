@@ -3,7 +3,6 @@ polynomials via 2x2 main-function blocks, closed forms for regular factors,
 and hypothesis-checked constructions of cospectral non-isomorphic pairs."""
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -14,11 +13,11 @@ from .errors import (
     TheoremViolationError,
     TooLargeError,
 )
-from .exactlinalg import RatFunMatrix, charpoly, charpoly_with_adjugate, polymatrix_det
+from .exactlinalg import RatFunMatrix, charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import generalized_to_hm, hm_join
-from .polynomials import Polynomial, RationalFunction, poly_divexact
-from .spectra import MainFunction, main_function_bilinear
+from .polynomials import Polynomial, RationalFunction
+from .spectra import MainFunction, main_function_bilinear, reduced_block_charpoly
 
 COSPECTRAL_KINDS = ("A", "S", "L", "U")
 
@@ -140,34 +139,13 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     """Characteristic polynomial of the universal matrix of the join graph,
     computed from factor charpolys and 2x2 bilinear main functions, and
     cross-checked against the direct vertex-level computation."""
-    k = spec.k
     alpha = spec.params.alpha
-    data = _factor_block_data(spec)
-    entries = [[Polynomial.zero() for _ in range(2 * k)] for _ in range(2 * k)]
     host_edges = spec.host.edges
-    for i in range(k):
-        g = data[i].denominator
-        f = data[i].numerator
-        for a in range(2):
-            entries[2 * i + a][2 * i + a] = g
-        for j in range(k):
-            if j == i:
-                continue
-            # the all-ones coupling touches every factor pair; the subset
-            # coupling only pairs joined by a host edge
-            rho = alpha if (min(i, j), max(i, j)) in host_edges else Fraction(0)
-            for a in range(2):
-                entries[2 * i + a][2 * j] = -f[a][0]
-                if rho:
-                    entries[2 * i + a][2 * j + 1] = f[a][1] * (-rho)
-    reduced = polymatrix_det(entries)
-    result = Polynomial.one()
-    for i in range(k):
-        result = result * data[i].charpoly
-    result = result * reduced
-    for i in range(k):
-        d = data[i].denominator
-        result = poly_divexact(result, d * d)
+    # the all-ones coupling touches every factor pair; the subset coupling
+    # only pairs joined by a host edge
+    result = reduced_block_charpoly(
+        _factor_block_data(spec),
+        lambda i, j: (1, alpha if (min(i, j), max(i, j)) in host_edges else 0))
     direct = charpoly(universal_matrix(spec.join_graph(), spec.params))
     if result != direct:
         raise BlockFactorizationError(
@@ -321,42 +299,14 @@ def kind_parameters(kind: str, params: Optional[UniversalParams] = None) -> Univ
     return UniversalParams.preset(_KIND_PRESETS[kind])
 
 
-def _matrix_key(matrix) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in matrix)
-
-
-@lru_cache(maxsize=256)
-def _resolvent_data(key: tuple):
-    """charpoly and adjugate layers of a matrix, cached by content so that
-    pair searches revisiting the same factor matrix pay for it once."""
-    return charpoly_with_adjugate([list(row) for row in key])
-
-
 def _cached_charpoly(matrix) -> Polynomial:
-    return _resolvent_data(_matrix_key(matrix))[0]
+    no_sides = [()] * len(matrix)
+    return main_function_bilinear(matrix, no_sides, no_sides).charpoly
 
 
 def _cached_bilinear(matrix, left, right) -> RatFunMatrix:
-    """V^T (xI - M)^{-1} U as reduced rational functions, built from the
-    cached adjugate layers (same values as main_function_bilinear)."""
-    phi, layers = _resolvent_data(_matrix_key(matrix))
-    n = len(layers)
-    lt = [[row[c] for row in left] for c in range(len(left[0]))]
-    rt = [[row[c] for row in right] for c in range(len(right[0]))]
-    entries = []
-    for lcol in lt:
-        out_row = []
-        for rcol in rt:
-            coeffs = [Fraction(0)] * n
-            for k, layer in enumerate(layers):
-                acc = Fraction(0)
-                for a, la in enumerate(lcol):
-                    if la:
-                        acc += la * sum(layer[a][b] * rb for b, rb in enumerate(rcol) if rb)
-                coeffs[n - 1 - k] = acc
-            out_row.append(RationalFunction(Polynomial(coeffs), phi))
-        entries.append(out_row)
-    return RatFunMatrix(entries)
+    """left^T (xI - M)^{-1} right as reduced rational functions."""
+    return main_function_bilinear(matrix, right, left).matrix
 
 
 def _scalar_main_function(matrix, subset, n: int) -> RationalFunction:
@@ -387,18 +337,11 @@ def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
 
     Raises HypothesisNotMetError naming the first violated condition, and
     TheoremViolationError if the hypotheses hold yet the charpolys differ."""
-    if kind not in COSPECTRAL_KINDS:
-        raise InvalidParametersError(
-            "unknown cospectrality kind %r (expected one of %s)"
-            % (kind, ", ".join(COSPECTRAL_KINDS)))
+    params = kind_parameters(kind, spec_a.params)
     if spec_a.host != spec_b.host:
         raise HypothesisNotMetError("host graphs differ")
-    if kind == "U":
-        if spec_a.params != spec_b.params:
-            raise HypothesisNotMetError("universal parameters differ")
-        params = spec_a.params
-    else:
-        params = kind_parameters(kind)
+    if kind == "U" and spec_a.params != spec_b.params:
+        raise HypothesisNotMetError("universal parameters differ")
     normalized_a = GeneralizedJoinSpec(spec_a.host, spec_a.factors, spec_a.subsets, params)
     normalized_b = GeneralizedJoinSpec(spec_b.host, spec_b.factors, spec_b.subsets, params)
     k = spec_a.host.n

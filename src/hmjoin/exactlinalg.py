@@ -1,20 +1,22 @@
 """Exact linear algebra over Q: determinants, characteristic polynomials,
-adjugates, and determinants of polynomial matrices.
+and determinants of polynomial matrices.
 
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
 values. Determinants go through fraction-free integer Bareiss elimination
 after clearing row denominators; characteristic polynomials of scalar
 matrices use evaluation at the integer points 0..n followed by Newton
-interpolation, and `charpoly_with_adjugate` uses the Faddeev-LeVerrier
-recurrence when the full adjugate of (xI - M) is needed.
+interpolation. No adjugate of (xI - M) is ever formed: the main functions
+in `spectra` read their numerators off the walk sums L^T M^t R and the
+coefficients of this characteristic polynomial, and their denominators
+off one gcd chain against it.
 
 Matrices of polynomials have one evaluator, `polymatrix_det_values`: it
 clears each row's coefficient denominators once, then takes one
 fraction-free Bareiss determinant of the integer matrix at each requested
 integer point. Callers that know the degree of what they want pick their
-own points (the block pipeline in `spectra` asks for n + 1 points that
-avoid the roots of the main-function denominators); `polymatrix_det`
-evaluates at 0..D for a degree bound D and interpolates.
+own points (the reduced block determinants in `spectra` ask for n + 1
+points that avoid the roots of the main-function denominators);
+`polymatrix_det` evaluates at 0..D for a degree bound D and interpolates.
 """
 
 from __future__ import annotations
@@ -93,11 +95,6 @@ def mat_scale(m, s) -> list:
     return [[s * x for x in row] for row in m]
 
 
-def mat_trace(m):
-    n = _require_square(m)
-    return sum(m[i][i] for i in range(n))
-
-
 def mat_is_symmetric(m) -> bool:
     n = _require_square(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
@@ -174,28 +171,6 @@ def det_bareiss(m) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # characteristic polynomials
-
-
-def charpoly_with_adjugate(m) -> Tuple[Polynomial, List[list]]:
-    """Faddeev-LeVerrier: det(xI - M) together with the matrices B_0..B_{n-1}
-    of adj(xI - M) = sum_k x^(n-1-k) B_k, satisfying (xI - M) adj(xI - M) = phi I.
-    """
-    n = _require_square(m)
-    if n == 0:
-        return Polynomial.one(), []
-    cs = [Fraction(1)]
-    b = identity_matrix(n)
-    bs = [b]
-    for k in range(1, n + 1):
-        p = mat_mul(m, b)
-        c = -Fraction(mat_trace(p)) / k
-        cs.append(c)
-        if k < n:
-            b = [row[:] for row in p]
-            for i in range(n):
-                b[i][i] = b[i][i] + c
-            bs.append(b)
-    return Polynomial(reversed(cs)), bs
 
 
 def charpoly(m) -> Polynomial:

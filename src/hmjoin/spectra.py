@@ -16,15 +16,28 @@ f_i = g_i Gamma_i), giving the fully exact pipeline
 
     det(xI - M) = prod_i phi_i * Phi / prod_i g_i^m.
 
-The block path evaluates this identity, not Phi: deg Phi is
+Main functions come from walk sums, not from an adjugate. With
+phi = sum_j c_j x^(n-j) the characteristic polynomial of M (Bareiss, in
+`exactlinalg`) and W_t = L^T M^t R the walk sums of the side matrices,
+
+    L^T adj(xI - M) R = sum_k x^(n-1-k) sum_{j<=k} c_j W_(k-j),
+
+which Horner's rule accumulates on an n x cols block over the non-zeros
+of M. Every reduced entry denominator of these numerators N over phi
+divides phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the
+reduced common denominator g = phi / h and f = N / h.
+
+The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
 At each of the first n + 1 non-negative integers t where no g_i vanishes,
 one integer Bareiss determinant of the km x km block gives Phi(t), hence
 det(tI - M); interpolating those n + 1 values gives the block
-characteristic polynomial. Phi itself, kept in the report, is then the
-exact quotient det(xI - M) * prod_i g_i^m / prod_i phi_i. The direct
-characteristic polynomial of the assembled matrix is always computed too,
-and any difference raises BlockFactorizationError.
+characteristic polynomial (`reduced_block_charpoly`, which the 2 x 2
+blocks of generalized joins in `cospectral` share). Phi itself, kept in
+the report, is then the exact quotient
+det(xI - M) * prod_i g_i^m / prod_i phi_i. The direct characteristic
+polynomial of the assembled matrix is always computed too, and any
+difference raises BlockFactorizationError.
 
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
@@ -36,21 +49,22 @@ against those bounds on the directly computed characteristic polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
+from . import exactlinalg
 from .exactlinalg import (
     RatFunMatrix,
+    _row_denominator_lcm,
     charpoly,
-    charpoly_with_adjugate,
     mat_is_symmetric,
-    mat_mul,
     mat_shape,
-    mat_transpose,
     polymatrix_det_values,
     rational_eigenvalues,
 )
@@ -69,18 +83,22 @@ from .polynomials import (
 
 @dataclass(frozen=True)
 class MainFunction:
-    """Gamma = E^T (xI - M)^{-1} E with cached exact normal forms.
+    """Gamma = V^T (xI - M)^{-1} U in exact normal form.
 
-    `denominator` is the monic least common denominator g of the reduced
-    entries (g divides the characteristic polynomial, and its roots are
-    exactly the E-main eigenvalues when M is symmetric); `numerator` is
-    the polynomial matrix f = g * Gamma.
+    `charpoly` is phi = det(xI - M); `denominator` is the monic least
+    common denominator g of the reduced entries (g divides phi, and its
+    roots are exactly the E-main eigenvalues when M is symmetric and
+    U = V = E); `numerator` is the polynomial matrix f = g * Gamma.
+    `matrix`, the reduced rational functions f / g, is built on first use.
     """
 
-    matrix: RatFunMatrix
     charpoly: Polynomial
     denominator: Polynomial
     numerator: Tuple[Tuple[Polynomial, ...], ...]
+
+    @cached_property
+    def matrix(self) -> RatFunMatrix:
+        return RatFunMatrix([[RationalFunction(f, self.denominator) for f in row] for row in self.numerator])
 
 
 @dataclass(frozen=True)
@@ -127,41 +145,81 @@ class SpectralReport:
 # main functions
 
 
+@lru_cache(maxsize=256)
+def _resolvent(key: tuple):
+    """phi = det(xI - M) and the integer data of the walk recurrence for
+    M = M'/s: the rows of M' as (column, entry) pairs of its non-zeros,
+    and the integers c_j s^j for phi = sum_j c_j x^(n-j). Cached on matrix
+    content, so factors and pair searches that revisit a matrix pay for
+    its characteristic polynomial once."""
+    n = len(key)
+    phi = exactlinalg.charpoly(key)
+    s = math.lcm(*map(_row_denominator_lcm, key))
+    rows = tuple(tuple((j, int(x * s)) for j, x in enumerate(row) if x) for row in key)
+    cs = tuple(int(phi.coefficient(n - j) * s ** j) for j in range(n + 1))
+    return phi, s, rows, cs
+
+
 def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, List[List[Polynomial]]]:
-    """phi and the polynomial matrix left^T adj(xI - M) right."""
-    n = len(m)
+    """phi and N = L^T adj(xI - M) R from the walk sums (module docstring):
+    Horner's rule builds Y_k = M Y_(k-1) + c_k R from Y_0 = R, one row of
+    non-zeros of M at a time, and layer k of N is L^T Y_k. With M = M'/s,
+    s^k Y_k obeys the same recurrence over the integers M' and c_j s^j."""
+    n, cols = mat_shape(m)
+    if cols != n:
+        raise SizeMismatchError(f"square matrix required, got {n}x{cols}")
     rl, cl = mat_shape(left)
     rr, cr = mat_shape(right)
     if rl != n or rr != n:
         raise SizeMismatchError(f"side matrices must have {n} rows, got {rl} and {rr}")
-    phi, bs = charpoly_with_adjugate(m)
+    phi, s, rows, cs = _resolvent(tuple(map(tuple, m)))
     if cl == 0 or cr == 0:
         return phi, [[] for _ in range(cl)]
-    lt = mat_transpose(left)
-    coeff_layers = []
-    for b in bs:
-        coeff_layers.append(mat_mul(mat_mul(lt, b), right))
-    entries = []
-    for a in range(cl):
-        row = []
-        for b_idx in range(cr):
-            coeffs = [Fraction(0)] * n
-            for k, layer in enumerate(coeff_layers):
-                coeffs[n - 1 - k] = Fraction(layer[a][b_idx])
-            row.append(Polynomial(coeffs))
-        entries.append(row)
+    sl = math.lcm(*map(_row_denominator_lcm, left))
+    sr = math.lcm(*map(_row_denominator_lcm, right))
+    left_cols = [[(i, int(row[a] * sl)) for i, row in enumerate(left) if row[a]] for a in range(cl)]
+    r0 = [[int(x * sr) for x in row] for row in right]
+    r_rows = [(i, row) for i, row in enumerate(r0) if any(row)]
+    zero = [0] * cr
+    y = r0
+    layers = []
+    for k in range(n):
+        if k:
+            nxt = []
+            for nz in rows:
+                acc = zero
+                for j, w in nz:
+                    acc = [p + w * q for p, q in zip(acc, y[j])]
+                nxt.append(acc)
+            if cs[k]:
+                for i, row in r_rows:
+                    nxt[i] = [p + cs[k] * q for p, q in zip(nxt[i], row)]
+            y = nxt
+        layer = []
+        for col in left_cols:
+            acc = zero
+            for i, w in col:
+                acc = [p + w * q for p, q in zip(acc, y[i])]
+            layer.append(acc)
+        layers.append(layer)
+    scales = [sl * sr * s ** (n - 1 - d) for d in range(n)]
+    entries = [[Polynomial([Fraction(layers[n - 1 - d][a][b], scales[d]) for d in range(n)])
+                for b in range(cr)] for a in range(cl)]
     return phi, entries
 
 
 def main_function_bilinear(m, u, v) -> MainFunction:
-    """V^T (xI - M)^{-1} U with its exact normal forms (charpoly, reduced
-    common denominator, cleared numerator matrix)."""
+    """V^T (xI - M)^{-1} U = N / phi in exact normal form: g = phi / h and
+    f = N / h, with h = gcd(phi, every non-zero N_ab) taken as one chain
+    that stops once h is constant."""
     phi, numerators = _bilinear_numerators(m, v, u)
-    matrix = RatFunMatrix([[RationalFunction(p, phi) for p in row] for row in numerators])
-    g = matrix.common_denominator
-    poly_divexact(phi, g)  # invariant: the reduced common denominator divides phi
-    f = tuple(tuple(row) for row in matrix.numerator_matrix(g))
-    return MainFunction(matrix=matrix, charpoly=phi, denominator=g, numerator=f)
+    h = phi
+    for row in numerators:
+        for p in row:
+            if h.degree > 0 and not p.is_zero:
+                h = poly_gcd(h, p)
+    f = tuple(tuple(poly_divexact(p, h) for p in row) for row in numerators)
+    return MainFunction(charpoly=phi, denominator=poly_divexact(phi, h), numerator=f)
 
 
 def gamma(m, e) -> MainFunction:
@@ -269,29 +327,35 @@ def _poly_power_multiplicity(target: Polynomial, base: Polynomial) -> int:
         count += 1
 
 
-def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> SpectralReport:
-    ems = spec.indexing_matrices()
-    mfs = [gamma(mat, em) for mat, em in zip(factor_matrices, ems)]
-    k, m = spec.k, spec.m
-    size = k * m
+def reduced_block_charpoly(mfs: Sequence[MainFunction], weights) -> Polynomial:
+    """det(xI - M) of a block matrix from the main functions `mfs` of its
+    diagonal blocks, when each off-diagonal block (i, j) factors through
+    the sides of Gamma_i with column weights `weights(i, j)` (None: zero).
+
+    The reduced matrix holds g_i I on diagonal block i and -w_b f_i[a][b] at
+    row a of block i, column b of block j, w = weights(i, j); its
+    determinant Phi gives det(xI - M) = prod_i phi_i * Phi / prod_i g_i^(m_i)
+    with m_i the size of block i. That has degree n = sum_i deg phi_i, so it
+    is interpolated from its values at the first n + 1 non-negative integers
+    where no g_i vanishes, one integer Bareiss determinant of the reduced
+    matrix each."""
+    offsets = [0]
+    for mf in mfs:
+        offsets.append(offsets[-1] + len(mf.numerator))
     zero = Polynomial.zero()
-    block = [[zero] * size for _ in range(size)]
-    host_adj = spec.host.adjacency_matrix()
-    for i in range(k):
-        gi = mfs[i].denominator
-        fi = mfs[i].numerator
-        for a in range(m):
-            block[i * m + a][i * m + a] = gi
-        for j in range(k):
-            if j == i or not host_adj[i][j]:
-                continue
-            for a in range(m):
-                for b in range(m):
-                    if not fi[a][b].is_zero:
-                        block[i * m + a][j * m + b] = -off_scale * fi[a][b]
-    # det(xI - M) has degree n, so n + 1 values determine it; the identity
-    # holds pointwise wherever no g_i vanishes, so skip the roots of the g_i
-    n = len(direct_matrix)
+    block = [[zero] * offsets[-1] for _ in range(offsets[-1])]
+    for i, mf in enumerate(mfs):
+        for a, f_row in enumerate(mf.numerator):
+            row = block[offsets[i] + a]
+            row[offsets[i] + a] = mf.denominator
+            for j in range(len(mfs)):
+                w = None if j == i else weights(i, j)
+                if w is None:
+                    continue
+                for b, wb in enumerate(w):
+                    if wb and not f_row[b].is_zero:
+                        row[offsets[j] + b] = -wb * f_row[b]
+    n = sum(mf.charpoly.degree for mf in mfs)
     points = []
     t = 0
     while len(points) <= n:
@@ -301,9 +365,17 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> 
     values = []
     for t, value in zip(points, polymatrix_det_values(block, points)):
         for mf in mfs:
-            value = value * mf.charpoly(t) / mf.denominator(t) ** m
+            value = value * mf.charpoly(t) / mf.denominator(t) ** len(mf.numerator)
         values.append((t, value))
-    charpoly_block = interpolate(values)
+    return interpolate(values)
+
+
+def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> SpectralReport:
+    ems = spec.indexing_matrices()
+    mfs = [gamma(mat, em) for mat, em in zip(factor_matrices, ems)]
+    m = spec.m
+    host_adj = spec.host.adjacency_matrix()
+    charpoly_block = reduced_block_charpoly(mfs, lambda i, j: (off_scale,) * m if host_adj[i][j] else None)
     charpoly_direct = charpoly(direct_matrix)
     if charpoly_block != charpoly_direct:
         top = max(charpoly_block.degree, charpoly_direct.degree)

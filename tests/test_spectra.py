@@ -12,7 +12,7 @@ from hmjoin.errors import BlockFactorizationError, InvalidParametersError, NonSy
 from hmjoin.exactlinalg import charpoly, polymatrix_det, rational_eigenvalues
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
-from hmjoin.polynomials import Polynomial, RationalFunction, poly_divexact
+from hmjoin.polynomials import Polynomial, RationalFunction, interpolate, poly_divexact, poly_lcm
 from hmjoin.spectra import (
     block_charpoly,
     carry_forward_report,
@@ -87,6 +87,110 @@ def test_main_function_invariants_on_random_specs():
                         == RationalFunction(f, Polynomial([1]))
                     if not f.is_zero:
                         assert f.degree < mf.denominator.degree
+
+
+def solve_with_det(a, b):
+    """det(a) and X with a X = b, by Fraction Gauss-Jordan elimination
+    (X is None when a is singular)."""
+    n = len(a)
+    rows = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if p is None:
+            return Fraction(0), None
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det, [row[n:] for row in rows]
+
+
+def resolvent_bilinear_at(m, u, v, t):
+    """det(tI - M) and V^T (tI - M)^{-1} U (None when tI - M is singular)."""
+    n = len(m)
+    shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+    det, x = solve_with_det(shifted, u)
+    if x is None:
+        return det, None
+    cols_u = len(u[0]) if n else 0
+    cols_v = len(v[0]) if n else 0
+    return det, [[sum((v[i][a] * x[i][b] for i in range(n)), Fraction(0)) for b in range(cols_u)]
+                 for a in range(cols_v)]
+
+
+def main_function_oracle_cases():
+    rng = random.Random(33)
+
+    def rand(rows, cols, span=3):
+        return [[Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    cases = []
+    for n, cu, cv in ((1, 2, 1), (2, 1, 3), (3, 3, 2), (4, 2, 1), (5, 1, 2)):
+        cases.append((rand(n, n), rand(n, cu), rand(n, cv)))
+    # zero-width sides, an all-zero side (g = 1), and a 1 x 1 matrix
+    cases.append((rand(3, 3), [[] for _ in range(3)], rand(3, 2)))
+    cases.append((rand(3, 3), rand(3, 2), [[] for _ in range(3)]))
+    cases.append((rand(4, 4), [[0, 0] for _ in range(4)], rand(4, 1)))
+    cases.append(([[Fraction(-5, 2)]], [[Fraction(3)]], [[Fraction(1, 7), Fraction(0)]]))
+    # non-main eigenvalues: g is a proper factor of phi, and the two label
+    # classes of a disjoint union see different parts of the spectrum, so
+    # no single entry's denominator is the whole g
+    union = make_named("path", [3]).adjacency_matrix()
+    union = [row + [0, 0, 0] for row in union] + [[0, 0, 0] + [int(i != j) for j in range(3)]
+                                                  for i in range(3)]
+    sides = [[1, 0], [0, 0], [1, 0], [0, 1], [0, 1], [0, 0]]
+    cases.append((union, sides, sides))
+    k5 = make_named("complete", [5])
+    e5 = indexing_matrix(k5, IndexingMap([1, 1, 1, 2, 2], 2))
+    cases.append((k5.adjacency_matrix(), e5, [row[:1] for row in e5]))
+    return cases
+
+
+def test_main_function_matches_resolvent_oracle():
+    for m, u, v in main_function_oracle_cases():
+        n = len(m)
+        cu, cv = len(u[0]), len(v[0])
+        mf = main_function_bilinear(m, u, v)
+        assert len(mf.numerator) == cv
+        assert all(len(row) == cu for row in mf.numerator)
+        # phi from n + 1 determinants, N = phi * V^T (xI - M)^{-1} U from its
+        # values at n integers where tI - M is invertible (deg N < n)
+        phi = interpolate([(t, resolvent_bilinear_at(m, u, v, t)[0]) for t in range(n + 1)])
+        assert mf.charpoly == phi
+        samples = []
+        t = 0
+        while len(samples) < n:
+            det, value = resolvent_bilinear_at(m, u, v, Fraction(t))
+            if value is not None:
+                samples.append((t, det, value))
+            t += 1
+        numerators = [[interpolate([(t, det * value[a][b]) for t, det, value in samples])
+                       for b in range(cu)] for a in range(cv)]
+        # the route through per-entry reduction: monic lcm of the reduced
+        # denominators of N / phi
+        g = Polynomial.one()
+        for row in numerators:
+            for p in row:
+                g = poly_lcm(g, RationalFunction(p, phi).den)
+        assert mf.denominator == g
+        for a in range(cv):
+            for b in range(cu):
+                assert mf.numerator[a][b] == poly_divexact(numerators[a][b] * g, phi)
+        if cu and cv and all(p.is_zero for row in numerators for p in row):
+            assert mf.denominator == Polynomial.one()
+        for t in (Fraction(1, 3), Fraction(-7, 2), Fraction(11, 5)):
+            _, value = resolvent_bilinear_at(m, u, v, t)
+            assert value is not None
+            gt = mf.denominator(t)
+            assert value == [[f(t) / gt for f in row] for row in mf.numerator]
 
 
 def test_classification_of_complete_factors():
