@@ -69,7 +69,6 @@ from .spectra import (
     block_charpoly,
     carry_forward_report,
     classify_e_main,
-    classify_e_main_numeric,
     gamma,
     gamma_bilinear,
     main_function_bilinear,

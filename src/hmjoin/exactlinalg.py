@@ -3,12 +3,29 @@ and determinants of polynomial matrices.
 
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
 values. Determinants go through fraction-free integer Bareiss elimination
-after clearing row denominators; characteristic polynomials of scalar
-matrices use evaluation at the integer points 0..n followed by Newton
-interpolation. No adjugate of (xI - M) is ever formed: the main functions
-in `spectra` read their numerators off the walk sums L^T M^t R and the
-coefficients of this characteristic polynomial, and their denominators
-off one gcd chain against it.
+after clearing row denominators.
+
+Characteristic polynomials of scalar matrices have one engine, `charpoly`,
+which is multi-modular (Dumas, Pernet & Wan, ISSAC 2005; Cohen, A Course
+in Computational Algebraic Number Theory, section 2.2). With L the common
+denominator of M, it works on the integer matrix M' = L*M and returns
+c_k(M) = c_k(M') / L^k. Each c_k(M') is a signed sum of C(n, k) principal
+k-minors, each at most B^k by Hadamard's inequality, with
+B = isqrt(largest row sum of squares) + 1; primes below 2**26, largest
+first, are taken until their product exceeds 2 * max_k C(n, k) B^k + 1.
+Modulo each prime, numpy int64 similarity transforms bring M' to upper
+Hessenberg form and a recurrence reads off its characteristic polynomial;
+Garner's CRT with symmetric residues lifts the coefficients. The int64
+argument: residues are below 2**26, so every product is below 2**52, and
+every sum of products is reduced after at most 2**11 - 1 terms, so no
+partial sum reaches 2**63. No prime is bad, because the characteristic
+polynomial of M' mod p is always that of M' reduced mod p, so the result
+is exact and the same on every machine.
+
+No adjugate of (xI - M) is ever formed: the main functions in `spectra`
+read their numerators off the walk sums L^T M^t R and the coefficients of
+this characteristic polynomial, and their denominators off one gcd chain
+against it.
 
 Matrices of polynomials have one evaluator, `polymatrix_det_values`: it
 clears each row's coefficient denominators once, then takes one
@@ -25,8 +42,10 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import InvalidParametersError, SizeMismatchError
-from .polynomials import Polynomial, RationalFunction, interpolate, poly_divexact, poly_lcm, rational_root_multiplicity
+from .polynomials import Polynomial, RationalFunction, interpolate, rational_root_multiplicity
 
 Matrix = List[List[Fraction]]
 
@@ -173,28 +192,116 @@ def det_bareiss(m) -> Fraction:
 # characteristic polynomials
 
 
+# Primes below 2**26, largest first. The list is a pure function of its
+# length: `_charpoly_primes` extends it on demand and rebinds it whole, so
+# concurrent callers can at worst repeat work.
+_PRIMES: Tuple[int, ...] = ()
+# Terms per int64 dot product mod p. Operands lie in [0, p) with p < 2**26,
+# so each product is below 2**52 and an accumulator below p plus
+# _DOT_TERMS such products stays below 2**26 + (2**11 - 1) * 2**52 < 2**63.
+_DOT_TERMS = (1 << 11) - 1
+
+
+def _charpoly_primes(rows: List[List[int]]) -> Tuple[int, ...]:
+    """The fewest leading primes of `_PRIMES` whose product exceeds
+    2 * max_k C(n, k) B^k + 1, the Hadamard-type bound on the coefficients
+    of det(xI - rows) (module docstring)."""
+    global _PRIMES
+    n = len(rows)
+    b = math.isqrt(max(sum(x * x for x in row) for row in rows)) + 1
+    need = 2 * max(math.comb(n, k) * b ** k for k in range(n + 1)) + 1
+    primes = list(_PRIMES)
+    product = 1
+    count = 0
+    while product <= need:
+        if count == len(primes):
+            q = primes[-1] - 2 if primes else (1 << 26) - 1
+            while not all(q % f for f in range(3, math.isqrt(q) + 1, 2)):
+                q -= 2
+            primes.append(q)
+            _PRIMES = tuple(primes)
+        product *= primes[count]
+        count += 1
+    return tuple(primes[:count])
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p for int64 operands with entries in [0, p), summed in
+    chunks of at most _DOT_TERMS terms so that no partial sum overflows."""
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for s in range(0, b.shape[0], _DOT_TERMS):
+        out = (out + a[..., s:s + _DOT_TERMS] @ b[s:s + _DOT_TERMS]) % p
+    return out
+
+
+def _charpoly_mod(h: np.ndarray, p: int) -> List[int]:
+    """Coefficients, constant term first, of det(xI - H) mod p for an int64
+    matrix H with entries in [0, p) (overwritten).
+
+    H is brought to upper Hessenberg form by similarity transforms mod p:
+    for each column k, a row and column swap moves a non-zero entry of
+    H[k+1:, k] to H[k+1, k] (a column that is already zero there is
+    skipped), scaling row k+1 by its inverse and column k+1 by it makes the
+    pivot 1, and subtracting multiples of row k+1 clears the entries below
+    it, with the inverse column update H[:, k+1] += H[:, k+2:] @ u. Every
+    subdiagonal entry is then 0 or 1, so the recurrence of Cohen, Alg.
+    2.2.9, p_m = (x - H[m-1, m-1]) p_(m-1) - sum_i H[i, m-1] p_i, sums over
+    the rows i of the current unreduced diagonal block only. Every product
+    is of two residues below 2**26, and sums of them go through `_dot_mod`.
+    """
+    n = h.shape[0]
+    for k in range(n - 1):
+        below = np.flatnonzero(h[k + 1:, k])
+        if not below.size:
+            continue
+        i = k + 1 + int(below[0])
+        if i != k + 1:
+            h[[k + 1, i]] = h[[i, k + 1]]
+            h[:, [k + 1, i]] = h[:, [i, k + 1]]
+        t = int(h[k + 1, k])
+        if t != 1:
+            h[k + 1] = h[k + 1] * pow(t, -1, p) % p
+            h[:, k + 1] = h[:, k + 1] * t % p
+        u = h[k + 2:, k].copy()
+        if u.any():
+            h[k + 2:] = (h[k + 2:] - np.outer(u, h[k + 1])) % p
+            h[:, k + 1] = (h[:, k + 1] + _dot_mod(h[:, k + 2:], u, p)) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    start = 0
+    for m in range(1, n + 1):
+        if m > 1 and h[m - 1, m - 2] == 0:
+            start = m - 1
+        prev = polys[m - 1]
+        row = polys[m]
+        row[1:] = prev[:-1]
+        row -= h[m - 1, m - 1] * prev
+        if start < m - 1:
+            row -= _dot_mod(h[start:m - 1, m - 1], polys[start:m - 1], p)
+        row %= p
+    return polys[n].tolist()
+
+
 def charpoly(m) -> Polynomial:
-    """det(xI - M) by evaluation at x = 0..n and Newton interpolation."""
+    """det(xI - M) of a rational matrix, exactly, by the multi-modular
+    engine (module docstring): the charpoly of L*M modulo each prime of
+    `_charpoly_primes`, lifted by Garner's CRT to symmetric residues, then
+    c_k(M) = c_k(L*M) / L^k."""
     n = _require_square(m)
     if n == 0:
         return Polynomial.one()
-    rows, scale = _scaled_int_rows(m)
-    lcms = []
-    pos = 1
-    for row in m:
-        l = _row_denominator_lcm(row)
-        lcms.append(l)
-        pos *= l
-    values = []
-    for t in range(n + 1):
-        work = [row[:] for row in rows]
-        for i in range(n):
-            work[i][i] = lcms[i] * t - work[i][i]
-            for j in range(n):
-                if j != i:
-                    work[i][j] = -work[i][j]
-        values.append((t, Fraction(_det_int(work), scale)))
-    return interpolate(values)
+    l = math.lcm(*(x.denominator for row in m for x in row))
+    rows = [[x.numerator * (l // x.denominator) for x in row] for row in m]
+    big = np.array(rows, dtype=object)
+    lifted = [0] * (n + 1)
+    modulus = 1
+    for p in _charpoly_primes(rows):
+        residues = _charpoly_mod((big % p).astype(np.int64), p)
+        inv = pow(modulus, -1, p)
+        lifted = [c + modulus * ((r - c) * inv % p) for c, r in zip(lifted, residues)]
+        modulus *= p
+    half = modulus // 2
+    return Polynomial([Fraction(c - modulus if c > half else c, l ** (n - d)) for d, c in enumerate(lifted)])
 
 
 def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:
@@ -301,7 +408,7 @@ def rational_eigenvalues(m, char: Optional[Polynomial] = None) -> Tuple[Tuple[Fr
 class RatFunMatrix:
     """Immutable rectangular matrix of reduced rational functions."""
 
-    __slots__ = ("entries", "_den")
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         rows = []
@@ -314,7 +421,6 @@ class RatFunMatrix:
                 raise SizeMismatchError("ragged rational-function matrix")
             rows.append(converted)
         object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "_den", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunMatrix is immutable")
@@ -329,26 +435,6 @@ class RatFunMatrix:
 
     def entry(self, i: int, j: int) -> RationalFunction:
         return self.entries[i][j]
-
-    @property
-    def common_denominator(self) -> Polynomial:
-        """Monic least common multiple of the entry denominators (cached);
-        every entry denominator divides it."""
-        if self._den is None:
-            den = Polynomial.one()
-            for row in self.entries:
-                for e in row:
-                    den = poly_lcm(den, e.den)
-            object.__setattr__(self, "_den", den)
-        return self._den
-
-    def numerator_matrix(self, common: Optional[Polynomial] = None) -> List[List[Polynomial]]:
-        """The polynomial matrix common * self (exact by construction)."""
-        g = self.common_denominator if common is None else common
-        out = []
-        for row in self.entries:
-            out.append([e.num * poly_divexact(g, e.den) for e in row])
-        return out
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:

@@ -17,8 +17,9 @@ f_i = g_i Gamma_i), giving the fully exact pipeline
     det(xI - M) = prod_i phi_i * Phi / prod_i g_i^m.
 
 Main functions come from walk sums, not from an adjugate. With
-phi = sum_j c_j x^(n-j) the characteristic polynomial of M (Bareiss, in
-`exactlinalg`) and W_t = L^T M^t R the walk sums of the side matrices,
+phi = sum_j c_j x^(n-j) the characteristic polynomial of M (from the
+multi-modular engine in `exactlinalg`) and W_t = L^T M^t R the walk sums
+of the side matrices,
 
     L^T adj(xI - M) R = sum_k x^(n-1-k) sum_{j<=k} c_j W_(k-j),
 
@@ -272,29 +273,6 @@ def classify_e_main(m, e) -> Tuple[EigenvalueClass, ...]:
         raise NonSymmetricInputError("classification needs a symmetric matrix")
     mf = gamma(m, e)
     return _eigen_classes(m, mf.charpoly, mf.denominator)
-
-
-def classify_e_main_numeric(m, e, tol: float = 1e-9) -> List[Tuple[float, int, bool]]:
-    """Numeric cross-check oracle: eigendecomposition plus projection norms.
-    Returns (eigenvalue, multiplicity, is_main) per numeric cluster. For
-    diagnostics and tests only; the exact path is authoritative."""
-    if not mat_is_symmetric(m):
-        raise NonSymmetricInputError("classification needs a symmetric matrix")
-    dense = np.array([[float(x) for x in row] for row in m], dtype=float)
-    side = np.array([[float(x) for x in row] for row in e], dtype=float)
-    if dense.size == 0:
-        return []
-    w, vecs = np.linalg.eigh(dense)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    out = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or abs(w[i] - w[start]) > 1e-8 * scale:
-            basis = vecs[:, start:i]
-            norm = float(np.linalg.norm(basis.T @ side))
-            out.append((float(np.mean(w[start:i])), i - start, norm > tol * scale))
-            start = i
-    return out
 
 
 def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:

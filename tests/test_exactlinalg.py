@@ -1,14 +1,23 @@
 """Exact determinants, characteristic polynomials, adjugates, and
-polynomial-matrix determinants, checked against naive cofactor oracles."""
+polynomial-matrix determinants, checked against naive cofactor oracles and
+the Bareiss-interpolation charpoly of `oracles`."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+import hmjoin.exactlinalg as exactlinalg
+from oracles import bareiss_charpoly
 
 from hmjoin.errors import InvalidParametersError, SizeMismatchError
 from hmjoin.exactlinalg import (
     RatFunMatrix,
+    _charpoly_mod,
+    _charpoly_primes,
+    _dot_mod,
     charpoly,
     det_bareiss,
     identity_matrix,
@@ -77,6 +86,109 @@ def test_charpoly_matches_cofactor_oracle():
         for _ in range(6):
             m = random_fraction_matrix(rng, n)
             assert charpoly(m) == naive_charpoly(m)
+
+
+def assert_engine_matches(m):
+    expected = bareiss_charpoly(m)
+    assert charpoly(m) == expected
+    if len(m) <= 4:
+        assert expected == naive_charpoly(m)
+
+
+def test_charpoly_engine_small_and_degenerate_sizes():
+    assert charpoly([]) == Polynomial.one()
+    for a in (0, 7, -3, Fraction(-5, 3), 10 ** 12 + 39):
+        assert charpoly([[a]]) == Polynomial([-a, 1])
+    for n in range(1, 7):
+        assert charpoly([[0] * n for _ in range(n)]) == Polynomial([0] * n + [1])
+
+
+def test_charpoly_engine_rational_nonsymmetric_and_large_entries():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for _ in range(4):
+            # rows with different denominators; random matrices are almost
+            # never symmetric
+            dens = [rng.randint(1, 9) for _ in range(n)]
+            assert_engine_matches([[Fraction(rng.randint(-20, 20), d) for _ in range(n)] for d in dens])
+            assert_engine_matches([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            assert_engine_matches([[rng.randint(-10 ** 12, 10 ** 12) for _ in range(n)] for _ in range(n)])
+            # diagonal entries near 10^12: the determinant is within a factor
+            # (1 - 10^-10)^n of the Hadamard bound, so one prime too few
+            # cannot lift it
+            diag = [rng.choice([1, -1]) * (10 ** 12 - rng.randint(0, 99)) for _ in range(n)]
+            assert_engine_matches([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+            assert_engine_matches([[diag[i] if i == j else rng.randint(-10 ** 12, 10 ** 12) * (i < j)
+                                    for j in range(n)] for i in range(n)])
+
+
+def test_charpoly_engine_has_no_bad_primes():
+    # matrices that vanish modulo the first prime the engine uses
+    p = _charpoly_primes([[1]])[0]
+    for n in (1, 2, 3, 5):
+        scaled_identity = [[p if i == j else 0 for j in range(n)] for i in range(n)]
+        assert charpoly(scaled_identity) == Polynomial.from_roots([p] * n)
+        scaled_ones = [[p] * n for _ in range(n)]
+        assert charpoly(scaled_ones) == Polynomial.from_roots([n * p] + [0] * (n - 1))
+        assert_engine_matches([[Fraction(p * (i - j), 3) for j in range(n)] for i in range(n)])
+
+
+def test_charpoly_engine_hessenberg_swaps_and_zero_subcolumns():
+    # H[1, 0] = 0 but H[2, 0] != 0: the reduction must swap rows and
+    # columns 1 and 2 before it can eliminate
+    assert_engine_matches([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+    assert_engine_matches([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    # a zero subcolumn (skipped) and a zero subdiagonal (block recurrence)
+    assert_engine_matches([[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 0, 1, 2]])
+    assert_engine_matches([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 1, 1],
+                           [0, 0, 1, 3, 1], [0, 0, 1, 1, 3]])
+    rng = random.Random(43)
+    for n in range(3, 10):
+        # sparse non-symmetric matrices hit zero pivots modulo every prime
+        for _ in range(5):
+            assert_engine_matches([[rng.choice([0, 0, 0, 0, 1, -2]) for _ in range(n)] for _ in range(n)])
+    # modulo one prime: column 0 needs a swap, column 2 is already zero
+    # below the diagonal; the reduced matrix is upper Hessenberg with
+    # subdiagonal entries 1, 1, 0
+    p = 101
+    m = [[1, 2, 3, 4], [0, 5, 6, 7], [6, 0, 8, 9], [0, 0, 0, 2]]
+    h = np.array(m, dtype=np.int64)
+    assert _charpoly_mod(h, p) == [int(c) % p for c in bareiss_charpoly(m).coeffs]
+    assert not np.tril(h, -2).any()
+    assert np.diagonal(h, -1).tolist() == [1, 1, 0]
+
+
+def test_charpoly_primes_cover_twice_the_hadamard_bound():
+    rng = random.Random(44)
+    for n in range(1, 12):
+        span = 10 ** rng.randint(0, 12)
+        rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+        # B = isqrt(largest row sum of squares) + 1 bounds each principal
+        # k-minor by B^k, so C(n, k) B^k bounds c_k
+        b = math.isqrt(max(sum(x * x for x in row) for row in rows)) + 1
+        bound = max(math.comb(n, k) * b ** k for k in range(n + 1))
+        primes = _charpoly_primes(rows)
+        assert math.prod(primes) > 2 * bound + 1
+        assert math.prod(primes[:-1]) <= 2 * bound + 1
+        assert list(primes) == sorted(set(primes), reverse=True)
+        assert all(q < 2 ** 26 and all(q % f for f in range(2, math.isqrt(q) + 1)) for q in primes[:3])
+        poly = bareiss_charpoly(rows)
+        for k in range(n + 1):
+            assert abs(poly.coefficient(n - k)) <= math.comb(n, k) * b ** k
+
+
+def test_charpoly_engine_int64_dot_products_are_chunked(monkeypatch):
+    # 5000 products of (p-1)^2 ~ 2^52 overflow int64 unless reduced in chunks
+    p = _charpoly_primes([[1]])[0]
+    a = np.full((2, 5000), p - 1, dtype=np.int64)
+    b = np.full(5000, p - 1, dtype=np.int64)
+    assert _dot_mod(a, b, p).tolist() == [5000 * (p - 1) ** 2 % p] * 2
+    assert _dot_mod(b, a.T, p).tolist() == [5000 * (p - 1) ** 2 % p] * 2
+    # with tiny chunks the engine takes the multi-chunk route everywhere
+    monkeypatch.setattr(exactlinalg, "_DOT_TERMS", 2)
+    rng = random.Random(45)
+    for n in range(1, 9):
+        assert_engine_matches([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)])
 
 
 def test_adjugate_identity():
@@ -164,16 +276,13 @@ def test_rational_eigenvalues_mixed_irrational():
     assert rational_eigenvalues(k4) == ((Fraction(-1), 3), (Fraction(3), 1))
 
 
-def test_ratfunmatrix_common_denominator_and_clearing():
+def test_ratfunmatrix_symmetry_and_transpose():
     x = Polynomial.x()
     a = RationalFunction(Polynomial.one(), x)
     b = RationalFunction(Polynomial.one(), x * x - Polynomial.one())
     m = RatFunMatrix([[a, b], [b, a]])
-    g = m.common_denominator
-    assert g == x * (x * x - Polynomial.one())
-    cleared = m.numerator_matrix()
-    for i in range(2):
-        for j in range(2):
-            assert RationalFunction(cleared[i][j], g) == m.entry(i, j)
     assert m.is_symmetric()
     assert m.transpose() == m
+    skew = RatFunMatrix([[a, b], [a, b]])
+    assert not skew.is_symmetric()
+    assert skew.transpose() == RatFunMatrix([[a, a], [b, b]])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_spec
+from oracles import classify_e_main_numeric
 import hmjoin.spectra as spectra
 from hmjoin.errors import BlockFactorizationError, InvalidParametersError, NonSymmetricInputError
 from hmjoin.exactlinalg import charpoly, polymatrix_det, rational_eigenvalues
@@ -17,7 +18,6 @@ from hmjoin.spectra import (
     block_charpoly,
     carry_forward_report,
     classify_e_main,
-    classify_e_main_numeric,
     gamma,
     main_function_bilinear,
     universal_block_charpoly,
