@@ -33,14 +33,9 @@ from .exactlinalg import (
     RatFunMatrix,
     charpoly,
     det_bareiss,
-    polymatrix_det,
     rational_eigenvalues,
 )
 from .graphs import (
-    ADJACENCY,
-    LAPLACIAN,
-    SEIDEL,
-    SIGNLESS_LAPLACIAN,
     Graph,
     UniversalParams,
     disjoint_union,
@@ -85,10 +80,8 @@ from .families import (
 )
 from .cospectral import (
     COSPECTRAL_KINDS,
-    AugmentedSideMatrices,
     CospectralCertificate,
     GeneralizedJoinSpec,
-    augmented_side_matrices,
     check_cospectral_conditions,
     corrected_factor_matrix,
     generalized_universal_charpoly,

@@ -39,11 +39,11 @@ from .graphs import Graph, UniversalParams, graph_to_edgelist, make_named, unive
 from .joins import REDUCTION_MODES, JoinSpec, hm_join, indexing_matrix, reduce_labels, reduction_report
 from .polynomials import Polynomial, poly_divexact
 from .serialize import (
+    _eigen_class_to_json,
     canonical_dumps,
     certificate_to_json,
     fraction_from_json,
     fraction_to_json,
-    generalized_spec_to_json,
     graph_from_json,
     params_to_json,
     parse_spec,
@@ -183,15 +183,7 @@ def _cmd_classify(args) -> int:
     for i in range(spec.k):
         e = indexing_matrix(spec.factors[i], spec.indexing[i])
         classes = classify_e_main(spec.factors[i].adjacency_matrix(), e)
-        factors.append([
-            {
-                "class_poly": polynomial_to_json(cls.poly),
-                "flag": cls.is_main,
-                "rational": None if cls.rational is None else fraction_to_json(cls.rational),
-                "multiplicity": cls.multiplicity,
-            }
-            for cls in classes
-        ])
+        factors.append([_eigen_class_to_json(cls) for cls in classes])
     _write_text(canonical_dumps({"e_main_flags": factors}), args.output)
     return 0
 

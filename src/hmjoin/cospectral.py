@@ -1,6 +1,16 @@
 """Generalized joins over vertex subsets, their universal characteristic
-polynomials via 2x2 main-function blocks, closed forms for regular factors,
-and hypothesis-checked constructions of cospectral non-isomorphic pairs."""
+polynomials via per-factor main functions, closed forms for regular
+factors, and hypothesis-checked constructions of cospectral
+non-isomorphic pairs.
+
+The `_slot_*` routines are the only place that knows, for factor slot i
+of a generalized join, its side matrices, its main function and its
+hypothesis data. The sides are the subset indicator 1_S alone when
+gamma = 0 (a k x k reduced block), else the two columns [1 | 1_S] and
+[gamma*1 | 1_S], since the all-ones coupling joins every factor pair. The
+main function on them feeds the block charpoly and is a certificate's
+witness; the hypothesis data gates `check_cospectral_conditions` pairwise
+and, as a tuple, groups the configurations of `search_pairs`."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +23,7 @@ from .errors import (
     TheoremViolationError,
     TooLargeError,
 )
-from .exactlinalg import RatFunMatrix, charpoly
+from .exactlinalg import charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import generalized_to_hm, hm_join
 from .polynomials import Polynomial, RationalFunction
@@ -48,6 +58,8 @@ class GeneralizedJoinSpec:
                 "expected %d subsets for the host, got %d" % (host.n, len(subsets)))
         cleaned = []
         for i, subset in enumerate(subsets):
+            if factors[i].n == 0:
+                raise InvalidParametersError("factor %d has no vertices" % i)
             seen = sorted(set(subset))
             if len(seen) != len(tuple(subset)):
                 raise InvalidParametersError("subset %d repeats a vertex" % i)
@@ -92,28 +104,6 @@ class GeneralizedJoinSpec:
             for i in range(self.k))
 
 
-class AugmentedSideMatrices:
-    """Side matrices U = [gamma*1 | 1_S] and V = [1 | 1_S] that factor both
-    the all-ones coupling and the subset coupling of a generalized join."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u, v):
-        object.__setattr__(self, "u", tuple(tuple(row) for row in u))
-        object.__setattr__(self, "v", tuple(tuple(row) for row in v))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AugmentedSideMatrices is immutable")
-
-
-def augmented_side_matrices(g: Graph, subset: Sequence[int],
-                            params: UniversalParams) -> AugmentedSideMatrices:
-    members = set(subset)
-    u = [[params.gamma, Fraction(1 if v in members else 0)] for v in range(g.n)]
-    v = [[Fraction(1), Fraction(1 if w in members else 0)] for w in range(g.n)]
-    return AugmentedSideMatrices(u, v)
-
-
 def corrected_factor_matrix(spec: GeneralizedJoinSpec, i: int):
     """Universal matrix of factor i plus the cross-degree contribution
     delta * w_i on the subset diagonal positions."""
@@ -126,26 +116,40 @@ def corrected_factor_matrix(spec: GeneralizedJoinSpec, i: int):
     return m
 
 
-def _factor_block_data(spec: GeneralizedJoinSpec) -> List[MainFunction]:
-    data = []
-    for i in range(spec.k):
-        sides = augmented_side_matrices(spec.factors[i], spec.subsets[i], spec.params)
-        data.append(main_function_bilinear(corrected_factor_matrix(spec, i),
-                                           sides.u, sides.v))
-    return data
+def _slot_sides(spec: GeneralizedJoinSpec, i: int):
+    """Side matrices (U, V) of factor slot i: the off-diagonal block (i, j)
+    of the join's universal matrix is U_i diag(w_ij) V_j^T.  With gamma = 0,
+    U = V = 1_S and w_ij = (alpha,) on host edges (no block elsewhere);
+    otherwise U = [1 | 1_S], V = [gamma*1 | 1_S] and w_ij = (1, alpha) on
+    host edges, (1, 0) elsewhere."""
+    members = set(spec.subsets[i])
+    sel = [Fraction(1 if v in members else 0) for v in range(spec.factors[i].n)]
+    gamma = spec.params.gamma
+    if gamma == 0:
+        u = [[x] for x in sel]
+        return u, u
+    return [[Fraction(1), x] for x in sel], [[gamma, x] for x in sel]
+
+
+def _slot_main_function(spec: GeneralizedJoinSpec, i: int) -> MainFunction:
+    """V_i^T (xI - M_i)^{-1} U_i on the corrected factor matrix M_i."""
+    return main_function_bilinear(corrected_factor_matrix(spec, i), *_slot_sides(spec, i))
 
 
 def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     """Characteristic polynomial of the universal matrix of the join graph,
-    computed from factor charpolys and 2x2 bilinear main functions, and
+    computed from factor charpolys and the slot main functions, and
     cross-checked against the direct vertex-level computation."""
-    alpha = spec.params.alpha
+    alpha, gamma = spec.params.alpha, spec.params.gamma
     host_edges = spec.host.edges
-    # the all-ones coupling touches every factor pair; the subset coupling
-    # only pairs joined by a host edge
-    result = reduced_block_charpoly(
-        _factor_block_data(spec),
-        lambda i, j: (1, alpha if (min(i, j), max(i, j)) in host_edges else 0))
+
+    def weights(i, j):
+        coupling = alpha if (min(i, j), max(i, j)) in host_edges else 0
+        if gamma == 0:
+            return (coupling,) if coupling else None
+        return (1, coupling)
+
+    result = reduced_block_charpoly([_slot_main_function(spec, i) for i in range(spec.k)], weights)
     direct = charpoly(universal_matrix(spec.join_graph(), spec.params))
     if result != direct:
         raise BlockFactorizationError(
@@ -261,6 +265,13 @@ def isomorphism_test(a: Graph, b: Graph) -> bool:
     return extend(0)
 
 
+def _verdict(a: Graph, b: Graph) -> Optional[bool]:
+    """Isomorphism of two joins, or None above the decision limit."""
+    if a.n <= _ISOMORPHISM_LIMIT and b.n <= _ISOMORPHISM_LIMIT:
+        return isomorphism_test(a, b)
+    return None
+
+
 class CospectralCertificate:
     """Verified outcome of a cospectral construction: the two specs, the
     equal designated charpolys, per-factor main-function witnesses, and an
@@ -299,34 +310,32 @@ def kind_parameters(kind: str, params: Optional[UniversalParams] = None) -> Univ
     return UniversalParams.preset(_KIND_PRESETS[kind])
 
 
-def _cached_charpoly(matrix) -> Polynomial:
-    no_sides = [()] * len(matrix)
-    return main_function_bilinear(matrix, no_sides, no_sides).charpoly
-
-
-def _cached_bilinear(matrix, left, right) -> RatFunMatrix:
-    """left^T (xI - M)^{-1} right as reduced rational functions."""
-    return main_function_bilinear(matrix, right, left).matrix
-
-
-def _scalar_main_function(matrix, subset, n: int) -> RationalFunction:
-    sel = [[Fraction(1 if v in set(subset) else 0)] for v in range(n)]
-    return _cached_bilinear(matrix, sel, sel).entry(0, 0)
-
-
-def _determinant_witness(spec: GeneralizedJoinSpec, i: int):
-    """Main-function data of factor i that enters the block determinant of
-    the join: the scalar subset main function when gamma is zero (the
-    all-ones coupling vanishes), the full 2x2 otherwise.  Both are taken on
-    the corrected factor matrix."""
-    m = corrected_factor_matrix(spec, i)
-    g = spec.factors[i]
-    if spec.params.gamma == 0:
-        members = set(spec.subsets[i])
-        sel = [[Fraction(1 if v in members else 0)] for v in range(g.n)]
-        return _cached_bilinear(m, sel, sel)
-    sides = augmented_side_matrices(g, spec.subsets[i], spec.params)
-    return _cached_bilinear(m, sides.u, sides.v)
+def _slot_hypotheses(spec: GeneralizedJoinSpec, i: int, kind: str):
+    """Hypothesis data of factor slot i as lazy (label, value) pairs, in
+    the order they are checked; two slots meet the kind's hypotheses when
+    every pair agrees.  A regular degree of None marks an irregular graph.
+    The last value is the slot's determinant witness: the subset main
+    function itself when delta = gamma = 0 (the corrected matrix is then
+    the designated one and the sides are 1_S)."""
+    g, subset, params = spec.factors[i], spec.subsets[i], spec.params
+    yield "vertex counts", g.n
+    yield "subset sizes", len(subset)
+    if kind in ("A", "S"):
+        yield "regular degrees", g.is_regular()
+    members = set(subset)
+    sel = [[Fraction(1 if v in members else 0)] for v in range(g.n)]
+    scalar = main_function_bilinear(universal_matrix(g, params), sel, sel)
+    yield "designated charpolys", scalar.charpoly
+    yield "subset main functions", scalar.matrix
+    if params.delta == 0 and params.gamma == 0:
+        return
+    witness = _slot_main_function(spec, i)
+    if params.delta != 0:
+        # cross edges shift the subset diagonal, so the corrected
+        # matrices must agree as well
+        yield "corrected charpolys", witness.charpoly
+    label = "corrected subset main functions" if params.gamma == 0 else "augmented main functions"
+    yield label, witness.matrix
 
 
 def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
@@ -344,53 +353,17 @@ def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
         raise HypothesisNotMetError("universal parameters differ")
     normalized_a = GeneralizedJoinSpec(spec_a.host, spec_a.factors, spec_a.subsets, params)
     normalized_b = GeneralizedJoinSpec(spec_b.host, spec_b.factors, spec_b.subsets, params)
-    k = spec_a.host.n
     witnesses = []
-    for i in range(k):
-        ga, gb = normalized_a.factors[i], normalized_b.factors[i]
-        sa, sb = normalized_a.subsets[i], normalized_b.subsets[i]
-        if ga.n != gb.n:
-            raise HypothesisNotMetError(
-                "factor %d: vertex counts differ (%d vs %d)" % (i, ga.n, gb.n))
-        if len(sa) != len(sb):
-            raise HypothesisNotMetError(
-                "factor %d: subset sizes differ (%d vs %d)" % (i, len(sa), len(sb)))
-        if kind in ("A", "S"):
-            ra, rb = ga.is_regular(), gb.is_regular()
-            if ra is None:
-                raise HypothesisNotMetError("factor %d: first graph is not regular" % i)
-            if rb is None:
-                raise HypothesisNotMetError("factor %d: second graph is not regular" % i)
-            if ra != rb:
-                raise HypothesisNotMetError(
-                    "factor %d: regular degrees differ (%d vs %d)" % (i, ra, rb))
-        ma = universal_matrix(ga, params)
-        mb = universal_matrix(gb, params)
-        if _cached_charpoly(ma) != _cached_charpoly(mb):
-            raise HypothesisNotMetError(
-                "factor %d: designated charpolys differ" % i)
-        if _scalar_main_function(ma, sa, ga.n) != _scalar_main_function(mb, sb, gb.n):
-            raise HypothesisNotMetError(
-                "factor %d: subset main functions differ" % i)
-        if params.delta != 0:
-            # cross edges shift the subset diagonal, so the corrected
-            # matrices must agree as well
-            ca = corrected_factor_matrix(normalized_a, i)
-            cb = corrected_factor_matrix(normalized_b, i)
-            if _cached_charpoly(ca) != _cached_charpoly(cb):
-                raise HypothesisNotMetError(
-                    "factor %d: corrected charpolys differ" % i)
-        wa = _determinant_witness(normalized_a, i)
-        wb = _determinant_witness(normalized_b, i)
-        if wa != wb:
-            if params.delta == 0 and params.gamma == 0:
-                label = "subset main functions"
-            elif params.gamma == 0:
-                label = "corrected subset main functions"
-            else:
-                label = "augmented main functions"
-            raise HypothesisNotMetError("factor %d: %s differ" % (i, label))
-        witnesses.append(wa)
+    for i in range(spec_a.k):
+        pairs = zip(_slot_hypotheses(normalized_a, i, kind), _slot_hypotheses(normalized_b, i, kind))
+        for (label, va), (_, vb) in pairs:
+            if label == "regular degrees" and None in (va, vb):
+                raise HypothesisNotMetError("factor %d: %s graph is not regular"
+                                            % (i, "first" if va is None else "second"))
+            if va != vb:
+                detail = " (%d vs %d)" % (va, vb) if isinstance(va, int) else ""
+                raise HypothesisNotMetError("factor %d: %s differ%s" % (i, label, detail))
+        witnesses.append(va)  # the last value is the slot's witness
     join_a = normalized_a.join_graph()
     join_b = normalized_b.join_graph()
     pa = charpoly(universal_matrix(join_a, params))
@@ -398,37 +371,22 @@ def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
     if pa != pb:
         raise TheoremViolationError(
             "hypotheses hold but the kind-%s charpolys of the joins differ" % kind)
-    if join_a.n <= _ISOMORPHISM_LIMIT and join_b.n <= _ISOMORPHISM_LIMIT:
-        isomorphic: Optional[bool] = isomorphism_test(join_a, join_b)
-    else:
-        isomorphic = None
     return CospectralCertificate(kind, normalized_a, normalized_b, pa, pb,
-                                 isomorphic, witnesses)
+                                 _verdict(join_a, join_b), witnesses)
 
 
 def _config_key(g: Graph, subset: Tuple[int, ...], kind: str,
                 params: UniversalParams, host: Graph, anchor: Graph):
-    """Hypothesis data of one (graph, subset) slot against the fixed anchor:
-    configurations sharing a key always combine into a verified pair."""
-    if kind in ("A", "S"):
-        r = g.is_regular()
-        if r is None:
-            return None
-    else:
-        r = None
+    """Hypothesis data of one (graph, subset) slot against the fixed anchor,
+    or None for a graph the kind rejects as irregular: configurations
+    sharing a key always combine into a verified pair."""
     spec = GeneralizedJoinSpec(host, (g, anchor), (subset, (0,)), params)
-    m = universal_matrix(g, params)
-    scalar = _scalar_main_function(m, subset, g.n)
-    witness = _determinant_witness(spec, 0)
-    wkey = tuple(
-        (witness.entry(i, j).num.coeffs, witness.entry(i, j).den.coeffs)
-        for i in range(witness.rows) for j in range(witness.cols))
-    if params.delta != 0:
-        corrected_key = _cached_charpoly(corrected_factor_matrix(spec, 0)).coeffs
-    else:
-        corrected_key = None
-    return (g.n, len(subset), r, _cached_charpoly(m).coeffs,
-            (scalar.num.coeffs, scalar.den.coeffs), corrected_key, wkey)
+    key = []
+    for _, value in _slot_hypotheses(spec, 0, kind):
+        if value is None:
+            return None
+        key.append(value)
+    return tuple(key)
 
 
 def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
@@ -448,22 +406,16 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
     host = make_named("complete", [2])
     anchor = make_named("complete", [1])
     groups: Dict[tuple, List[Tuple[Graph, Tuple[int, ...]]]] = {}
-    order: List[tuple] = []
     for g in catalog:
         sizes = sorted(set(range(1, min(subset_budget, g.n) + 1)) | {g.n})
         for size in sizes:
             for subset in combinations(range(g.n), size):
                 key = _config_key(g, subset, kind, chosen, host, anchor)
-                if key is None:
-                    continue
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append((g, subset))
+                if key is not None:
+                    groups.setdefault(key, []).append((g, subset))
     results: List[CospectralCertificate] = []
     seen_pairs = set()
-    for key in order:
-        members = groups[key]
+    for members in groups.values():
         verdicts_seen: set = set()
         for (ga, sa), (gb, sb) in combinations(members, 2):
             if ga == gb and sa == sb:
@@ -472,12 +424,7 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
                 break
             spec_a = GeneralizedJoinSpec(host, (ga, anchor), (sa, (0,)), chosen)
             spec_b = GeneralizedJoinSpec(host, (gb, anchor), (sb, (0,)), chosen)
-            join_a = spec_a.join_graph()
-            join_b = spec_b.join_graph()
-            if join_a.n <= _ISOMORPHISM_LIMIT and join_b.n <= _ISOMORPHISM_LIMIT:
-                verdict: Optional[bool] = isomorphism_test(join_a, join_b)
-            else:
-                verdict = None
+            verdict = _verdict(spec_a.join_graph(), spec_b.join_graph())
             if verdict in verdicts_seen:
                 continue
             verdicts_seen.add(verdict)

@@ -30,10 +30,10 @@ against it.
 Matrices of polynomials have one evaluator, `polymatrix_det_values`: it
 clears each row's coefficient denominators once, then takes one
 fraction-free Bareiss determinant of the integer matrix at each requested
-integer point. Callers that know the degree of what they want pick their
-own points (the reduced block determinants in `spectra` ask for n + 1
-points that avoid the roots of the main-function denominators);
-`polymatrix_det` evaluates at 0..D for a degree bound D and interpolates.
+integer point. Callers pick their own points: the reduced block
+determinants in `spectra` ask for n + 1 points that avoid the roots of the
+main-function denominators and interpolate the characteristic polynomial,
+not the determinant.
 """
 
 from __future__ import annotations
@@ -45,17 +45,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidParametersError, SizeMismatchError
-from .polynomials import Polynomial, RationalFunction, interpolate, rational_root_multiplicity
+from .polynomials import Polynomial, RationalFunction, rational_root_multiplicity
 
 Matrix = List[List[Fraction]]
 
 
 def identity_matrix(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(rows: int, cols: int) -> list:
-    return [[0] * cols for _ in range(rows)]
 
 
 def mat_shape(m) -> Tuple[int, int]:
@@ -96,22 +92,6 @@ def mat_mul(a, b) -> list:
             out_row.append(acc)
         out.append(out_row)
     return out
-
-
-def mat_add(a, b) -> list:
-    if mat_shape(a) != mat_shape(b):
-        raise SizeMismatchError("matrix addition shape mismatch")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b) -> list:
-    if mat_shape(a) != mat_shape(b):
-        raise SizeMismatchError("matrix subtraction shape mismatch")
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(m, s) -> list:
-    return [[s * x for x in row] for row in m]
 
 
 def mat_is_symmetric(m) -> bool:
@@ -322,7 +302,7 @@ def polymatrix_det_values(entries, points: Sequence[int]) -> List[Fraction]:
         l = 1
         for p in row:
             if not isinstance(p, Polynomial):
-                raise InvalidParametersError("polymatrix_det expects Polynomial entries")
+                raise InvalidParametersError("polymatrix_det_values expects Polynomial entries")
             for c in p.coeffs:
                 if c.denominator != 1:
                     l = math.lcm(l, c.denominator)
@@ -333,20 +313,6 @@ def polymatrix_det_values(entries, points: Sequence[int]) -> List[Fraction]:
         work = [[_int_coeff_eval(c, t) for c in row] for row in int_rows]
         values.append(Fraction(_det_int(work), scale))
     return values
-
-
-def polymatrix_det(entries, degree_bound: Optional[int] = None) -> Polynomial:
-    """Determinant of a square matrix of Polynomials, via its values at the
-    integer points 0..D and interpolation. D defaults to the row-degree
-    bound sum_r max_j deg(entries[r][j]), which dominates deg(det)."""
-    if degree_bound is None:
-        # entries that are not Polynomials are rejected by the evaluator
-        degree_bound = sum(max([0] + [p.degree for p in row if isinstance(p, Polynomial)]) for row in entries)
-    if degree_bound < 0:
-        raise InvalidParametersError("degree bound must be non-negative")
-    points = range(degree_bound + 1)
-    values = polymatrix_det_values(entries, points)
-    return interpolate(list(zip(points, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,6 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge], labels: Optional[Sequence[str]] = None) -> "Graph":
-        return cls(n, edges, labels)
-
     # ------------------------------------------------------------------
     @property
     def edge_count(self) -> int:
@@ -61,9 +57,6 @@ class Graph:
 
     def sorted_edges(self) -> Tuple[Edge, ...]:
         return tuple(sorted(self.edges))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         if not (0 <= v < self.n):
@@ -103,9 +96,6 @@ class Graph:
         if not degs:
             return 0
         return degs[0] if all(d == degs[0] for d in degs) else None
-
-    def relabeled(self, labels: Optional[Sequence[str]]) -> "Graph":
-        return Graph(self.n, self.edges, labels)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -284,12 +274,6 @@ class UniversalParams:
                 raise InvalidParametersError(f"bad Aalpha parameter in {name!r}: {exc}")
             return cls(1 - r, 0, 0, r)
         raise InvalidParametersError(f"unknown universal preset {name!r} (expected A, L, Q, seidel, or Aalpha:<r>)")
-
-
-ADJACENCY = "A"
-LAPLACIAN = "L"
-SIGNLESS_LAPLACIAN = "Q"
-SEIDEL = "seidel"
 
 
 def universal_matrix(g: Graph, params: UniversalParams) -> List[List[Fraction]]:

@@ -224,22 +224,16 @@ class Polynomial:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if k == 0:
-                body = _fraction_str(mag)
+                body = str(mag)
             else:
                 var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{_fraction_str(mag)}*{var}"
+                body = var if mag == 1 else f"{mag}*{var}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def _fraction_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -368,18 +362,9 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def from_scalar(cls, value: Scalar) -> "RationalFunction":
-        return cls(Polynomial.constant(value))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_proper(self) -> bool:
-        """True when deg(num) < deg(den)."""
-        return self.num.degree < self.den.degree
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):

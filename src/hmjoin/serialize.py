@@ -65,9 +65,7 @@ def _check_keys(data: Dict[str, Any], pointer: str, required, optional=()):
 
 
 def fraction_to_json(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    return str(value)
 
 
 def fraction_from_json(data, pointer: str = "") -> Fraction:

@@ -5,18 +5,30 @@ interpolation: n + 1 fraction-free Bareiss determinants of tI - M at
 t = 0..n. It shares no code with the multi-modular engine behind
 `hmjoin.exactlinalg.charpoly`, so the two check each other.
 
+`polymatrix_det` is the determinant of a polynomial matrix by evaluation
+at 0..D over its row-degree bound D and interpolation, the Phi oracle of
+the block-path tests; the library only evaluates such determinants at the
+points it picks (`hmjoin.exactlinalg.polymatrix_det_values`).
+
 `classify_e_main_numeric` classifies eigenvalues as E-main from a float
 eigendecomposition and projection norms, independently of the exact gcd
 route of `hmjoin.spectra.classify_e_main`.
 """
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from hmjoin.errors import NonSymmetricInputError
-from hmjoin.exactlinalg import _det_int, _require_square, _row_denominator_lcm, _scaled_int_rows, mat_is_symmetric
+from hmjoin.exactlinalg import (
+    _det_int,
+    _require_square,
+    _row_denominator_lcm,
+    _scaled_int_rows,
+    mat_is_symmetric,
+    polymatrix_det_values,
+)
 from hmjoin.polynomials import Polynomial, interpolate
 
 
@@ -37,6 +49,16 @@ def bareiss_charpoly(m) -> Polynomial:
                     work[i][j] = -work[i][j]
         values.append((t, Fraction(_det_int(work), scale)))
     return interpolate(values)
+
+
+def polymatrix_det(entries, degree_bound: Optional[int] = None) -> Polynomial:
+    """Determinant of a square matrix of Polynomials, via its values at the
+    integer points 0..D and interpolation. D defaults to the row-degree
+    bound sum_r max_j deg(entries[r][j]), which dominates deg(det)."""
+    if degree_bound is None:
+        degree_bound = sum(max([0] + [p.degree for p in row]) for row in entries)
+    points = range(degree_bound + 1)
+    return interpolate(list(zip(points, polymatrix_det_values(entries, points))))
 
 
 def classify_e_main_numeric(m, e, tol: float = 1e-9) -> List[Tuple[float, int, bool]]:

@@ -241,6 +241,29 @@ def test_cospectral_search_rejects_non_json_catalog(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_cospectral_search_rejects_empty_catalog_graph(capsys, tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"n": 0, "edges": []}]))
+    code, out, err = run_cli(capsys, "cospectral", "search", str(catalog), "--kind", "A")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "factor 0 has no vertices" in err
+
+
+def test_cospectral_check_rejects_empty_factor(capsys, tmp_path):
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps({
+        "host": {"n": 2, "edges": [[0, 1]]},
+        "factors": [{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}, {"n": 0, "edges": []}],
+        "subsets": [[0], []], "params": "A"}))
+    code, out, err = run_cli(capsys, "cospectral", "check", str(spec), str(spec), "--kind", "A")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "factor 1 has no vertices" in err
+
+
 def test_exit_code_one_for_violations(capsys, monkeypatch):
     def explode(spec):
         raise CarryForwardError("observed multiplicity below the guaranteed bound")

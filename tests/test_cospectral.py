@@ -12,7 +12,7 @@ from conftest import exceptional_srg16, lattice_srg16, random_graph
 from hmjoin.cospectral import (
     COSPECTRAL_KINDS,
     GeneralizedJoinSpec,
-    augmented_side_matrices,
+    _slot_sides,
     check_cospectral_conditions,
     corrected_factor_matrix,
     generalized_universal_charpoly,
@@ -88,12 +88,14 @@ def test_cross_weights():
             assert degrees[3 * i + v] == expected
 
 
-def test_augmented_sides_reproduce_cross_blocks():
-    # rank-2 factorization: for every factor pair the cross block of the
-    # join's universal matrix is u_i diag(1, alpha*edge) v_j^T
+def test_slot_sides_reproduce_cross_blocks():
+    # for every factor pair the cross block of the join's universal matrix
+    # is U_i diag(w_ij) V_j^T: one column 1_S with w_ij = (alpha*edge,) when
+    # gamma = 0, two columns with w_ij = (1, alpha*edge) otherwise
     rng = random.Random(31)
-    for _ in range(20):
-        spec = random_generalized_spec(rng)
+    widths = set()
+    for trial in range(40):
+        spec = random_generalized_spec(rng, allow_gamma=trial % 2 == 0)
         joined = spec.join_graph()
         full = universal_matrix(joined, spec.params)
         offsets = []
@@ -102,19 +104,22 @@ def test_augmented_sides_reproduce_cross_blocks():
             offsets.append(acc)
             acc += g.n
         host_edges = set(spec.host.edges)
+        sides = [_slot_sides(spec, i) for i in range(spec.k)]
         for i in range(spec.k):
             for j in range(spec.k):
                 if i == j:
                     continue
-                gi, gj = spec.factors[i], spec.factors[j]
-                ui = augmented_side_matrices(gi, spec.subsets[i], spec.params)
-                vj = augmented_side_matrices(gj, spec.subsets[j], spec.params)
+                (ui, _), (_, vj) = sides[i], sides[j]
                 edge = (min(i, j), max(i, j)) in host_edges
                 scale = spec.params.alpha if edge else Fraction(0)
-                for a in range(gi.n):
-                    for b in range(gj.n):
-                        got = ui.u[a][0] * vj.v[b][0] + scale * ui.u[a][1] * vj.v[b][1]
+                weights = (scale,) if spec.params.gamma == 0 else (Fraction(1), scale)
+                widths.add(len(weights))
+                for a in range(spec.factors[i].n):
+                    assert len(ui[a]) == len(weights)
+                    for b in range(spec.factors[j].n):
+                        got = sum(w * x * y for w, x, y in zip(weights, ui[a], vj[b]))
                         assert got == full[offsets[i] + a][offsets[j] + b]
+    assert widths == {1, 2}
 
 
 def test_generalized_universal_charpoly_matches_direct():

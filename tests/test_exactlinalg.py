@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hmjoin.exactlinalg as exactlinalg
-from oracles import bareiss_charpoly
+from oracles import bareiss_charpoly, polymatrix_det
 
 from hmjoin.errors import InvalidParametersError, SizeMismatchError
 from hmjoin.exactlinalg import (
@@ -22,7 +22,6 @@ from hmjoin.exactlinalg import (
     det_bareiss,
     identity_matrix,
     mat_mul,
-    polymatrix_det,
     polymatrix_det_values,
     rational_eigenvalues,
 )

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_spec
-from oracles import classify_e_main_numeric
+from oracles import classify_e_main_numeric, polymatrix_det
 import hmjoin.spectra as spectra
 from hmjoin.errors import BlockFactorizationError, InvalidParametersError, NonSymmetricInputError
-from hmjoin.exactlinalg import charpoly, polymatrix_det, rational_eigenvalues
+from hmjoin.exactlinalg import charpoly, rational_eigenvalues
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
 from hmjoin.polynomials import Polynomial, RationalFunction, interpolate, poly_divexact, poly_lcm
