@@ -32,7 +32,6 @@ from .polynomials import (
 from .exactlinalg import (
     RatFunMatrix,
     charpoly,
-    det_bareiss,
     rational_eigenvalues,
 )
 from .graphs import (
@@ -65,7 +64,6 @@ from .spectra import (
     carry_forward_report,
     classify_e_main,
     gamma,
-    gamma_bilinear,
     main_function_bilinear,
     universal_block_charpoly,
 )

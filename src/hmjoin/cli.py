@@ -409,9 +409,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_params(argv: List[str]) -> List[str]:
+    """`--params VALUE` as `--params=VALUE`, so that a VALUE starting with a
+    minus sign, such as -1,0,0,1, is not taken for an option."""
+    out: List[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            out.append(arg)
+            out.extend(rest)
+            break
+        if arg == "--params":
+            value = next(rest, None)
+            if value is not None:
+                arg = "--params=" + value
+        out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_params(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _VIOLATIONS as exc:

@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
-    BlockFactorizationError,
     HypothesisNotMetError,
     InvalidParametersError,
     TheoremViolationError,
@@ -27,7 +26,7 @@ from .exactlinalg import charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import generalized_to_hm, hm_join
 from .polynomials import Polynomial, RationalFunction
-from .spectra import MainFunction, main_function_bilinear, reduced_block_charpoly
+from .spectra import MainFunction, check_block_charpoly, main_function_bilinear, reduced_block_charpoly
 
 COSPECTRAL_KINDS = ("A", "S", "L", "U")
 
@@ -149,11 +148,9 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
             return (coupling,) if coupling else None
         return (1, coupling)
 
-    result = reduced_block_charpoly([_slot_main_function(spec, i) for i in range(spec.k)], weights)
-    direct = charpoly(universal_matrix(spec.join_graph(), spec.params))
-    if result != direct:
-        raise BlockFactorizationError(
-            "block universal charpoly disagrees with the direct computation")
+    matrix = universal_matrix(spec.join_graph(), spec.params)
+    result = reduced_block_charpoly([_slot_main_function(spec, i) for i in range(spec.k)], weights, matrix)
+    check_block_charpoly(result, charpoly(matrix))
     return result
 
 

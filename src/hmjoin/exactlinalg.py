@@ -1,9 +1,8 @@
-"""Exact linear algebra over Q: determinants, characteristic polynomials,
-and determinants of polynomial matrices.
+"""Exact linear algebra over Q: characteristic polynomials, rational
+eigenvalues, and determinants of polynomial matrices modulo primes.
 
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
-values. Determinants go through fraction-free integer Bareiss elimination
-after clearing row denominators.
+values.
 
 Characteristic polynomials of scalar matrices have one engine, `charpoly`,
 which is multi-modular (Dumas, Pernet & Wan, ISSAC 2005; Cohen, A Course
@@ -11,47 +10,46 @@ in Computational Algebraic Number Theory, section 2.2). With L the common
 denominator of M, it works on the integer matrix M' = L*M and returns
 c_k(M) = c_k(M') / L^k. Each c_k(M') is a signed sum of C(n, k) principal
 k-minors, each at most B^k by Hadamard's inequality, with
-B = isqrt(largest row sum of squares) + 1; primes below 2**26, largest
-first, are taken until their product exceeds 2 * max_k C(n, k) B^k + 1.
-Modulo each prime, numpy int64 similarity transforms bring M' to upper
-Hessenberg form and a recurrence reads off its characteristic polynomial;
-Garner's CRT with symmetric residues lifts the coefficients. The int64
-argument: residues are below 2**26, so every product is below 2**52, and
-every sum of products is reduced after at most 2**11 - 1 terms, so no
-partial sum reaches 2**63. No prime is bad, because the characteristic
-polynomial of M' mod p is always that of M' reduced mod p, so the result
-is exact and the same on every machine.
+B = isqrt(largest row sum of squares) + 1 (`_scaled_bound`); primes below
+2**26, largest first (`_primes`), are taken until their product exceeds
+2 * max_k C(n, k) B^k + 1. Modulo each prime, numpy int64 similarity
+transforms bring M' to upper Hessenberg form and a recurrence reads off
+its characteristic polynomial; Garner's CRT with symmetric residues
+(`_crt_lift`) lifts the coefficients. The int64 argument: residues are
+below 2**26, so every product is below 2**52, and every sum of products
+is reduced after at most 2**11 - 1 terms, so no partial sum reaches
+2**63. No prime is bad, because the characteristic polynomial of M' mod p
+is always that of M' reduced mod p, so the result is exact and the same
+on every machine.
 
 No adjugate of (xI - M) is ever formed: the main functions in `spectra`
 read their numerators off the walk sums L^T M^t R and the coefficients of
 this characteristic polynomial, and their denominators off one gcd chain
 against it.
 
-Matrices of polynomials have one evaluator, `polymatrix_det_values`: it
-clears each row's coefficient denominators once, then takes one
-fraction-free Bareiss determinant of the integer matrix at each requested
-integer point. Callers pick their own points: the reduced block
-determinants in `spectra` ask for n + 1 points that avoid the roots of the
-main-function denominators and interpolate the characteristic polynomial,
-not the determinant.
+Matrices of polynomials are only ever evaluated modulo a prime p:
+`_cleared_polymatrix` clears each row's coefficient denominators once,
+and `_polymatrix_det_mod` reduces the integer coefficients mod p, evaluates
+the matrix at all requested points into one int64 stack and takes every
+determinant at once by batched Gaussian elimination (`_det_mod`), under
+the same int64 argument: each step forms one product of two residues and
+reduces it. `_interpolate_mod` interpolates values mod p. The reduced
+block determinants in `spectra` use these with the bound, the primes and
+the CRT of `charpoly`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidParametersError, SizeMismatchError
-from .polynomials import Polynomial, RationalFunction, rational_root_multiplicity
+from .polynomials import Polynomial, RationalFunction, _unscaled, rational_root_multiplicity
 
 Matrix = List[List[Fraction]]
-
-
-def identity_matrix(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_shape(m) -> Tuple[int, int]:
@@ -100,7 +98,7 @@ def mat_is_symmetric(m) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# denominators and primes
 
 
 def _row_denominator_lcm(row) -> int:
@@ -111,69 +109,19 @@ def _row_denominator_lcm(row) -> int:
     return l
 
 
-def _scaled_int_rows(m) -> Tuple[List[List[int]], int]:
-    """Clear denominators row by row; returns integer rows and the product
-    of the row multipliers (the determinant scales by that product)."""
-    rows = []
-    scale = 1
-    for row in m:
-        l = _row_denominator_lcm(row)
-        scale *= l
-        out = []
-        for x in row:
-            if isinstance(x, Fraction):
-                out.append(x.numerator * (l // x.denominator))
-            else:
-                out.append(x * l)
-        rows.append(out)
-    return rows, scale
-
-
-def _det_int(rows: List[List[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix (destructive)."""
+def _scaled_bound(m) -> Tuple[int, List[List[int]], int]:
+    """L, the common denominator of the entries of M, the integer rows of
+    L*M, and max_k C(n, k) B^k, which bounds every coefficient of
+    det(xI - L*M) (module docstring)."""
+    l = math.lcm(*(x.denominator for row in m for x in row))
+    rows = [[x.numerator * (l // x.denominator) for x in row] for row in m]
     n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = None
-        for r in range(k, n):
-            if rows[r][k]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pk = rows[k][k]
-        rk = rows[k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            rik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (pk * ri[j] - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    return sign * rows[n - 1][n - 1]
-
-
-def det_bareiss(m) -> Fraction:
-    """Exact determinant via integer Bareiss after clearing row denominators."""
-    n = _require_square(m)
-    if n == 0:
-        return Fraction(1)
-    rows, scale = _scaled_int_rows(m)
-    return Fraction(_det_int(rows), scale)
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomials
+    b = math.isqrt(max((sum(x * x for x in row) for row in rows), default=0)) + 1
+    return l, rows, max(math.comb(n, k) * b ** k for k in range(n + 1))
 
 
 # Primes below 2**26, largest first. The list is a pure function of its
-# length: `_charpoly_primes` extends it on demand and rebinds it whole, so
+# length: `_primes` extends it on demand and rebinds it whole, so
 # concurrent callers can at worst repeat work.
 _PRIMES: Tuple[int, ...] = ()
 # Terms per int64 dot product mod p. Operands lie in [0, p) with p < 2**26,
@@ -182,35 +130,58 @@ _PRIMES: Tuple[int, ...] = ()
 _DOT_TERMS = (1 << 11) - 1
 
 
-def _charpoly_primes(rows: List[List[int]]) -> Tuple[int, ...]:
-    """The fewest leading primes of `_PRIMES` whose product exceeds
-    2 * max_k C(n, k) B^k + 1, the Hadamard-type bound on the coefficients
-    of det(xI - rows) (module docstring)."""
+def _primes() -> Iterator[int]:
+    """The primes of `_PRIMES` in order, extending it as they run out."""
     global _PRIMES
-    n = len(rows)
-    b = math.isqrt(max(sum(x * x for x in row) for row in rows)) + 1
-    need = 2 * max(math.comb(n, k) * b ** k for k in range(n + 1)) + 1
-    primes = list(_PRIMES)
-    product = 1
-    count = 0
-    while product <= need:
-        if count == len(primes):
-            q = primes[-1] - 2 if primes else (1 << 26) - 1
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            q = _PRIMES[-1] - 2 if _PRIMES else (1 << 26) - 1
             while not all(q % f for f in range(3, math.isqrt(q) + 1, 2)):
                 q -= 2
-            primes.append(q)
-            _PRIMES = tuple(primes)
-        product *= primes[count]
-        count += 1
-    return tuple(primes[:count])
+            _PRIMES = _PRIMES + (q,)
+        yield _PRIMES[i]
+        i += 1
+
+
+def _crt_lift(bound: int, residues_mod: Callable[[int], Optional[Sequence[int]]]) -> List[int]:
+    """Integers c_j with every |c_j| <= bound, from their residues:
+    `residues_mod(p)` gives every c_j mod p, or None when p is bad, for the
+    primes of `_primes` in order; bad primes are skipped and the next one
+    taken until the primes used multiply past 2 * bound + 1. Garner's CRT,
+    lifted incrementally, with symmetric residues. The primes depend only
+    on the bound and on which primes are bad, so the result is the same on
+    every machine."""
+    need = 2 * bound + 1
+    lifted: Optional[List[int]] = None
+    modulus = 1
+    primes = _primes()
+    while modulus <= need:
+        p = next(primes)
+        residues = residues_mod(p)
+        if residues is None:
+            continue
+        if lifted is None:
+            lifted = [0] * len(residues)
+        inv = pow(modulus, -1, p)
+        lifted = [c + modulus * ((r - c) * inv % p) for c, r in zip(lifted, residues)]
+        modulus *= p
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in lifted]
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) % p for int64 operands with entries in [0, p), summed in
     chunks of at most _DOT_TERMS terms so that no partial sum overflows."""
-    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    for s in range(0, b.shape[0], _DOT_TERMS):
-        out = (out + a[..., s:s + _DOT_TERMS] @ b[s:s + _DOT_TERMS]) % p
+    out = a[..., :_DOT_TERMS] @ b[:_DOT_TERMS]
+    out %= p
+    for s in range(_DOT_TERMS, b.shape[0], _DOT_TERMS):
+        out += a[..., s:s + _DOT_TERMS] @ b[s:s + _DOT_TERMS]
+        out %= p
     return out
 
 
@@ -264,24 +235,15 @@ def _charpoly_mod(h: np.ndarray, p: int) -> List[int]:
 
 def charpoly(m) -> Polynomial:
     """det(xI - M) of a rational matrix, exactly, by the multi-modular
-    engine (module docstring): the charpoly of L*M modulo each prime of
-    `_charpoly_primes`, lifted by Garner's CRT to symmetric residues, then
+    engine (module docstring): the charpoly of L*M modulo each prime,
+    lifted by `_crt_lift` within the bound of `_scaled_bound`, then
     c_k(M) = c_k(L*M) / L^k."""
     n = _require_square(m)
     if n == 0:
         return Polynomial.one()
-    l = math.lcm(*(x.denominator for row in m for x in row))
-    rows = [[x.numerator * (l // x.denominator) for x in row] for row in m]
+    l, rows, bound = _scaled_bound(m)
     big = np.array(rows, dtype=object)
-    lifted = [0] * (n + 1)
-    modulus = 1
-    for p in _charpoly_primes(rows):
-        residues = _charpoly_mod((big % p).astype(np.int64), p)
-        inv = pow(modulus, -1, p)
-        lifted = [c + modulus * ((r - c) * inv % p) for c, r in zip(lifted, residues)]
-        modulus *= p
-    half = modulus // 2
-    return Polynomial([Fraction(c - modulus if c > half else c, l ** (n - d)) for d, c in enumerate(lifted)])
+    return _unscaled(_crt_lift(bound, lambda p: _charpoly_mod((big % p).astype(np.int64), p)), l)
 
 
 def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:
@@ -291,28 +253,96 @@ def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:
     return acc
 
 
-def polymatrix_det_values(entries, points: Sequence[int]) -> List[Fraction]:
-    """det(entries(t)) for each integer t in `points`, where `entries` is a
-    square matrix of Polynomials: row denominators are cleared once, then
-    each point costs one fraction-free Bareiss determinant."""
-    _require_square(entries)
-    int_rows = []
+# ---------------------------------------------------------------------------
+# polynomial matrices modulo a prime
+
+
+def _cleared_polymatrix(entries) -> Tuple[np.ndarray, int]:
+    """For a square matrix of Polynomials, the integer coefficient stack N
+    (N[d] holds the coefficients of x^d; int64 when every coefficient
+    fits, else Python ints) and the integer s with
+    det(entries(t)) = det(N(t)) / s: each row is scaled by the lcm of its
+    coefficient denominators, and s is the product of those."""
+    n = _require_square(entries)
+    degree = max((p.degree for row in entries for p in row), default=0)
+    num = np.zeros((max(degree, 0) + 1, n, n), dtype=object)
     scale = 1
-    for row in entries:
-        l = 1
-        for p in row:
-            if not isinstance(p, Polynomial):
-                raise InvalidParametersError("polymatrix_det_values expects Polynomial entries")
-            for c in p.coeffs:
-                if c.denominator != 1:
-                    l = math.lcm(l, c.denominator)
+    for r, row in enumerate(entries):
+        l = math.lcm(*(c.denominator for p in row for c in p.coeffs))
         scale *= l
-        int_rows.append([[c.numerator * (l // c.denominator) for c in p.coeffs] for p in row])
-    values = []
-    for t in points:
-        work = [[_int_coeff_eval(c, t) for c in row] for row in int_rows]
-        values.append(Fraction(_det_int(work), scale))
-    return values
+        for col, p in enumerate(row):
+            for d, c in enumerate(p.coeffs):
+                num[d, r, col] = c.numerator * (l // c.denominator)
+    try:
+        return num.astype(np.int64), scale
+    except OverflowError:
+        return num, scale
+
+
+def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """det(a[i]) mod p for every matrix of a stack of shape (B, n, n), int64
+    with entries in [0, p) (overwritten), by Gaussian elimination on all B
+    at once. At column k each member swaps its first row with a non-zero
+    entry there into row k (a member without one is singular: its pivot is
+    0 and its determinant stays 0), and the rows below take away multiples
+    of row k. Each step multiplies two residues below 2**26 and reduces
+    the product, so int64 never overflows."""
+    b, n = a.shape[0], a.shape[1]
+    det = np.ones(b, dtype=np.int64)
+    members = np.arange(b)
+    for k in range(n):
+        first = k + np.argmax(a[:, k:, k] != 0, axis=1)
+        swap = members[first != k]
+        if swap.size:
+            rows = first[swap]
+            top = a[swap, k]
+            a[swap, k] = a[swap, rows]
+            a[swap, rows] = top
+            det[swap] = (p - det[swap]) % p
+        pivot = a[:, k, k]
+        det = det * pivot % p
+        if k + 1 < n:
+            inv = np.array([pow(x, -1, p) if x else 0 for x in pivot.tolist()], dtype=np.int64)
+            factors = a[:, k + 1:, k] * inv[:, None] % p
+            rest = a[:, k + 1:, k + 1:]
+            rest -= factors[:, :, None] * a[:, None, k, k + 1:]
+            rest %= p
+    return det
+
+
+def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int) -> np.ndarray:
+    """det(N(t)) mod p at each integer t of `points` for an integer
+    coefficient stack N (`_cleared_polymatrix`): the coefficients are
+    reduced mod p once, every point matrix is evaluated at once as the
+    product of the powers t^d mod p with the stack, and `_det_mod` takes
+    all the determinants together."""
+    d, n = num.shape[0], num.shape[1]
+    coeffs = (num % p).astype(np.int64).reshape(d, n * n)
+    powers = np.ones((len(points), d), dtype=np.int64)
+    t = np.array(points, dtype=np.int64) % p
+    for e in range(1, d):
+        powers[:, e] = powers[:, e - 1] * t % p
+    return _det_mod(_dot_mod(powers, coeffs, p).reshape(len(points), n, n), p)
+
+
+def _interpolate_mod(xs: Sequence[int], ys: Sequence[int], p: int) -> List[int]:
+    """Coefficients, constant term first, of the polynomial of degree below
+    len(xs) through the points (xs[i], ys[i]) mod p, for increasing
+    integers xs with xs[-1] - xs[0] < p: Newton divided differences, then
+    the Newton form expanded. Every step multiplies two residues."""
+    n = len(xs)
+    x = np.array(xs, dtype=np.int64)
+    inverse = np.array([0] + [pow(d, -1, p) for d in range(1, xs[-1] - xs[0] + 1)], dtype=np.int64)
+    c = np.array(ys, dtype=np.int64) % p
+    for j in range(1, n):
+        c[j:] = (c[j:] - c[j - 1:-1]) % p * inverse[x[j:] - x[:-j]] % p
+    out = np.zeros(n, dtype=np.int64)
+    x %= p
+    for i in range(n - 1, -1, -1):
+        shifted = np.concatenate(([0], out[:-1]))
+        out = (shifted - x[i] * out) % p
+        out[0] = (out[0] + c[i]) % p
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +431,6 @@ class RatFunMatrix:
 
     def entry(self, i: int, j: int) -> RationalFunction:
         return self.entries[i][j]
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i + 1, self.rows))
-
-    def transpose(self) -> "RatFunMatrix":
-        return RatFunMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def __eq__(self, other):
         if not isinstance(other, RatFunMatrix):

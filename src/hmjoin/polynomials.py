@@ -11,7 +11,7 @@ evaluation/interpolation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import InexactDivisionError, InvalidParametersError
 
@@ -334,6 +334,71 @@ def interpolate(points: Sequence[Tuple[Scalar, Scalar]]) -> Polynomial:
         if i + 1 < n:
             basis = basis * Polynomial((-xs[i], 1))
     return poly
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials scaled by a common denominator
+#
+# With L the common denominator of a rational matrix M, the map
+# P(x) -> L^deg(P) P(y / L) sends det(xI - M) to det(yI - L*M), and so
+# every monic factor of it, to a monic polynomial in Z[y]. Products and
+# exact quotients of such factors need integers only.
+
+
+def _scaled(poly: Polynomial, l: int) -> List[int]:
+    """Coefficients, lowest first, of L^d P(y / L) with d = deg P; raises
+    InexactDivisionError when one of them is not an integer."""
+    d = poly.degree
+    out = []
+    for k, c in enumerate(poly.coeffs):
+        q, r = divmod(c.numerator * l ** (d - k), c.denominator)
+        if r:
+            raise InexactDivisionError(f"{poly} does not scale by {l} to an integer polynomial")
+        out.append(q)
+    return out
+
+
+def _unscaled(coeffs: Sequence[int], l: int) -> Polynomial:
+    """The polynomial P of degree len(coeffs) - 1 with L^deg(P) P(y / L)
+    equal to `coeffs`: the inverse of `_scaled`."""
+    d = len(coeffs) - 1
+    return Polynomial([Fraction(c, l ** (d - k)) for k, c in enumerate(coeffs)])
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Schoolbook product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_divexact(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The quotient a / b in Z[y] by long division; raises
+    InexactDivisionError when there is none, that is, when a leading
+    coefficient does not divide exactly or a remainder is left. Every
+    division by a monic b in Z[y] that is exact over Q is exact here."""
+    db = len(b) - 1
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    quot = [0] * max(len(rem) - db, 0)
+    lead = b[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lead)
+        if r:
+            raise InexactDivisionError(f"inexact integer polynomial division by {list(b)}")
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[j + k] -= c * y
+    if any(rem[:db]):
+        raise InexactDivisionError(f"inexact integer polynomial division: remainder {rem[:db]} by {list(b)}")
+    return quot
 
 
 class RationalFunction:

@@ -30,15 +30,29 @@ reduced common denominator g = phi / h and f = N / h.
 
 The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
-At each of the first n + 1 non-negative integers t where no g_i vanishes,
-one integer Bareiss determinant of the km x km block gives Phi(t), hence
-det(tI - M); interpolating those n + 1 values gives the block
-characteristic polynomial (`reduced_block_charpoly`, which the 2 x 2
-blocks of generalized joins in `cospectral` share). Phi itself, kept in
-the report, is then the exact quotient
-det(xI - M) * prod_i g_i^m / prod_i phi_i. The direct characteristic
-polynomial of the assembled matrix is always computed too, and any
-difference raises BlockFactorizationError.
+`reduced_block_charpoly`, which the blocks of generalized joins in
+`cospectral` share, works modulo primes below 2**26. For each prime p it
+reduces the integer coefficients of the block once, evaluates it at the
+first n + 1 non-negative integers t where no g_i vanishes into one int64
+stack, takes all the determinants Phi(t) mod p at once by batched
+Gaussian elimination, multiplies by prod_i phi_i(t) / g_i(t)^m and
+interpolates det(xI - M) mod p. With L the common denominator of the
+assembled matrix M, the coefficient of x^(n-k) times L^k is an integer
+inside the Hadamard-type bound of the direct engine in `exactlinalg`, so
+Garner's CRT over the same primes lifts it exactly. A prime is skipped
+when it divides L, a coefficient denominator of some g_i, f_i or phi_i, a
+weight denominator, or some g_i(t) at a chosen point, or when it does not
+exceed the last point (the points must stay distinct mod p); the next
+prime in the fixed order is taken instead, so the output is the same on
+every machine. The direct characteristic polynomial of the assembled matrix is
+always computed too, and any difference raises BlockFactorizationError
+(`check_block_charpoly`).
+
+Phi itself, kept in the report, is then the exact quotient
+det(xI - M) * prod_i g_i^m / prod_i phi_i, taken over the integers:
+scaled by L (P(x) -> L^deg(P) P(y / L)), all these polynomials are monic
+in Z[y], so the quotient needs integer products and one exact division
+by a monic integer polynomial.
 
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
@@ -62,11 +76,16 @@ from .errors import BlockFactorizationError, CarryForwardError, InvalidParameter
 from . import exactlinalg
 from .exactlinalg import (
     RatFunMatrix,
+    _cleared_polymatrix,
+    _crt_lift,
+    _int_coeff_eval,
+    _interpolate_mod,
+    _polymatrix_det_mod,
     _row_denominator_lcm,
+    _scaled_bound,
     charpoly,
     mat_is_symmetric,
     mat_shape,
-    polymatrix_det_values,
     rational_eigenvalues,
 )
 from .graphs import UniversalParams, universal_matrix
@@ -74,7 +93,10 @@ from .joins import JoinSpec, degree_corrections, hm_join
 from .polynomials import (
     Polynomial,
     RationalFunction,
-    interpolate,
+    _int_divexact,
+    _int_mul,
+    _scaled,
+    _unscaled,
     poly_divexact,
     poly_gcd,
     rational_root_multiplicity,
@@ -229,11 +251,6 @@ def gamma(m, e) -> MainFunction:
     return main_function_bilinear(m, e, e)
 
 
-def gamma_bilinear(m, u, v) -> RatFunMatrix:
-    """V^T (xI - M)^{-1} U as a matrix of reduced rational functions."""
-    return main_function_bilinear(m, u, v).matrix
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue classes
 
@@ -305,21 +322,25 @@ def _poly_power_multiplicity(target: Polynomial, base: Polynomial) -> int:
         count += 1
 
 
-def reduced_block_charpoly(mfs: Sequence[MainFunction], weights) -> Polynomial:
-    """det(xI - M) of a block matrix from the main functions `mfs` of its
-    diagonal blocks, when each off-diagonal block (i, j) factors through
-    the sides of Gamma_i with column weights `weights(i, j)` (None: zero).
+def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Polynomial:
+    """det(xI - M) of the block matrix M = `matrix` from the main functions
+    `mfs` of its diagonal blocks, when each off-diagonal block (i, j)
+    factors through the sides of Gamma_i with column weights
+    `weights(i, j)` (None: zero).
 
     The reduced matrix holds g_i I on diagonal block i and -w_b f_i[a][b] at
     row a of block i, column b of block j, w = weights(i, j); its
     determinant Phi gives det(xI - M) = prod_i phi_i * Phi / prod_i g_i^(m_i)
-    with m_i the size of block i. That has degree n = sum_i deg phi_i, so it
-    is interpolated from its values at the first n + 1 non-negative integers
-    where no g_i vanishes, one integer Bareiss determinant of the reduced
-    matrix each."""
+    with m_i the size of block i. That has degree n = sum_i deg phi_i, so
+    it is interpolated mod p from its values at the first n + 1
+    non-negative integers where no g_i vanishes, for each prime p that
+    `_crt_lift` asks for within the bound and L of the direct engine
+    (module docstring)."""
     offsets = [0]
     for mf in mfs:
         offsets.append(offsets[-1] + len(mf.numerator))
+    l, _, bound = _scaled_bound(matrix)
+    denominators = [l]
     zero = Polynomial.zero()
     block = [[zero] * offsets[-1] for _ in range(offsets[-1])]
     for i, mf in enumerate(mfs):
@@ -332,20 +353,74 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights) -> Polynomial:
                     continue
                 for b, wb in enumerate(w):
                     if wb and not f_row[b].is_zero:
+                        denominators.append(wb.denominator)
                         row[offsets[j] + b] = -wb * f_row[b]
+    num, scale = _cleared_polymatrix(block)
+    phis = [_cleared(mf.charpoly) for mf in mfs]
+    gs = [_cleared(mf.denominator) for mf in mfs]
+    sizes = [len(mf.numerator) for mf in mfs]
+    denominators += [d for _, d in phis + gs]
+    denominators += [c.denominator for mf in mfs for row in mf.numerator for f in row for c in f.coeffs]
+    bad = math.lcm(*denominators)
+    # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers
     n = sum(mf.charpoly.degree for mf in mfs)
-    points = []
+    points, tops, bottoms = [], [], []
     t = 0
     while len(points) <= n:
-        if all(mf.denominator(t) for mf in mfs):
+        g_values = [_int_coeff_eval(g, t) for g, _ in gs]
+        if all(g_values):
+            top, bottom = 1, scale
+            for (phi, dphi), (_, dg), size, gt in zip(phis, gs, sizes, g_values):
+                top *= _int_coeff_eval(phi, t) * dg ** size
+                bottom *= dphi * gt ** size
             points.append(t)
+            tops.append(top)
+            bottoms.append(bottom)
         t += 1
-    values = []
-    for t, value in zip(points, polymatrix_det_values(block, points)):
-        for mf in mfs:
-            value = value * mf.charpoly(t) / mf.denominator(t) ** len(mf.numerator)
-        values.append((t, value))
-    return interpolate(values)
+
+    def residues(p):
+        if p <= points[-1] or bad % p == 0 or any(x % p == 0 for x in bottoms):
+            return None
+        dets = _polymatrix_det_mod(num, points, p).tolist()
+        values = [d * top * pow(bottom, -1, p) % p for d, top, bottom in zip(dets, tops, bottoms)]
+        coeffs = _interpolate_mod(points, values, p)
+        return [c * pow(l, n - j, p) % p for j, c in enumerate(coeffs)]
+
+    return _unscaled(_crt_lift(bound, residues), l)
+
+
+def _cleared(poly: Polynomial) -> Tuple[List[int], int]:
+    """Integer coefficients c and the positive integer d with poly = c / d."""
+    d = math.lcm(*(c.denominator for c in poly.coeffs))
+    return [c.numerator * (d // c.denominator) for c in poly.coeffs], d
+
+
+def check_block_charpoly(block: Polynomial, direct: Polynomial) -> None:
+    """Raise BlockFactorizationError, naming the lowest power of x whose
+    coefficients differ, unless the block and direct characteristic
+    polynomials agree."""
+    if block != direct:
+        top = max(block.degree, direct.degree)
+        degree = next(d for d in range(top + 1) if block.coefficient(d) != direct.coefficient(d))
+        raise BlockFactorizationError(
+            f"block factorization identity violated: the coefficients of x^{degree} differ, "
+            f"block path gives {block.coefficient(degree)}, "
+            f"direct path gives {direct.coefficient(degree)}"
+        )
+
+
+def _phi_quotient(charpoly_block: Polynomial, mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:
+    """Phi = det(xI - M) * prod_i g_i^m / prod_i phi_i over the integers,
+    each polynomial scaled by L (module docstring), then unscaled."""
+    numerator = [1]
+    divisor = [1]
+    for mf in mfs:
+        g = _scaled(mf.denominator, l)
+        for _ in range(m):
+            numerator = _int_mul(numerator, g)
+        divisor = _int_mul(divisor, _scaled(mf.charpoly, l))
+    numerator = _int_mul(numerator, _scaled(charpoly_block, l))
+    return _unscaled(_int_divexact(numerator, divisor), l)
 
 
 def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> SpectralReport:
@@ -353,22 +428,12 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> 
     mfs = [gamma(mat, em) for mat, em in zip(factor_matrices, ems)]
     m = spec.m
     host_adj = spec.host.adjacency_matrix()
-    charpoly_block = reduced_block_charpoly(mfs, lambda i, j: (off_scale,) * m if host_adj[i][j] else None)
+    charpoly_block = reduced_block_charpoly(
+        mfs, lambda i, j: (off_scale,) * m if host_adj[i][j] else None, direct_matrix)
     charpoly_direct = charpoly(direct_matrix)
-    if charpoly_block != charpoly_direct:
-        top = max(charpoly_block.degree, charpoly_direct.degree)
-        degree = next(d for d in range(top + 1) if charpoly_block.coefficient(d) != charpoly_direct.coefficient(d))
-        raise BlockFactorizationError(
-            f"block factorization identity violated: the coefficients of x^{degree} differ, "
-            f"block path gives {charpoly_block.coefficient(degree)}, "
-            f"direct path gives {charpoly_direct.coefficient(degree)}"
-        )
-    numerator = charpoly_block
-    denominator = Polynomial.one()
-    for mf in mfs:
-        numerator = numerator * mf.denominator ** m
-        denominator = denominator * mf.charpoly
-    phi_det = poly_divexact(numerator, denominator)
+    check_block_charpoly(charpoly_block, charpoly_direct)
+    l = math.lcm(*map(_row_denominator_lcm, direct_matrix))
+    phi_det = _phi_quotient(charpoly_block, mfs, m, l)
     flags = []
     carry = []
     for i, (mat, mf) in enumerate(zip(factor_matrices, mfs)):
@@ -376,7 +441,7 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> 
             raise NonSymmetricInputError(f"factor matrix {i} is not symmetric")
         classes = _eigen_classes(mat, mf.charpoly, mf.denominator)
         flags.append(classes)
-        for cls in classes:
+        for c, cls in enumerate(classes):
             guaranteed = max(0, cls.multiplicity - m) if cls.is_main else cls.multiplicity
             if cls.rational is not None:
                 observed = rational_root_multiplicity(charpoly_direct, cls.rational)
@@ -384,8 +449,8 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> 
                 observed = _poly_power_multiplicity(charpoly_direct, cls.poly)
             if observed < guaranteed:
                 raise CarryForwardError(
-                    f"factor {i} class {cls.poly}: observed multiplicity {observed} "
-                    f"below the guaranteed bound {guaranteed}"
+                    f"factor {i}, eigenvalue class {c} of degree {cls.poly.degree}: observed "
+                    f"multiplicity {observed} below the guaranteed bound {guaranteed}"
                 )
             carry.append(CarryForwardRow(i, cls, guaranteed, observed))
     return SpectralReport(

@@ -1,5 +1,11 @@
 """Test-side reference implementations that the library no longer runs.
 
+`det_bareiss` is the determinant of a rational matrix by fraction-free
+integer Bareiss elimination after clearing row denominators, and
+`polymatrix_det_values` the exact determinant of a polynomial matrix at
+integer points, one Bareiss determinant each. They share no code with the
+batched modular elimination of `hmjoin.exactlinalg`, which they check.
+
 `bareiss_charpoly` is the characteristic polynomial by evaluation and
 interpolation: n + 1 fraction-free Bareiss determinants of tI - M at
 t = 0..n. It shares no code with the multi-modular engine behind
@@ -7,29 +13,104 @@ t = 0..n. It shares no code with the multi-modular engine behind
 
 `polymatrix_det` is the determinant of a polynomial matrix by evaluation
 at 0..D over its row-degree bound D and interpolation, the Phi oracle of
-the block-path tests; the library only evaluates such determinants at the
-points it picks (`hmjoin.exactlinalg.polymatrix_det_values`).
+the block-path tests; the library only evaluates such determinants modulo
+primes at the points it picks (`hmjoin.exactlinalg._polymatrix_det_mod`).
 
 `classify_e_main_numeric` classifies eigenvalues as E-main from a float
 eigendecomposition and projection norms, independently of the exact gcd
 route of `hmjoin.spectra.classify_e_main`.
 """
 
+import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hmjoin.errors import NonSymmetricInputError
-from hmjoin.exactlinalg import (
-    _det_int,
-    _require_square,
-    _row_denominator_lcm,
-    _scaled_int_rows,
-    mat_is_symmetric,
-    polymatrix_det_values,
-)
+from hmjoin.errors import InvalidParametersError, NonSymmetricInputError
+from hmjoin.exactlinalg import _int_coeff_eval, _require_square, _row_denominator_lcm, mat_is_symmetric
 from hmjoin.polynomials import Polynomial, interpolate
+
+
+def _scaled_int_rows(m) -> Tuple[List[List[int]], int]:
+    """Clear denominators row by row; returns integer rows and the product
+    of the row multipliers (the determinant scales by that product)."""
+    rows = []
+    scale = 1
+    for row in m:
+        l = _row_denominator_lcm(row)
+        scale *= l
+        out = []
+        for x in row:
+            if isinstance(x, Fraction):
+                out.append(x.numerator * (l // x.denominator))
+            else:
+                out.append(x * l)
+        rows.append(out)
+    return rows, scale
+
+
+def _det_int(rows: List[List[int]]) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix (destructive)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        pivot_row = None
+        for r in range(k, n):
+            if rows[r][k]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        pk = rows[k][k]
+        rk = rows[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            rik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pk * ri[j] - rik * rk[j]) // prev
+            ri[k] = 0
+        prev = pk
+    return sign * rows[n - 1][n - 1]
+
+
+def det_bareiss(m) -> Fraction:
+    """Exact determinant via integer Bareiss after clearing row denominators."""
+    n = _require_square(m)
+    if n == 0:
+        return Fraction(1)
+    rows, scale = _scaled_int_rows(m)
+    return Fraction(_det_int(rows), scale)
+
+
+def polymatrix_det_values(entries, points: Sequence[int]) -> List[Fraction]:
+    """det(entries(t)) for each integer t in `points`, where `entries` is a
+    square matrix of Polynomials: row denominators are cleared once, then
+    each point costs one fraction-free Bareiss determinant."""
+    _require_square(entries)
+    int_rows = []
+    scale = 1
+    for row in entries:
+        l = 1
+        for p in row:
+            if not isinstance(p, Polynomial):
+                raise InvalidParametersError("polymatrix_det_values expects Polynomial entries")
+            for c in p.coeffs:
+                if c.denominator != 1:
+                    l = math.lcm(l, c.denominator)
+        scale *= l
+        int_rows.append([[c.numerator * (l // c.denominator) for c in p.coeffs] for p in row])
+    values = []
+    for t in points:
+        work = [[_int_coeff_eval(c, t) for c in row] for row in int_rows]
+        values.append(Fraction(_det_int(work), scale))
+    return values
 
 
 def bareiss_charpoly(m) -> Polynomial:

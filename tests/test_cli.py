@@ -273,6 +273,29 @@ def test_exit_code_one_for_violations(capsys, monkeypatch):
     assert err.startswith("violation:")
 
 
+def test_carry_forward_violation_is_one_stderr_line(capsys, monkeypatch):
+    import hmjoin.spectra as spectra
+    monkeypatch.setattr(spectra, "rational_root_multiplicity", lambda poly, root: 0)
+    code, out, err = run_cli(capsys, "verify", EXAMPLE)
+    assert code == 1
+    assert out == ""
+    assert err == ("violation: factor 0, eigenvalue class 0 of degree 1: observed "
+                   "multiplicity 0 below the guaranteed bound 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["universal", str(FIXTURES / "p3_3.json")],
+    ["universal", str(FIXTURES / "p4_generalized.json")],
+    ["cospectral", "search", str(FIXTURES / "catalog.json"), "--kind", "U", "--budget", "1"],
+])
+@pytest.mark.parametrize("params", ["-1,0,0,1", "-1/2,0,0,1"])
+def test_negative_params_value_after_a_space(capsys, argv, params):
+    code, out, err = run_cli(capsys, *argv, "--params", params)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "--params=" + params) == (0, out, "")
+    assert out.startswith("{")
+
+
 def test_stdin_dash_guard(capsys):
     code, _, err = run_cli(capsys, "cospectral", "check", "-", "-", "--kind", "A")
     assert code == 2

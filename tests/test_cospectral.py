@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import exceptional_srg16, lattice_srg16, random_graph
+import hmjoin.cospectral as cospectral
 from hmjoin.cospectral import (
     COSPECTRAL_KINDS,
     GeneralizedJoinSpec,
@@ -22,6 +23,7 @@ from hmjoin.cospectral import (
     search_pairs,
 )
 from hmjoin.errors import (
+    BlockFactorizationError,
     HypothesisNotMetError,
     InvalidParametersError,
     TooLargeError,
@@ -141,6 +143,20 @@ def test_generalized_universal_charpoly_seidel_star():
     direct = charpoly(universal_matrix(spec.join_graph(), spec.params))
     assert block == direct
     assert block.degree == 6
+
+
+def test_generalized_cross_check_names_first_differing_coefficient(monkeypatch):
+    spec = GeneralizedJoinSpec(make_named("complete", [2]),
+                               [make_named("cycle", [4]), make_named("path", [2])],
+                               [[0, 2], [1]], kind_parameters("S"))
+    true = charpoly(universal_matrix(spec.join_graph(), spec.params))
+    monkeypatch.setattr(cospectral, "charpoly", lambda m: charpoly(m) + Polynomial([0, 0, 0, 3]))
+    with pytest.raises(BlockFactorizationError) as info:
+        generalized_universal_charpoly(spec)
+    message = str(info.value)
+    assert "x^3" in message
+    assert "block path gives %s" % true.coefficient(3) in message
+    assert "direct path gives %s" % (true.coefficient(3) + 3) in message
 
 
 def test_corrected_factor_matrix_shifts_subset_diagonal():

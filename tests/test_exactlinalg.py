@@ -1,7 +1,8 @@
 """Exact determinants, characteristic polynomials, adjugates, and
-polynomial-matrix determinants, checked against naive cofactor oracles and
-the Bareiss-interpolation charpoly of `oracles`."""
+polynomial-matrix determinants modulo primes, checked against naive
+cofactor oracles and the Bareiss oracles of `oracles`."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,23 +11,30 @@ import numpy as np
 import pytest
 
 import hmjoin.exactlinalg as exactlinalg
-from oracles import bareiss_charpoly, polymatrix_det
+from oracles import bareiss_charpoly, det_bareiss, polymatrix_det, polymatrix_det_values
 
 from hmjoin.errors import InvalidParametersError, SizeMismatchError
 from hmjoin.exactlinalg import (
     RatFunMatrix,
     _charpoly_mod,
-    _charpoly_primes,
+    _cleared_polymatrix,
+    _crt_lift,
+    _det_mod,
     _dot_mod,
+    _interpolate_mod,
+    _polymatrix_det_mod,
+    _primes,
+    _scaled_bound,
     charpoly,
-    det_bareiss,
-    identity_matrix,
     mat_mul,
-    polymatrix_det_values,
     rational_eigenvalues,
 )
 from hmjoin.polynomials import Polynomial, RationalFunction
 from hmjoin.spectra import _bilinear_numerators
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def cofactor_det(m):
@@ -123,7 +131,7 @@ def test_charpoly_engine_rational_nonsymmetric_and_large_entries():
 
 def test_charpoly_engine_has_no_bad_primes():
     # matrices that vanish modulo the first prime the engine uses
-    p = _charpoly_primes([[1]])[0]
+    p = next(_primes())
     for n in (1, 2, 3, 5):
         scaled_identity = [[p if i == j else 0 for j in range(n)] for i in range(n)]
         assert charpoly(scaled_identity) == Polynomial.from_roots([p] * n)
@@ -166,7 +174,9 @@ def test_charpoly_primes_cover_twice_the_hadamard_bound():
         # k-minor by B^k, so C(n, k) B^k bounds c_k
         b = math.isqrt(max(sum(x * x for x in row) for row in rows)) + 1
         bound = max(math.comb(n, k) * b ** k for k in range(n + 1))
-        primes = _charpoly_primes(rows)
+        assert _scaled_bound(rows) == (1, rows, bound)
+        primes = []
+        _crt_lift(bound, lambda q: primes.append(q) or [0])
         assert math.prod(primes) > 2 * bound + 1
         assert math.prod(primes[:-1]) <= 2 * bound + 1
         assert list(primes) == sorted(set(primes), reverse=True)
@@ -178,7 +188,7 @@ def test_charpoly_primes_cover_twice_the_hadamard_bound():
 
 def test_charpoly_engine_int64_dot_products_are_chunked(monkeypatch):
     # 5000 products of (p-1)^2 ~ 2^52 overflow int64 unless reduced in chunks
-    p = _charpoly_primes([[1]])[0]
+    p = next(_primes())
     a = np.full((2, 5000), p - 1, dtype=np.int64)
     b = np.full(5000, p - 1, dtype=np.int64)
     assert _dot_mod(a, b, p).tolist() == [5000 * (p - 1) ** 2 % p] * 2
@@ -252,6 +262,106 @@ def test_polymatrix_det_values_match_cofactor_oracle():
         polymatrix_det_values([[Polynomial.one()], []], [0])
 
 
+def det_mod_oracle(stack, p):
+    return [int(det_bareiss([[int(x) for x in row] for row in m])) % p for m in stack]
+
+
+def assert_det_mod_matches(stack, p):
+    stack = np.array(stack, dtype=np.int64)
+    expected = det_mod_oracle(stack, p)
+    assert _det_mod(stack.copy(), p).tolist() == expected
+    return expected
+
+
+def test_det_mod_matches_bareiss_oracle():
+    p = next(_primes())
+    rng = random.Random(46)
+    # 0 x 0 and 1 x 1
+    assert _det_mod(np.zeros((3, 0, 0), dtype=np.int64), p).tolist() == [1, 1, 1]
+    assert assert_det_mod_matches([[[0]], [[1]], [[p - 1]], [[12345]]], p) == [0, 1, p - 1, 12345]
+    for n in range(2, 8):
+        stack = [[[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(5)]
+        # entries equal to p - 1, i.e. -1: a diagonal of them and a
+        # triangle of them below it
+        stack.append([[p - 1 if i == j else 0 for j in range(n)] for i in range(n)])
+        stack.append([[p - 1 if i >= j else rng.randrange(p) for j in range(n)] for i in range(n)])
+        # singular members: a repeated row, a zero column, all entries p - 1
+        twin = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+        stack.append(twin + [twin[0]])
+        stack.append([[0] + [rng.randrange(p) for _ in range(n - 1)] for _ in range(n)])
+        stack.append([[p - 1] * n for _ in range(n)])
+        dets = assert_det_mod_matches(stack, p)
+        assert dets[-3:] == [0, 0, 0]
+        assert all(dets[:-3])
+
+
+def test_det_mod_pivot_swaps_in_some_members_only():
+    p = next(_primes())
+    # member 0 needs a swap at column 0, member 1 none, member 2 a swap at
+    # column 1 only, member 3 is singular once column 0 is eliminated
+    stack = [
+        [[0, 2, 3], [4, 5, 6], [7, 8, 10]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+        [[1, 2, 3], [2, 4, 7], [5, 6, 1]],
+        [[1, 2, 3], [2, 4, 6], [3, 6, 9]],
+    ]
+    assert assert_det_mod_matches(stack, p) == [-5 % p, -3 % p, 4, 0]
+    # permutation matrices of entries p - 1 at a small prime: the first
+    # member swaps at column 0, the second at column 1
+    q = 101
+    small = [[[0, q - 1, 0], [q - 1, 0, 0], [0, 0, q - 1]], [[q - 1, 0, 0], [0, 0, q - 1], [0, q - 1, 0]]]
+    assert assert_det_mod_matches(small, q) == [1, 1]
+
+
+def test_polymatrix_det_mod_matches_bareiss_values():
+    rng = random.Random(47)
+    primes = [next(_primes()), 101]
+    points = [0, 1, 2, 4, 7, 9]
+    for n in range(0, 5):
+        # coefficients beyond int64 keep the stack in Python ints
+        for span in (9, 9, 10 ** 30):
+            entries = [[Polynomial([Fraction(rng.randint(-span, span), rng.choice([1, 1, 2, 3, 7]))
+                                    for _ in range(rng.randint(0, 4))])
+                        for _ in range(n)] for _ in range(n)]
+            num, scale = _cleared_polymatrix(entries)
+            assert (num.dtype == object) == (span > 9 and any(p.coeffs for row in entries for p in row))
+            exact = polymatrix_det_values(entries, points)
+            for p in primes:
+                got = _polymatrix_det_mod(num, points, p).tolist()
+                inv = pow(scale, -1, p)
+                assert [d * inv % p for d in got] == [v.numerator * pow(v.denominator, -1, p) % p
+                                                      for v in exact]
+
+
+def test_interpolate_mod_round_trip():
+    rng = random.Random(48)
+    p = next(_primes())
+    for n in range(1, 12):
+        coeffs = [rng.randrange(p) for _ in range(n)]
+        xs = sorted(rng.sample(range(40), n))
+        ys = [sum(c * x ** k for k, c in enumerate(coeffs)) % p for x in xs]
+        assert _interpolate_mod(xs, ys, p) == coeffs
+
+
+def test_crt_lift_skips_bad_primes():
+    values = [-(10 ** 30) + 7, 0, 10 ** 30 - 3, -1]
+    bound = 10 ** 30
+    used = []
+
+    def residues(p):
+        if len(used) + len(skipped) < 2:
+            skipped.append(p)
+            return None
+        used.append(p)
+        return [v % p for v in values]
+
+    skipped = []
+    assert _crt_lift(bound, residues) == values
+    primes = list(itertools.islice(_primes(), len(used) + 2))
+    assert skipped == primes[:2] and used == primes[2:]
+    assert math.prod(used) > 2 * bound + 1 >= math.prod(used[:-1])
+
+
 def test_rational_eigenvalues_planted_triangular():
     rng = random.Random(8)
     for _ in range(10):
@@ -275,13 +385,22 @@ def test_rational_eigenvalues_mixed_irrational():
     assert rational_eigenvalues(k4) == ((Fraction(-1), 3), (Fraction(3), 1))
 
 
+def ratfun_is_symmetric(m):
+    return m.rows == m.cols and all(m.entry(i, j) == m.entry(j, i)
+                                    for i in range(m.rows) for j in range(i + 1, m.rows))
+
+
+def ratfun_transpose(m):
+    return RatFunMatrix([[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)])
+
+
 def test_ratfunmatrix_symmetry_and_transpose():
     x = Polynomial.x()
     a = RationalFunction(Polynomial.one(), x)
     b = RationalFunction(Polynomial.one(), x * x - Polynomial.one())
     m = RatFunMatrix([[a, b], [b, a]])
-    assert m.is_symmetric()
-    assert m.transpose() == m
+    assert ratfun_is_symmetric(m)
+    assert ratfun_transpose(m) == m
     skew = RatFunMatrix([[a, b], [a, b]])
-    assert not skew.is_symmetric()
-    assert skew.transpose() == RatFunMatrix([[a, a], [b, b]])
+    assert not ratfun_is_symmetric(skew)
+    assert ratfun_transpose(skew) == RatFunMatrix([[a, a], [b, b]])

@@ -10,6 +10,10 @@ from hmjoin.errors import InexactDivisionError, InvalidParametersError
 from hmjoin.polynomials import (
     Polynomial,
     RationalFunction,
+    _int_divexact,
+    _int_mul,
+    _scaled,
+    _unscaled,
     interpolate,
     poly_divexact,
     poly_gcd,
@@ -73,6 +77,40 @@ def test_divexact_raises_on_remainder():
     with pytest.raises(InexactDivisionError):
         poly_divexact(p, Polynomial([1, 1]))
     assert poly_divexact(p * Polynomial([2, 3]), Polynomial([2, 3])) == p
+
+
+monic_ints_st = st.lists(st.integers(-30, 30), max_size=5).map(lambda c: c + [1])
+
+
+@given(monic_ints_st, monic_ints_st, st.integers(1, 12))
+@settings(max_examples=120)
+def test_scaled_integer_products_and_quotients(a, b, l):
+    pa, pb = _unscaled(a, l), _unscaled(b, l)
+    assert pa.is_monic and pa.degree == len(a) - 1
+    assert _scaled(pa, l) == a
+    product = _int_mul(a, b)
+    assert _unscaled(product, l) == pa * pb
+    assert _int_divexact(product, b) == a
+    if len(b) > 1:
+        product[0] += 1
+        with pytest.raises(InexactDivisionError):
+            _int_divexact(product, b)
+
+
+def test_scaled_integer_helpers_refuse_inexact_input():
+    # 4 * (1/3) is not an integer
+    with pytest.raises(InexactDivisionError):
+        _scaled(Polynomial([Fraction(1, 3), 0, 1]), 2)
+    assert _scaled(Polynomial([Fraction(1, 4), Fraction(-3, 2), 1]), 2) == [1, -3, 1]
+    # y^2 + 1 by 2y + 1: the leading coefficient does not divide
+    with pytest.raises(InexactDivisionError):
+        _int_divexact([1, 0, 1], [1, 2])
+    assert _int_divexact([6, 5, 1], [2, 1]) == [3, 1]
+    assert _int_divexact([], [2, 1]) == []
+    with pytest.raises(InexactDivisionError):
+        _int_divexact([1], [2, 1])
+    with pytest.raises(ZeroDivisionError):
+        _int_divexact([1], [])
 
 
 def test_from_roots_and_multiplicity():

@@ -1,6 +1,7 @@
 """Block spectral pipeline: main-function matrices, E-main classification,
 block characteristic polynomials, carry-forward bounds, universal variants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,11 @@ import pytest
 
 from conftest import random_spec
 from oracles import classify_e_main_numeric, polymatrix_det
+import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
-from hmjoin.errors import BlockFactorizationError, InvalidParametersError, NonSymmetricInputError
+from hmjoin.cospectral import GeneralizedJoinSpec, generalized_universal_charpoly
+from hmjoin.families import generalized_petersen
+from hmjoin.errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError
 from hmjoin.exactlinalg import charpoly, rational_eigenvalues
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
@@ -373,6 +377,95 @@ def test_block_factorization_error_names_first_differing_coefficient(monkeypatch
     assert "x^2" in message
     assert "block path gives %s" % true.coefficient(2) in message
     assert "direct path gives %s" % (true.coefficient(2) + 5) in message
+
+
+def record_block_primes(monkeypatch):
+    """The primes at which the block path evaluates its reduced matrix."""
+    used = []
+    evaluate = spectra._polymatrix_det_mod
+
+    def recording(num, points, p):
+        used.append(p)
+        return evaluate(num, points, p)
+
+    monkeypatch.setattr(spectra, "_polymatrix_det_mod", recording)
+    return used
+
+
+def test_block_path_skips_prime_dividing_a_denominator(monkeypatch):
+    # alpha = 1/p with p the first prime: p divides L and the weights' and
+    # main functions' denominators, so the block path must skip it
+    p = next(exactlinalg._primes())
+    params = UniversalParams(Fraction(1, p), Fraction(0), Fraction(0), Fraction(0))
+    used = record_block_primes(monkeypatch)
+    for spec in (example_3_7_spec(), example_3_10_spec()):
+        used.clear()
+        report = universal_block_charpoly(spec, params)
+        assert report.charpoly_block == report.charpoly_direct
+        assert report.charpoly_direct == charpoly(universal_matrix(hm_join(spec), params))
+        assert report.phi_polynomial == reduced_block_oracle(spec, report, params.alpha)
+        assert used and p not in used
+        assert used == list(itertools.islice(exactlinalg._primes(), 1, len(used) + 1))
+
+
+def test_block_path_skips_prime_where_a_main_denominator_vanishes(monkeypatch):
+    # beta = -q - 1 puts the main eigenvalue of the K2 factor (label class
+    # 1) at -q, so g(0) = q: non-zero over Q, zero modulo q
+    q = 101
+    spec = example_3_7_spec()
+    params = UniversalParams(Fraction(1), Fraction(-q - 1), Fraction(0), Fraction(0))
+    monkeypatch.setattr(exactlinalg, "_PRIMES", (q,) + tuple(itertools.islice(exactlinalg._primes(), 8)))
+    used = record_block_primes(monkeypatch)
+    report = universal_block_charpoly(spec, params)
+    assert report.gammas[0].denominator(0) == q
+    assert report.charpoly_block == report.charpoly_direct
+    assert report.charpoly_direct == charpoly(universal_matrix(hm_join(spec), params))
+    assert report.phi_polynomial == reduced_block_oracle(spec, report)
+    assert used and q not in used
+
+
+def test_corrupted_block_residue_raises(monkeypatch):
+    # one wrong determinant value at one prime must change the lifted
+    # polynomial, on every entry point of the block path; the last point is
+    # no eigenvalue of any factor here, so no factor charpoly vanishes there
+    # and hides the wrong value
+    evaluate = spectra._polymatrix_det_mod
+    seen = []
+    target = []
+
+    def corrupt(num, points, p):
+        dets = evaluate(num, points, p)
+        if len(seen) == target[0]:
+            dets[-1] = (dets[-1] + 1) % p
+        seen.append(p)
+        return dets
+
+    monkeypatch.setattr(spectra, "_polymatrix_det_mod", corrupt)
+    generalized = GeneralizedJoinSpec(make_named("path", [2]),
+                                      [make_named("cycle", [4]), make_named("path", [3])],
+                                      [[0, 2], [1]], UniversalParams.preset("seidel"))
+    petersen = generalized_petersen(11, 4).spec
+    runs = ((lambda: block_charpoly(example_3_10_spec()), 0),
+            (lambda: universal_block_charpoly(example_3_7_spec(), UniversalParams.preset("L")), 0),
+            (lambda: generalized_universal_charpoly(generalized), 0),
+            # 22 vertices need two primes: corrupt the second
+            (lambda: block_charpoly(petersen), 1))
+    for run, index in runs:
+        seen.clear()
+        target[:] = [index]
+        with pytest.raises(BlockFactorizationError):
+            run()
+        assert len(seen) > index
+
+
+def test_carry_forward_error_names_factor_class_and_degree(monkeypatch):
+    monkeypatch.setattr(spectra, "rational_root_multiplicity", lambda poly, root: 0)
+    with pytest.raises(CarryForwardError) as info:
+        block_charpoly(example_3_7_spec())
+    message = str(info.value)
+    # factor 0 is K2: its classes are x + 1 (index 0, guaranteed 1) and x - 1
+    assert message == ("factor 0, eigenvalue class 0 of degree 1: observed multiplicity 0 "
+                       "below the guaranteed bound 1")
 
 
 def test_carry_forward_worked_example():
