@@ -21,13 +21,9 @@ from .errors import (
 from .polynomials import (
     Polynomial,
     RationalFunction,
-    interpolate,
     poly_divexact,
     poly_gcd,
-    poly_lcm,
-    rational_root_multiplicity,
     squarefree_decomposition,
-    squarefree_part,
 )
 from .exactlinalg import (
     RatFunMatrix,

@@ -97,9 +97,7 @@ def factored_charpoly_string(p: Polynomial, matrix, var: str = "λ") -> str:
     remainder = p
     parts: List[str] = []
     for root, mult in rational_eigenvalues(matrix, p):
-        factor = Polynomial((-root, Fraction(1)))
-        for _ in range(mult):
-            remainder = poly_divexact(remainder, factor)
+        remainder = poly_divexact(remainder, Polynomial((-root, Fraction(1))) ** mult)
         if root == 0:
             base = var
         elif root > 0:

@@ -36,6 +36,12 @@ the same int64 argument: each step forms one product of two residues and
 reduces it. `_interpolate_mod` interpolates values mod p. The reduced
 block determinants in `spectra` use these with the bound, the primes and
 the CRT of `charpoly`.
+
+`rational_eigenvalues` scales a characteristic polynomial by the same L
+(`polynomials._scaled`): its rational roots are then the integer roots y
+of a monic integer polynomial, found by a scan within the Gershgorin bound
+of the integer rows of L*M, with multiplicities by repeated exact division
+by y - root in Z[y].
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParametersError, SizeMismatchError
-from .polynomials import Polynomial, RationalFunction, _unscaled, rational_root_multiplicity
+from .errors import InexactDivisionError, InvalidParametersError, SizeMismatchError
+from .polynomials import Polynomial, RationalFunction, _int_multiplicity, _scaled, _unscaled
 
 Matrix = List[List[Fraction]]
 
@@ -351,50 +357,27 @@ def _interpolate_mod(xs: Sequence[int], ys: Sequence[int], p: int) -> List[int]:
 
 def rational_eigenvalues(m, char: Optional[Polynomial] = None) -> Tuple[Tuple[Fraction, int], ...]:
     """All rational eigenvalues of a rational matrix, with multiplicities,
-    in ascending order. Complete: scaling by the common denominator L turns
-    the problem into integer roots of a monic integer polynomial, which are
-    bounded by the Gershgorin row-sum bound of L*M and must divide the
-    trailing coefficient."""
+    in ascending order. Complete: scaling by the common denominator L
+    (`_scaled`) turns the problem into integer roots y of a monic integer
+    polynomial, which are bounded by the Gershgorin row-sum bound of the
+    integer rows of L*M and must divide the trailing coefficient; each
+    gives the eigenvalue y/L, of multiplicity `_int_multiplicity` of y."""
     n = _require_square(m)
     if n == 0:
         return ()
-    l = 1
-    for row in m:
-        l = math.lcm(l, _row_denominator_lcm(row))
-    p = char if char is not None else charpoly(m)
+    l, rows, _ = _scaled_bound(m)
+    try:
+        coeffs = _scaled(char if char is not None else charpoly(m), l)
+    except InexactDivisionError:
+        raise InvalidParametersError("characteristic polynomial does not match the matrix denominators") from None
+    # a root y != 0 divides the lowest non-zero coefficient
+    trailing = next((c for c in coeffs if c), 0)
+    bound = max(sum(map(abs, row)) for row in rows)
     found = []
-    zero_mult = 0
-    coeffs = list(p.coeffs)
-    while zero_mult < len(coeffs) and coeffs[zero_mult] == 0:
-        zero_mult += 1
-    if zero_mult:
-        found.append((Fraction(0), zero_mult))
-    # integer polynomial P(y) = L^n p(y/L); its integer roots y give the
-    # rational eigenvalues y/L
-    int_coeffs = []
-    for k, c in enumerate(coeffs):
-        scaled = c * l ** (n - k)
-        if scaled.denominator != 1:
-            raise InvalidParametersError("characteristic polynomial does not match the matrix denominators")
-        int_coeffs.append(scaled.numerator)
-    while int_coeffs and int_coeffs[0] == 0:
-        int_coeffs.pop(0)
-    trailing = int_coeffs[0] if int_coeffs else 0
-    bound = 0
-    for row in m:
-        total = 0
-        for x in row:
-            total += abs((Fraction(x) * l).numerator)
-        bound = max(bound, total)
     for y in range(-bound, bound + 1):
-        if y == 0:
-            continue
-        if trailing and trailing % y != 0:
-            continue
-        if _int_coeff_eval(int_coeffs, y) == 0:
-            r = Fraction(y, l)
-            found.append((r, rational_root_multiplicity(p, r)))
-    return tuple(sorted(found, key=lambda item: item[0]))
+        if (y == 0 or trailing % y == 0) and _int_coeff_eval(coeffs, y) == 0:
+            found.append((Fraction(y, l), _int_multiplicity(coeffs, [-y, 1])))
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,20 @@ first, with trailing zeros trimmed. Rational functions are kept reduced
 (coprime numerator/denominator) with a monic denominator, so structural
 equality is mathematical equality. No factorization into irreducibles is
 performed anywhere; everything rests on gcds, exact division, and
-evaluation/interpolation.
+evaluation.
+
+Values stay `Fraction`s, but division, gcds and squarefree decomposition
+run on integer coefficient lists in Z[y]: `_int_divexact` (long division),
+`_int_gcd` (primitive remainder sequence), `_int_squarefree` (Yun's
+algorithm) and `_int_multiplicity` (repeated exact division). The
+pipeline scales its polynomials by a matrix's common denominator, which
+makes every divisor monic in Z[y]; `poly_gcd`, `poly_divexact` and
+`squarefree_decomposition` clear denominators and call the same core.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -164,31 +173,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        if dd < dv:
-            return Polynomial.zero(), self
-        inv_lead = 1 / other.leading_coefficient
-        quot = [Fraction(0)] * (dd - dv + 1)
-        for k in range(dd - dv, -1, -1):
-            c = rem[dv + k] * inv_lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return Polynomial(quot), Polynomial(rem[:dv])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __call__(self, value: Scalar) -> Fraction:
         """Evaluate by Horner's rule (exact)."""
         acc = Fraction(0)
@@ -197,10 +181,7 @@ class Polynomial:
         return acc
 
     # ------------------------------------------------------------------
-    # calculus / normal forms
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
+    # normal form
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
@@ -236,106 +217,6 @@ class Polynomial:
         return text
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor (Euclid over Q, renormalized each step)."""
-    a, b = a.monic(), b.monic()
-    while not b.is_zero:
-        a, b = b, (a % b).monic()
-    return a
-
-
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero or b.is_zero:
-        return Polynomial.zero()
-    return poly_divexact(a * b, poly_gcd(a, b)).monic()
-
-
-def poly_divexact(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient a/b, raising InexactDivisionError on a nonzero remainder."""
-    quot, rem = divmod(a, b)
-    if not rem.is_zero:
-        raise InexactDivisionError(f"inexact polynomial division: remainder {rem} dividing {a} by {b}")
-    return quot
-
-
-def rational_root_multiplicity(poly: Polynomial, root: Scalar) -> int:
-    """Largest e with (x - root)^e dividing poly (0 when root is not a root)."""
-    if poly.is_zero:
-        raise InvalidParametersError("the zero polynomial has no finite root multiplicity")
-    r = _coerce_fraction(root)
-    mult = 0
-    current = list(poly.coeffs)
-    while True:
-        # synthetic division by (x - r), highest coefficient first
-        quot = [Fraction(0)] * (len(current) - 1)
-        acc = Fraction(0)
-        for k in range(len(current) - 1, 0, -1):
-            acc = current[k] + acc * r
-            quot[k - 1] = acc
-        remainder = current[0] + acc * r
-        if remainder != 0:
-            return mult
-        mult += 1
-        current = quot
-        if len(current) == 0:
-            return mult
-
-
-def squarefree_part(poly: Polynomial) -> Polynomial:
-    """Monic product of the distinct roots' linear/irreducible factors."""
-    if poly.is_zero:
-        raise InvalidParametersError("the zero polynomial has no squarefree part")
-    if poly.degree == 0:
-        return Polynomial.one()
-    return poly_divexact(poly.monic(), poly_gcd(poly, poly.derivative())).monic()
-
-
-def squarefree_decomposition(poly: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
-    """Yun decomposition: pairwise-coprime monic squarefree factors with
-    multiplicities, so that poly = lc * prod f_i^(e_i)."""
-    if poly.is_zero:
-        raise InvalidParametersError("the zero polynomial has no squarefree decomposition")
-    p = poly.monic()
-    if p.degree == 0:
-        return ()
-    out = []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    c = poly_divexact(p, g)
-    d = poly_divexact(dp, g) - c.derivative()
-    i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((a, i))
-        c = poly_divexact(c, a)
-        d = poly_divexact(d, a) - c.derivative()
-        i += 1
-    return tuple(out)
-
-
-def interpolate(points: Sequence[Tuple[Scalar, Scalar]]) -> Polynomial:
-    """Unique polynomial of degree < len(points) through the given points
-    (Newton divided differences; nodes must be distinct)."""
-    xs = [_coerce_fraction(x) for x, _ in points]
-    ys = [_coerce_fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise InvalidParametersError("interpolation nodes must be distinct")
-    n = len(points)
-    coeffs = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = Polynomial.zero()
-    basis = Polynomial.one()
-    for i in range(n):
-        if coeffs[i]:
-            poly = poly + coeffs[i] * basis
-        if i + 1 < n:
-            basis = basis * Polynomial((-xs[i], 1))
-    return poly
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials scaled by a common denominator
 #
@@ -358,11 +239,17 @@ def _scaled(poly: Polynomial, l: int) -> List[int]:
     return out
 
 
-def _unscaled(coeffs: Sequence[int], l: int) -> Polynomial:
-    """The polynomial P of degree len(coeffs) - 1 with L^deg(P) P(y / L)
-    equal to `coeffs`: the inverse of `_scaled`."""
+def _unscaled(coeffs: Sequence[int], l: int, den: int = 1) -> Polynomial:
+    """The polynomial P with den * L^d P(y / L) equal to `coeffs`, where
+    d = len(coeffs) - 1 (top zeros count): the inverse of `_scaled`."""
     d = len(coeffs) - 1
-    return Polynomial([Fraction(c, l ** (d - k)) for k, c in enumerate(coeffs)])
+    return Polynomial([Fraction(c, den * l ** (d - k)) for k, c in enumerate(coeffs)])
+
+
+def _cleared(poly: Polynomial) -> Tuple[List[int], int]:
+    """Integer coefficients c and the positive integer d with poly = c / d."""
+    d = math.lcm(*(c.denominator for c in poly.coeffs))
+    return [c.numerator * (d // c.denominator) for c in poly.coeffs], d
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -399,6 +286,119 @@ def _int_divexact(a: Sequence[int], b: Sequence[int]) -> List[int]:
     if any(rem[:db]):
         raise InexactDivisionError(f"inexact integer polynomial division: remainder {rem[:db]} by {list(b)}")
     return quot
+
+
+def _primitive(a: Sequence[int]) -> List[int]:
+    """a without its top zeros, divided by its content and signed so that
+    the leading coefficient is positive ([] for zero)."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    if not a:
+        return a
+    c = math.gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else [x // c for x in a]
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The gcd of a and b up to content: primitive, with a positive leading
+    coefficient, so the monic gcd over Q times the least positive integer
+    that clears it ([] when both are zero). A primitive remainder sequence:
+    each pseudo-remainder is divided by its content (von zur Gathen &
+    Gerhard, ch. 6). A divisor of a monic polynomial comes out monic."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        rem, lead, db = a, b[-1], len(b) - 1
+        while len(rem) > db:
+            # scale rem by lead / g and take away (top / g) y^shift b
+            g = math.gcd(rem[-1], lead)
+            top, mul, shift = rem[-1] // g, lead // g, len(rem) - 1 - db
+            if mul != 1:
+                rem = [x * mul for x in rem]
+            for j, y in enumerate(b):
+                rem[shift + j] -= top * y
+            while rem and not rem[-1]:
+                rem.pop()
+        a, b = b, _primitive(rem)
+    return a
+
+
+def _int_squarefree(p: Sequence[int]) -> List[Tuple[List[int], int]]:
+    """Yun's squarefree decomposition of a monic p in Z[y]: the pairs
+    (a_i, i), a_i monic, squarefree, pairwise coprime and of positive
+    degree, with p = prod a_i^i. Every gcd taken divides p, so it is monic
+    and every division is exact in Z[y]."""
+
+    def deriv(a):
+        return [k * c for k, c in enumerate(a)][1:]
+
+    def minus(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    dp = deriv(p)
+    g = _int_gcd(p, dp)
+    c = _int_divexact(p, g)
+    d = minus(_int_divexact(dp, g), deriv(c))
+    out = []
+    i = 1
+    while len(c) > 1:
+        a = _int_gcd(c, d)
+        if len(a) > 1:
+            out.append((a, i))
+        c = _int_divexact(c, a)
+        d = minus(_int_divexact(d, a), deriv(c))
+        i += 1
+    return out
+
+
+def _int_multiplicity(a: Sequence[int], b: Sequence[int]) -> int:
+    """The largest e with b^e dividing a in Z[y], for a non-zero a and a
+    monic b of positive degree, by repeated exact division."""
+    if not any(a) or len(b) < 2:
+        raise InvalidParametersError("root multiplicity needs a non-zero polynomial and a divisor of positive degree")
+    e = 0
+    try:
+        while True:
+            a = _int_divexact(a, b)
+            e += 1
+    except InexactDivisionError:
+        return e
+
+
+# ---------------------------------------------------------------------------
+# the same operations on rational polynomials
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor (`_int_gcd` of the cleared operands)."""
+    return Polynomial(_int_gcd(_cleared(a)[0], _cleared(b)[0])).monic()
+
+
+def poly_divexact(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Quotient a/b, raising InexactDivisionError on a nonzero remainder.
+    With a = A / d and b = c B for integer A, primitive B and rational c,
+    a / b = (A / B) / (c d), and A / B is exact in Z[y] whenever it is
+    exact over Q (Gauss's lemma)."""
+    numerator, d = _cleared(a)
+    divisor = _primitive(_cleared(b)[0])
+    quot = _int_divexact(numerator, divisor)
+    return Polynomial(quot) * (divisor[-1] / (d * b.leading_coefficient))
+
+
+def squarefree_decomposition(poly: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
+    """Yun decomposition: pairwise-coprime monic squarefree factors with
+    multiplicities, so that poly = lc * prod f_i^(e_i). The monic p =
+    poly / lc, scaled by the lcm L of its denominators, is monic in Z[y]
+    (`_int_squarefree`)."""
+    if poly.is_zero:
+        raise InvalidParametersError("the zero polynomial has no squarefree decomposition")
+    p = poly.monic()
+    l = _cleared(p)[1]
+    return tuple((_unscaled(a, l), e) for a, e in _int_squarefree(_scaled(p, l)))
 
 
 class RationalFunction:
@@ -441,54 +441,6 @@ class RationalFunction:
     def __hash__(self):
         return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
 
-    def __add__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __call__(self, value: Scalar) -> Fraction:
-        d = self.den(value)
-        if d == 0:
-            raise ZeroDivisionError(f"pole of rational function at {value}")
-        return self.num(value) / d
-
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
@@ -505,10 +457,3 @@ def _as_polynomial(value) -> Polynomial:
         return Polynomial.constant(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
-
-def _as_rational(value):
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (int, Fraction, Polynomial)):
-        return RationalFunction(_as_polynomial(value))
-    return NotImplemented

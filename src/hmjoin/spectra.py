@@ -26,7 +26,12 @@ of the side matrices,
 which Horner's rule accumulates on an n x cols block over the non-zeros
 of M. Every reduced entry denominator of these numerators N over phi
 divides phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the
-reduced common denominator g = phi / h and f = N / h.
+reduced common denominator g = phi / h and f = N / h. The chain runs in
+Z[y]: with M = M'/s, L = L'/s_l and R = R'/s_r, the recurrence over M' is
+integral, its layers are the coefficients of s_l s_r s^(n-1) N(y / s),
+and s^n phi(y / s) is monic in Z[y], so h is monic there too and both
+quotients are exact integer divisions (`_int_gcd`, `_int_divexact`); g
+and f are unscaled once at the end.
 
 The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
@@ -56,10 +61,15 @@ by a monic integer polynomial.
 
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
-E-main, so classification is gcd arithmetic, no root finding. Main
-classes of multiplicity e are guaranteed multiplicity >= e - m in the
-join, non-main classes >= e; reports check the observed multiplicities
-against those bounds on the directly computed characteristic polynomial.
+E-main, so classification is gcd arithmetic, no root finding: the
+squarefree layers of phi_i, their gcds with g_i and the rational roots
+peeled off them are taken in Z[y] after scaling by the common denominator
+of M_i. Main classes of multiplicity e are guaranteed multiplicity
+>= e - m in the join, non-main classes >= e; reports check the observed
+multiplicities against those bounds on the directly computed
+characteristic polynomial, by repeated exact division in Z[y] with both
+polynomials scaled by the lcm of the join's and the factor's common
+denominators.
 """
 
 from __future__ import annotations
@@ -93,14 +103,14 @@ from .joins import JoinSpec, degree_corrections, hm_join
 from .polynomials import (
     Polynomial,
     RationalFunction,
+    _cleared,
     _int_divexact,
+    _int_gcd,
     _int_mul,
+    _int_multiplicity,
+    _int_squarefree,
     _scaled,
     _unscaled,
-    poly_divexact,
-    poly_gcd,
-    rational_root_multiplicity,
-    squarefree_decomposition,
 )
 
 
@@ -175,19 +185,19 @@ def _resolvent(key: tuple):
     and the integers c_j s^j for phi = sum_j c_j x^(n-j). Cached on matrix
     content, so factors and pair searches that revisit a matrix pay for
     its characteristic polynomial once."""
-    n = len(key)
     phi = exactlinalg.charpoly(key)
     s = math.lcm(*map(_row_denominator_lcm, key))
     rows = tuple(tuple((j, int(x * s)) for j, x in enumerate(row) if x) for row in key)
-    cs = tuple(int(phi.coefficient(n - j) * s ** j) for j in range(n + 1))
-    return phi, s, rows, cs
+    return phi, s, rows, tuple(reversed(_scaled(phi, s)))
 
 
-def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, List[List[Polynomial]]]:
-    """phi and N = L^T adj(xI - M) R from the walk sums (module docstring):
-    Horner's rule builds Y_k = M Y_(k-1) + c_k R from Y_0 = R, one row of
-    non-zeros of M at a time, and layer k of N is L^T Y_k. With M = M'/s,
-    s^k Y_k obeys the same recurrence over the integers M' and c_j s^j."""
+def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, int, int, List[List[List[int]]]]:
+    """phi, s, s_l s_r and N = L^T adj(xI - M) R from the walk sums (module
+    docstring): Horner's rule builds Y_k = M Y_(k-1) + c_k R from Y_0 = R,
+    one row of non-zeros of M at a time, and layer k of N is L^T Y_k. With
+    M = M'/s, s^k Y_k obeys the same recurrence over the integers M' and
+    c_j s^j, so entry (a, b) comes back as the n integer coefficients,
+    lowest first, of s_l s_r s^(n-1) N_ab(y / s)."""
     n, cols = mat_shape(m)
     if cols != n:
         raise SizeMismatchError(f"square matrix required, got {n}x{cols}")
@@ -197,7 +207,7 @@ def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, List[List[Polynomi
         raise SizeMismatchError(f"side matrices must have {n} rows, got {rl} and {rr}")
     phi, s, rows, cs = _resolvent(tuple(map(tuple, m)))
     if cl == 0 or cr == 0:
-        return phi, [[] for _ in range(cl)]
+        return phi, s, 1, [[] for _ in range(cl)]
     sl = math.lcm(*map(_row_denominator_lcm, left))
     sr = math.lcm(*map(_row_denominator_lcm, right))
     left_cols = [[(i, int(row[a] * sl)) for i, row in enumerate(left) if row[a]] for a in range(cl)]
@@ -225,24 +235,24 @@ def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, List[List[Polynomi
                 acc = [p + w * q for p, q in zip(acc, y[i])]
             layer.append(acc)
         layers.append(layer)
-    scales = [sl * sr * s ** (n - 1 - d) for d in range(n)]
-    entries = [[Polynomial([Fraction(layers[n - 1 - d][a][b], scales[d]) for d in range(n)])
-                for b in range(cr)] for a in range(cl)]
-    return phi, entries
+    entries = [[[layers[n - 1 - d][a][b] for d in range(n)] for b in range(cr)] for a in range(cl)]
+    return phi, s, sl * sr, entries
 
 
 def main_function_bilinear(m, u, v) -> MainFunction:
     """V^T (xI - M)^{-1} U = N / phi in exact normal form: g = phi / h and
     f = N / h, with h = gcd(phi, every non-zero N_ab) taken as one chain
-    that stops once h is constant."""
-    phi, numerators = _bilinear_numerators(m, v, u)
-    h = phi
+    in Z[y] that stops once h is constant (module docstring)."""
+    phi, s, den, numerators = _bilinear_numerators(m, v, u)
+    scaled_phi = _scaled(phi, s)
+    h = scaled_phi
     for row in numerators:
         for p in row:
-            if h.degree > 0 and not p.is_zero:
-                h = poly_gcd(h, p)
-    f = tuple(tuple(poly_divexact(p, h) for p in row) for row in numerators)
-    return MainFunction(charpoly=phi, denominator=poly_divexact(phi, h), numerator=f)
+            if len(h) > 1:
+                h = _int_gcd(h, p)
+    # p / h keeps the n - deg h coefficients of s_l s_r s^(n-1-deg h) f(y / s)
+    f = tuple(tuple(_unscaled(_int_divexact(p, h), s, den) for p in row) for row in numerators)
+    return MainFunction(charpoly=phi, denominator=_unscaled(_int_divexact(scaled_phi, h), s), numerator=f)
 
 
 def gamma(m, e) -> MainFunction:
@@ -257,22 +267,23 @@ def gamma(m, e) -> MainFunction:
 
 def _eigen_classes(m, phi: Polynomial, g: Polynomial) -> Tuple[EigenvalueClass, ...]:
     """Split phi into monic squarefree classes homogeneous in multiplicity
-    and mainness (mainness = dividing g), extracting rational roots."""
+    and mainness (mainness = dividing g), extracting rational roots; in
+    Z[y], scaled by the common denominator L of M, where the rational roots
+    are the integers L * root."""
+    l = math.lcm(*map(_row_denominator_lcm, m))
+    scaled_g = _scaled(g, l)
     rationals = rational_eigenvalues(m, char=phi)
     classes: List[EigenvalueClass] = []
-    for layer, mult in squarefree_decomposition(phi):
-        main_part = poly_gcd(layer, g)
-        parts = ((main_part, True), (poly_divexact(layer, main_part), False))
-        for part, flag in parts:
-            if part.degree < 1:
-                continue
-            remaining = part
+    for layer, mult in _int_squarefree(_scaled(phi, l)):
+        main_part = _int_gcd(layer, scaled_g)
+        for part, flag in ((main_part, True), (_int_divexact(layer, main_part), False)):
             for root, root_mult in rationals:
-                if root_mult == mult and part(root) == 0:
+                y = int(root * l)
+                if root_mult == mult and _int_coeff_eval(part, y) == 0:
                     classes.append(EigenvalueClass(Polynomial.from_roots([root]), root, mult, flag))
-                    remaining = poly_divexact(remaining, Polynomial.from_roots([root]))
-            if remaining.degree >= 1:
-                classes.append(EigenvalueClass(remaining.monic(), None, mult, flag))
+                    part = _int_divexact(part, [-y, 1])
+            if len(part) > 1:
+                classes.append(EigenvalueClass(_unscaled(part, l), None, mult, flag))
     return tuple(sorted(classes, key=_class_sort_key))
 
 
@@ -309,17 +320,6 @@ def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
 
 # ---------------------------------------------------------------------------
 # block pipeline
-
-
-def _poly_power_multiplicity(target: Polynomial, base: Polynomial) -> int:
-    count = 0
-    current = target
-    while True:
-        quot, rem = divmod(current, base)
-        if not rem.is_zero:
-            return count
-        current = quot
-        count += 1
 
 
 def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Polynomial:
@@ -389,12 +389,6 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Poly
     return _unscaled(_crt_lift(bound, residues), l)
 
 
-def _cleared(poly: Polynomial) -> Tuple[List[int], int]:
-    """Integer coefficients c and the positive integer d with poly = c / d."""
-    d = math.lcm(*(c.denominator for c in poly.coeffs))
-    return [c.numerator * (d // c.denominator) for c in poly.coeffs], d
-
-
 def check_block_charpoly(block: Polynomial, direct: Polynomial) -> None:
     """Raise BlockFactorizationError, naming the lowest power of x whose
     coefficients differ, unless the block and direct characteristic
@@ -441,12 +435,11 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> 
             raise NonSymmetricInputError(f"factor matrix {i} is not symmetric")
         classes = _eigen_classes(mat, mf.charpoly, mf.denominator)
         flags.append(classes)
+        common = math.lcm(l, *map(_row_denominator_lcm, mat))
+        scaled_direct = _scaled(charpoly_direct, common)
         for c, cls in enumerate(classes):
             guaranteed = max(0, cls.multiplicity - m) if cls.is_main else cls.multiplicity
-            if cls.rational is not None:
-                observed = rational_root_multiplicity(charpoly_direct, cls.rational)
-            else:
-                observed = _poly_power_multiplicity(charpoly_direct, cls.poly)
+            observed = _int_multiplicity(scaled_direct, _scaled(cls.poly, common))
             if observed < guaranteed:
                 raise CarryForwardError(
                     f"factor {i}, eigenvalue class {c} of degree {cls.poly.degree}: observed "

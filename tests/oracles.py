@@ -19,6 +19,13 @@ primes at the points it picks (`hmjoin.exactlinalg._polymatrix_det_mod`).
 `classify_e_main_numeric` classifies eigenvalues as E-main from a float
 eigendecomposition and projection norms, independently of the exact gcd
 route of `hmjoin.spectra.classify_e_main`.
+
+`poly_divmod` (long division over Q), `euclid_gcd` (Euclid over Q,
+renormalized to monic each step), `multiplicity` (repeated `poly_divmod`)
+and `interpolate` (Newton divided differences) work on `Fraction`
+coefficients only. They share no code with the integer division, gcd,
+squarefree and multiplicity core of `hmjoin.polynomials`, which they
+check.
 """
 
 import math
@@ -29,7 +36,68 @@ import numpy as np
 
 from hmjoin.errors import InvalidParametersError, NonSymmetricInputError
 from hmjoin.exactlinalg import _int_coeff_eval, _require_square, _row_denominator_lcm, mat_is_symmetric
-from hmjoin.polynomials import Polynomial, interpolate
+from hmjoin.polynomials import Polynomial, Scalar, _coerce_fraction
+
+
+def poly_divmod(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """Quotient and remainder of a by b over Q, by long division."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dd, dv = len(rem) - 1, b.degree
+    if dd < dv:
+        return Polynomial.zero(), a
+    inv_lead = 1 / b.leading_coefficient
+    quot = [Fraction(0)] * (dd - dv + 1)
+    for k in range(dd - dv, -1, -1):
+        c = rem[dv + k] * inv_lead
+        quot[k] = c
+        if c:
+            for j, x in enumerate(b.coeffs):
+                rem[j + k] -= c * x
+    return Polynomial(quot), Polynomial(rem[:dv])
+
+
+def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor (Euclid over Q, renormalized each step)."""
+    a, b = a.monic(), b.monic()
+    while not b.is_zero:
+        a, b = b, poly_divmod(a, b)[1].monic()
+    return a
+
+
+def multiplicity(poly: Polynomial, base: Polynomial) -> int:
+    """Largest e with base^e dividing the non-zero poly, for a base of
+    positive degree."""
+    count = 0
+    while True:
+        quot, rem = poly_divmod(poly, base)
+        if not rem.is_zero:
+            return count
+        poly = quot
+        count += 1
+
+
+def interpolate(points: Sequence[Tuple[Scalar, Scalar]]) -> Polynomial:
+    """Unique polynomial of degree < len(points) through the given points
+    (Newton divided differences; nodes must be distinct)."""
+    xs = [_coerce_fraction(x) for x, _ in points]
+    ys = [_coerce_fraction(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise InvalidParametersError("interpolation nodes must be distinct")
+    n = len(points)
+    coeffs = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    poly = Polynomial.zero()
+    basis = Polynomial.one()
+    for i in range(n):
+        if coeffs[i]:
+            poly = poly + coeffs[i] * basis
+        if i + 1 < n:
+            basis = basis * Polynomial((-xs[i], 1))
+    return poly
 
 
 def _scaled_int_rows(m) -> Tuple[List[List[int]], int]:

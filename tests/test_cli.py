@@ -275,7 +275,7 @@ def test_exit_code_one_for_violations(capsys, monkeypatch):
 
 def test_carry_forward_violation_is_one_stderr_line(capsys, monkeypatch):
     import hmjoin.spectra as spectra
-    monkeypatch.setattr(spectra, "rational_root_multiplicity", lambda poly, root: 0)
+    monkeypatch.setattr(spectra, "_int_multiplicity", lambda a, b: 0)
     code, out, err = run_cli(capsys, "verify", EXAMPLE)
     assert code == 1
     assert out == ""

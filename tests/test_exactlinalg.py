@@ -29,7 +29,7 @@ from hmjoin.exactlinalg import (
     mat_mul,
     rational_eigenvalues,
 )
-from hmjoin.polynomials import Polynomial, RationalFunction
+from hmjoin.polynomials import Polynomial, RationalFunction, _unscaled
 from hmjoin.spectra import _bilinear_numerators
 
 
@@ -206,8 +206,9 @@ def test_adjugate_identity():
     rng = random.Random(4)
     for n in range(1, 6):
         m = random_fraction_matrix(rng, n)
-        p, adj = _bilinear_numerators(m, identity_matrix(n), identity_matrix(n))
+        p, s, den, scaled = _bilinear_numerators(m, identity_matrix(n), identity_matrix(n))
         assert p == charpoly(m)
+        adj = [[_unscaled(c, s, den) for c in row] for row in scaled]
         for t in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)):
             adj_t = [[entry(t) for entry in row] for row in adj]
             ti_m = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
@@ -383,6 +384,16 @@ def test_rational_eigenvalues_mixed_irrational():
     # K_4 adjacency: 3 and -1 (x3)
     k4 = [[Fraction(0 if i == j else 1) for j in range(4)] for i in range(4)]
     assert rational_eigenvalues(k4) == ((Fraction(-1), 3), (Fraction(3), 1))
+
+
+def test_rational_eigenvalues_rejects_mismatched_char():
+    # eigenvalues 1/2 and -1, L = 2: 4 * (-1/3) is not an integer, so no
+    # charpoly of m, nor a factor of one, has that constant term
+    m = [[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(-1)]]
+    with pytest.raises(InvalidParametersError, match="does not match the matrix denominators"):
+        rational_eigenvalues(m, char=Polynomial([Fraction(-1, 3), Fraction(1, 2), 1]))
+    assert rational_eigenvalues(m) == ((Fraction(-1), 1), (Fraction(1, 2), 1))
+    assert rational_eigenvalues(m, char=Polynomial([Fraction(-1, 2), 1])) == ((Fraction(1, 2), 1),)
 
 
 def ratfun_is_symmetric(m):

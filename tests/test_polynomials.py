@@ -1,26 +1,29 @@
-"""Exact polynomial and rational-function arithmetic."""
+"""Exact polynomial and rational-function arithmetic, and the integer
+division, gcd, squarefree and multiplicity core against the Fraction
+oracles of `oracles`."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import euclid_gcd, interpolate, multiplicity, poly_divmod
 from hmjoin.errors import InexactDivisionError, InvalidParametersError
 from hmjoin.polynomials import (
     Polynomial,
     RationalFunction,
     _int_divexact,
+    _int_gcd,
+    _int_multiplicity,
     _int_mul,
+    _int_squarefree,
     _scaled,
     _unscaled,
-    interpolate,
     poly_divexact,
     poly_gcd,
-    poly_lcm,
-    rational_root_multiplicity,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -50,26 +53,20 @@ def test_ring_operations_match_evaluation(p, q, t):
     assert (p * q)(t) == p(t) * q(t)
 
 
-@given(polys_st, nonzero_polys_st)
-@settings(max_examples=120)
-def test_divmod_identity(p, q):
-    quot, rem = divmod(p, q)
-    assert quot * q + rem == p
-    assert rem.degree < q.degree
-
-
 @given(nonzero_polys_st, nonzero_polys_st)
 @settings(max_examples=80)
 def test_gcd_divides_and_is_monic(p, q):
     g = poly_gcd(p, q)
     assert g.is_monic
-    assert divmod(p, g)[1].is_zero
-    assert divmod(q, g)[1].is_zero
-    l = poly_lcm(p, q)
-    assert divmod(l, p)[1].is_zero
-    assert divmod(l, q)[1].is_zero
-    # gcd * lcm agrees with the product up to the unit factor
-    assert g * l * p.leading_coefficient * q.leading_coefficient == p * q
+    assert g == euclid_gcd(p, q)
+    assert poly_divmod(p, g)[1].is_zero
+    assert poly_divmod(q, g)[1].is_zero
+    l, rem = poly_divmod(p * q, g)
+    assert rem.is_zero
+    assert poly_divmod(l, p)[1].is_zero
+    assert poly_divmod(l, q)[1].is_zero
+    # the cofactors are coprime
+    assert euclid_gcd(poly_divmod(p, g)[0], poly_divmod(q, g)[0]) == Polynomial.one()
 
 
 def test_divexact_raises_on_remainder():
@@ -77,6 +74,21 @@ def test_divexact_raises_on_remainder():
     with pytest.raises(InexactDivisionError):
         poly_divexact(p, Polynomial([1, 1]))
     assert poly_divexact(p * Polynomial([2, 3]), Polynomial([2, 3])) == p
+
+
+@given(polys_st, nonzero_polys_st, polys_st)
+@settings(max_examples=120)
+def test_divexact_by_non_monic_rational_divisors(p, q, r):
+    q = q * Fraction(-5, 3)
+    assert poly_divexact(p * q, q) == p
+    quot, rem = poly_divmod(p * q + r, q)
+    if rem.is_zero:
+        assert poly_divexact(p * q + r, q) == quot
+    else:
+        with pytest.raises(InexactDivisionError):
+            poly_divexact(p * q + r, q)
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact(p, Polynomial.zero())
 
 
 monic_ints_st = st.lists(st.integers(-30, 30), max_size=5).map(lambda c: c + [1])
@@ -117,31 +129,113 @@ def test_from_roots_and_multiplicity():
     roots = [Fraction(1), Fraction(1), Fraction(-2), Fraction(1, 3)]
     p = Polynomial.from_roots(roots)
     assert p.is_monic and p.degree == 4
-    assert rational_root_multiplicity(p, Fraction(1)) == 2
-    assert rational_root_multiplicity(p, Fraction(-2)) == 1
-    assert rational_root_multiplicity(p, Fraction(1, 3)) == 1
-    assert rational_root_multiplicity(p, Fraction(5)) == 0
+    # scaled by 3, the roots r become the integers 3r
+    scaled = _scaled(p, 3)
+    assert _int_multiplicity(scaled, [-3, 1]) == 2
+    assert _int_multiplicity(scaled, [6, 1]) == 1
+    assert _int_multiplicity(scaled, [-1, 1]) == 1
+    assert _int_multiplicity(scaled, [-15, 1]) == 0
+    with pytest.raises(InvalidParametersError):
+        _int_multiplicity([], [-1, 1])
+    with pytest.raises(InvalidParametersError):
+        _int_multiplicity(scaled, [1])
 
 
-@given(st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+@given(st.lists(fractions_st, min_size=1, max_size=5), st.sampled_from([1, -2, Fraction(3, 4)]))
 @settings(max_examples=80)
-def test_squarefree_decomposition_reconstructs(root_values):
-    roots = [Fraction(r) for r in root_values]
-    p = Polynomial.from_roots(roots)
+def test_squarefree_decomposition_reconstructs(roots, lead):
+    p = Polynomial.from_roots(roots) * lead
     layers = squarefree_decomposition(p)
     product = Polynomial.one()
     for layer, mult in layers:
         assert layer.is_monic
         product = product * layer ** mult
-    assert product == p
-    sf = squarefree_part(p)
-    assert sf == Polynomial.from_roots(sorted(set(roots)))
+    assert product * lead == p
+    # the distinct roots, each once
+    squarefree = Polynomial.one()
+    for layer, _ in layers:
+        squarefree = squarefree * layer
+    assert squarefree == Polynomial.from_roots(sorted(set(roots)))
+    assert {(r, e) for layer, e in layers for r in roots if layer(r) == 0} \
+        == {(r, roots.count(r)) for r in roots}
 
 
-def test_derivative_product_rule():
-    p = Polynomial([1, 2, 3])
-    q = Polynomial([-1, 0, 0, 2])
-    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+# -- the integer core against the Fraction oracles ---------------------------
+
+int_polys_st = st.lists(st.integers(-6, 6), max_size=4)
+monic_factors_st = st.lists(st.integers(-5, 5), min_size=1, max_size=2).map(lambda c: c + [1])
+
+
+def primitive_associate(p: Polynomial):
+    """The integer polynomial, primitive with a positive leading coefficient,
+    that is a rational multiple of p ([] for zero)."""
+    p = p.monic()
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * scale) for c in p.coeffs]
+
+
+def int_derivative(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def test_int_gcd_zero_operands_and_signs():
+    assert _int_gcd([], []) == []
+    assert _int_gcd([], [-2, -4]) == [1, 2]
+    assert _int_gcd([0, 0], [3]) == [1]
+    # non-primitive operands with negative and non-unit leading coefficients
+    assert _int_gcd([-6, -12], [4, 8, 0]) == [1, 2]
+    assert _int_gcd([2, -6, 4], [-3, 3]) == [-1, 1]
+    # coprime
+    assert _int_gcd([1, 0, 1], [-1, 1]) == [1]
+
+
+@given(int_polys_st, int_polys_st, int_polys_st, st.integers(-4, 4), st.integers(-4, 4))
+@settings(max_examples=200)
+def test_int_gcd_matches_euclid_oracle(common, a, b, ca, cb):
+    # a shared factor, non-unit and negative contents, and zero operands
+    left = [ca * x for x in _int_mul(common, a)]
+    right = [cb * x for x in _int_mul(common, b)]
+    expected = primitive_associate(euclid_gcd(Polynomial(left), Polynomial(right)))
+    assert _int_gcd(left, right) == expected
+    assert _int_gcd(right, left) == expected
+    if expected:
+        assert poly_gcd(Polynomial(left), Polynomial(right)) == Polynomial(expected).monic()
+
+
+@given(st.lists(st.tuples(monic_factors_st, st.integers(1, 4)), min_size=1, max_size=4))
+@settings(max_examples=120)
+def test_int_squarefree_layers(factors):
+    p = [1]
+    for f, e in factors:
+        for _ in range(e):
+            p = _int_mul(p, f)
+    layers = _int_squarefree(p)
+    rebuilt = [1]
+    for a, i in layers:
+        assert a[-1] == 1 and len(a) > 1
+        # squarefree: coprime to its derivative
+        assert euclid_gcd(Polynomial(a), Polynomial(int_derivative(a))) == Polynomial.one()
+        for _ in range(i):
+            rebuilt = _int_mul(rebuilt, a)
+    assert rebuilt == p
+    for (a, i), (b, j) in zip(layers, layers[1:]):
+        assert i < j
+    for x, (a, _) in enumerate(layers):
+        for b, _ in layers[x + 1:]:
+            assert euclid_gcd(Polynomial(a), Polynomial(b)) == Polynomial.one()
+    assert _int_squarefree([5, 1]) == [([5, 1], 1)]
+    assert _int_squarefree([1]) == []
+
+
+@given(monic_factors_st, st.integers(0, 4), int_polys_st)
+@settings(max_examples=150)
+def test_int_multiplicity_matches_oracle(b, e, c):
+    if not any(c):
+        c = [3]
+    a = c
+    for _ in range(e):
+        a = _int_mul(a, b)
+    assert _int_multiplicity(a, b) == multiplicity(Polynomial(a), Polynomial(b)) >= e
 
 
 @given(st.lists(fractions_st, min_size=1, max_size=5))
@@ -165,26 +259,16 @@ def test_rational_function_normal_form():
     assert poly_gcd(r.num, r.den).degree == 0
 
 
-@given(polys_st, nonzero_polys_st, polys_st, nonzero_polys_st, fractions_st)
+@given(polys_st, nonzero_polys_st, fractions_st)
 @settings(max_examples=80)
-def test_rational_function_field_operations(a, b, c, d, t):
+def test_rational_function_reduces_to_lowest_terms(a, b, t):
     r = RationalFunction(a, b)
-    s = RationalFunction(c, d)
-    if b(t) == 0 or d(t) == 0:
-        return
-    total = r + s
-    if total.den(t) != 0:
-        assert total(t) == r(t) + s(t)
-    prod = r * s
-    if prod.den(t) != 0:
-        assert prod(t) == r(t) * s(t)
-    assert r.den.is_monic and s.den.is_monic
-
-
-def test_rational_function_pole_evaluation():
-    r = RationalFunction(Polynomial.one(), Polynomial([0, 1]))
-    with pytest.raises(ZeroDivisionError):
-        r(Fraction(0))
+    assert r.den.is_monic
+    assert euclid_gcd(r.num, r.den) == Polynomial.one() or r.num.is_zero
+    # same value: a / b == num / den wherever b does not vanish
+    assert r.num * b == a * r.den
+    if b(t) != 0:
+        assert r.num(t) / r.den(t) == a(t) / b(t)
 
 
 def test_zero_denominator_rejected():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_spec
-from oracles import classify_e_main_numeric, polymatrix_det
+from oracles import classify_e_main_numeric, euclid_gcd, interpolate, multiplicity, poly_divmod, polymatrix_det
 import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import GeneralizedJoinSpec, generalized_universal_charpoly
@@ -17,7 +17,7 @@ from hmjoin.errors import BlockFactorizationError, CarryForwardError, InvalidPar
 from hmjoin.exactlinalg import charpoly, rational_eigenvalues
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
-from hmjoin.polynomials import Polynomial, RationalFunction, interpolate, poly_divexact, poly_lcm
+from hmjoin.polynomials import Polynomial, RationalFunction
 from hmjoin.spectra import (
     block_charpoly,
     carry_forward_report,
@@ -82,13 +82,12 @@ def test_main_function_invariants_on_random_specs():
         for g, im in zip(spec.factors, spec.indexing):
             mf = gamma(g.adjacency_matrix(), indexing_matrix(g, im))
             # the reduced common denominator divides the charpoly
-            poly_divexact(mf.charpoly, mf.denominator)
+            assert poly_divmod(mf.charpoly, mf.denominator)[1].is_zero
             # cleared numerators: f = g * Gamma entrywise, deg f < deg g
             for a, row in enumerate(mf.numerator):
                 for b, f in enumerate(row):
                     entry = mf.matrix.entries[a][b]
-                    assert entry * RationalFunction(mf.denominator, Polynomial([1])) \
-                        == RationalFunction(f, Polynomial([1]))
+                    assert entry.num * mf.denominator == f * entry.den
                     if not f.is_zero:
                         assert f.degree < mf.denominator.degree
 
@@ -155,6 +154,11 @@ def main_function_oracle_cases():
     k5 = make_named("complete", [5])
     e5 = indexing_matrix(k5, IndexingMap([1, 1, 1, 2, 2], 2))
     cases.append((k5.adjacency_matrix(), e5, [row[:1] for row in e5]))
+    # denominators s = 12, s_r = 5 and s_l = 7, and a block the sides never
+    # see, so h = x - 5/6 is not constant
+    f = Fraction
+    m = [[f(1, 2), f(1, 3), 0], [f(1, 3), f(-1, 4), 0], [0, 0, f(5, 6)]]
+    cases.append((m, [[f(1, 5), 2], [f(3, 5), -1], [0, 0]], [[f(2, 7)], [1], [0]]))
     return cases
 
 
@@ -179,15 +183,17 @@ def test_main_function_matches_resolvent_oracle():
         numerators = [[interpolate([(t, det * value[a][b]) for t, det, value in samples])
                        for b in range(cu)] for a in range(cv)]
         # the route through per-entry reduction: monic lcm of the reduced
-        # denominators of N / phi
+        # denominators phi / gcd(N_ab, phi) of N / phi
         g = Polynomial.one()
         for row in numerators:
             for p in row:
-                g = poly_lcm(g, RationalFunction(p, phi).den)
+                den = poly_divmod(phi, euclid_gcd(p, phi))[0]
+                g = poly_divmod(g * den, euclid_gcd(g, den))[0]
         assert mf.denominator == g
         for a in range(cv):
             for b in range(cu):
-                assert mf.numerator[a][b] == poly_divexact(numerators[a][b] * g, phi)
+                quot, rem = poly_divmod(numerators[a][b] * g, phi)
+                assert rem.is_zero and mf.numerator[a][b] == quot
         if cu and cv and all(p.is_zero for row in numerators for p in row):
             assert mf.denominator == Polynomial.one()
         for t in (Fraction(1, 3), Fraction(-7, 2), Fraction(11, 5)):
@@ -216,6 +222,31 @@ def test_classification_of_complete_factors():
 def test_classification_rejects_non_symmetric():
     with pytest.raises(NonSymmetricInputError):
         classify_e_main([[0, 1], [0, 0]], [[1], [1]])
+
+
+def test_classification_of_rational_matrices_against_oracle():
+    # denominators 2 and 3 make L = 6, and most classes are irrational
+    rng = random.Random(29)
+    for n in range(2, 6):
+        for _ in range(4):
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+            e = [[Fraction(rng.randint(0, 1)) for _ in range(2)] for _ in range(n)]
+            mf = gamma(m, e)
+            rebuilt = Polynomial.one()
+            for c in classify_e_main(m, e):
+                assert c.poly.is_monic and c.multiplicity >= 1
+                derivative = Polynomial([k * x for k, x in enumerate(c.poly.coeffs)][1:])
+                assert euclid_gcd(c.poly, derivative) == Polynomial.one()
+                # every linear class is a rational root, and no other class is
+                assert (c.rational is not None) == (c.poly.degree == 1)
+                if c.rational is not None:
+                    assert c.poly(c.rational) == 0
+                assert poly_divmod(mf.denominator, c.poly)[1].is_zero == c.is_main
+                rebuilt = rebuilt * c.poly ** c.multiplicity
+            assert rebuilt == charpoly(m)
 
 
 def test_numeric_classification_agrees_with_exact():
@@ -459,7 +490,7 @@ def test_corrupted_block_residue_raises(monkeypatch):
 
 
 def test_carry_forward_error_names_factor_class_and_degree(monkeypatch):
-    monkeypatch.setattr(spectra, "rational_root_multiplicity", lambda poly, root: 0)
+    monkeypatch.setattr(spectra, "_int_multiplicity", lambda a, b: 0)
     with pytest.raises(CarryForwardError) as info:
         block_charpoly(example_3_7_spec())
     message = str(info.value)
@@ -484,6 +515,21 @@ def test_carry_forward_bounds_hold_on_random_specs():
         spec = random_spec(rng)
         for row in carry_forward_report(spec):
             assert row.observed >= row.guaranteed >= 0
+
+
+def test_observed_multiplicities_when_factor_and_join_denominators_differ():
+    # edgeless factors: the factor matrices are beta*I with denominator 3,
+    # the join's cross edges carry alpha = 1/2, so the join's is 6
+    params = UniversalParams(Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(0))
+    spec = JoinSpec(make_named("complete", [2]),
+                    [make_named("empty", [3]), make_named("empty", [4])], 2,
+                    [IndexingMap([1, 1, 2], 2), IndexingMap([1, None, 2, 2], 2)])
+    report = universal_block_charpoly(spec, params)
+    assert report.charpoly_direct == charpoly(universal_matrix(hm_join(spec), params))
+    assert [r.eigen_class.rational for r in report.carry_forward] == [Fraction(1, 3)] * 2
+    for row in report.carry_forward:
+        assert row.observed == multiplicity(report.charpoly_direct, row.eigen_class.poly)
+    assert [r.observed for r in report.carry_forward] == [3, 3]
 
 
 def test_combined_carry_forward_of_shared_class():
