@@ -20,13 +20,11 @@ from .errors import (
 )
 from .polynomials import (
     Polynomial,
-    RationalFunction,
     poly_divexact,
     poly_gcd,
     squarefree_decomposition,
 )
 from .exactlinalg import (
-    RatFunMatrix,
     charpoly,
     rational_eigenvalues,
 )
@@ -98,8 +96,6 @@ from .serialize import (
     parse_spec,
     polynomial_from_json,
     polynomial_to_json,
-    ratfun_from_json,
-    ratfun_to_json,
     report_to_json,
     spec_document_from_json,
     spec_from_json,

@@ -116,10 +116,10 @@ def factored_charpoly_string(p: Polynomial, matrix, var: str = "λ") -> str:
 # plumbing
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as handle:
         return handle.read()
 
 
@@ -132,7 +132,7 @@ def _write_text(text: str, path: Optional[str]):
 
 
 def _load_spec(path: str):
-    return parse_spec(_read_text(path))
+    return parse_spec(_read_bytes(path))
 
 
 def _as_join_spec(spec) -> JoinSpec:
@@ -311,7 +311,7 @@ def _cmd_cospectral(args) -> int:
     import json as _json
 
     try:
-        data = _json.loads(_read_text(args.catalog))
+        data = _json.loads(_read_bytes(args.catalog).decode("utf-8"))
     except ValueError as exc:
         raise SpecValidationError("invalid catalog JSON: %s" % exc)
     if isinstance(data, dict) and "graphs" in data:

@@ -12,6 +12,7 @@ main function on them feeds the block charpoly and is a certificate's
 witness; the hypothesis data gates `check_cospectral_conditions` pairwise
 and, as a tuple, groups the configurations of `search_pairs`."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ from .errors import (
 from .exactlinalg import charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import generalized_to_hm, hm_join
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial
 from .spectra import MainFunction, check_block_charpoly, main_function_bilinear, reduced_block_charpoly
 
 COSPECTRAL_KINDS = ("A", "S", "L", "U")
@@ -155,10 +156,11 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
 
 
 def regular_gamma_closed_form(g: Graph, subset: Sequence[int],
-                              params: UniversalParams) -> RationalFunction:
+                              params: UniversalParams) -> Tuple[Polynomial, Polynomial]:
     """Closed form for 1_S^T (xI - U(G))^{-1} 1 on a regular graph: the
     all-ones vector is an eigenvector, so the bilinear collapses to
-    |S| / (x - theta) with theta the main eigenvalue of U(G).
+    |S| / (x - theta) with theta the main eigenvalue of U(G), returned in
+    lowest terms as (num, den), so (0, 1) for an empty subset.
 
     Two hypothesis cases are accepted: delta = 0 (theta = alpha*r + beta +
     gamma*n) and alpha = -delta (theta = beta + gamma*n, since alpha*A(G) +
@@ -178,11 +180,11 @@ def regular_gamma_closed_form(g: Graph, subset: Sequence[int],
     else:
         raise HypothesisNotMetError(
             "closed form requires delta = 0 or alpha = -delta")
-    pole = Polynomial((-theta, Fraction(1)))
-    closed = RationalFunction(Polynomial.constant(Fraction(len(members))), pole)
+    closed = (Polynomial.constant(len(members)),
+              Polynomial((-theta, 1)) if members else Polynomial.one())
     ones = [[Fraction(1)] for _ in range(n)]
     sel = [[Fraction(1 if v in set(members) else 0)] for v in range(n)]
-    direct = main_function_bilinear(universal_matrix(g, params), ones, sel).matrix
+    direct = main_function_bilinear(universal_matrix(g, params), ones, sel)
     if direct.entry(0, 0) != closed:
         raise TheoremViolationError(
             "closed form disagrees with the resolvent bilinear")
@@ -269,28 +271,20 @@ def _verdict(a: Graph, b: Graph) -> Optional[bool]:
     return None
 
 
+@dataclass(frozen=True)
 class CospectralCertificate:
     """Verified outcome of a cospectral construction: the two specs, the
-    equal designated charpolys, per-factor main-function witnesses, and an
-    isomorphism verdict (None when the joins exceed the decision limit)."""
+    equal designated charpolys, the per-factor slot main functions as
+    witnesses, and an isomorphism verdict (None when the joins exceed the
+    decision limit)."""
 
-    __slots__ = ("kind", "spec_a", "spec_b", "charpoly_a", "charpoly_b",
-                 "isomorphic", "gamma_witness")
-
-    def __init__(self, kind: str, spec_a: GeneralizedJoinSpec,
-                 spec_b: GeneralizedJoinSpec, charpoly_a: Polynomial,
-                 charpoly_b: Polynomial, isomorphic: Optional[bool],
-                 gamma_witness):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "spec_a", spec_a)
-        object.__setattr__(self, "spec_b", spec_b)
-        object.__setattr__(self, "charpoly_a", charpoly_a)
-        object.__setattr__(self, "charpoly_b", charpoly_b)
-        object.__setattr__(self, "isomorphic", isomorphic)
-        object.__setattr__(self, "gamma_witness", tuple(gamma_witness))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CospectralCertificate is immutable")
+    kind: str
+    spec_a: GeneralizedJoinSpec
+    spec_b: GeneralizedJoinSpec
+    charpoly_a: Polynomial
+    charpoly_b: Polynomial
+    isomorphic: Optional[bool]
+    gamma_witness: Tuple[MainFunction, ...]
 
 
 def kind_parameters(kind: str, params: Optional[UniversalParams] = None) -> UniversalParams:
@@ -311,9 +305,10 @@ def _slot_hypotheses(spec: GeneralizedJoinSpec, i: int, kind: str):
     """Hypothesis data of factor slot i as lazy (label, value) pairs, in
     the order they are checked; two slots meet the kind's hypotheses when
     every pair agrees.  A regular degree of None marks an irregular graph.
-    The last value is the slot's determinant witness: the subset main
-    function itself when delta = gamma = 0 (the corrected matrix is then
-    the designated one and the sides are 1_S)."""
+    Main functions compare by their normal form (g, f).  The last value is
+    the slot's determinant witness: the subset main function itself when
+    delta = gamma = 0 (the corrected matrix is then the designated one and
+    the sides are 1_S)."""
     g, subset, params = spec.factors[i], spec.subsets[i], spec.params
     yield "vertex counts", g.n
     yield "subset sizes", len(subset)
@@ -323,7 +318,7 @@ def _slot_hypotheses(spec: GeneralizedJoinSpec, i: int, kind: str):
     sel = [[Fraction(1 if v in members else 0)] for v in range(g.n)]
     scalar = main_function_bilinear(universal_matrix(g, params), sel, sel)
     yield "designated charpolys", scalar.charpoly
-    yield "subset main functions", scalar.matrix
+    yield "subset main functions", scalar
     if params.delta == 0 and params.gamma == 0:
         return
     witness = _slot_main_function(spec, i)
@@ -332,7 +327,7 @@ def _slot_hypotheses(spec: GeneralizedJoinSpec, i: int, kind: str):
         # matrices must agree as well
         yield "corrected charpolys", witness.charpoly
     label = "corrected subset main functions" if params.gamma == 0 else "augmented main functions"
-    yield label, witness.matrix
+    yield label, witness
 
 
 def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
@@ -369,7 +364,7 @@ def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
         raise TheoremViolationError(
             "hypotheses hold but the kind-%s charpolys of the joins differ" % kind)
     return CospectralCertificate(kind, normalized_a, normalized_b, pa, pb,
-                                 _verdict(join_a, join_b), witnesses)
+                                 _verdict(join_a, join_b), tuple(witnesses))
 
 
 def _config_key(g: Graph, subset: Tuple[int, ...], kind: str,

@@ -53,7 +53,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InexactDivisionError, InvalidParametersError, SizeMismatchError
-from .polynomials import Polynomial, RationalFunction, _int_multiplicity, _scaled, _unscaled
+from .polynomials import Polynomial, _int_multiplicity, _scaled, _unscaled
 
 Matrix = List[List[Fraction]]
 
@@ -107,19 +107,17 @@ def mat_is_symmetric(m) -> bool:
 # denominators and primes
 
 
-def _row_denominator_lcm(row) -> int:
-    l = 1
-    for x in row:
-        if isinstance(x, Fraction) and x.denominator != 1:
-            l = math.lcm(l, x.denominator)
-    return l
+def _denominator(m) -> int:
+    """The common denominator of the entries (ints or Fractions) of a
+    matrix: the least positive integer L with L*M integral."""
+    return math.lcm(*(x.denominator for row in m for x in row))
 
 
 def _scaled_bound(m) -> Tuple[int, List[List[int]], int]:
     """L, the common denominator of the entries of M, the integer rows of
     L*M, and max_k C(n, k) B^k, which bounds every coefficient of
     det(xI - L*M) (module docstring)."""
-    l = math.lcm(*(x.denominator for row in m for x in row))
+    l = _denominator(m)
     rows = [[x.numerator * (l // x.denominator) for x in row] for row in m]
     n = len(rows)
     b = math.isqrt(max((sum(x * x for x in row) for row in rows), default=0)) + 1
@@ -378,50 +376,3 @@ def rational_eigenvalues(m, char: Optional[Polynomial] = None) -> Tuple[Tuple[Fr
         if (y == 0 or trailing % y == 0) and _int_coeff_eval(coeffs, y) == 0:
             found.append((Fraction(y, l), _int_multiplicity(coeffs, [-y, 1])))
     return tuple(found)
-
-
-# ---------------------------------------------------------------------------
-# matrices of rational functions
-
-
-class RatFunMatrix:
-    """Immutable rectangular matrix of reduced rational functions."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = []
-        width = None
-        for row in entries:
-            converted = tuple(e if isinstance(e, RationalFunction) else RationalFunction(e) for e in row)
-            if width is None:
-                width = len(converted)
-            elif len(converted) != width:
-                raise SizeMismatchError("ragged rational-function matrix")
-            rows.append(converted)
-        object.__setattr__(self, "entries", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunMatrix is immutable")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def entry(self, i: int, j: int) -> RationalFunction:
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFunMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("RatFunMatrix", self.entries))
-
-    def __repr__(self):
-        return f"RatFunMatrix({[[str(e) for e in row] for row in self.entries]!r})"

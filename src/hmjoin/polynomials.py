@@ -1,11 +1,9 @@
-"""Exact univariate polynomial and rational-function arithmetic over Q.
+"""Exact univariate polynomial arithmetic over Q.
 
 Coefficients are `fractions.Fraction` values stored densely, lowest degree
-first, with trailing zeros trimmed. Rational functions are kept reduced
-(coprime numerator/denominator) with a monic denominator, so structural
-equality is mathematical equality. No factorization into irreducibles is
-performed anywhere; everything rests on gcds, exact division, and
-evaluation.
+first, with trailing zeros trimmed, so structural equality is mathematical
+equality. No factorization into irreducibles is performed anywhere;
+everything rests on gcds, exact division, and evaluation.
 
 Values stay `Fraction`s, but division, gcds and squarefree decomposition
 run on integer coefficient lists in Z[y]: `_int_divexact` (long division),
@@ -399,61 +397,3 @@ def squarefree_decomposition(poly: Polynomial) -> Tuple[Tuple[Polynomial, int], 
     p = poly.monic()
     l = _cleared(p)[1]
     return tuple((_unscaled(a, l), e) for a, e in _int_squarefree(_scaled(p, l)))
-
-
-class RationalFunction:
-    """Reduced fraction of polynomials with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_polynomial(num)
-        den = Polynomial.one() if den is None else _as_polynomial(den)
-        if den.is_zero:
-            raise InvalidParametersError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Polynomial.zero(), Polynomial.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = poly_divexact(num, g), poly_divexact(den, g)
-            lead = den.leading_coefficient
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self == RationalFunction(_as_polynomial(other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den == Polynomial.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
-def _as_polynomial(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
-

@@ -16,8 +16,8 @@ from .cospectral import CospectralCertificate, GeneralizedJoinSpec
 from .errors import HmJoinError, SpecValidationError
 from .graphs import Graph, UniversalParams, make_named
 from .joins import IndexingMap, JoinSpec
-from .polynomials import Polynomial, RationalFunction
-from .spectra import SpectralReport
+from .polynomials import Polynomial
+from .spectra import MainFunction, SpectralReport
 
 _FRACTION_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
@@ -96,17 +96,6 @@ def polynomial_from_json(data, pointer: str = "") -> Polynomial:
     arr = _expect_array(data, pointer)
     return Polynomial([fraction_from_json(c, "%s/%d" % (pointer, i))
                        for i, c in enumerate(arr)])
-
-
-def ratfun_to_json(r: RationalFunction) -> Dict[str, List[str]]:
-    return {"num": polynomial_to_json(r.num), "den": polynomial_to_json(r.den)}
-
-
-def ratfun_from_json(data, pointer: str = "") -> RationalFunction:
-    obj = _expect_object(data, pointer)
-    _check_keys(obj, pointer, ("num", "den"))
-    return RationalFunction(polynomial_from_json(obj["num"], pointer + "/num"),
-                            polynomial_from_json(obj["den"], pointer + "/den"))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +311,17 @@ def report_to_json(report: SpectralReport) -> Dict[str, Any]:
     }
 
 
+def _entry_to_json(mf: MainFunction, a: int, b: int) -> Dict[str, List[str]]:
+    num, den = mf.entry(a, b)
+    return {"num": polynomial_to_json(num), "den": polynomial_to_json(den)}
+
+
 def certificate_to_json(cert: CospectralCertificate) -> Dict[str, Any]:
-    witness = []
-    for matrix in cert.gamma_witness:
-        witness.append([[ratfun_to_json(matrix.entry(i, j)) for j in range(matrix.cols)]
-                        for i in range(matrix.rows)])
+    """The witnesses are the slot main functions, entry by entry in lowest
+    terms as {"num", "den"}."""
+    witness = [[[_entry_to_json(mf, a, b) for b in range(len(row))]
+                for a, row in enumerate(mf.numerator)]
+               for mf in cert.gamma_witness]
     return {
         "kind": cert.kind,
         "spec_a": generalized_spec_to_json(cert.spec_a),

@@ -75,9 +75,9 @@ denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,13 +85,12 @@ import numpy as np
 from .errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
 from . import exactlinalg
 from .exactlinalg import (
-    RatFunMatrix,
     _cleared_polymatrix,
     _crt_lift,
+    _denominator,
     _int_coeff_eval,
     _interpolate_mod,
     _polymatrix_det_mod,
-    _row_denominator_lcm,
     _scaled_bound,
     charpoly,
     mat_is_symmetric,
@@ -102,7 +101,6 @@ from .graphs import UniversalParams, universal_matrix
 from .joins import JoinSpec, degree_corrections, hm_join
 from .polynomials import (
     Polynomial,
-    RationalFunction,
     _cleared,
     _int_divexact,
     _int_gcd,
@@ -111,27 +109,35 @@ from .polynomials import (
     _int_squarefree,
     _scaled,
     _unscaled,
+    poly_divexact,
+    poly_gcd,
 )
 
 
 @dataclass(frozen=True)
 class MainFunction:
-    """Gamma = V^T (xI - M)^{-1} U in exact normal form.
+    """Gamma = V^T (xI - M)^{-1} U in exact normal form (g, f).
 
     `charpoly` is phi = det(xI - M); `denominator` is the monic least
     common denominator g of the reduced entries (g divides phi, and its
     roots are exactly the E-main eigenvalues when M is symmetric and
-    U = V = E); `numerator` is the polynomial matrix f = g * Gamma.
-    `matrix`, the reduced rational functions f / g, is built on first use.
+    U = V = E); `numerator` is the polynomial matrix f = g * Gamma. The
+    form is canonical, so equality and hashing compare (g, f) only: two
+    main functions are equal exactly when their Gamma are.
     """
 
-    charpoly: Polynomial
+    charpoly: Polynomial = field(compare=False)
     denominator: Polynomial
     numerator: Tuple[Tuple[Polynomial, ...], ...]
 
-    @cached_property
-    def matrix(self) -> RatFunMatrix:
-        return RatFunMatrix([[RationalFunction(f, self.denominator) for f in row] for row in self.numerator])
+    def entry(self, a: int, b: int) -> Tuple[Polynomial, Polynomial]:
+        """Gamma_ab in lowest terms as (num, den), den monic: f_ab and g
+        divided by h = gcd(f_ab, g); a zero entry gives (0, 1)."""
+        f, g = self.numerator[a][b], self.denominator
+        h = poly_gcd(f, g)
+        if h.degree > 0:
+            f, g = poly_divexact(f, h), poly_divexact(g, h)
+        return f, g
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,7 @@ def _resolvent(key: tuple):
     content, so factors and pair searches that revisit a matrix pay for
     its characteristic polynomial once."""
     phi = exactlinalg.charpoly(key)
-    s = math.lcm(*map(_row_denominator_lcm, key))
+    s = _denominator(key)
     rows = tuple(tuple((j, int(x * s)) for j, x in enumerate(row) if x) for row in key)
     return phi, s, rows, tuple(reversed(_scaled(phi, s)))
 
@@ -208,8 +214,8 @@ def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, int, int, List[Lis
     phi, s, rows, cs = _resolvent(tuple(map(tuple, m)))
     if cl == 0 or cr == 0:
         return phi, s, 1, [[] for _ in range(cl)]
-    sl = math.lcm(*map(_row_denominator_lcm, left))
-    sr = math.lcm(*map(_row_denominator_lcm, right))
+    sl = _denominator(left)
+    sr = _denominator(right)
     left_cols = [[(i, int(row[a] * sl)) for i, row in enumerate(left) if row[a]] for a in range(cl)]
     r0 = [[int(x * sr) for x in row] for row in right]
     r_rows = [(i, row) for i, row in enumerate(r0) if any(row)]
@@ -270,7 +276,7 @@ def _eigen_classes(m, phi: Polynomial, g: Polynomial) -> Tuple[EigenvalueClass, 
     and mainness (mainness = dividing g), extracting rational roots; in
     Z[y], scaled by the common denominator L of M, where the rational roots
     are the integers L * root."""
-    l = math.lcm(*map(_row_denominator_lcm, m))
+    l = _denominator(m)
     scaled_g = _scaled(g, l)
     rationals = rational_eigenvalues(m, char=phi)
     classes: List[EigenvalueClass] = []
@@ -426,7 +432,7 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> 
         mfs, lambda i, j: (off_scale,) * m if host_adj[i][j] else None, direct_matrix)
     charpoly_direct = charpoly(direct_matrix)
     check_block_charpoly(charpoly_block, charpoly_direct)
-    l = math.lcm(*map(_row_denominator_lcm, direct_matrix))
+    l = _denominator(direct_matrix)
     phi_det = _phi_quotient(charpoly_block, mfs, m, l)
     flags = []
     carry = []
@@ -435,7 +441,7 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> 
             raise NonSymmetricInputError(f"factor matrix {i} is not symmetric")
         classes = _eigen_classes(mat, mf.charpoly, mf.denominator)
         flags.append(classes)
-        common = math.lcm(l, *map(_row_denominator_lcm, mat))
+        common = math.lcm(l, _denominator(mat))
         scaled_direct = _scaled(charpoly_direct, common)
         for c, cls in enumerate(classes):
             guaranteed = max(0, cls.multiplicity - m) if cls.is_main else cls.multiplicity

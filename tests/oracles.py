@@ -21,11 +21,12 @@ eigendecomposition and projection norms, independently of the exact gcd
 route of `hmjoin.spectra.classify_e_main`.
 
 `poly_divmod` (long division over Q), `euclid_gcd` (Euclid over Q,
-renormalized to monic each step), `multiplicity` (repeated `poly_divmod`)
-and `interpolate` (Newton divided differences) work on `Fraction`
-coefficients only. They share no code with the integer division, gcd,
-squarefree and multiplicity core of `hmjoin.polynomials`, which they
-check.
+renormalized to monic each step), `lowest_terms` (a quotient of
+polynomials reduced by `euclid_gcd`), `multiplicity` (repeated
+`poly_divmod`) and `interpolate` (Newton divided differences) work on
+`Fraction` coefficients only. They share no code with the integer
+division, gcd, squarefree and multiplicity core of `hmjoin.polynomials`,
+which they check.
 """
 
 import math
@@ -35,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from hmjoin.errors import InvalidParametersError, NonSymmetricInputError
-from hmjoin.exactlinalg import _int_coeff_eval, _require_square, _row_denominator_lcm, mat_is_symmetric
+from hmjoin.exactlinalg import _int_coeff_eval, _require_square, mat_is_symmetric
 from hmjoin.polynomials import Polynomial, Scalar, _coerce_fraction
 
 
@@ -64,6 +65,17 @@ def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero:
         a, b = b, poly_divmod(a, b)[1].monic()
     return a
+
+
+def lowest_terms(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """num / den as a coprime pair with a monic denominator ((0, 1) for a
+    zero numerator), by `euclid_gcd` and `poly_divmod`."""
+    if num.is_zero:
+        return num, Polynomial.one()
+    h = euclid_gcd(num, den)
+    num, den = poly_divmod(num, h)[0], poly_divmod(den, h)[0]
+    lead = den.leading_coefficient
+    return num * (1 / lead), den.monic()
 
 
 def multiplicity(poly: Polynomial, base: Polynomial) -> int:
@@ -100,13 +112,17 @@ def interpolate(points: Sequence[Tuple[Scalar, Scalar]]) -> Polynomial:
     return poly
 
 
+def _row_lcm(row) -> int:
+    return math.lcm(*(x.denominator for x in row))
+
+
 def _scaled_int_rows(m) -> Tuple[List[List[int]], int]:
     """Clear denominators row by row; returns integer rows and the product
     of the row multipliers (the determinant scales by that product)."""
     rows = []
     scale = 1
     for row in m:
-        l = _row_denominator_lcm(row)
+        l = _row_lcm(row)
         scale *= l
         out = []
         for x in row:
@@ -187,7 +203,7 @@ def bareiss_charpoly(m) -> Polynomial:
     if n == 0:
         return Polynomial.one()
     rows, scale = _scaled_int_rows(m)
-    lcms = [_row_denominator_lcm(row) for row in m]
+    lcms = [_row_lcm(row) for row in m]
     values = []
     for t in range(n + 1):
         work = [row[:] for row in rows]

@@ -219,6 +219,29 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     assert "/indexing/0/0" in err3
 
 
+@pytest.mark.parametrize("verb", [["charpoly"], ["cospectral", "check"]])
+def test_non_utf8_spec_exits_two_with_one_line(capsys, tmp_path, verb):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"a":1}')
+    extra = [str(bad), "--kind", "A"] if verb[0] == "cospectral" else []
+    code, out, err = run_cli(capsys, *verb, str(bad), *extra)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_catalog_exits_two_with_one_line(capsys, tmp_path):
+    bad = tmp_path / "catalog.json"
+    bad.write_bytes(b'\xff\xfe[]')
+    code, out, err = run_cli(capsys, "cospectral", "search", str(bad), "--kind", "A")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "invalid catalog JSON" in err
+
+
 def test_cospectral_check_rejects_labeled_spec(capsys):
     code, out, err = run_cli(capsys, "cospectral", "check",
                              str(FIXTURES / "p3_3.json"), str(FIXTURES / "p3_3.json"),

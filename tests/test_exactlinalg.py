@@ -15,7 +15,6 @@ from oracles import bareiss_charpoly, det_bareiss, polymatrix_det, polymatrix_de
 
 from hmjoin.errors import InvalidParametersError, SizeMismatchError
 from hmjoin.exactlinalg import (
-    RatFunMatrix,
     _charpoly_mod,
     _cleared_polymatrix,
     _crt_lift,
@@ -29,7 +28,7 @@ from hmjoin.exactlinalg import (
     mat_mul,
     rational_eigenvalues,
 )
-from hmjoin.polynomials import Polynomial, RationalFunction, _unscaled
+from hmjoin.polynomials import Polynomial, _unscaled
 from hmjoin.spectra import _bilinear_numerators
 
 
@@ -394,24 +393,3 @@ def test_rational_eigenvalues_rejects_mismatched_char():
         rational_eigenvalues(m, char=Polynomial([Fraction(-1, 3), Fraction(1, 2), 1]))
     assert rational_eigenvalues(m) == ((Fraction(-1), 1), (Fraction(1, 2), 1))
     assert rational_eigenvalues(m, char=Polynomial([Fraction(-1, 2), 1])) == ((Fraction(1, 2), 1),)
-
-
-def ratfun_is_symmetric(m):
-    return m.rows == m.cols and all(m.entry(i, j) == m.entry(j, i)
-                                    for i in range(m.rows) for j in range(i + 1, m.rows))
-
-
-def ratfun_transpose(m):
-    return RatFunMatrix([[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)])
-
-
-def test_ratfunmatrix_symmetry_and_transpose():
-    x = Polynomial.x()
-    a = RationalFunction(Polynomial.one(), x)
-    b = RationalFunction(Polynomial.one(), x * x - Polynomial.one())
-    m = RatFunMatrix([[a, b], [b, a]])
-    assert ratfun_is_symmetric(m)
-    assert ratfun_transpose(m) == m
-    skew = RatFunMatrix([[a, b], [a, b]])
-    assert not ratfun_is_symmetric(skew)
-    assert ratfun_transpose(skew) == RatFunMatrix([[a, a], [b, b]])

@@ -1,4 +1,4 @@
-"""Exact polynomial and rational-function arithmetic, and the integer
+"""Exact polynomial arithmetic, and the integer
 division, gcd, squarefree and multiplicity core against the Fraction
 oracles of `oracles`."""
 
@@ -13,7 +13,6 @@ from oracles import euclid_gcd, interpolate, multiplicity, poly_divmod
 from hmjoin.errors import InexactDivisionError, InvalidParametersError
 from hmjoin.polynomials import (
     Polynomial,
-    RationalFunction,
     _int_divexact,
     _int_gcd,
     _int_multiplicity,
@@ -249,28 +248,3 @@ def test_interpolate_round_trip(coeffs):
 def test_interpolate_rejects_duplicate_points():
     with pytest.raises(InvalidParametersError):
         interpolate([(Fraction(1), Fraction(2)), (Fraction(1), Fraction(3))])
-
-
-def test_rational_function_normal_form():
-    # (x^2-1)/(2x-2) reduces to (x+1)/2 with a monic denominator
-    r = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-2, 2]))
-    assert r.num == Polynomial([Fraction(1, 2), Fraction(1, 2)])
-    assert r.den == Polynomial.one()
-    assert poly_gcd(r.num, r.den).degree == 0
-
-
-@given(polys_st, nonzero_polys_st, fractions_st)
-@settings(max_examples=80)
-def test_rational_function_reduces_to_lowest_terms(a, b, t):
-    r = RationalFunction(a, b)
-    assert r.den.is_monic
-    assert euclid_gcd(r.num, r.den) == Polynomial.one() or r.num.is_zero
-    # same value: a / b == num / den wherever b does not vanish
-    assert r.num * b == a * r.den
-    if b(t) != 0:
-        assert r.num(t) / r.den(t) == a(t) / b(t)
-
-
-def test_zero_denominator_rejected():
-    with pytest.raises(InvalidParametersError):
-        RationalFunction(Polynomial.one(), Polynomial.zero())

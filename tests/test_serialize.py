@@ -10,7 +10,7 @@ from hmjoin.cospectral import GeneralizedJoinSpec, check_cospectral_conditions, 
 from hmjoin.errors import SpecValidationError
 from hmjoin.graphs import Graph, UniversalParams, make_named
 from hmjoin.joins import IndexingMap, JoinSpec
-from hmjoin.polynomials import Polynomial, RationalFunction
+from hmjoin.polynomials import Polynomial
 from hmjoin.serialize import (
     canonical_dumps,
     certificate_to_json,
@@ -25,8 +25,6 @@ from hmjoin.serialize import (
     parse_spec,
     polynomial_from_json,
     polynomial_to_json,
-    ratfun_from_json,
-    ratfun_to_json,
     report_to_json,
     spec_document_from_json,
     spec_from_json,
@@ -62,13 +60,6 @@ def test_polynomial_round_trip():
     assert encoded == ["1/2", "0", "-3"]
     assert polynomial_from_json(encoded) == p
     assert polynomial_from_json([]) == Polynomial.zero()
-
-
-def test_ratfun_round_trip():
-    r = RationalFunction(Polynomial([1, 1]), Polynomial([0, 0, 2]))
-    encoded = ratfun_to_json(r)
-    assert set(encoded) == {"num", "den"}
-    assert ratfun_from_json(encoded) == r
 
 
 def test_graph_round_trip():

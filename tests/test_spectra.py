@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_spec
-from oracles import classify_e_main_numeric, euclid_gcd, interpolate, multiplicity, poly_divmod, polymatrix_det
+from oracles import classify_e_main_numeric, euclid_gcd, interpolate, lowest_terms, multiplicity, poly_divmod, polymatrix_det
 import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import GeneralizedJoinSpec, generalized_universal_charpoly
@@ -17,7 +17,7 @@ from hmjoin.errors import BlockFactorizationError, CarryForwardError, InvalidPar
 from hmjoin.exactlinalg import charpoly, rational_eigenvalues
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
-from hmjoin.polynomials import Polynomial, RationalFunction
+from hmjoin.polynomials import Polynomial
 from hmjoin.spectra import (
     block_charpoly,
     carry_forward_report,
@@ -48,17 +48,17 @@ def example_3_10_spec() -> JoinSpec:
                      IndexingMap([1, 1, 3, 3], 3)])
 
 
-def ratfun(num, den) -> RationalFunction:
-    return RationalFunction(Polynomial(num), Polynomial(den))
+def ratfun(num, den):
+    return Polynomial(num), Polynomial(den)
 
 
 def test_gamma_matrix_of_k2_with_one_label():
     g = make_named("complete", [2])
     im = IndexingMap([1, 1], 2)
     mf = gamma(g.adjacency_matrix(), indexing_matrix(g, im))
-    assert mf.matrix.entries[0][0] == ratfun([2], [-1, 1])
-    assert mf.matrix.entries[0][1] == ratfun([0], [1])
-    assert mf.matrix.entries[1][1] == ratfun([0], [1])
+    assert mf.entry(0, 0) == ratfun([2], [-1, 1])
+    assert mf.entry(0, 1) == ratfun([0], [1])
+    assert mf.entry(1, 1) == ratfun([0], [1])
     assert mf.denominator == Polynomial([-1, 1])
     assert mf.charpoly == Polynomial([-1, 0, 1])
 
@@ -68,10 +68,10 @@ def test_gamma_matrix_of_k5_with_two_labels():
     im = IndexingMap([1, 1, 1, 2, 2], 2)
     mf = gamma(g.adjacency_matrix(), indexing_matrix(g, im))
     den = [-4, -3, 1]  # x^2 - 3x - 4
-    assert mf.matrix.entries[0][0] == ratfun([-3, 3], den)
-    assert mf.matrix.entries[0][1] == ratfun([6], den)
-    assert mf.matrix.entries[1][0] == ratfun([6], den)
-    assert mf.matrix.entries[1][1] == ratfun([-4, 2], den)
+    assert mf.entry(0, 0) == ratfun([-3, 3], den)
+    assert mf.entry(0, 1) == ratfun([6], den)
+    assert mf.entry(1, 0) == ratfun([6], den)
+    assert mf.entry(1, 1) == ratfun([-4, 2], den)
     assert mf.denominator == Polynomial(den)
 
 
@@ -86,10 +86,40 @@ def test_main_function_invariants_on_random_specs():
             # cleared numerators: f = g * Gamma entrywise, deg f < deg g
             for a, row in enumerate(mf.numerator):
                 for b, f in enumerate(row):
-                    entry = mf.matrix.entries[a][b]
-                    assert entry.num * mf.denominator == f * entry.den
+                    num, den = mf.entry(a, b)
+                    assert num * mf.denominator == f * den
                     if not f.is_zero:
                         assert f.degree < mf.denominator.degree
+
+
+def oracle_lcm(a, b):
+    return poly_divmod(a * b, euclid_gcd(a, b))[0].monic()
+
+
+def test_main_function_normal_form_against_oracle():
+    # g is the monic lcm of the reduced entry denominators, and each entry
+    # is f_ab / g in lowest terms, both by Euclid over Q
+    rng = random.Random(400)
+
+    def rand(rows, cols, span=3):
+        return [[Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = rand(n, n)
+        m = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        u = rand(n, rng.randint(1, 3), span=1)
+        v = u if rng.random() < 0.5 else rand(n, len(u[0]), span=1)
+        mf = main_function_bilinear(m, u, v)
+        assert mf.denominator.is_monic
+        lcm = Polynomial.one()
+        for a, row in enumerate(mf.numerator):
+            for b, f in enumerate(row):
+                num, den = mf.entry(a, b)
+                assert (num, den) == lowest_terms(f, mf.denominator)
+                lcm = oracle_lcm(lcm, den)
+        assert mf.denominator == lcm
 
 
 def solve_with_det(a, b):
@@ -588,4 +618,4 @@ def test_bilinear_main_function_asymmetric_sides():
     v = [[0], [0], [1]]
     mf = main_function_bilinear(a, u, v)
     # (xI - A)^{-1}[2][0] for P_3 equals 1 / (x^3 - 2x)
-    assert mf.matrix.entries[0][0] == ratfun([1], [0, -2, 0, 1])
+    assert mf.entry(0, 0) == ratfun([1], [0, -2, 0, 1])
