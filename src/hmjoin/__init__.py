@@ -22,7 +22,6 @@ from .polynomials import (
     Polynomial,
     poly_divexact,
     poly_gcd,
-    squarefree_decomposition,
 )
 from .exactlinalg import (
     charpoly,
@@ -41,7 +40,6 @@ from .joins import (
     REDUCTION_MODES,
     IndexingMap,
     JoinSpec,
-    blockwise_adjacency,
     degree_corrections,
     generalized_to_hm,
     hm_join,
@@ -55,7 +53,6 @@ from .spectra import (
     MainFunction,
     SpectralReport,
     block_charpoly,
-    carry_forward_report,
     classify_e_main,
     gamma,
     main_function_bilinear,

@@ -6,7 +6,6 @@ identity is named on stderr), 2 on input or hypothesis errors."""
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .cospectral import (
@@ -25,7 +24,7 @@ from .errors import (
     SpecValidationError,
     TheoremViolationError,
 )
-from .exactlinalg import rational_eigenvalues
+from .exactlinalg import _denominator, rational_eigenvalues
 from .families import (
     FamilyRealization,
     cartesian_product,
@@ -37,13 +36,12 @@ from .families import (
 )
 from .graphs import Graph, UniversalParams, graph_to_edgelist, make_named, universal_matrix
 from .joins import REDUCTION_MODES, JoinSpec, hm_join, indexing_matrix, reduce_labels, reduction_report
-from .polynomials import Polynomial, poly_divexact
+from .polynomials import Polynomial, _int_divexact, _scaled, _unscaled, render_polynomial
 from .serialize import (
     _eigen_class_to_json,
     canonical_dumps,
     certificate_to_json,
     fraction_from_json,
-    fraction_to_json,
     graph_from_json,
     params_to_json,
     parse_spec,
@@ -60,55 +58,31 @@ _VIOLATIONS = (BlockFactorizationError, CarryForwardError, TheoremViolationError
 # rendering
 
 
-def _frac_text(value: Fraction) -> str:
-    text = fraction_to_json(value)
-    if value.denominator != 1:
-        return "(" + text + ")"
-    return text
-
-
-def render_polynomial(p: Polynomial, var: str = "λ") -> str:
-    """Compact descending rendering, e.g. λ^3-2λ+1/2."""
-    if p.is_zero:
-        return "0"
-    parts: List[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = fraction_to_json(mag)
-        else:
-            power = var if k == 1 else "%s^%d" % (var, k)
-            body = power if mag == 1 else _frac_text(mag) + power
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts)
-
-
-def factored_charpoly_string(p: Polynomial, matrix, var: str = "λ") -> str:
+def factored_charpoly_string(p: Polynomial, matrix) -> str:
     """Factor out all rational roots (found exactly via the matrix bound)
-    and render ascending-root linear factors times the remainder."""
+    and render ascending-root linear factors times the remainder. The
+    roots are divided out in Z[y], with p scaled by the common denominator
+    L of the matrix, where each root r is the integer L*r."""
     if p.degree <= 0:
-        return render_polynomial(p, var)
-    remainder = p
+        return render_polynomial(p, "λ")
+    roots = rational_eigenvalues(matrix, p)
+    l = _denominator(matrix)
+    remainder = _scaled(p, l)
     parts: List[str] = []
-    for root, mult in rational_eigenvalues(matrix, p):
-        remainder = poly_divexact(remainder, Polynomial((-root, Fraction(1))) ** mult)
+    for root, mult in roots:
+        for _ in range(mult):
+            remainder = _int_divexact(remainder, [-int(root * l), 1])
         if root == 0:
-            base = var
+            base = "λ"
         elif root > 0:
-            base = "(%s-%s)" % (var, fraction_to_json(root))
+            base = "(λ-%s)" % root
         else:
-            base = "(%s+%s)" % (var, fraction_to_json(-root))
+            base = "(λ+%s)" % -root
         parts.append(base + ("^%d" % mult if mult > 1 else ""))
-    if remainder.degree > 0:
-        parts.append("(" + render_polynomial(remainder, var) + ")")
-    elif remainder != Polynomial.one():
-        parts.insert(0, _frac_text(remainder.coefficient(0)))
+    if len(remainder) > 1:
+        parts.append("(" + render_polynomial(_unscaled(remainder, l), "λ") + ")")
+    elif remainder != [1]:
+        parts.insert(0, str(remainder[0]))
     return "".join(parts)
 
 
@@ -338,8 +312,17 @@ def _cmd_cospectral(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments like every other invalid input: one
+    `error: <message>` line on stderr and exit 2, with no usage block.
+    Subparsers are made with the same class."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hmjoin",
         description="Construct labeled joins of graphs and compute their exact spectra.")
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -12,6 +12,7 @@ main function on them feeds the block charpoly and is a certificate's
 witness; the hypothesis data gates `check_cospectral_conditions` pairwise
 and, as a tuple, groups the configurations of `search_pairs`."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,6 +40,10 @@ _KIND_PRESETS = {
 }
 
 _ISOMORPHISM_LIMIT = 32
+# Most (graph, subset) configurations one pair search takes on. Each costs
+# a main function, about 4 ms, so a search stays under a minute; the
+# shipped catalog gives 5,313 at budget 4 and 30,083 at budget 6.
+_CONFIGURATION_LIMIT = 10_000
 
 
 class GeneralizedJoinSpec:
@@ -180,7 +185,7 @@ def regular_gamma_closed_form(g: Graph, subset: Sequence[int],
     else:
         raise HypothesisNotMetError(
             "closed form requires delta = 0 or alpha = -delta")
-    closed = (Polynomial.constant(len(members)),
+    closed = (Polynomial((len(members),)),
               Polynomial((-theta, 1)) if members else Polynomial.one())
     ones = [[Fraction(1)] for _ in range(n)]
     sel = [[Fraction(1 if v in set(members) else 0)] for v in range(n)]
@@ -381,6 +386,16 @@ def _config_key(g: Graph, subset: Tuple[int, ...], kind: str,
     return tuple(key)
 
 
+def _subset_sizes(n: int, subset_budget: int) -> List[int]:
+    """Subset sizes searched on an n-vertex graph: 1 to the budget, and n."""
+    return sorted(set(range(1, min(subset_budget, n) + 1)) | {n})
+
+
+def _configuration_count(catalog: Sequence[Graph], subset_budget: int) -> int:
+    """How many (graph, subset) configurations `search_pairs` enumerates."""
+    return sum(math.comb(g.n, size) for g in catalog for size in _subset_sizes(g.n, subset_budget))
+
+
 def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
                  params: Optional[UniversalParams] = None) -> List[CospectralCertificate]:
     """Enumerate (graph, subset) configurations over a graph catalog, group
@@ -395,12 +410,16 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
     if subset_budget < 1:
         raise InvalidParametersError("subset budget must be at least 1")
     chosen = kind_parameters(kind, params)
+    count = _configuration_count(catalog, subset_budget)
+    if count > _CONFIGURATION_LIMIT:
+        raise TooLargeError(
+            "subset budget %d gives %d (graph, subset) configurations; the search is limited to %d"
+            % (subset_budget, count, _CONFIGURATION_LIMIT))
     host = make_named("complete", [2])
     anchor = make_named("complete", [1])
     groups: Dict[tuple, List[Tuple[Graph, Tuple[int, ...]]]] = {}
     for g in catalog:
-        sizes = sorted(set(range(1, min(subset_budget, g.n) + 1)) | {g.n})
-        for size in sizes:
+        for size in _subset_sizes(g.n, subset_budget):
             for subset in combinations(range(g.n), size):
                 key = _config_key(g, subset, kind, chosen, host, anchor)
                 if key is not None:

@@ -2,7 +2,10 @@
 eigenvalues, and determinants of polynomial matrices modulo primes.
 
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
-values.
+values. The module checks their shape and symmetry but holds no general
+matrix products; the integer polynomial helpers it evaluates and divides
+with (`_int_coeff_eval`, `_int_multiplicity`, `_scaled`) live in
+`polynomials`.
 
 Characteristic polynomials of scalar matrices have one engine, `charpoly`,
 which is multi-modular (Dumas, Pernet & Wan, ISSAC 2005; Cohen, A Course
@@ -53,7 +56,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InexactDivisionError, InvalidParametersError, SizeMismatchError
-from .polynomials import Polynomial, _int_multiplicity, _scaled, _unscaled
+from .polynomials import Polynomial, _int_coeff_eval, _int_multiplicity, _scaled, _unscaled
 
 Matrix = List[List[Fraction]]
 
@@ -72,30 +75,6 @@ def _require_square(m) -> int:
     if rows != cols:
         raise SizeMismatchError(f"square matrix required, got {rows}x{cols}")
     return rows
-
-
-def mat_transpose(m) -> list:
-    rows, cols = mat_shape(m)
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
-
-
-def mat_mul(a, b) -> list:
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise SizeMismatchError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = mat_transpose(b)
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc += x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
 
 
 def mat_is_symmetric(m) -> bool:
@@ -248,13 +227,6 @@ def charpoly(m) -> Polynomial:
     l, rows, bound = _scaled_bound(m)
     big = np.array(rows, dtype=object)
     return _unscaled(_crt_lift(bound, lambda p: _charpoly_mod((big % p).astype(np.int64), p)), l)
-
-
-def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

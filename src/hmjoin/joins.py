@@ -6,7 +6,9 @@ vertices u in G_i and v in G_j (i != j) are joined exactly when ij is a
 host edge and u and v carry the same label. The indexing matrix E_i is
 the n_i x m 0/1 matrix with (E_i)_{st} = 1 iff vertex s has label t, and
 the cross block of the join's adjacency between factors i and j is
-rho_{ij} E_i E_j^T with rho the host adjacency.
+rho_{ij} E_i E_j^T with rho the host adjacency. `hm_join` assembles the
+join by the edge rule and forms no such product; the block definition is
+the independent oracle it is tested against.
 
 Indexing maps may be partial (label None): an unlabeled vertex matches
 nothing, giving an all-zero row in E_i. Partial maps arise from label
@@ -18,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidParametersError, SizeMismatchError
-from .exactlinalg import mat_mul, mat_transpose
 from .graphs import Graph, disjoint_union
 
 IndexingMatrix = List[List[int]]
@@ -159,30 +160,6 @@ def hm_join(spec: JoinSpec) -> Graph:
     return Graph(union.n, edges)
 
 
-def blockwise_adjacency(spec: JoinSpec) -> List[List[int]]:
-    """Assemble the join adjacency block by block: diagonal blocks A(G_i),
-    off-diagonal blocks rho_{ij} E_i E_j^T."""
-    n = spec.total_vertices
-    offsets = spec.offsets()
-    ems = spec.indexing_matrices()
-    out = [[0] * n for _ in range(n)]
-    for i, g in enumerate(spec.factors):
-        block = g.adjacency_matrix()
-        oi = offsets[i]
-        for s in range(g.n):
-            out[oi + s][oi: oi + g.n] = block[s]
-    if spec.m == 0:
-        return out
-    for i, j in spec.host.edges:
-        cross = mat_mul(ems[i], mat_transpose(ems[j]))
-        oi, oj = offsets[i], offsets[j]
-        for s in range(spec.factors[i].n):
-            for t in range(spec.factors[j].n):
-                out[oi + s][oj + t] = cross[s][t]
-                out[oj + t][oi + s] = cross[s][t]
-    return out
-
-
 def generalized_to_hm(host: Graph, factors: Sequence[Graph], subsets: Sequence[Sequence[int]]) -> JoinSpec:
     """Realize a generalized join (cross edges S_i x S_j over host edges)
     as a join spec on m = k + 1 labels: vertices of S_i get label 1,
@@ -259,7 +236,7 @@ def _deletable_labels(spec: JoinSpec, mode: str) -> List[int]:
 def reduce_labels(spec: JoinSpec, mode: str) -> JoinSpec:
     """Delete the labels the chosen mode proves irrelevant and renumber the
     rest (order preserving). Vertices that lose their label become
-    unlabeled; the blockwise adjacency is unchanged.
+    unlabeled; the join's adjacency matrix is unchanged.
 
     Modes: "unused" drops labels no factor uses; "global-exclusive" drops
     labels used by exactly one factor (their vertices can never match

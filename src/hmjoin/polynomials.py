@@ -1,17 +1,19 @@
-"""Exact univariate polynomial arithmetic over Q.
+"""Exact univariate polynomials over Q: an exact value type plus the Z[y]
+core that does all their arithmetic.
 
-Coefficients are `fractions.Fraction` values stored densely, lowest degree
-first, with trailing zeros trimmed, so structural equality is mathematical
-equality. No factorization into irreducibles is performed anywhere;
-everything rests on gcds, exact division, and evaluation.
+`Polynomial` is a value: `fractions.Fraction` coefficients stored densely,
+lowest degree first, with trailing zeros trimmed, so structural equality is
+mathematical equality. It has queries, a monic normal form and one
+renderer (`render_polynomial`), and no arithmetic of its own.
 
-Values stay `Fraction`s, but division, gcds and squarefree decomposition
-run on integer coefficient lists in Z[y]: `_int_divexact` (long division),
-`_int_gcd` (primitive remainder sequence), `_int_squarefree` (Yun's
-algorithm) and `_int_multiplicity` (repeated exact division). The
-pipeline scales its polynomials by a matrix's common denominator, which
-makes every divisor monic in Z[y]; `poly_gcd`, `poly_divexact` and
-`squarefree_decomposition` clear denominators and call the same core.
+Every operation runs on integer coefficient lists in Z[y]: `_int_mul`
+(products), `_int_coeff_eval` (Horner's rule), `_int_divexact` (long
+division), `_int_gcd` (primitive remainder sequence), `_int_squarefree`
+(Yun's algorithm) and `_int_multiplicity` (repeated exact division). The
+pipeline scales its polynomials by a matrix's common denominator L
+(`_scaled`, `_unscaled`), which makes every divisor monic in Z[y]; no
+factorization into irreducibles is performed anywhere. `poly_gcd` and
+`poly_divexact` clear denominators and call the same core.
 """
 
 from __future__ import annotations
@@ -57,22 +59,6 @@ class Polynomial:
     def one(cls) -> "Polynomial":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
-        return cls((value,))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Scalar]) -> "Polynomial":
-        """Monic polynomial with the given roots (with multiplicity)."""
-        poly = cls.one()
-        for r in roots:
-            poly = poly * cls((-_coerce_fraction(r), 1))
-        return poly
-
     # ------------------------------------------------------------------
     # basic queries
     @property
@@ -90,93 +76,22 @@ class Polynomial:
             return Fraction(0)
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return Fraction(0)
 
     # ------------------------------------------------------------------
-    # ring operations
+    # value semantics
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(other)
+            return self.coeffs == Polynomial((other,)).coeffs
         return NotImplemented
 
     def __hash__(self):
         return hash(("Polynomial", self.coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial.zero()
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise InvalidParametersError("polynomial exponent must be a non-negative integer")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __call__(self, value: Scalar) -> Fraction:
-        """Evaluate by Horner's rule (exact)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
     # ------------------------------------------------------------------
     # normal form
@@ -193,26 +108,33 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
+        return render_polynomial(self, "x")
+
+
+def render_polynomial(p: Polynomial, var: str) -> str:
+    """Compact descending rendering in `var`, e.g. x^3-2x+1/2 or
+    (1/2)x^2-x: fractions in `str(Fraction)` form, in parentheses when
+    they multiply a power of `var`."""
+    if p.is_zero:
+        return "0"
+    text = ""
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            power = var if k == 1 else "%s^%d" % (var, k)
+            if mag == 1:
+                body = power
+            elif mag.denominator == 1:
+                body = str(mag) + power
             else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                body = "(%s)%s" % (mag, power)
+        text += ("-" if c < 0 else "+" if text else "") + body
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +182,14 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:
+    """The integer polynomial at the integer t, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 def _int_divexact(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -384,16 +314,6 @@ def poly_divexact(a: Polynomial, b: Polynomial) -> Polynomial:
     numerator, d = _cleared(a)
     divisor = _primitive(_cleared(b)[0])
     quot = _int_divexact(numerator, divisor)
-    return Polynomial(quot) * (divisor[-1] / (d * b.leading_coefficient))
+    scale = divisor[-1] / (d * b.leading_coefficient)
+    return Polynomial([c * scale for c in quot])
 
-
-def squarefree_decomposition(poly: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
-    """Yun decomposition: pairwise-coprime monic squarefree factors with
-    multiplicities, so that poly = lc * prod f_i^(e_i). The monic p =
-    poly / lc, scaled by the lcm L of its denominators, is monic in Z[y]
-    (`_int_squarefree`)."""
-    if poly.is_zero:
-        raise InvalidParametersError("the zero polynomial has no squarefree decomposition")
-    p = poly.monic()
-    l = _cleared(p)[1]
-    return tuple((_unscaled(a, l), e) for a, e in _int_squarefree(_scaled(p, l)))

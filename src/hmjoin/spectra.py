@@ -88,7 +88,6 @@ from .exactlinalg import (
     _cleared_polymatrix,
     _crt_lift,
     _denominator,
-    _int_coeff_eval,
     _interpolate_mod,
     _polymatrix_det_mod,
     _scaled_bound,
@@ -102,6 +101,7 @@ from .joins import JoinSpec, degree_corrections, hm_join
 from .polynomials import (
     Polynomial,
     _cleared,
+    _int_coeff_eval,
     _int_divexact,
     _int_gcd,
     _int_mul,
@@ -286,7 +286,7 @@ def _eigen_classes(m, phi: Polynomial, g: Polynomial) -> Tuple[EigenvalueClass, 
             for root, root_mult in rationals:
                 y = int(root * l)
                 if root_mult == mult and _int_coeff_eval(part, y) == 0:
-                    classes.append(EigenvalueClass(Polynomial.from_roots([root]), root, mult, flag))
+                    classes.append(EigenvalueClass(Polynomial((-root, 1)), root, mult, flag))
                     part = _int_divexact(part, [-y, 1])
             if len(part) > 1:
                 classes.append(EigenvalueClass(_unscaled(part, l), None, mult, flag))
@@ -360,7 +360,7 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Poly
                 for b, wb in enumerate(w):
                     if wb and not f_row[b].is_zero:
                         denominators.append(wb.denominator)
-                        row[offsets[j] + b] = -wb * f_row[b]
+                        row[offsets[j] + b] = Polynomial([-wb * c for c in f_row[b].coeffs])
     num, scale = _cleared_polymatrix(block)
     phis = [_cleared(mf.charpoly) for mf in mfs]
     gs = [_cleared(mf.denominator) for mf in mfs]
@@ -471,12 +471,6 @@ def block_charpoly(spec: JoinSpec) -> SpectralReport:
     matrices = [g.adjacency_matrix() for g in spec.factors]
     direct = hm_join(spec).adjacency_matrix()
     return _block_report(spec, matrices, direct, 1)
-
-
-def carry_forward_report(spec: JoinSpec) -> Tuple[CarryForwardRow, ...]:
-    """Guaranteed vs observed multiplicities of every factor eigenvalue
-    class in the join (adjacency spectra)."""
-    return block_charpoly(spec).carry_forward
 
 
 def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> SpectralReport:

@@ -1,4 +1,17 @@
 """Test-side reference implementations that the library no longer runs.
+They import nothing from `hmjoin` but the `Polynomial` value and the error
+classes (`test_oracles.py` checks this), and carry their own copies of the
+small helpers they need.
+
+`blockwise_adjacency` assembles a join's adjacency matrix by the paper's
+block definition, A(G_i) on the diagonal and rho_ij E_i E_j^T off it
+(`mat_mul`, `mat_transpose`), with each indexing matrix built from the
+labels: the oracle of `hmjoin.joins.hm_join`, which follows the edge rule.
+
+`poly_add`, `poly_sub`, `poly_mul`, `poly_scale`, `poly_pow`, `poly_eval`
+and `poly_from_roots` are the ring of polynomials over Q, on `Fraction`
+coefficients; the library's `Polynomial` has no arithmetic of its own, and
+the tests build their expected values with these.
 
 `det_bareiss` is the determinant of a rational matrix by fraction-free
 integer Bareiss elimination after clearing row denominators, and
@@ -31,13 +44,118 @@ which they check.
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from hmjoin.errors import InvalidParametersError, NonSymmetricInputError
-from hmjoin.exactlinalg import _int_coeff_eval, _require_square, mat_is_symmetric
-from hmjoin.polynomials import Polynomial, Scalar, _coerce_fraction
+from hmjoin.errors import InvalidParametersError, NonSymmetricInputError, SizeMismatchError
+from hmjoin.polynomials import Polynomial
+
+Scalar = Union[int, Fraction]
+
+
+def _coerce_fraction(value) -> Fraction:
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _require_square(m) -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise SizeMismatchError("square matrix required")
+    return n
+
+
+def mat_is_symmetric(m) -> bool:
+    n = _require_square(m)
+    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def mat_transpose(m) -> list:
+    return [list(col) for col in zip(*m)]
+
+
+def mat_mul(a, b) -> list:
+    bt = mat_transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def blockwise_adjacency(spec) -> List[List[int]]:
+    """The join's adjacency matrix by the paper's block definition:
+    diagonal blocks A(G_i), off-diagonal blocks rho_ij E_i E_j^T, with each
+    indexing matrix E_i built here from the labels."""
+    sizes = [g.n for g in spec.factors]
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    out = [[0] * sum(sizes) for _ in range(sum(sizes))]
+    for i, g in enumerate(spec.factors):
+        for s, row in enumerate(g.adjacency_matrix()):
+            out[offsets[i] + s][offsets[i]:offsets[i] + g.n] = row
+    if spec.m == 0:
+        return out
+    ems = [[[int(v == c) for c in range(1, spec.m + 1)] for v in im.values] for im in spec.indexing]
+    for i, j in spec.host.edges:
+        cross = mat_mul(ems[i], mat_transpose(ems[j]))
+        for s in range(sizes[i]):
+            for t in range(sizes[j]):
+                out[offsets[i] + s][offsets[j] + t] = cross[s][t]
+                out[offsets[j] + t][offsets[i] + s] = cross[s][t]
+    return out
+
+
+def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Polynomial([a.coefficient(k) + b.coefficient(k) for k in range(n)])
+
+
+def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Polynomial([a.coefficient(k) - b.coefficient(k) for k in range(n)])
+
+
+def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Schoolbook product over Q."""
+    if a.is_zero or b.is_zero:
+        return Polynomial.zero()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Polynomial(out)
+
+
+def poly_scale(a: Polynomial, c: Scalar) -> Polynomial:
+    return Polynomial([c * x for x in a.coeffs])
+
+
+def poly_pow(a: Polynomial, e: int) -> Polynomial:
+    out = Polynomial.one()
+    for _ in range(e):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_eval(a: Polynomial, t: Scalar) -> Fraction:
+    """a(t) by Horner's rule over Q."""
+    acc = Fraction(0)
+    for c in reversed(a.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def poly_from_roots(roots) -> Polynomial:
+    """The monic polynomial with the given roots, with multiplicity."""
+    out = Polynomial.one()
+    for r in roots:
+        out = poly_mul(out, Polynomial((-r, 1)))
+    return out
 
 
 def poly_divmod(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
@@ -75,7 +193,7 @@ def lowest_terms(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomi
     h = euclid_gcd(num, den)
     num, den = poly_divmod(num, h)[0], poly_divmod(den, h)[0]
     lead = den.leading_coefficient
-    return num * (1 / lead), den.monic()
+    return poly_scale(num, 1 / lead), den.monic()
 
 
 def multiplicity(poly: Polynomial, base: Polynomial) -> int:
@@ -106,9 +224,9 @@ def interpolate(points: Sequence[Tuple[Scalar, Scalar]]) -> Polynomial:
     basis = Polynomial.one()
     for i in range(n):
         if coeffs[i]:
-            poly = poly + coeffs[i] * basis
+            poly = poly_add(poly, poly_scale(basis, coeffs[i]))
         if i + 1 < n:
-            basis = basis * Polynomial((-xs[i], 1))
+            basis = poly_mul(basis, Polynomial((-xs[i], 1)))
     return poly
 
 

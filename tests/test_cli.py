@@ -4,18 +4,21 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import hmjoin.cli as cli
-from hmjoin.cli import factored_charpoly_string, main, render_polynomial
+from hmjoin.cli import factored_charpoly_string, main
 from hmjoin.errors import CarryForwardError
 from hmjoin.graphs import make_named
-from hmjoin.polynomials import Polynomial
+from hmjoin.polynomials import Polynomial, render_polynomial
+from oracles import poly_from_roots
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE = str(FIXTURES / "p2_2_k2_k5.json")
+CATALOG = str(FIXTURES / "catalog.json")
 
 
 def run_cli(capsys, *argv):
@@ -25,22 +28,34 @@ def run_cli(capsys, *argv):
 
 
 def test_render_polynomial():
-    assert render_polynomial(Polynomial([-1, 0, 1])) == "λ^2-1"
-    assert render_polynomial(Polynomial([Fraction(1, 2), -2, 0, 1])) \
-        == "λ^3-2λ+1/2"
-    assert render_polynomial(Polynomial.zero()) == "0"
-    assert render_polynomial(Polynomial([0, 1]), var="x") == "x"
+    p = Polynomial([Fraction(1, 2), -2, 0, 1])
+    assert render_polynomial(Polynomial([-1, 0, 1]), "λ") == "λ^2-1"
+    assert render_polynomial(p, "λ") == "λ^3-2λ+1/2"
+    assert render_polynomial(Polynomial.zero(), "λ") == "0"
+    assert render_polynomial(Polynomial([0, 1]), "x") == "x"
+    # str is the same renderer in x
+    assert str(p) == "x^3-2x+1/2"
+    assert str(Polynomial([1, 1])) == "x+1"
+    assert str(Polynomial([Fraction(-3, 4), 0, Fraction(-1, 2)])) == "-(1/2)x^2-3/4"
+    assert str(Polynomial([0, 3, -1])) == "-x^2+3x"
+    assert str(Polynomial.zero()) == "0"
 
 
 def test_factored_charpoly_string():
+    from hmjoin.exactlinalg import charpoly
     k5 = make_named("complete", [5]).adjacency_matrix()
-    p = Polynomial.from_roots([Fraction(4)] + [Fraction(-1)] * 4)
+    p = poly_from_roots([Fraction(4)] + [Fraction(-1)] * 4)
     assert factored_charpoly_string(p, k5) == "(λ+1)^4(λ-4)"
     p3 = make_named("path", [3]).adjacency_matrix()
-    from hmjoin.exactlinalg import charpoly
     text = factored_charpoly_string(charpoly(p3), p3)
     # only the rational root 0 splits off; the quadratic stays
     assert text == "λ(λ^2-2)"
+    # common denominator L = 2: the roots are divided out as 2r in Z[y]
+    half = Fraction(1, 2)
+    diag = [[half, 0, 0], [0, half, 0], [0, 0, Fraction(3)]]
+    assert factored_charpoly_string(charpoly(diag), diag) == "(λ-1/2)^2(λ-3)"
+    mixed = [[3, 0, 0], [0, 0, 1], [0, 1, half]]
+    assert factored_charpoly_string(charpoly(mixed), mixed) == "(λ-3)(λ^2-(1/2)λ-1)"
 
 
 def test_join_edge_list(capsys):
@@ -338,3 +353,32 @@ def test_subprocess_verify_second_fixture():
     cmd = [sys.executable, "-m", "hmjoin", "verify", str(FIXTURES / "p3_3.json")]
     proc = subprocess.run(cmd, capture_output=True, check=True)
     assert json.loads(proc.stdout)["verified"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["cospectral", "search", CATALOG, "--kind", "A", "--budget", "x"],
+    ["cospectral", "search", CATALOG, "--kind", "Z"],
+    ["reduce", EXAMPLE, "--mode", "bogus"],
+    ["reduce", EXAMPLE],
+    ["charpoly"],
+    [],
+    ["universal", EXAMPLE, "--preset", "-x"],
+    ["join", EXAMPLE, "--bogus"],
+])
+def test_argparse_refusals_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_search_budget_above_the_configuration_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cospectral", "search", CATALOG, "--kind", "A", "--budget", "16")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: subset budget 16 gives 131367 (graph, subset) configurations; "
+                   "the search is limited to 10000\n")

@@ -1,10 +1,12 @@
 """CLI fuzzing: every verb runs on mutated copies of the shipped fixtures
-and catalog and on mutated --params, --preset and --budget strings. The
-mutations drop keys and list items, retype values, put small or
-out-of-range integers and malformed fractions in place of values, and cut
-or corrupt the bytes (truncation, non-UTF-8). Each run must exit 0, 1 or
-2, and every non-zero exit must print exactly one stderr line and no
-traceback.
+and catalog, on mutated --params and --preset strings (the preset both as
+`--preset X` and as `--preset=X`), on free --budget strings and integers,
+and on bad --kind and --mode choices. The mutations drop keys and list
+items, retype values, put small or out-of-range integers and malformed
+fractions in place of values, and cut or corrupt the bytes (truncation,
+non-UTF-8). Each run must exit 0, 1 or 2, and every non-zero exit must
+print exactly one stderr line and no traceback, argparse's own refusals
+included.
 
 The examples are derandomized, so the test is repeatable; to explore
 further, raise ``max_examples`` or drop ``derandomize`` locally."""
@@ -38,7 +40,22 @@ VALUES = st.one_of(
 FRACTIONS = st.sampled_from(["0", "1", "-1", "1/2", "-1/3", "2", "1/0", "x", "1.5", "", " 1"])
 PARAMS = st.lists(FRACTIONS, max_size=5).map(",".join)
 PRESETS = st.sampled_from(["A", "L", "Q", "seidel", "Aalpha:97/100", "Aalpha:2", "Aalpha:x",
-                           "Aalpha:1/0", "B", ""])
+                           "Aalpha:1/0", "B", "", "-x"])
+
+
+def _cheap_budget(text):
+    """False for a budget of 2..16: on a 16-vertex catalog graph that is a
+    search over hundreds to thousands of configurations, while a larger
+    budget is refused at once by the configuration cap."""
+    try:
+        return not 2 <= int(text) <= 16
+    except ValueError:
+        return True
+
+
+BUDGETS = (st.integers(-2, 10 ** 30).map(str) | st.text(max_size=4)).filter(_cheap_budget)
+KINDS = st.sampled_from(COSPECTRAL_KINDS + ("Z", "a", ""))
+MODES = st.sampled_from(REDUCTION_MODES + ("bogus", ""))
 FAMILIES = ("petersen", "helm", "web", "lollipop", "tadpole", "cartesian", "moebius")
 TOKENS = st.sampled_from(["path:3", "cycle:4", "complete:2", "star:1,3", "cycle:2", "cycle:x", "path"])
 VERBS = ("join", "charpoly", "classify", "verify", "reduce", "universal", "family",
@@ -89,7 +106,8 @@ def _option(draw):
     """No option, a --preset string or a --params string."""
     choice = draw(st.sampled_from(["none", "preset", "params"]))
     if choice == "preset":
-        return ["--preset=" + draw(PRESETS)]
+        preset = draw(PRESETS)
+        return ["--preset=" + preset] if draw(st.booleans()) else ["--preset", preset]
     if choice == "params":
         return ["--params", draw(PARAMS)]
     return []
@@ -106,11 +124,11 @@ def invocation(draw, verb, scratch):
     if verb in ("join", "charpoly", "classify", "verify"):
         return [verb, spec_file("a.json")]
     if verb == "reduce":
-        return ["reduce", spec_file("a.json"), "--mode", draw(st.sampled_from(REDUCTION_MODES))]
+        return ["reduce", spec_file("a.json"), "--mode", draw(MODES)]
     if verb == "universal":
         return ["universal", spec_file("a.json")] + _option(draw)
     if verb == "check":
-        kind = draw(st.sampled_from(COSPECTRAL_KINDS))
+        kind = draw(KINDS)
         return ["cospectral", "check", spec_file("a.json"), spec_file("b.json"), "--kind", kind]
     if verb == "search":
         # at most three catalog graphs keep each search cheap
@@ -119,9 +137,8 @@ def invocation(draw, verb, scratch):
         doc = {"graphs": graphs} if draw(st.booleans()) else graphs
         path = scratch / "catalog.json"
         path.write_bytes(draw(mutated(doc)))
-        kind = draw(st.sampled_from(COSPECTRAL_KINDS))
-        budget = draw(st.sampled_from(["-1", "0", "1"]))
-        return ["cospectral", "search", str(path), "--kind", kind, "--budget", budget] + _option(draw)
+        kind = draw(KINDS)
+        return ["cospectral", "search", str(path), "--kind", kind, "--budget", draw(BUDGETS)] + _option(draw)
     name = draw(st.sampled_from(FAMILIES))
     values = TOKENS if name == "cartesian" else st.integers(-1, 6).map(str)
     params = draw(st.lists(values, min_size=2, max_size=2) | st.lists(values, max_size=3))

@@ -9,10 +9,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import exceptional_srg16, lattice_srg16, random_graph
+from oracles import poly_add
 import hmjoin.cospectral as cospectral
 from hmjoin.cospectral import (
     COSPECTRAL_KINDS,
     GeneralizedJoinSpec,
+    _CONFIGURATION_LIMIT,
+    _configuration_count,
     _slot_sides,
     check_cospectral_conditions,
     corrected_factor_matrix,
@@ -31,7 +34,7 @@ from hmjoin.errors import (
 from hmjoin.exactlinalg import charpoly
 from hmjoin.graphs import Graph, UniversalParams, disjoint_union, make_named, universal_matrix
 from hmjoin.polynomials import Polynomial
-from hmjoin.serialize import generalized_spec_from_json
+from hmjoin.serialize import generalized_spec_from_json, graph_from_json
 from hmjoin.spectra import main_function_bilinear
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -150,7 +153,7 @@ def test_generalized_cross_check_names_first_differing_coefficient(monkeypatch):
                                [make_named("cycle", [4]), make_named("path", [2])],
                                [[0, 2], [1]], kind_parameters("S"))
     true = charpoly(universal_matrix(spec.join_graph(), spec.params))
-    monkeypatch.setattr(cospectral, "charpoly", lambda m: charpoly(m) + Polynomial([0, 0, 0, 3]))
+    monkeypatch.setattr(cospectral, "charpoly", lambda m: poly_add(charpoly(m), Polynomial([0, 0, 0, 3])))
     with pytest.raises(BlockFactorizationError) as info:
         generalized_universal_charpoly(spec)
     message = str(info.value)
@@ -402,6 +405,17 @@ def test_search_pairs_finds_non_isomorphic_srg_certificates():
 def test_search_pairs_budget_validation():
     with pytest.raises(InvalidParametersError):
         search_pairs([make_named("cycle", [4])], 0, "A")
+
+
+def test_search_pairs_configuration_cap():
+    doc = json.loads((FIXTURES / "catalog.json").read_text(encoding="utf-8"))
+    catalog = [graph_from_json(g) for g in doc["graphs"]]
+    # sizes 1..budget and the full vertex set, per graph
+    assert [_configuration_count(catalog, b) for b in (1, 2, 4, 6)] == [78, 399, 5313, 30083]
+    assert _configuration_count(catalog, 4) <= _CONFIGURATION_LIMIT < _configuration_count(catalog, 6)
+    assert _configuration_count([make_named("cycle", [4])], 10 ** 30) == 15
+    with pytest.raises(TooLargeError):
+        search_pairs(catalog, 16, "A")
 
 
 def test_search_pairs_deduplicates():

@@ -4,6 +4,7 @@ cofactor oracles and the Bareiss oracles of `oracles`."""
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -11,7 +12,18 @@ import numpy as np
 import pytest
 
 import hmjoin.exactlinalg as exactlinalg
-from oracles import bareiss_charpoly, det_bareiss, polymatrix_det, polymatrix_det_values
+from oracles import (
+    bareiss_charpoly,
+    det_bareiss,
+    mat_mul,
+    poly_add,
+    poly_eval,
+    poly_from_roots,
+    poly_mul,
+    poly_sub,
+    polymatrix_det,
+    polymatrix_det_values,
+)
 
 from hmjoin.errors import InvalidParametersError, SizeMismatchError
 from hmjoin.exactlinalg import (
@@ -25,7 +37,6 @@ from hmjoin.exactlinalg import (
     _primes,
     _scaled_bound,
     charpoly,
-    mat_mul,
     rational_eigenvalues,
 )
 from hmjoin.polynomials import Polynomial, _unscaled
@@ -36,8 +47,9 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def cofactor_det(m):
-    """Naive Laplace expansion; works over any commutative ring."""
+def cofactor_det(m, add=operator.add, sub=operator.sub, mul=operator.mul):
+    """Naive Laplace expansion over any commutative ring with the given
+    operations; scalars by default."""
     n = len(m)
     if n == 0:
         return 1
@@ -46,11 +58,19 @@ def cofactor_det(m):
     total = None
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * cofactor_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
+        term = mul(m[0][j], cofactor_det(minor, add, sub, mul))
+        total = term if total is None else (sub if j % 2 else add)(total, term)
     return total
+
+
+def poly_cofactor_det(m):
+    return cofactor_det(m, poly_add, poly_sub, poly_mul)
+
+
+def char_matrix(m):
+    """xI - M as a matrix of Polynomials."""
+    n = len(m)
+    return [[Polynomial([-m[i][j], 1] if i == j else [-m[i][j]]) for j in range(n)] for i in range(n)]
 
 
 def random_fraction_matrix(rng, n, span=5):
@@ -79,11 +99,7 @@ def test_det_bareiss_rejects_non_square():
 
 
 def naive_charpoly(m):
-    n = len(m)
-    x = Polynomial.x()
-    entries = [[x - m[i][i] if i == j else Polynomial.constant(-m[i][j])
-                for j in range(n)] for i in range(n)]
-    return cofactor_det(entries) if n else Polynomial.one()
+    return poly_cofactor_det(char_matrix(m)) if m else Polynomial.one()
 
 
 def test_charpoly_matches_cofactor_oracle():
@@ -133,9 +149,9 @@ def test_charpoly_engine_has_no_bad_primes():
     p = next(_primes())
     for n in (1, 2, 3, 5):
         scaled_identity = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-        assert charpoly(scaled_identity) == Polynomial.from_roots([p] * n)
+        assert charpoly(scaled_identity) == poly_from_roots([p] * n)
         scaled_ones = [[p] * n for _ in range(n)]
-        assert charpoly(scaled_ones) == Polynomial.from_roots([n * p] + [0] * (n - 1))
+        assert charpoly(scaled_ones) == poly_from_roots([n * p] + [0] * (n - 1))
         assert_engine_matches([[Fraction(p * (i - j), 3) for j in range(n)] for i in range(n)])
 
 
@@ -209,23 +225,19 @@ def test_adjugate_identity():
         assert p == charpoly(m)
         adj = [[_unscaled(c, s, den) for c in row] for row in scaled]
         for t in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)):
-            adj_t = [[entry(t) for entry in row] for row in adj]
+            adj_t = [[poly_eval(entry, t) for entry in row] for row in adj]
             ti_m = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
             product = mat_mul(ti_m, adj_t)
             for i in range(n):
                 for j in range(n):
-                    assert product[i][j] == (p(t) if i == j else 0)
+                    assert product[i][j] == (poly_eval(p, t) if i == j else 0)
 
 
 def test_polymatrix_det_matches_charpoly():
     rng = random.Random(5)
-    x = Polynomial.x()
     for n in range(1, 6):
         m = random_fraction_matrix(rng, n)
-        entries = [[x - Polynomial.constant(m[i][j]) if i == j
-                    else Polynomial.constant(-m[i][j]) for j in range(n)]
-                   for i in range(n)]
-        assert polymatrix_det(entries) == charpoly(m)
+        assert polymatrix_det(char_matrix(m)) == charpoly(m)
 
 
 def test_polymatrix_det_matches_cofactor_oracle():
@@ -235,7 +247,7 @@ def test_polymatrix_det_matches_cofactor_oracle():
             entries = [[Polynomial([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                                     for _ in range(rng.randint(1, 3))])
                         for _ in range(n)] for _ in range(n)]
-            assert polymatrix_det(entries) == cofactor_det(entries)
+            assert polymatrix_det(entries) == poly_cofactor_det(entries)
 
 
 def test_polymatrix_det_zero_row_short_circuit():
@@ -254,7 +266,7 @@ def test_polymatrix_det_values_match_cofactor_oracle():
         values = polymatrix_det_values(entries, points)
         assert len(values) == len(points)
         for t, value in zip(points, values):
-            at_t = [[p(t) for p in row] for row in entries]
+            at_t = [[poly_eval(p, t) for p in row] for row in entries]
             assert value == cofactor_det(at_t)
     with pytest.raises(InvalidParametersError):
         polymatrix_det_values([[Fraction(1)]], [0])

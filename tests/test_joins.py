@@ -6,13 +6,13 @@ import random
 import pytest
 
 from conftest import random_spec
+from oracles import blockwise_adjacency
 from hmjoin.errors import InvalidParametersError, SizeMismatchError
 from hmjoin.graphs import Graph, make_named
 from hmjoin.joins import (
     REDUCTION_MODES,
     IndexingMap,
     JoinSpec,
-    blockwise_adjacency,
     degree_corrections,
     generalized_to_hm,
     hm_join,
