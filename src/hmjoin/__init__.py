@@ -40,8 +40,6 @@ from .joins import (
     REDUCTION_MODES,
     IndexingMap,
     JoinSpec,
-    degree_corrections,
-    generalized_to_hm,
     hm_join,
     indexing_matrix,
     reduce_labels,
@@ -72,7 +70,6 @@ from .cospectral import (
     CospectralCertificate,
     GeneralizedJoinSpec,
     check_cospectral_conditions,
-    corrected_factor_matrix,
     generalized_universal_charpoly,
     isomorphism_test,
     kind_parameters,

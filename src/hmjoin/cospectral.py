@@ -3,12 +3,11 @@ polynomials via per-factor main functions, closed forms for regular
 factors, and hypothesis-checked constructions of cospectral
 non-isomorphic pairs.
 
-The `_slot_*` routines are the only place that knows, for factor slot i
-of a generalized join, its side matrices, its main function and its
-hypothesis data. The sides are the subset indicator 1_S alone when
-gamma = 0 (a k x k reduced block), else the two columns [1 | 1_S] and
-[gamma*1 | 1_S], since the all-ones coupling joins every factor pair. The
-main function on them feeds the block charpoly and is a certificate's
+A generalized join is the join whose side E_i is the subset indicator
+1_{S_i}, so its blocks come from `spectra._universal_blocks` like those
+of a labeled join. The `_slot_*` routines are the only place that knows,
+for factor slot i, its main function on those blocks and its hypothesis
+data. The main function feeds the block charpoly and is a certificate's
 witness; the hypothesis data gates `check_cospectral_conditions` pairwise
 and, as a tuple, groups the configurations of `search_pairs`."""
 
@@ -26,9 +25,15 @@ from .errors import (
 )
 from .exactlinalg import charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
-from .joins import generalized_to_hm, hm_join
+from .joins import IndexingMap, JoinSpec, hm_join
 from .polynomials import Polynomial
-from .spectra import MainFunction, check_block_charpoly, main_function_bilinear, reduced_block_charpoly
+from .spectra import (
+    MainFunction,
+    _universal_blocks,
+    check_block_charpoly,
+    main_function_bilinear,
+    reduced_block_charpoly,
+)
 
 COSPECTRAL_KINDS = ("A", "S", "L", "U")
 
@@ -94,68 +99,36 @@ class GeneralizedJoinSpec:
     def k(self) -> int:
         return self.host.n
 
-    def to_hm(self):
-        """Equivalent labeled join specification (label 1 marks subsets)."""
-        return generalized_to_hm(self.host, self.factors, self.subsets)
+    def to_hm(self) -> JoinSpec:
+        """Equivalent labeled join specification on m = k + 1 labels:
+        vertices of S_i get label 1, the rest of factor i the label i + 2."""
+        m = self.k + 1
+        maps = [IndexingMap([1 if v in s else i + 2 for v in range(g.n)], m)
+                for i, (g, s) in enumerate(zip(self.factors, self.subsets))]
+        return JoinSpec(self.host, self.factors, m, maps)
 
     def join_graph(self) -> Graph:
         return hm_join(self.to_hm())
 
-    def cross_weights(self) -> Tuple[int, ...]:
-        """w_i = total subset size over host neighbors of vertex i; every
-        subset vertex of factor i gains exactly w_i cross edges."""
-        return tuple(
-            sum(len(self.subsets[j]) for j in self.host.neighbors(i))
-            for i in range(self.k))
-
-
-def corrected_factor_matrix(spec: GeneralizedJoinSpec, i: int):
-    """Universal matrix of factor i plus the cross-degree contribution
-    delta * w_i on the subset diagonal positions."""
-    g = spec.factors[i]
-    m = universal_matrix(g, spec.params)
-    shift = spec.params.delta * spec.cross_weights()[i]
-    if shift:
-        for v in spec.subsets[i]:
-            m[v][v] += shift
-    return m
-
-
-def _slot_sides(spec: GeneralizedJoinSpec, i: int):
-    """Side matrices (U, V) of factor slot i: the off-diagonal block (i, j)
-    of the join's universal matrix is U_i diag(w_ij) V_j^T.  With gamma = 0,
-    U = V = 1_S and w_ij = (alpha,) on host edges (no block elsewhere);
-    otherwise U = [1 | 1_S], V = [gamma*1 | 1_S] and w_ij = (1, alpha) on
-    host edges, (1, 0) elsewhere."""
-    members = set(spec.subsets[i])
-    sel = [Fraction(1 if v in members else 0) for v in range(spec.factors[i].n)]
-    gamma = spec.params.gamma
-    if gamma == 0:
-        u = [[x] for x in sel]
-        return u, u
-    return [[Fraction(1), x] for x in sel], [[gamma, x] for x in sel]
+    def subset_indicators(self) -> List[List[List[int]]]:
+        """The n_i x 1 side 1_{S_i} of every factor: cross block (i, j) of
+        the join is rho_ij 1_{S_i} 1_{S_j}^T."""
+        return [[[int(v in s)] for v in range(g.n)] for g, s in zip(self.factors, self.subsets)]
 
 
 def _slot_main_function(spec: GeneralizedJoinSpec, i: int) -> MainFunction:
-    """V_i^T (xI - M_i)^{-1} U_i on the corrected factor matrix M_i."""
-    return main_function_bilinear(corrected_factor_matrix(spec, i), *_slot_sides(spec, i))
+    """V_i^T (xI - M_i)^{-1} U_i on block i of the join's universal matrix."""
+    blocks, _ = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
+    return main_function_bilinear(*blocks[i])
 
 
 def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     """Characteristic polynomial of the universal matrix of the join graph,
     computed from factor charpolys and the slot main functions, and
     cross-checked against the direct vertex-level computation."""
-    alpha, gamma = spec.params.alpha, spec.params.gamma
-    host_edges = spec.host.edges
-
-    def weights(i, j):
-        coupling = alpha if (min(i, j), max(i, j)) in host_edges else 0
-        if gamma == 0:
-            return (coupling,) if coupling else None
-        return (1, coupling)
-
+    blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
     matrix = universal_matrix(spec.join_graph(), spec.params)
-    result = reduced_block_charpoly([_slot_main_function(spec, i) for i in range(spec.k)], weights, matrix)
+    result = reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, matrix)
     check_block_charpoly(result, charpoly(matrix))
     return result
 
@@ -319,8 +292,7 @@ def _slot_hypotheses(spec: GeneralizedJoinSpec, i: int, kind: str):
     yield "subset sizes", len(subset)
     if kind in ("A", "S"):
         yield "regular degrees", g.is_regular()
-    members = set(subset)
-    sel = [[Fraction(1 if v in members else 0)] for v in range(g.n)]
+    sel = spec.subset_indicators()[i]
     scalar = main_function_bilinear(universal_matrix(g, params), sel, sel)
     yield "designated charpolys", scalar.charpoly
     yield "subset main functions", scalar

@@ -44,7 +44,8 @@ the CRT of `charpoly`.
 (`polynomials._scaled`): its rational roots are then the integer roots y
 of a monic integer polynomial, found by a scan within the Gershgorin bound
 of the integer rows of L*M, with multiplicities by repeated exact division
-by y - root in Z[y].
+by y - root in Z[y]. The scan takes time linear in that bound, so a bound
+above `_EIGEN_SCAN_LIMIT` raises TooLargeError instead.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InexactDivisionError, InvalidParametersError, SizeMismatchError
+from .errors import InexactDivisionError, InvalidParametersError, SizeMismatchError, TooLargeError
 from .polynomials import Polynomial, _int_coeff_eval, _int_multiplicity, _scaled, _unscaled
 
 Matrix = List[List[Fraction]]
@@ -111,6 +112,9 @@ _PRIMES: Tuple[int, ...] = ()
 # so each product is below 2**52 and an accumulator below p plus
 # _DOT_TERMS such products stays below 2**26 + (2**11 - 1) * 2**52 < 2**63.
 _DOT_TERMS = (1 << 11) - 1
+# Largest row-sum bound B that `rational_eigenvalues` scans [-B, B] for;
+# a scan at the cap takes about 2.5 s.
+_EIGEN_SCAN_LIMIT = 10 ** 6
 
 
 def _primes() -> Iterator[int]:
@@ -331,18 +335,22 @@ def rational_eigenvalues(m, char: Optional[Polynomial] = None) -> Tuple[Tuple[Fr
     (`_scaled`) turns the problem into integer roots y of a monic integer
     polynomial, which are bounded by the Gershgorin row-sum bound of the
     integer rows of L*M and must divide the trailing coefficient; each
-    gives the eigenvalue y/L, of multiplicity `_int_multiplicity` of y."""
+    gives the eigenvalue y/L, of multiplicity `_int_multiplicity` of y.
+    Raises TooLargeError when that bound exceeds `_EIGEN_SCAN_LIMIT`."""
     n = _require_square(m)
     if n == 0:
         return ()
     l, rows, _ = _scaled_bound(m)
+    bound = max(sum(map(abs, row)) for row in rows)
+    if bound > _EIGEN_SCAN_LIMIT:
+        raise TooLargeError(
+            f"rational eigenvalue scan over [-{bound}, {bound}] exceeds the limit of {_EIGEN_SCAN_LIMIT}")
     try:
         coeffs = _scaled(char if char is not None else charpoly(m), l)
     except InexactDivisionError:
         raise InvalidParametersError("characteristic polynomial does not match the matrix denominators") from None
     # a root y != 0 divides the lowest non-zero coefficient
     trailing = next((c for c in coeffs if c), 0)
-    bound = max(sum(map(abs, row)) for row in rows)
     found = []
     for y in range(-bound, bound + 1):
         if (y == 0 or trailing % y == 0) and _int_coeff_eval(coeffs, y) == 0:

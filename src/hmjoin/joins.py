@@ -8,7 +8,11 @@ the n_i x m 0/1 matrix with (E_i)_{st} = 1 iff vertex s has label t, and
 the cross block of the join's adjacency between factors i and j is
 rho_{ij} E_i E_j^T with rho the host adjacency. `hm_join` assembles the
 join by the edge rule and forms no such product; the block definition is
-the independent oracle it is tested against.
+the independent oracle it is tested against. The blocks of the join's
+universal matrices, cross degrees included, are built from the E_i in one
+place, `spectra._universal_blocks`; a generalized join over vertex subsets
+(`cospectral.GeneralizedJoinSpec`) is the join with label 1 on each
+subset and a label of its own on the rest of every factor.
 
 Indexing maps may be partial (label None): an unlabeled vertex matches
 nothing, giving an all-zero row in E_i. Partial maps arise from label
@@ -17,7 +21,7 @@ reductions; loaded spec documents use null for them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .errors import InvalidParametersError, SizeMismatchError
 from .graphs import Graph, disjoint_union
@@ -158,58 +162,6 @@ def hm_join(spec: JoinSpec) -> Graph:
                 if lt == ls:
                     edges.append((offsets[i] + s, offsets[j] + t))
     return Graph(union.n, edges)
-
-
-def generalized_to_hm(host: Graph, factors: Sequence[Graph], subsets: Sequence[Sequence[int]]) -> JoinSpec:
-    """Realize a generalized join (cross edges S_i x S_j over host edges)
-    as a join spec on m = k + 1 labels: vertices of S_i get label 1,
-    the rest of factor i gets the factor-specific label i + 2."""
-    factors = tuple(factors)
-    if len(factors) != host.n:
-        raise SizeMismatchError(f"host has {host.n} vertices but {len(factors)} factors were given")
-    if len(subsets) != host.n:
-        raise SizeMismatchError(f"host has {host.n} vertices but {len(subsets)} subsets were given")
-    k = host.n
-    maps = []
-    for i, (g, subset) in enumerate(zip(factors, subsets)):
-        chosen = set()
-        for v in subset:
-            if not isinstance(v, int) or not (0 <= v < g.n):
-                raise InvalidParametersError(f"subset {i}: vertex {v!r} out of range for factor with {g.n} vertices")
-            chosen.add(v)
-        values = [1 if v in chosen else i + 2 for v in range(g.n)]
-        maps.append(IndexingMap(values, k + 1))
-    return JoinSpec(host, factors, k + 1, maps)
-
-
-def degree_corrections(spec: JoinSpec) -> Tuple[List[List[List[int]]], List[int]]:
-    """Per-factor diagonal cross-degree matrices and the label-1 weights.
-
-    The diagonal entry for vertex s of factor i counts the vertices of
-    host-neighbor factors sharing s's label; adding it to D(G_i) gives the
-    join's degree matrix restricted to factor i. The weight w_i counts the
-    label-1 vertices over host neighbors; for specs produced by
-    generalized_to_hm the diagonal matrix is w_i on S_i and 0 elsewhere.
-    """
-    counts: List[Dict[int, int]] = []
-    for im in spec.indexing:
-        c: Dict[int, int] = {}
-        for v in im.values:
-            if v is not None:
-                c[v] = c.get(v, 0) + 1
-        counts.append(c)
-    ds = []
-    ws = []
-    for i, (g, im) in enumerate(zip(spec.factors, spec.indexing)):
-        nbrs = spec.host.neighbors(i)
-        diag = [[0] * g.n for _ in range(g.n)]
-        for s, label in enumerate(im.values):
-            if label is None:
-                continue
-            diag[s][s] = sum(counts[j].get(label, 0) for j in nbrs)
-        ds.append(diag)
-        ws.append(sum(counts[j].get(1, 0) for j in nbrs))
-    return ds, ws
 
 
 def _deletable_labels(spec: JoinSpec, mode: str) -> List[int]:

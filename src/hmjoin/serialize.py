@@ -204,8 +204,8 @@ def spec_from_json(data, pointer: str = "") -> JoinSpec:
     _check_keys(obj, pointer, ("host", "m", "factors", "indexing"))
     host = graph_from_json(obj["host"], pointer + "/host")
     m = _expect_int(obj["m"], pointer + "/m")
-    if m < 1:
-        _fail(pointer + "/m", "label count m must be at least 1")
+    if m < 0:
+        _fail(pointer + "/m", "label count m must be non-negative")
     factors = [graph_from_json(g, "%s/factors/%d" % (pointer, i))
                for i, g in enumerate(_expect_array(obj["factors"], pointer + "/factors"))]
     raw_indexing = _expect_array(obj["indexing"], pointer + "/indexing")

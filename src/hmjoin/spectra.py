@@ -16,6 +16,15 @@ f_i = g_i Gamma_i), giving the fully exact pipeline
 
     det(xI - M) = prod_i phi_i * Phi / prod_i g_i^m.
 
+The universal matrix U = alpha*A + beta*I + gamma*J + delta*D of a join
+has this shape, built in one place (`_universal_blocks`): M_i is U(G_i)
+plus delta times the cross degrees diag(E_i t_i), t_i the sum of E_j^T 1
+over host neighbours j, and the cross blocks carry alpha. A gamma != 0
+couples every pair through gamma*J: the sides become [1 | E_i] and
+[gamma*1 | E_i] with weights (1, alpha*rho_ij, ...). A labeled join takes
+E_i = its indexing matrix, a generalized join in `cospectral` the subset
+indicator 1_{S_i}; `block_charpoly` keeps the integer adjacency blocks.
+
 Main functions come from walk sums, not from an adjugate. With
 phi = sum_j c_j x^(n-j) the characteristic polynomial of M (from the
 multi-modular engine in `exactlinalg`) and W_t = L^T M^t R the walk sums
@@ -97,7 +106,7 @@ from .exactlinalg import (
     rational_eigenvalues,
 )
 from .graphs import UniversalParams, universal_matrix
-from .joins import JoinSpec, degree_corrections, hm_join
+from .joins import JoinSpec, hm_join
 from .polynomials import (
     Polynomial,
     _cleared,
@@ -423,13 +432,40 @@ def _phi_quotient(charpoly_block: Polynomial, mfs: Sequence[MainFunction], m: in
     return _unscaled(_int_divexact(numerator, divisor), l)
 
 
-def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, off_scale) -> SpectralReport:
+def _universal_blocks(host, factors, sides, params):
+    """Blocks of U = alpha*A + beta*I + gamma*J + delta*D of the join with
+    sides E_i = sides[i] on c columns (module docstring): blocks[i] =
+    (M_i, U_i, V_i) with M_i = U(G_i) + delta*diag(E_i t_i), and block (i, j)
+    of U is U_i diag(w) V_j^T for w = weights(i, j), None meaning zero:
+    U_i = V_i = E_i and w = (alpha,)*c on host edges when gamma = 0, else
+    U_i = [1 | E_i], V_i = [gamma*1 | E_i] and w = (1,) + (alpha*rho_ij,)*c."""
+    c = len(sides[0][0]) if sides else 0
+    rho = host.adjacency_matrix()
+    blocks = []
+    for i, (g, e) in enumerate(zip(factors, sides)):
+        m = universal_matrix(g, params)
+        # t_i, the column sums of the host neighbours' sides
+        t = [sum(col) for col in zip(*(row for j in host.neighbors(i) for row in sides[j]))]
+        for v, row in enumerate(e):
+            m[v][v] += params.delta * sum(x * y for x, y in zip(row, t))
+        if params.gamma == 0:
+            blocks.append((m, e, e))
+        else:
+            blocks.append((m, [[1] + row for row in e], [[params.gamma] + row for row in e]))
+
+    def weights(i, j):
+        if params.gamma == 0:
+            return (params.alpha,) * c if rho[i][j] else None
+        return (1,) + (params.alpha * rho[i][j],) * c
+
+    return blocks, weights
+
+
+def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, weights) -> SpectralReport:
     ems = spec.indexing_matrices()
     mfs = [gamma(mat, em) for mat, em in zip(factor_matrices, ems)]
     m = spec.m
-    host_adj = spec.host.adjacency_matrix()
-    charpoly_block = reduced_block_charpoly(
-        mfs, lambda i, j: (off_scale,) * m if host_adj[i][j] else None, direct_matrix)
+    charpoly_block = reduced_block_charpoly(mfs, weights, direct_matrix)
     charpoly_direct = charpoly(direct_matrix)
     check_block_charpoly(charpoly_block, charpoly_direct)
     l = _denominator(direct_matrix)
@@ -470,22 +506,16 @@ def block_charpoly(spec: JoinSpec) -> SpectralReport:
     diagnostic spectrum. Raises when the two paths disagree."""
     matrices = [g.adjacency_matrix() for g in spec.factors]
     direct = hm_join(spec).adjacency_matrix()
-    return _block_report(spec, matrices, direct, 1)
+    rho = spec.host.adjacency_matrix()
+    return _block_report(spec, matrices, direct, lambda i, j: (1,) * spec.m if rho[i][j] else None)
 
 
 def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> SpectralReport:
     """Block pipeline for the universal matrix U = alpha*A + beta*I + delta*D
-    of a join (gamma must be 0). The factor-side matrices are
-    M_i = U(G_i) + delta*DC_i with DC_i the cross-degree corrections, and
-    the off-diagonal blocks carry the extra factor alpha."""
+    of a join (gamma must be 0), on the blocks of `_universal_blocks` with
+    the indexing matrices as sides."""
     if params.gamma != 0:
         raise InvalidParametersError("universal block factorization needs gamma = 0 (the all-ones block couples all factor pairs); use the generalized-join pipeline instead")
-    ds, _ = degree_corrections(spec)
-    matrices = []
-    for g, d in zip(spec.factors, ds):
-        base = universal_matrix(g, params)
-        for v in range(g.n):
-            base[v][v] += params.delta * d[v][v]
-        matrices.append(base)
+    blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
     direct = universal_matrix(hm_join(spec), params)
-    return _block_report(spec, matrices, direct, params.alpha)
+    return _block_report(spec, [mat for mat, _, _ in blocks], direct, weights)

@@ -184,6 +184,46 @@ def test_universal_custom_params(capsys):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("option", [["--params", "100000000,0,0,0"], ["--preset", "Aalpha:1e9"]])
+def test_universal_refuses_oversized_eigenvalue_scan(capsys, option):
+    # the rational-eigenvalue scan runs over [-B, B] for the row-sum bound
+    # B; above the cap the command stops at once instead of scanning
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "universal", str(FIXTURES / "p3_3.json"), *option)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, _ = run_cli(capsys, "universal", str(FIXTURES / "p3_3.json"), "--params", "1000,0,0,0")
+    assert code == 0
+
+
+def test_reduced_specs_read_back(capsys, tmp_path):
+    # every printed reduction parses back with the same charpoly, also when
+    # no label is left (m = 0)
+    m0 = tmp_path / "m0.json"
+    m0.write_text(json.dumps({
+        "host": {"n": 2, "edges": [[0, 1]]}, "m": 2,
+        "factors": [{"n": 2, "edges": [[0, 1]]}, {"n": 3, "edges": [[0, 1], [1, 2]]}],
+        "indexing": [[1, 1], [2, 2, 2]]}))
+    specs = [str(p) for p in sorted(FIXTURES.glob("*.json")) if p.name != "catalog.json"] + [str(m0)]
+    seen_m = set()
+    for spec in specs:
+        code, out, _ = run_cli(capsys, "charpoly", spec)
+        assert code == 0
+        direct = json.loads(out)["charpoly_direct"]
+        for mode in ("unused", "global-exclusive", "neighbor-exclusive"):
+            code, out, _ = run_cli(capsys, "reduce", spec, "--mode", mode)
+            assert code == 0
+            reduced = json.loads(out)["spec"]
+            seen_m.add(reduced["m"])
+            path = tmp_path / "reduced.json"
+            path.write_text(json.dumps(reduced))
+            code, out, err = run_cli(capsys, "charpoly", str(path))
+            assert code == 0, err
+            assert json.loads(out)["charpoly_direct"] == direct
+    assert 0 in seen_m
+
+
 def test_cospectral_check_same_spec(capsys):
     spec = str(FIXTURES / "cospectral_l_gap_a.json")
     code, out, _ = run_cli(capsys, "cospectral", "check", spec, spec, "--kind", "L")

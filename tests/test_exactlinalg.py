@@ -25,8 +25,9 @@ from oracles import (
     polymatrix_det_values,
 )
 
-from hmjoin.errors import InvalidParametersError, SizeMismatchError
+from hmjoin.errors import InvalidParametersError, SizeMismatchError, TooLargeError
 from hmjoin.exactlinalg import (
+    _EIGEN_SCAN_LIMIT,
     _charpoly_mod,
     _cleared_polymatrix,
     _crt_lift,
@@ -405,3 +406,9 @@ def test_rational_eigenvalues_rejects_mismatched_char():
         rational_eigenvalues(m, char=Polynomial([Fraction(-1, 3), Fraction(1, 2), 1]))
     assert rational_eigenvalues(m) == ((Fraction(-1), 1), (Fraction(1, 2), 1))
     assert rational_eigenvalues(m, char=Polynomial([Fraction(-1, 2), 1])) == ((Fraction(1, 2), 1),)
+
+
+def test_rational_eigenvalues_refuses_scan_above_cap():
+    # the scan bound is the row sum of L*M: (cap + 1)/2 with L = 2 is over
+    with pytest.raises(TooLargeError):
+        rational_eigenvalues([[Fraction(_EIGEN_SCAN_LIMIT + 1, 2)]])

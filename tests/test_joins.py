@@ -1,5 +1,5 @@
 """Join construction: edge rule vs block matrices, indexing matrices,
-generalized joins, degree corrections, label reduction."""
+generalized joins, label reduction."""
 
 import random
 
@@ -7,14 +7,13 @@ import pytest
 
 from conftest import random_spec
 from oracles import blockwise_adjacency
+from hmjoin.cospectral import GeneralizedJoinSpec
 from hmjoin.errors import InvalidParametersError, SizeMismatchError
-from hmjoin.graphs import Graph, make_named
+from hmjoin.graphs import Graph, UniversalParams, make_named
 from hmjoin.joins import (
     REDUCTION_MODES,
     IndexingMap,
     JoinSpec,
-    degree_corrections,
-    generalized_to_hm,
     hm_join,
     indexing_matrix,
     reduce_labels,
@@ -95,14 +94,17 @@ def test_unlabeled_vertices_get_no_cross_edges():
     assert g.sorted_edges() == ((0, 3),)
 
 
-def test_generalized_to_hm_four_factor_cross_edges():
+def test_to_hm_four_factor_cross_edges():
     # path host over K_3, P_4, C_5, K_{3,3} with hand-checked subsets
     host = make_named("path", [4])
     factors = [make_named("complete", [3]), make_named("path", [4]),
                make_named("cycle", [5]), make_named("complete_bipartite", [3, 3])]
     subsets = [[0], [2, 3], [0, 2, 4], [2, 5]]
-    spec = generalized_to_hm(host, factors, subsets)
+    spec = GeneralizedJoinSpec(host, factors, subsets, UniversalParams.preset("A")).to_hm()
     assert spec.m == 5
+    # label 1 marks S_i, the rest of factor i carries label i + 2
+    assert spec.indexing[1].values == (3, 3, 1, 1)
+    assert spec.indexing[3].values == (5, 5, 1, 5, 5, 1)
     joined = hm_join(spec)
     factor_edges = set()
     offsets = [0, 3, 7, 12]
@@ -121,55 +123,6 @@ def test_generalized_to_hm_four_factor_cross_edges():
             expected.add((u, v))
     assert cross == expected
     assert joined.n == 18
-
-
-def test_generalized_to_hm_validates_subsets():
-    host = make_named("complete", [2])
-    factors = [make_named("path", [2]), make_named("path", [2])]
-    with pytest.raises(InvalidParametersError):
-        generalized_to_hm(host, factors, [[0], [2]])
-    with pytest.raises(SizeMismatchError):
-        generalized_to_hm(host, factors, [[0]])
-
-
-def test_degree_corrections_worked_example():
-    spec = example_3_7_spec()
-    diagonals, weights = degree_corrections(spec)
-    assert diagonals[0] == [[3, 0], [0, 3]]
-    assert diagonals[1] == [
-        [2, 0, 0, 0, 0],
-        [0, 2, 0, 0, 0],
-        [0, 0, 2, 0, 0],
-        [0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0],
-    ]
-    assert weights == [3, 2]
-
-
-def test_degree_corrections_match_join_degrees():
-    rng = random.Random(12)
-    for _ in range(30):
-        spec = random_spec(rng)
-        diagonals, _ = degree_corrections(spec)
-        joined = hm_join(spec)
-        degrees = joined.degrees()
-        offset = 0
-        for i, g in enumerate(spec.factors):
-            base = g.degrees()
-            for v in range(g.n):
-                assert degrees[offset + v] == base[v] + diagonals[i][v][v]
-            offset += g.n
-
-
-def test_degree_corrections_weights_are_label_one_counts():
-    host = make_named("path", [3])
-    factors = [make_named("empty", [2]), make_named("empty", [3]), make_named("empty", [1])]
-    spec = JoinSpec(host, factors, 2,
-                    [IndexingMap([1, 1], 2), IndexingMap([1, None, 2], 2),
-                     IndexingMap([1], 2)])
-    _, weights = degree_corrections(spec)
-    # w_i sums label-1 counts over host neighbors
-    assert weights == [1, 3, 1]
 
 
 def test_reduce_modes_preserve_adjacency():

@@ -141,6 +141,18 @@ def test_indexing_pointer_diagnostics():
     assert "/indexing/0" in info3.value.pointer
 
 
+def test_label_count_zero_reads_and_negative_is_refused():
+    doc = {"host": {"n": 2, "edges": [[0, 1]]}, "m": 0,
+           "factors": [{"n": 1, "edges": []}, {"n": 2, "edges": []}],
+           "indexing": [[None], [None, None]]}
+    spec = spec_from_json(doc)
+    assert spec.m == 0 and spec_from_json(spec_to_json(spec)) == spec
+    doc["m"] = -1
+    with pytest.raises(SpecValidationError) as info:
+        spec_from_json(doc)
+    assert info.value.pointer == "/m"
+
+
 def test_missing_and_unknown_keys():
     with pytest.raises(SpecValidationError) as info:
         spec_from_json({"m": 1})

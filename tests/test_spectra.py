@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec
+from conftest import random_graph, random_indexing, random_spec
 from oracles import (
     classify_e_main_numeric,
     euclid_gcd,
@@ -33,6 +33,7 @@ from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
 from hmjoin.polynomials import Polynomial
 from hmjoin.spectra import (
+    _universal_blocks,
     block_charpoly,
     classify_e_main,
     gamma,
@@ -604,6 +605,62 @@ def test_universal_block_charpoly_random_parameters():
                                  Fraction(rng.randint(-3, 3)))
         report = universal_block_charpoly(spec, params)
         assert report.charpoly_block == charpoly(universal_matrix(hm_join(spec), params))
+
+
+def test_universal_blocks_worked_example():
+    # Example 3.7 under L = D - A: factor 0 (K_2, both label 1) meets the
+    # three label-1 vertices of factor 1, whose label-1 vertices meet two
+    spec = example_3_7_spec()
+    params = UniversalParams.preset("L")
+    blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
+    shifts = []
+    for g, (m, u, v) in zip(spec.factors, blocks):
+        base = universal_matrix(g, params)
+        assert all(m[a][b] == base[a][b] for a in range(g.n) for b in range(g.n) if a != b)
+        shifts.append([m[a][a] - base[a][a] for a in range(g.n)])
+        assert u == v
+    assert shifts == [[3, 3], [2, 2, 2, 0, 0]]
+    assert weights(0, 1) == weights(1, 0) == (-1, -1)
+
+
+def test_universal_blocks_match_assembled_matrix():
+    # block (i, i) of the join's universal matrix is M_i and block (i, j)
+    # is U_i diag(w) V_j^T, or zero when w = weights(i, j) is None, for
+    # labeled sides E_i (partial maps, m = 0..3) and subset sides 1_S
+    # (empty subsets included), gamma = 0 or not, delta != 0
+    rng = random.Random(34)
+    seen = set()
+    for trial in range(48):
+        k = rng.randint(1, 4)
+        host = random_graph(rng, k)
+        factors = [random_graph(rng, rng.randint(1, 5)) for _ in range(k)]
+        params = UniversalParams(rng.choice([-2, -1, Fraction(1, 2), 1, 2]), rng.randint(-2, 2),
+                                 0 if trial % 4 < 2 else rng.choice([-1, Fraction(1, 2), 2]),
+                                 rng.choice([-1, Fraction(1, 3), 2]))
+        if trial % 2:
+            subsets = [rng.sample(range(g.n), rng.randint(0, g.n)) for g in factors]
+            spec = GeneralizedJoinSpec(host, factors, subsets, params)
+            joined, sides = spec.join_graph(), spec.subset_indicators()
+            seen.add(("subsets", min(map(len, subsets)) == 0))
+        else:
+            m = rng.randint(0, 3)
+            spec = JoinSpec(host, factors, m, [random_indexing(rng, g.n, m) for g in factors])
+            joined, sides = hm_join(spec), spec.indexing_matrices()
+            seen.add(("labels", m))
+        seen.add(("gamma", params.gamma == 0))
+        full = universal_matrix(joined, params)
+        blocks, weights = _universal_blocks(host, factors, sides, params)
+        offsets = [sum(g.n for g in factors[:i]) for i in range(k)]
+        for i, (mi, ui, _) in enumerate(blocks):
+            for j, (mj, _, vj) in enumerate(blocks):
+                got = [row[offsets[j]:offsets[j] + len(mj)] for row in full[offsets[i]:offsets[i] + len(mi)]]
+                if i == j:
+                    assert got == mi
+                    continue
+                w = weights(i, j)
+                assert got == [[0 if w is None else sum(c * x * y for c, x, y in zip(w, a, b))
+                                for b in vj] for a in ui]
+    assert seen >= {("labels", m) for m in range(4)} | {("subsets", True), ("gamma", True), ("gamma", False)}
 
 
 def test_universal_block_charpoly_rejects_gamma():
