@@ -18,11 +18,7 @@ from .errors import (
     TheoremViolationError,
     TooLargeError,
 )
-from .polynomials import (
-    Polynomial,
-    poly_divexact,
-    poly_gcd,
-)
+from .polynomials import Polynomial
 from .exactlinalg import (
     charpoly,
     rational_eigenvalues,

@@ -46,8 +46,10 @@ _KIND_PRESETS = {
 
 _ISOMORPHISM_LIMIT = 32
 # Most (graph, subset) configurations one pair search takes on. Each costs
-# a main function, about 4 ms, so a search stays under a minute; the
-# shipped catalog gives 5,313 at budget 4 and 30,083 at budget 6.
+# one main function, two unless delta = gamma = 0; on `fixtures/catalog.json`
+# at budget 3 (1,613 configurations, one 2-core machine) that is about 3 ms
+# for kind A and 9 ms for kind L, so a kind-L search at the cap runs about
+# 90 s. The shipped catalog gives 5,313 at budget 4 and 30,083 at budget 6.
 _CONFIGURATION_LIMIT = 10_000
 
 

@@ -26,19 +26,19 @@ is always that of M' reduced mod p, so the result is exact and the same
 on every machine.
 
 No adjugate of (xI - M) is ever formed: the main functions in `spectra`
-read their numerators off the walk sums L^T M^t R and the coefficients of
-this characteristic polynomial, and their denominators off one gcd chain
-against it.
+take the integer lift of this engine, det(yI - L*M) (`_charpoly_scaled`),
+read their numerators off the walk sums L^T M^t R and those coefficients,
+and their denominators off one gcd chain against it.
 
-Matrices of polynomials are only ever evaluated modulo a prime p:
-`_cleared_polymatrix` clears each row's coefficient denominators once,
-and `_polymatrix_det_mod` reduces the integer coefficients mod p, evaluates
-the matrix at all requested points into one int64 stack and takes every
-determinant at once by batched Gaussian elimination (`_det_mod`), under
-the same int64 argument: each step forms one product of two residues and
-reduces it. `_interpolate_mod` interpolates values mod p. The reduced
-block determinants in `spectra` use these with the bound, the primes and
-the CRT of `charpoly`.
+Matrices of polynomials are only ever evaluated modulo a prime p, from an
+integer coefficient stack that `spectra` builds: `_polymatrix_det_mod`
+reduces the coefficients mod p, evaluates the matrix at all requested
+points into one int64 stack and takes every determinant at once by
+batched Gaussian elimination (`_det_mod`), under the same int64 argument:
+each step forms one product of two residues and reduces it.
+`_interpolate_mod` interpolates values mod p. The reduced block
+determinants in `spectra` use these with the bound, the primes and the
+CRT of `charpoly`.
 
 `rational_eigenvalues` scales a characteristic polynomial by the same L
 (`polynomials._scaled`): its rational roots are then the integer roots y
@@ -220,43 +220,25 @@ def _charpoly_mod(h: np.ndarray, p: int) -> List[int]:
     return polys[n].tolist()
 
 
-def charpoly(m) -> Polynomial:
-    """det(xI - M) of a rational matrix, exactly, by the multi-modular
-    engine (module docstring): the charpoly of L*M modulo each prime,
-    lifted by `_crt_lift` within the bound of `_scaled_bound`, then
-    c_k(M) = c_k(L*M) / L^k."""
-    n = _require_square(m)
-    if n == 0:
-        return Polynomial.one()
+def _charpoly_scaled(m) -> Tuple[int, List[List[int]], List[int]]:
+    """L, the integer rows of L*M and the coefficients, constant term
+    first, of det(yI - L*M), monic in Z[y]: the charpoly of L*M modulo each
+    prime, lifted by `_crt_lift` within the bound of `_scaled_bound`."""
+    _require_square(m)
     l, rows, bound = _scaled_bound(m)
     big = np.array(rows, dtype=object)
-    return _unscaled(_crt_lift(bound, lambda p: _charpoly_mod((big % p).astype(np.int64), p)), l)
+    return l, rows, _crt_lift(bound, lambda p: _charpoly_mod((big % p).astype(np.int64), p))
+
+
+def charpoly(m) -> Polynomial:
+    """det(xI - M) of a rational matrix, exactly, by the multi-modular
+    engine (module docstring): c_k(M) = c_k(L*M) / L^k."""
+    l, _, coeffs = _charpoly_scaled(m)
+    return _unscaled(coeffs, l)
 
 
 # ---------------------------------------------------------------------------
 # polynomial matrices modulo a prime
-
-
-def _cleared_polymatrix(entries) -> Tuple[np.ndarray, int]:
-    """For a square matrix of Polynomials, the integer coefficient stack N
-    (N[d] holds the coefficients of x^d; int64 when every coefficient
-    fits, else Python ints) and the integer s with
-    det(entries(t)) = det(N(t)) / s: each row is scaled by the lcm of its
-    coefficient denominators, and s is the product of those."""
-    n = _require_square(entries)
-    degree = max((p.degree for row in entries for p in row), default=0)
-    num = np.zeros((max(degree, 0) + 1, n, n), dtype=object)
-    scale = 1
-    for r, row in enumerate(entries):
-        l = math.lcm(*(c.denominator for p in row for c in p.coeffs))
-        scale *= l
-        for col, p in enumerate(row):
-            for d, c in enumerate(p.coeffs):
-                num[d, r, col] = c.numerator * (l // c.denominator)
-    try:
-        return num.astype(np.int64), scale
-    except OverflowError:
-        return num, scale
 
 
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -292,7 +274,7 @@ def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int) -> np.ndarray:
     """det(N(t)) mod p at each integer t of `points` for an integer
-    coefficient stack N (`_cleared_polymatrix`): the coefficients are
+    coefficient stack N (int64 or Python ints): the coefficients are
     reduced mod p once, every point matrix is evaluated at once as the
     product of the powers t^d mod p with the stack, and `_det_mod` takes
     all the determinants together."""

@@ -12,8 +12,9 @@ division), `_int_gcd` (primitive remainder sequence), `_int_squarefree`
 (Yun's algorithm) and `_int_multiplicity` (repeated exact division). The
 pipeline scales its polynomials by a matrix's common denominator L
 (`_scaled`, `_unscaled`), which makes every divisor monic in Z[y]; no
-factorization into irreducibles is performed anywhere. `poly_gcd` and
-`poly_divexact` clear denominators and call the same core.
+factorization into irreducibles is performed anywhere. Main functions keep
+their polynomials in this scaled form and pass them to the core as they
+are.
 """
 
 from __future__ import annotations
@@ -166,12 +167,6 @@ def _unscaled(coeffs: Sequence[int], l: int, den: int = 1) -> Polynomial:
     return Polynomial([Fraction(c, den * l ** (d - k)) for k, c in enumerate(coeffs)])
 
 
-def _cleared(poly: Polynomial) -> Tuple[List[int], int]:
-    """Integer coefficients c and the positive integer d with poly = c / d."""
-    d = math.lcm(*(c.denominator for c in poly.coeffs))
-    return [c.numerator * (d // c.denominator) for c in poly.coeffs], d
-
-
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Schoolbook product of two integer coefficient lists."""
     if not a or not b:
@@ -295,25 +290,3 @@ def _int_multiplicity(a: Sequence[int], b: Sequence[int]) -> int:
             e += 1
     except InexactDivisionError:
         return e
-
-
-# ---------------------------------------------------------------------------
-# the same operations on rational polynomials
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor (`_int_gcd` of the cleared operands)."""
-    return Polynomial(_int_gcd(_cleared(a)[0], _cleared(b)[0])).monic()
-
-
-def poly_divexact(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient a/b, raising InexactDivisionError on a nonzero remainder.
-    With a = A / d and b = c B for integer A, primitive B and rational c,
-    a / b = (A / B) / (c d), and A / B is exact in Z[y] whenever it is
-    exact over Q (Gauss's lemma)."""
-    numerator, d = _cleared(a)
-    divisor = _primitive(_cleared(b)[0])
-    quot = _int_divexact(numerator, divisor)
-    scale = divisor[-1] / (d * b.leading_coefficient)
-    return Polynomial([c * scale for c in quot])
-

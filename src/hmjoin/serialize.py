@@ -320,7 +320,7 @@ def certificate_to_json(cert: CospectralCertificate) -> Dict[str, Any]:
     """The witnesses are the slot main functions, entry by entry in lowest
     terms as {"num", "den"}."""
     witness = [[[_entry_to_json(mf, a, b) for b in range(len(row))]
-                for a, row in enumerate(mf.numerator)]
+                for a, row in enumerate(mf.f)]
                for mf in cert.gamma_witness]
     return {
         "kind": cert.kind,

@@ -38,15 +38,20 @@ divides phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the
 reduced common denominator g = phi / h and f = N / h. The chain runs in
 Z[y]: with M = M'/s, L = L'/s_l and R = R'/s_r, the recurrence over M' is
 integral, its layers are the coefficients of s_l s_r s^(n-1) N(y / s),
-and s^n phi(y / s) is monic in Z[y], so h is monic there too and both
-quotients are exact integer divisions (`_int_gcd`, `_int_divexact`); g
-and f are unscaled once at the end.
+and s^n phi(y / s), the integer lift of the charpoly engine, is monic in
+Z[y], so h is monic there too and both quotients are exact integer
+divisions (`_int_gcd`, `_int_divexact`). `MainFunction` keeps phi, g and
+f in this scaled integer form, and every consumer (entries in lowest
+terms, eigenvalue classes, the reduced block, Phi) reads those integers;
+the polynomials over Q are views derived on first read.
 
 The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
 `reduced_block_charpoly`, which the blocks of generalized joins in
-`cospectral` share, works modulo primes below 2**26. For each prime p it
-reduces the integer coefficients of the block once, evaluates it at the
+`cospectral` share, works modulo primes below 2**26. `_reduced_stack`
+builds the integer coefficients of the block once, straight from the
+main functions' integers, each row cleared by the lcm of its coefficient
+denominators. For each prime p it reduces them, evaluates the block at the
 first n + 1 non-negative integers t where no g_i vanishes into one int64
 stack, takes all the determinants Phi(t) mod p at once by batched
 Gaussian elimination, multiplies by prod_i phi_i(t) / g_i(t)^m and
@@ -54,11 +59,10 @@ interpolates det(xI - M) mod p. With L the common denominator of the
 assembled matrix M, the coefficient of x^(n-k) times L^k is an integer
 inside the Hadamard-type bound of the direct engine in `exactlinalg`, so
 Garner's CRT over the same primes lifts it exactly. A prime is skipped
-when it divides L, a coefficient denominator of some g_i, f_i or phi_i, a
-weight denominator, or some g_i(t) at a chosen point, or when it does not
-exceed the last point (the points must stay distinct mod p); the next
-prime in the fixed order is taken instead, so the output is the same on
-every machine. The direct characteristic polynomial of the assembled matrix is
+when it divides L, a row multiplier, some s_i or some g_i(t) at a chosen
+point, or when it does not exceed the last point (the points must stay
+distinct mod p); the next prime in the fixed order is taken instead, so
+the output is the same on every machine. The direct characteristic polynomial of the assembled matrix is
 always computed too, and any difference raises BlockFactorizationError
 (`check_block_charpoly`).
 
@@ -72,8 +76,8 @@ An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
 E-main, so classification is gcd arithmetic, no root finding: the
 squarefree layers of phi_i, their gcds with g_i and the rational roots
-peeled off them are taken in Z[y] after scaling by the common denominator
-of M_i. Main classes of multiplicity e are guaranteed multiplicity
+peeled off them are taken in Z[y] on the main function's integers, scaled
+by the common denominator of M_i. Main classes of multiplicity e are guaranteed multiplicity
 >= e - m in the join, non-main classes >= e; reports check the observed
 multiplicities against those bounds on the directly computed
 characteristic polynomial, by repeated exact division in Z[y] with both
@@ -84,17 +88,16 @@ denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
-from . import exactlinalg
 from .exactlinalg import (
-    _cleared_polymatrix,
+    _charpoly_scaled,
     _crt_lift,
     _denominator,
     _interpolate_mod,
@@ -109,7 +112,6 @@ from .graphs import UniversalParams, universal_matrix
 from .joins import JoinSpec, hm_join
 from .polynomials import (
     Polynomial,
-    _cleared,
     _int_coeff_eval,
     _int_divexact,
     _int_gcd,
@@ -118,35 +120,61 @@ from .polynomials import (
     _int_squarefree,
     _scaled,
     _unscaled,
-    poly_divexact,
-    poly_gcd,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MainFunction:
-    """Gamma = V^T (xI - M)^{-1} U in exact normal form (g, f).
+    """Gamma = V^T (xI - M)^{-1} U in exact normal form (g, f), held in
+    Z[y] (module docstring).
 
-    `charpoly` is phi = det(xI - M); `denominator` is the monic least
-    common denominator g of the reduced entries (g divides phi, and its
-    roots are exactly the E-main eigenvalues when M is symmetric and
-    U = V = E); `numerator` is the polynomial matrix f = g * Gamma. The
-    form is canonical, so equality and hashing compare (g, f) only: two
-    main functions are equal exactly when their Gamma are.
+    phi = det(xI - M) has degree n, g is the monic least common
+    denominator of the reduced entries, of degree d (g divides phi, and
+    its roots are exactly the E-main eigenvalues when M is symmetric and
+    U = V = E), and f = g * Gamma is a polynomial matrix. With s the common
+    denominator of M and `scale` the product of those of U and V, the
+    integer lists, constant term first, are `phi` = s^n phi(y / s),
+    `g` = s^d g(y / s), both monic, and f[a][b], the d coefficients of
+    scale * s^(d-1) f_ab(y / s). `charpoly`, `denominator` and `numerator`
+    are phi, g and f over Q, derived once when first read. The form is
+    canonical, so equality and hashing compare (g, f) over Q: two main
+    functions are equal exactly when their Gamma are, whatever their s.
     """
 
-    charpoly: Polynomial = field(compare=False)
-    denominator: Polynomial
-    numerator: Tuple[Tuple[Polynomial, ...], ...]
+    s: int
+    phi: Tuple[int, ...]
+    g: Tuple[int, ...]
+    f: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    scale: int
+
+    @cached_property
+    def charpoly(self) -> Polynomial:
+        return _unscaled(self.phi, self.s)
+
+    @cached_property
+    def denominator(self) -> Polynomial:
+        return _unscaled(self.g, self.s)
+
+    @cached_property
+    def numerator(self) -> Tuple[Tuple[Polynomial, ...], ...]:
+        return tuple(tuple(_unscaled(p, self.s, self.scale) for p in row) for row in self.f)
+
+    def __eq__(self, other):
+        if not isinstance(other, MainFunction):
+            return NotImplemented
+        return (self.denominator, self.numerator) == (other.denominator, other.numerator)
+
+    def __hash__(self):
+        return hash((self.denominator, self.numerator))
 
     def entry(self, a: int, b: int) -> Tuple[Polynomial, Polynomial]:
         """Gamma_ab in lowest terms as (num, den), den monic: f_ab and g
-        divided by h = gcd(f_ab, g); a zero entry gives (0, 1)."""
-        f, g = self.numerator[a][b], self.denominator
-        h = poly_gcd(f, g)
-        if h.degree > 0:
-            f, g = poly_divexact(f, h), poly_divexact(g, h)
-        return f, g
+        divided in Z[y] by h = gcd(f_ab, g), which divides the monic g and
+        so is monic; a zero entry gives (0, 1)."""
+        h = _int_gcd(self.f[a][b], self.g)
+        # the quotient keeps its top zeros: scale * s^(e-1) num(y / s), e = deg den
+        num = _int_divexact(self.f[a][b], h)
+        return _unscaled(num, self.s, self.scale), _unscaled(_int_divexact(self.g, h), self.s)
 
 
 @dataclass(frozen=True)
@@ -195,24 +223,23 @@ class SpectralReport:
 
 @lru_cache(maxsize=256)
 def _resolvent(key: tuple):
-    """phi = det(xI - M) and the integer data of the walk recurrence for
-    M = M'/s: the rows of M' as (column, entry) pairs of its non-zeros,
-    and the integers c_j s^j for phi = sum_j c_j x^(n-j). Cached on matrix
-    content, so factors and pair searches that revisit a matrix pay for
-    its characteristic polynomial once."""
-    phi = exactlinalg.charpoly(key)
-    s = _denominator(key)
-    rows = tuple(tuple((j, int(x * s)) for j, x in enumerate(row) if x) for row in key)
-    return phi, s, rows, tuple(reversed(_scaled(phi, s)))
+    """The integer data of the walk recurrence for M = M'/s: s, the
+    coefficients, constant term first, of s^n phi(y / s) for
+    phi = det(xI - M), so entry n - j is c_j s^j for phi = sum_j c_j x^(n-j),
+    and the rows of M' as (column, entry) pairs of its non-zeros. Cached on
+    matrix content, so factors and pair searches that revisit a matrix pay
+    for its characteristic polynomial once."""
+    s, rows, phi = _charpoly_scaled(key)
+    return s, tuple(phi), tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 
-def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, int, int, List[List[List[int]]]]:
-    """phi, s, s_l s_r and N = L^T adj(xI - M) R from the walk sums (module
-    docstring): Horner's rule builds Y_k = M Y_(k-1) + c_k R from Y_0 = R,
-    one row of non-zeros of M at a time, and layer k of N is L^T Y_k. With
-    M = M'/s, s^k Y_k obeys the same recurrence over the integers M' and
-    c_j s^j, so entry (a, b) comes back as the n integer coefficients,
-    lowest first, of s_l s_r s^(n-1) N_ab(y / s)."""
+def _bilinear_numerators(m, left, right) -> Tuple[int, Tuple[int, ...], int, List[List[List[int]]]]:
+    """s, s^n phi(y / s), s_l s_r and N = L^T adj(xI - M) R from the walk
+    sums (module docstring): Horner's rule builds Y_k = M Y_(k-1) + c_k R
+    from Y_0 = R, one row of non-zeros of M at a time, and layer k of N is
+    L^T Y_k. With M = M'/s, s^k Y_k obeys the same recurrence over the
+    integers M' and c_j s^j, so entry (a, b) comes back as the n integer
+    coefficients, lowest first, of s_l s_r s^(n-1) N_ab(y / s)."""
     n, cols = mat_shape(m)
     if cols != n:
         raise SizeMismatchError(f"square matrix required, got {n}x{cols}")
@@ -220,9 +247,9 @@ def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, int, int, List[Lis
     rr, cr = mat_shape(right)
     if rl != n or rr != n:
         raise SizeMismatchError(f"side matrices must have {n} rows, got {rl} and {rr}")
-    phi, s, rows, cs = _resolvent(tuple(map(tuple, m)))
+    s, phi, rows = _resolvent(tuple(map(tuple, m)))
     if cl == 0 or cr == 0:
-        return phi, s, 1, [[] for _ in range(cl)]
+        return s, phi, 1, [[] for _ in range(cl)]
     sl = _denominator(left)
     sr = _denominator(right)
     left_cols = [[(i, int(row[a] * sl)) for i, row in enumerate(left) if row[a]] for a in range(cl)]
@@ -239,9 +266,9 @@ def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, int, int, List[Lis
                 for j, w in nz:
                     acc = [p + w * q for p, q in zip(acc, y[j])]
                 nxt.append(acc)
-            if cs[k]:
+            if phi[n - k]:
                 for i, row in r_rows:
-                    nxt[i] = [p + cs[k] * q for p, q in zip(nxt[i], row)]
+                    nxt[i] = [p + phi[n - k] * q for p, q in zip(nxt[i], row)]
             y = nxt
         layer = []
         for col in left_cols:
@@ -251,23 +278,22 @@ def _bilinear_numerators(m, left, right) -> Tuple[Polynomial, int, int, List[Lis
             layer.append(acc)
         layers.append(layer)
     entries = [[[layers[n - 1 - d][a][b] for d in range(n)] for b in range(cr)] for a in range(cl)]
-    return phi, s, sl * sr, entries
+    return s, phi, sl * sr, entries
 
 
 def main_function_bilinear(m, u, v) -> MainFunction:
     """V^T (xI - M)^{-1} U = N / phi in exact normal form: g = phi / h and
     f = N / h, with h = gcd(phi, every non-zero N_ab) taken as one chain
     in Z[y] that stops once h is constant (module docstring)."""
-    phi, s, den, numerators = _bilinear_numerators(m, v, u)
-    scaled_phi = _scaled(phi, s)
-    h = scaled_phi
+    s, phi, scale, numerators = _bilinear_numerators(m, v, u)
+    h = phi
     for row in numerators:
         for p in row:
             if len(h) > 1:
                 h = _int_gcd(h, p)
-    # p / h keeps the n - deg h coefficients of s_l s_r s^(n-1-deg h) f(y / s)
-    f = tuple(tuple(_unscaled(_int_divexact(p, h), s, den) for p in row) for row in numerators)
-    return MainFunction(charpoly=phi, denominator=_unscaled(_int_divexact(scaled_phi, h), s), numerator=f)
+    # p / h keeps the n - deg h coefficients of scale * s^(n-1-deg h) f(y / s)
+    f = tuple(tuple(tuple(_int_divexact(p, h)) for p in row) for row in numerators)
+    return MainFunction(s, phi, tuple(_int_divexact(phi, h)), f, scale)
 
 
 def gamma(m, e) -> MainFunction:
@@ -280,25 +306,23 @@ def gamma(m, e) -> MainFunction:
 # eigenvalue classes
 
 
-def _eigen_classes(m, phi: Polynomial, g: Polynomial) -> Tuple[EigenvalueClass, ...]:
+def _eigen_classes(m, mf: MainFunction) -> Tuple[EigenvalueClass, ...]:
     """Split phi into monic squarefree classes homogeneous in multiplicity
     and mainness (mainness = dividing g), extracting rational roots; in
-    Z[y], scaled by the common denominator L of M, where the rational roots
-    are the integers L * root."""
-    l = _denominator(m)
-    scaled_g = _scaled(g, l)
-    rationals = rational_eigenvalues(m, char=phi)
+    Z[y] on the integers of `mf = gamma(m, e)`, scaled by the common
+    denominator s of M, where the rational roots are the integers s * root."""
+    rationals = rational_eigenvalues(m, char=mf.charpoly)
     classes: List[EigenvalueClass] = []
-    for layer, mult in _int_squarefree(_scaled(phi, l)):
-        main_part = _int_gcd(layer, scaled_g)
+    for layer, mult in _int_squarefree(mf.phi):
+        main_part = _int_gcd(layer, mf.g)
         for part, flag in ((main_part, True), (_int_divexact(layer, main_part), False)):
             for root, root_mult in rationals:
-                y = int(root * l)
+                y = int(root * mf.s)
                 if root_mult == mult and _int_coeff_eval(part, y) == 0:
                     classes.append(EigenvalueClass(Polynomial((-root, 1)), root, mult, flag))
                     part = _int_divexact(part, [-y, 1])
             if len(part) > 1:
-                classes.append(EigenvalueClass(_unscaled(part, l), None, mult, flag))
+                classes.append(EigenvalueClass(_unscaled(part, mf.s), None, mult, flag))
     return tuple(sorted(classes, key=_class_sort_key))
 
 
@@ -314,8 +338,7 @@ def classify_e_main(m, e) -> Tuple[EigenvalueClass, ...]:
     common denominator of Gamma."""
     if not mat_is_symmetric(m):
         raise NonSymmetricInputError("classification needs a symmetric matrix")
-    mf = gamma(m, e)
-    return _eigen_classes(m, mf.charpoly, mf.denominator)
+    return _eigen_classes(m, gamma(m, e))
 
 
 def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
@@ -337,6 +360,44 @@ def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
 # block pipeline
 
 
+def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, int]:
+    """The coefficient stack N of the reduced block (N[d] holds those of
+    x^d; int64 when every one fits, else Python ints) and the `scale` with
+    det(block(t)) = det(N(t)) / scale. Row a of block i times
+    C = scale_i s_i^d W (d = deg g_i, W the lcm of the weight denominators)
+    is integral: G_k s^k scale_i W on the diagonal, -w_b W F_k s^(k+1) in
+    column b of block j. Divided by the gcd of C and those integers, it is
+    cleared by the lcm of its coefficient denominators."""
+    offsets = [0]
+    for mf in mfs:
+        offsets.append(offsets[-1] + len(mf.f))
+    depth = max((len(mf.g) for mf in mfs if mf.f), default=1)
+    num = np.zeros((depth, offsets[-1], offsets[-1]), dtype=object)
+    scale = 1
+    for i, mf in enumerate(mfs):
+        powers = [mf.s ** k for k in range(len(mf.g) + 1)]
+        cross = [(j, weights(i, j)) for j in range(len(mfs)) if j != i]
+        cross = [(j, w) for j, w in cross if w is not None]
+        wden = math.lcm(*(wb.denominator for _, w in cross for wb in w))
+        common = mf.scale * powers[-2] * wden
+        diagonal = [c * p * mf.scale * wden for c, p in zip(mf.g, powers)]
+        for a, f_row in enumerate(mf.f):
+            entries = [(offsets[i] + a, diagonal)]
+            for j, w in cross:
+                for b, wb in enumerate(w):
+                    if wb and any(f_row[b]):
+                        q = -wb.numerator * (wden // wb.denominator)
+                        entries.append((offsets[j] + b, [q * c * p for c, p in zip(f_row[b], powers[1:])]))
+            cleared = math.gcd(common, *(c for _, p in entries for c in p))
+            scale *= common // cleared
+            for col, p in entries:
+                num[:len(p), offsets[i] + a, col] = [c // cleared for c in p]
+    try:
+        return num.astype(np.int64), scale
+    except OverflowError:
+        return num, scale
+
+
 def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Polynomial:
     """det(xI - M) of the block matrix M = `matrix` from the main functions
     `mfs` of its diagonal blocks, when each off-diagonal block (i, j)
@@ -351,50 +412,27 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Poly
     non-negative integers where no g_i vanishes, for each prime p that
     `_crt_lift` asks for within the bound and L of the direct engine
     (module docstring)."""
-    offsets = [0]
-    for mf in mfs:
-        offsets.append(offsets[-1] + len(mf.numerator))
     l, _, bound = _scaled_bound(matrix)
-    denominators = [l]
-    zero = Polynomial.zero()
-    block = [[zero] * offsets[-1] for _ in range(offsets[-1])]
-    for i, mf in enumerate(mfs):
-        for a, f_row in enumerate(mf.numerator):
-            row = block[offsets[i] + a]
-            row[offsets[i] + a] = mf.denominator
-            for j in range(len(mfs)):
-                w = None if j == i else weights(i, j)
-                if w is None:
-                    continue
-                for b, wb in enumerate(w):
-                    if wb and not f_row[b].is_zero:
-                        denominators.append(wb.denominator)
-                        row[offsets[j] + b] = Polynomial([-wb * c for c in f_row[b].coeffs])
-    num, scale = _cleared_polymatrix(block)
-    phis = [_cleared(mf.charpoly) for mf in mfs]
-    gs = [_cleared(mf.denominator) for mf in mfs]
-    sizes = [len(mf.numerator) for mf in mfs]
-    denominators += [d for _, d in phis + gs]
-    denominators += [c.denominator for mf in mfs for row in mf.numerator for f in row for c in f.coeffs]
-    bad = math.lcm(*denominators)
-    # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers
-    n = sum(mf.charpoly.degree for mf in mfs)
+    num, scale = _reduced_stack(mfs, weights)
+    # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers,
+    # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
+    n = sum(len(mf.phi) - 1 for mf in mfs)
     points, tops, bottoms = [], [], []
     t = 0
     while len(points) <= n:
-        g_values = [_int_coeff_eval(g, t) for g, _ in gs]
+        g_values = [_int_coeff_eval(mf.g, mf.s * t) for mf in mfs]
         if all(g_values):
             top, bottom = 1, scale
-            for (phi, dphi), (_, dg), size, gt in zip(phis, gs, sizes, g_values):
-                top *= _int_coeff_eval(phi, t) * dg ** size
-                bottom *= dphi * gt ** size
+            for mf, gt in zip(mfs, g_values):
+                top *= _int_coeff_eval(mf.phi, mf.s * t) * mf.s ** ((len(mf.g) - 1) * len(mf.f))
+                bottom *= mf.s ** (len(mf.phi) - 1) * gt ** len(mf.f)
             points.append(t)
             tops.append(top)
             bottoms.append(bottom)
         t += 1
 
     def residues(p):
-        if p <= points[-1] or bad % p == 0 or any(x % p == 0 for x in bottoms):
+        if p <= points[-1] or l % p == 0 or any(x % p == 0 for x in bottoms):
             return None
         dets = _polymatrix_det_mod(num, points, p).tolist()
         values = [d * top * pow(bottom, -1, p) % p for d, top, bottom in zip(dets, tops, bottoms)]
@@ -420,14 +458,16 @@ def check_block_charpoly(block: Polynomial, direct: Polynomial) -> None:
 
 def _phi_quotient(charpoly_block: Polynomial, mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:
     """Phi = det(xI - M) * prod_i g_i^m / prod_i phi_i over the integers,
-    each polynomial scaled by L (module docstring), then unscaled."""
-    numerator = [1]
-    divisor = [1]
+    each polynomial scaled by L (module docstring), then unscaled. Each
+    s_i divides L, so the list P = s_i^d p(y / s_i) scales to
+    L^d p(y / L) = (L / s_i)^(d-k) P_k."""
+    numerator, divisor = [1], [1]
     for mf in mfs:
-        g = _scaled(mf.denominator, l)
+        r = l // mf.s
+        g, phi = ([c * r ** (len(p) - 1 - k) for k, c in enumerate(p)] for p in (mf.g, mf.phi))
         for _ in range(m):
             numerator = _int_mul(numerator, g)
-        divisor = _int_mul(divisor, _scaled(mf.charpoly, l))
+        divisor = _int_mul(divisor, phi)
     numerator = _int_mul(numerator, _scaled(charpoly_block, l))
     return _unscaled(_int_divexact(numerator, divisor), l)
 
@@ -475,7 +515,7 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, weights) -> Sp
     for i, (mat, mf) in enumerate(zip(factor_matrices, mfs)):
         if not mat_is_symmetric(mat):
             raise NonSymmetricInputError(f"factor matrix {i} is not symmetric")
-        classes = _eigen_classes(mat, mf.charpoly, mf.denominator)
+        classes = _eigen_classes(mat, mf)
         flags.append(classes)
         common = math.lcm(l, _denominator(mat))
         scaled_direct = _scaled(charpoly_direct, common)

@@ -239,9 +239,8 @@ def test_criterion_06_reduction_preserves_blockwise_adjacency():
 
 def test_criterion_07_family_realizations_match_direct_builds():
     # every realization equals its directly built graph entrywise over
-    # the full desk grid; the block charpoly equals the charpoly of the
-    # direct build on every member small enough for the exact pipeline
-    # (<= 64)
+    # the full desk grid, and the block charpoly equals the charpoly of
+    # the direct build on every member
     members = []
     small = ([("path", [n]) for n in range(2, 7)]
              + [("cycle", [n]) for n in range(3, 7)]
@@ -268,14 +267,18 @@ def test_criterion_07_family_realizations_match_direct_builds():
         assert real.join_graph() == real.direct
 
     # the block path cross-checks itself against the library's charpoly
-    # engine, so the direct side here is the independent Bareiss oracle
-    capped = [real for real in members if real.direct.n <= 64]
-    for real in capped:
+    # engine on every member; the independent Bareiss oracle checks it
+    # on the members with at most 64 vertices
+    capped = 0
+    for real in members:
         report = block_charpoly(real.spec)
-        assert report.charpoly_block == bareiss_charpoly(real.direct.adjacency_matrix())
-    print("PASS criterion 07: %d realizations equal their direct builds; "
-          "block charpoly equals the Bareiss charpoly on the %d members with "
-          "at most 64 vertices" % (len(members), len(capped)))
+        if real.direct.n <= 64:
+            capped += 1
+            assert report.charpoly_block == bareiss_charpoly(real.direct.adjacency_matrix())
+    print("PASS criterion 07: %d realizations equal their direct builds and "
+          "pass the block-vs-direct cross-check; block charpoly equals the "
+          "Bareiss charpoly on the %d members with at most 64 vertices"
+          % (len(members), capped))
 
 
 def test_criterion_08_universal_and_generalized_charpolys():

@@ -29,7 +29,6 @@ from hmjoin.errors import InvalidParametersError, SizeMismatchError, TooLargeErr
 from hmjoin.exactlinalg import (
     _EIGEN_SCAN_LIMIT,
     _charpoly_mod,
-    _cleared_polymatrix,
     _crt_lift,
     _det_mod,
     _dot_mod,
@@ -222,7 +221,8 @@ def test_adjugate_identity():
     rng = random.Random(4)
     for n in range(1, 6):
         m = random_fraction_matrix(rng, n)
-        p, s, den, scaled = _bilinear_numerators(m, identity_matrix(n), identity_matrix(n))
+        s, phi, den, scaled = _bilinear_numerators(m, identity_matrix(n), identity_matrix(n))
+        p = _unscaled(phi, s)
         assert p == charpoly(m)
         adj = [[_unscaled(c, s, den) for c in row] for row in scaled]
         for t in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)):
@@ -326,6 +326,26 @@ def test_det_mod_pivot_swaps_in_some_members_only():
     assert assert_det_mod_matches(small, q) == [1, 1]
 
 
+def cleared_stack(entries):
+    """The integer coefficient stack of a square matrix of Polynomials, each
+    row cleared by the lcm of its coefficient denominators, and the product
+    of those multipliers; int64 when every coefficient fits."""
+    n = len(entries)
+    depth = max(max((p.degree for row in entries for p in row), default=0), 0) + 1
+    num = np.zeros((depth, n, n), dtype=object)
+    scale = 1
+    for r, row in enumerate(entries):
+        l = math.lcm(*(c.denominator for p in row for c in p.coeffs))
+        scale *= l
+        for col, p in enumerate(row):
+            for d, c in enumerate(p.coeffs):
+                num[d, r, col] = c.numerator * (l // c.denominator)
+    try:
+        return num.astype(np.int64), scale
+    except OverflowError:
+        return num, scale
+
+
 def test_polymatrix_det_mod_matches_bareiss_values():
     rng = random.Random(47)
     primes = [next(_primes()), 101]
@@ -336,7 +356,7 @@ def test_polymatrix_det_mod_matches_bareiss_values():
             entries = [[Polynomial([Fraction(rng.randint(-span, span), rng.choice([1, 1, 2, 3, 7]))
                                     for _ in range(rng.randint(0, 4))])
                         for _ in range(n)] for _ in range(n)]
-            num, scale = _cleared_polymatrix(entries)
+            num, scale = cleared_stack(entries)
             assert (num.dtype == object) == (span > 9 and any(p.coeffs for row in entries for p in row))
             exact = polymatrix_det_values(entries, points)
             for p in primes:

@@ -19,7 +19,6 @@ from oracles import (
     poly_from_roots,
     poly_mul,
     poly_pow,
-    poly_scale,
     poly_sub,
 )
 from hmjoin.errors import InexactDivisionError, InvalidParametersError
@@ -32,8 +31,6 @@ from hmjoin.polynomials import (
     _int_squarefree,
     _scaled,
     _unscaled,
-    poly_divexact,
-    poly_gcd,
 )
 
 fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -68,11 +65,20 @@ def test_ring_operations_match_evaluation(p, q, t):
     assert poly_eval(poly_pow(p, 3), t) == poly_eval(p, t) ** 3
 
 
+def cleared(p: Polynomial):
+    """The integer coefficients of p times the lcm of their denominators."""
+    l = math.lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * l) for c in p.coeffs]
+
+
 @given(nonzero_polys_st, nonzero_polys_st)
 @settings(max_examples=80)
 def test_gcd_divides_and_is_monic(p, q):
-    g = poly_gcd(p, q)
-    assert g.leading_coefficient == 1
+    h = _int_gcd(cleared(p), cleared(q))
+    # primitive with a positive leading coefficient, so its monic form
+    # is the gcd over Q
+    assert h[-1] > 0 and math.gcd(*h) == 1
+    g = Polynomial(h).monic()
     assert g == euclid_gcd(p, q)
     assert poly_divmod(p, g)[1].is_zero
     assert poly_divmod(q, g)[1].is_zero
@@ -85,26 +91,28 @@ def test_gcd_divides_and_is_monic(p, q):
 
 
 def test_divexact_raises_on_remainder():
-    p = Polynomial([1, 0, 1])
+    p = [1, 0, 1]
     with pytest.raises(InexactDivisionError):
-        poly_divexact(p, Polynomial([1, 1]))
-    assert poly_divexact(poly_mul(p, Polynomial([2, 3])), Polynomial([2, 3])) == p
+        _int_divexact(p, [1, 1])
+    assert _int_divexact(_int_mul(p, [2, 3]), [2, 3]) == p
 
 
-@given(polys_st, nonzero_polys_st, polys_st)
+@given(st.lists(st.integers(-9, 9), max_size=5), st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+       st.lists(st.integers(-9, 9), max_size=4), st.integers(2, 5))
 @settings(max_examples=120)
-def test_divexact_by_non_monic_rational_divisors(p, q, r):
-    q = poly_scale(q, Fraction(-5, 3))
-    assert poly_divexact(poly_mul(p, q), q) == p
-    a = poly_add(poly_mul(p, q), r)
-    quot, rem = poly_divmod(a, q)
-    if rem.is_zero:
-        assert poly_divexact(a, q) == quot
+def test_int_divexact_by_non_monic_divisors(p, q, r, c):
+    # the leading coefficient is never a unit: the division is exact in
+    # Z[y] exactly when the quotient over Q has integer coefficients
+    q = q[:-1] + [-c * (abs(q[-1]) or 1)]
+    assert Polynomial(_int_divexact(_int_mul(p, q), q)) == Polynomial(p)
+    a = poly_add(Polynomial(_int_mul(p, q)), Polynomial(r))
+    ints = [int(x) for x in a.coeffs]
+    quot, rem = poly_divmod(a, Polynomial(q))
+    if rem.is_zero and all(x.denominator == 1 for x in quot.coeffs):
+        assert Polynomial(_int_divexact(ints, q)) == quot
     else:
         with pytest.raises(InexactDivisionError):
-            poly_divexact(a, q)
-    with pytest.raises(ZeroDivisionError):
-        poly_divexact(p, Polynomial.zero())
+            _int_divexact(ints, q)
 
 
 monic_ints_st = st.lists(st.integers(-30, 30), max_size=5).map(lambda c: c + [1])
@@ -216,8 +224,6 @@ def test_int_gcd_matches_euclid_oracle(common, a, b, ca, cb):
     expected = primitive_associate(euclid_gcd(Polynomial(left), Polynomial(right)))
     assert _int_gcd(left, right) == expected
     assert _int_gcd(right, left) == expected
-    if expected:
-        assert poly_gcd(Polynomial(left), Polynomial(right)) == Polynomial(expected).monic()
 
 
 @given(st.lists(st.tuples(monic_factors_st, st.integers(1, 4)), min_size=1, max_size=4))

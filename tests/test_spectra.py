@@ -86,6 +86,16 @@ def test_gamma_matrix_of_k5_with_two_labels():
     assert mf.denominator == Polynomial(den)
 
 
+def test_main_function_equality_ignores_the_scale():
+    # both have Gamma = 1/x, one over s = 2 and one over s = 1
+    half = gamma([[Fraction(1, 2), 0], [0, 0]], [[0], [1]])
+    zero = gamma([[0, 0], [0, 0]], [[0], [1]])
+    assert (half.s, zero.s) == (2, 1)
+    assert half == zero and hash(half) == hash(zero)
+    assert half.entry(0, 0) == zero.entry(0, 0) == ratfun([1], [0, 1])
+    assert half != gamma([[0, 0], [0, 0]], [[0], [2]])
+
+
 def test_main_function_invariants_on_random_specs():
     rng = random.Random(21)
     for _ in range(25):
