@@ -116,12 +116,11 @@ def _as_join_spec(spec) -> JoinSpec:
 
 
 def _parse_params_option(args) -> Optional[UniversalParams]:
-    if getattr(args, "preset", None):
+    if args.preset:
         return UniversalParams.preset(args.preset)
-    raw = getattr(args, "params", None)
-    if raw is None:
+    if args.params is None:
         return None
-    parts = raw.split(",")
+    parts = args.params.split(",")
     if len(parts) != 4:
         raise InvalidParametersError(
             "--params expects four comma-separated fractions alpha,beta,gamma,delta")
@@ -284,6 +283,8 @@ def _cmd_cospectral(args) -> int:
     # search
     import json as _json
 
+    if args.kind != "U" and (args.preset is not None or args.params is not None):
+        raise InvalidParametersError("--preset and --params apply to kind U only")
     try:
         data = _json.loads(_read_bytes(args.catalog).decode("utf-8"))
     except ValueError as exc:
@@ -365,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_uni = sub.add_parser("universal", help="universal-matrix charpoly (alpha*A+beta*I+gamma*J+delta*D)")
     p_uni.add_argument("spec")
-    p_uni.add_argument("--preset", help="A, L, Q, seidel, or Aalpha:<r>")
-    p_uni.add_argument("--params", help="alpha,beta,gamma,delta as fraction strings")
+    uni_params = p_uni.add_mutually_exclusive_group()
+    uni_params.add_argument("--preset", help="A, L, Q, seidel, or Aalpha:<r>")
+    uni_params.add_argument("--params", help="alpha,beta,gamma,delta as fraction strings")
     add_common(p_uni)
     p_uni.set_defaults(func=_cmd_universal)
 
@@ -382,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srch.add_argument("catalog")
     p_srch.add_argument("--kind", choices=COSPECTRAL_KINDS, required=True)
     p_srch.add_argument("--budget", type=int, default=2, help="largest subset size tried")
-    p_srch.add_argument("--preset", help="universal preset for kind U")
-    p_srch.add_argument("--params", help="alpha,beta,gamma,delta for kind U")
+    srch_params = p_srch.add_mutually_exclusive_group()
+    srch_params.add_argument("--preset", help="universal preset for kind U")
+    srch_params.add_argument("--params", help="alpha,beta,gamma,delta for kind U")
     add_common(p_srch)
     p_srch.set_defaults(func=_cmd_cospectral)
 

@@ -30,7 +30,6 @@ from .polynomials import Polynomial
 from .spectra import (
     MainFunction,
     _universal_blocks,
-    check_block_charpoly,
     main_function_bilinear,
     reduced_block_charpoly,
 )
@@ -47,9 +46,10 @@ _KIND_PRESETS = {
 _ISOMORPHISM_LIMIT = 32
 # Most (graph, subset) configurations one pair search takes on. Each costs
 # one main function, two unless delta = gamma = 0; on `fixtures/catalog.json`
-# at budget 3 (1,613 configurations, one 2-core machine) that is about 3 ms
-# for kind A and 9 ms for kind L, so a kind-L search at the cap runs about
-# 90 s. The shipped catalog gives 5,313 at budget 4 and 30,083 at budget 6.
+# at budget 3 (1,613 configurations, one 2-core machine) that is about
+# 2.5 ms for kind A, 6.5 ms for kind L and 9 ms for kind S, so a kind-S
+# search at the cap runs about 90 s. The shipped catalog gives 5,313 at
+# budget 4 and 30,083 at budget 6.
 _CONFIGURATION_LIMIT = 10_000
 
 
@@ -130,9 +130,7 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     cross-checked against the direct vertex-level computation."""
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
     matrix = universal_matrix(spec.join_graph(), spec.params)
-    result = reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, matrix)
-    check_block_charpoly(result, charpoly(matrix))
-    return result
+    return reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, matrix)
 
 
 def regular_gamma_closed_form(g: Graph, subset: Sequence[int],

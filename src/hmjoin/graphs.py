@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParametersError, SizeMismatchError
+from .polynomials import Scalar
 
 Edge = Tuple[int, int]
 
@@ -217,31 +218,35 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 # universal adjacency
 
 
+def _exact(value):
+    """A rational value as an int when it is integral, else as a Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
 class UniversalParams:
     """Exact parameters (alpha, beta, gamma, delta) of the universal
-    adjacency matrix alpha*A + beta*I + gamma*J + delta*D, alpha != 0."""
+    adjacency matrix alpha*A + beta*I + gamma*J + delta*D, alpha != 0.
+
+    An integral parameter is stored as an int, any other as a Fraction
+    (`_exact`), so integer parameters give integer matrices. Equality and
+    hashing compare values, so Fraction(2) and 2 give equal parameters."""
 
     __slots__ = ("alpha", "beta", "gamma", "delta")
 
     def __init__(self, alpha, beta, gamma, delta):
-        values = []
-        for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)):
-            if isinstance(v, int):
-                v = Fraction(v)
-            if not isinstance(v, Fraction):
+        values = (alpha, beta, gamma, delta)
+        for name, v in zip(self.__slots__, values):
+            if not isinstance(v, (int, Fraction)):
                 raise InvalidParametersError(f"{name} must be rational, got {type(v).__name__}")
-            values.append(v)
-        if values[0] == 0:
+        if alpha == 0:
             raise InvalidParametersError("alpha must be nonzero")
-        object.__setattr__(self, "alpha", values[0])
-        object.__setattr__(self, "beta", values[1])
-        object.__setattr__(self, "gamma", values[2])
-        object.__setattr__(self, "delta", values[3])
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, _exact(v))
 
     def __setattr__(self, name, value):
         raise AttributeError("UniversalParams is immutable")
 
-    def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    def as_tuple(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
     def __eq__(self, other):
@@ -276,20 +281,17 @@ class UniversalParams:
         raise InvalidParametersError(f"unknown universal preset {name!r} (expected A, L, Q, seidel, or Aalpha:<r>)")
 
 
-def universal_matrix(g: Graph, params: UniversalParams) -> List[List[Fraction]]:
-    """alpha*A(G) + beta*I + gamma*J + delta*D(G) as an exact matrix."""
+def universal_matrix(g: Graph, params: UniversalParams) -> List[List[Scalar]]:
+    """alpha*A(G) + beta*I + gamma*J + delta*D(G) as an exact matrix: gamma
+    off the edges, gamma + alpha on them and gamma + beta + delta*deg(v) on
+    the diagonal, each an int when it is integral (`_exact`)."""
     a, b, c, d = params.as_tuple()
-    degs = g.degrees()
-    adj = g.adjacency_matrix()
-    out = []
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            val = c + a * adj[i][j]
-            if i == j:
-                val += b + d * degs[i]
-            row.append(val)
-        out.append(row)
+    out = [[c] * g.n for _ in range(g.n)]
+    edge = _exact(c + a)
+    for u, v in g.edges:
+        out[u][v] = out[v][u] = edge
+    for v, deg in enumerate(g.degrees()):
+        out[v][v] = _exact(c + b + d * deg)
     return out
 
 

@@ -23,7 +23,7 @@ over host neighbours j, and the cross blocks carry alpha. A gamma != 0
 couples every pair through gamma*J: the sides become [1 | E_i] and
 [gamma*1 | E_i] with weights (1, alpha*rho_ij, ...). A labeled join takes
 E_i = its indexing matrix, a generalized join in `cospectral` the subset
-indicator 1_{S_i}; `block_charpoly` keeps the integer adjacency blocks.
+indicator 1_{S_i}; `block_charpoly` is this pipeline at (1, 0, 0, 0).
 
 Main functions come from walk sums, not from an adjugate. With
 phi = sum_j c_j x^(n-j) the characteristic polynomial of M (from the
@@ -62,9 +62,9 @@ Garner's CRT over the same primes lifts it exactly. A prime is skipped
 when it divides L, a row multiplier, some s_i or some g_i(t) at a chosen
 point, or when it does not exceed the last point (the points must stay
 distinct mod p); the next prime in the fixed order is taken instead, so
-the output is the same on every machine. The direct characteristic polynomial of the assembled matrix is
-always computed too, and any difference raises BlockFactorizationError
-(`check_block_charpoly`).
+the output is the same on every machine. Before it returns, it always
+computes the direct characteristic polynomial of M too, and any
+difference raises BlockFactorizationError (`check_block_charpoly`).
 
 Phi itself, kept in the report, is then the exact quotient
 det(xI - M) * prod_i g_i^m / prod_i phi_i, taken over the integers:
@@ -411,7 +411,7 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Poly
     it is interpolated mod p from its values at the first n + 1
     non-negative integers where no g_i vanishes, for each prime p that
     `_crt_lift` asks for within the bound and L of the direct engine
-    (module docstring)."""
+    (module docstring), then checked against `charpoly(matrix)`."""
     l, _, bound = _scaled_bound(matrix)
     num, scale = _reduced_stack(mfs, weights)
     # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers,
@@ -439,7 +439,9 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Poly
         coeffs = _interpolate_mod(points, values, p)
         return [c * pow(l, n - j, p) % p for j, c in enumerate(coeffs)]
 
-    return _unscaled(_crt_lift(bound, residues), l)
+    block = _unscaled(_crt_lift(bound, residues), l)
+    check_block_charpoly(block, charpoly(matrix))
+    return block
 
 
 def check_block_charpoly(block: Polynomial, direct: Polynomial) -> None:
@@ -480,14 +482,15 @@ def _universal_blocks(host, factors, sides, params):
     U_i = V_i = E_i and w = (alpha,)*c on host edges when gamma = 0, else
     U_i = [1 | E_i], V_i = [gamma*1 | E_i] and w = (1,) + (alpha*rho_ij,)*c."""
     c = len(sides[0][0]) if sides else 0
-    rho = host.adjacency_matrix()
+    neighbors = [host.neighbors(i) for i in range(host.n)]
     blocks = []
     for i, (g, e) in enumerate(zip(factors, sides)):
         m = universal_matrix(g, params)
-        # t_i, the column sums of the host neighbours' sides
-        t = [sum(col) for col in zip(*(row for j in host.neighbors(i) for row in sides[j]))]
-        for v, row in enumerate(e):
-            m[v][v] += params.delta * sum(x * y for x, y in zip(row, t))
+        if params.delta != 0:
+            # t_i, the column sums of the host neighbours' sides
+            t = [sum(col) for col in zip(*(row for j in neighbors[i] for row in sides[j]))]
+            for v, row in enumerate(e):
+                m[v][v] += params.delta * sum(x * y for x, y in zip(row, t))
         if params.gamma == 0:
             blocks.append((m, e, e))
         else:
@@ -495,33 +498,40 @@ def _universal_blocks(host, factors, sides, params):
 
     def weights(i, j):
         if params.gamma == 0:
-            return (params.alpha,) * c if rho[i][j] else None
-        return (1,) + (params.alpha * rho[i][j],) * c
+            return (params.alpha,) * c if j in neighbors[i] else None
+        return (1,) + ((params.alpha if j in neighbors[i] else 0),) * c
 
     return blocks, weights
 
 
-def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, weights) -> SpectralReport:
-    ems = spec.indexing_matrices()
-    mfs = [gamma(mat, em) for mat, em in zip(factor_matrices, ems)]
+def block_charpoly(spec: JoinSpec) -> SpectralReport:
+    """The report of `universal_block_charpoly` for the adjacency matrix,
+    U at (alpha, beta, gamma, delta) = (1, 0, 0, 0)."""
+    return universal_block_charpoly(spec, UniversalParams.preset("A"))
+
+
+def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> SpectralReport:
+    """Characteristic polynomial of U = alpha*A + beta*I + delta*D of a
+    join (gamma must be 0) by block factorization, with the indexing
+    matrices as sides, checked against the direct path, plus classification,
+    carry-forward ledger and a numeric diagnostic spectrum."""
+    if params.gamma != 0:
+        raise InvalidParametersError("universal block factorization needs gamma = 0 (the all-ones block couples all factor pairs); use the generalized-join pipeline instead")
+    blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
+    matrix = universal_matrix(hm_join(spec), params)
+    mfs = [gamma(mat, e) for mat, e, _ in blocks]
     m = spec.m
-    charpoly_block = reduced_block_charpoly(mfs, weights, direct_matrix)
-    charpoly_direct = charpoly(direct_matrix)
-    check_block_charpoly(charpoly_block, charpoly_direct)
-    l = _denominator(direct_matrix)
-    phi_det = _phi_quotient(charpoly_block, mfs, m, l)
-    flags = []
-    carry = []
-    for i, (mat, mf) in enumerate(zip(factor_matrices, mfs)):
-        if not mat_is_symmetric(mat):
-            raise NonSymmetricInputError(f"factor matrix {i} is not symmetric")
+    char = reduced_block_charpoly(mfs, weights, matrix)
+    l = _denominator(matrix)
+    flags, carry = [], []
+    for i, ((mat, _, _), mf) in enumerate(zip(blocks, mfs)):
         classes = _eigen_classes(mat, mf)
         flags.append(classes)
         common = math.lcm(l, _denominator(mat))
-        scaled_direct = _scaled(charpoly_direct, common)
+        scaled_char = _scaled(char, common)
         for c, cls in enumerate(classes):
             guaranteed = max(0, cls.multiplicity - m) if cls.is_main else cls.multiplicity
-            observed = _int_multiplicity(scaled_direct, _scaled(cls.poly, common))
+            observed = _int_multiplicity(scaled_char, _scaled(cls.poly, common))
             if observed < guaranteed:
                 raise CarryForwardError(
                     f"factor {i}, eigenvalue class {c} of degree {cls.poly.degree}: observed "
@@ -529,33 +539,12 @@ def _block_report(spec: JoinSpec, factor_matrices, direct_matrix, weights) -> Sp
                 )
             carry.append(CarryForwardRow(i, cls, guaranteed, observed))
     return SpectralReport(
-        charpoly_direct=charpoly_direct,
-        charpoly_block=charpoly_block,
+        charpoly_direct=char,
+        charpoly_block=char,
         factor_charpolys=tuple(mf.charpoly for mf in mfs),
-        phi_polynomial=phi_det,
+        phi_polynomial=_phi_quotient(char, mfs, m, l),
         gammas=tuple(mfs),
         e_main_flags=tuple(flags),
         carry_forward=tuple(carry),
-        numeric_spectrum=_numeric_spectrum(direct_matrix),
+        numeric_spectrum=_numeric_spectrum(matrix),
     )
-
-
-def block_charpoly(spec: JoinSpec) -> SpectralReport:
-    """Characteristic polynomial of the join both ways (block factorization
-    and direct), plus classification, carry-forward ledger, and a numeric
-    diagnostic spectrum. Raises when the two paths disagree."""
-    matrices = [g.adjacency_matrix() for g in spec.factors]
-    direct = hm_join(spec).adjacency_matrix()
-    rho = spec.host.adjacency_matrix()
-    return _block_report(spec, matrices, direct, lambda i, j: (1,) * spec.m if rho[i][j] else None)
-
-
-def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> SpectralReport:
-    """Block pipeline for the universal matrix U = alpha*A + beta*I + delta*D
-    of a join (gamma must be 0), on the blocks of `_universal_blocks` with
-    the indexing matrices as sides."""
-    if params.gamma != 0:
-        raise InvalidParametersError("universal block factorization needs gamma = 0 (the all-ones block couples all factor pairs); use the generalized-join pipeline instead")
-    blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
-    direct = universal_matrix(hm_join(spec), params)
-    return _block_report(spec, [mat for mat, _, _ in blocks], direct, weights)

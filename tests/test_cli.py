@@ -415,6 +415,30 @@ def test_argparse_refusals_are_one_line(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["universal", str(FIXTURES / "p3_3.json"), "--preset", "L", "--params", "1,0,0,0"],
+     "argument --params: not allowed with argument --preset"),
+    (["universal", str(FIXTURES / "p4_generalized.json"), "--params", "1,0,0,0", "--preset", "L"],
+     "argument --preset: not allowed with argument --params"),
+    (["cospectral", "search", CATALOG, "--kind", "U", "--preset", "Q", "--params", "-1,0,0,1"],
+     "argument --params: not allowed with argument --preset"),
+    (["cospectral", "search", CATALOG, "--kind", "A", "--params", "1,0,0,1"],
+     "--preset and --params apply to kind U only"),
+    (["cospectral", "search", CATALOG, "--kind", "L", "--preset", "Q"],
+     "--preset and --params apply to kind U only"),
+    (["cospectral", "search", CATALOG, "--kind", "S", "--preset", "A", "--budget", "1"],
+     "--preset and --params apply to kind U only"),
+])
+def test_conflicting_or_ignored_params_options_are_refused(capsys, argv, message):
+    # neither option may silently win over the other, nor be dropped
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: %s\n" % message)
+
+
 def test_search_budget_above_the_configuration_cap(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "cospectral", "search", CATALOG, "--kind", "A", "--budget", "16")

@@ -11,6 +11,7 @@ import pytest
 from conftest import exceptional_srg16, lattice_srg16, random_graph
 from oracles import poly_add
 import hmjoin.cospectral as cospectral
+import hmjoin.spectra as spectra
 from hmjoin.cospectral import (
     COSPECTRAL_KINDS,
     GeneralizedJoinSpec,
@@ -100,7 +101,7 @@ def test_generalized_cross_check_names_first_differing_coefficient(monkeypatch):
                                [make_named("cycle", [4]), make_named("path", [2])],
                                [[0, 2], [1]], kind_parameters("S"))
     true = charpoly(universal_matrix(spec.join_graph(), spec.params))
-    monkeypatch.setattr(cospectral, "charpoly", lambda m: poly_add(charpoly(m), Polynomial([0, 0, 0, 3])))
+    monkeypatch.setattr(spectra, "charpoly", lambda m: poly_add(charpoly(m), Polynomial([0, 0, 0, 3])))
     with pytest.raises(BlockFactorizationError) as info:
         generalized_universal_charpoly(spec)
     message = str(info.value)

@@ -130,6 +130,23 @@ def test_universal_matrix_general_combination():
             assert m[i][j] == expected
 
 
+def test_universal_matrix_entries_are_ints_exactly_where_integral():
+    # degrees 1, 2 and 3: delta * deg is integral on the star's centre only
+    g = disjoint_union([make_named("star", [4]), make_named("path", [3])])
+    integral = [UniversalParams.preset(name) for name in ("A", "L", "Q", "seidel")]
+    integral += [UniversalParams(2, 1, 0, -1), UniversalParams(*map(Fraction, (2, 1, 0, -1)))]
+    for p in integral:
+        assert all(type(v) is int for v in p.as_tuple())
+        assert all(type(x) is int for row in universal_matrix(g, p) for x in row)
+    entries = [x for row in universal_matrix(g, UniversalParams.preset("Aalpha:1/3")) for x in row]
+    assert {Fraction(1, 3), Fraction(2, 3), 1, 0} <= set(entries)
+    for x in entries:
+        assert type(x) is (int if x.denominator == 1 else Fraction)
+    two = UniversalParams(Fraction(2), 0, 0, 0)
+    assert two == UniversalParams(2, 0, 0, 0) and hash(two) == hash(UniversalParams(2, 0, 0, 0))
+    assert type(two.alpha) is int
+
+
 def test_edgelist_round_trip_bit_exact():
     g = Graph(4, [(0, 3), (1, 2), (0, 1)])
     text = graph_to_edgelist(g)
