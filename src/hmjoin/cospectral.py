@@ -23,7 +23,7 @@ from .errors import (
     TheoremViolationError,
     TooLargeError,
 )
-from .exactlinalg import charpoly
+from .exactlinalg import _scaled_bound, charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import IndexingMap, JoinSpec, hm_join
 from .polynomials import Polynomial
@@ -130,7 +130,7 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     cross-checked against the direct vertex-level computation."""
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
     matrix = universal_matrix(spec.join_graph(), spec.params)
-    return reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, matrix)
+    return reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, *_scaled_bound(matrix))
 
 
 def regular_gamma_closed_form(g: Graph, subset: Sequence[int],

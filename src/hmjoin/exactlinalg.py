@@ -14,19 +14,20 @@ denominator of M, it works on the integer matrix M' = L*M and returns
 c_k(M) = c_k(M') / L^k. Each c_k(M') is a signed sum of C(n, k) principal
 k-minors, each at most B^k by Hadamard's inequality, with
 B = isqrt(largest row sum of squares) + 1 (`_scaled_bound`); primes below
-2**26, largest first (`_primes`), are taken until their product exceeds
-2 * max_k C(n, k) B^k + 1. Modulo each prime, numpy int64 similarity
-transforms bring M' to upper Hessenberg form and a recurrence reads off
-its characteristic polynomial; Garner's CRT with symmetric residues
-(`_crt_lift`) lifts the coefficients. The int64 argument: residues are
-below 2**26, so every product is below 2**52, and every sum of products
-is reduced after at most 2**11 - 1 terms, so no partial sum reaches
-2**63. No prime is bad, because the characteristic polynomial of M' mod p
-is always that of M' reduced mod p, so the result is exact and the same
-on every machine.
+2**26, largest first (`_primes`), are chosen before any residue, until
+their product exceeds 2 * max_k C(n, k) B^k + 1 (`_lift_primes`). M' mod
+each is one member of an int64 stack; numpy similarity transforms bring
+all members to upper Hessenberg form at once and a recurrence reads off
+their characteristic polynomials (`_charpoly_mod`); Garner's CRT with
+symmetric residues (`_crt_lift`) lifts the coefficients. The int64
+argument holds per member: residues are below its prime p < 2**26, so
+every product is below 2**52, and every sum of products is reduced after
+at most 2**11 - 1 terms, so no partial sum reaches 2**63. No prime is bad:
+the characteristic polynomial of M' mod p is always that of M' reduced
+mod p, so the result is exact and the same on every machine.
 
 No adjugate of (xI - M) is ever formed: the main functions in `spectra`
-take the integer lift of this engine, det(yI - L*M) (`_charpoly_scaled`),
+take the integer lift of this engine, det(yI - L*M) (`_charpoly_lift`),
 read their numerators off the walk sums L^T M^t R and those coefficients,
 and their denominators off one gcd chain against it.
 
@@ -36,9 +37,9 @@ reduces the coefficients mod p, evaluates the matrix at all requested
 points into one int64 stack and takes every determinant at once by
 batched Gaussian elimination (`_det_mod`), under the same int64 argument:
 each step forms one product of two residues and reduces it.
-`_interpolate_mod` interpolates values mod p. The reduced block
-determinants in `spectra` use these with the bound, the primes and the
-CRT of `charpoly`.
+`_interpolate_mod` interpolates values modulo a stack of primes at once.
+The reduced block determinants in `spectra` use these with the bound, the
+prime choice and the CRT of `charpoly`.
 
 `rational_eigenvalues` scales a characteristic polynomial by the same L
 (`polynomials._scaled`): its rational roots are then the integer roots y
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,110 +132,131 @@ def _primes() -> Iterator[int]:
         i += 1
 
 
-def _crt_lift(bound: int, residues_mod: Callable[[int], Optional[Sequence[int]]]) -> List[int]:
-    """Integers c_j with every |c_j| <= bound, from their residues:
-    `residues_mod(p)` gives every c_j mod p, or None when p is bad, for the
-    primes of `_primes` in order; bad primes are skipped and the next one
-    taken until the primes used multiply past 2 * bound + 1. Garner's CRT,
-    lifted incrementally, with symmetric residues. The primes depend only
-    on the bound and on which primes are bad, so the result is the same on
-    every machine."""
-    need = 2 * bound + 1
-    lifted: Optional[List[int]] = None
-    modulus = 1
-    primes = _primes()
-    while modulus <= need:
+def _lift_primes(bound: int, bad=lambda p: False) -> List[int]:
+    """The primes of `_primes` in order, skipping those that `bad` rejects,
+    until their product exceeds 2 * bound + 1, so that `_crt_lift` recovers
+    integers within bound; a pure function of the bound and the bad primes."""
+    chosen, modulus, primes = [], 1, _primes()
+    while modulus <= 2 * bound + 1:
         p = next(primes)
-        residues = residues_mod(p)
-        if residues is None:
-            continue
-        if lifted is None:
-            lifted = [0] * len(residues)
+        if not bad(p):
+            chosen.append(p)
+            modulus *= p
+    return chosen
+
+
+def _crt_lift(ps: Sequence[int], residues: List[List[int]]) -> List[int]:
+    """Integers c_j from the (P, len) residues[i][j] = c_j mod ps[i] for the
+    primes of `_lift_primes`: Garner's CRT, lifted incrementally, symmetric."""
+    lifted, modulus = [0] * len(residues[0]), 1
+    for p, row in zip(ps, residues):
         inv = pow(modulus, -1, p)
-        lifted = [c + modulus * ((r - c) * inv % p) for c, r in zip(lifted, residues)]
+        lifted = [c + modulus * ((r - c) * inv % p) for c, r in zip(lifted, row)]
         modulus *= p
-    half = modulus // 2
-    return [c - modulus if c > half else c for c in lifted]
+    return [c - modulus if 2 * c > modulus else c for c in lifted]
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
 
-def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p for int64 operands with entries in [0, p), summed in
-    chunks of at most _DOT_TERMS terms so that no partial sum overflows."""
-    out = a[..., :_DOT_TERMS] @ b[:_DOT_TERMS]
+def _dot_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """(a @ b) % p for int64 operands with entries in [0, p) and b at least
+    2-D, p broadcasting against the product, summed in chunks of at most
+    _DOT_TERMS terms so that no partial sum overflows."""
+    out = a @ b if a.shape[-1] <= _DOT_TERMS else a[..., :_DOT_TERMS] @ b[..., :_DOT_TERMS, :]
     out %= p
-    for s in range(_DOT_TERMS, b.shape[0], _DOT_TERMS):
-        out += a[..., s:s + _DOT_TERMS] @ b[s:s + _DOT_TERMS]
+    for s in range(_DOT_TERMS, a.shape[-1], _DOT_TERMS):
+        out += a[..., s:s + _DOT_TERMS] @ b[..., s:s + _DOT_TERMS, :]
         out %= p
     return out
 
 
-def _charpoly_mod(h: np.ndarray, p: int) -> List[int]:
-    """Coefficients, constant term first, of det(xI - H) mod p for an int64
-    matrix H with entries in [0, p) (overwritten).
+def _by_member(values: Sequence[int]):
+    """A (P, 1) int64 column, or the int itself for one member (numpy's scalar path)."""
+    return values[0] if len(values) == 1 else np.array(values, dtype=np.int64)[:, None]
 
-    H is brought to upper Hessenberg form by similarity transforms mod p:
-    for each column k, a row and column swap moves a non-zero entry of
-    H[k+1:, k] to H[k+1, k] (a column that is already zero there is
-    skipped), scaling row k+1 by its inverse and column k+1 by it makes the
-    pivot 1, and subtracting multiples of row k+1 clears the entries below
-    it, with the inverse column update H[:, k+1] += H[:, k+2:] @ u. Every
-    subdiagonal entry is then 0 or 1, so the recurrence of Cohen, Alg.
-    2.2.9, p_m = (x - H[m-1, m-1]) p_(m-1) - sum_i H[i, m-1] p_i, sums over
-    the rows i of the current unreduced diagonal block only. Every product
-    is of two residues below 2**26, and sums of them go through `_dot_mod`.
-    """
-    n = h.shape[0]
+
+def _charpoly_mod(h: np.ndarray, ps: Sequence[int]) -> np.ndarray:
+    """Coefficients, constant term first, of det(xI - H_i) mod ps[i] for
+    every member of an int64 stack H of shape (P, n, n), member i with
+    entries in [0, ps[i]) (overwritten): an int64 array of shape (P, n + 1).
+
+    For each column k, a row and column swap moves a non-zero entry of
+    H[k+1:, k] to the pivot H[k+1, k] (a zero column is left alone), row k+1
+    is divided by the pivot t and its multiples u clear H[k+2:, k]; the
+    inverse column steps, which commute with these, multiply column k+1 by
+    t and add H[:, k+2:] @ u. In this upper Hessenberg form every
+    subdiagonal entry is 0 or 1, so the recurrence of Cohen, Alg. 2.2.9,
+    p_m = x p_(m-1) - sum_i H[i, m-1] p_i, sums over the rows i < m of the
+    current diagonal block. Members disagree only where a prime divides a
+    pivot: each then swaps on its own, and a member whose column alone is
+    zero has its block above and right of H[k+1, k+1] zeroed, which keeps
+    its characteristic polynomial, so the recurrence uses shared starts.
+    Every product is of two residues; sums go through `_dot_mod`."""
+    n = h.shape[1]
+    q = _by_member(ps)
+    q3 = q if len(ps) == 1 else q[:, :, None]
+    starts = set()
     for k in range(n - 1):
-        below = np.flatnonzero(h[k + 1:, k])
-        if not below.size:
+        t = h[:, k + 1, k].tolist()
+        if not all(t):
+            first = (h[:, k + 1:, k] != 0).argmax(axis=1).tolist()
+            for j, i in [(slice(None), first[0])] if len(set(first)) == 1 else enumerate(first):
+                for b in (h[j], h[j].swapaxes(-1, -2)) if i else ():
+                    row = b[..., k + 1, :].copy()
+                    b[..., k + 1, :] = b[..., k + 1 + i, :]
+                    b[..., k + 1 + i, :] = row
+            t = h[:, k + 1, k].tolist()
+        if not any(t):
+            starts.add(k + 1)
             continue
-        i = k + 1 + int(below[0])
-        if i != k + 1:
-            h[[k + 1, i]] = h[[i, k + 1]]
-            h[:, [k + 1, i]] = h[:, [i, k + 1]]
-        t = int(h[k + 1, k])
-        if t != 1:
-            h[k + 1] = h[k + 1] * pow(t, -1, p) % p
-            h[:, k + 1] = h[:, k + 1] * t % p
-        u = h[k + 2:, k].copy()
-        if u.any():
-            h[k + 2:] = (h[k + 2:] - np.outer(u, h[k + 1])) % p
-            h[:, k + 1] = (h[:, k + 1] + _dot_mod(h[:, k + 2:], u, p)) % p
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
+        if 0 in t:
+            h[[j for j, x in enumerate(t) if not x], :k + 1, k + 1:] = 0
+            t = [x or 1 for x in t]
+        if max(t) > 1:
+            h[:, k + 1] = h[:, k + 1] * _by_member([pow(x, -1, p) for x, p in zip(t, ps)]) % q
+        u = h[:, k + 2:, k, None].copy()
+        eliminate = u.any()
+        if eliminate:
+            rest = h[:, k + 2:]
+            rest -= u * h[:, None, k + 1]
+            rest %= q3
+        col = h[:, :, k + 1] * _by_member(t)
+        if eliminate:
+            col += _dot_mod(h[:, :, k + 2:], u, q3)[..., 0]
+        h[:, :, k + 1] = col % q
+    polys = np.zeros((len(ps), n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
     start = 0
     for m in range(1, n + 1):
-        if m > 1 and h[m - 1, m - 2] == 0:
+        if m - 1 in starts:
             start = m - 1
-        prev = polys[m - 1]
-        row = polys[m]
-        row[1:] = prev[:-1]
-        row -= h[m - 1, m - 1] * prev
-        if start < m - 1:
-            row -= _dot_mod(h[start:m - 1, m - 1], polys[start:m - 1], p)
-        row %= p
-    return polys[n].tolist()
+        row = polys[:, m]
+        row[:, 1:] = polys[:, m - 1, :-1]
+        row -= _dot_mod(h[:, None, start:m, m - 1], polys[:, start:m], q3)[:, 0]
+        row %= q
+    return polys[:, n]
 
 
-def _charpoly_scaled(m) -> Tuple[int, List[List[int]], List[int]]:
-    """L, the integer rows of L*M and the coefficients, constant term
-    first, of det(yI - L*M), monic in Z[y]: the charpoly of L*M modulo each
-    prime, lifted by `_crt_lift` within the bound of `_scaled_bound`."""
-    _require_square(m)
-    l, rows, bound = _scaled_bound(m)
-    big = np.array(rows, dtype=object)
-    return l, rows, _crt_lift(bound, lambda p: _charpoly_mod((big % p).astype(np.int64), p))
+def _charpoly_lift(rows: List[List[int]], bound: int) -> List[int]:
+    """The coefficients, constant term first, of det(yI - R), monic in Z[y],
+    for the integer rows R of L*M and the bound of `_scaled_bound(M)`: R
+    modulo every prime of `_lift_primes` in one stack for `_charpoly_mod`."""
+    ps, n = _lift_primes(bound), len(rows)
+    big = np.array(rows, dtype=object).reshape(n, n)
+    h = np.empty((len(ps), n, n), dtype=np.int64)
+    for i, p in enumerate(ps):
+        h[i] = big % p
+    return _crt_lift(ps, _charpoly_mod(h, ps).tolist())
 
 
 def charpoly(m) -> Polynomial:
     """det(xI - M) of a rational matrix, exactly, by the multi-modular
     engine (module docstring): c_k(M) = c_k(L*M) / L^k."""
-    l, _, coeffs = _charpoly_scaled(m)
-    return _unscaled(coeffs, l)
+    _require_square(m)
+    l, rows, bound = _scaled_bound(m)
+    return _unscaled(_charpoly_lift(rows, bound), l)
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +309,24 @@ def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int) -> np.nd
     return _det_mod(_dot_mod(powers, coeffs, p).reshape(len(points), n, n), p)
 
 
-def _interpolate_mod(xs: Sequence[int], ys: Sequence[int], p: int) -> List[int]:
+def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
     """Coefficients, constant term first, of the polynomial of degree below
-    len(xs) through the points (xs[i], ys[i]) mod p, for increasing
-    integers xs with xs[-1] - xs[0] < p: Newton divided differences, then
-    the Newton form expanded. Every step multiplies two residues."""
-    n = len(xs)
+    len(xs) through the points (xs[j], ys[i][j]) mod ps[i], for all rows i
+    at once, as a (P, len(xs)) int64 array, for increasing non-negative xs
+    below every prime: Newton divided differences, then the Newton form
+    expanded, points by primes. Every step multiplies two residues."""
+    n, q = len(xs), np.transpose(_by_member(ps))
     x = np.array(xs, dtype=np.int64)
-    inverse = np.array([0] + [pow(d, -1, p) for d in range(1, xs[-1] - xs[0] + 1)], dtype=np.int64)
-    c = np.array(ys, dtype=np.int64) % p
+    inverse = np.array([[0] + [pow(d, -1, p) for d in range(1, xs[-1] - xs[0] + 1)] for p in ps], dtype=np.int64).T
+    c = np.array(ys, dtype=np.int64).T % q
     for j in range(1, n):
-        c[j:] = (c[j:] - c[j - 1:-1]) % p * inverse[x[j:] - x[:-j]] % p
-    out = np.zeros(n, dtype=np.int64)
-    x %= p
+        c[j:] = (c[j:] - c[j - 1:-1]) % q * inverse[x[j:] - x[:-j]] % q
+    out = np.zeros_like(c)
     for i in range(n - 1, -1, -1):
-        shifted = np.concatenate(([0], out[:-1]))
-        out = (shifted - x[i] * out) % p
-        out[0] = (out[0] + c[i]) % p
-    return out.tolist()
+        out[1:] = out[:-1] - xs[i] * out[1:]
+        out[0] = c[i] - xs[i] * out[0]
+        out %= q
+    return out.T
 
 
 # ---------------------------------------------------------------------------

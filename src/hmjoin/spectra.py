@@ -51,19 +51,19 @@ m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
 `cospectral` share, works modulo primes below 2**26. `_reduced_stack`
 builds the integer coefficients of the block once, straight from the
 main functions' integers, each row cleared by the lcm of its coefficient
-denominators. For each prime p it reduces them, evaluates the block at the
-first n + 1 non-negative integers t where no g_i vanishes into one int64
-stack, takes all the determinants Phi(t) mod p at once by batched
-Gaussian elimination, multiplies by prod_i phi_i(t) / g_i(t)^m and
-interpolates det(xI - M) mod p. With L the common denominator of the
-assembled matrix M, the coefficient of x^(n-k) times L^k is an integer
-inside the Hadamard-type bound of the direct engine in `exactlinalg`, so
-Garner's CRT over the same primes lifts it exactly. A prime is skipped
-when it divides L, a row multiplier, some s_i or some g_i(t) at a chosen
-point, or when it does not exceed the last point (the points must stay
-distinct mod p); the next prime in the fixed order is taken instead, so
-the output is the same on every machine. Before it returns, it always
-computes the direct characteristic polynomial of M too, and any
+denominators. With L the common denominator of the assembled matrix M,
+the coefficient of x^(n-k) times L^k is an integer inside the
+Hadamard-type bound of the direct engine in `exactlinalg`, and all primes
+are chosen first, in that engine's order: a prime is skipped when it
+divides L, a row multiplier, some s_i or some g_i(t) at a chosen point,
+or when it does not exceed the last point (the points must stay distinct
+mod p), so the output is the same on every machine. For each prime p it
+evaluates the block at the first n + 1 non-negative integers t where no
+g_i vanishes into one int64 stack and takes all the determinants Phi(t)
+mod p at once by batched Gaussian elimination; times prod_i phi_i(t) /
+g_i(t)^m, the values of all primes are interpolated in one stack and
+lifted by Garner's CRT. Before it returns, it always computes the direct
+characteristic polynomial from the same integer rows of M too, and any
 difference raises BlockFactorizationError (`check_block_charpoly`).
 
 Phi itself, kept in the report, is then the exact quotient
@@ -97,13 +97,13 @@ import numpy as np
 
 from .errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
 from .exactlinalg import (
-    _charpoly_scaled,
+    _charpoly_lift,
     _crt_lift,
     _denominator,
     _interpolate_mod,
+    _lift_primes,
     _polymatrix_det_mod,
     _scaled_bound,
-    charpoly,
     mat_is_symmetric,
     mat_shape,
     rational_eigenvalues,
@@ -229,8 +229,8 @@ def _resolvent(key: tuple):
     and the rows of M' as (column, entry) pairs of its non-zeros. Cached on
     matrix content, so factors and pair searches that revisit a matrix pay
     for its characteristic polynomial once."""
-    s, rows, phi = _charpoly_scaled(key)
-    return s, tuple(phi), tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    s, rows, bound = _scaled_bound(key)
+    return s, tuple(_charpoly_lift(rows, bound)), tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 
 def _bilinear_numerators(m, left, right) -> Tuple[int, Tuple[int, ...], int, List[List[List[int]]]]:
@@ -398,21 +398,19 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, in
         return num, scale
 
 
-def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Polynomial:
-    """det(xI - M) of the block matrix M = `matrix` from the main functions
-    `mfs` of its diagonal blocks, when each off-diagonal block (i, j)
-    factors through the sides of Gamma_i with column weights
-    `weights(i, j)` (None: zero).
+def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, bound: int) -> Polynomial:
+    """det(xI - M) of the block matrix M with (l, rows, bound) =
+    `_scaled_bound(M)` from the main functions `mfs` of its diagonal
+    blocks, when each off-diagonal block (i, j) factors through the sides of
+    Gamma_i with column weights `weights(i, j)` (None: zero).
 
     The reduced matrix holds g_i I on diagonal block i and -w_b f_i[a][b] at
     row a of block i, column b of block j, w = weights(i, j); its
     determinant Phi gives det(xI - M) = prod_i phi_i * Phi / prod_i g_i^(m_i)
     with m_i the size of block i. That has degree n = sum_i deg phi_i, so
-    it is interpolated mod p from its values at the first n + 1
-    non-negative integers where no g_i vanishes, for each prime p that
-    `_crt_lift` asks for within the bound and L of the direct engine
-    (module docstring), then checked against `charpoly(matrix)`."""
-    l, _, bound = _scaled_bound(matrix)
+    it is interpolated from its values at the first n + 1 non-negative
+    integers where no g_i vanishes, modulo every prime of `_lift_primes` at
+    once (module docstring), then checked against `_charpoly_lift(rows)`."""
     num, scale = _reduced_stack(mfs, weights)
     # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
@@ -430,17 +428,12 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, matrix) -> Poly
             tops.append(top)
             bottoms.append(bottom)
         t += 1
-
-    def residues(p):
-        if p <= points[-1] or l % p == 0 or any(x % p == 0 for x in bottoms):
-            return None
-        dets = _polymatrix_det_mod(num, points, p).tolist()
-        values = [d * top * pow(bottom, -1, p) % p for d, top, bottom in zip(dets, tops, bottoms)]
-        coeffs = _interpolate_mod(points, values, p)
-        return [c * pow(l, n - j, p) % p for j, c in enumerate(coeffs)]
-
-    block = _unscaled(_crt_lift(bound, residues), l)
-    check_block_charpoly(block, charpoly(matrix))
+    ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(x % p == 0 for x in bottoms))
+    values = [[d * top * pow(bottom, -1, p) % p for d, top, bottom in zip(_polymatrix_det_mod(num, points, p).tolist(), tops, bottoms)]
+              for p in ps]
+    coeffs = _interpolate_mod(points, values, ps).tolist()
+    block = _unscaled(_crt_lift(ps, [[c * pow(l, n - j, p) % p for j, c in enumerate(row)] for p, row in zip(ps, coeffs)]), l)
+    check_block_charpoly(block, _unscaled(_charpoly_lift(rows, bound), l))
     return block
 
 
@@ -521,8 +514,8 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
     matrix = universal_matrix(hm_join(spec), params)
     mfs = [gamma(mat, e) for mat, e, _ in blocks]
     m = spec.m
-    char = reduced_block_charpoly(mfs, weights, matrix)
-    l = _denominator(matrix)
+    l, rows, bound = _scaled_bound(matrix)
+    char = reduced_block_charpoly(mfs, weights, l, rows, bound)
     flags, carry = [], []
     for i, ((mat, _, _), mf) in enumerate(zip(blocks, mfs)):
         classes = _eigen_classes(mat, mf)

@@ -1,6 +1,7 @@
 """Generalized joins, closed forms, isomorphism testing, and the
 hypothesis-checked cospectral pair machinery."""
 
+import itertools
 import json
 import pathlib
 import random
@@ -9,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import exceptional_srg16, lattice_srg16, random_graph
-from oracles import poly_add
 import hmjoin.cospectral as cospectral
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import (
@@ -101,7 +101,11 @@ def test_generalized_cross_check_names_first_differing_coefficient(monkeypatch):
                                [make_named("cycle", [4]), make_named("path", [2])],
                                [[0, 2], [1]], kind_parameters("S"))
     true = charpoly(universal_matrix(spec.join_graph(), spec.params))
-    monkeypatch.setattr(spectra, "charpoly", lambda m: poly_add(charpoly(m), Polynomial([0, 0, 0, 3])))
+    # corrupt the direct path only: its integer rows (L = 1 here) are the
+    # only ones with as many rows as the join; factors keep their charpolys
+    lift, n = spectra._charpoly_lift, true.degree
+    monkeypatch.setattr(spectra, "_charpoly_lift", lambda rows, bound: lift(rows, bound) if len(rows) != n else
+                        [c + d for c, d in itertools.zip_longest(lift(rows, bound), [0, 0, 0, 3], fillvalue=0)])
     with pytest.raises(BlockFactorizationError) as info:
         generalized_universal_charpoly(spec)
     message = str(info.value)

@@ -33,6 +33,7 @@ from hmjoin.exactlinalg import (
     _det_mod,
     _dot_mod,
     _interpolate_mod,
+    _lift_primes,
     _polymatrix_det_mod,
     _primes,
     _scaled_bound,
@@ -175,9 +176,64 @@ def test_charpoly_engine_hessenberg_swaps_and_zero_subcolumns():
     p = 101
     m = [[1, 2, 3, 4], [0, 5, 6, 7], [6, 0, 8, 9], [0, 0, 0, 2]]
     h = np.array(m, dtype=np.int64)
-    assert _charpoly_mod(h, p) == [int(c) % p for c in bareiss_charpoly(m).coeffs]
+    assert _charpoly_mod(h[None], [p]).tolist() == [[int(c) % p for c in bareiss_charpoly(m).coeffs]]
     assert not np.tril(h, -2).any()
     assert np.diagonal(h, -1).tolist() == [1, 1, 0]
+
+
+def assert_stack_matches(m, ps):
+    """Reduce the integer matrix M modulo each prime of ps into one stack
+    and check every member of `_charpoly_mod` against the Bareiss oracle
+    modulo its own prime; returns the reduced stack."""
+    n = len(m)
+    h = np.array([[[x % p for x in row] for row in m] for p in ps], dtype=np.int64).reshape(len(ps), n, n)
+    coeffs = bareiss_charpoly(m).coeffs
+    assert _charpoly_mod(h, ps).tolist() == [[int(c) % p for c in coeffs] for p in ps]
+    return h
+
+
+def test_stacked_charpoly_members_disagreeing_on_a_pivot_row():
+    # H[1, 0] = p vanishes modulo the first prime only: that member swaps
+    # rows and columns 1 and 2 at column 0, the others do not
+    p = next(_primes())
+    ps = [p, 101, 103]
+    m = [[1, 2, 3, 4], [p, 5, 6, 7], [3, 0, 8, 9], [1, 2, 0, 2]]
+    h = assert_stack_matches(m, ps)
+    assert not np.tril(h, -2).any()
+    assert h[0, 1, 0] == 1 and h[0, 2, 1:].tolist() != h[1, 2, 1:].tolist()
+    # the same with p at the last pivot, and a stack where two members agree
+    assert_stack_matches([[1, 2, 3, 4], [1, 5, 6, 7], [0, 1, 8, 9], [0, 0, p, 2]], ps)
+    assert_stack_matches(m, [101, p, 103, p])
+
+
+def test_stacked_charpoly_members_disagreeing_on_a_block_start():
+    # already Hessenberg: modulo p the subdiagonal entry H[1, 0] = p is 0,
+    # so that member's first diagonal block ends at row 0, while H[2, 1] = 0
+    # ends a block in every member
+    p = next(_primes())
+    ps = [101, p, 103]
+    for m in ([[1, 2, 3], [p, 4, 5], [0, 1, 6]],
+              [[1, 2, 3, 4], [p, 4, 5, 6], [0, 0, 6, 7], [0, 0, 2 * p, 8]],
+              [[5, 2, 3, 4, 1], [1, 4, 5, 6, 2], [0, 0, 6, 7, 3], [0, 0, 101, 8, 4], [0, 0, 0, 103, 9]]):
+        h = assert_stack_matches(m, ps)
+        assert not np.tril(h, -2).any()
+        assert len({tuple(row) for row in np.diagonal(h, -1, 1, 2).tolist()}) > 1
+    rng = random.Random(49)
+    for n in range(2, 8):
+        # entries that vanish modulo some primes of the stack only
+        for _ in range(6):
+            assert_stack_matches([[rng.choice([0, 0, 0, 1, -2, 101, 103, p, 101 * 103]) for _ in range(n)]
+                                  for _ in range(n)], ps)
+
+
+def test_stacked_charpoly_single_member_and_empty_stacks():
+    p = next(_primes())
+    rng = random.Random(50)
+    for n in range(1, 8):
+        assert_stack_matches([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], [p])
+        assert_stack_matches([[rng.choice([0, 0, 1, p]) for _ in range(n)] for _ in range(n)], [p])
+    assert _charpoly_mod(np.zeros((3, 0, 0), dtype=np.int64), [p, 101, 103]).tolist() == [[1]] * 3
+    assert assert_stack_matches([], [p]).shape == (1, 0, 0)
 
 
 def test_charpoly_primes_cover_twice_the_hadamard_bound():
@@ -190,8 +246,7 @@ def test_charpoly_primes_cover_twice_the_hadamard_bound():
         b = math.isqrt(max(sum(x * x for x in row) for row in rows)) + 1
         bound = max(math.comb(n, k) * b ** k for k in range(n + 1))
         assert _scaled_bound(rows) == (1, rows, bound)
-        primes = []
-        _crt_lift(bound, lambda q: primes.append(q) or [0])
+        primes = _lift_primes(bound)
         assert math.prod(primes) > 2 * bound + 1
         assert math.prod(primes[:-1]) <= 2 * bound + 1
         assert list(primes) == sorted(set(primes), reverse=True)
@@ -206,13 +261,23 @@ def test_charpoly_engine_int64_dot_products_are_chunked(monkeypatch):
     p = next(_primes())
     a = np.full((2, 5000), p - 1, dtype=np.int64)
     b = np.full(5000, p - 1, dtype=np.int64)
-    assert _dot_mod(a, b, p).tolist() == [5000 * (p - 1) ** 2 % p] * 2
+    assert _dot_mod(a, b[:, None], p).tolist() == [[5000 * (p - 1) ** 2 % p]] * 2
     assert _dot_mod(b, a.T, p).tolist() == [5000 * (p - 1) ** 2 % p] * 2
     # with tiny chunks the engine takes the multi-chunk route everywhere
     monkeypatch.setattr(exactlinalg, "_DOT_TERMS", 2)
     rng = random.Random(45)
     for n in range(1, 9):
         assert_engine_matches([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)])
+    # a stack with one modulus per member, entries near each member's prime
+    ps = [p, 101, 7]
+    q = np.array(ps, dtype=np.int64)[:, None, None]
+    left = [[[rng.randrange(max(0, r - 3), r) for _ in range(5)] for _ in range(3)] for r in ps]
+    right = [[[rng.randrange(max(0, r - 3), r) for _ in range(4)] for _ in range(5)] for r in ps]
+    expected = [[[sum(x * y for x, y in zip(row, col)) % r for col in zip(*b)] for row in a]
+                for a, b, r in zip(left, right, ps)]
+    assert _dot_mod(np.array(left, dtype=np.int64), np.array(right, dtype=np.int64), q).tolist() == expected
+    for n in range(2, 7):
+        assert_stack_matches([[rng.choice([0, 1, -5, 101, p]) for _ in range(n)] for _ in range(n)], ps)
 
 
 def test_adjugate_identity():
@@ -368,28 +433,28 @@ def test_polymatrix_det_mod_matches_bareiss_values():
 
 def test_interpolate_mod_round_trip():
     rng = random.Random(48)
-    p = next(_primes())
+    ps = [next(_primes()), 101, 43]
     for n in range(1, 12):
-        coeffs = [rng.randrange(p) for _ in range(n)]
+        coeffs = [[rng.randrange(p) for _ in range(n)] for p in ps]
         xs = sorted(rng.sample(range(40), n))
-        ys = [sum(c * x ** k for k, c in enumerate(coeffs)) % p for x in xs]
-        assert _interpolate_mod(xs, ys, p) == coeffs
+        ys = [[sum(c * x ** k for k, c in enumerate(row)) % p for x in xs] for row, p in zip(coeffs, ps)]
+        assert _interpolate_mod(xs, ys, ps).tolist() == coeffs
+        assert _interpolate_mod(xs, ys[:1], ps[:1]).tolist() == coeffs[:1]
 
 
 def test_crt_lift_skips_bad_primes():
     values = [-(10 ** 30) + 7, 0, 10 ** 30 - 3, -1]
     bound = 10 ** 30
-    used = []
-
-    def residues(p):
-        if len(used) + len(skipped) < 2:
-            skipped.append(p)
-            return None
-        used.append(p)
-        return [v % p for v in values]
-
     skipped = []
-    assert _crt_lift(bound, residues) == values
+
+    def bad(p):
+        if len(skipped) < 2:
+            skipped.append(p)
+            return True
+        return False
+
+    used = _lift_primes(bound, bad)
+    assert _crt_lift(used, [[v % p for v in values] for p in used]) == values
     primes = list(itertools.islice(_primes(), len(used) + 2))
     assert skipped == primes[:2] and used == primes[2:]
     assert math.prod(used) > 2 * bound + 1 >= math.prod(used[:-1])

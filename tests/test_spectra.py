@@ -14,7 +14,6 @@ from oracles import (
     interpolate,
     lowest_terms,
     multiplicity,
-    poly_add,
     poly_divmod,
     poly_eval,
     poly_from_roots,
@@ -451,7 +450,11 @@ def test_block_charpoly_skips_roots_of_main_denominators():
 def test_block_factorization_error_names_first_differing_coefficient(monkeypatch):
     spec = example_3_7_spec()
     true = charpoly(hm_join(spec).adjacency_matrix())
-    monkeypatch.setattr(spectra, "charpoly", lambda m: poly_add(charpoly(m), Polynomial([0, 0, 5, 1])))
+    # corrupt the direct path only: its integer rows (L = 1 here) are the
+    # only ones with as many rows as the join; factors keep their charpolys
+    lift, n = spectra._charpoly_lift, true.degree
+    monkeypatch.setattr(spectra, "_charpoly_lift", lambda rows, bound: lift(rows, bound) if len(rows) != n else
+                        [c + d for c, d in itertools.zip_longest(lift(rows, bound), [0, 0, 5, 1], fillvalue=0)])
     with pytest.raises(BlockFactorizationError) as info:
         block_charpoly(spec)
     message = str(info.value)
