@@ -1,12 +1,13 @@
 """Command-line front end: parse spec documents, dispatch the library
-computations, and emit deterministic machine-readable reports.
+computations, and emit deterministic machine-readable reports. Each verb
+returns its document; `main` renders and writes it.
 
 Exit status: 0 on success, 1 when a verified identity fails (the failed
 identity is named on stderr), 2 on input or hypothesis errors."""
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .cospectral import (
     COSPECTRAL_KINDS,
@@ -42,14 +43,14 @@ from .serialize import (
     canonical_dumps,
     certificate_to_json,
     fraction_from_json,
-    graph_from_json,
     params_to_json,
+    parse_catalog,
     parse_spec,
     polynomial_to_json,
     report_to_json,
     spec_to_json,
 )
-from .spectra import block_charpoly, classify_e_main, universal_block_charpoly
+from .spectra import SpectralReport, block_charpoly, classify_e_main, universal_block_charpoly
 
 _VIOLATIONS = (BlockFactorizationError, CarryForwardError, TheoremViolationError)
 
@@ -109,10 +110,9 @@ def _load_spec(path: str):
     return parse_spec(_read_bytes(path))
 
 
-def _as_join_spec(spec) -> JoinSpec:
-    if isinstance(spec, GeneralizedJoinSpec):
-        return spec.to_hm()
-    return spec
+def _load_join_spec(path: str) -> JoinSpec:
+    spec = _load_spec(path)
+    return spec.to_hm() if isinstance(spec, GeneralizedJoinSpec) else spec
 
 
 def _parse_params_option(args) -> Optional[UniversalParams]:
@@ -128,54 +128,44 @@ def _parse_params_option(args) -> Optional[UniversalParams]:
     return UniversalParams(*values)
 
 
+def _report_parts(report: SpectralReport, matrix) -> Tuple[str, dict]:
+    """The factored rendering of the report's charpoly, and the report's
+    JSON form: the two halves of every spectral-report document."""
+    return factored_charpoly_string(report.charpoly_direct, matrix), report_to_json(report)
+
+
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each returns its document, a JSON value or (join) the edge list
 
 
-def _cmd_join(args) -> int:
-    spec = _as_join_spec(_load_spec(args.spec))
-    _write_text(graph_to_edgelist(hm_join(spec)), args.output)
-    return 0
+def _cmd_join(args) -> str:
+    return graph_to_edgelist(hm_join(_load_join_spec(args.spec)))
 
 
-def _cmd_charpoly(args) -> int:
-    spec = _as_join_spec(_load_spec(args.spec))
-    report = block_charpoly(spec)
-    adjacency = hm_join(spec).adjacency_matrix()
-    doc = {"charpoly_factored": factored_charpoly_string(report.charpoly_direct, adjacency)}
-    doc.update(report_to_json(report))
-    _write_text(canonical_dumps(doc), args.output)
-    return 0
+def _cmd_charpoly(args) -> dict:
+    spec = _load_join_spec(args.spec)
+    factored, body = _report_parts(block_charpoly(spec), hm_join(spec).adjacency_matrix())
+    return {"charpoly_factored": factored, **body}
 
 
-def _cmd_classify(args) -> int:
-    spec = _as_join_spec(_load_spec(args.spec))
+def _cmd_classify(args) -> dict:
+    spec = _load_join_spec(args.spec)
     factors = []
     for i in range(spec.k):
         e = indexing_matrix(spec.factors[i], spec.indexing[i])
         classes = classify_e_main(spec.factors[i].adjacency_matrix(), e)
         factors.append([_eigen_class_to_json(cls) for cls in classes])
-    _write_text(canonical_dumps({"e_main_flags": factors}), args.output)
-    return 0
+    return {"e_main_flags": factors}
 
 
-def _cmd_verify(args) -> int:
-    spec = _as_join_spec(_load_spec(args.spec))
-    report = block_charpoly(spec)
-    doc = {"verified": True}
-    doc.update(report_to_json(report))
-    _write_text(canonical_dumps(doc), args.output)
-    return 0
+def _cmd_verify(args) -> dict:
+    return {"verified": True, **report_to_json(block_charpoly(_load_join_spec(args.spec)))}
 
 
-def _cmd_reduce(args) -> int:
-    spec = _as_join_spec(_load_spec(args.spec))
-    info = reduction_report(spec, args.mode)
-    reduced = reduce_labels(spec, args.mode)
-    doc = dict(info)
-    doc["spec"] = spec_to_json(reduced)
-    _write_text(canonical_dumps(doc), args.output)
-    return 0
+def _cmd_reduce(args) -> dict:
+    spec = _load_join_spec(args.spec)
+    return {**reduction_report(spec, args.mode),
+            "spec": spec_to_json(reduce_labels(spec, args.mode))}
 
 
 def _graph_token(token: str) -> Graph:
@@ -216,7 +206,7 @@ def _build_family(name: str, raw_params: List[str]) -> FamilyRealization:
     return builder(*values)
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> dict:
     realization = _build_family(args.name, args.params)
     doc = {
         "family": args.name,
@@ -226,15 +216,12 @@ def _cmd_family(args) -> int:
         "spec": spec_to_json(realization.spec),
     }
     if args.charpoly:
-        report = block_charpoly(realization.spec)
-        doc["charpoly_factored"] = factored_charpoly_string(
-            report.charpoly_direct, realization.direct.adjacency_matrix())
-        doc["report"] = report_to_json(report)
-    _write_text(canonical_dumps(doc), args.output)
-    return 0
+        doc["charpoly_factored"], doc["report"] = _report_parts(
+            block_charpoly(realization.spec), realization.direct.adjacency_matrix())
+    return doc
 
 
-def _cmd_universal(args) -> int:
+def _cmd_universal(args) -> dict:
     spec = _load_spec(args.spec)
     override = _parse_params_option(args)
     if isinstance(spec, GeneralizedJoinSpec):
@@ -242,25 +229,17 @@ def _cmd_universal(args) -> int:
             spec = GeneralizedJoinSpec(spec.host, spec.factors, spec.subsets, override)
         charpoly_poly = generalized_universal_charpoly(spec)
         matrix = universal_matrix(spec.join_graph(), spec.params)
-        doc = {
+        return {
             "params": params_to_json(spec.params),
             "charpoly": polynomial_to_json(charpoly_poly),
             "charpoly_factored": factored_charpoly_string(charpoly_poly, matrix),
         }
-        _write_text(canonical_dumps(doc), args.output)
-        return 0
     if override is None:
         raise InvalidParametersError(
             "labeled join specs need --preset or --params for the universal verb")
-    report = universal_block_charpoly(spec, override)
-    matrix = universal_matrix(hm_join(spec), override)
-    doc = {
-        "params": params_to_json(override),
-        "charpoly_factored": factored_charpoly_string(report.charpoly_direct, matrix),
-    }
-    doc.update(report_to_json(report))
-    _write_text(canonical_dumps(doc), args.output)
-    return 0
+    factored, body = _report_parts(universal_block_charpoly(spec, override),
+                                   universal_matrix(hm_join(spec), override))
+    return {"params": params_to_json(override), "charpoly_factored": factored, **body}
 
 
 def _load_generalized(path: str) -> GeneralizedJoinSpec:
@@ -271,42 +250,25 @@ def _load_generalized(path: str) -> GeneralizedJoinSpec:
     return spec
 
 
-def _cmd_cospectral(args) -> int:
-    if args.action == "check":
-        if args.spec_a == "-" and args.spec_b == "-":
-            raise InvalidParametersError("at most one spec may come from standard input")
-        spec_a = _load_generalized(args.spec_a)
-        spec_b = _load_generalized(args.spec_b)
-        cert = check_cospectral_conditions(spec_a, spec_b, args.kind)
-        _write_text(canonical_dumps(certificate_to_json(cert)), args.output)
-        return 0
-    # search
-    import json as _json
+def _cmd_cospectral_check(args) -> dict:
+    if args.spec_a == "-" and args.spec_b == "-":
+        raise InvalidParametersError("at most one spec may come from standard input")
+    spec_a = _load_generalized(args.spec_a)
+    spec_b = _load_generalized(args.spec_b)
+    return certificate_to_json(check_cospectral_conditions(spec_a, spec_b, args.kind))
 
+
+def _cmd_cospectral_search(args) -> dict:
     if args.kind != "U" and (args.preset is not None or args.params is not None):
         raise InvalidParametersError("--preset and --params apply to kind U only")
-    try:
-        data = _json.loads(_read_bytes(args.catalog).decode("utf-8"))
-    except ValueError as exc:
-        raise SpecValidationError("invalid catalog JSON: %s" % exc)
-    if isinstance(data, dict) and "graphs" in data:
-        raw = data["graphs"]
-        base = "/graphs"
-    else:
-        raw = data
-        base = ""
-    if not isinstance(raw, list):
-        raise SpecValidationError("catalog must be a JSON array of graphs", base)
-    graphs = [graph_from_json(obj, "%s/%d" % (base, i)) for i, obj in enumerate(raw)]
+    graphs = parse_catalog(_read_bytes(args.catalog))
     params = _parse_params_option(args)
     certs = search_pairs(graphs, args.budget, args.kind, params)
-    doc = {
+    return {
         "kind": args.kind,
         "params": params_to_json(kind_parameters(args.kind, params)),
         "certificates": [certificate_to_json(c) for c in certs],
     }
-    _write_text(canonical_dumps(doc), args.output)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("spec_b")
     p_chk.add_argument("--kind", choices=COSPECTRAL_KINDS, required=True)
     add_common(p_chk)
-    p_chk.set_defaults(func=_cmd_cospectral)
+    p_chk.set_defaults(func=_cmd_cospectral_check)
     p_srch = cos_sub.add_parser("search", help="search a graph catalog for certified pairs")
     p_srch.add_argument("catalog")
     p_srch.add_argument("--kind", choices=COSPECTRAL_KINDS, required=True)
@@ -388,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     srch_params.add_argument("--preset", help="universal preset for kind U")
     srch_params.add_argument("--params", help="alpha,beta,gamma,delta for kind U")
     add_common(p_srch)
-    p_srch.set_defaults(func=_cmd_cospectral)
+    p_srch.set_defaults(func=_cmd_cospectral_search)
 
     return parser
 
@@ -415,13 +377,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_params(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        doc = args.func(args)
+        _write_text(doc if isinstance(doc, str) else canonical_dumps(doc), args.output)
     except _VIOLATIONS as exc:
         print("violation: %s" % exc, file=sys.stderr)
         return 1
     except (HmJoinError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

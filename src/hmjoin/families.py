@@ -169,7 +169,9 @@ def lollipop(m: int, n: int) -> FamilyRealization:
     K_m's vertex 0 to the path's first vertex). Realized as a K_2-join on
     three labels: the two bridge ends share label 2, the rest of K_m has
     label 1, the rest of the path label 3."""
-    return _bridged(make_named("complete", [m]), m, n, "a lollipop needs a complete part with at least 3 vertices")
+    if m < 3:
+        raise InvalidParametersError("a lollipop needs a complete part with at least 3 vertices")
+    return _bridged(make_named("complete", [m]), n)
 
 
 def tadpole(m: int, n: int) -> FamilyRealization:
@@ -177,14 +179,13 @@ def tadpole(m: int, n: int) -> FamilyRealization:
     scheme as the lollipop."""
     if m < 3:
         raise InvalidParametersError("a tadpole needs a cycle of at least 3 vertices")
-    return _bridged(make_named("cycle", [m]), m, n, "")
+    return _bridged(make_named("cycle", [m]), n)
 
 
-def _bridged(head: Graph, m: int, n: int, m_error: str) -> FamilyRealization:
-    if m < 3:
-        raise InvalidParametersError(m_error or "the head part needs at least 3 vertices")
+def _bridged(head: Graph, n: int) -> FamilyRealization:
     if n < 1:
         raise InvalidParametersError("the tail path needs at least 1 vertex")
+    m = head.n
     tail = make_named("path", [n])
     edges = list(head.edges)
     for u, v in tail.edges:

@@ -9,6 +9,7 @@ report failures as SpecValidationError carrying a JSON-pointer path."""
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -78,14 +79,14 @@ def fraction_from_json(data, pointer: str = "") -> Fraction:
     match = _FRACTION_RE.match(data)
     if match is None:
         _fail(pointer, "malformed fraction string %r" % data)
-    num = int(match.group(1))
-    den = match.group(2)
-    if den is None:
-        return Fraction(num)
-    d = int(den)
-    if d == 0:
+    try:
+        num = int(match.group(1))
+        den = int(match.group(2) or 1)
+    except ValueError:
+        _fail(pointer, "fraction string with more than %d digits" % sys.get_int_max_str_digits())
+    if den == 0:
         _fail(pointer, "fraction denominator is zero")
-    return Fraction(num, d)
+    return Fraction(num, den)
 
 
 def polynomial_to_json(p: Polynomial) -> List[str]:
@@ -261,19 +262,41 @@ def spec_document_from_json(data, pointer: str = "") -> Union[JoinSpec, Generali
     return spec_from_json(obj, pointer)
 
 
+def _decode(document: Union[str, bytes], what: str):
+    """The JSON value of a text or UTF-8 document. Every way it can fail is
+    a SpecValidationError whose message starts with "invalid <what>": bad
+    UTF-8, bad JSON, an integer longer than int() converts, and nesting
+    deeper than the decoder's recursion limit."""
+    try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
+        return json.loads(document)
+    except UnicodeDecodeError as exc:
+        reason = "document is not valid UTF-8: %s" % exc
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    except ValueError:
+        reason = "an integer has more than %d digits" % sys.get_int_max_str_digits()
+    except RecursionError:
+        reason = "arrays or objects nested too deeply"
+    raise SpecValidationError("invalid %s: %s" % (what, reason))
+
+
 def parse_spec(document: Union[str, bytes]) -> Union[JoinSpec, GeneralizedJoinSpec]:
     """Parse a UTF-8 JSON spec document into a validated specification."""
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SpecValidationError("document is not valid UTF-8: %s" % exc)
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SpecValidationError(
-            "invalid JSON: %s (line %d, column %d)" % (exc.msg, exc.lineno, exc.colno))
-    return spec_document_from_json(data)
+    return spec_document_from_json(_decode(document, "JSON"))
+
+
+def parse_catalog(document: Union[str, bytes]) -> List[Graph]:
+    """Parse a graph catalog: a JSON array of graphs, or an object whose
+    "graphs" key holds one."""
+    data = _decode(document, "catalog JSON")
+    raw, base = data, ""
+    if isinstance(data, dict) and "graphs" in data:
+        raw, base = data["graphs"], "/graphs"
+    if not isinstance(raw, list):
+        _fail(base, "catalog must be a JSON array of graphs")
+    return [graph_from_json(obj, "%s/%d" % (base, i)) for i, obj in enumerate(raw)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ from oracles import poly_from_roots
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE = str(FIXTURES / "p2_2_k2_k5.json")
 CATALOG = str(FIXTURES / "catalog.json")
+GAP_A = str(FIXTURES / "cospectral_l_gap_a.json")
+
+# longer than the 4,300 digits int() converts from a string, and deeper
+# than json.loads recurses
+DIGITS = "7" * 5000
+NESTED = "[" * 1000 + "]" * 1000
 
 
 def run_cli(capsys, *argv):
@@ -184,15 +190,22 @@ def test_universal_custom_params(capsys):
     assert code2 == 2
 
 
-@pytest.mark.parametrize("option", [["--params", "100000000,0,0,0"], ["--preset", "Aalpha:1e9"]])
-def test_universal_refuses_oversized_eigenvalue_scan(capsys, option):
+@pytest.mark.parametrize("spec, option", [
+    ("p3_3.json", ["--params", "100000000,0,0,0"]),
+    ("p3_3.json", ["--preset", "Aalpha:1e9"]),
+    ("p3_3.json", ["--params", DIGITS + ",0,0,0"]),
+    ("p4_generalized.json", ["--params", "1,0,0,1/" + DIGITS]),
+], ids=["scan-bound", "preset-scan-bound", "alpha-digits", "delta-digits"])
+def test_universal_refuses_oversized_params(capsys, spec, option):
     # the rational-eigenvalue scan runs over [-B, B] for the row-sum bound
-    # B; above the cap the command stops at once instead of scanning
+    # B; above the cap the command stops at once instead of scanning.
+    # Parameters longer than int() converts are refused as they are parsed.
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "universal", str(FIXTURES / "p3_3.json"), *option)
+    code, out, err = run_cli(capsys, "universal", str(FIXTURES / spec), *option)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     code, _, _ = run_cli(capsys, "universal", str(FIXTURES / "p3_3.json"), "--params", "1000,0,0,0")
     assert code == 0
 
@@ -274,27 +287,46 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     assert "/indexing/0/0" in err3
 
 
+_LONG_M = ('{"host": {"n": 1, "edges": []}, "m": %s, '
+           '"factors": [{"n": 1, "edges": []}], "indexing": [[null]]}' % DIGITS)
+_LONG_ALPHA = json.dumps({
+    "host": {"n": 2, "edges": [[0, 1]]}, "factors": [{"n": 2, "edges": [[0, 1]]}, {"n": 1, "edges": []}],
+    "subsets": [[0], [0]], "params": {"alpha": DIGITS + "/3", "beta": "0", "gamma": "0", "delta": "0"}})
+
+
+@pytest.mark.parametrize("document, message", [
+    (b'\xff\xfe{"a":1}', "not valid UTF-8"),
+    (_LONG_M.encode(), "invalid JSON: an integer has more than"),
+    (_LONG_ALPHA.encode(), "/params/alpha: fraction string with more than"),
+    (NESTED.encode(), "invalid JSON: arrays or objects nested too deeply"),
+], ids=["non-utf8", "m-digits", "alpha-digits", "nested"])
 @pytest.mark.parametrize("verb", [["charpoly"], ["cospectral", "check"]])
-def test_non_utf8_spec_exits_two_with_one_line(capsys, tmp_path, verb):
+def test_undecodable_spec_exits_two_with_one_line(capsys, tmp_path, verb, document, message):
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b'\xff\xfe{"a":1}')
+    bad.write_bytes(document)
     extra = [str(bad), "--kind", "A"] if verb[0] == "cospectral" else []
     code, out, err = run_cli(capsys, *verb, str(bad), *extra)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert "not valid UTF-8" in err
+    assert message in err
     assert "Traceback" not in err
 
 
-def test_non_utf8_catalog_exits_two_with_one_line(capsys, tmp_path):
-    bad = tmp_path / "catalog.json"
-    bad.write_bytes(b'\xff\xfe[]')
-    code, out, err = run_cli(capsys, "cospectral", "search", str(bad), "--kind", "A")
+@pytest.mark.parametrize("document", [
+    b'\xff\xfe[]',
+    b"not a catalog\n",
+    NESTED.encode(),
+], ids=["non-utf8", "not-json", "nested"])
+def test_undecodable_catalog_exits_two_with_one_line(capsys, tmp_path, document):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_bytes(document)
+    code, out, err = run_cli(capsys, "cospectral", "search", str(catalog), "--kind", "A")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "invalid catalog JSON" in err
+    assert "Traceback" not in err
 
 
 def test_cospectral_check_rejects_labeled_spec(capsys):
@@ -305,17 +337,6 @@ def test_cospectral_check_rejects_labeled_spec(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "generalized specs" in err
-    assert "Traceback" not in err
-
-
-def test_cospectral_search_rejects_non_json_catalog(capsys, tmp_path):
-    catalog = tmp_path / "catalog.txt"
-    catalog.write_text("not a catalog\n")
-    code, out, err = run_cli(capsys, "cospectral", "search", str(catalog), "--kind", "A")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "invalid catalog JSON" in err
     assert "Traceback" not in err
 
 
@@ -372,6 +393,29 @@ def test_negative_params_value_after_a_space(capsys, argv, params):
     assert (code, err) == (0, "")
     assert run_cli(capsys, *argv, "--params=" + params) == (0, out, "")
     assert out.startswith("{")
+
+
+@pytest.mark.parametrize("argv", [
+    ["join", EXAMPLE],
+    ["charpoly", EXAMPLE],
+    ["classify", EXAMPLE],
+    ["verify", EXAMPLE],
+    ["reduce", EXAMPLE, "--mode", "unused"],
+    ["family", "petersen", "5", "2", "--charpoly"],
+    ["universal", EXAMPLE, "--preset", "L"],
+    ["cospectral", "check", GAP_A, GAP_A, "--kind", "L"],
+    ["cospectral", "search", CATALOG, "--kind", "A", "--budget", "1"],
+], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "cospectral" else argv[0])
+def test_output_file_gets_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, "-o", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+    # a directory cannot be written: one error line, nothing on stdout
+    code, out, err = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_stdin_dash_guard(capsys):

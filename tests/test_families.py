@@ -141,12 +141,17 @@ def test_tadpole():
 
 
 def test_bridged_validation():
-    with pytest.raises(InvalidParametersError):
-        lollipop(2, 1)
-    with pytest.raises(InvalidParametersError):
-        lollipop(3, 0)
-    with pytest.raises(InvalidParametersError):
-        tadpole(2, 2)
+    # each builder checks its own head size, lollipop before it builds K_m
+    for m in (-1, 0, 1, 2):
+        with pytest.raises(InvalidParametersError,
+                           match="^a lollipop needs a complete part with at least 3 vertices$"):
+            lollipop(m, 1)
+        with pytest.raises(InvalidParametersError,
+                           match="^a tadpole needs a cycle of at least 3 vertices$"):
+            tadpole(m, 2)
+    for build in (lollipop, tadpole):
+        with pytest.raises(InvalidParametersError, match="^the tail path needs at least 1 vertex$"):
+            build(3, 0)
 
 
 def test_alignment_is_permutation():

@@ -22,6 +22,7 @@ from hmjoin.serialize import (
     graph_to_json,
     params_from_json,
     params_to_json,
+    parse_catalog,
     parse_spec,
     polynomial_from_json,
     polynomial_to_json,
@@ -176,6 +177,19 @@ def test_parse_spec_invalid_json_reports_position():
 def test_parse_spec_accepts_bytes():
     text = (FIXTURES / "p2_2_k2_k5.json").read_text()
     assert parse_spec(text.encode()) == parse_spec(text)
+
+
+def test_parse_catalog_shapes_and_pointers():
+    c5 = {"family": "cycle", "params": [5]}
+    graphs = [make_named("cycle", [5]), Graph(2, [(0, 1)])]
+    doc = [c5, {"n": 2, "edges": [[0, 1]]}]
+    assert parse_catalog(json.dumps(doc)) == graphs
+    assert parse_catalog(json.dumps({"graphs": doc}).encode()) == graphs
+    for bad, pointer in [({"graphs": 3}, "/graphs"), ({"n": 1}, ""),
+                         ({"graphs": [c5, 7]}, "/graphs/1")]:
+        with pytest.raises(SpecValidationError) as info:
+            parse_catalog(json.dumps(bad))
+        assert info.value.pointer == pointer
 
 
 def test_canonical_dumps_is_deterministic():
