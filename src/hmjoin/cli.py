@@ -25,7 +25,7 @@ from .errors import (
     SpecValidationError,
     TheoremViolationError,
 )
-from .exactlinalg import _denominator, rational_eigenvalues
+from .exactlinalg import rational_roots
 from .families import (
     FamilyRealization,
     cartesian_product,
@@ -37,7 +37,7 @@ from .families import (
 )
 from .graphs import Graph, UniversalParams, graph_to_edgelist, make_named, universal_matrix
 from .joins import REDUCTION_MODES, JoinSpec, hm_join, indexing_matrix, reduce_labels, reduction_report
-from .polynomials import Polynomial, _int_divexact, _scaled, _unscaled, render_polynomial
+from .polynomials import Polynomial, render_polynomial
 from .serialize import (
     _eigen_class_to_json,
     canonical_dumps,
@@ -60,19 +60,14 @@ _VIOLATIONS = (BlockFactorizationError, CarryForwardError, TheoremViolationError
 
 
 def factored_charpoly_string(p: Polynomial, matrix) -> str:
-    """Factor out all rational roots (found exactly via the matrix bound)
-    and render ascending-root linear factors times the remainder. The
-    roots are divided out in Z[y], with p scaled by the common denominator
-    L of the matrix, where each root r is the integer L*r."""
+    """Render p, the characteristic polynomial of the matrix, as its
+    linear factors at the rational roots, ascending, times the cofactor
+    (`exactlinalg.rational_roots`)."""
     if p.degree <= 0:
         return render_polynomial(p, "λ")
-    roots = rational_eigenvalues(matrix, p)
-    l = _denominator(matrix)
-    remainder = _scaled(p, l)
+    roots, remainder = rational_roots(p, matrix)
     parts: List[str] = []
     for root, mult in roots:
-        for _ in range(mult):
-            remainder = _int_divexact(remainder, [-int(root * l), 1])
         if root == 0:
             base = "λ"
         elif root > 0:
@@ -80,10 +75,10 @@ def factored_charpoly_string(p: Polynomial, matrix) -> str:
         else:
             base = "(λ+%s)" % -root
         parts.append(base + ("^%d" % mult if mult > 1 else ""))
-    if len(remainder) > 1:
-        parts.append("(" + render_polynomial(_unscaled(remainder, l), "λ") + ")")
-    elif remainder != [1]:
-        parts.insert(0, str(remainder[0]))
+    if remainder.degree > 0:
+        parts.append("(" + render_polynomial(remainder, "λ") + ")")
+    elif remainder != 1:
+        parts.insert(0, str(remainder.coefficient(0)))
     return "".join(parts)
 
 
@@ -124,7 +119,10 @@ def _parse_params_option(args) -> Optional[UniversalParams]:
     if len(parts) != 4:
         raise InvalidParametersError(
             "--params expects four comma-separated fractions alpha,beta,gamma,delta")
-    values = [fraction_from_json(part.strip()) for part in parts]
+    try:
+        values = [fraction_from_json(part.strip()) for part in parts]
+    except SpecValidationError as exc:
+        raise InvalidParametersError("--params: %s" % exc.message) from None
     return UniversalParams(*values)
 
 

@@ -26,7 +26,7 @@ from .errors import (
 from .exactlinalg import _scaled_bound, charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import IndexingMap, JoinSpec, hm_join
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _unscaled
 from .spectra import (
     MainFunction,
     _universal_blocks,
@@ -130,7 +130,8 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     cross-checked against the direct vertex-level computation."""
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
     matrix = universal_matrix(spec.join_graph(), spec.params)
-    return reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, *_scaled_bound(matrix))
+    l, rows, bound = _scaled_bound(matrix)
+    return _unscaled(reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, l, rows, bound), l)
 
 
 def regular_gamma_closed_form(g: Graph, subset: Sequence[int],

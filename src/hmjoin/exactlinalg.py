@@ -4,8 +4,8 @@ eigenvalues, and determinants of polynomial matrices modulo primes.
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
 values. The module checks their shape and symmetry but holds no general
 matrix products; the integer polynomial helpers it evaluates and divides
-with (`_int_coeff_eval`, `_int_multiplicity`, `_scaled`) live in
-`polynomials`.
+with (`_int_coeff_eval`, `_int_divexact`, `_int_multiplicity`, `_scaled`)
+live in `polynomials`.
 
 Characteristic polynomials of scalar matrices have one engine, `charpoly`,
 which is multi-modular (Dumas, Pernet & Wan, ISSAC 2005; Cohen, A Course
@@ -41,24 +41,28 @@ each step forms one product of two residues and reduces it.
 The reduced block determinants in `spectra` use these with the bound, the
 prime choice and the CRT of `charpoly`.
 
-`rational_eigenvalues` scales a characteristic polynomial by the same L
-(`polynomials._scaled`): its rational roots are then the integer roots y
-of a monic integer polynomial, found by a scan within the Gershgorin bound
-of the integer rows of L*M, with multiplicities by repeated exact division
-by y - root in Z[y]. The scan takes time linear in that bound, so a bound
-above `_EIGEN_SCAN_LIMIT` raises TooLargeError instead.
+Rational roots have one scan, `_integer_roots`: for a monic divisor p of
+det(xI - M) and a common denominator s of M, s^d p(y / s) is monic in
+Z[y], so the rational roots of p are y / s for its integer roots y. Those
+lie within the Gershgorin bound of the integer rows of s*M and divide the
+lowest non-zero coefficient; multiplicities come from repeated exact
+division by y - root. The scan takes time linear in that bound, so a bound
+above `_EIGEN_SCAN_LIMIT` raises TooLargeError instead. `spectra` runs it
+on the integers of a main function; `rational_roots` scales p by L itself
+and also returns the cofactor left after dividing every root out, and
+`rational_eigenvalues` is that on `charpoly`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InexactDivisionError, InvalidParametersError, SizeMismatchError, TooLargeError
-from .polynomials import Polynomial, _int_coeff_eval, _int_multiplicity, _scaled, _unscaled
+from .errors import SizeMismatchError, TooLargeError
+from .polynomials import Polynomial, _int_coeff_eval, _int_divexact, _int_multiplicity, _scaled, _unscaled
 
 Matrix = List[List[Fraction]]
 
@@ -113,7 +117,7 @@ _PRIMES: Tuple[int, ...] = ()
 # so each product is below 2**52 and an accumulator below p plus
 # _DOT_TERMS such products stays below 2**26 + (2**11 - 1) * 2**52 < 2**63.
 _DOT_TERMS = (1 << 11) - 1
-# Largest row-sum bound B that `rational_eigenvalues` scans [-B, B] for;
+# Largest row-sum bound B that `_integer_roots` scans [-B, B] for;
 # a scan at the cap takes about 2.5 s.
 _EIGEN_SCAN_LIMIT = 10 ** 6
 
@@ -333,30 +337,38 @@ def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
 # rational eigenvalues
 
 
-def rational_eigenvalues(m, char: Optional[Polynomial] = None) -> Tuple[Tuple[Fraction, int], ...]:
-    """All rational eigenvalues of a rational matrix, with multiplicities,
-    in ascending order. Complete: scaling by the common denominator L
-    (`_scaled`) turns the problem into integer roots y of a monic integer
-    polynomial, which are bounded by the Gershgorin row-sum bound of the
-    integer rows of L*M and must divide the trailing coefficient; each
-    gives the eigenvalue y/L, of multiplicity `_int_multiplicity` of y.
-    Raises TooLargeError when that bound exceeds `_EIGEN_SCAN_LIMIT`."""
-    n = _require_square(m)
-    if n == 0:
-        return ()
-    l, rows, _ = _scaled_bound(m)
-    bound = max(sum(map(abs, row)) for row in rows)
+def _integer_roots(coeffs: Sequence[int], m, s: int) -> List[Tuple[int, int]]:
+    """The integer roots y, ascending, with multiplicities, of
+    coeffs = s^d p(y / s) for a monic divisor p of det(xI - M) and a common
+    denominator s of M, by the scan of the module docstring; TooLargeError
+    when its Gershgorin bound exceeds `_EIGEN_SCAN_LIMIT`."""
+    bound = max((sum(abs(x.numerator) * (s // x.denominator) for x in row) for row in m), default=0)
     if bound > _EIGEN_SCAN_LIMIT:
         raise TooLargeError(
             f"rational eigenvalue scan over [-{bound}, {bound}] exceeds the limit of {_EIGEN_SCAN_LIMIT}")
-    try:
-        coeffs = _scaled(char if char is not None else charpoly(m), l)
-    except InexactDivisionError:
-        raise InvalidParametersError("characteristic polynomial does not match the matrix denominators") from None
-    # a root y != 0 divides the lowest non-zero coefficient
     trailing = next((c for c in coeffs if c), 0)
-    found = []
-    for y in range(-bound, bound + 1):
-        if (y == 0 or trailing % y == 0) and _int_coeff_eval(coeffs, y) == 0:
-            found.append((Fraction(y, l), _int_multiplicity(coeffs, [-y, 1])))
-    return tuple(found)
+    return [(y, _int_multiplicity(coeffs, [-y, 1])) for y in range(-bound, bound + 1)
+            if (y == 0 or trailing % y == 0) and _int_coeff_eval(coeffs, y) == 0]
+
+
+def rational_roots(p: Polynomial, m) -> Tuple[Tuple[Tuple[Fraction, int], ...], Polynomial]:
+    """The rational roots, ascending, with multiplicities, of a monic
+    divisor p of det(xI - M), and the cofactor of p left after dividing
+    them all out. With L the common denominator of M, L^d p(y / L) is monic
+    in Z[y] (InexactDivisionError when it is not integral); its integer
+    roots y (`_integer_roots`) give the roots y / L, and each division by
+    y - root is exact there."""
+    _require_square(m)
+    l = _denominator(m)
+    coeffs = _scaled(p, l)
+    roots = _integer_roots(coeffs, m, l)
+    for y, e in roots:
+        for _ in range(e):
+            coeffs = _int_divexact(coeffs, [-y, 1])
+    return tuple((Fraction(y, l), e) for y, e in roots), _unscaled(coeffs, l)
+
+
+def rational_eigenvalues(m) -> Tuple[Tuple[Fraction, int], ...]:
+    """All rational eigenvalues of a rational matrix, with multiplicities,
+    in ascending order: the rational roots of its characteristic polynomial."""
+    return rational_roots(charpoly(m), m)[0]

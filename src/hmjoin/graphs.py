@@ -52,10 +52,6 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     # ------------------------------------------------------------------
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def sorted_edges(self) -> Tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
@@ -82,12 +78,6 @@ class Graph:
         for u, v in self.edges:
             m[u][v] = 1
             m[v][u] = 1
-        return m
-
-    def degree_matrix(self) -> List[List[int]]:
-        m = [[0] * self.n for _ in range(self.n)]
-        for v, d in enumerate(self.degrees()):
-            m[v][v] = d
         return m
 
     def is_regular(self) -> Optional[int]:

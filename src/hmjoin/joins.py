@@ -54,10 +54,6 @@ class IndexingMap:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def is_total(self) -> bool:
-        return all(v is not None for v in self.values)
-
     def used_labels(self) -> Set[int]:
         return {v for v in self.values if v is not None}
 

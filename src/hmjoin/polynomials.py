@@ -3,8 +3,7 @@ core that does all their arithmetic.
 
 `Polynomial` is a value: `fractions.Fraction` coefficients stored densely,
 lowest degree first, with trailing zeros trimmed, so structural equality is
-mathematical equality. It has queries, a monic normal form and one
-renderer (`render_polynomial`), and no arithmetic of its own.
+mathematical equality. It has queries and one renderer (`render_polynomial`), and no arithmetic of its own.
 
 Every operation runs on integer coefficient lists in Z[y]: `_int_mul`
 (products), `_int_coeff_eval` (Horner's rule), `_int_divexact` (long
@@ -53,10 +52,6 @@ class Polynomial:
     # ------------------------------------------------------------------
     # constructors
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Polynomial":
         return cls((1,))
 
@@ -70,12 +65,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
@@ -93,16 +82,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(("Polynomial", self.coeffs))
-
-    # ------------------------------------------------------------------
-    # normal form
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Polynomial(tuple(c / lead for c in self.coeffs))
 
     # ------------------------------------------------------------------
     def __repr__(self):

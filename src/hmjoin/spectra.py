@@ -62,27 +62,30 @@ evaluates the block at the first n + 1 non-negative integers t where no
 g_i vanishes into one int64 stack and takes all the determinants Phi(t)
 mod p at once by batched Gaussian elimination; times prod_i phi_i(t) /
 g_i(t)^m, the values of all primes are interpolated in one stack and
-lifted by Garner's CRT. Before it returns, it always computes the direct
-characteristic polynomial from the same integer rows of M too, and any
-difference raises BlockFactorizationError (`check_block_charpoly`).
+lifted by Garner's CRT into det(yI - L*M), the integer lift. Before it
+returns, it always computes the direct lift from the same integer rows of
+M too, and any difference raises BlockFactorizationError
+(`check_block_charpoly`). A report computes that lift once and reads
+Phi, the carry-forward multiplicities and its charpoly over Q off it.
 
 Phi itself, kept in the report, is then the exact quotient
 det(xI - M) * prod_i g_i^m / prod_i phi_i, taken over the integers:
 scaled by L (P(x) -> L^deg(P) P(y / L)), all these polynomials are monic
 in Z[y], so the quotient needs integer products and one exact division
-by a monic integer polynomial.
+by a monic integer polynomial. Each M_i is a diagonal block of M, so its
+common denominator s_i divides L.
 
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
 E-main, so classification is gcd arithmetic, no root finding: the
 squarefree layers of phi_i, their gcds with g_i and the rational roots
 peeled off them are taken in Z[y] on the main function's integers, scaled
-by the common denominator of M_i. Main classes of multiplicity e are guaranteed multiplicity
->= e - m in the join, non-main classes >= e; reports check the observed
-multiplicities against those bounds on the directly computed
-characteristic polynomial, by repeated exact division in Z[y] with both
-polynomials scaled by the lcm of the join's and the factor's common
-denominators.
+by the common denominator s_i of M_i, where the rational roots are the
+integer roots of `exactlinalg._integer_roots`. Main classes of
+multiplicity e are guaranteed multiplicity >= e - m in the join, non-main
+classes >= e; reports check the observed multiplicities against those
+bounds on the join's integer lift, by repeated exact division in Z[y] by
+each class scaled by L.
 """
 
 from __future__ import annotations
@@ -100,13 +103,13 @@ from .exactlinalg import (
     _charpoly_lift,
     _crt_lift,
     _denominator,
+    _integer_roots,
     _interpolate_mod,
     _lift_primes,
     _polymatrix_det_mod,
     _scaled_bound,
     mat_is_symmetric,
     mat_shape,
-    rational_eigenvalues,
 )
 from .graphs import UniversalParams, universal_matrix
 from .joins import JoinSpec, hm_join
@@ -310,15 +313,16 @@ def _eigen_classes(m, mf: MainFunction) -> Tuple[EigenvalueClass, ...]:
     """Split phi into monic squarefree classes homogeneous in multiplicity
     and mainness (mainness = dividing g), extracting rational roots; in
     Z[y] on the integers of `mf = gamma(m, e)`, scaled by the common
-    denominator s of M, where the rational roots are the integers s * root."""
-    rationals = rational_eigenvalues(m, char=mf.charpoly)
+    denominator s of M, where the rational roots are the integer roots y
+    of `_integer_roots` and stand for y / s."""
+    roots = _integer_roots(mf.phi, m, mf.s)
     classes: List[EigenvalueClass] = []
     for layer, mult in _int_squarefree(mf.phi):
         main_part = _int_gcd(layer, mf.g)
         for part, flag in ((main_part, True), (_int_divexact(layer, main_part), False)):
-            for root, root_mult in rationals:
-                y = int(root * mf.s)
+            for y, root_mult in roots:
                 if root_mult == mult and _int_coeff_eval(part, y) == 0:
+                    root = Fraction(y, mf.s)
                     classes.append(EigenvalueClass(Polynomial((-root, 1)), root, mult, flag))
                     part = _int_divexact(part, [-y, 1])
             if len(part) > 1:
@@ -398,8 +402,8 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, in
         return num, scale
 
 
-def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, bound: int) -> Polynomial:
-    """det(xI - M) of the block matrix M with (l, rows, bound) =
+def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, bound: int) -> List[int]:
+    """det(yI - L*M), in Z[y], of the block matrix M with (L, rows, bound) =
     `_scaled_bound(M)` from the main functions `mfs` of its diagonal
     blocks, when each off-diagonal block (i, j) factors through the sides of
     Gamma_i with column weights `weights(i, j)` (None: zero).
@@ -432,16 +436,17 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
     values = [[d * top * pow(bottom, -1, p) % p for d, top, bottom in zip(_polymatrix_det_mod(num, points, p).tolist(), tops, bottoms)]
               for p in ps]
     coeffs = _interpolate_mod(points, values, ps).tolist()
-    block = _unscaled(_crt_lift(ps, [[c * pow(l, n - j, p) % p for j, c in enumerate(row)] for p, row in zip(ps, coeffs)]), l)
-    check_block_charpoly(block, _unscaled(_charpoly_lift(rows, bound), l))
+    block = _crt_lift(ps, [[c * pow(l, n - j, p) % p for j, c in enumerate(row)] for p, row in zip(ps, coeffs)])
+    check_block_charpoly(block, _charpoly_lift(rows, bound), l)
     return block
 
 
-def check_block_charpoly(block: Polynomial, direct: Polynomial) -> None:
+def check_block_charpoly(block: Sequence[int], direct: Sequence[int], l: int) -> None:
     """Raise BlockFactorizationError, naming the lowest power of x whose
     coefficients differ, unless the block and direct characteristic
-    polynomials agree."""
+    polynomials agree, both given as their lifts det(yI - L*M) in Z[y]."""
     if block != direct:
+        block, direct = _unscaled(block, l), _unscaled(direct, l)
         top = max(block.degree, direct.degree)
         degree = next(d for d in range(top + 1) if block.coefficient(d) != direct.coefficient(d))
         raise BlockFactorizationError(
@@ -451,11 +456,11 @@ def check_block_charpoly(block: Polynomial, direct: Polynomial) -> None:
         )
 
 
-def _phi_quotient(charpoly_block: Polynomial, mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:
+def _phi_quotient(lift: Sequence[int], mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:
     """Phi = det(xI - M) * prod_i g_i^m / prod_i phi_i over the integers,
-    each polynomial scaled by L (module docstring), then unscaled. Each
-    s_i divides L, so the list P = s_i^d p(y / s_i) scales to
-    L^d p(y / L) = (L / s_i)^(d-k) P_k."""
+    each polynomial scaled by L (module docstring), then unscaled; `lift`
+    is det(xI - M) so scaled. Each s_i divides L, so the list
+    P = s_i^d p(y / s_i) scales to L^d p(y / L) = (L / s_i)^(d-k) P_k."""
     numerator, divisor = [1], [1]
     for mf in mfs:
         r = l // mf.s
@@ -463,7 +468,7 @@ def _phi_quotient(charpoly_block: Polynomial, mfs: Sequence[MainFunction], m: in
         for _ in range(m):
             numerator = _int_mul(numerator, g)
         divisor = _int_mul(divisor, phi)
-    numerator = _int_mul(numerator, _scaled(charpoly_block, l))
+    numerator = _int_mul(numerator, lift)
     return _unscaled(_int_divexact(numerator, divisor), l)
 
 
@@ -515,16 +520,16 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
     mfs = [gamma(mat, e) for mat, e, _ in blocks]
     m = spec.m
     l, rows, bound = _scaled_bound(matrix)
-    char = reduced_block_charpoly(mfs, weights, l, rows, bound)
+    lift = reduced_block_charpoly(mfs, weights, l, rows, bound)
+    char = _unscaled(lift, l)
     flags, carry = [], []
     for i, ((mat, _, _), mf) in enumerate(zip(blocks, mfs)):
         classes = _eigen_classes(mat, mf)
         flags.append(classes)
-        common = math.lcm(l, _denominator(mat))
-        scaled_char = _scaled(char, common)
         for c, cls in enumerate(classes):
             guaranteed = max(0, cls.multiplicity - m) if cls.is_main else cls.multiplicity
-            observed = _int_multiplicity(scaled_char, _scaled(cls.poly, common))
+            # M_i is a diagonal block of M, so s_i divides L and the class scales into Z[y]
+            observed = _int_multiplicity(lift, _scaled(cls.poly, l))
             if observed < guaranteed:
                 raise CarryForwardError(
                     f"factor {i}, eigenvalue class {c} of degree {cls.poly.degree}: observed "
@@ -535,7 +540,7 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
         charpoly_direct=char,
         charpoly_block=char,
         factor_charpolys=tuple(mf.charpoly for mf in mfs),
-        phi_polynomial=_phi_quotient(char, mfs, m, l),
+        phi_polynomial=_phi_quotient(lift, mfs, m, l),
         gammas=tuple(mfs),
         e_main_flags=tuple(flags),
         carry_forward=tuple(carry),

@@ -8,10 +8,11 @@ block definition, A(G_i) on the diagonal and rho_ij E_i E_j^T off it
 (`mat_mul`, `mat_transpose`), with each indexing matrix built from the
 labels: the oracle of `hmjoin.joins.hm_join`, which follows the edge rule.
 
-`poly_add`, `poly_sub`, `poly_mul`, `poly_scale`, `poly_pow`, `poly_eval`
-and `poly_from_roots` are the ring of polynomials over Q, on `Fraction`
-coefficients; the library's `Polynomial` has no arithmetic of its own, and
-the tests build their expected values with these.
+`poly_add`, `poly_sub`, `poly_mul`, `poly_scale`, `poly_monic`,
+`poly_pow`, `poly_eval` and `poly_from_roots` are the ring of polynomials
+over Q, on `Fraction` coefficients; the library's `Polynomial` has no
+arithmetic of its own, and the tests build their expected values with
+these.
 
 `det_bareiss` is the determinant of a rational matrix by fraction-free
 integer Bareiss elimination after clearing row denominators, and
@@ -123,7 +124,7 @@ def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Schoolbook product over Q."""
     if a.is_zero or b.is_zero:
-        return Polynomial.zero()
+        return Polynomial()
     out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
@@ -133,6 +134,11 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def poly_scale(a: Polynomial, c: Scalar) -> Polynomial:
     return Polynomial([c * x for x in a.coeffs])
+
+
+def poly_monic(a: Polynomial) -> Polynomial:
+    """a divided by its leading coefficient; zero stays zero."""
+    return poly_scale(a, 1 / a.coeffs[-1]) if a.coeffs else a
 
 
 def poly_pow(a: Polynomial, e: int) -> Polynomial:
@@ -165,8 +171,8 @@ def poly_divmod(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
     rem = list(a.coeffs)
     dd, dv = len(rem) - 1, b.degree
     if dd < dv:
-        return Polynomial.zero(), a
-    inv_lead = 1 / b.leading_coefficient
+        return Polynomial(), a
+    inv_lead = 1 / b.coeffs[-1]
     quot = [Fraction(0)] * (dd - dv + 1)
     for k in range(dd - dv, -1, -1):
         c = rem[dv + k] * inv_lead
@@ -179,9 +185,9 @@ def poly_divmod(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
 
 def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor (Euclid over Q, renormalized each step)."""
-    a, b = a.monic(), b.monic()
+    a, b = poly_monic(a), poly_monic(b)
     while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1].monic()
+        a, b = b, poly_monic(poly_divmod(a, b)[1])
     return a
 
 
@@ -192,8 +198,8 @@ def lowest_terms(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomi
         return num, Polynomial.one()
     h = euclid_gcd(num, den)
     num, den = poly_divmod(num, h)[0], poly_divmod(den, h)[0]
-    lead = den.leading_coefficient
-    return poly_scale(num, 1 / lead), den.monic()
+    lead = den.coeffs[-1]
+    return poly_scale(num, 1 / lead), poly_monic(den)
 
 
 def multiplicity(poly: Polynomial, base: Polynomial) -> int:
@@ -220,7 +226,7 @@ def interpolate(points: Sequence[Tuple[Scalar, Scalar]]) -> Polynomial:
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = Polynomial.zero()
+    poly = Polynomial()
     basis = Polynomial.one()
     for i in range(n):
         if coeffs[i]:

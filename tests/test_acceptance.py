@@ -350,7 +350,7 @@ def _cofactor_det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = Polynomial.zero()
+    total = Polynomial()
     for j in range(n):
         minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
         term = poly_mul(rows[0][j], _cofactor_det(minor))

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, rendering, exit codes, determinism."""
 
+import ast
 import json
 import pathlib
 import subprocess
@@ -37,14 +38,14 @@ def test_render_polynomial():
     p = Polynomial([Fraction(1, 2), -2, 0, 1])
     assert render_polynomial(Polynomial([-1, 0, 1]), "λ") == "λ^2-1"
     assert render_polynomial(p, "λ") == "λ^3-2λ+1/2"
-    assert render_polynomial(Polynomial.zero(), "λ") == "0"
+    assert render_polynomial(Polynomial(), "λ") == "0"
     assert render_polynomial(Polynomial([0, 1]), "x") == "x"
     # str is the same renderer in x
     assert str(p) == "x^3-2x+1/2"
     assert str(Polynomial([1, 1])) == "x+1"
     assert str(Polynomial([Fraction(-3, 4), 0, Fraction(-1, 2)])) == "-(1/2)x^2-3/4"
     assert str(Polynomial([0, 3, -1])) == "-x^2+3x"
-    assert str(Polynomial.zero()) == "0"
+    assert str(Polynomial()) == "0"
 
 
 def test_factored_charpoly_string():
@@ -472,9 +473,16 @@ def test_argparse_refusals_are_one_line(capsys, argv):
      "--preset and --params apply to kind U only"),
     (["cospectral", "search", CATALOG, "--kind", "S", "--preset", "A", "--budget", "1"],
      "--preset and --params apply to kind U only"),
+    (["universal", str(FIXTURES / "p3_3.json"), "--params", "x,0,0,0"],
+     "--params: malformed fraction string 'x'"),
+    (["universal", str(FIXTURES / "p3_3.json"), "--params", DIGITS + ",0,0,0"],
+     "--params: fraction string with more than %d digits" % sys.get_int_max_str_digits()),
+    (["cospectral", "search", CATALOG, "--kind", "U", "--params", "1,0,0,1/0"],
+     "--params: fraction denominator is zero"),
 ])
 def test_conflicting_or_ignored_params_options_are_refused(capsys, argv, message):
-    # neither option may silently win over the other, nor be dropped
+    # neither option may silently win over the other, nor be dropped; a bad
+    # value is blamed on the option, not on a document
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -490,3 +498,19 @@ def test_search_budget_above_the_configuration_cap(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: subset budget 16 gives 131367 (graph, subset) configurations; "
                    "the search is limited to 10000\n")
+
+
+def test_cli_imports_no_private_arithmetic():
+    # the CLI only renders: Z[y] arithmetic and root finding stay behind the
+    # public names of `polynomials` and `exactlinalg`
+    arithmetic = {"polynomials", "exactlinalg"}
+    imported = []
+    for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[-1] in arithmetic for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not any(alias.name in arithmetic for alias in node.names)
+            if (node.module or "").split(".")[-1] in arithmetic:
+                imported += [(node.module, alias.name) for alias in node.names]
+    assert imported
+    assert [pair for pair in imported if pair[1].startswith("_")] == []

@@ -121,7 +121,7 @@ def test_closed_form_delta_zero():
     # theta = alpha*r + beta + gamma*n = 2 + 2 + 15 = 19
     assert closed == (Polynomial([2]), Polynomial([-19, 1]))
     # an empty subset gives the zero entry, 0/1
-    assert regular_gamma_closed_form(g, [], params) == (Polynomial.zero(), Polynomial.one())
+    assert regular_gamma_closed_form(g, [], params) == (Polynomial(), Polynomial.one())
 
 
 def test_closed_form_alpha_opposite_delta():

@@ -16,16 +16,18 @@ from oracles import (
     bareiss_charpoly,
     det_bareiss,
     mat_mul,
+    multiplicity,
     poly_add,
     poly_eval,
     poly_from_roots,
     poly_mul,
+    poly_pow,
     poly_sub,
     polymatrix_det,
     polymatrix_det_values,
 )
 
-from hmjoin.errors import InvalidParametersError, SizeMismatchError, TooLargeError
+from hmjoin.errors import InexactDivisionError, InvalidParametersError, SizeMismatchError, TooLargeError
 from hmjoin.exactlinalg import (
     _EIGEN_SCAN_LIMIT,
     _charpoly_mod,
@@ -39,6 +41,7 @@ from hmjoin.exactlinalg import (
     _scaled_bound,
     charpoly,
     rational_eigenvalues,
+    rational_roots,
 )
 from hmjoin.polynomials import Polynomial, _unscaled
 from hmjoin.spectra import _bilinear_numerators
@@ -317,7 +320,7 @@ def test_polymatrix_det_matches_cofactor_oracle():
 
 
 def test_polymatrix_det_zero_row_short_circuit():
-    z = Polynomial.zero()
+    z = Polynomial()
     one = Polynomial.one()
     assert polymatrix_det([[z, z], [one, one]]).is_zero
 
@@ -483,14 +486,43 @@ def test_rational_eigenvalues_mixed_irrational():
     assert rational_eigenvalues(k4) == ((Fraction(-1), 3), (Fraction(3), 1))
 
 
-def test_rational_eigenvalues_rejects_mismatched_char():
+def test_rational_roots_rejects_mismatched_divisor():
     # eigenvalues 1/2 and -1, L = 2: 4 * (-1/3) is not an integer, so no
     # charpoly of m, nor a factor of one, has that constant term
     m = [[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(-1)]]
-    with pytest.raises(InvalidParametersError, match="does not match the matrix denominators"):
-        rational_eigenvalues(m, char=Polynomial([Fraction(-1, 3), Fraction(1, 2), 1]))
+    with pytest.raises(InexactDivisionError):
+        rational_roots(Polynomial([Fraction(-1, 3), Fraction(1, 2), 1]), m)
     assert rational_eigenvalues(m) == ((Fraction(-1), 1), (Fraction(1, 2), 1))
-    assert rational_eigenvalues(m, char=Polynomial([Fraction(-1, 2), 1])) == ((Fraction(1, 2), 1),)
+    assert rational_roots(Polynomial([Fraction(-1, 2), 1]), m) == (((Fraction(1, 2), 1),), Polynomial.one())
+
+
+def test_rational_roots_of_divisors_against_oracles():
+    # a random symmetric rational block beside planted rational eigenvalues;
+    # p runs over divisors of det(xI - M) built by the Bareiss oracle
+    rng = random.Random(15)
+    for _ in range(16):
+        n = rng.randint(1, 4)
+        planted = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(rng.randint(0, 3))]
+        size = n + len(planted)
+        m = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+        for i, r in enumerate(planted):
+            m[n + i][n + i] = r
+        l = math.lcm(*(x.denominator for row in m for x in row))
+        bound = int(max(sum(abs(x * l) for x in row) for row in m))
+        block = bareiss_charpoly([row[:n] for row in m[:n]])
+        for p in (bareiss_charpoly(m), block, poly_mul(block, poly_from_roots(planted[:1]))):
+            roots, cofactor = rational_roots(p, m)
+            assert [r for r, _ in roots] == sorted({r for r, _ in roots})
+            rebuilt = cofactor
+            for r, e in roots:
+                assert poly_eval(p, r) == 0 and e == multiplicity(p, Polynomial((-r, 1))) >= 1
+                rebuilt = poly_mul(rebuilt, poly_pow(Polynomial((-r, 1)), e))
+            assert rebuilt == p
+            assert all(poly_eval(cofactor, Fraction(y, l)) != 0 for y in range(-bound, bound + 1))
+        assert set(planted) <= {r for r, _ in rational_roots(bareiss_charpoly(m), m)[0]}
 
 
 def test_rational_eigenvalues_refuses_scan_above_cap():

@@ -127,7 +127,7 @@ def test_lollipop():
         for n in range(1, 4):
             real = lollipop(m, n)
             assert real.direct.n == m + n
-            assert real.direct.edge_count == m * (m - 1) // 2 + (n - 1) + 1
+            assert len(real.direct.edges) == m * (m - 1) // 2 + (n - 1) + 1
             check_realization(real)
 
 
@@ -136,7 +136,7 @@ def test_tadpole():
         for n in range(1, 4):
             real = tadpole(m, n)
             assert real.direct.n == m + n
-            assert real.direct.edge_count == m + n
+            assert len(real.direct.edges) == m + n
             check_realization(real)
 
 

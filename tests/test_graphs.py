@@ -35,18 +35,18 @@ def test_graph_equality_ignores_labels():
 
 def test_named_complete_and_empty():
     k4 = make_named("complete", [4])
-    assert k4.edge_count == 6 and k4.is_regular() == 3
+    assert len(k4.edges) == 6 and k4.is_regular() == 3
     e3 = make_named("empty", [3])
-    assert e3.edge_count == 0 and e3.n == 3
+    assert len(e3.edges) == 0 and e3.n == 3
 
 
 def test_named_path_cycle():
     p4 = make_named("path", [4])
     assert p4.sorted_edges() == ((0, 1), (1, 2), (2, 3))
     p1 = make_named("path", [1])
-    assert p1.n == 1 and p1.edge_count == 0
+    assert p1.n == 1 and len(p1.edges) == 0
     c5 = make_named("cycle", [5])
-    assert c5.is_regular() == 2 and c5.edge_count == 5
+    assert c5.is_regular() == 2 and len(c5.edges) == 5
     with pytest.raises(InvalidParametersError):
         make_named("cycle", [2])
 
@@ -60,7 +60,7 @@ def test_named_star_center_first():
 
 def test_named_complete_bipartite_a_side_first():
     g = make_named("complete_bipartite", [2, 3])
-    assert g.n == 5 and g.edge_count == 6
+    assert g.n == 5 and len(g.edges) == 6
     assert g.degrees() == [3, 3, 2, 2, 2]
 
 
@@ -102,7 +102,8 @@ def test_universal_params_validation_and_presets():
 def test_universal_matrix_presets_are_the_classic_matrices():
     g = make_named("path", [3])
     a = g.adjacency_matrix()
-    d = g.degree_matrix()
+    degs = g.degrees()
+    d = [[degs[i] if i == j else 0 for j in range(g.n)] for i in range(g.n)]
     n = g.n
     lap = universal_matrix(g, UniversalParams.preset("L"))
     q = universal_matrix(g, UniversalParams.preset("Q"))

@@ -32,9 +32,9 @@ def example_3_7_spec() -> JoinSpec:
 
 def test_indexing_map_validation():
     im = IndexingMap([1, None, 3], 3)
-    assert not im.is_total
+    assert None in im.values
     assert im.used_labels() == {1, 3}
-    assert IndexingMap([1, 2], 2).is_total
+    assert None not in IndexingMap([1, 2], 2).values
     with pytest.raises(InvalidParametersError):
         IndexingMap([0, 1], 2)
     with pytest.raises(InvalidParametersError):

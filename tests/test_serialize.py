@@ -60,7 +60,7 @@ def test_polynomial_round_trip():
     encoded = polynomial_to_json(p)
     assert encoded == ["1/2", "0", "-3"]
     assert polynomial_from_json(encoded) == p
-    assert polynomial_from_json([]) == Polynomial.zero()
+    assert polynomial_from_json([]) == Polynomial()
 
 
 def test_graph_round_trip():
