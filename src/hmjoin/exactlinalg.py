@@ -34,9 +34,11 @@ and their denominators off one gcd chain against it.
 Matrices of polynomials are only ever evaluated modulo a prime p, from an
 integer coefficient stack that `spectra` builds: `_polymatrix_det_mod`
 reduces the coefficients mod p, evaluates the matrix at all requested
-points into one int64 stack and takes every determinant at once by
-batched Gaussian elimination (`_det_mod`), under the same int64 argument:
-each step forms one product of two residues and reduces it.
+points into one int64 stack, takes the Schur complement S of a leading
+block D that the caller guarantees diagonal with unit entries, so that
+det = prod diag(D) * det S, and takes every det S at once by batched
+Gaussian elimination (`_det_mod`), under the same int64 argument: each
+step forms one product of two residues and reduces it.
 `_interpolate_mod` interpolates values modulo a stack of primes at once.
 The reduced block determinants in `spectra` use these with the bound, the
 prime choice and the CRT of `charpoly`.
@@ -246,12 +248,14 @@ def _charpoly_mod(h: np.ndarray, ps: Sequence[int]) -> np.ndarray:
 def _charpoly_lift(rows: List[List[int]], bound: int) -> List[int]:
     """The coefficients, constant term first, of det(yI - R), monic in Z[y],
     for the integer rows R of L*M and the bound of `_scaled_bound(M)`: R
-    modulo every prime of `_lift_primes` in one stack for `_charpoly_mod`."""
+    modulo every prime of `_lift_primes` in one stack for `_charpoly_mod`,
+    reduced in int64 when R fits there and as Python ints otherwise."""
     ps, n = _lift_primes(bound), len(rows)
-    big = np.array(rows, dtype=object).reshape(n, n)
-    h = np.empty((len(ps), n, n), dtype=np.int64)
-    for i, p in enumerate(ps):
-        h[i] = big % p
+    try:
+        big = np.array(rows, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        big = np.array(rows, dtype=object).reshape(n, n)
+    h = (big % np.array(ps, dtype=big.dtype)[:, None, None]).astype(np.int64, copy=False)
     return _crt_lift(ps, _charpoly_mod(h, ps).tolist())
 
 
@@ -298,19 +302,32 @@ def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
     return det
 
 
-def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int) -> np.ndarray:
+def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int, lead: int) -> np.ndarray:
     """det(N(t)) mod p at each integer t of `points` for an integer
-    coefficient stack N (int64 or Python ints): the coefficients are
-    reduced mod p once, every point matrix is evaluated at once as the
-    product of the powers t^d mod p with the stack, and `_det_mod` takes
-    all the determinants together."""
+    coefficient stack N (int64 or Python ints) whose leading lead x lead
+    block is diagonal in every layer: the coefficients are reduced mod p
+    once, every point matrix is evaluated at once as the product of the
+    powers t^d mod p with the stack, and with D that diagonal block,
+    det N = prod diag(D) * det S for the Schur complement
+    S = N_rest - N_rest,D D^-1 N_D,rest, formed by one batched `_dot_mod`;
+    `_det_mod` takes all the determinants of S together. Every diagonal
+    entry of D must be a unit mod p at every point (`pow` raises
+    ValueError on one that is not)."""
     d, n = num.shape[0], num.shape[1]
     coeffs = (num % p).astype(np.int64).reshape(d, n * n)
     powers = np.ones((len(points), d), dtype=np.int64)
     t = np.array(points, dtype=np.int64) % p
     for e in range(1, d):
         powers[:, e] = powers[:, e - 1] * t % p
-    return _det_mod(_dot_mod(powers, coeffs, p).reshape(len(points), n, n), p)
+    a = _dot_mod(powers, coeffs, p).reshape(len(points), n, n)
+    pivots = np.diagonal(a[:, :lead, :lead], axis1=1, axis2=2)
+    inv = np.array([[pow(x, -1, p) for x in row] for row in pivots.tolist()], dtype=np.int64).reshape(pivots.shape)
+    det = np.ones(len(points), dtype=np.int64)
+    for j in range(lead):
+        det = det * pivots[:, j] % p
+    schur = a[:, lead:, lead:] - _dot_mod(a[:, lead:, :lead] * inv[:, None, :] % p, a[:, :lead, lead:], p)
+    schur %= p
+    return det * _det_mod(schur, p) % p
 
 
 def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:

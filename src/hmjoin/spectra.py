@@ -60,13 +60,14 @@ or when it does not exceed the last point (the points must stay distinct
 mod p), so the output is the same on every machine. For each prime p it
 evaluates the block at the first n + 1 non-negative integers t where no
 g_i vanishes into one int64 stack and takes all the determinants Phi(t)
-mod p at once by batched Gaussian elimination; times prod_i phi_i(t) /
-g_i(t)^m, the values of all primes are interpolated in one stack and
-lifted by Garner's CRT into det(yI - L*M), the integer lift. Before it
-returns, it always computes the direct lift from the same integer rows of
-M too, and any difference raises BlockFactorizationError
-(`check_block_charpoly`). A report computes that lift once and reads
-Phi, the carry-forward multiplicities and its charpoly over Q off it.
+mod p at once, by one Schur step and batched Gaussian elimination (below);
+times prod_i phi_i(t) / g_i(t)^m, the values of all primes are
+interpolated in one stack and lifted by Garner's CRT into det(yI - L*M),
+the integer lift. Before it returns, it always computes the direct lift
+from the same integer rows of M too, and any difference raises
+BlockFactorizationError (`check_block_charpoly`). A report computes that
+lift once and reads Phi, the carry-forward multiplicities and its
+charpoly over Q off it.
 
 Phi itself, kept in the report, is then the exact quotient
 det(xI - M) * prod_i g_i^m / prod_i phi_i, taken over the integers:
@@ -74,6 +75,21 @@ scaled by L (P(x) -> L^deg(P) P(y / L)), all these polynomials are monic
 in Z[y], so the quotient needs integer products and one exact division
 by a monic integer polynomial. Each M_i is a diagonal block of M, so its
 common denominator s_i divides L.
+
+Each determinant takes one Schur step before its Gaussian elimination
+(block elimination over an independent set: Rose 1972, George & Liu
+1981). `_reduced_stack` picks pivot rows greedily in row order, a row
+whenever no layer couples it in either direction to one already taken,
+and moves them first. Rows of one block never couple, so every row of
+the first block is taken. With gamma = 0 a row couples only to rows of
+host-adjacent blocks, so a block whose neighbours have no taken row is
+taken whole (every block of an edgeless host); gamma != 0 couples every
+pair of blocks. The taken block D is diagonal, and
+det Phi(t) = prod diag(D) * det S with S the Schur complement of D, so
+only S is eliminated. Pivot row a of block i holds its row multiplier
+times s_i^(d_i) g_i(t), and every prime dividing a row multiplier, s_i or
+g_i(t) at a chosen point is skipped, so D is a unit modulo every prime
+used: the step needs no pivoting and changes no prime, point or value.
 
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
@@ -364,14 +380,18 @@ def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
 # block pipeline
 
 
-def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, int]:
+def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, int, int]:
     """The coefficient stack N of the reduced block (N[d] holds those of
-    x^d; int64 when every one fits, else Python ints) and the `scale` with
-    det(block(t)) = det(N(t)) / scale. Row a of block i times
-    C = scale_i s_i^d W (d = deg g_i, W the lcm of the weight denominators)
-    is integral: G_k s^k scale_i W on the diagonal, -w_b W F_k s^(k+1) in
-    column b of block j. Divided by the gcd of C and those integers, it is
-    cleared by the lcm of its coefficient denominators."""
+    x^d; int64 when every one fits, else Python ints), the `scale` with
+    det(block(t)) = det(N(t)) / scale, and the number `lead` of pivot rows
+    that N puts first. Row a of block i times C = scale_i s_i^d W
+    (d = deg g_i, W the lcm of the weight denominators) is integral:
+    G_k s^k scale_i W on the diagonal, -w_b W F_k s^(k+1) in column b of
+    block j. Divided by the gcd of C and those integers, it is cleared by
+    the lcm of its coefficient denominators. A row is a pivot row when no
+    layer couples it, in either direction, to an earlier pivot row; rows
+    and columns are permuted alike, pivot rows first, so det N is unchanged
+    and its leading lead x lead block is diagonal in every layer."""
     offsets = [0]
     for mf in mfs:
         offsets.append(offsets[-1] + len(mf.f))
@@ -397,9 +417,18 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, in
             for col, p in entries:
                 num[:len(p), offsets[i] + a, col] = [c // cleared for c in p]
     try:
-        return num.astype(np.int64), scale
+        num = num.astype(np.int64)
     except OverflowError:
-        return num, scale
+        pass
+    # pivot rows, greedily in row order: none coupled to another in any layer
+    pattern = (num != 0).any(axis=0)
+    taken, coupled = np.zeros((2, len(pattern)), dtype=bool)
+    for r in range(len(pattern)):
+        if not coupled[r]:
+            taken[r] = True
+            coupled |= pattern[r] | pattern[:, r]
+    order = np.concatenate([np.flatnonzero(taken), np.flatnonzero(~taken)])
+    return num[:, order[:, None], order], scale, int(taken.sum())
 
 
 def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, bound: int) -> List[int]:
@@ -415,7 +444,7 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
     it is interpolated from its values at the first n + 1 non-negative
     integers where no g_i vanishes, modulo every prime of `_lift_primes` at
     once (module docstring), then checked against `_charpoly_lift(rows)`."""
-    num, scale = _reduced_stack(mfs, weights)
+    num, scale, lead = _reduced_stack(mfs, weights)
     # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
     n = sum(len(mf.phi) - 1 for mf in mfs)
@@ -433,10 +462,17 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
             bottoms.append(bottom)
         t += 1
     ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(x % p == 0 for x in bottoms))
-    values = [[d * top * pow(bottom, -1, p) % p for d, top, bottom in zip(_polymatrix_det_mod(num, points, p).tolist(), tops, bottoms)]
+    values = [[d * top * pow(bottom, -1, p) % p for d, top, bottom in zip(_polymatrix_det_mod(num, points, p, lead).tolist(), tops, bottoms)]
               for p in ps]
-    coeffs = _interpolate_mod(points, values, ps).tolist()
-    block = _crt_lift(ps, [[c * pow(l, n - j, p) % p for j, c in enumerate(row)] for p, row in zip(ps, coeffs)])
+    # coefficient j of det(tI - M) times L^(n-j) mod p, one running power per prime
+    scaled = []
+    for p, row in zip(ps, _interpolate_mod(points, values, ps).tolist()):
+        power, step = 1, l % p
+        for j in range(n, -1, -1):
+            row[j] = row[j] * power % p
+            power = power * step % p
+        scaled.append(row)
+    block = _crt_lift(ps, scaled)
     check_block_charpoly(block, _charpoly_lift(rows, bound), l)
     return block
 

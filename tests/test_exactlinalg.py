@@ -30,6 +30,7 @@ from oracles import (
 from hmjoin.errors import InexactDivisionError, InvalidParametersError, SizeMismatchError, TooLargeError
 from hmjoin.exactlinalg import (
     _EIGEN_SCAN_LIMIT,
+    _charpoly_lift,
     _charpoly_mod,
     _crt_lift,
     _det_mod,
@@ -428,10 +429,67 @@ def test_polymatrix_det_mod_matches_bareiss_values():
             assert (num.dtype == object) == (span > 9 and any(p.coeffs for row in entries for p in row))
             exact = polymatrix_det_values(entries, points)
             for p in primes:
-                got = _polymatrix_det_mod(num, points, p).tolist()
+                got = _polymatrix_det_mod(num, points, p, 0).tolist()
                 inv = pow(scale, -1, p)
                 assert [d * inv % p for d in got] == [v.numerator * pow(v.denominator, -1, p) % p
                                                       for v in exact]
+
+
+def test_polymatrix_det_mod_schur_step_matches_bareiss_values():
+    rng = random.Random(50)
+    p = next(_primes())
+    points = [0, 1, 2, 3, 5]
+    for n in range(1, 7):
+        for lead in range(n + 1):
+            num = np.array([[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for _ in range(3)],
+                           dtype=np.int64)
+            # a leading block that is diagonal in every layer, its entries
+            # constants that are units mod p
+            num[:, :lead, :lead] = 0
+            num[0, range(lead), range(lead)] = [rng.choice([1, -1, 2, -7, p + 3]) for _ in range(lead)]
+            entries = [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(n)]
+                       for r in range(n)]
+            expected = [int(v) % p for v in polymatrix_det_values(entries, points)]
+            assert _polymatrix_det_mod(num, points, p, lead).tolist() == expected
+            assert _polymatrix_det_mod(num, points, p, 0).tolist() == expected
+
+
+def test_polymatrix_det_mod_schur_complement_singular_and_swapping():
+    # N = [[D, B], [A, S(t) + A D^-1 B]] with D = diag(1, -1): det N(t) =
+    # det D * det S(t), S(t) = [[0, 1, 0], [1, t, 0], [0, 0, t - 2]]; every
+    # member of S swaps rows at column 0 and S(2) is singular
+    p = next(_primes())
+    d = np.diag([1, -1])
+    b = np.array([[3, -1, 4], [1, 5, -9]])
+    a = np.array([[2, 6], [-5, 3], [5, -8]])
+    num = np.zeros((2, 5, 5), dtype=np.int64)
+    num[0] = np.block([[d, b], [a, np.array([[0, 1, 0], [1, 0, 0], [0, 0, -2]]) + a @ d @ b]])
+    num[1, 2:, 2:] = np.diag([0, 1, 1])
+    points = [0, 1, 2, 3, 4]
+    expected = [(t - 2) % p for t in points]
+    entries = [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(5)] for r in range(5)]
+    assert [int(v) % p for v in polymatrix_det_values(entries, points)] == expected
+    for lead in (0, 1, 2):
+        assert _polymatrix_det_mod(num, points, p, lead).tolist() == expected
+    # a pivot that vanishes mod p raises instead of passing silently
+    num[0, 0, 0] = p
+    with pytest.raises(ValueError):
+        _polymatrix_det_mod(num, points, p, 2)
+
+
+def test_charpoly_lift_rows_beyond_int64_take_the_object_route():
+    rng = random.Random(51)
+    for n in range(1, 6):
+        for top in (2 ** 63 - 1, 2 ** 63, 2 ** 70):
+            rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+            rows[0][0] = top
+            rows[-1][-1] = -top - 1
+            if top >= 2 ** 63:
+                # such rows are no int64 array: the residues come from Python ints
+                with pytest.raises(OverflowError):
+                    np.array(rows, dtype=np.int64)
+            _, _, bound = _scaled_bound(rows)
+            assert _charpoly_lift(rows, bound) == [int(c) for c in bareiss_charpoly(rows).coeffs]
 
 
 def test_interpolate_mod_round_trip():

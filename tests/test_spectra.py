@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_graph, random_indexing, random_spec
@@ -22,6 +23,7 @@ from oracles import (
     poly_pow,
     poly_scale,
     polymatrix_det,
+    polymatrix_det_values,
 )
 import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
@@ -410,6 +412,80 @@ def test_phi_matches_reduced_block_determinant_on_corpus(corpus_specs, corpus_re
         assert report.phi_polynomial == reduced_block_oracle(spec, report)
 
 
+def reduced_stack_of(spec, params=UniversalParams.preset("A")):
+    """`_reduced_stack` of a labeled join's universal matrix, or of a
+    generalized join's with its slot main functions."""
+    if isinstance(spec, GeneralizedJoinSpec):
+        blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
+    else:
+        blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
+    mfs = [main_function_bilinear(*b) for b in blocks]
+    return mfs, spectra._reduced_stack(mfs, weights)
+
+
+def assert_schur_matches_bareiss(num, lead):
+    """The Schur path of `_polymatrix_det_mod` against the Bareiss values
+    of the same stack, at the first points where every pivot is a unit."""
+    p = next(exactlinalg._primes())
+    size = num.shape[1]
+    entries = [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(size)]
+               for r in range(size)]
+    points = [t for t in range(20) if all(poly_eval(entries[r][r], t) % p for r in range(lead))][:4]
+    assert len(points) == 4
+    expected = [int(v) % p for v in polymatrix_det_values(entries, points)]
+    assert exactlinalg._polymatrix_det_mod(num, points, p, lead).tolist() == expected
+    assert exactlinalg._polymatrix_det_mod(num, points, p, 0).tolist() == expected
+
+
+def test_reduced_stack_leads_with_a_maximal_diagonal_block(corpus_specs, corpus_reports):
+    for spec, report in zip(corpus_specs, corpus_reports):
+        _, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), UniversalParams.preset("A"))
+        num, _, lead = spectra._reduced_stack(report.gammas, weights)
+        pattern = (num != 0).any(axis=0)
+        # diagonal in every layer, with a non-zero diagonal
+        assert not (num[:, :lead, :lead] != 0)[:, ~np.eye(lead, dtype=bool)].any()
+        assert pattern.diagonal()[:lead].all()
+        # every row of the first host vertex's block is a pivot row, and
+        # every other row is coupled to one
+        assert lead >= len(report.gammas[0].f)
+        assert all(pattern[r, :lead].any() or pattern[:lead, r].any() for r in range(lead, len(pattern)))
+
+
+def test_schur_step_on_hosts_that_are_not_bipartite():
+    rng = random.Random(52)
+    for host in (make_named("complete", [3]), make_named("cycle", [5])):
+        for params in (UniversalParams.preset("A"), UniversalParams.preset("L")):
+            factors = [random_graph(rng, rng.randint(2, 4)) for _ in range(host.n)]
+            spec = JoinSpec(host, factors, 2, [IndexingMap([1 + v % 2 for v in range(g.n)], 2) for g in factors])
+            mfs, (num, _, lead) = reduced_stack_of(spec, params)
+            # one block of K3 (its blocks are pairwise adjacent), at least
+            # the blocks of host vertices 0 and 2 of C5
+            assert lead >= (2 if host.n == 3 else 4)
+            assert_schur_matches_bareiss(num, lead)
+            report = universal_block_charpoly(spec, params)
+            assert report.charpoly_block == charpoly(universal_matrix(hm_join(spec), params))
+
+
+def test_schur_step_on_gamma_coupled_and_edgeless_joins():
+    # seidel has gamma != 0, which couples every pair of blocks: only the
+    # first block leads
+    generalized = GeneralizedJoinSpec(make_named("cycle", [3]),
+                                      [make_named("cycle", [4]), make_named("path", [3]), make_named("star", [4])],
+                                      [[0, 2], [1], [0, 3]], UniversalParams.preset("seidel"))
+    mfs, (num, _, lead) = reduced_stack_of(generalized)
+    assert lead == len(mfs[0].f) < num.shape[1]
+    assert_schur_matches_bareiss(num, lead)
+    assert generalized_universal_charpoly(generalized) == charpoly(
+        universal_matrix(generalized.join_graph(), generalized.params))
+    # a host without edges: every row leads and S is empty
+    factors = [make_named("path", [3]), make_named("cycle", [4]), make_named("complete", [2])]
+    spec = JoinSpec(make_named("empty", [3]), factors, 2, [IndexingMap([1 + v % 2 for v in range(g.n)], 2) for g in factors])
+    mfs, (num, _, lead) = reduced_stack_of(spec)
+    assert lead == num.shape[1] == 6
+    assert_schur_matches_bareiss(num, lead)
+    assert block_charpoly(spec).charpoly_block == charpoly(hm_join(spec).adjacency_matrix())
+
+
 def test_block_charpoly_skips_roots_of_main_denominators():
     # P3 with its end vertices in different label classes: 0 is an E-main
     # eigenvalue, so g(0) = 0 and the evaluation point 0 must be skipped
@@ -466,9 +542,9 @@ def record_block_primes(monkeypatch):
     used = []
     evaluate = spectra._polymatrix_det_mod
 
-    def recording(num, points, p):
+    def recording(num, points, p, lead):
         used.append(p)
-        return evaluate(num, points, p)
+        return evaluate(num, points, p, lead)
 
     monkeypatch.setattr(spectra, "_polymatrix_det_mod", recording)
     return used
@@ -515,8 +591,8 @@ def test_corrupted_block_residue_raises(monkeypatch):
     seen = []
     target = []
 
-    def corrupt(num, points, p):
-        dets = evaluate(num, points, p)
+    def corrupt(num, points, p, lead):
+        dets = evaluate(num, points, p, lead)
         if len(seen) == target[0]:
             dets[-1] = (dets[-1] + 1) % p
         seen.append(p)
