@@ -4,11 +4,12 @@ The acceptance suite reuses one 200-spec corpus (and its reports) across
 criteria, so the expensive block computations run once."""
 
 import random
+from fractions import Fraction
 from typing import List, Optional
 
 import pytest
 
-from hmjoin import Graph, IndexingMap, JoinSpec, block_charpoly
+from hmjoin import Graph, IndexingMap, JoinSpec, Polynomial, block_charpoly
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -32,6 +33,13 @@ def random_spec(rng: random.Random, kmax: int = 4, nmax: int = 6,
     factors = [random_graph(rng, rng.randint(1, nmax)) for _ in range(k)]
     indexing = [random_indexing(rng, g.n, m) for g in factors]
     return JoinSpec(host, factors, m, indexing)
+
+
+def stack_entries(num) -> List[List[Polynomial]]:
+    """The square matrix of Polynomials whose coefficients of x^d are the
+    layer num[d] of an integer coefficient stack."""
+    size = num.shape[1]
+    return [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(size)] for r in range(size)]
 
 
 def lattice_srg16() -> Graph:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hmjoin.exactlinalg as exactlinalg
+from conftest import stack_entries
 from oracles import (
     bareiss_charpoly,
     det_bareiss,
@@ -447,9 +448,7 @@ def test_polymatrix_det_mod_schur_step_matches_bareiss_values():
             # constants that are units mod p
             num[:, :lead, :lead] = 0
             num[0, range(lead), range(lead)] = [rng.choice([1, -1, 2, -7, p + 3]) for _ in range(lead)]
-            entries = [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(n)]
-                       for r in range(n)]
-            expected = [int(v) % p for v in polymatrix_det_values(entries, points)]
+            expected = [int(v) % p for v in polymatrix_det_values(stack_entries(num), points)]
             assert _polymatrix_det_mod(num, points, p, lead).tolist() == expected
             assert _polymatrix_det_mod(num, points, p, 0).tolist() == expected
 
@@ -467,8 +466,7 @@ def test_polymatrix_det_mod_schur_complement_singular_and_swapping():
     num[1, 2:, 2:] = np.diag([0, 1, 1])
     points = [0, 1, 2, 3, 4]
     expected = [(t - 2) % p for t in points]
-    entries = [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(5)] for r in range(5)]
-    assert [int(v) % p for v in polymatrix_det_values(entries, points)] == expected
+    assert [int(v) % p for v in polymatrix_det_values(stack_entries(num), points)] == expected
     for lead in (0, 1, 2):
         assert _polymatrix_det_mod(num, points, p, lead).tolist() == expected
     # a pivot that vanishes mod p raises instead of passing silently

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_indexing, random_spec
+from conftest import random_graph, random_indexing, random_spec, stack_entries
 from oracles import (
     classify_e_main_numeric,
     euclid_gcd,
@@ -427,9 +427,7 @@ def assert_schur_matches_bareiss(num, lead):
     """The Schur path of `_polymatrix_det_mod` against the Bareiss values
     of the same stack, at the first points where every pivot is a unit."""
     p = next(exactlinalg._primes())
-    size = num.shape[1]
-    entries = [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(size)]
-               for r in range(size)]
+    entries = stack_entries(num)
     points = [t for t in range(20) if all(poly_eval(entries[r][r], t) % p for r in range(lead))][:4]
     assert len(points) == 4
     expected = [int(v) % p for v in polymatrix_det_values(entries, points)]
