@@ -28,8 +28,12 @@ mod p, so the result is exact and the same on every machine.
 
 No adjugate of (xI - M) is ever formed: the main functions in `spectra`
 take the integer lift of this engine, det(yI - L*M) (`_charpoly_lift`),
-read their numerators off the walk sums L^T M^t R and those coefficients,
-and their denominators off one gcd chain against it.
+run the walk recurrence for L^T adj(xI - M) R on an int64 stack of their
+own primes (`_residues`, `_dot_mod`), chosen by a bound W on the walk's
+integers, lift it by `_crt_lift`, and take their denominators off one gcd
+chain against the charpoly. Residues are below 2**26, so a coefficient of
+the charpoly times a residue of a side is below 2**52, and `_dot_mod`
+chunks the sums.
 
 Matrices of polynomials are only ever evaluated modulo a prime p, from an
 integer coefficient stack that `spectra` builds: `_polymatrix_det_mod`
@@ -245,18 +249,25 @@ def _charpoly_mod(h: np.ndarray, ps: Sequence[int]) -> np.ndarray:
     return polys[:, n]
 
 
-def _charpoly_lift(rows: List[List[int]], bound: int) -> List[int]:
+def _residues(values, shape: Tuple[int, ...], ps: Sequence[int]) -> np.ndarray:
+    """An integer array of the given shape modulo every prime of ps, as an
+    int64 stack of shape (P, *shape): reduced in int64 when every value fits
+    there and as Python ints otherwise."""
+    try:
+        big = np.array(values, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        big = np.array(values, dtype=object).reshape(shape)
+    q = np.array(ps, dtype=big.dtype).reshape((-1,) + (1,) * len(shape))
+    return (big % q).astype(np.int64, copy=False)
+
+
+def _charpoly_lift(rows: Sequence[Sequence[int]], bound: int) -> List[int]:
     """The coefficients, constant term first, of det(yI - R), monic in Z[y],
     for the integer rows R of L*M and the bound of `_scaled_bound(M)`: R
-    modulo every prime of `_lift_primes` in one stack for `_charpoly_mod`,
-    reduced in int64 when R fits there and as Python ints otherwise."""
+    modulo every prime of `_lift_primes` in one stack (`_residues`) for
+    `_charpoly_mod`."""
     ps, n = _lift_primes(bound), len(rows)
-    try:
-        big = np.array(rows, dtype=np.int64).reshape(n, n)
-    except OverflowError:
-        big = np.array(rows, dtype=object).reshape(n, n)
-    h = (big % np.array(ps, dtype=big.dtype)[:, None, None]).astype(np.int64, copy=False)
-    return _crt_lift(ps, _charpoly_mod(h, ps).tolist())
+    return _crt_lift(ps, _charpoly_mod(_residues(rows, (n, n), ps), ps).tolist())
 
 
 def charpoly(m) -> Polynomial:

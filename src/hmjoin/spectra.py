@@ -32,18 +32,34 @@ of the side matrices,
 
     L^T adj(xI - M) R = sum_k x^(n-1-k) sum_{j<=k} c_j W_(k-j),
 
-which Horner's rule accumulates on an n x cols block over the non-zeros
-of M. Every reduced entry denominator of these numerators N over phi
-divides phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the
-reduced common denominator g = phi / h and f = N / h. The chain runs in
-Z[y]: with M = M'/s, L = L'/s_l and R = R'/s_r, the recurrence over M' is
-integral, its layers are the coefficients of s_l s_r s^(n-1) N(y / s),
-and s^n phi(y / s), the integer lift of the charpoly engine, is monic in
-Z[y], so h is monic there too and both quotients are exact integer
-divisions (`_int_gcd`, `_int_divexact`). `MainFunction` keeps phi, g and
-f in this scaled integer form, and every consumer (entries in lowest
-terms, eigenvalue classes, the reduced block, Phi) reads those integers;
-the polynomials over Q are views derived on first read.
+which Horner's rule accumulates as Y_0 = R, Y_k = M Y_(k-1) + c_k R, with
+layer k = L^T Y_k. With M = M'/s, L = L'/s_l and R = R'/s_r the same
+recurrence over M' and c_k s^k is integral, and its layers are the
+coefficients of L'^T adj(yI - M') R', that is of s_l s_r s^(n-1) N(y / s).
+It runs modulo primes, all of them in one int64 stack, and one Garner CRT
+lifts the layers. The coefficient of y^(n-1-k) in a cofactor of yI - M' is
+a signed sum of at most C(n, k) minors of M' of size k, each at most B^k by
+Hadamard (B as in `_scaled_bound`), so the bound of `_scaled_bound(M)`
+covers every cofactor, and
+
+    W = bound * max_a |L'_a|_1 * max_b |R'_b|_1
+
+(the largest column 1-norms of the integer sides, each taken as at least
+1) covers every coefficient of a layer. The primes are those of
+`_lift_primes(W)`, a pure function of W, so every machine gets the same
+integers. Residues lie below 2**26, so c_k R' is below 2**52, and
+`_dot_mod` chunks the sums of products, so int64 never overflows.
+
+Every reduced entry denominator of these numerators N over phi divides
+phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the reduced
+common denominator g = phi / h and f = N / h. The chain runs in Z[y] on
+the lifted layers: s^n phi(y / s), the integer lift of the charpoly
+engine, is monic in Z[y], so h is monic there too and both quotients are
+exact integer divisions (`_int_gcd`, `_int_divexact`). `MainFunction`
+keeps phi, g and f in this scaled integer form, and every consumer
+(entries in lowest terms, eigenvalue classes, the reduced block, Phi)
+reads those integers; the polynomials over Q are views derived on first
+read.
 
 The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
@@ -70,11 +86,12 @@ lift once and reads Phi, the carry-forward multiplicities and its
 charpoly over Q off it.
 
 Phi itself, kept in the report, is then the exact quotient
-det(xI - M) * prod_i g_i^m / prod_i phi_i, taken over the integers:
-scaled by L (P(x) -> L^deg(P) P(y / L)), all these polynomials are monic
-in Z[y], so the quotient needs integer products and one exact division
-by a monic integer polynomial. Each M_i is a diagonal block of M, so its
-common denominator s_i divides L.
+det(xI - M) * prod_i g_i^(m-1) / prod_i h_i with h_i = phi_i / g_i, that
+is det(xI - M) * prod_i g_i^m / prod_i phi_i with each g_i cancelled
+first, taken over the integers: scaled by L (P(x) -> L^deg(P) P(y / L)),
+all these polynomials are monic in Z[y], so h_i and the quotient need
+integer products and exact divisions by monic integer polynomials. Each
+M_i is a diagonal block of M, so its common denominator s_i divides L.
 
 Each determinant takes one Schur step before its Gaussian elimination
 (block elimination over an independent set: Rose 1972, George & Liu
@@ -119,10 +136,12 @@ from .exactlinalg import (
     _charpoly_lift,
     _crt_lift,
     _denominator,
+    _dot_mod,
     _integer_roots,
     _interpolate_mod,
     _lift_primes,
     _polymatrix_det_mod,
+    _residues,
     _scaled_bound,
     mat_is_symmetric,
     mat_shape,
@@ -245,20 +264,23 @@ def _resolvent(key: tuple):
     """The integer data of the walk recurrence for M = M'/s: s, the
     coefficients, constant term first, of s^n phi(y / s) for
     phi = det(xI - M), so entry n - j is c_j s^j for phi = sum_j c_j x^(n-j),
-    and the rows of M' as (column, entry) pairs of its non-zeros. Cached on
-    matrix content, so factors and pair searches that revisit a matrix pay
-    for its characteristic polynomial once."""
+    the rows of M' and the bound of `_scaled_bound(M)`, which bounds every
+    coefficient of every cofactor of yI - M' too (module docstring). Cached
+    on matrix content, so factors and pair searches that revisit a matrix
+    pay for its characteristic polynomial once."""
     s, rows, bound = _scaled_bound(key)
-    return s, tuple(_charpoly_lift(rows, bound)), tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    return s, tuple(_charpoly_lift(rows, bound)), tuple(map(tuple, rows)), bound
 
 
 def _bilinear_numerators(m, left, right) -> Tuple[int, Tuple[int, ...], int, List[List[List[int]]]]:
     """s, s^n phi(y / s), s_l s_r and N = L^T adj(xI - M) R from the walk
-    sums (module docstring): Horner's rule builds Y_k = M Y_(k-1) + c_k R
-    from Y_0 = R, one row of non-zeros of M at a time, and layer k of N is
-    L^T Y_k. With M = M'/s, s^k Y_k obeys the same recurrence over the
-    integers M' and c_j s^j, so entry (a, b) comes back as the n integer
-    coefficients, lowest first, of s_l s_r s^(n-1) N_ab(y / s)."""
+    sums (module docstring). With M = M'/s, L = L'/s_l and R = R'/s_r, the
+    recurrence Y_0 = R', Y_k = M' Y_(k-1) + c_k s^k R' runs modulo every
+    prime of `_lift_primes(W)` at once in one int64 stack, and layer k is
+    L'^T Y_k. Entry (a, b) of L'^T adj(yI - M') R' has its coefficient of
+    y^(n-1-k) in layer k and each within
+    W = bound * max_a |L'_a|_1 * max_b |R'_b|_1, so one `_crt_lift` gives
+    the n integer coefficients, lowest first, of s_l s_r s^(n-1) N_ab(y / s)."""
     n, cols = mat_shape(m)
     if cols != n:
         raise SizeMismatchError(f"square matrix required, got {n}x{cols}")
@@ -266,37 +288,36 @@ def _bilinear_numerators(m, left, right) -> Tuple[int, Tuple[int, ...], int, Lis
     rr, cr = mat_shape(right)
     if rl != n or rr != n:
         raise SizeMismatchError(f"side matrices must have {n} rows, got {rl} and {rr}")
-    s, phi, rows = _resolvent(tuple(map(tuple, m)))
+    s, phi, rows, bound = _resolvent(tuple(map(tuple, m)))
     if cl == 0 or cr == 0:
         return s, phi, 1, [[] for _ in range(cl)]
     sl = _denominator(left)
     sr = _denominator(right)
-    left_cols = [[(i, int(row[a] * sl)) for i, row in enumerate(left) if row[a]] for a in range(cl)]
-    r0 = [[int(x * sr) for x in row] for row in right]
-    r_rows = [(i, row) for i, row in enumerate(r0) if any(row)]
-    zero = [0] * cr
+    l_ints = [[int(x * sl) for x in row] for row in left]
+    r_ints = [[int(x * sr) for x in row] for row in right]
+
+    def norm(ints):
+        # the largest column 1-norm, at least 1 so that a zero side keeps a positive bound
+        return max(1, *(sum(map(abs, col)) for col in zip(*ints)))
+
+    ps = _lift_primes(bound * norm(l_ints) * norm(r_ints))
+    q = np.array(ps, dtype=np.int64)[:, None, None]
+    # one product with [M'; L'^T] gives M' Y_k and layer k together
+    step = np.concatenate([_residues(rows, (n, n), ps), _residues(l_ints, (n, cl), ps).transpose(0, 2, 1)], axis=1)
+    r0 = _residues(r_ints, (n, cr), ps)
+    c = _residues(phi, (n + 1,), ps)[:, :, None, None]
+    # layers[d] holds the coefficients of y^d, layer k = n - 1 - d
+    layers = np.empty((n, len(ps), cl, cr), dtype=np.int64)
     y = r0
-    layers = []
     for k in range(n):
-        if k:
-            nxt = []
-            for nz in rows:
-                acc = zero
-                for j, w in nz:
-                    acc = [p + w * q for p, q in zip(acc, y[j])]
-                nxt.append(acc)
-            if phi[n - k]:
-                for i, row in r_rows:
-                    nxt[i] = [p + phi[n - k] * q for p, q in zip(nxt[i], row)]
-            y = nxt
-        layer = []
-        for col in left_cols:
-            acc = zero
-            for i, w in col:
-                acc = [p + w * q for p, q in zip(acc, y[i])]
-            layer.append(acc)
-        layers.append(layer)
-    entries = [[[layers[n - 1 - d][a][b] for d in range(n)] for b in range(cr)] for a in range(cl)]
+        walk = _dot_mod(step, y, q)
+        layers[n - 1 - k] = walk[:, n:]
+        if k + 1 < n:
+            y = walk[:, :n]
+            y += c[:, n - 1 - k] * r0
+            y %= q
+    lifted = _crt_lift(ps, layers.transpose(1, 2, 3, 0).reshape(len(ps), -1).tolist())
+    entries = [[lifted[(a * cr + b) * n:(a * cr + b + 1) * n] for b in range(cr)] for a in range(cl)]
     return s, phi, sl * sr, entries
 
 
@@ -493,17 +514,20 @@ def check_block_charpoly(block: Sequence[int], direct: Sequence[int], l: int) ->
 
 
 def _phi_quotient(lift: Sequence[int], mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:
-    """Phi = det(xI - M) * prod_i g_i^m / prod_i phi_i over the integers,
-    each polynomial scaled by L (module docstring), then unscaled; `lift`
-    is det(xI - M) so scaled. Each s_i divides L, so the list
-    P = s_i^d p(y / s_i) scales to L^d p(y / L) = (L / s_i)^(d-k) P_k."""
+    """Phi = det(xI - M) * prod_i g_i^(m-1) / prod_i h_i over the integers,
+    with h_i = phi_i / g_i exact in Z[y], each polynomial scaled by L
+    (module docstring), then unscaled; `lift` is det(xI - M) so scaled.
+    That is det(xI - M) * prod_i g_i^m / prod_i phi_i with g_i cancelled
+    first (m = 0 leaves every side empty, so g_i = 1). Each s_i divides L,
+    so the list P = s_i^d p(y / s_i) scales to
+    L^d p(y / L) = (L / s_i)^(d-k) P_k."""
     numerator, divisor = [1], [1]
     for mf in mfs:
         r = l // mf.s
         g, phi = ([c * r ** (len(p) - 1 - k) for k, c in enumerate(p)] for p in (mf.g, mf.phi))
-        for _ in range(m):
+        for _ in range(m - 1):
             numerator = _int_mul(numerator, g)
-        divisor = _int_mul(divisor, phi)
+        divisor = _int_mul(divisor, _int_divexact(phi, g))
     numerator = _int_mul(numerator, lift)
     return _unscaled(_int_divexact(numerator, divisor), l)
 

@@ -2,6 +2,7 @@
 block characteristic polynomials, carry-forward bounds, universal variants."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from hmjoin.errors import BlockFactorizationError, CarryForwardError, InvalidPar
 from hmjoin.exactlinalg import charpoly
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
-from hmjoin.polynomials import Polynomial
+from hmjoin.polynomials import Polynomial, _unscaled
 from hmjoin.spectra import (
     _universal_blocks,
     block_charpoly,
@@ -256,6 +257,87 @@ def test_main_function_matches_resolvent_oracle():
             assert value == [[poly_eval(f, t) / gt for f in row] for row in mf.numerator]
 
 
+def walk_bound(m, left, right):
+    """The bound of `_scaled_bound(M)` and W = bound * max_a |L'_a|_1 *
+    max_b |R'_b|_1 for the integer sides L' = s_l L and R' = s_r R, each
+    norm taken as at least 1."""
+    _, _, bound = exactlinalg._scaled_bound(m)
+    w = bound
+    for side in (left, right):
+        den = exactlinalg._denominator(side)
+        w *= max(1, *(sum(abs(row[a] * den) for row in side) for a in range(len(side[0]))))
+    return bound, w
+
+
+def walk_bound_cases():
+    rng = random.Random(41)
+
+    def rand(rows, cols, span, den=1):
+        return [[Fraction(rng.randint(-span, span), rng.randint(1, den)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    cases = []
+    for _ in range(12):  # rational M and sides
+        n = rng.randint(1, 5)
+        cases.append((rand(n, n, 4, 3), rand(n, rng.randint(1, 3), 3, 2), rand(n, rng.randint(1, 3), 3, 2)))
+    for _ in range(3):  # rows of M' beyond 2**63: the residues come from Python ints
+        n = rng.randint(2, 4)
+        cases.append((rand(n, n, 2 ** 70, 2), rand(n, 2, 3), rand(n, 1, 3)))
+    for _ in range(3):  # side entries of 2**26 and more
+        n = rng.randint(2, 4)
+        cases.append((rand(n, n, 3), rand(n, 2, 2 ** 40), rand(n, 2, 2 ** 30, 3)))
+    # bound 2 for this M, so the primes of the bound alone hold nothing near 2**80
+    cases.append(([[1]], [[2 ** 40]], [[2 ** 40 + 1]]))
+    return cases
+
+
+def test_walk_stays_within_its_bound_and_matches_the_resolvent():
+    big_rows = big_sides = 0
+    for m, left, right in walk_bound_cases():
+        n = len(m)
+        big_rows += max(abs(x) for row in exactlinalg._scaled_bound(m)[1] for x in row) >= 2 ** 63
+        big_sides += max(abs(x) for side in (left, right) for row in side for x in row) >= 2 ** 26
+        s, _, scale, entries = spectra._bilinear_numerators(m, left, right)
+        bound, w = walk_bound(m, left, right)
+        largest = max(abs(c) for row in entries for p in row for c in p)
+        assert largest <= w
+        samples = []
+        t = 0
+        while len(samples) < n:
+            det, value = resolvent_bilinear_at(m, right, left, Fraction(t))
+            if value is not None:
+                samples.append((t, det, value))
+            t += 1
+        for a, row in enumerate(entries):
+            for b, p in enumerate(row):
+                assert len(p) == n
+                assert _unscaled(p, s, scale) == interpolate([(t, det * value[a][b]) for t, det, value in samples])
+    assert big_rows >= 3 and big_sides >= 4
+    # the last case needs the side norms: the primes of its bound alone cannot lift it
+    assert math.prod(exactlinalg._lift_primes(bound)) <= 2 * largest
+
+
+def test_main_function_edge_shapes():
+    # zero-width sides, an all-zero side column, a zero side and 1 x 1
+    # matrices, pinned as (s, phi, g, f, scale)
+    f = Fraction
+    m = [[f(1, 2), f(1, 3), 0], [f(1, 3), f(-1, 4), 1], [0, 1, f(5, 6)]]
+    u = [[f(1, 5), 2], [f(3, 5), -1], [0, 0]]
+    phi = (1204, -148, -13, 1)
+    cases = [
+        ((m, u, [[] for _ in range(3)]), (12, phi, (1,), (), 1)),
+        ((m, [[] for _ in range(3)], u), (12, phi, (1,), ((), ()), 1)),
+        ((m, [[0, 2], [0, -1], [0, f(1, 3)]], u),
+         (12, phi, phi, (((0, 0, 0), (-2352, 198, -3)), ((0, 0, 0), (-6300, -960, 75))), 15)),
+        ((m, [[0], [0], [0]], u), (12, phi, (1,), (((),), ((),)), 5)),
+        (([[f(-5, 2)]], [[f(3)]], [[f(1, 7), 0]]), (2, (5, 1), (5, 1), (((3,),), ((0,),)), 7)),
+        (([[7]], [[0]], [[0]]), (1, (-7, 1), (1,), (((),),), 1)),
+    ]
+    for args, expected in cases:
+        mf = main_function_bilinear(*args)
+        assert (mf.s, mf.phi, mf.g, mf.f, mf.scale) == expected
+
+
 def test_classification_of_complete_factors():
     k2 = make_named("complete", [2])
     im2 = IndexingMap([1, 1], 2)
@@ -373,6 +455,19 @@ def test_block_charpoly_edge_cases():
     r3 = block_charpoly(spec3)
     assert r3.charpoly_block == poly_mul(charpoly(make_named("path", [2]).adjacency_matrix()),
                                          charpoly(make_named("path", [3]).adjacency_matrix()))
+
+
+def test_phi_is_one_without_labeled_vertices():
+    # no label (m = 0) or no labeled vertex: every g_i is 1, the reduced
+    # block is the identity, and det(xI - M) = prod phi_i
+    host = make_named("complete", [2])
+    factors = [make_named("path", [2]), make_named("cycle", [3])]
+    for m in (0, 2):
+        spec = JoinSpec(host, factors, m, [IndexingMap([None] * f.n, m) for f in factors])
+        report = block_charpoly(spec)
+        assert all(mf.denominator == Polynomial.one() for mf in report.gammas)
+        assert report.phi_polynomial == Polynomial.one()
+        assert report.charpoly_direct == poly_mul(*report.factor_charpolys)
 
 
 def test_identity_factorization_pieces():
