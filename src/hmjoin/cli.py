@@ -371,9 +371,19 @@ def _attach_params(argv: List[str]) -> List[str]:
     return out
 
 
+# Built on the first `main` call, not at import, which every importer would
+# pay for. Parsing mutates no parser state, so reuse changes no output.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_params(sys.argv[1:] if argv is None else argv))
+    """Run one command line (default `sys.argv[1:]`) and return its exit
+    status. May be called repeatedly in one process; the parser is built
+    on the first call."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(_attach_params(sys.argv[1:] if argv is None else argv))
     try:
         doc = args.func(args)
         _write_text(doc if isinstance(doc, str) else canonical_dumps(doc), args.output)

@@ -172,7 +172,7 @@ def regular_gamma_closed_form(g: Graph, subset: Sequence[int],
 
 def _joint_color_refinement(a: Graph, b: Graph):
     """Degree-seeded color refinement run jointly so class ids are shared."""
-    adj = [[list(g.neighbors(v)) for v in range(g.n)] for g in (a, b)]
+    adj = [a.adjacency(), b.adjacency()]
     colors = [list(g.degrees()) for g in (a, b)]
     while True:
         table: Dict[tuple, int] = {}
@@ -210,8 +210,8 @@ def isomorphism_test(a: Graph, b: Graph) -> bool:
         hist_b[c] = hist_b.get(c, 0) + 1
     if hist_a != hist_b:
         return False
-    adj_a = [set(a.neighbors(v)) for v in range(a.n)]
-    adj_b = [set(b.neighbors(v)) for v in range(b.n)]
+    adj_a = [set(nb) for nb in a.adjacency()]
+    adj_b = [set(nb) for nb in b.adjacency()]
     # assign vertices from the rarest color classes first
     order = sorted(range(a.n), key=lambda v: (hist_a[ca[v]], ca[v], v))
     candidates = [sorted(w for w in range(b.n) if cb[w] == ca[v]) for v in order]

@@ -66,6 +66,14 @@ class Graph:
                 out.append(a)
         return tuple(sorted(out))
 
+    def adjacency(self) -> List[Tuple[int, ...]]:
+        """`[neighbors(v) for v in range(n)]` in one pass over the edges."""
+        lists: List[List[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            lists[u].append(v)
+            lists[v].append(u)
+        return [tuple(sorted(nb)) for nb in lists]
+
     def degrees(self) -> List[int]:
         degs = [0] * self.n
         for u, v in self.edges:

@@ -540,7 +540,7 @@ def _universal_blocks(host, factors, sides, params):
     U_i = V_i = E_i and w = (alpha,)*c on host edges when gamma = 0, else
     U_i = [1 | E_i], V_i = [gamma*1 | E_i] and w = (1,) + (alpha*rho_ij,)*c."""
     c = len(sides[0][0]) if sides else 0
-    neighbors = [host.neighbors(i) for i in range(host.n)]
+    neighbors = host.adjacency()
     blocks = []
     for i, (g, e) in enumerate(zip(factors, sides)):
         m = universal_matrix(g, params)

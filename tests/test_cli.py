@@ -1,6 +1,9 @@
 """Command-line interface: verbs, rendering, exit codes, determinism."""
 
+import argparse
 import ast
+import importlib
+import io
 import json
 import pathlib
 import subprocess
@@ -422,6 +425,70 @@ def test_output_file_gets_the_stdout_bytes(capsys, tmp_path, argv):
 def test_stdin_dash_guard(capsys):
     code, _, err = run_cli(capsys, "cospectral", "check", "-", "-", "--kind", "A")
     assert code == 2
+
+
+def _count_parsers(monkeypatch):
+    """The list of every argparse parser built from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    out_path = tmp_path / "verified.json"
+    spec_bytes = pathlib.Path(EXAMPLE).read_bytes()
+    argvs = [
+        ["charpoly", EXAMPLE],
+        ["reduce", EXAMPLE, "--mode", "unused"],
+        ["universal", EXAMPLE, "--params", "-1,0,0,1"],
+        ["charpoly"],
+        ["bogus", EXAMPLE],
+        ["universal", EXAMPLE, "--preset", "L", "--params", "1,0,0,0"],
+        ["verify", EXAMPLE, "-o", str(out_path)],
+        ["classify", "-"],
+    ]
+
+    def call(argv):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(spec_bytes)))
+        out_path.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out_path.read_bytes() if out_path.exists() else None
+        return code, captured.out, captured.err, written
+
+    built = _count_parsers(monkeypatch)
+    cli.build_parser()
+    tree = len(built)
+    # the reference: a fresh parser for every call
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(call(argv))
+    assert [r[0] for r in fresh] == [0, 0, 0, 2, 2, 2, 0, 0]
+    assert fresh[6][1] == "" and fresh[6][3].startswith(b"{")
+    monkeypatch.setattr(cli, "_PARSER", None)
+    del built[:]
+    for order in (range(len(argvs)), reversed(range(len(argvs)))):
+        for i in order:
+            assert call(argvs[i]) == fresh[i], argvs[i]
+    assert len(built) == tree
+
+
+def test_importing_the_cli_builds_no_parser(monkeypatch):
+    # the first main call builds the parser; at import it would cost every
+    # importer, including those that never call main
+    built = _count_parsers(monkeypatch)
+    importlib.reload(cli)
+    assert built == []
 
 
 def test_subprocess_byte_determinism():

@@ -1,5 +1,6 @@
 """Graph type, named constructors, universal matrices, edge-list format."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,17 @@ def test_graph_equality_ignores_labels():
     a = Graph(2, [(0, 1)], labels=["x", "y"])
     b = Graph(2, [(0, 1)])
     assert a == b and hash(a) == hash(b)
+
+
+def test_adjacency_lists_every_vertex_neighbors():
+    rng = random.Random(18)
+    graphs = [Graph(0), Graph(5), make_named("complete", [6])]
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(Graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    for g in graphs:
+        assert g.adjacency() == [g.neighbors(v) for v in range(g.n)]
 
 
 def test_named_complete_and_empty():
