@@ -171,7 +171,8 @@ def regular_gamma_closed_form(g: Graph, subset: Sequence[int],
 
 
 def _joint_color_refinement(a: Graph, b: Graph):
-    """Degree-seeded color refinement run jointly so class ids are shared."""
+    """Degree-seeded color refinement run jointly so class ids are shared:
+    the colors of a and b, and the adjacency lists it refined them on."""
     adj = [a.adjacency(), b.adjacency()]
     colors = [list(g.degrees()) for g in (a, b)]
     while True:
@@ -188,7 +189,7 @@ def _joint_color_refinement(a: Graph, b: Graph):
                     changed = True
         colors = fresh
         if not changed:
-            return colors[0], colors[1]
+            return colors, adj
 
 
 def isomorphism_test(a: Graph, b: Graph) -> bool:
@@ -201,7 +202,7 @@ def isomorphism_test(a: Graph, b: Graph) -> bool:
         return False
     if a.n == 0:
         return True
-    ca, cb = _joint_color_refinement(a, b)
+    (ca, cb), adjacency = _joint_color_refinement(a, b)
     hist_a: Dict[int, int] = {}
     hist_b: Dict[int, int] = {}
     for c in ca:
@@ -210,8 +211,7 @@ def isomorphism_test(a: Graph, b: Graph) -> bool:
         hist_b[c] = hist_b.get(c, 0) + 1
     if hist_a != hist_b:
         return False
-    adj_a = [set(nb) for nb in a.adjacency()]
-    adj_b = [set(nb) for nb in b.adjacency()]
+    adj_a, adj_b = ([set(nb) for nb in adj] for adj in adjacency)
     # assign vertices from the rarest color classes first
     order = sorted(range(a.n), key=lambda v: (hist_a[ca[v]], ca[v], v))
     candidates = [sorted(w for w in range(b.n) if cb[w] == ca[v]) for v in order]

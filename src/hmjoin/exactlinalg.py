@@ -11,20 +11,21 @@ Characteristic polynomials of scalar matrices have one engine, `charpoly`,
 which is multi-modular (Dumas, Pernet & Wan, ISSAC 2005; Cohen, A Course
 in Computational Algebraic Number Theory, section 2.2). With L the common
 denominator of M, it works on the integer matrix M' = L*M and returns
-c_k(M) = c_k(M') / L^k. Each c_k(M') is a signed sum of C(n, k) principal
-k-minors, each at most B^k by Hadamard's inequality, with
-B = isqrt(largest row sum of squares) + 1 (`_scaled_bound`); primes below
-2**26, largest first (`_primes`), are chosen before any residue, until
-their product exceeds 2 * max_k C(n, k) B^k + 1 (`_lift_primes`). M' mod
-each is one member of an int64 stack; numpy similarity transforms bring
-all members to upper Hessenberg form at once and a recurrence reads off
-their characteristic polynomials (`_charpoly_mod`); Garner's CRT with
+c_k(M) = c_k(M') / L^k. Each c_k(M') is a signed sum of principal
+k-minors, each at most the product of its rows' norms by Hadamard's
+inequality, so |c_k(M')| <= e_k(r_1, ..., r_n) for the ceilings r_i of the
+row norms; `_scaled_bound` takes max_k e_k by an exact recurrence over the
+rows. Primes below 2**26, largest first (`_primes`), are chosen before any
+residue, until their product exceeds twice that plus one (`_lift_primes`).
+M' mod each is one member of an int64 stack; numpy similarity transforms
+bring all members to upper Hessenberg form at once and a recurrence reads
+off their characteristic polynomials (`_charpoly_mod`); Garner's CRT with
 symmetric residues (`_crt_lift`) lifts the coefficients. The int64
 argument holds per member: residues are below its prime p < 2**26, so
 every product is below 2**52, and every sum of products is reduced after
 at most 2**11 - 1 terms, so no partial sum reaches 2**63. No prime is bad:
-the characteristic polynomial of M' mod p is always that of M' reduced
-mod p, so the result is exact and the same on every machine.
+the characteristic polynomial of M' mod p is always that of M' reduced mod
+p, so the result is exact and the same on every machine.
 
 No adjugate of (xI - M) is ever formed: the main functions in `spectra`
 take the integer lift of this engine, det(yI - L*M) (`_charpoly_lift`),
@@ -44,6 +45,9 @@ det = prod diag(D) * det S, and takes every det S at once by batched
 Gaussian elimination (`_det_mod`), under the same int64 argument: each
 step forms one product of two residues and reduces it.
 `_interpolate_mod` interpolates values modulo a stack of primes at once.
+Pivots, the diagonal of D and point differences are inverted in batches
+by Montgomery's trick (Math. Comp. 48, 1987; `_inverses`): prefix
+products, one `pow` per batch (per point for D), one sweep back.
 The reduced block determinants in `spectra` use these with the bound, the
 prime choice and the CRT of `charpoly`.
 
@@ -106,13 +110,15 @@ def _denominator(m) -> int:
 
 def _scaled_bound(m) -> Tuple[int, List[List[int]], int]:
     """L, the common denominator of the entries of M, the integer rows of
-    L*M, and max_k C(n, k) B^k, which bounds every coefficient of
-    det(xI - L*M) (module docstring)."""
+    L*M, and max_k e_k(r_1, ..., r_n) for r_i = ceil(|row i|_2), which bounds
+    every coefficient of det(xI - L*M) (module docstring)."""
     l = _denominator(m)
     rows = [[x.numerator * (l // x.denominator) for x in row] for row in m]
-    n = len(rows)
-    b = math.isqrt(max((sum(x * x for x in row) for row in rows), default=0)) + 1
-    return l, rows, max(math.comb(n, k) * b ** k for k in range(n + 1))
+    e = [1]  # e[k] = e_k of the norm ceilings of the rows so far
+    for row in rows:
+        r = math.isqrt(sum(x * x for x in row) - 1) + 1 if any(row) else 0
+        e = [a + r * b for a, b in zip(e + [0], [0] + e)]
+    return l, rows, max(e)
 
 
 # Primes below 2**26, largest first. The list is a pure function of its
@@ -153,6 +159,22 @@ def _lift_primes(bound: int, bad=lambda p: False) -> List[int]:
             chosen.append(p)
             modulus *= p
     return chosen
+
+
+def _inverses(values: Sequence[int], p: int) -> List[int]:
+    """The inverses mod p of values in [0, p), 0 for 0, by Montgomery's
+    trick: prefix products, one `pow`, one sweep back."""
+    prefix, acc = [], 1
+    for x in values:
+        prefix.append(acc)
+        if x:
+            acc = acc * x % p
+    inv, out = pow(acc, -1, p), [0] * len(prefix)
+    for i in range(len(prefix) - 1, -1, -1):
+        if values[i]:
+            out[i] = inv * prefix[i] % p
+            inv = inv * values[i] % p
+    return out
 
 
 def _crt_lift(ps: Sequence[int], residues: List[List[int]]) -> List[int]:
@@ -292,20 +314,19 @@ def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
     the product, so int64 never overflows."""
     b, n = a.shape[0], a.shape[1]
     det = np.ones(b, dtype=np.int64)
-    members = np.arange(b)
     for k in range(n):
-        first = k + np.argmax(a[:, k:, k] != 0, axis=1)
-        swap = members[first != k]
-        if swap.size:
+        pivot = a[:, k, k]  # a view: it sees the swaps
+        if not pivot.all():
+            first = k + np.argmax(a[:, k:, k] != 0, axis=1)
+            swap = np.flatnonzero(first != k)
             rows = first[swap]
             top = a[swap, k]
             a[swap, k] = a[swap, rows]
             a[swap, rows] = top
             det[swap] = (p - det[swap]) % p
-        pivot = a[:, k, k]
         det = det * pivot % p
         if k + 1 < n:
-            inv = np.array([pow(x, -1, p) if x else 0 for x in pivot.tolist()], dtype=np.int64)
+            inv = np.array(_inverses(pivot.tolist(), p), dtype=np.int64)
             factors = a[:, k + 1:, k] * inv[:, None] % p
             rest = a[:, k + 1:, k + 1:]
             rest -= factors[:, :, None] * a[:, None, k, k + 1:]
@@ -332,10 +353,16 @@ def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int, lead: in
         powers[:, e] = powers[:, e - 1] * t % p
     a = _dot_mod(powers, coeffs, p).reshape(len(points), n, n)
     pivots = np.diagonal(a[:, :lead, :lead], axis1=1, axis2=2)
-    inv = np.array([[pow(x, -1, p) for x in row] for row in pivots.tolist()], dtype=np.int64).reshape(pivots.shape)
+    # Montgomery's trick per point; the last prefix product is prod diag(D)
+    prefix, inv = np.empty((2,) + pivots.shape, dtype=np.int64)
     det = np.ones(len(points), dtype=np.int64)
     for j in range(lead):
+        prefix[:, j] = det
         det = det * pivots[:, j] % p
+    back = np.array([pow(x, -1, p) for x in det.tolist()], dtype=np.int64)
+    for j in range(lead - 1, -1, -1):
+        inv[:, j] = back * prefix[:, j] % p
+        back = back * pivots[:, j] % p
     schur = a[:, lead:, lead:] - _dot_mod(a[:, lead:, :lead] * inv[:, None, :] % p, a[:, :lead, lead:], p)
     schur %= p
     return det * _det_mod(schur, p) % p
@@ -349,7 +376,7 @@ def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
     expanded, points by primes. Every step multiplies two residues."""
     n, q = len(xs), np.transpose(_by_member(ps))
     x = np.array(xs, dtype=np.int64)
-    inverse = np.array([[0] + [pow(d, -1, p) for d in range(1, xs[-1] - xs[0] + 1)] for p in ps], dtype=np.int64).T
+    inverse = np.array([_inverses(range(xs[-1] - xs[0] + 1), p) for p in ps], dtype=np.int64).T
     c = np.array(ys, dtype=np.int64).T % q
     for j in range(1, n):
         c[j:] = (c[j:] - c[j - 1:-1]) % q * inverse[x[j:] - x[:-j]] % q

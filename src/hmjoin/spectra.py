@@ -37,10 +37,11 @@ layer k = L^T Y_k. With M = M'/s, L = L'/s_l and R = R'/s_r the same
 recurrence over M' and c_k s^k is integral, and its layers are the
 coefficients of L'^T adj(yI - M') R', that is of s_l s_r s^(n-1) N(y / s).
 It runs modulo primes, all of them in one int64 stack, and one Garner CRT
-lifts the layers. The coefficient of y^(n-1-k) in a cofactor of yI - M' is
-a signed sum of at most C(n, k) minors of M' of size k, each at most B^k by
-Hadamard (B as in `_scaled_bound`), so the bound of `_scaled_bound(M)`
-covers every cofactor, and
+lifts the layers. The coefficient of y^(n-1-k) in cofactor (a, b) of
+yI - M' is a signed sum of k-minors of M' on distinct row sets that omit
+row a (one per set of diagonal entries giving y), each at most the product
+of its rows' norms by Hadamard, so the bound e_k of `_scaled_bound(M)`
+covers every cofactor too, and
 
     W = bound * max_a |L'_a|_1 * max_b |R'_b|_1
 
@@ -77,7 +78,8 @@ mod p), so the output is the same on every machine. For each prime p it
 evaluates the block at the first n + 1 non-negative integers t where no
 g_i vanishes into one int64 stack and takes all the determinants Phi(t)
 mod p at once, by one Schur step and batched Gaussian elimination (below);
-times prod_i phi_i(t) / g_i(t)^m, the values of all primes are
+times prod_i phi_i(t) / g_i(t)^m, its denominators inverted together by
+Montgomery's trick (`_inverses`), the values of all primes are
 interpolated in one stack and lifted by Garner's CRT into det(yI - L*M),
 the integer lift. Before it returns, it always computes the direct lift
 from the same integer rows of M too, and any difference raises
@@ -139,6 +141,7 @@ from .exactlinalg import (
     _dot_mod,
     _integer_roots,
     _interpolate_mod,
+    _inverses,
     _lift_primes,
     _polymatrix_det_mod,
     _residues,
@@ -483,7 +486,8 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
             bottoms.append(bottom)
         t += 1
     ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(x % p == 0 for x in bottoms))
-    values = [[d * top * pow(bottom, -1, p) % p for d, top, bottom in zip(_polymatrix_det_mod(num, points, p, lead).tolist(), tops, bottoms)]
+    values = [[d * top * inv % p for d, top, inv in
+               zip(_polymatrix_det_mod(num, points, p, lead).tolist(), tops, _inverses([b % p for b in bottoms], p))]
               for p in ps]
     # coefficient j of det(tI - M) times L^(n-j) mod p, one running power per prime
     scaled = []

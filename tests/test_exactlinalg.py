@@ -37,6 +37,7 @@ from hmjoin.exactlinalg import (
     _det_mod,
     _dot_mod,
     _interpolate_mod,
+    _inverses,
     _lift_primes,
     _polymatrix_det_mod,
     _primes,
@@ -45,6 +46,9 @@ from hmjoin.exactlinalg import (
     rational_eigenvalues,
     rational_roots,
 )
+from hmjoin.families import generalized_helm, generalized_web
+from hmjoin.graphs import UniversalParams, universal_matrix
+from hmjoin.joins import hm_join
 from hmjoin.polynomials import Polynomial, _unscaled
 from hmjoin.spectra import _bilinear_numerators
 
@@ -241,24 +245,88 @@ def test_stacked_charpoly_single_member_and_empty_stacks():
     assert assert_stack_matches([], [p]).shape == (1, 0, 0)
 
 
+def row_hadamard_bound(rows):
+    """max_k e_k(r_1, ..., r_n) for the ceilings r_i of the rows' 2-norms,
+    each e_k summed over its row sets: a principal k-minor is at most the
+    product of its rows' norms (Hadamard), so e_k bounds c_k."""
+    ceilings = []
+    for row in rows:
+        s = sum(x * x for x in row)
+        r = math.isqrt(s)
+        ceilings.append(r + (r * r < s))
+    return max(sum(math.prod(c) for c in itertools.combinations(ceilings, k)) for k in range(len(rows) + 1))
+
+
+def largest_row_bound(rows):
+    """max_k C(n, k) B^k with B = isqrt(largest row sum of squares) + 1:
+    the looser bound that takes every row as large as the largest."""
+    n = len(rows)
+    b = math.isqrt(max((sum(x * x for x in row) for row in rows), default=0)) + 1
+    return max(math.comb(n, k) * b ** k for k in range(n + 1))
+
+
 def test_charpoly_primes_cover_twice_the_hadamard_bound():
     rng = random.Random(44)
     for n in range(1, 12):
         span = 10 ** rng.randint(0, 12)
         rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
-        # B = isqrt(largest row sum of squares) + 1 bounds each principal
-        # k-minor by B^k, so C(n, k) B^k bounds c_k
-        b = math.isqrt(max(sum(x * x for x in row) for row in rows)) + 1
-        bound = max(math.comb(n, k) * b ** k for k in range(n + 1))
+        bound = row_hadamard_bound(rows)
         assert _scaled_bound(rows) == (1, rows, bound)
         primes = _lift_primes(bound)
         assert math.prod(primes) > 2 * bound + 1
         assert math.prod(primes[:-1]) <= 2 * bound + 1
         assert list(primes) == sorted(set(primes), reverse=True)
         assert all(q < 2 ** 26 and all(q % f for f in range(2, math.isqrt(q) + 1)) for q in primes[:3])
-        poly = bareiss_charpoly(rows)
-        for k in range(n + 1):
-            assert abs(poly.coefficient(n - k)) <= math.comb(n, k) * b ** k
+        assert charpoly(rows) == bareiss_charpoly(rows)
+
+
+def test_row_bound_covers_the_bareiss_charpoly_within_the_largest_row_bound():
+    # rows of mixed magnitudes, zero rows and rational matrices: the bound
+    # covers every coefficient of det(xI - L*M) and never exceeds the bound
+    # that takes every row as large as the largest
+    rng = random.Random(52)
+    tighter = 0
+    for case in range(60):
+        n = rng.randint(1, 9)
+        scales = [10 ** rng.randint(0, 15) for _ in range(n)]
+        m = [[rng.randint(-9, 9) * scale for _ in range(n)] for scale in scales]
+        for i in rng.sample(range(n), rng.randint(0, n)) if case % 3 == 1 else ():
+            m[i] = [0] * n
+        if case % 3 == 2:
+            m = [[Fraction(x, rng.choice([1, 2, 3, 7, 10 ** 6])) for x in row] for row in m]
+        l, rows, bound = _scaled_bound(m)
+        assert rows == [[int(x * l) for x in row] for row in m]
+        assert bound == row_hadamard_bound(rows) <= largest_row_bound(rows)
+        tighter += bound < largest_row_bound(rows)
+        poly = bareiss_charpoly(m)
+        assert all(abs(poly.coefficient(n - k) * l ** k) <= bound for k in range(n + 1))
+        assert charpoly(m) == poly
+    assert tighter >= 50
+    assert _scaled_bound([]) == (1, [], 1)
+    assert _scaled_bound([[0, 0], [0, 0]]) == (1, [[0, 0], [0, 0]], 1)
+
+
+def test_row_bound_prime_counts_on_large_joins():
+    # the lift primes of the direct charpoly, with the largest-row bound's
+    # count before them
+    cases = [(generalized_helm(30, 8), "A", 30, 16), (generalized_helm(30, 8), "L", 53, 22),
+             (generalized_web(3, 6), "A", 3, 2)]
+    for family, preset, before, after in cases:
+        _, rows, bound = _scaled_bound(universal_matrix(hm_join(family.spec), UniversalParams.preset(preset)))
+        assert (len(_lift_primes(largest_row_bound(rows))), len(_lift_primes(bound))) == (before, after)
+
+
+def test_inverses_match_pow_element_by_element():
+    rng = random.Random(53)
+    for p in (next(_primes()), 101, 2):
+        assert _inverses([], p) == []
+        for x in range(min(p, 5)):
+            assert _inverses([x], p) == [pow(x, -1, p) if x else 0]
+        for length in (2, 3, 17, 200):
+            values = [rng.choice([0, rng.randrange(p)]) for _ in range(length)]
+            assert _inverses(values, p) == [pow(x, -1, p) if x else 0 for x in values]
+        assert _inverses([0] * 4, p) == [0] * 4
+        assert _inverses(range(min(p, 50)), p) == [0] + [pow(x, -1, p) for x in range(1, min(p, 50))]
 
 
 def test_charpoly_engine_int64_dot_products_are_chunked(monkeypatch):

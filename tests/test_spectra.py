@@ -317,6 +317,27 @@ def test_walk_stays_within_its_bound_and_matches_the_resolvent():
     assert math.prod(exactlinalg._lift_primes(bound)) <= 2 * largest
 
 
+def test_row_bound_covers_every_cofactor_coefficient():
+    # with identity sides the walk's layers are the coefficients of
+    # adj(yI - M'), and every one lies within the bound of the charpoly:
+    # rows of mixed magnitudes, zero rows, diagonal and rational matrices
+    rng = random.Random(54)
+    for case in range(40):
+        n = rng.randint(1, 7)
+        m = [[rng.randint(-9, 9) * 10 ** rng.randint(0, 12) for _ in range(n)] for _ in range(n)]
+        if case % 4 == 1:
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                m[i] = [0] * n
+        if case % 4 == 2:
+            m = [[x if i == j else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+        if case % 4 == 3:
+            m = [[Fraction(x, rng.choice([1, 3, 8, 10 ** 5])) for x in row] for row in m]
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        _, _, _, entries = spectra._bilinear_numerators(m, identity, identity)
+        _, _, bound = exactlinalg._scaled_bound(m)
+        assert max(abs(c) for row in entries for p in row for c in p) <= bound
+
+
 def test_main_function_edge_shapes():
     # zero-width sides, an all-zero side column, a zero side and 1 x 1
     # matrices, pinned as (s, phi, g, f, scale)
