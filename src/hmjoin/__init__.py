@@ -19,10 +19,7 @@ from .errors import (
     TooLargeError,
 )
 from .polynomials import Polynomial
-from .exactlinalg import (
-    charpoly,
-    rational_eigenvalues,
-)
+from .exactlinalg import charpoly
 from .graphs import (
     Graph,
     UniversalParams,

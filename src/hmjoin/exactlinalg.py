@@ -1,5 +1,5 @@
 """Exact linear algebra over Q: characteristic polynomials, rational
-eigenvalues, and determinants of polynomial matrices modulo primes.
+roots, and every multi-modular lift of the join pipeline.
 
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
 values. The module checks their shape and symmetry but holds no general
@@ -7,49 +7,66 @@ matrix products; the integer polynomial helpers it evaluates and divides
 with (`_int_coeff_eval`, `_int_divexact`, `_int_multiplicity`, `_scaled`)
 live in `polynomials`.
 
-Characteristic polynomials of scalar matrices have one engine, `charpoly`,
-which is multi-modular (Dumas, Pernet & Wan, ISSAC 2005; Cohen, A Course
-in Computational Algebraic Number Theory, section 2.2). With L the common
-denominator of M, it works on the integer matrix M' = L*M and returns
-c_k(M) = c_k(M') / L^k. Each c_k(M') is a signed sum of principal
-k-minors, each at most the product of its rows' norms by Hadamard's
-inequality, so |c_k(M')| <= e_k(r_1, ..., r_n) for the ceilings r_i of the
-row norms; `_scaled_bound` takes max_k e_k by an exact recurrence over the
-rows. Primes below 2**26, largest first (`_primes`), are chosen before any
-residue, until their product exceeds twice that plus one (`_lift_primes`).
-M' mod each is one member of an int64 stack; numpy similarity transforms
-bring all members to upper Hessenberg form at once and a recurrence reads
-off their characteristic polynomials (`_charpoly_mod`); Garner's CRT with
-symmetric residues (`_crt_lift`) lifts the coefficients. The int64
-argument holds per member: residues are below its prime p < 2**26, so
-every product is below 2**52, and every sum of products is reduced after
-at most 2**11 - 1 terms, so no partial sum reaches 2**63. No prime is bad:
-the characteristic polynomial of M' mod p is always that of M' reduced mod
-p, so the result is exact and the same on every machine.
+Three lifts recover integers modulo primes. Each takes integers and a
+bound and returns the integers within that bound:
 
-No adjugate of (xI - M) is ever formed: the main functions in `spectra`
-take the integer lift of this engine, det(yI - L*M) (`_charpoly_lift`),
-run the walk recurrence for L^T adj(xI - M) R on an int64 stack of their
-own primes (`_residues`, `_dot_mod`), chosen by a bound W on the walk's
-integers, lift it by `_crt_lift`, and take their denominators off one gcd
-chain against the charpoly. Residues are below 2**26, so a coefficient of
-the charpoly times a residue of a side is below 2**52, and `_dot_mod`
-chunks the sums.
+- `_charpoly_lift`: det(yI - R) for integer rows R (Dumas, Pernet & Wan,
+  ISSAC 2005; Cohen, A Course in Computational Algebraic Number Theory,
+  section 2.2), under `charpoly` and every main function;
+- `_walk_lift`: the coefficients of L'^T adj(yI - R) R' for integer sides
+  L' and R', the numerators of the main functions in `spectra`;
+- `_block_lift`: det(yI - R) once more, from the values of the reduced
+  block determinant that `spectra` builds from the main functions.
 
-Matrices of polynomials are only ever evaluated modulo a prime p, from an
-integer coefficient stack that `spectra` builds: `_polymatrix_det_mod`
-reduces the coefficients mod p, evaluates the matrix at all requested
-points into one int64 stack, takes the Schur complement S of a leading
-block D that the caller guarantees diagonal with unit entries, so that
-det = prod diag(D) * det S, and takes every det S at once by batched
-Gaussian elimination (`_det_mod`), under the same int64 argument: each
-step forms one product of two residues and reduces it.
-`_interpolate_mod` interpolates values modulo a stack of primes at once.
-Pivots, the diagonal of D and point differences are inverted in batches
-by Montgomery's trick (Math. Comp. 48, 1987; `_inverses`): prefix
-products, one `pow` per batch (per point for D), one sweep back.
-The reduced block determinants in `spectra` use these with the bound, the
-prime choice and the CRT of `charpoly`.
+Bounds. With L the common denominator of a rational matrix M and R the
+integer rows of L*M (`_scaled_rows`), c_k(M) = c_k(R) / L^k. Each c_k(R)
+is a signed sum of principal k-minors, each at most the product of its
+rows' norms by Hadamard's inequality, so |c_k(R)| <= e_k(r_1, ..., r_n)
+for the ceilings r_i of the row norms; `_scaled_bound` takes
+max_k e_k by an exact recurrence over the rows. The coefficient of
+y^(n-1-k) in cofactor (a, b) of yI - R is a signed sum of k-minors of R
+on distinct row sets that omit row a (one per set of diagonal entries
+giving y), each within the same product, so that bound covers every
+cofactor too, and W = bound * max_a |L'_a|_1 * max_b |R'_b|_1 (the
+largest column 1-norms of the integer sides, each taken as at least 1)
+covers every coefficient of L'^T adj(yI - R) R'.
+
+Primes and the int64 argument. Primes below 2**26, largest first
+(`_primes`), are chosen before any residue, until their product exceeds
+twice the bound plus one (`_lift_primes`), so the choice is a pure
+function of the bound and of the primes a lift rejects, and every machine
+gets the same integers; Garner's CRT with symmetric residues (`_crt_lift`)
+lifts them. A lift holds its integers modulo all its primes in one int64
+stack, one member per prime (`_residues`). Residues are below their prime
+p < 2**26, so every product of two is below 2**52 and is reduced at once,
+and every sum of products is reduced after at most 2**11 - 1 terms
+(`_dot_mod`), so no partial sum reaches 2**63.
+
+The charpoly lift brings all members to upper Hessenberg form at once by
+similarity transforms and reads off their characteristic polynomials by a
+recurrence (`_charpoly_mod`). No prime is bad: the characteristic
+polynomial of R mod p is always that of R reduced mod p. No adjugate of
+(yI - R) is ever formed either: with det(yI - R) = sum_j c_j y^(n-j), the
+walk lift runs Y_0 = R', Y_k = R Y_(k-1) + c_k R' on its stack, and
+L'^T Y_k holds the coefficients of y^(n-1-k).
+
+The block lift evaluates a matrix N of polynomials, from an integer
+coefficient stack, at points t: `_polymatrix_det_mod` reduces the
+coefficients mod p, evaluates the matrix at every point into one int64
+stack, takes the Schur complement S of a leading block D that the caller
+guarantees diagonal with unit entries, so that det = prod diag(D) * det S,
+and takes every det S at once by batched Gaussian elimination
+(`_det_mod`). It runs one prime at a time; the values of all primes, times
+the caller's factors top / bottom at each point, are interpolated in one
+stack (`_interpolate_mod`) and coefficient j is scaled by L^(n-j). A prime
+is rejected when it does not exceed the last point (the points must stay
+distinct mod p) or divides L or a bottom.
+
+Pivots and the diagonal of D are inverted modulo their prime, point
+differences and bottoms once modulo the product of all the primes of a
+lift and then reduced to each, always in one batch by Montgomery's trick
+(Math. Comp. 48, 1987; `_inverses`): prefix products, one `pow`, one sweep
+back.
 
 Rational roots have one scan, `_integer_roots`: for a monic divisor p of
 det(xI - M) and a common denominator s of M, s^d p(y / s) is monic in
@@ -59,8 +76,7 @@ lowest non-zero coefficient; multiplicities come from repeated exact
 division by y - root. The scan takes time linear in that bound, so a bound
 above `_EIGEN_SCAN_LIMIT` raises TooLargeError instead. `spectra` runs it
 on the integers of a main function; `rational_roots` scales p by L itself
-and also returns the cofactor left after dividing every root out, and
-`rational_eigenvalues` is that on `charpoly`.
+and also returns the cofactor left after dividing every root out.
 """
 
 from __future__ import annotations
@@ -108,12 +124,18 @@ def _denominator(m) -> int:
     return math.lcm(*(x.denominator for row in m for x in row))
 
 
-def _scaled_bound(m) -> Tuple[int, List[List[int]], int]:
-    """L, the common denominator of the entries of M, the integer rows of
-    L*M, and max_k e_k(r_1, ..., r_n) for r_i = ceil(|row i|_2), which bounds
-    every coefficient of det(xI - L*M) (module docstring)."""
+def _scaled_rows(m) -> Tuple[int, List[List[int]]]:
+    """L, the common denominator of the entries of M, and the integer rows
+    of L*M."""
     l = _denominator(m)
-    rows = [[x.numerator * (l // x.denominator) for x in row] for row in m]
+    return l, [[x.numerator * (l // x.denominator) for x in row] for row in m]
+
+
+def _scaled_bound(m) -> Tuple[int, List[List[int]], int]:
+    """`_scaled_rows(M)` and max_k e_k(r_1, ..., r_n) for
+    r_i = ceil(|row i|_2), which bounds every coefficient of det(xI - L*M)
+    and of every cofactor of xI - L*M (module docstring)."""
+    l, rows = _scaled_rows(m)
     e = [1]  # e[k] = e_k of the norm ceilings of the rows so far
     for row in rows:
         r = math.isqrt(sum(x * x for x in row) - 1) + 1 if any(row) else 0
@@ -162,8 +184,9 @@ def _lift_primes(bound: int, bad=lambda p: False) -> List[int]:
 
 
 def _inverses(values: Sequence[int], p: int) -> List[int]:
-    """The inverses mod p of values in [0, p), 0 for 0, by Montgomery's
-    trick: prefix products, one `pow`, one sweep back."""
+    """The inverses mod p of values in [0, p) that are 0 or units, 0 for 0,
+    by Montgomery's trick: prefix products, one `pow`, one sweep back; p is
+    a prime or a product of the primes of a lift."""
     prefix, acc = [], 1
     for x in values:
         prefix.append(acc)
@@ -343,8 +366,7 @@ def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int, lead: in
     det N = prod diag(D) * det S for the Schur complement
     S = N_rest - N_rest,D D^-1 N_D,rest, formed by one batched `_dot_mod`;
     `_det_mod` takes all the determinants of S together. Every diagonal
-    entry of D must be a unit mod p at every point (`pow` raises
-    ValueError on one that is not)."""
+    entry of D must be a unit mod p at every point: ValueError otherwise."""
     d, n = num.shape[0], num.shape[1]
     coeffs = (num % p).astype(np.int64).reshape(d, n * n)
     powers = np.ones((len(points), d), dtype=np.int64)
@@ -353,16 +375,14 @@ def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int, lead: in
         powers[:, e] = powers[:, e - 1] * t % p
     a = _dot_mod(powers, coeffs, p).reshape(len(points), n, n)
     pivots = np.diagonal(a[:, :lead, :lead], axis1=1, axis2=2)
-    # Montgomery's trick per point; the last prefix product is prod diag(D)
-    prefix, inv = np.empty((2,) + pivots.shape, dtype=np.int64)
+    if not pivots.all():
+        raise ValueError(f"a diagonal entry of the leading block is 0 mod {p}")
+    # the pivot rows of one block mostly share their entry: few are distinct
+    distinct, index = np.unique(pivots, return_inverse=True)
+    inv = np.array(_inverses(distinct.tolist(), p), dtype=np.int64)[index.reshape(pivots.shape)]
     det = np.ones(len(points), dtype=np.int64)
-    for j in range(lead):
-        prefix[:, j] = det
-        det = det * pivots[:, j] % p
-    back = np.array([pow(x, -1, p) for x in det.tolist()], dtype=np.int64)
-    for j in range(lead - 1, -1, -1):
-        inv[:, j] = back * prefix[:, j] % p
-        back = back * pivots[:, j] % p
+    for column in pivots.T:
+        det = det * column % p
     schur = a[:, lead:, lead:] - _dot_mod(a[:, lead:, :lead] * inv[:, None, :] % p, a[:, :lead, lead:], p)
     schur %= p
     return det * _det_mod(schur, p) % p
@@ -373,10 +393,12 @@ def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
     len(xs) through the points (xs[j], ys[i][j]) mod ps[i], for all rows i
     at once, as a (P, len(xs)) int64 array, for increasing non-negative xs
     below every prime: Newton divided differences, then the Newton form
-    expanded, points by primes. Every step multiplies two residues."""
+    expanded, points by primes. Every step multiplies two residues, and
+    the differences are inverted once modulo the product of the primes."""
     n, q = len(xs), np.transpose(_by_member(ps))
     x = np.array(xs, dtype=np.int64)
-    inverse = np.array([_inverses(range(xs[-1] - xs[0] + 1), p) for p in ps], dtype=np.int64).T
+    span = xs[-1] - xs[0] + 1
+    inverse = _residues(_inverses(range(span), math.prod(ps)), (span,), ps).T
     c = np.array(ys, dtype=np.int64).T % q
     for j in range(1, n):
         c[j:] = (c[j:] - c[j - 1:-1]) % q * inverse[x[j:] - x[:-j]] % q
@@ -386,6 +408,61 @@ def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
         out[0] = c[i] - xs[i] * out[0]
         out %= q
     return out.T
+
+
+# ---------------------------------------------------------------------------
+# the walk and block lifts
+
+
+def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], left, right, bound: int) -> List[List[List[int]]]:
+    """The n coefficients, lowest first, of every entry (a, b) of
+    L'^T adj(yI - R) R' for the integer rows R, the coefficients phi of
+    det(yI - R), constant term first, integer sides L' and R' of at least
+    one column and the bound of `_scaled_bound`: the walk recurrence of the
+    module docstring modulo every prime of `_lift_primes(W)` in one stack,
+    one product with [R; L'^T] per step, and one `_crt_lift`."""
+    n, cl, cr = len(rows), len(left[0]), len(right[0])
+
+    def norm(ints):
+        # the largest column 1-norm, at least 1 so that a zero side keeps a positive bound
+        return max(1, *(sum(map(abs, col)) for col in zip(*ints)))
+
+    ps = _lift_primes(bound * norm(left) * norm(right))
+    q = np.array(ps, dtype=np.int64)[:, None, None]
+    step = np.concatenate([_residues(rows, (n, n), ps), _residues(left, (n, cl), ps).transpose(0, 2, 1)], axis=1)
+    r0 = _residues(right, (n, cr), ps)
+    c = _residues(phi, (n + 1,), ps)[:, :, None, None]
+    # layers[d] holds the coefficients of y^d, layer k = n - 1 - d
+    layers = np.empty((n, len(ps), cl, cr), dtype=np.int64)
+    y = r0
+    for k in range(n):
+        walk = _dot_mod(step, y, q)
+        layers[n - 1 - k] = walk[:, n:]
+        if k + 1 < n:
+            y = walk[:, :n]
+            y += c[:, n - 1 - k] * r0
+            y %= q
+    lifted = _crt_lift(ps, layers.transpose(1, 2, 3, 0).reshape(len(ps), -1).tolist())
+    return [[lifted[(a * cr + b) * n:(a * cr + b + 1) * n] for b in range(cr)] for a in range(cl)]
+
+
+def _block_lift(num: np.ndarray, lead: int, points: Sequence[int], tops: Sequence[int],
+                bottoms: Sequence[int], l: int, bound: int) -> List[int]:
+    """det(yI - L*M), in Z[y], from a coefficient stack N with
+    det(tI - M) = det N(t) * tops[j] / bottoms[j] at the points t = points[j],
+    n + 1 increasing non-negative integers for n = deg det(xI - M), and the
+    common denominator L and bound of `_scaled_bound(M)`: the block lift of
+    the module docstring. The factors tops / bottoms are taken once modulo
+    the product of the primes; `_polymatrix_det_mod` runs per prime."""
+    n = len(points) - 1
+    ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(b % p == 0 for b in bottoms))
+    modulus, q = math.prod(ps), _by_member(ps)
+    inverses = _inverses([b % modulus for b in bottoms], modulus)
+    factors = _residues([t * i % modulus for t, i in zip(tops, inverses)], (n + 1,), ps)
+    values = np.stack([_polymatrix_det_mod(num, points, p, lead) for p in ps]) * factors % q
+    # coefficient j of det(tI - M) times L^(n-j)
+    powers = _residues([pow(l, n - j, modulus) for j in range(n + 1)], (n + 1,), ps)
+    return _crt_lift(ps, (_interpolate_mod(points, values, ps) * powers % q).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +498,3 @@ def rational_roots(p: Polynomial, m) -> Tuple[Tuple[Tuple[Fraction, int], ...], 
         for _ in range(e):
             coeffs = _int_divexact(coeffs, [-y, 1])
     return tuple((Fraction(y, l), e) for y, e in roots), _unscaled(coeffs, l)
-
-
-def rational_eigenvalues(m) -> Tuple[Tuple[Fraction, int], ...]:
-    """All rational eigenvalues of a rational matrix, with multiplicities,
-    in ascending order: the rational roots of its characteristic polynomial."""
-    return rational_roots(charpoly(m), m)[0]

@@ -55,19 +55,8 @@ class Graph:
     def sorted_edges(self) -> Tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        if not (0 <= v < self.n):
-            raise InvalidParametersError(f"vertex {v} out of range")
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(sorted(out))
-
     def adjacency(self) -> List[Tuple[int, ...]]:
-        """`[neighbors(v) for v in range(n)]` in one pass over the edges."""
+        """The sorted neighbours of every vertex, in one pass over the edges."""
         lists: List[List[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             lists[u].append(v)

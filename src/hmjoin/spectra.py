@@ -26,9 +26,8 @@ E_i = its indexing matrix, a generalized join in `cospectral` the subset
 indicator 1_{S_i}; `block_charpoly` is this pipeline at (1, 0, 0, 0).
 
 Main functions come from walk sums, not from an adjugate. With
-phi = sum_j c_j x^(n-j) the characteristic polynomial of M (from the
-multi-modular engine in `exactlinalg`) and W_t = L^T M^t R the walk sums
-of the side matrices,
+phi = sum_j c_j x^(n-j) the characteristic polynomial of M and
+W_t = L^T M^t R the walk sums of the side matrices,
 
     L^T adj(xI - M) R = sum_k x^(n-1-k) sum_{j<=k} c_j W_(k-j),
 
@@ -36,20 +35,8 @@ which Horner's rule accumulates as Y_0 = R, Y_k = M Y_(k-1) + c_k R, with
 layer k = L^T Y_k. With M = M'/s, L = L'/s_l and R = R'/s_r the same
 recurrence over M' and c_k s^k is integral, and its layers are the
 coefficients of L'^T adj(yI - M') R', that is of s_l s_r s^(n-1) N(y / s).
-It runs modulo primes, all of them in one int64 stack, and one Garner CRT
-lifts the layers. The coefficient of y^(n-1-k) in cofactor (a, b) of
-yI - M' is a signed sum of k-minors of M' on distinct row sets that omit
-row a (one per set of diagonal entries giving y), each at most the product
-of its rows' norms by Hadamard, so the bound e_k of `_scaled_bound(M)`
-covers every cofactor too, and
-
-    W = bound * max_a |L'_a|_1 * max_b |R'_b|_1
-
-(the largest column 1-norms of the integer sides, each taken as at least
-1) covers every coefficient of a layer. The primes are those of
-`_lift_primes(W)`, a pure function of W, so every machine gets the same
-integers. Residues lie below 2**26, so c_k R' is below 2**52, and
-`_dot_mod` chunks the sums of products, so int64 never overflows.
+`exactlinalg` lifts them modulo primes (`_walk_lift`; its module
+docstring gives the bound, the primes and the int64 argument).
 
 Every reduced entry denominator of these numerators N over phi divides
 phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the reduced
@@ -65,27 +52,23 @@ read.
 The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
 `reduced_block_charpoly`, which the blocks of generalized joins in
-`cospectral` share, works modulo primes below 2**26. `_reduced_stack`
-builds the integer coefficients of the block once, straight from the
-main functions' integers, each row cleared by the lcm of its coefficient
-denominators. With L the common denominator of the assembled matrix M,
-the coefficient of x^(n-k) times L^k is an integer inside the
-Hadamard-type bound of the direct engine in `exactlinalg`, and all primes
-are chosen first, in that engine's order: a prime is skipped when it
-divides L, a row multiplier, some s_i or some g_i(t) at a chosen point,
-or when it does not exceed the last point (the points must stay distinct
-mod p), so the output is the same on every machine. For each prime p it
-evaluates the block at the first n + 1 non-negative integers t where no
-g_i vanishes into one int64 stack and takes all the determinants Phi(t)
-mod p at once, by one Schur step and batched Gaussian elimination (below);
-times prod_i phi_i(t) / g_i(t)^m, its denominators inverted together by
-Montgomery's trick (`_inverses`), the values of all primes are
-interpolated in one stack and lifted by Garner's CRT into det(yI - L*M),
-the integer lift. Before it returns, it always computes the direct lift
-from the same integer rows of M too, and any difference raises
-BlockFactorizationError (`check_block_charpoly`). A report computes that
-lift once and reads Phi, the carry-forward multiplicities and its
-charpoly over Q off it.
+`cospectral` share, keeps the Z[y] side of it. `_reduced_stack` builds
+the integer coefficients of the block once, straight from the main
+functions' integers, each row cleared by the lcm of its coefficient
+denominators. The points are the first n + 1 non-negative integers t
+where no g_i vanishes, and at each, det(tI - M) is det Phi(t) times
+prod_i phi_i(t) / g_i(t)^m, a quotient of integers that the main
+functions give. `exactlinalg` evaluates Phi, interpolates and lifts
+(`_block_lift`) into det(yI - L*M), the integer lift, with L the common
+denominator of the assembled matrix M: its coefficient of y^(n-k) is that
+of x^(n-k) times L^k, inside the bound of the direct engine. The lift
+skips every prime that divides L or the denominator of a point's
+quotient, so every prime dividing a row multiplier, some s_i or some
+g_i(t). Before it
+returns, it always computes the direct lift from the same integer rows of
+M too, and any difference raises BlockFactorizationError
+(`check_block_charpoly`). A report computes that lift once and reads Phi,
+the carry-forward multiplicities and its charpoly over Q off it.
 
 Phi itself, kept in the report, is then the exact quotient
 det(xI - M) * prod_i g_i^(m-1) / prod_i h_i with h_i = phi_i / g_i, that
@@ -135,17 +118,13 @@ import numpy as np
 
 from .errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
 from .exactlinalg import (
+    _block_lift,
     _charpoly_lift,
-    _crt_lift,
-    _denominator,
-    _dot_mod,
     _integer_roots,
-    _interpolate_mod,
-    _inverses,
-    _lift_primes,
-    _polymatrix_det_mod,
-    _residues,
+    _require_square,
     _scaled_bound,
+    _scaled_rows,
+    _walk_lift,
     mat_is_symmetric,
     mat_shape,
 )
@@ -267,26 +246,21 @@ def _resolvent(key: tuple):
     """The integer data of the walk recurrence for M = M'/s: s, the
     coefficients, constant term first, of s^n phi(y / s) for
     phi = det(xI - M), so entry n - j is c_j s^j for phi = sum_j c_j x^(n-j),
-    the rows of M' and the bound of `_scaled_bound(M)`, which bounds every
-    coefficient of every cofactor of yI - M' too (module docstring). Cached
-    on matrix content, so factors and pair searches that revisit a matrix
-    pay for its characteristic polynomial once."""
+    the rows of M' and the bound of `_scaled_bound(M)` (`exactlinalg`
+    says what it bounds). Cached on matrix content, so factors and pair
+    searches that revisit a matrix pay for its characteristic polynomial
+    once."""
     s, rows, bound = _scaled_bound(key)
     return s, tuple(_charpoly_lift(rows, bound)), tuple(map(tuple, rows)), bound
 
 
 def _bilinear_numerators(m, left, right) -> Tuple[int, Tuple[int, ...], int, List[List[List[int]]]]:
     """s, s^n phi(y / s), s_l s_r and N = L^T adj(xI - M) R from the walk
-    sums (module docstring). With M = M'/s, L = L'/s_l and R = R'/s_r, the
-    recurrence Y_0 = R', Y_k = M' Y_(k-1) + c_k s^k R' runs modulo every
-    prime of `_lift_primes(W)` at once in one int64 stack, and layer k is
-    L'^T Y_k. Entry (a, b) of L'^T adj(yI - M') R' has its coefficient of
-    y^(n-1-k) in layer k and each within
-    W = bound * max_a |L'_a|_1 * max_b |R'_b|_1, so one `_crt_lift` gives
-    the n integer coefficients, lowest first, of s_l s_r s^(n-1) N_ab(y / s)."""
-    n, cols = mat_shape(m)
-    if cols != n:
-        raise SizeMismatchError(f"square matrix required, got {n}x{cols}")
+    sums (module docstring): with M = M'/s, L = L'/s_l and R = R'/s_r,
+    entry (a, b) is the n integer coefficients, lowest first, of
+    L'^T adj(yI - M') R', that is of s_l s_r s^(n-1) N_ab(y / s), lifted by
+    `exactlinalg._walk_lift`."""
+    n = _require_square(m)
     rl, cl = mat_shape(left)
     rr, cr = mat_shape(right)
     if rl != n or rr != n:
@@ -294,34 +268,9 @@ def _bilinear_numerators(m, left, right) -> Tuple[int, Tuple[int, ...], int, Lis
     s, phi, rows, bound = _resolvent(tuple(map(tuple, m)))
     if cl == 0 or cr == 0:
         return s, phi, 1, [[] for _ in range(cl)]
-    sl = _denominator(left)
-    sr = _denominator(right)
-    l_ints = [[int(x * sl) for x in row] for row in left]
-    r_ints = [[int(x * sr) for x in row] for row in right]
-
-    def norm(ints):
-        # the largest column 1-norm, at least 1 so that a zero side keeps a positive bound
-        return max(1, *(sum(map(abs, col)) for col in zip(*ints)))
-
-    ps = _lift_primes(bound * norm(l_ints) * norm(r_ints))
-    q = np.array(ps, dtype=np.int64)[:, None, None]
-    # one product with [M'; L'^T] gives M' Y_k and layer k together
-    step = np.concatenate([_residues(rows, (n, n), ps), _residues(l_ints, (n, cl), ps).transpose(0, 2, 1)], axis=1)
-    r0 = _residues(r_ints, (n, cr), ps)
-    c = _residues(phi, (n + 1,), ps)[:, :, None, None]
-    # layers[d] holds the coefficients of y^d, layer k = n - 1 - d
-    layers = np.empty((n, len(ps), cl, cr), dtype=np.int64)
-    y = r0
-    for k in range(n):
-        walk = _dot_mod(step, y, q)
-        layers[n - 1 - k] = walk[:, n:]
-        if k + 1 < n:
-            y = walk[:, :n]
-            y += c[:, n - 1 - k] * r0
-            y %= q
-    lifted = _crt_lift(ps, layers.transpose(1, 2, 3, 0).reshape(len(ps), -1).tolist())
-    entries = [[lifted[(a * cr + b) * n:(a * cr + b + 1) * n] for b in range(cr)] for a in range(cl)]
-    return s, phi, sl * sr, entries
+    sl, l_ints = _scaled_rows(left)
+    sr, r_ints = _scaled_rows(right)
+    return s, phi, sl * sr, _walk_lift(rows, phi, l_ints, r_ints, bound)
 
 
 def main_function_bilinear(m, u, v) -> MainFunction:
@@ -466,8 +415,8 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
     determinant Phi gives det(xI - M) = prod_i phi_i * Phi / prod_i g_i^(m_i)
     with m_i the size of block i. That has degree n = sum_i deg phi_i, so
     it is interpolated from its values at the first n + 1 non-negative
-    integers where no g_i vanishes, modulo every prime of `_lift_primes` at
-    once (module docstring), then checked against `_charpoly_lift(rows)`."""
+    integers where no g_i vanishes, by `exactlinalg._block_lift`, then
+    checked against `_charpoly_lift(rows)`."""
     num, scale, lead = _reduced_stack(mfs, weights)
     # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
@@ -485,19 +434,7 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
             tops.append(top)
             bottoms.append(bottom)
         t += 1
-    ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(x % p == 0 for x in bottoms))
-    values = [[d * top * inv % p for d, top, inv in
-               zip(_polymatrix_det_mod(num, points, p, lead).tolist(), tops, _inverses([b % p for b in bottoms], p))]
-              for p in ps]
-    # coefficient j of det(tI - M) times L^(n-j) mod p, one running power per prime
-    scaled = []
-    for p, row in zip(ps, _interpolate_mod(points, values, ps).tolist()):
-        power, step = 1, l % p
-        for j in range(n, -1, -1):
-            row[j] = row[j] * power % p
-            power = power * step % p
-        scaled.append(row)
-    block = _crt_lift(ps, scaled)
+    block = _block_lift(num, lead, points, tops, bottoms, l, bound)
     check_block_charpoly(block, _charpoly_lift(rows, bound), l)
     return block
 

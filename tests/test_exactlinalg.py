@@ -43,7 +43,6 @@ from hmjoin.exactlinalg import (
     _primes,
     _scaled_bound,
     charpoly,
-    rational_eigenvalues,
     rational_roots,
 )
 from hmjoin.families import generalized_helm, generalized_web
@@ -537,10 +536,12 @@ def test_polymatrix_det_mod_schur_complement_singular_and_swapping():
     assert [int(v) % p for v in polymatrix_det_values(stack_entries(num), points)] == expected
     for lead in (0, 1, 2):
         assert _polymatrix_det_mod(num, points, p, lead).tolist() == expected
-    # a pivot that vanishes mod p raises instead of passing silently
-    num[0, 0, 0] = p
-    with pytest.raises(ValueError):
-        _polymatrix_det_mod(num, points, p, 2)
+    # a pivot that vanishes mod p raises instead of passing silently, at
+    # every point or at one only: t - 3 vanishes at t = 3 alone
+    for constant, linear in ((p, 0), (-3, 1)):
+        num[0, 0, 0], num[1, 0, 0] = constant, linear
+        with pytest.raises(ValueError):
+            _polymatrix_det_mod(num, points, p, 2)
 
 
 def test_charpoly_lift_rows_beyond_int64_take_the_object_route():
@@ -597,17 +598,17 @@ def test_rational_eigenvalues_planted_triangular():
         expected = {}
         for d in diag:
             expected[d] = expected.get(d, 0) + 1
-        assert dict(rational_eigenvalues(m)) == expected
+        assert dict(rational_roots(charpoly(m), m)[0]) == expected
 
 
 def test_rational_eigenvalues_mixed_irrational():
     # P_3 adjacency: eigenvalues 0, +-sqrt(2); only 0 is rational
     m = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     m = [[Fraction(v) for v in row] for row in m]
-    assert rational_eigenvalues(m) == ((Fraction(0), 1),)
+    assert rational_roots(charpoly(m), m)[0] == ((Fraction(0), 1),)
     # K_4 adjacency: 3 and -1 (x3)
     k4 = [[Fraction(0 if i == j else 1) for j in range(4)] for i in range(4)]
-    assert rational_eigenvalues(k4) == ((Fraction(-1), 3), (Fraction(3), 1))
+    assert rational_roots(charpoly(k4), k4)[0] == ((Fraction(-1), 3), (Fraction(3), 1))
 
 
 def test_rational_roots_rejects_mismatched_divisor():
@@ -616,7 +617,7 @@ def test_rational_roots_rejects_mismatched_divisor():
     m = [[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(-1)]]
     with pytest.raises(InexactDivisionError):
         rational_roots(Polynomial([Fraction(-1, 3), Fraction(1, 2), 1]), m)
-    assert rational_eigenvalues(m) == ((Fraction(-1), 1), (Fraction(1, 2), 1))
+    assert rational_roots(charpoly(m), m)[0] == ((Fraction(-1), 1), (Fraction(1, 2), 1))
     assert rational_roots(Polynomial([Fraction(-1, 2), 1]), m) == (((Fraction(1, 2), 1),), Polynomial.one())
 
 
@@ -652,4 +653,5 @@ def test_rational_roots_of_divisors_against_oracles():
 def test_rational_eigenvalues_refuses_scan_above_cap():
     # the scan bound is the row sum of L*M: (cap + 1)/2 with L = 2 is over
     with pytest.raises(TooLargeError):
-        rational_eigenvalues([[Fraction(_EIGEN_SCAN_LIMIT + 1, 2)]])
+        m = [[Fraction(_EIGEN_SCAN_LIMIT + 1, 2)]]
+        rational_roots(charpoly(m), m)

@@ -1,8 +1,10 @@
 """Block spectral pipeline: main-function matrices, E-main classification,
 block characteristic polynomials, carry-forward bounds, universal variants."""
 
+import ast
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from oracles import (
     polymatrix_det,
     polymatrix_det_values,
 )
+import hmjoin.cospectral as cospectral
 import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import GeneralizedJoinSpec, generalized_universal_charpoly
@@ -654,13 +657,13 @@ def test_block_factorization_error_names_first_differing_coefficient(monkeypatch
 def record_block_primes(monkeypatch):
     """The primes at which the block path evaluates its reduced matrix."""
     used = []
-    evaluate = spectra._polymatrix_det_mod
+    evaluate = exactlinalg._polymatrix_det_mod
 
     def recording(num, points, p, lead):
         used.append(p)
         return evaluate(num, points, p, lead)
 
-    monkeypatch.setattr(spectra, "_polymatrix_det_mod", recording)
+    monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", recording)
     return used
 
 
@@ -701,7 +704,7 @@ def test_corrupted_block_residue_raises(monkeypatch):
     # polynomial, on every entry point of the block path; the last point is
     # no eigenvalue of any factor here, so no factor charpoly vanishes there
     # and hides the wrong value
-    evaluate = spectra._polymatrix_det_mod
+    evaluate = exactlinalg._polymatrix_det_mod
     seen = []
     target = []
 
@@ -712,7 +715,7 @@ def test_corrupted_block_residue_raises(monkeypatch):
         seen.append(p)
         return dets
 
-    monkeypatch.setattr(spectra, "_polymatrix_det_mod", corrupt)
+    monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", corrupt)
     generalized = GeneralizedJoinSpec(make_named("path", [2]),
                                       [make_named("cycle", [4]), make_named("path", [3])],
                                       [[0, 2], [1]], UniversalParams.preset("seidel"))
@@ -886,3 +889,19 @@ def test_bilinear_main_function_asymmetric_sides():
     mf = main_function_bilinear(a, u, v)
     # (xI - A)^{-1}[2][0] for P_3 equals 1 / (x^3 - 2x)
     assert mf.entry(0, 0) == ratfun([1], [0, -2, 0, 1])
+
+
+def test_spectra_and_cospectral_reach_no_modular_helper():
+    # every multi-modular lift lives in `exactlinalg`: the block pipeline
+    # keeps the Z[y] bookkeeping and names none of the int64 helpers
+    helpers = {"_dot_mod", "_residues", "_crt_lift", "_lift_primes", "_inverses", "_interpolate_mod",
+               "_polymatrix_det_mod", "_det_mod", "_charpoly_mod"}
+    for module in (spectra, cospectral):
+        names = []
+        for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+        assert "_scaled_bound" in names
+        assert sorted(helpers.intersection(names)) == []
