@@ -66,7 +66,6 @@ from .cospectral import (
     generalized_universal_charpoly,
     isomorphism_test,
     kind_parameters,
-    regular_gamma_closed_form,
     search_pairs,
 )
 from .serialize import (

@@ -1,11 +1,10 @@
 """Generalized joins over vertex subsets, their universal characteristic
-polynomials via per-factor main functions, closed forms for regular
-factors, and hypothesis-checked constructions of cospectral
-non-isomorphic pairs.
+polynomials via per-factor main functions, and hypothesis-checked
+constructions of cospectral non-isomorphic pairs.
 
 A generalized join is the join whose side E_i is the subset indicator
 1_{S_i}, so its blocks come from `spectra._universal_blocks` like those
-of a labeled join. The `_slot_*` routines are the only place that knows,
+of a labeled join. `_slot_hypotheses` is the only place that knows,
 for factor slot i, its main function on those blocks and its hypothesis
 data. The main function feeds the block charpoly and is a certificate's
 witness; the hypothesis data gates `check_cospectral_conditions` pairwise
@@ -13,7 +12,6 @@ and, as a tuple, groups the configurations of `search_pairs`."""
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,11 +43,12 @@ _KIND_PRESETS = {
 
 _ISOMORPHISM_LIMIT = 32
 # Most (graph, subset) configurations one pair search takes on. Each costs
-# one main function, two unless delta = gamma = 0; on `fixtures/catalog.json`
-# at budget 3 (1,613 configurations, one 2-core machine) that is about
-# 2.5 ms for kind A, 6.5 ms for kind L and 9 ms for kind S, so a kind-S
-# search at the cap runs about 90 s. The shipped catalog gives 5,313 at
-# budget 4 and 30,083 at budget 6.
+# one main function, two unless delta = gamma = 0; a whole search on
+# `fixtures/catalog.json` at budget 3 (1,613 configurations, in process,
+# least of two runs on a 2-core machine) takes about 0.6 ms per
+# configuration for kind A, 1.6 ms for kind L and 0.9 ms for kind S, so a
+# kind-L search at the cap runs about 16 s. The shipped catalog gives 5,313
+# at budget 4 and 30,083 at budget 6.
 _CONFIGURATION_LIMIT = 10_000
 
 
@@ -118,12 +117,6 @@ class GeneralizedJoinSpec:
         return [[[int(v in s)] for v in range(g.n)] for g, s in zip(self.factors, self.subsets)]
 
 
-def _slot_main_function(spec: GeneralizedJoinSpec, i: int) -> MainFunction:
-    """V_i^T (xI - M_i)^{-1} U_i on block i of the join's universal matrix."""
-    blocks, _ = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
-    return main_function_bilinear(*blocks[i])
-
-
 def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     """Characteristic polynomial of the universal matrix of the join graph,
     computed from factor charpolys and the slot main functions, and
@@ -132,42 +125,6 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     matrix = universal_matrix(spec.join_graph(), spec.params)
     l, rows, bound = _scaled_bound(matrix)
     return _unscaled(reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, l, rows, bound), l)
-
-
-def regular_gamma_closed_form(g: Graph, subset: Sequence[int],
-                              params: UniversalParams) -> Tuple[Polynomial, Polynomial]:
-    """Closed form for 1_S^T (xI - U(G))^{-1} 1 on a regular graph: the
-    all-ones vector is an eigenvector, so the bilinear collapses to
-    |S| / (x - theta) with theta the main eigenvalue of U(G), returned in
-    lowest terms as (num, den), so (0, 1) for an empty subset.
-
-    Two hypothesis cases are accepted: delta = 0 (theta = alpha*r + beta +
-    gamma*n) and alpha = -delta (theta = beta + gamma*n, since alpha*A(G) +
-    delta*D(G) kills the all-ones vector)."""
-    r = g.is_regular()
-    if r is None:
-        raise HypothesisNotMetError("closed form requires a regular graph")
-    members = sorted(set(subset))
-    for v in members:
-        if not (0 <= v < g.n):
-            raise InvalidParametersError("%r is not a vertex of the graph" % (v,))
-    n = g.n
-    if params.delta == 0:
-        theta = params.alpha * r + params.beta + params.gamma * n
-    elif params.alpha == -params.delta:
-        theta = params.beta + params.gamma * n
-    else:
-        raise HypothesisNotMetError(
-            "closed form requires delta = 0 or alpha = -delta")
-    closed = (Polynomial((len(members),)),
-              Polynomial((-theta, 1)) if members else Polynomial.one())
-    ones = [[Fraction(1)] for _ in range(n)]
-    sel = [[Fraction(1 if v in set(members) else 0)] for v in range(n)]
-    direct = main_function_bilinear(universal_matrix(g, params), ones, sel)
-    if direct.entry(0, 0) != closed:
-        raise TheoremViolationError(
-            "closed form disagrees with the resolvent bilinear")
-    return closed
 
 
 def _joint_color_refinement(a: Graph, b: Graph):
@@ -253,15 +210,14 @@ def _verdict(a: Graph, b: Graph) -> Optional[bool]:
 @dataclass(frozen=True)
 class CospectralCertificate:
     """Verified outcome of a cospectral construction: the two specs, the
-    equal designated charpolys, the per-factor slot main functions as
-    witnesses, and an isomorphism verdict (None when the joins exceed the
+    designated charpoly the joins share, the per-factor slot main functions
+    as witnesses, and an isomorphism verdict (None when the joins exceed the
     decision limit)."""
 
     kind: str
     spec_a: GeneralizedJoinSpec
     spec_b: GeneralizedJoinSpec
-    charpoly_a: Polynomial
-    charpoly_b: Polynomial
+    charpoly: Polynomial
     isomorphic: Optional[bool]
     gamma_witness: Tuple[MainFunction, ...]
 
@@ -293,13 +249,15 @@ def _slot_hypotheses(spec: GeneralizedJoinSpec, i: int, kind: str):
     yield "subset sizes", len(subset)
     if kind in ("A", "S"):
         yield "regular degrees", g.is_regular()
-    sel = spec.subset_indicators()[i]
-    scalar = main_function_bilinear(universal_matrix(g, params), sel, sel)
+    sides = spec.subset_indicators()
+    scalar = main_function_bilinear(universal_matrix(g, params), sides[i], sides[i])
     yield "designated charpolys", scalar.charpoly
     yield "subset main functions", scalar
     if params.delta == 0 and params.gamma == 0:
         return
-    witness = _slot_main_function(spec, i)
+    # V_i^T (xI - M_i)^{-1} U_i on block i of the join's universal matrix
+    blocks, _ = _universal_blocks(spec.host, spec.factors, sides, params)
+    witness = main_function_bilinear(*blocks[i])
     if params.delta != 0:
         # cross edges shift the subset diagonal, so the corrected
         # matrices must agree as well
@@ -341,7 +299,7 @@ def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
     if pa != pb:
         raise TheoremViolationError(
             "hypotheses hold but the kind-%s charpolys of the joins differ" % kind)
-    return CospectralCertificate(kind, normalized_a, normalized_b, pa, pb,
+    return CospectralCertificate(kind, normalized_a, normalized_b, pa,
                                  _verdict(join_a, join_b), tuple(witnesses))
 
 
@@ -379,7 +337,9 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
     classical complete join) is always tried as well.  Within a group the
     join characteristic polynomial is pinned by the shared hypothesis data,
     so only the isomorphism verdict can vary: pairs are screened with the
-    cheap isomorphism test first and fully certified once per new verdict."""
+    cheap isomorphism test first and fully certified once per new verdict.
+    Members of a group share their vertex count, so once one pair is beyond
+    the isomorphism limit (verdict None) every pair is, and the group stops."""
     if subset_budget < 1:
         raise InvalidParametersError("subset budget must be at least 1")
     chosen = kind_parameters(kind, params)
@@ -404,7 +364,7 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
         for (ga, sa), (gb, sb) in combinations(members, 2):
             if ga == gb and sa == sb:
                 continue
-            if True in verdicts_seen and False in verdicts_seen:
+            if None in verdicts_seen or (True in verdicts_seen and False in verdicts_seen):
                 break
             spec_a = GeneralizedJoinSpec(host, (ga, anchor), (sa, (0,)), chosen)
             spec_b = GeneralizedJoinSpec(host, (gb, anchor), (sb, (0,)), chosen)
@@ -413,7 +373,7 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
                 continue
             verdicts_seen.add(verdict)
             cert = check_cospectral_conditions(spec_a, spec_b, kind)
-            dedup = (cert.charpoly_a.coeffs, cert.isomorphic)
+            dedup = (cert.charpoly.coeffs, cert.isomorphic)
             if dedup in seen_pairs:
                 continue
             seen_pairs.add(dedup)

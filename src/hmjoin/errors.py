@@ -10,7 +10,7 @@ class InvalidParametersError(HmJoinError, ValueError):
 
 
 class SizeMismatchError(HmJoinError, ValueError):
-    """Matrix, list, or map dimensions do not line up."""
+    """Dimensions of matrices, lists or maps do not line up."""
 
 
 class InexactDivisionError(HmJoinError, ArithmeticError):

@@ -90,8 +90,6 @@ import numpy as np
 from .errors import SizeMismatchError, TooLargeError
 from .polynomials import Polynomial, _int_coeff_eval, _int_divexact, _int_multiplicity, _scaled, _unscaled
 
-Matrix = List[List[Fraction]]
-
 
 def mat_shape(m) -> Tuple[int, int]:
     rows = len(m)
@@ -227,9 +225,10 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     return out
 
 
-def _by_member(values: Sequence[int]):
-    """A (P, 1) int64 column, or the int itself for one member (numpy's scalar path)."""
-    return values[0] if len(values) == 1 else np.array(values, dtype=np.int64)[:, None]
+def _by_member(values: Sequence[int]) -> np.ndarray:
+    """One value per member of a (P, ...) stack as a (P, 1) int64 column,
+    which broadcasts against the member's rows."""
+    return np.array(values, dtype=np.int64)[:, None]
 
 
 def _charpoly_mod(h: np.ndarray, ps: Sequence[int]) -> np.ndarray:
@@ -251,7 +250,7 @@ def _charpoly_mod(h: np.ndarray, ps: Sequence[int]) -> np.ndarray:
     Every product is of two residues; sums go through `_dot_mod`."""
     n = h.shape[1]
     q = _by_member(ps)
-    q3 = q if len(ps) == 1 else q[:, :, None]
+    q3 = q[:, :, None]
     starts = set()
     for k in range(n - 1):
         t = h[:, k + 1, k].tolist()

@@ -101,30 +101,8 @@ class Graph:
 # named families
 
 
-def _named_complete(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def _named_path(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def _named_cycle(n: int) -> Graph:
-    if n < 3:
-        raise InvalidParametersError(f"a cycle needs at least 3 vertices, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def _named_complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def _named_wheel(n: int) -> Graph:
-    """Wheel on n+1 vertices: cycle 0..n-1 plus the hub as the last vertex."""
-    if n < 3:
-        raise InvalidParametersError(f"a wheel needs a cycle of at least 3 vertices, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
-    return Graph(n + 1, edges)
 
 
 def make_named(kind: str, params: Sequence[int]) -> Graph:
@@ -149,7 +127,8 @@ def make_named(kind: str, params: Sequence[int]) -> Graph:
         need(1)
         if params[0] < 0:
             raise InvalidParametersError("complete graph size must be non-negative")
-        return _named_complete(params[0])
+        n = params[0]
+        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "empty":
         need(1)
         if params[0] < 0:
@@ -159,10 +138,13 @@ def make_named(kind: str, params: Sequence[int]) -> Graph:
         need(1)
         if params[0] < 1:
             raise InvalidParametersError("a path needs at least 1 vertex")
-        return _named_path(params[0])
+        return Graph(params[0], [(i, i + 1) for i in range(params[0] - 1)])
     if kind == "cycle":
         need(1)
-        return _named_cycle(params[0])
+        n = params[0]
+        if n < 3:
+            raise InvalidParametersError(f"a cycle needs at least 3 vertices, got {n}")
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "complete_bipartite":
         need(2)
         if params[0] < 1 or params[1] < 1:
@@ -182,7 +164,11 @@ def make_named(kind: str, params: Sequence[int]) -> Graph:
         raise InvalidParametersError(f"family 'star' expects 1 or 2 parameters, got {len(params)}")
     if kind == "wheel":
         need(1)
-        return _named_wheel(params[0])
+        n = params[0]
+        if n < 3:
+            raise InvalidParametersError(f"a wheel needs a cycle of at least 3 vertices, got {n}")
+        # the cycle 0..n-1, then the hub as the last vertex
+        return Graph(n + 1, [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)])
     raise InvalidParametersError(f"unknown named family {kind!r}")
 
 

@@ -120,14 +120,6 @@ class JoinSpec:
     def total_vertices(self) -> int:
         return sum(g.n for g in self.factors)
 
-    def offsets(self) -> List[int]:
-        out = []
-        acc = 0
-        for g in self.factors:
-            out.append(acc)
-            acc += g.n
-        return out
-
     def indexing_matrices(self) -> List[IndexingMatrix]:
         return [indexing_matrix(g, im) for g, im in zip(self.factors, self.indexing)]
 
@@ -146,7 +138,9 @@ class JoinSpec:
 def hm_join(spec: JoinSpec) -> Graph:
     """Assemble the join by the edge rule: factor edges, plus cross edges
     between equally labeled vertices of host-adjacent factors."""
-    offsets = spec.offsets()
+    offsets = [0]
+    for g in spec.factors:
+        offsets.append(offsets[-1] + g.n)
     union = disjoint_union(spec.factors)
     edges = list(union.edges)
     for i, j in spec.host.edges:

@@ -11,7 +11,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .cospectral import CospectralCertificate, GeneralizedJoinSpec
 from .errors import HmJoinError, SpecValidationError
@@ -349,7 +349,7 @@ def certificate_to_json(cert: CospectralCertificate) -> Dict[str, Any]:
         "kind": cert.kind,
         "spec_a": generalized_spec_to_json(cert.spec_a),
         "spec_b": generalized_spec_to_json(cert.spec_b),
-        "charpoly": polynomial_to_json(cert.charpoly_a),
+        "charpoly": polynomial_to_json(cert.charpoly),
         "isomorphic": cert.isomorphic,
         "gamma_witness": witness,
     }

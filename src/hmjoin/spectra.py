@@ -35,7 +35,8 @@ which Horner's rule accumulates as Y_0 = R, Y_k = M Y_(k-1) + c_k R, with
 layer k = L^T Y_k. With M = M'/s, L = L'/s_l and R = R'/s_r the same
 recurrence over M' and c_k s^k is integral, and its layers are the
 coefficients of L'^T adj(yI - M') R', that is of s_l s_r s^(n-1) N(y / s).
-`exactlinalg` lifts them modulo primes (`_walk_lift`; its module
+`main_function_bilinear` hands M' and the integer sides to
+`exactlinalg._walk_lift`, which lifts the layers modulo primes (its module
 docstring gives the bound, the primes and the int64 argument).
 
 Every reduced entry denominator of these numerators N over phi divides
@@ -64,11 +65,11 @@ denominator of the assembled matrix M: its coefficient of y^(n-k) is that
 of x^(n-k) times L^k, inside the bound of the direct engine. The lift
 skips every prime that divides L or the denominator of a point's
 quotient, so every prime dividing a row multiplier, some s_i or some
-g_i(t). Before it
-returns, it always computes the direct lift from the same integer rows of
-M too, and any difference raises BlockFactorizationError
-(`check_block_charpoly`). A report computes that lift once and reads Phi,
-the carry-forward multiplicities and its charpoly over Q off it.
+g_i(t). Before it returns, `reduced_block_charpoly` always computes the
+direct lift from the same integer rows of M too, and any difference
+raises BlockFactorizationError naming the lowest power of x whose
+coefficients differ. A report computes that lift once and reads Phi, the
+carry-forward multiplicities and its charpoly over Q off it.
 
 Phi itself, kept in the report, is then the exact quotient
 det(xI - M) * prod_i g_i^(m-1) / prod_i h_i with h_i = phi_i / g_i, that
@@ -254,30 +255,26 @@ def _resolvent(key: tuple):
     return s, tuple(_charpoly_lift(rows, bound)), tuple(map(tuple, rows)), bound
 
 
-def _bilinear_numerators(m, left, right) -> Tuple[int, Tuple[int, ...], int, List[List[List[int]]]]:
-    """s, s^n phi(y / s), s_l s_r and N = L^T adj(xI - M) R from the walk
-    sums (module docstring): with M = M'/s, L = L'/s_l and R = R'/s_r,
-    entry (a, b) is the n integer coefficients, lowest first, of
-    L'^T adj(yI - M') R', that is of s_l s_r s^(n-1) N_ab(y / s), lifted by
-    `exactlinalg._walk_lift`."""
-    n = _require_square(m)
-    rl, cl = mat_shape(left)
-    rr, cr = mat_shape(right)
-    if rl != n or rr != n:
-        raise SizeMismatchError(f"side matrices must have {n} rows, got {rl} and {rr}")
-    s, phi, rows, bound = _resolvent(tuple(map(tuple, m)))
-    if cl == 0 or cr == 0:
-        return s, phi, 1, [[] for _ in range(cl)]
-    sl, l_ints = _scaled_rows(left)
-    sr, r_ints = _scaled_rows(right)
-    return s, phi, sl * sr, _walk_lift(rows, phi, l_ints, r_ints, bound)
-
-
 def main_function_bilinear(m, u, v) -> MainFunction:
-    """V^T (xI - M)^{-1} U = N / phi in exact normal form: g = phi / h and
-    f = N / h, with h = gcd(phi, every non-zero N_ab) taken as one chain
-    in Z[y] that stops once h is constant (module docstring)."""
-    s, phi, scale, numerators = _bilinear_numerators(m, v, u)
+    """V^T (xI - M)^{-1} U = N / phi in exact normal form. N comes from the
+    walk sums (module docstring): with M = M'/s, V = V'/s_v and U = U'/s_u,
+    entry (a, b) is the n integer coefficients, lowest first, of
+    V'^T adj(yI - M') U', that is of s_v s_u s^(n-1) N_ab(y / s), lifted by
+    `exactlinalg._walk_lift`. Then g = phi / h and f = N / h, with
+    h = gcd(phi, every non-zero N_ab) taken as one chain in Z[y] that stops
+    once h is constant."""
+    n = _require_square(m)
+    rv, cv = mat_shape(v)
+    ru, cu = mat_shape(u)
+    if rv != n or ru != n:
+        raise SizeMismatchError(f"side matrices must have {n} rows, got {rv} and {ru}")
+    s, phi, rows, bound = _resolvent(tuple(map(tuple, m)))
+    if cv and cu:
+        sv, v_ints = _scaled_rows(v)
+        su, u_ints = _scaled_rows(u)
+        scale, numerators = sv * su, _walk_lift(rows, phi, v_ints, u_ints, bound)
+    else:
+        scale, numerators = 1, [[] for _ in range(cv)]
     h = phi
     for row in numerators:
         for p in row:
@@ -416,7 +413,8 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
     with m_i the size of block i. That has degree n = sum_i deg phi_i, so
     it is interpolated from its values at the first n + 1 non-negative
     integers where no g_i vanishes, by `exactlinalg._block_lift`, then
-    checked against `_charpoly_lift(rows)`."""
+    checked against `_charpoly_lift(rows)`: BlockFactorizationError names
+    the lowest power of x whose coefficients differ."""
     num, scale, lead = _reduced_stack(mfs, weights)
     # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
@@ -435,23 +433,15 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
             bottoms.append(bottom)
         t += 1
     block = _block_lift(num, lead, points, tops, bottoms, l, bound)
-    check_block_charpoly(block, _charpoly_lift(rows, bound), l)
-    return block
-
-
-def check_block_charpoly(block: Sequence[int], direct: Sequence[int], l: int) -> None:
-    """Raise BlockFactorizationError, naming the lowest power of x whose
-    coefficients differ, unless the block and direct characteristic
-    polynomials agree, both given as their lifts det(yI - L*M) in Z[y]."""
+    direct = _charpoly_lift(rows, bound)
     if block != direct:
-        block, direct = _unscaled(block, l), _unscaled(direct, l)
-        top = max(block.degree, direct.degree)
-        degree = next(d for d in range(top + 1) if block.coefficient(d) != direct.coefficient(d))
+        bq, dq = _unscaled(block, l), _unscaled(direct, l)
+        k = next(k for k in range(max(len(block), len(direct))) if bq.coefficient(k) != dq.coefficient(k))
         raise BlockFactorizationError(
-            f"block factorization identity violated: the coefficients of x^{degree} differ, "
-            f"block path gives {block.coefficient(degree)}, "
-            f"direct path gives {direct.coefficient(degree)}"
+            f"block factorization identity violated: the coefficients of x^{k} differ, "
+            f"block path gives {bq.coefficient(k)}, direct path gives {dq.coefficient(k)}"
         )
+    return block
 
 
 def _phi_quotient(lift: Sequence[int], mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:

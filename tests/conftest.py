@@ -10,6 +10,8 @@ from typing import List, Optional
 import pytest
 
 from hmjoin import Graph, IndexingMap, JoinSpec, Polynomial, block_charpoly
+from hmjoin.exactlinalg import _scaled_rows, _walk_lift
+from hmjoin.spectra import _resolvent
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -40,6 +42,18 @@ def stack_entries(num) -> List[List[Polynomial]]:
     layer num[d] of an integer coefficient stack."""
     size = num.shape[1]
     return [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(size)] for r in range(size)]
+
+
+def walk_numerators(m, left, right):
+    """s, s^n phi(y / s), s_l s_r and the integer walk layers of
+    L^T adj(xI - M) R for M = M'/s, L = L'/s_l and R = R'/s_r: entry (a, b)
+    holds the n coefficients, lowest first, of L'^T adj(yI - M') R', the
+    numerators that `main_function_bilinear` reduces. Sides need at least
+    one column."""
+    s, phi, rows, bound = _resolvent(tuple(map(tuple, m)))
+    sl, l_ints = _scaled_rows(left)
+    sr, r_ints = _scaled_rows(right)
+    return s, phi, sl * sr, _walk_lift(rows, phi, l_ints, r_ints, bound)
 
 
 def lattice_srg16() -> Graph:

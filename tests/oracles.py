@@ -34,6 +34,13 @@ primes at the points it picks (`hmjoin.exactlinalg._polymatrix_det_mod`).
 eigendecomposition and projection norms, independently of the exact gcd
 route of `hmjoin.spectra.classify_e_main`.
 
+`regular_gamma_closed_form` is 1_S^T (xI - U(G))^{-1} 1 on a regular
+graph in closed form, |S| / (x - theta), from the graph's vertex count and
+regular degree and the four universal parameters alone (any objects with
+`n`, `is_regular()` and `alpha`, `beta`, `gamma`, `delta`): the tests
+compare it with the walk-sum route of
+`hmjoin.spectra.main_function_bilinear`.
+
 `poly_divmod` (long division over Q), `euclid_gcd` (Euclid over Q,
 renormalized to monic each step), `lowest_terms` (a quotient of
 polynomials reduced by `euclid_gcd`), `multiplicity` (repeated
@@ -49,7 +56,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from hmjoin.errors import InvalidParametersError, NonSymmetricInputError, SizeMismatchError
+from hmjoin.errors import HypothesisNotMetError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
 from hmjoin.polynomials import Polynomial
 
 Scalar = Union[int, Fraction]
@@ -370,3 +377,28 @@ def classify_e_main_numeric(m, e, tol: float = 1e-9) -> List[Tuple[float, int, b
             out.append((float(np.mean(w[start:i])), i - start, norm > tol * scale))
             start = i
     return out
+
+
+def regular_gamma_closed_form(g, subset: Sequence[int], params) -> Tuple[Polynomial, Polynomial]:
+    """Closed form for 1_S^T (xI - U(G))^{-1} 1 on a regular graph: the
+    all-ones vector is an eigenvector, so the bilinear collapses to
+    |S| / (x - theta) with theta the main eigenvalue of U(G), returned in
+    lowest terms as (num, den), so (0, 1) for an empty subset.
+
+    Two hypothesis cases are accepted: delta = 0 (theta = alpha*r + beta +
+    gamma*n) and alpha = -delta (theta = beta + gamma*n, since alpha*A(G) +
+    delta*D(G) kills the all-ones vector)."""
+    r = g.is_regular()
+    if r is None:
+        raise HypothesisNotMetError("closed form requires a regular graph")
+    members = sorted(set(subset))
+    for v in members:
+        if not (0 <= v < g.n):
+            raise InvalidParametersError("%r is not a vertex of the graph" % (v,))
+    if params.delta == 0:
+        theta = params.alpha * r + params.beta + params.gamma * g.n
+    elif params.alpha == -params.delta:
+        theta = params.beta + params.gamma * g.n
+    else:
+        raise HypothesisNotMetError("closed form requires delta = 0 or alpha = -delta")
+    return Polynomial((len(members),)), Polynomial((-theta, 1)) if members else Polynomial.one()

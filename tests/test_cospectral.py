@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import exceptional_srg16, lattice_srg16, random_graph
+from oracles import regular_gamma_closed_form
 import hmjoin.cospectral as cospectral
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import (
@@ -21,7 +22,6 @@ from hmjoin.cospectral import (
     generalized_universal_charpoly,
     isomorphism_test,
     kind_parameters,
-    regular_gamma_closed_form,
     search_pairs,
 )
 from hmjoin.errors import (
@@ -114,20 +114,35 @@ def test_generalized_cross_check_names_first_differing_coefficient(monkeypatch):
     assert "direct path gives %s" % (true.coefficient(3) + 3) in message
 
 
+def join_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
+    """The designated charpoly of a join, straight from its universal matrix."""
+    return charpoly(universal_matrix(spec.join_graph(), spec.params))
+
+
+def closed_form_checked(g, subset, params):
+    """The closed form of `oracles`, after asserting that it equals
+    1_S^T (xI - U(G))^{-1} 1 from `main_function_bilinear`."""
+    closed = regular_gamma_closed_form(g, subset, params)
+    ones = [[Fraction(1)] for _ in range(g.n)]
+    sel = [[Fraction(1 if v in set(subset) else 0)] for v in range(g.n)]
+    assert main_function_bilinear(universal_matrix(g, params), ones, sel).entry(0, 0) == closed
+    return closed
+
+
 def test_closed_form_delta_zero():
     g = make_named("cycle", [5])
     params = UniversalParams(Fraction(1), Fraction(2), Fraction(3), Fraction(0))
-    closed = regular_gamma_closed_form(g, [0, 2], params)
+    closed = closed_form_checked(g, [0, 2], params)
     # theta = alpha*r + beta + gamma*n = 2 + 2 + 15 = 19
     assert closed == (Polynomial([2]), Polynomial([-19, 1]))
     # an empty subset gives the zero entry, 0/1
-    assert regular_gamma_closed_form(g, [], params) == (Polynomial(), Polynomial.one())
+    assert closed_form_checked(g, [], params) == (Polynomial(), Polynomial.one())
 
 
 def test_closed_form_alpha_opposite_delta():
     g = make_named("complete", [4])
     params = UniversalParams(Fraction(-1), Fraction(0), Fraction(0), Fraction(1))
-    closed = regular_gamma_closed_form(g, [0, 1, 2], params)
+    closed = closed_form_checked(g, [0, 1, 2], params)
     # Laplacian kills the all-ones vector: theta = beta + gamma*n = 0
     assert closed == (Polynomial([3]), Polynomial([0, 1]))
 
@@ -150,7 +165,7 @@ def test_closed_form_random_regular_instances():
             a = Fraction(rng.choice([-2, -1, 1, 2]))
             params = UniversalParams(a, Fraction(rng.randint(-2, 2)),
                                      Fraction(rng.randint(-2, 2)), -a)
-        num, den = regular_gamma_closed_form(g, subset, params)
+        num, den = closed_form_checked(g, subset, params)
         assert den.degree == 1
         assert num == Polynomial([len(subset)])
 
@@ -247,7 +262,7 @@ def test_check_certifies_automorphic_subsets():
     cert = check_cospectral_conditions(anchored(c5, [0], "S"), anchored(c5, [1], "S"), "S")
     assert cert.kind == "S"
     assert cert.isomorphic is True
-    assert cert.charpoly_a == cert.charpoly_b
+    assert cert.charpoly == join_charpoly(cert.spec_b)
     assert len(cert.gamma_witness) == 2
 
 
@@ -308,8 +323,8 @@ def test_srg_pair_certifies_non_isomorphic():
                                            anchored(b, list(range(16)), kind),
                                            kind)
         assert cert.isomorphic is False
-        assert cert.charpoly_a == cert.charpoly_b
-        assert cert.charpoly_a.degree == 17
+        assert cert.charpoly == join_charpoly(cert.spec_b)
+        assert cert.charpoly.degree == 17
 
 
 def test_search_pairs_small_catalog():
@@ -318,11 +333,11 @@ def test_search_pairs_small_catalog():
     certs = search_pairs(catalog, 2, "A")
     assert certs
     for cert in certs:
-        assert cert.charpoly_a == cert.charpoly_b
+        assert cert.charpoly == join_charpoly(cert.spec_b)
         assert cert.isomorphic is True
         # re-verification is idempotent
         again = check_cospectral_conditions(cert.spec_a, cert.spec_b, cert.kind)
-        assert again.charpoly_a == cert.charpoly_a
+        assert again.charpoly == cert.charpoly
         assert again.isomorphic == cert.isomorphic
 
 
@@ -332,7 +347,7 @@ def test_search_pairs_finds_non_isomorphic_srg_certificates():
     non_iso = [c for c in certs if c.isomorphic is False]
     assert non_iso
     for cert in non_iso:
-        assert cert.charpoly_a == cert.charpoly_b
+        assert cert.charpoly == join_charpoly(cert.spec_b)
         assert cert.spec_a.factors[0] != cert.spec_b.factors[0]
 
 
@@ -352,8 +367,32 @@ def test_search_pairs_configuration_cap():
         search_pairs(catalog, 16, "A")
 
 
+def test_search_pairs_stops_a_group_at_its_first_undecided_pair(monkeypatch):
+    # every member of a group has the same vertex count, so once one pair of
+    # joins is beyond the isomorphism limit every pair is
+    c33 = make_named("cycle", [33])
+    host, anchor, params = make_named("complete", [2]), make_named("complete", [1]), kind_parameters("A")
+    calls = {}
+    verdict = cospectral._verdict
+
+    def counted(a, b):
+        # the anchor is the join's last vertex, adjacent to exactly the subset
+        subset = tuple(sorted(a.adjacency()[c33.n]))
+        key = cospectral._config_key(c33, subset, "A", params, host, anchor)
+        calls[key] = calls.get(key, 0) + 1
+        return verdict(a, b)
+
+    monkeypatch.setattr(cospectral, "_verdict", counted)
+    certs = search_pairs([c33], 2, "A")
+    # size 1, and size 2 at each cycle distance 1..16; the full set is alone.
+    # Each group screens its first pair and certifies it, one verdict each.
+    assert len(calls) == 17
+    assert set(calls.values()) == {2}
+    assert certs and all(c.isomorphic is None for c in certs)
+
+
 def test_search_pairs_deduplicates():
     catalog = [make_named("cycle", [6])]
     certs = search_pairs(catalog, 1, "A")
-    keys = [(c.charpoly_a.coeffs, c.isomorphic) for c in certs]
+    keys = [(c.charpoly.coeffs, c.isomorphic) for c in certs]
     assert len(keys) == len(set(keys))

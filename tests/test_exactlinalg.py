@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hmjoin.exactlinalg as exactlinalg
-from conftest import stack_entries
+from conftest import stack_entries, walk_numerators
 from oracles import (
     bareiss_charpoly,
     det_bareiss,
@@ -49,7 +49,6 @@ from hmjoin.families import generalized_helm, generalized_web
 from hmjoin.graphs import UniversalParams, universal_matrix
 from hmjoin.joins import hm_join
 from hmjoin.polynomials import Polynomial, _unscaled
-from hmjoin.spectra import _bilinear_numerators
 
 
 def identity_matrix(n):
@@ -358,7 +357,7 @@ def test_adjugate_identity():
     rng = random.Random(4)
     for n in range(1, 6):
         m = random_fraction_matrix(rng, n)
-        s, phi, den, scaled = _bilinear_numerators(m, identity_matrix(n), identity_matrix(n))
+        s, phi, den, scaled = walk_numerators(m, identity_matrix(n), identity_matrix(n))
         p = _unscaled(phi, s)
         assert p == charpoly(m)
         adj = [[_unscaled(c, s, den) for c in row] for row in scaled]

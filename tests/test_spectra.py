@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_indexing, random_spec, stack_entries
+from conftest import random_graph, random_indexing, random_spec, stack_entries, walk_numerators
 from oracles import (
     classify_e_main_numeric,
     euclid_gcd,
@@ -300,7 +300,7 @@ def test_walk_stays_within_its_bound_and_matches_the_resolvent():
         n = len(m)
         big_rows += max(abs(x) for row in exactlinalg._scaled_bound(m)[1] for x in row) >= 2 ** 63
         big_sides += max(abs(x) for side in (left, right) for row in side for x in row) >= 2 ** 26
-        s, _, scale, entries = spectra._bilinear_numerators(m, left, right)
+        s, _, scale, entries = walk_numerators(m, left, right)
         bound, w = walk_bound(m, left, right)
         largest = max(abs(c) for row in entries for p in row for c in p)
         assert largest <= w
@@ -336,7 +336,7 @@ def test_row_bound_covers_every_cofactor_coefficient():
         if case % 4 == 3:
             m = [[Fraction(x, rng.choice([1, 3, 8, 10 ** 5])) for x in row] for row in m]
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        _, _, _, entries = spectra._bilinear_numerators(m, identity, identity)
+        _, _, _, entries = walk_numerators(m, identity, identity)
         _, _, bound = exactlinalg._scaled_bound(m)
         assert max(abs(c) for row in entries for p in row for c in p) <= bound
 
