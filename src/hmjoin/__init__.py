@@ -24,7 +24,6 @@ from .graphs import (
     Graph,
     UniversalParams,
     disjoint_union,
-    graph_from_edgelist,
     graph_to_edgelist,
     make_named,
     universal_matrix,
@@ -80,7 +79,6 @@ from .serialize import (
     params_from_json,
     params_to_json,
     parse_spec,
-    polynomial_from_json,
     polynomial_to_json,
     report_to_json,
     spec_document_from_json,

@@ -62,7 +62,8 @@ _VIOLATIONS = (BlockFactorizationError, CarryForwardError, TheoremViolationError
 def factored_charpoly_string(p: Polynomial, matrix) -> str:
     """Render p, the characteristic polynomial of the matrix, as its
     linear factors at the rational roots, ascending, times the cofactor
-    (`exactlinalg.rational_roots`)."""
+    (`exactlinalg.rational_roots`). p is monic and so are its linear
+    factors, so a constant cofactor is 1 and is left out."""
     if p.degree <= 0:
         return render_polynomial(p, "λ")
     roots, remainder = rational_roots(p, matrix)
@@ -77,8 +78,6 @@ def factored_charpoly_string(p: Polynomial, matrix) -> str:
         parts.append(base + ("^%d" % mult if mult > 1 else ""))
     if remainder.degree > 0:
         parts.append("(" + render_polynomial(remainder, "λ") + ")")
-    elif remainder != 1:
-        parts.insert(0, str(remainder.coefficient(0)))
     return "".join(parts)
 
 

@@ -46,9 +46,9 @@ _ISOMORPHISM_LIMIT = 32
 # one main function, two unless delta = gamma = 0; a whole search on
 # `fixtures/catalog.json` at budget 3 (1,613 configurations, in process,
 # least of two runs on a 2-core machine) takes about 0.6 ms per
-# configuration for kind A, 1.6 ms for kind L and 0.9 ms for kind S, so a
-# kind-L search at the cap runs about 16 s. The shipped catalog gives 5,313
-# at budget 4 and 30,083 at budget 6.
+# configuration for kind A, 1.5 ms for kind L and 0.9 ms for kind S, so a
+# kind-L search at the cap runs about 15 s. The shipped catalog gives 5,313
+# at budget 4 (about 2.4, 8.2 and 4.1 s) and 30,083 at budget 6.
 _CONFIGURATION_LIMIT = 10_000
 
 
@@ -339,7 +339,9 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
     so only the isomorphism verdict can vary: pairs are screened with the
     cheap isomorphism test first and fully certified once per new verdict.
     Members of a group share their vertex count, so once one pair is beyond
-    the isomorphism limit (verdict None) every pair is, and the group stops."""
+    the isomorphism limit (verdict None) every pair is, and the group stops.
+    It stops as well once the first member's pairs have all been
+    isomorphic: by transitivity, so is every later pair."""
     if subset_budget < 1:
         raise InvalidParametersError("subset budget must be at least 1")
     chosen = kind_parameters(kind, params)
@@ -361,10 +363,10 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
     seen_pairs = set()
     for members in groups.values():
         verdicts_seen: set = set()
-        for (ga, sa), (gb, sb) in combinations(members, 2):
+        for (i, (ga, sa)), (_, (gb, sb)) in combinations(enumerate(members), 2):
             if ga == gb and sa == sb:
                 continue
-            if None in verdicts_seen or (True in verdicts_seen and False in verdicts_seen):
+            if None in verdicts_seen or verdicts_seen == {True, False} or (i and False not in verdicts_seen):
                 break
             spec_a = GeneralizedJoinSpec(host, (ga, anchor), (sa, (0,)), chosen)
             spec_b = GeneralizedJoinSpec(host, (gb, anchor), (sb, (0,)), chosen)

@@ -6,9 +6,9 @@ universal adjacency matrix of a graph is
 
     U(G) = alpha*A(G) + beta*I + gamma*J + delta*D(G),    alpha != 0,
 
-with exact rational parameters. The edge-list text format is: first line
-the vertex count, then one "u v" line per edge in lexicographic order,
-so writing is a bit-exact round trip of reading.
+with exact rational parameters. `graph_to_edgelist` writes the edge-list
+text format: first line the vertex count, then one "u v" line per edge in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -277,30 +277,3 @@ def graph_to_edgelist(g: Graph) -> str:
     lines = [str(g.n)]
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
-
-
-def graph_from_edgelist(text: str) -> Graph:
-    lines = text.splitlines()
-    if not lines:
-        raise InvalidParametersError("edge list is empty; expected a vertex count on line 1")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise InvalidParametersError(f"edge list line 1: expected a vertex count, got {lines[0]!r}")
-    edges = []
-    for idx, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise InvalidParametersError(f"edge list line {idx}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InvalidParametersError(f"edge list line {idx}: endpoints must be integers, got {line!r}")
-        edges.append((u, v))
-    try:
-        return Graph(n, edges)
-    except InvalidParametersError as exc:
-        raise InvalidParametersError(f"edge list: {exc}")

@@ -50,12 +50,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # ------------------------------------------------------------------
-    # constructors
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    # ------------------------------------------------------------------
     # basic queries
     @property
     def degree(self) -> int:

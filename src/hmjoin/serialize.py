@@ -93,12 +93,6 @@ def polynomial_to_json(p: Polynomial) -> List[str]:
     return [fraction_to_json(c) for c in p.coeffs]
 
 
-def polynomial_from_json(data, pointer: str = "") -> Polynomial:
-    arr = _expect_array(data, pointer)
-    return Polynomial([fraction_from_json(c, "%s/%d" % (pointer, i))
-                       for i, c in enumerate(arr)])
-
-
 # ---------------------------------------------------------------------------
 # graphs
 

@@ -149,7 +149,7 @@ def poly_monic(a: Polynomial) -> Polynomial:
 
 
 def poly_pow(a: Polynomial, e: int) -> Polynomial:
-    out = Polynomial.one()
+    out = Polynomial([1])
     for _ in range(e):
         out = poly_mul(out, a)
     return out
@@ -165,7 +165,7 @@ def poly_eval(a: Polynomial, t: Scalar) -> Fraction:
 
 def poly_from_roots(roots) -> Polynomial:
     """The monic polynomial with the given roots, with multiplicity."""
-    out = Polynomial.one()
+    out = Polynomial([1])
     for r in roots:
         out = poly_mul(out, Polynomial((-r, 1)))
     return out
@@ -202,7 +202,7 @@ def lowest_terms(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomi
     """num / den as a coprime pair with a monic denominator ((0, 1) for a
     zero numerator), by `euclid_gcd` and `poly_divmod`."""
     if num.is_zero:
-        return num, Polynomial.one()
+        return num, Polynomial([1])
     h = euclid_gcd(num, den)
     num, den = poly_divmod(num, h)[0], poly_divmod(den, h)[0]
     lead = den.coeffs[-1]
@@ -234,7 +234,7 @@ def interpolate(points: Sequence[Tuple[Scalar, Scalar]]) -> Polynomial:
         for i in range(n - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
     poly = Polynomial()
-    basis = Polynomial.one()
+    basis = Polynomial([1])
     for i in range(n):
         if coeffs[i]:
             poly = poly_add(poly, poly_scale(basis, coeffs[i]))
@@ -332,7 +332,7 @@ def bareiss_charpoly(m) -> Polynomial:
     """det(xI - M) by evaluation at x = 0..n and Newton interpolation."""
     n = _require_square(m)
     if n == 0:
-        return Polynomial.one()
+        return Polynomial([1])
     rows, scale = _scaled_int_rows(m)
     lcms = [_row_lcm(row) for row in m]
     values = []
@@ -401,4 +401,4 @@ def regular_gamma_closed_form(g, subset: Sequence[int], params) -> Tuple[Polynom
         theta = params.beta + params.gamma * g.n
     else:
         raise HypothesisNotMetError("closed form requires delta = 0 or alpha = -delta")
-    return Polynomial((len(members),)), Polynomial((-theta, 1)) if members else Polynomial.one()
+    return Polynomial((len(members),)), Polynomial((-theta, 1)) if members else Polynomial([1])

@@ -136,7 +136,7 @@ def test_closed_form_delta_zero():
     # theta = alpha*r + beta + gamma*n = 2 + 2 + 15 = 19
     assert closed == (Polynomial([2]), Polynomial([-19, 1]))
     # an empty subset gives the zero entry, 0/1
-    assert closed_form_checked(g, [], params) == (Polynomial(), Polynomial.one())
+    assert closed_form_checked(g, [], params) == (Polynomial(), Polynomial([1]))
 
 
 def test_closed_form_alpha_opposite_delta():
@@ -389,6 +389,27 @@ def test_search_pairs_stops_a_group_at_its_first_undecided_pair(monkeypatch):
     assert len(calls) == 17
     assert set(calls.values()) == {2}
     assert certs and all(c.isomorphic is None for c in certs)
+
+
+def test_search_pairs_stops_a_group_once_its_first_member_matches_all(monkeypatch):
+    # the ten single-vertex subsets of C10 form one group whose first member
+    # is isomorphic to every other, so by transitivity every later pair is:
+    # nine screening verdicts and one for the certificate
+    c10 = make_named("cycle", [10])
+    host, anchor, params = make_named("complete", [2]), make_named("complete", [1]), kind_parameters("A")
+    first = [GeneralizedJoinSpec(host, (c10, anchor), ((v,), (0,)), params) for v in (0, 1)]
+    expected = [check_cospectral_conditions(*first, "A")]
+    calls = []
+    verdict = cospectral._verdict
+
+    def counted(a, b):
+        calls.append(1)
+        return verdict(a, b)
+
+    monkeypatch.setattr(cospectral, "_verdict", counted)
+    certs = search_pairs([c10], 1, "A")
+    assert len(calls) == 10
+    assert certs == expected and expected[0].isomorphic is True
 
 
 def test_search_pairs_deduplicates():

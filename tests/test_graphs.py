@@ -10,7 +10,6 @@ from hmjoin.graphs import (
     Graph,
     UniversalParams,
     disjoint_union,
-    graph_from_edgelist,
     graph_to_edgelist,
     make_named,
     universal_matrix,
@@ -164,13 +163,3 @@ def test_edgelist_round_trip_bit_exact():
     g = Graph(4, [(0, 3), (1, 2), (0, 1)])
     text = graph_to_edgelist(g)
     assert text == "4\n0 1\n0 3\n1 2\n"
-    assert graph_from_edgelist(text) == g
-    assert graph_to_edgelist(graph_from_edgelist(text)) == text
-
-
-def test_edgelist_diagnostics_carry_line_numbers():
-    with pytest.raises(InvalidParametersError) as err:
-        graph_from_edgelist("3\n0 1\n0 x\n")
-    assert "line 3" in str(err.value)
-    with pytest.raises(InvalidParametersError):
-        graph_from_edgelist("")

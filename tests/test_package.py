@@ -1,0 +1,60 @@
+"""Package-wide rules: value types are immutable, and every public name is
+used by the package itself, not only by its tests."""
+
+import ast
+import pathlib
+import types
+
+import pytest
+
+import hmjoin
+from hmjoin import (
+    Graph,
+    IndexingMap,
+    JoinSpec,
+    Polynomial,
+    UniversalParams,
+    block_charpoly,
+    make_named,
+    search_pairs,
+)
+
+
+def test_value_types_refuse_mutation():
+    spec = JoinSpec(make_named("path", [2]), [make_named("cycle", [4]), make_named("path", [3])], 2,
+                    [IndexingMap([1, 2, 1, 2], 2), IndexingMap([1, None, 2], 2)])
+    report = block_charpoly(spec)
+    cert = search_pairs([make_named("cycle", [6])], 1, "A")[0]
+    fields = [(Graph(2, [(0, 1)]), "n"), (spec.indexing[0], "m"), (spec, "m"), (cert.spec_a, "params"),
+              (UniversalParams.preset("A"), "alpha"), (Polynomial([1, 1]), "coeffs"), (report.gammas[0], "s"),
+              (report, "charpoly_direct"), (cert, "kind")]
+    for value, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert [type(value).__name__ for value, _ in fields] == [
+        "Graph", "IndexingMap", "JoinSpec", "GeneralizedJoinSpec", "UniversalParams", "Polynomial",
+        "MainFunction", "SpectralReport", "CospectralCertificate"]
+
+
+def test_every_export_is_used_inside_the_package():
+    # a public name that no module of the package reaches, outside its own
+    # def or class, is a test-only helper and belongs under tests/
+    exported = {name for name in hmjoin.__all__ if not isinstance(getattr(hmjoin, name), types.ModuleType)}
+    used = set()
+
+    def visit(node, owners):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id not in owners:
+                used.add(child.id)
+            elif isinstance(child, ast.Attribute) and child.attr not in owners:
+                used.add(child.attr)
+            elif isinstance(child, ast.ImportFrom):
+                used.update(alias.name for alias in child.names)
+            inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, owners | {child.name} if inner else owners)
+
+    for path in pathlib.Path(hmjoin.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    assert "graph_to_edgelist" in exported and "Graph" in used
+    assert sorted(exported - used) == []

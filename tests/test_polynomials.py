@@ -88,7 +88,7 @@ def test_gcd_divides_and_is_monic(p, q):
     assert poly_divmod(l, p)[1].is_zero
     assert poly_divmod(l, q)[1].is_zero
     # the cofactors are coprime
-    assert euclid_gcd(poly_divmod(p, g)[0], poly_divmod(q, g)[0]) == Polynomial.one()
+    assert euclid_gcd(poly_divmod(p, g)[0], poly_divmod(q, g)[0]) == Polynomial([1])
 
 
 def test_divexact_raises_on_remainder():
@@ -173,13 +173,13 @@ def test_squarefree_decomposition_reconstructs(roots):
     p = poly_from_roots(roots)
     l = math.lcm(*(r.denominator for r in roots))
     layers = [(_unscaled(a, l), e) for a, e in _int_squarefree(_scaled(p, l))]
-    product = Polynomial.one()
+    product = Polynomial([1])
     for layer, mult in layers:
         assert layer.coeffs[-1] == 1
         product = poly_mul(product, poly_pow(layer, mult))
     assert product == p
     # the distinct roots, each once
-    squarefree = Polynomial.one()
+    squarefree = Polynomial([1])
     for layer, _ in layers:
         squarefree = poly_mul(squarefree, layer)
     assert squarefree == poly_from_roots(sorted(set(roots)))
@@ -239,7 +239,7 @@ def test_int_squarefree_layers(factors):
     for a, i in layers:
         assert a[-1] == 1 and len(a) > 1
         # squarefree: coprime to its derivative
-        assert euclid_gcd(Polynomial(a), Polynomial(int_derivative(a))) == Polynomial.one()
+        assert euclid_gcd(Polynomial(a), Polynomial(int_derivative(a))) == Polynomial([1])
         for _ in range(i):
             rebuilt = _int_mul(rebuilt, a)
     assert rebuilt == p
@@ -247,7 +247,7 @@ def test_int_squarefree_layers(factors):
         assert i < j
     for x, (a, _) in enumerate(layers):
         for b, _ in layers[x + 1:]:
-            assert euclid_gcd(Polynomial(a), Polynomial(b)) == Polynomial.one()
+            assert euclid_gcd(Polynomial(a), Polynomial(b)) == Polynomial([1])
     assert _int_squarefree([5, 1]) == [([5, 1], 1)]
     assert _int_squarefree([1]) == []
 

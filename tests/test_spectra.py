@@ -140,7 +140,7 @@ def test_main_function_normal_form_against_oracle():
         v = u if rng.random() < 0.5 else rand(n, len(u[0]), span=1)
         mf = main_function_bilinear(m, u, v)
         assert mf.denominator.coeffs[-1] == 1
-        lcm = Polynomial.one()
+        lcm = Polynomial([1])
         for a, row in enumerate(mf.numerator):
             for b, f in enumerate(row):
                 num, den = mf.entry(a, b)
@@ -241,7 +241,7 @@ def test_main_function_matches_resolvent_oracle():
                        for b in range(cu)] for a in range(cv)]
         # the route through per-entry reduction: monic lcm of the reduced
         # denominators phi / gcd(N_ab, phi) of N / phi
-        g = Polynomial.one()
+        g = Polynomial([1])
         for row in numerators:
             for p in row:
                 den = poly_divmod(phi, euclid_gcd(p, phi))[0]
@@ -252,7 +252,7 @@ def test_main_function_matches_resolvent_oracle():
                 quot, rem = poly_divmod(poly_mul(numerators[a][b], g), phi)
                 assert rem.is_zero and mf.numerator[a][b] == quot
         if cu and cv and all(p.is_zero for row in numerators for p in row):
-            assert mf.denominator == Polynomial.one()
+            assert mf.denominator == Polynomial([1])
         for t in (Fraction(1, 3), Fraction(-7, 2), Fraction(11, 5)):
             _, value = resolvent_bilinear_at(m, u, v, t)
             assert value is not None
@@ -394,11 +394,11 @@ def test_classification_of_rational_matrices_against_oracle():
                     m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
             e = [[Fraction(rng.randint(0, 1)) for _ in range(2)] for _ in range(n)]
             mf = gamma(m, e)
-            rebuilt = Polynomial.one()
+            rebuilt = Polynomial([1])
             for c in classify_e_main(m, e):
                 assert c.poly.coeffs[-1] == 1 and c.multiplicity >= 1
                 derivative = Polynomial([k * x for k, x in enumerate(c.poly.coeffs)][1:])
-                assert euclid_gcd(c.poly, derivative) == Polynomial.one()
+                assert euclid_gcd(c.poly, derivative) == Polynomial([1])
                 # every linear class is a rational root, and no other class is
                 assert (c.rational is not None) == (c.poly.degree == 1)
                 if c.rational is not None:
@@ -489,8 +489,8 @@ def test_phi_is_one_without_labeled_vertices():
     for m in (0, 2):
         spec = JoinSpec(host, factors, m, [IndexingMap([None] * f.n, m) for f in factors])
         report = block_charpoly(spec)
-        assert all(mf.denominator == Polynomial.one() for mf in report.gammas)
-        assert report.phi_polynomial == Polynomial.one()
+        assert all(mf.denominator == Polynomial([1]) for mf in report.gammas)
+        assert report.phi_polynomial == Polynomial([1])
         assert report.charpoly_direct == poly_mul(*report.factor_charpolys)
 
 
@@ -622,7 +622,7 @@ def test_block_charpoly_skips_roots_of_main_denominators():
     reports = [block_charpoly(spec) for spec in (spec_zero, spec_four, spec_unlabeled)]
     assert poly_eval(reports[0].gammas[0].denominator, 0) == 0
     assert reports[1].gammas[0].denominator == Polynomial([-4, 1])
-    assert reports[2].gammas[1].denominator == Polynomial.one()
+    assert reports[2].gammas[1].denominator == Polynomial([1])
     for spec, report in zip((spec_zero, spec_four, spec_unlabeled), reports):
         assert report.charpoly_block == report.charpoly_direct
         assert report.charpoly_direct == charpoly(hm_join(spec).adjacency_matrix())
