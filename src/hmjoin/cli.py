@@ -286,69 +286,48 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hmjoin",
         description="Construct labeled joins of graphs and compute their exact spectra.")
     sub = parser.add_subparsers(dest="verb", required=True)
+    leaves = []
 
-    def add_common(p):
-        p.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
+    def verb(parent, name, func, help, *positional):
+        """A subcommand running func on the given positional arguments;
+        every subcommand takes -o/--output as its last option."""
+        p = parent.add_parser(name, help=help)
+        for arg in positional:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        leaves.append(p)
+        return p
 
-    p_join = sub.add_parser("join", help="build the join graph, print an edge list")
-    p_join.add_argument("spec", help="spec JSON path ('-' = stdin)")
-    add_common(p_join)
-    p_join.set_defaults(func=_cmd_join)
+    verb(sub, "join", _cmd_join, "build the join graph, print an edge list").add_argument(
+        "spec", help="spec JSON path ('-' = stdin)")
+    verb(sub, "charpoly", _cmd_charpoly, "block-factorized characteristic polynomial report", "spec")
+    verb(sub, "classify", _cmd_classify, "per-factor eigenvalue-class main flags", "spec")
+    verb(sub, "verify", _cmd_verify, "check the factorization and carry-forward identities", "spec")
+    verb(sub, "reduce", _cmd_reduce, "delete removable labels", "spec").add_argument(
+        "--mode", choices=REDUCTION_MODES, required=True)
 
-    p_char = sub.add_parser("charpoly", help="block-factorized characteristic polynomial report")
-    p_char.add_argument("spec")
-    add_common(p_char)
-    p_char.set_defaults(func=_cmd_charpoly)
-
-    p_cls = sub.add_parser("classify", help="per-factor eigenvalue-class main flags")
-    p_cls.add_argument("spec")
-    add_common(p_cls)
-    p_cls.set_defaults(func=_cmd_classify)
-
-    p_ver = sub.add_parser("verify", help="check the factorization and carry-forward identities")
-    p_ver.add_argument("spec")
-    add_common(p_ver)
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_red = sub.add_parser("reduce", help="delete removable labels")
-    p_red.add_argument("spec")
-    p_red.add_argument("--mode", choices=REDUCTION_MODES, required=True)
-    add_common(p_red)
-    p_red.set_defaults(func=_cmd_reduce)
-
-    p_fam = sub.add_parser("family", help="build a named family as a join spec")
-    p_fam.add_argument("name")
+    p_fam = verb(sub, "family", _cmd_family, "build a named family as a join spec", "name")
     p_fam.add_argument("params", nargs="*")
     p_fam.add_argument("--charpoly", action="store_true", help="include the spectral report")
-    add_common(p_fam)
-    p_fam.set_defaults(func=_cmd_family)
 
-    p_uni = sub.add_parser("universal", help="universal-matrix charpoly (alpha*A+beta*I+gamma*J+delta*D)")
-    p_uni.add_argument("spec")
+    p_uni = verb(sub, "universal", _cmd_universal, "universal-matrix charpoly (alpha*A+beta*I+gamma*J+delta*D)", "spec")
     uni_params = p_uni.add_mutually_exclusive_group()
     uni_params.add_argument("--preset", help="A, L, Q, seidel, or Aalpha:<r>")
     uni_params.add_argument("--params", help="alpha,beta,gamma,delta as fraction strings")
-    add_common(p_uni)
-    p_uni.set_defaults(func=_cmd_universal)
 
     p_cos = sub.add_parser("cospectral", help="certify or search cospectral join pairs")
     cos_sub = p_cos.add_subparsers(dest="action", required=True)
-    p_chk = cos_sub.add_parser("check", help="verify one candidate pair")
-    p_chk.add_argument("spec_a")
-    p_chk.add_argument("spec_b")
-    p_chk.add_argument("--kind", choices=COSPECTRAL_KINDS, required=True)
-    add_common(p_chk)
-    p_chk.set_defaults(func=_cmd_cospectral_check)
-    p_srch = cos_sub.add_parser("search", help="search a graph catalog for certified pairs")
-    p_srch.add_argument("catalog")
+    verb(cos_sub, "check", _cmd_cospectral_check, "verify one candidate pair", "spec_a", "spec_b").add_argument(
+        "--kind", choices=COSPECTRAL_KINDS, required=True)
+    p_srch = verb(cos_sub, "search", _cmd_cospectral_search, "search a graph catalog for certified pairs", "catalog")
     p_srch.add_argument("--kind", choices=COSPECTRAL_KINDS, required=True)
     p_srch.add_argument("--budget", type=int, default=2, help="largest subset size tried")
     srch_params = p_srch.add_mutually_exclusive_group()
     srch_params.add_argument("--preset", help="universal preset for kind U")
     srch_params.add_argument("--params", help="alpha,beta,gamma,delta for kind U")
-    add_common(p_srch)
-    p_srch.set_defaults(func=_cmd_cospectral_search)
 
+    for p in leaves:
+        p.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     return parser
 
 

@@ -27,6 +27,7 @@ from .joins import IndexingMap, JoinSpec, hm_join
 from .polynomials import Polynomial, _unscaled
 from .spectra import (
     MainFunction,
+    _block_main_functions,
     _universal_blocks,
     main_function_bilinear,
     reduced_block_charpoly,
@@ -124,7 +125,7 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
     matrix = universal_matrix(spec.join_graph(), spec.params)
     l, rows, bound = _scaled_bound(matrix)
-    return _unscaled(reduced_block_charpoly([main_function_bilinear(*b) for b in blocks], weights, l, rows, bound), l)
+    return _unscaled(reduced_block_charpoly(_block_main_functions(blocks), weights, l, rows, bound), l)
 
 
 def _joint_color_refinement(a: Graph, b: Graph):
@@ -274,6 +275,13 @@ def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
 
     Raises HypothesisNotMetError naming the first violated condition, and
     TheoremViolationError if the hypotheses hold yet the charpolys differ."""
+    return _certify(spec_a, spec_b, kind)
+
+
+def _certify(spec_a: GeneralizedJoinSpec, spec_b: GeneralizedJoinSpec, kind: str,
+             screened: Optional[tuple] = None) -> CospectralCertificate:
+    """`check_cospectral_conditions`, reusing the (join_a, join_b, verdict)
+    that a pair search already built and decided for the two specs."""
     params = kind_parameters(kind, spec_a.params)
     if spec_a.host != spec_b.host:
         raise HypothesisNotMetError("host graphs differ")
@@ -292,15 +300,15 @@ def check_cospectral_conditions(spec_a: GeneralizedJoinSpec,
                 detail = " (%d vs %d)" % (va, vb) if isinstance(va, int) else ""
                 raise HypothesisNotMetError("factor %d: %s differ%s" % (i, label, detail))
         witnesses.append(va)  # the last value is the slot's witness
-    join_a = normalized_a.join_graph()
-    join_b = normalized_b.join_graph()
+    join_a, join_b, verdict = screened or (normalized_a.join_graph(), normalized_b.join_graph(), None)
     pa = charpoly(universal_matrix(join_a, params))
     pb = charpoly(universal_matrix(join_b, params))
     if pa != pb:
         raise TheoremViolationError(
             "hypotheses hold but the kind-%s charpolys of the joins differ" % kind)
-    return CospectralCertificate(kind, normalized_a, normalized_b, pa,
-                                 _verdict(join_a, join_b), tuple(witnesses))
+    if screened is None:
+        verdict = _verdict(join_a, join_b)
+    return CospectralCertificate(kind, normalized_a, normalized_b, pa, verdict, tuple(witnesses))
 
 
 def _config_key(g: Graph, subset: Tuple[int, ...], kind: str,
@@ -370,11 +378,12 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
                 break
             spec_a = GeneralizedJoinSpec(host, (ga, anchor), (sa, (0,)), chosen)
             spec_b = GeneralizedJoinSpec(host, (gb, anchor), (sb, (0,)), chosen)
-            verdict = _verdict(spec_a.join_graph(), spec_b.join_graph())
+            joins = spec_a.join_graph(), spec_b.join_graph()
+            verdict = _verdict(*joins)
             if verdict in verdicts_seen:
                 continue
             verdicts_seen.add(verdict)
-            cert = check_cospectral_conditions(spec_a, spec_b, kind)
+            cert = _certify(spec_a, spec_b, kind, joins + (verdict,))
             dedup = (cert.charpoly.coeffs, cert.isomorphic)
             if dedup in seen_pairs:
                 continue

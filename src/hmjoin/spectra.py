@@ -44,11 +44,15 @@ phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the reduced
 common denominator g = phi / h and f = N / h. The chain runs in Z[y] on
 the lifted layers: s^n phi(y / s), the integer lift of the charpoly
 engine, is monic in Z[y], so h is monic there too and both quotients are
-exact integer divisions (`_int_gcd`, `_int_divexact`). `MainFunction`
-keeps phi, g and f in this scaled integer form, and every consumer
-(entries in lowest terms, eigenvalue classes, the reduced block, Phi)
-reads those integers; the polynomials over Q are views derived on first
-read.
+exact integer divisions (`_int_gcd`, `_int_divexact`). The chain tries
+N_ab / h first, exact exactly when gcd(h, N_ab) = h, and takes the gcd
+only when that fails. When M is symmetric and the sides are equal,
+N_ab = N_ba, and only the entries a <= b are lifted and reduced.
+`MainFunction` keeps phi, g and f in this scaled integer form, and every
+consumer (entries in lowest terms, eigenvalue classes, the reduced block,
+Phi) reads those integers; the polynomials over Q are views derived on
+first read. A report computes the main function, eigenvalue classes and
+carry-forward counts once per distinct block (`_block_main_functions`).
 
 The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
@@ -117,7 +121,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
+from .errors import BlockFactorizationError, CarryForwardError, InexactDivisionError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
 from .exactlinalg import (
     _block_lift,
     _charpoly_lift,
@@ -247,12 +251,12 @@ def _resolvent(key: tuple):
     """The integer data of the walk recurrence for M = M'/s: s, the
     coefficients, constant term first, of s^n phi(y / s) for
     phi = det(xI - M), so entry n - j is c_j s^j for phi = sum_j c_j x^(n-j),
-    the rows of M' and the bound of `_scaled_bound(M)` (`exactlinalg`
-    says what it bounds). Cached on matrix content, so factors and pair
-    searches that revisit a matrix pay for its characteristic polynomial
-    once."""
+    the rows of M', the bound of `_scaled_bound(M)` (`exactlinalg`
+    says what it bounds) and whether M is symmetric. Cached on matrix
+    content, so factors and pair searches that revisit a matrix pay for its
+    characteristic polynomial once."""
     s, rows, bound = _scaled_bound(key)
-    return s, tuple(_charpoly_lift(rows, bound)), tuple(map(tuple, rows)), bound
+    return s, tuple(_charpoly_lift(rows, bound)), tuple(map(tuple, rows)), bound, key == tuple(zip(*key))
 
 
 def main_function_bilinear(m, u, v) -> MainFunction:
@@ -261,28 +265,42 @@ def main_function_bilinear(m, u, v) -> MainFunction:
     entry (a, b) is the n integer coefficients, lowest first, of
     V'^T adj(yI - M') U', that is of s_v s_u s^(n-1) N_ab(y / s), lifted by
     `exactlinalg._walk_lift`. Then g = phi / h and f = N / h, with
-    h = gcd(phi, every non-zero N_ab) taken as one chain in Z[y] that stops
-    once h is constant."""
+    h = gcd(phi, every non-zero N_ab) taken as one divide-first chain in
+    Z[y], on the entries a <= b alone when M is symmetric and U = V."""
     n = _require_square(m)
     rv, cv = mat_shape(v)
     ru, cu = mat_shape(u)
     if rv != n or ru != n:
         raise SizeMismatchError(f"side matrices must have {n} rows, got {rv} and {ru}")
-    s, phi, rows, bound = _resolvent(tuple(map(tuple, m)))
+    s, phi, rows, bound, symmetric = _resolvent(tuple(map(tuple, m)))
+    mirror = symmetric and cv > 1 and u == v
     if cv and cu:
         sv, v_ints = _scaled_rows(v)
-        su, u_ints = _scaled_rows(u)
-        scale, numerators = sv * su, _walk_lift(rows, phi, v_ints, u_ints, bound)
+        su, u_ints = (sv, v_ints) if mirror else _scaled_rows(u)
+        scale, numerators = sv * su, _walk_lift(rows, phi, v_ints, u_ints, bound, mirror)
     else:
         scale, numerators = 1, [[] for _ in range(cv)]
-    h = phi
-    for row in numerators:
-        for p in row:
-            if len(h) > 1:
-                h = _int_gcd(h, p)
-    # p / h keeps the n - deg h coefficients of scale * s^(n-1-deg h) f(y / s)
-    f = tuple(tuple(tuple(_int_divexact(p, h)) for p in row) for row in numerators)
-    return MainFunction(s, phi, tuple(_int_divexact(phi, h)), f, scale)
+    cells = [(a, b) for a in range(cv) for b in range(a if mirror else 0, cu)]
+    h, held = phi, {}
+    for a, b in cells:
+        p = numerators[a][b]
+        if any(p[len(h) - 1:]):  # deg p >= deg h, so h may divide p
+            try:
+                held[a, b] = len(h), _int_divexact(p, h)
+                continue
+            except InexactDivisionError:
+                pass
+        if any(p):  # a zero entry leaves h as it is
+            h = _int_gcd(h, p)
+    f = [[None] * cu for _ in range(cv)]
+    for a, b in cells:
+        # h only shrinks, so a quotient taken at its final degree is p / h, the
+        # n - deg h coefficients of scale * s^(n-1-deg h) f(y / s)
+        size, q = held.get((a, b), (0, None))
+        f[a][b] = tuple(q if size == len(h) else _int_divexact(numerators[a][b], h))
+        if mirror:
+            f[b][a] = f[a][b]
+    return MainFunction(s, phi, tuple(_int_divexact(phi, h)), tuple(map(tuple, f)), scale)
 
 
 def gamma(m, e) -> MainFunction:
@@ -493,6 +511,18 @@ def _universal_blocks(host, factors, sides, params):
     return blocks, weights
 
 
+def _block_main_functions(blocks) -> List[MainFunction]:
+    """The main function of every block (M_i, U_i, V_i) of `_universal_blocks`,
+    computed once per distinct block content: equal blocks share one object."""
+    mains, out = {}, []
+    for m, u, v in blocks:
+        key = tuple(map(tuple, m)), tuple(map(tuple, u)), tuple(map(tuple, v))
+        if key not in mains:
+            mains[key] = main_function_bilinear(m, u, v)
+        out.append(mains[key])
+    return out
+
+
 def block_charpoly(spec: JoinSpec) -> SpectralReport:
     """The report of `universal_block_charpoly` for the adjacency matrix,
     U at (alpha, beta, gamma, delta) = (1, 0, 0, 0)."""
@@ -508,25 +538,30 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
         raise InvalidParametersError("universal block factorization needs gamma = 0 (the all-ones block couples all factor pairs); use the generalized-join pipeline instead")
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
     matrix = universal_matrix(hm_join(spec), params)
-    mfs = [gamma(mat, e) for mat, e, _ in blocks]
+    mfs = _block_main_functions(blocks)
     m = spec.m
     l, rows, bound = _scaled_bound(matrix)
     lift = reduced_block_charpoly(mfs, weights, l, rows, bound)
     char = _unscaled(lift, l)
-    flags, carry = [], []
+    flags, carry, ledgers = [], [], {}
     for i, ((mat, _, _), mf) in enumerate(zip(blocks, mfs)):
-        classes = _eigen_classes(mat, mf)
+        if id(mf) not in ledgers:  # the first block with this main function
+            classes, counts = _eigen_classes(mat, mf), []
+            for c, cls in enumerate(classes):
+                guaranteed = max(0, cls.multiplicity - m) if cls.is_main else cls.multiplicity
+                # M_i is a diagonal block of M, so s_i divides L and the class scales into Z[y]
+                observed = _int_multiplicity(lift, _scaled(cls.poly, l))
+                if observed < guaranteed:
+                    raise CarryForwardError(
+                        f"factor {i}, eigenvalue class {c} of degree {cls.poly.degree}: observed "
+                        f"multiplicity {observed} below the guaranteed bound {guaranteed}"
+                    )
+                counts.append((cls, guaranteed, observed))
+            ledgers[id(mf)] = classes, counts
+        classes, counts = ledgers[id(mf)]
         flags.append(classes)
-        for c, cls in enumerate(classes):
-            guaranteed = max(0, cls.multiplicity - m) if cls.is_main else cls.multiplicity
-            # M_i is a diagonal block of M, so s_i divides L and the class scales into Z[y]
-            observed = _int_multiplicity(lift, _scaled(cls.poly, l))
-            if observed < guaranteed:
-                raise CarryForwardError(
-                    f"factor {i}, eigenvalue class {c} of degree {cls.poly.degree}: observed "
-                    f"multiplicity {observed} below the guaranteed bound {guaranteed}"
-                )
-            carry.append(CarryForwardRow(i, cls, guaranteed, observed))
+        for row in counts:
+            carry.append(CarryForwardRow(i, *row))
     return SpectralReport(
         charpoly_direct=char,
         charpoly_block=char,

@@ -50,7 +50,7 @@ def walk_numerators(m, left, right):
     holds the n coefficients, lowest first, of L'^T adj(yI - M') R', the
     numerators that `main_function_bilinear` reduces. Sides need at least
     one column."""
-    s, phi, rows, bound = _resolvent(tuple(map(tuple, m)))
+    s, phi, rows, bound, _ = _resolvent(tuple(map(tuple, m)))
     sl, l_ints = _scaled_rows(left)
     sr, r_ints = _scaled_rows(right)
     return s, phi, sl * sr, _walk_lift(rows, phi, l_ints, r_ints, bound)

@@ -385,16 +385,16 @@ def test_search_pairs_stops_a_group_at_its_first_undecided_pair(monkeypatch):
     monkeypatch.setattr(cospectral, "_verdict", counted)
     certs = search_pairs([c33], 2, "A")
     # size 1, and size 2 at each cycle distance 1..16; the full set is alone.
-    # Each group screens its first pair and certifies it, one verdict each.
+    # Each group screens its first pair, and its certificate reuses that verdict.
     assert len(calls) == 17
-    assert set(calls.values()) == {2}
+    assert set(calls.values()) == {1}
     assert certs and all(c.isomorphic is None for c in certs)
 
 
 def test_search_pairs_stops_a_group_once_its_first_member_matches_all(monkeypatch):
     # the ten single-vertex subsets of C10 form one group whose first member
     # is isomorphic to every other, so by transitivity every later pair is:
-    # nine screening verdicts and one for the certificate
+    # nine screening verdicts, the certificate reusing the first
     c10 = make_named("cycle", [10])
     host, anchor, params = make_named("complete", [2]), make_named("complete", [1]), kind_parameters("A")
     first = [GeneralizedJoinSpec(host, (c10, anchor), ((v,), (0,)), params) for v in (0, 1)]
@@ -408,8 +408,32 @@ def test_search_pairs_stops_a_group_once_its_first_member_matches_all(monkeypatc
 
     monkeypatch.setattr(cospectral, "_verdict", counted)
     certs = search_pairs([c10], 1, "A")
-    assert len(calls) == 10
+    assert len(calls) == 9
     assert certs == expected and expected[0].isomorphic is True
+
+
+def test_search_pairs_decides_each_certified_pair_once(monkeypatch):
+    doc = json.loads((FIXTURES / "catalog.json").read_text(encoding="utf-8"))
+    catalog = [graph_from_json(g) for g in doc["graphs"]]
+    decided, certified = [], []
+    verdict, certify = cospectral._verdict, cospectral._certify
+
+    def counted_verdict(a, b):
+        decided.append((a, b))
+        return verdict(a, b)
+
+    def counted_certify(spec_a, spec_b, kind, screened=None):
+        certified.append((spec_a.join_graph(), spec_b.join_graph()))
+        return certify(spec_a, spec_b, kind, screened)
+
+    monkeypatch.setattr(cospectral, "_verdict", counted_verdict)
+    monkeypatch.setattr(cospectral, "_certify", counted_certify)
+    certs = search_pairs(catalog, 1, "A")
+    # 39 screening verdicts, of which 8 pairs are certified
+    assert (len(decided), len(certified)) == (39, 8)
+    assert all(decided.count(pair) == 1 for pair in certified)
+    monkeypatch.undo()
+    assert certs == [check_cospectral_conditions(c.spec_a, c.spec_b, "A") for c in certs]
 
 
 def test_search_pairs_deduplicates():

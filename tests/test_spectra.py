@@ -13,6 +13,8 @@ import pytest
 
 from conftest import random_graph, random_indexing, random_spec, stack_entries, walk_numerators
 from oracles import (
+    bareiss_charpoly,
+    blockwise_adjacency,
     classify_e_main_numeric,
     euclid_gcd,
     interpolate,
@@ -32,7 +34,7 @@ import hmjoin.cospectral as cospectral
 import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import GeneralizedJoinSpec, generalized_universal_charpoly
-from hmjoin.families import generalized_petersen
+from hmjoin.families import cartesian_product, generalized_petersen, generalized_web
 from hmjoin.errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError
 from hmjoin.exactlinalg import charpoly
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
@@ -219,45 +221,107 @@ def main_function_oracle_cases():
     return cases
 
 
+def assert_matches_resolvent_oracle(m, u, v):
+    """main_function_bilinear(m, u, v) against the resolvent oracle; returns
+    the main function, phi and the oracle's numerators N = phi * Gamma."""
+    n = len(m)
+    cu, cv = len(u[0]), len(v[0])
+    mf = main_function_bilinear(m, u, v)
+    assert len(mf.numerator) == cv
+    assert all(len(row) == cu for row in mf.numerator)
+    # phi from n + 1 determinants, N = phi * V^T (xI - M)^{-1} U from its
+    # values at n integers where tI - M is invertible (deg N < n)
+    phi = interpolate([(t, resolvent_bilinear_at(m, u, v, t)[0]) for t in range(n + 1)])
+    assert mf.charpoly == phi
+    samples = []
+    t = 0
+    while len(samples) < n:
+        det, value = resolvent_bilinear_at(m, u, v, Fraction(t))
+        if value is not None:
+            samples.append((t, det, value))
+        t += 1
+    numerators = [[interpolate([(t, det * value[a][b]) for t, det, value in samples])
+                   for b in range(cu)] for a in range(cv)]
+    # the route through per-entry reduction: monic lcm of the reduced
+    # denominators phi / gcd(N_ab, phi) of N / phi
+    g = Polynomial([1])
+    for row in numerators:
+        for p in row:
+            den = poly_divmod(phi, euclid_gcd(p, phi))[0]
+            g = poly_divmod(poly_mul(g, den), euclid_gcd(g, den))[0]
+    assert mf.denominator == g
+    for a in range(cv):
+        for b in range(cu):
+            quot, rem = poly_divmod(poly_mul(numerators[a][b], g), phi)
+            assert rem.is_zero and mf.numerator[a][b] == quot
+    if cu and cv and all(p.is_zero for row in numerators for p in row):
+        assert mf.denominator == Polynomial([1])
+    for t in (Fraction(1, 3), Fraction(-7, 2), Fraction(11, 5)):
+        _, value = resolvent_bilinear_at(m, u, v, t)
+        assert value is not None
+        gt = poly_eval(mf.denominator, t)
+        assert value == [[poly_eval(f, t) / gt for f in row] for row in mf.numerator]
+    return mf, phi, numerators
+
+
 def test_main_function_matches_resolvent_oracle():
     for m, u, v in main_function_oracle_cases():
-        n = len(m)
-        cu, cv = len(u[0]), len(v[0])
-        mf = main_function_bilinear(m, u, v)
-        assert len(mf.numerator) == cv
-        assert all(len(row) == cu for row in mf.numerator)
-        # phi from n + 1 determinants, N = phi * V^T (xI - M)^{-1} U from its
-        # values at n integers where tI - M is invertible (deg N < n)
-        phi = interpolate([(t, resolvent_bilinear_at(m, u, v, t)[0]) for t in range(n + 1)])
-        assert mf.charpoly == phi
-        samples = []
-        t = 0
-        while len(samples) < n:
-            det, value = resolvent_bilinear_at(m, u, v, Fraction(t))
-            if value is not None:
-                samples.append((t, det, value))
-            t += 1
-        numerators = [[interpolate([(t, det * value[a][b]) for t, det, value in samples])
-                       for b in range(cu)] for a in range(cv)]
-        # the route through per-entry reduction: monic lcm of the reduced
-        # denominators phi / gcd(N_ab, phi) of N / phi
-        g = Polynomial([1])
-        for row in numerators:
-            for p in row:
-                den = poly_divmod(phi, euclid_gcd(p, phi))[0]
-                g = poly_divmod(poly_mul(g, den), euclid_gcd(g, den))[0]
-        assert mf.denominator == g
-        for a in range(cv):
-            for b in range(cu):
-                quot, rem = poly_divmod(poly_mul(numerators[a][b], g), phi)
-                assert rem.is_zero and mf.numerator[a][b] == quot
-        if cu and cv and all(p.is_zero for row in numerators for p in row):
-            assert mf.denominator == Polynomial([1])
-        for t in (Fraction(1, 3), Fraction(-7, 2), Fraction(11, 5)):
-            _, value = resolvent_bilinear_at(m, u, v, t)
-            assert value is not None
-            gt = poly_eval(mf.denominator, t)
-            assert value == [[poly_eval(f, t) / gt for f in row] for row in mf.numerator]
+        assert_matches_resolvent_oracle(m, u, v)
+
+
+def halved_main_function_cases():
+    """(M, U, V, whether N_ab = N_ba lets the walk lift only a <= b): seeded
+    symmetric rational M whose sides have several columns, one of them
+    zero, passed once as one object and once as an equal copy; non-symmetric
+    M with one side object for both; and a block-diagonal M on which the
+    gcd chain divides two entries by h = phi_2 before the last entry shrinks
+    it to 1 (the oracle checks that h)."""
+    rng = random.Random(2023)
+
+    def rand(rows, cols, span=3):
+        return [[Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    cases = []
+    for _ in range(8):
+        n = rng.randint(2, 5)
+        m = rand(n, n)
+        m = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        e = rand(n, rng.randint(2, 4), span=2)
+        zero = rng.randrange(len(e[0]))
+        e = [row[:zero] + [0] + row[zero:] for row in e]
+        cases += [(m, e, e, True), (m, e, [list(row) for row in e], True)]
+    for _ in range(4):
+        n = rng.randint(2, 5)
+        m = rand(n, n)
+        m[0][1] = m[1][0] + 1
+        e = rand(n, rng.randint(2, 3), span=2)
+        cases.append((m, e, e, False))
+    half, f = Fraction(1, 2), Fraction
+    m = [[0, half, 0, 0, 0], [half, 0, half, 0, 0], [0, half, 0, 0, 0], [0, 0, 0, f(1, 3), 1], [0, 0, 0, 1, 0]]
+    e = [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    cases.append((m, e, e, True))
+    return cases
+
+
+def test_halved_divide_first_main_function_matches_the_oracles(monkeypatch):
+    walks = []
+    walk = spectra._walk_lift
+
+    def spied(rows, phi, left, right, bound, symmetric=False):
+        walks.append(symmetric)
+        return walk(rows, phi, left, right, bound, symmetric)
+
+    monkeypatch.setattr(spectra, "_walk_lift", spied)
+    for m, u, v, halved in halved_main_function_cases():
+        walks.clear()
+        mf, phi, numerators = assert_matches_resolvent_oracle(m, u, v)
+        assert walks == [halved]
+        for a, row in enumerate(numerators):
+            for b, p in enumerate(row):
+                assert mf.entry(a, b) == lowest_terms(p, phi)
+    # the last case: gcd(phi, N_00) = phi_2 of degree 2, yet g = phi
+    assert euclid_gcd(numerators[0][0], phi).degree == 2 and mf.denominator == phi
 
 
 def walk_bound(m, left, right):
@@ -879,6 +943,36 @@ def test_numeric_spectrum_matches_charpoly_degree():
     values = sorted(v for v, _ in report.numeric_spectrum)
     assert abs(values[0] + 2.0) < 1e-9
     assert abs(values[-1] - 5.0) < 1e-9
+
+
+def test_a_report_computes_each_distinct_block_once(monkeypatch):
+    counts = {}
+
+    def counted(name):
+        original = getattr(spectra, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(spectra, name, wrapper)
+
+    for name in ("_walk_lift", "_eigen_classes", "main_function_bilinear"):
+        counted(name)
+    c5 = make_named("cycle", [5])
+    # C5 x C5 joins five equal blocks; web(3, 6) the wheel, three equal
+    # cycles and the pendant layer
+    for spec, distinct in ((cartesian_product(c5, c5).spec, 1), (generalized_web(3, 6).spec, 3)):
+        counts.clear()
+        report = block_charpoly(spec)
+        assert counts == {"_walk_lift": distinct, "_eigen_classes": distinct, "main_function_bilinear": distinct}
+        assert report.charpoly_block == bareiss_charpoly(blockwise_adjacency(spec))
+        assert len(report.gammas) == len(report.e_main_flags) == spec.k
+    # a generalized join whose first and last slots are equal
+    host, params = make_named("path", [3]), UniversalParams.preset("A")
+    spec = GeneralizedJoinSpec(host, (c5, make_named("path", [4]), c5), ((0, 2), (1,), (0, 2)), params)
+    counts.clear()
+    assert generalized_universal_charpoly(spec) == bareiss_charpoly(universal_matrix(spec.join_graph(), params))
+    assert counts["main_function_bilinear"] == 2
 
 
 def test_bilinear_main_function_asymmetric_sides():
