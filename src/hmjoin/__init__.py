@@ -44,7 +44,6 @@ from .spectra import (
     SpectralReport,
     block_charpoly,
     classify_e_main,
-    gamma,
     main_function_bilinear,
     universal_block_charpoly,
 )

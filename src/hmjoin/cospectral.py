@@ -21,13 +21,12 @@ from .errors import (
     TheoremViolationError,
     TooLargeError,
 )
-from .exactlinalg import _scaled_bound, charpoly
+from .exactlinalg import charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import IndexingMap, JoinSpec, hm_join
 from .polynomials import Polynomial, _unscaled
 from .spectra import (
     MainFunction,
-    _block_main_functions,
     _universal_blocks,
     main_function_bilinear,
     reduced_block_charpoly,
@@ -72,6 +71,8 @@ class GeneralizedJoinSpec:
         for i, subset in enumerate(subsets):
             if factors[i].n == 0:
                 raise InvalidParametersError("factor %d has no vertices" % i)
+            if not all(type(v) is int for v in subset):
+                raise InvalidParametersError("subset %d holds a vertex that is not an integer" % i)
             seen = sorted(set(subset))
             if len(seen) != len(tuple(subset)):
                 raise InvalidParametersError("subset %d repeats a vertex" % i)
@@ -124,8 +125,8 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     cross-checked against the direct vertex-level computation."""
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
     matrix = universal_matrix(spec.join_graph(), spec.params)
-    l, rows, bound = _scaled_bound(matrix)
-    return _unscaled(reduced_block_charpoly(_block_main_functions(blocks), weights, l, rows, bound), l)
+    _, l, lift = reduced_block_charpoly(blocks, weights, matrix)
+    return _unscaled(lift, l)
 
 
 def _joint_color_refinement(a: Graph, b: Graph):
@@ -353,6 +354,9 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
     if subset_budget < 1:
         raise InvalidParametersError("subset budget must be at least 1")
     chosen = kind_parameters(kind, params)
+    for i, g in enumerate(catalog):
+        if g.n == 0:
+            raise InvalidParametersError("catalog graph %d has no vertices" % i)
     count = _configuration_count(catalog, subset_budget)
     if count > _CONFIGURATION_LIMIT:
         raise TooLargeError(

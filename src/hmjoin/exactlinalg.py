@@ -13,8 +13,9 @@ bound and returns the integers within that bound:
 - `_charpoly_lift`: det(yI - R) for integer rows R (Dumas, Pernet & Wan,
   ISSAC 2005; Cohen, A Course in Computational Algebraic Number Theory,
   section 2.2), under `charpoly` and every main function;
-- `_walk_lift`: the coefficients of L'^T adj(yI - R) R' for integer sides
-  L' and R', the numerators of the main functions in `spectra`;
+- `_walk_lift`: the coefficients of the entries (a, b) of
+  L'^T adj(yI - R) R' that its caller names, for integer sides L' and R',
+  the numerators of the main functions in `spectra`;
 - `_block_lift`: det(yI - R) once more, from the values of the reduced
   block determinant that `spectra` builds from the main functions.
 
@@ -414,15 +415,14 @@ def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
 
 
 def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], left, right, bound: int,
-               symmetric: bool = False) -> List[List[List[int]]]:
-    """The n coefficients, lowest first, of every entry (a, b) of
-    L'^T adj(yI - R) R' for the integer rows R, the coefficients phi of
-    det(yI - R), constant term first, integer sides L' and R' of at least
-    one column and the bound of `_scaled_bound`: the walk recurrence of the
-    module docstring modulo every prime of `_lift_primes(W)` in one stack,
-    one product with [R; L'^T] per step, and one `_crt_lift`. With
-    `symmetric`, for a symmetric R and L' = R', entry (b, a) is entry
-    (a, b): only the entries a <= b are lifted, each list serving both."""
+               cells: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """The n coefficients, lowest first, of each entry (a, b) of `cells`, in
+    that order, of L'^T adj(yI - R) R' for the integer rows R, the
+    coefficients phi of det(yI - R), constant term first, integer sides L'
+    and R' of at least one column and the bound of `_scaled_bound`: the walk
+    recurrence of the module docstring modulo every prime of
+    `_lift_primes(W)` in one stack, one product with [R; L'^T] per step, one
+    gather of the cells from the layers and one `_crt_lift`."""
     n, cl, cr = len(rows), len(left[0]), len(right[0])
 
     def norm(ints):
@@ -444,19 +444,10 @@ def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], left, right, b
             y = walk[:, :n]
             y += c[:, n - 1 - k] * r0
             y %= q
-    by_entry = layers.transpose(1, 2, 3, 0)  # (P, cl, cr, n)
-    if not symmetric:
-        lifted = _crt_lift(ps, by_entry.reshape(len(ps), -1).tolist())
-        return [[lifted[(a * cr + b) * n:(a * cr + b + 1) * n] for b in range(cr)] for a in range(cl)]
-    # the upper triangle row by row: entries (a, a), (a, a + 1), ..., (a, cl - 1)
-    upper = np.concatenate([by_entry[:, a, a:] for a in range(cl)], axis=1)
-    lifted, t = _crt_lift(ps, upper.reshape(len(ps), -1).tolist()), 0
-    out = [[None] * cl for _ in range(cl)]
-    for a in range(cl):
-        for b in range(a, cl):
-            out[a][b] = out[b][a] = lifted[t:t + n]
-            t += n
-    return out
+    a, b = zip(*cells)
+    by_cell = layers[:, :, list(a), list(b)].transpose(1, 2, 0)  # (P, cells, n)
+    lifted = _crt_lift(ps, by_cell.reshape(len(ps), -1).tolist())
+    return [lifted[t * n:(t + 1) * n] for t in range(len(cells))]
 
 
 def _block_lift(num: np.ndarray, lead: int, points: Sequence[int], tops: Sequence[int],

@@ -28,12 +28,12 @@ class Graph:
     __slots__ = ("n", "edges", "labels")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), labels: Optional[Sequence[str]] = None):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise InvalidParametersError(f"vertex count must be a non-negative integer, got {n!r}")
         normalized = set()
         for e in edges:
             u, v = e
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if type(u) is not int or type(v) is not int:
                 raise InvalidParametersError(f"edge endpoints must be integers, got {e!r}")
             if u == v:
                 raise InvalidParametersError(f"loops are not allowed: {e!r}")

@@ -37,13 +37,13 @@ class IndexingMap:
     __slots__ = ("values", "m")
 
     def __init__(self, values: Sequence[Optional[int]], m: int):
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise InvalidParametersError(f"label count m must be a non-negative integer, got {m!r}")
         vals = tuple(values)
         for pos, v in enumerate(vals):
             if v is None:
                 continue
-            if not isinstance(v, int) or not (1 <= v <= m):
+            if type(v) is not int or not (1 <= v <= m):
                 raise InvalidParametersError(f"label at position {pos} must be in 1..{m} or None, got {v!r}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "m", m)
@@ -102,7 +102,7 @@ class JoinSpec:
                 raise SizeMismatchError(f"indexing map {i} uses m={indexing[i].m}, spec says m={m}")
             if len(indexing[i]) != g.n:
                 raise SizeMismatchError(f"indexing map {i} covers {len(indexing[i])} vertices but factor {i} has {g.n}")
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise InvalidParametersError(f"label count m must be a non-negative integer, got {m!r}")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "factors", factors)

@@ -35,9 +35,9 @@ which Horner's rule accumulates as Y_0 = R, Y_k = M Y_(k-1) + c_k R, with
 layer k = L^T Y_k. With M = M'/s, L = L'/s_l and R = R'/s_r the same
 recurrence over M' and c_k s^k is integral, and its layers are the
 coefficients of L'^T adj(yI - M') R', that is of s_l s_r s^(n-1) N(y / s).
-`main_function_bilinear` hands M' and the integer sides to
-`exactlinalg._walk_lift`, which lifts the layers modulo primes (its module
-docstring gives the bound, the primes and the int64 argument).
+`main_function_bilinear` hands M', the integer sides and its cells (a, b)
+to `exactlinalg._walk_lift`, which lifts those entries modulo primes (its
+module docstring gives the bound, the primes and the int64 argument).
 
 Every reduced entry denominator of these numerators N over phi divides
 phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the reduced
@@ -46,13 +46,13 @@ the lifted layers: s^n phi(y / s), the integer lift of the charpoly
 engine, is monic in Z[y], so h is monic there too and both quotients are
 exact integer divisions (`_int_gcd`, `_int_divexact`). The chain tries
 N_ab / h first, exact exactly when gcd(h, N_ab) = h, and takes the gcd
-only when that fails. When M is symmetric and the sides are equal,
-N_ab = N_ba, and only the entries a <= b are lifted and reduced.
+only when that fails. The cells are every entry, or the entries a <= b
+alone when M is symmetric and the sides are equal, since N_ab = N_ba.
 `MainFunction` keeps phi, g and f in this scaled integer form, and every
 consumer (entries in lowest terms, eigenvalue classes, the reduced block,
 Phi) reads those integers; the polynomials over Q are views derived on
 first read. A report computes the main function, eigenvalue classes and
-carry-forward counts once per distinct block (`_block_main_functions`).
+carry-forward counts once per distinct block (`reduced_block_charpoly`).
 
 The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
@@ -70,10 +70,10 @@ of x^(n-k) times L^k, inside the bound of the direct engine. The lift
 skips every prime that divides L or the denominator of a point's
 quotient, so every prime dividing a row multiplier, some s_i or some
 g_i(t). Before it returns, `reduced_block_charpoly` always computes the
-direct lift from the same integer rows of M too, and any difference
-raises BlockFactorizationError naming the lowest power of x whose
-coefficients differ. A report computes that lift once and reads Phi, the
-carry-forward multiplicities and its charpoly over Q off it.
+direct lift from the integer rows of the assembled M it is given too, and
+any difference raises BlockFactorizationError naming the lowest power of
+x whose coefficients differ. A report computes that lift once and reads
+Phi, the carry-forward multiplicities and its charpoly over Q off it.
 
 Phi itself, kept in the report, is then the exact quotient
 det(xI - M) * prod_i g_i^(m-1) / prod_i h_i with h_i = phi_i / g_i, that
@@ -264,49 +264,42 @@ def main_function_bilinear(m, u, v) -> MainFunction:
     walk sums (module docstring): with M = M'/s, V = V'/s_v and U = U'/s_u,
     entry (a, b) is the n integer coefficients, lowest first, of
     V'^T adj(yI - M') U', that is of s_v s_u s^(n-1) N_ab(y / s), lifted by
-    `exactlinalg._walk_lift`. Then g = phi / h and f = N / h, with
-    h = gcd(phi, every non-zero N_ab) taken as one divide-first chain in
-    Z[y], on the entries a <= b alone when M is symmetric and U = V."""
+    `exactlinalg._walk_lift` on the cells (a, b): every entry, or a <= b
+    alone when M is symmetric and U = V, and none (scale 1) when a side has
+    no column. Then g = phi / h and f = N / h, with h = gcd(phi, every
+    non-zero N_ab) taken as one divide-first chain in Z[y] over the cells."""
     n = _require_square(m)
     rv, cv = mat_shape(v)
     ru, cu = mat_shape(u)
     if rv != n or ru != n:
         raise SizeMismatchError(f"side matrices must have {n} rows, got {rv} and {ru}")
     s, phi, rows, bound, symmetric = _resolvent(tuple(map(tuple, m)))
-    mirror = symmetric and cv > 1 and u == v
-    if cv and cu:
+    mirror = symmetric and u == v
+    cells = [(a, b) for a in range(cv) for b in range(a if mirror else 0, cu)]
+    scale, numerators = 1, []
+    if cells:
         sv, v_ints = _scaled_rows(v)
         su, u_ints = (sv, v_ints) if mirror else _scaled_rows(u)
-        scale, numerators = sv * su, _walk_lift(rows, phi, v_ints, u_ints, bound, mirror)
-    else:
-        scale, numerators = 1, [[] for _ in range(cv)]
-    cells = [(a, b) for a in range(cv) for b in range(a if mirror else 0, cu)]
+        scale, numerators = sv * su, _walk_lift(rows, phi, v_ints, u_ints, bound, cells)
     h, held = phi, {}
-    for a, b in cells:
-        p = numerators[a][b]
+    for cell, p in zip(cells, numerators):
         if any(p[len(h) - 1:]):  # deg p >= deg h, so h may divide p
             try:
-                held[a, b] = len(h), _int_divexact(p, h)
+                held[cell] = len(h), _int_divexact(p, h)
                 continue
             except InexactDivisionError:
                 pass
         if any(p):  # a zero entry leaves h as it is
             h = _int_gcd(h, p)
     f = [[None] * cu for _ in range(cv)]
-    for a, b in cells:
+    for (a, b), p in zip(cells, numerators):
         # h only shrinks, so a quotient taken at its final degree is p / h, the
         # n - deg h coefficients of scale * s^(n-1-deg h) f(y / s)
         size, q = held.get((a, b), (0, None))
-        f[a][b] = tuple(q if size == len(h) else _int_divexact(numerators[a][b], h))
+        f[a][b] = tuple(q if size == len(h) else _int_divexact(p, h))
         if mirror:
             f[b][a] = f[a][b]
     return MainFunction(s, phi, tuple(_int_divexact(phi, h)), tuple(map(tuple, f)), scale)
-
-
-def gamma(m, e) -> MainFunction:
-    """Main-function matrix Gamma = E^T (xI - M)^{-1} E of a square matrix
-    M and side matrix E, with exact reduced entries."""
-    return main_function_bilinear(m, e, e)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +309,9 @@ def gamma(m, e) -> MainFunction:
 def _eigen_classes(m, mf: MainFunction) -> Tuple[EigenvalueClass, ...]:
     """Split phi into monic squarefree classes homogeneous in multiplicity
     and mainness (mainness = dividing g), extracting rational roots; in
-    Z[y] on the integers of `mf = gamma(m, e)`, scaled by the common
-    denominator s of M, where the rational roots are the integer roots y
-    of `_integer_roots` and stand for y / s."""
+    Z[y] on the integers of `mf = main_function_bilinear(m, e, e)`, scaled
+    by the common denominator s of M, where the rational roots are the
+    integer roots y of `_integer_roots` and stand for y / s."""
     roots = _integer_roots(mf.phi, m, mf.s)
     classes: List[EigenvalueClass] = []
     for layer, mult in _int_squarefree(mf.phi):
@@ -346,7 +339,7 @@ def classify_e_main(m, e) -> Tuple[EigenvalueClass, ...]:
     common denominator of Gamma."""
     if not mat_is_symmetric(m):
         raise NonSymmetricInputError("classification needs a symmetric matrix")
-    return _eigen_classes(m, gamma(m, e))
+    return _eigen_classes(m, main_function_bilinear(m, e, e))
 
 
 def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
@@ -419,20 +412,27 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, in
     return num[:, order[:, None], order], scale, int(taken.sum())
 
 
-def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, bound: int) -> List[int]:
-    """det(yI - L*M), in Z[y], of the block matrix M with (L, rows, bound) =
-    `_scaled_bound(M)` from the main functions `mfs` of its diagonal
-    blocks, when each off-diagonal block (i, j) factors through the sides of
-    Gamma_i with column weights `weights(i, j)` (None: zero).
+def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction], int, List[int]]:
+    """The main functions of the diagonal blocks (M_i, U_i, V_i) of a block
+    matrix M, one per distinct block content, the common denominator L of
+    M and det(yI - L*M) in Z[y] from them, when each off-diagonal block
+    (i, j) is U_i diag(w) V_j^T with w = weights(i, j) (None: zero).
 
     The reduced matrix holds g_i I on diagonal block i and -w_b f_i[a][b] at
-    row a of block i, column b of block j, w = weights(i, j); its
-    determinant Phi gives det(xI - M) = prod_i phi_i * Phi / prod_i g_i^(m_i)
-    with m_i the size of block i. That has degree n = sum_i deg phi_i, so
-    it is interpolated from its values at the first n + 1 non-negative
-    integers where no g_i vanishes, by `exactlinalg._block_lift`, then
-    checked against `_charpoly_lift(rows)`: BlockFactorizationError names
-    the lowest power of x whose coefficients differ."""
+    row a of block i, column b of block j; its determinant Phi gives
+    det(xI - M) = prod_i phi_i * Phi / prod_i g_i^(m_i) with m_i the size
+    of block i. That has degree n = sum_i deg phi_i, so it is interpolated
+    from its values at the first n + 1 non-negative integers where no g_i
+    vanishes, by `exactlinalg._block_lift`, then checked against the direct
+    lift of `matrix`: BlockFactorizationError names the lowest power of x
+    whose coefficients differ."""
+    mfs, mains = [], {}
+    for m, u, v in blocks:
+        key = tuple(map(tuple, m)), tuple(map(tuple, u)), tuple(map(tuple, v))
+        if key not in mains:
+            mains[key] = main_function_bilinear(m, u, v)
+        mfs.append(mains[key])
+    l, rows, bound = _scaled_bound(matrix)
     num, scale, lead = _reduced_stack(mfs, weights)
     # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
@@ -459,7 +459,7 @@ def reduced_block_charpoly(mfs: Sequence[MainFunction], weights, l: int, rows, b
             f"block factorization identity violated: the coefficients of x^{k} differ, "
             f"block path gives {bq.coefficient(k)}, direct path gives {dq.coefficient(k)}"
         )
-    return block
+    return mfs, l, block
 
 
 def _phi_quotient(lift: Sequence[int], mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:
@@ -511,18 +511,6 @@ def _universal_blocks(host, factors, sides, params):
     return blocks, weights
 
 
-def _block_main_functions(blocks) -> List[MainFunction]:
-    """The main function of every block (M_i, U_i, V_i) of `_universal_blocks`,
-    computed once per distinct block content: equal blocks share one object."""
-    mains, out = {}, []
-    for m, u, v in blocks:
-        key = tuple(map(tuple, m)), tuple(map(tuple, u)), tuple(map(tuple, v))
-        if key not in mains:
-            mains[key] = main_function_bilinear(m, u, v)
-        out.append(mains[key])
-    return out
-
-
 def block_charpoly(spec: JoinSpec) -> SpectralReport:
     """The report of `universal_block_charpoly` for the adjacency matrix,
     U at (alpha, beta, gamma, delta) = (1, 0, 0, 0)."""
@@ -538,17 +526,14 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
         raise InvalidParametersError("universal block factorization needs gamma = 0 (the all-ones block couples all factor pairs); use the generalized-join pipeline instead")
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
     matrix = universal_matrix(hm_join(spec), params)
-    mfs = _block_main_functions(blocks)
-    m = spec.m
-    l, rows, bound = _scaled_bound(matrix)
-    lift = reduced_block_charpoly(mfs, weights, l, rows, bound)
+    mfs, l, lift = reduced_block_charpoly(blocks, weights, matrix)
     char = _unscaled(lift, l)
     flags, carry, ledgers = [], [], {}
     for i, ((mat, _, _), mf) in enumerate(zip(blocks, mfs)):
         if id(mf) not in ledgers:  # the first block with this main function
             classes, counts = _eigen_classes(mat, mf), []
             for c, cls in enumerate(classes):
-                guaranteed = max(0, cls.multiplicity - m) if cls.is_main else cls.multiplicity
+                guaranteed = max(0, cls.multiplicity - spec.m) if cls.is_main else cls.multiplicity
                 # M_i is a diagonal block of M, so s_i divides L and the class scales into Z[y]
                 observed = _int_multiplicity(lift, _scaled(cls.poly, l))
                 if observed < guaranteed:
@@ -566,7 +551,7 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
         charpoly_direct=char,
         charpoly_block=char,
         factor_charpolys=tuple(mf.charpoly for mf in mfs),
-        phi_polynomial=_phi_quotient(lift, mfs, m, l),
+        phi_polynomial=_phi_quotient(lift, mfs, spec.m, l),
         gammas=tuple(mfs),
         e_main_flags=tuple(flags),
         carry_forward=tuple(carry),

@@ -53,7 +53,9 @@ def walk_numerators(m, left, right):
     s, phi, rows, bound, _ = _resolvent(tuple(map(tuple, m)))
     sl, l_ints = _scaled_rows(left)
     sr, r_ints = _scaled_rows(right)
-    return s, phi, sl * sr, _walk_lift(rows, phi, l_ints, r_ints, bound)
+    cl, cr = len(left[0]), len(right[0])
+    lifted = _walk_lift(rows, phi, l_ints, r_ints, bound, [(a, b) for a in range(cl) for b in range(cr)])
+    return s, phi, sl * sr, [lifted[a * cr:(a + 1) * cr] for a in range(cl)]
 
 
 def lattice_srg16() -> Graph:

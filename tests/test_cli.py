@@ -346,12 +346,11 @@ def test_cospectral_check_rejects_labeled_spec(capsys):
 
 def test_cospectral_search_rejects_empty_catalog_graph(capsys, tmp_path):
     catalog = tmp_path / "catalog.json"
-    catalog.write_text(json.dumps([{"n": 0, "edges": []}]))
+    catalog.write_text(json.dumps([{"family": "cycle", "params": [5]}, {"n": 0, "edges": []}]))
     code, out, err = run_cli(capsys, "cospectral", "search", str(catalog), "--kind", "A")
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "factor 0 has no vertices" in err
+    assert err == "error: catalog graph 1 has no vertices\n"
 
 
 def test_cospectral_check_rejects_empty_factor(capsys, tmp_path):

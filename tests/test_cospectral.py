@@ -356,6 +356,15 @@ def test_search_pairs_budget_validation():
         search_pairs([make_named("cycle", [4])], 0, "A")
 
 
+def test_search_pairs_refuses_an_empty_catalog_graph_before_counting(monkeypatch):
+    def counted(*args):
+        raise AssertionError("the configurations were counted")
+
+    monkeypatch.setattr(cospectral, "_configuration_count", counted)
+    with pytest.raises(InvalidParametersError, match="^catalog graph 1 has no vertices$"):
+        search_pairs([make_named("cycle", [4]), Graph(0)], 2, "A")
+
+
 def test_search_pairs_configuration_cap():
     doc = json.loads((FIXTURES / "catalog.json").read_text(encoding="utf-8"))
     catalog = [graph_from_json(g) for g in doc["graphs"]]

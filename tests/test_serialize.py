@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hmjoin.cospectral import GeneralizedJoinSpec, check_cospectral_conditions, kind_parameters
-from hmjoin.errors import SpecValidationError
+from hmjoin.errors import InvalidParametersError, SpecValidationError
 from hmjoin.graphs import Graph, UniversalParams, make_named
 from hmjoin.joins import IndexingMap, JoinSpec
 from hmjoin.polynomials import Polynomial
@@ -80,6 +80,38 @@ def test_graph_validation_pointers():
     assert "mystery" in str(info2.value)
     with pytest.raises(SpecValidationError):
         graph_from_json({"family": "dodecahedron", "params": []}, "/host")
+
+
+def test_value_types_refuse_what_the_readers_refuse():
+    # a bool is an int to Python, but the readers refuse the `true` it
+    # would be written as, and a float subset entry as `1.0`
+    c3, params = make_named("cycle", [3]), kind_parameters("A")
+    bad = [
+        lambda: Graph(True),
+        lambda: Graph(2.0),
+        lambda: Graph(2, [(True, 0)]),
+        lambda: Graph(2, [(0, 1.0)]),
+        lambda: IndexingMap([True], 1),
+        lambda: IndexingMap([1], True),
+        lambda: IndexingMap([1.0], 1),
+        lambda: JoinSpec(Graph(1), [c3], True, [IndexingMap([1, 1, None], 1)]),
+        lambda: JoinSpec(Graph(0), [], True, []),
+        lambda: GeneralizedJoinSpec(Graph(1), [c3], [["a"]], params),
+        lambda: GeneralizedJoinSpec(Graph(1), [c3], [[0, "a"]], params),
+        lambda: GeneralizedJoinSpec(Graph(1), [c3], [[1.0]], params),
+        lambda: GeneralizedJoinSpec(Graph(1), [c3], [[True]], params),
+    ]
+    for build in bad:
+        with pytest.raises(InvalidParametersError):
+            build()
+    for g in (Graph(0), Graph(1), Graph(3, [(2, 0)]), c3):
+        assert graph_from_json(graph_to_json(g)) == g
+    host = Graph(2, [(0, 1)])
+    for spec in (JoinSpec(Graph(0), [], 0, []),
+                 JoinSpec(host, [c3, Graph(1)], 2, [IndexingMap([1, None, 2], 2), IndexingMap([2], 2)])):
+        assert spec_from_json(spec_to_json(spec)) == spec
+    spec = GeneralizedJoinSpec(host, [c3, Graph(1)], [[2, 0], []], params)
+    assert generalized_spec_from_json(generalized_spec_to_json(spec)) == spec
 
 
 def test_params_round_trip_and_presets():

@@ -44,7 +44,6 @@ from hmjoin.spectra import (
     _universal_blocks,
     block_charpoly,
     classify_e_main,
-    gamma,
     main_function_bilinear,
     universal_block_charpoly,
 )
@@ -74,7 +73,8 @@ def ratfun(num, den):
 def test_gamma_matrix_of_k2_with_one_label():
     g = make_named("complete", [2])
     im = IndexingMap([1, 1], 2)
-    mf = gamma(g.adjacency_matrix(), indexing_matrix(g, im))
+    e = indexing_matrix(g, im)
+    mf = main_function_bilinear(g.adjacency_matrix(), e, e)
     assert mf.entry(0, 0) == ratfun([2], [-1, 1])
     assert mf.entry(0, 1) == ratfun([0], [1])
     assert mf.entry(1, 1) == ratfun([0], [1])
@@ -85,7 +85,8 @@ def test_gamma_matrix_of_k2_with_one_label():
 def test_gamma_matrix_of_k5_with_two_labels():
     g = make_named("complete", [5])
     im = IndexingMap([1, 1, 1, 2, 2], 2)
-    mf = gamma(g.adjacency_matrix(), indexing_matrix(g, im))
+    e = indexing_matrix(g, im)
+    mf = main_function_bilinear(g.adjacency_matrix(), e, e)
     den = [-4, -3, 1]  # x^2 - 3x - 4
     assert mf.entry(0, 0) == ratfun([-3, 3], den)
     assert mf.entry(0, 1) == ratfun([6], den)
@@ -96,12 +97,14 @@ def test_gamma_matrix_of_k5_with_two_labels():
 
 def test_main_function_equality_ignores_the_scale():
     # both have Gamma = 1/x, one over s = 2 and one over s = 1
-    half = gamma([[Fraction(1, 2), 0], [0, 0]], [[0], [1]])
-    zero = gamma([[0, 0], [0, 0]], [[0], [1]])
+    e = [[0], [1]]
+    half = main_function_bilinear([[Fraction(1, 2), 0], [0, 0]], e, e)
+    zero = main_function_bilinear([[0, 0], [0, 0]], e, e)
     assert (half.s, zero.s) == (2, 1)
     assert half == zero and hash(half) == hash(zero)
     assert half.entry(0, 0) == zero.entry(0, 0) == ratfun([1], [0, 1])
-    assert half != gamma([[0, 0], [0, 0]], [[0], [2]])
+    e = [[0], [2]]
+    assert half != main_function_bilinear([[0, 0], [0, 0]], e, e)
 
 
 def test_main_function_invariants_on_random_specs():
@@ -109,7 +112,8 @@ def test_main_function_invariants_on_random_specs():
     for _ in range(25):
         spec = random_spec(rng)
         for g, im in zip(spec.factors, spec.indexing):
-            mf = gamma(g.adjacency_matrix(), indexing_matrix(g, im))
+            e = indexing_matrix(g, im)
+            mf = main_function_bilinear(g.adjacency_matrix(), e, e)
             # the reduced common denominator divides the charpoly
             assert poly_divmod(mf.charpoly, mf.denominator)[1].is_zero
             # cleared numerators: f = g * Gamma entrywise, deg f < deg g
@@ -273,9 +277,11 @@ def halved_main_function_cases():
     """(M, U, V, whether N_ab = N_ba lets the walk lift only a <= b): seeded
     symmetric rational M whose sides have several columns, one of them
     zero, passed once as one object and once as an equal copy; non-symmetric
-    M with one side object for both; and a block-diagonal M on which the
-    gcd chain divides two entries by h = phi_2 before the last entry shrinks
-    it to 1 (the oracle checks that h)."""
+    M with one side object for both; n x 0 sides on either side and on both;
+    a gamma != 0 augmented block, whose symmetric M has sides U != V; and a
+    block-diagonal M on which the gcd chain divides two entries by
+    h = phi_2 before the last entry shrinks it to 1 (the oracle checks that
+    h)."""
     rng = random.Random(2023)
 
     def rand(rows, cols, span=3):
@@ -297,6 +303,12 @@ def halved_main_function_cases():
         m[0][1] = m[1][0] + 1
         e = rand(n, rng.randint(2, 3), span=2)
         cases.append((m, e, e, False))
+    m, e, none = cases[0][0], cases[0][1], [[] for _ in cases[0][0]]
+    cases += [(m, e, none, False), (m, none, e, False), (m, none, none, True)]
+    blocks, _ = _universal_blocks(make_named("path", [2]), [make_named("cycle", [4])] * 2,
+                                  [[[1], [0], [1], [0]]] * 2, UniversalParams(1, 0, 2, 0))
+    assert blocks[0][1] != blocks[0][2]
+    cases.append(blocks[0] + (False,))
     half, f = Fraction(1, 2), Fraction
     m = [[0, half, 0, 0, 0], [half, 0, half, 0, 0], [0, half, 0, 0, 0], [0, 0, 0, f(1, 3), 1], [0, 0, 0, 1, 0]]
     e = [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
@@ -308,15 +320,20 @@ def test_halved_divide_first_main_function_matches_the_oracles(monkeypatch):
     walks = []
     walk = spectra._walk_lift
 
-    def spied(rows, phi, left, right, bound, symmetric=False):
-        walks.append(symmetric)
-        return walk(rows, phi, left, right, bound, symmetric)
+    def spied(rows, phi, left, right, bound, cells):
+        walks.append(cells)
+        return walk(rows, phi, left, right, bound, cells)
 
     monkeypatch.setattr(spectra, "_walk_lift", spied)
     for m, u, v, halved in halved_main_function_cases():
         walks.clear()
         mf, phi, numerators = assert_matches_resolvent_oracle(m, u, v)
-        assert walks == [halved]
+        # the upper triangle when halved, every cell otherwise, and no walk for an n x 0 side
+        cv, cu = len(v[0]), len(u[0])
+        cells = [(a, b) for a in range(cv) for b in range(a if halved else 0, cu)]
+        assert walks == ([cells] if cells else [])
+        if not cells:
+            assert (mf.scale, mf.f) == (1, ((),) * cv)
         for a, row in enumerate(numerators):
             for b, p in enumerate(row):
                 assert mf.entry(a, b) == lowest_terms(p, phi)
@@ -457,7 +474,7 @@ def test_classification_of_rational_matrices_against_oracle():
                 for j in range(i, n):
                     m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
             e = [[Fraction(rng.randint(0, 1)) for _ in range(2)] for _ in range(n)]
-            mf = gamma(m, e)
+            mf = main_function_bilinear(m, e, e)
             rebuilt = Polynomial([1])
             for c in classify_e_main(m, e):
                 assert c.poly.coeffs[-1] == 1 and c.multiplicity >= 1
@@ -990,12 +1007,15 @@ def test_spectra_and_cospectral_reach_no_modular_helper():
     # keeps the Z[y] bookkeeping and names none of the int64 helpers
     helpers = {"_dot_mod", "_residues", "_crt_lift", "_lift_primes", "_inverses", "_interpolate_mod",
                "_polymatrix_det_mod", "_det_mod", "_charpoly_mod"}
-    for module in (spectra, cospectral):
+    for module, anchor in ((spectra, "_scaled_bound"), (cospectral, "charpoly")):
         names = []
         for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
                 names += [alias.name for alias in node.names]
             elif isinstance(node, ast.Attribute):
                 names.append(node.attr)
-        assert "_scaled_bound" in names
+        assert anchor in names
         assert sorted(helpers.intersection(names)) == []
+    # `names` are those of `cospectral`: `reduced_block_charpoly` takes the
+    # main functions and the direct check's bound itself
+    assert not {"_scaled_bound", "_block_main_functions"}.intersection(names)
