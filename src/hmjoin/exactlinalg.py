@@ -33,23 +33,28 @@ largest column 1-norms of the integer sides, each taken as at least 1)
 covers every coefficient of L'^T adj(yI - R) R'.
 
 Primes and the int64 argument. Primes below 2**26, largest first
-(`_primes`), are chosen before any residue, until their product exceeds
-twice the bound plus one (`_lift_primes`), so the choice is a pure
-function of the bound and of the primes a lift rejects, and every machine
-gets the same integers; Garner's CRT with symmetric residues (`_crt_lift`)
-lifts them. A lift holds its integers modulo all its primes in one int64
-stack, one member per prime (`_residues`). Residues are below their prime
-p < 2**26, so every product of two is below 2**52 and is reduced at once,
-and every sum of products is reduced after at most 2**11 - 1 terms
-(`_dot_mod`), so no partial sum reaches 2**63.
+(`_primes`, each found by deterministic Miller-Rabin, `_is_prime`), are
+chosen before any residue, until their product exceeds twice the bound
+plus one (`_lift_primes`), so the choice is a pure function of the bound
+and of the primes a lift rejects, and every machine gets the same
+integers; Garner's CRT with symmetric residues (`_crt_lift`) lifts them. A
+lift holds its integers modulo all its primes in one int64 stack, one
+member per prime (`_residues`). Residues are below their prime p < 2**26,
+so every product of two is below 2**52 and is reduced at once, and every
+sum of products is reduced after at most 2**11 - 1 terms (`_dot_mod`), so
+no partial sum reaches 2**63.
 
 The charpoly lift brings all members to upper Hessenberg form at once by
 similarity transforms and reads off their characteristic polynomials by a
-recurrence (`_charpoly_mod`). No prime is bad: the characteristic
-polynomial of R mod p is always that of R reduced mod p. No adjugate of
-(yI - R) is ever formed either: with det(yI - R) = sum_j c_j y^(n-j), the
-walk lift runs Y_0 = R', Y_k = R Y_(k-1) + c_k R' on its stack, and
-L'^T Y_k holds the coefficients of y^(n-1-k).
+recurrence (`_charpoly_mod`). At each column the elimination runs only on
+its live span, the rows from the first to the last below the pivot whose
+multiplier is non-zero in some member, and only on the trailing columns
+from the pivot's on; the recurrence reads only the coefficients up to each
+polynomial's degree. No prime is bad: the characteristic polynomial of R
+mod p is always that of R reduced mod p. No adjugate of (yI - R) is ever
+formed either: with det(yI - R) = sum_j c_j y^(n-j), the walk lift runs
+Y_0 = R', Y_k = R Y_(k-1) + c_k R' on its stack, and L'^T Y_k holds the
+coefficients of y^(n-1-k).
 
 The block lift evaluates a matrix N of polynomials, from an integer
 coefficient stack, at points t: `_polymatrix_det_mod` reduces the
@@ -142,9 +147,9 @@ def _scaled_bound(m) -> Tuple[int, List[List[int]], int]:
     return l, rows, max(e)
 
 
-# Primes below 2**26, largest first. The list is a pure function of its
-# length: `_primes` extends it on demand and rebinds it whole, so
-# concurrent callers can at worst repeat work.
+# Primes below 2**26, largest first, found by `_is_prime`. The list is a
+# pure function of its length: `_primes` extends it on demand and rebinds
+# it whole, so concurrent callers can at worst repeat work.
 _PRIMES: Tuple[int, ...] = ()
 # Terms per int64 dot product mod p. Operands lie in [0, p) with p < 2**26,
 # so each product is below 2**52 and an accumulator below p plus
@@ -155,6 +160,29 @@ _DOT_TERMS = (1 << 11) - 1
 _EIGEN_SCAN_LIMIT = 10 ** 6
 
 
+def _is_prime(q: int) -> bool:
+    """Whether an integer 1 < q < 3,215,031,751 is prime: Miller-Rabin to
+    the bases 2, 3, 5 and 7, which no composite below that bound passes
+    (Jaeschke, Math. Comp. 61, 1993). The primes of `_primes` lie below
+    2**26, under a 47th of the bound."""
+    if q % 2 == 0 or q % 3 == 0 or q % 5 == 0 or q % 7 == 0:
+        return q in (2, 3, 5, 7)
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, q)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
+            return False
+    return True
+
+
 def _primes() -> Iterator[int]:
     """The primes of `_PRIMES` in order, extending it as they run out."""
     global _PRIMES
@@ -162,7 +190,7 @@ def _primes() -> Iterator[int]:
     while True:
         if i == len(_PRIMES):
             q = _PRIMES[-1] - 2 if _PRIMES else (1 << 26) - 1
-            while not all(q % f for f in range(3, math.isqrt(q) + 1, 2)):
+            while not _is_prime(q):
                 q -= 2
             _PRIMES = _PRIMES + (q,)
         yield _PRIMES[i]
@@ -240,15 +268,22 @@ def _charpoly_mod(h: np.ndarray, ps: Sequence[int]) -> np.ndarray:
     For each column k, a row and column swap moves a non-zero entry of
     H[k+1:, k] to the pivot H[k+1, k] (a zero column is left alone), row k+1
     is divided by the pivot t and its multiples u clear H[k+2:, k]; the
-    inverse column steps, which commute with these, multiply column k+1 by
-    t and add H[:, k+2:] @ u. In this upper Hessenberg form every
-    subdiagonal entry is 0 or 1, so the recurrence of Cohen, Alg. 2.2.9,
+    inverse column steps, which commute with these, multiply column k+1 by t
+    and add H[:, k+2:] @ u. Only the live span lo:hi of rows, from the first
+    to the last with a non-zero multiplier in some member, takes part: the
+    column steps run before the elimination, as H[:, lo:hi] @ u while
+    H[lo:hi, k] still holds u, and the row steps touch only the trailing
+    columns k:, since every earlier column is zero on rows k+1 and lo:hi. A
+    column with no live row and unit pivots costs only its pivot search. In
+    this upper Hessenberg form every subdiagonal entry is 0 or 1, so the
+    recurrence of Cohen, Alg. 2.2.9,
     p_m = x p_(m-1) - sum_i H[i, m-1] p_i, sums over the rows i < m of the
-    current diagonal block. Members disagree only where a prime divides a
-    pivot: each then swaps on its own, and a member whose column alone is
-    zero has its block above and right of H[k+1, k+1] zeroed, which keeps
-    its characteristic polynomial, so the recurrence uses shared starts.
-    Every product is of two residues; sums go through `_dot_mod`."""
+    current diagonal block, each p_i read up to its degree i. Members
+    disagree only where a prime divides a pivot: each then swaps on its own,
+    and a member whose column alone is zero has its block above and right of
+    H[k+1, k+1] zeroed, which keeps its characteristic polynomial, so the
+    recurrence uses shared starts. Every product is of two residues; sums go
+    through `_dot_mod`."""
     n = h.shape[1]
     q = _by_member(ps)
     q3 = q[:, :, None]
@@ -269,27 +304,30 @@ def _charpoly_mod(h: np.ndarray, ps: Sequence[int]) -> np.ndarray:
         if 0 in t:
             h[[j for j, x in enumerate(t) if not x], :k + 1, k + 1:] = 0
             t = [x or 1 for x in t]
-        if max(t) > 1:
-            h[:, k + 1] = h[:, k + 1] * _by_member([pow(x, -1, p) for x, p in zip(t, ps)]) % q
-        u = h[:, k + 2:, k, None].copy()
-        eliminate = u.any()
-        if eliminate:
-            rest = h[:, k + 2:]
-            rest -= u * h[:, None, k + 1]
+        scale = max(t) > 1
+        if scale:
+            h[:, k + 1, k:] = h[:, k + 1, k:] * _by_member([pow(x, -1, p) for x, p in zip(t, ps)]) % q
+        live = h[:, k + 2:, k].any(axis=0).nonzero()[0]
+        if len(live):
+            lo, hi = k + 2 + live[0], k + 3 + live[-1]
+            u = h[:, lo:hi, k, None]
+            col = _dot_mod(h[:, :, lo:hi], u, q3)[..., 0]
+            col += h[:, :, k + 1] * _by_member(t) if scale else h[:, :, k + 1]
+            h[:, :, k + 1] = col % q
+            rest = h[:, lo:hi, k:]
+            rest -= u * h[:, None, k + 1, k:]
             rest %= q3
-        col = h[:, :, k + 1] * _by_member(t)
-        if eliminate:
-            col += _dot_mod(h[:, :, k + 2:], u, q3)[..., 0]
-        h[:, :, k + 1] = col % q
+        elif scale:
+            h[:, :, k + 1] = h[:, :, k + 1] * _by_member(t) % q
     polys = np.zeros((len(ps), n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
     start = 0
     for m in range(1, n + 1):
         if m - 1 in starts:
             start = m - 1
-        row = polys[:, m]
-        row[:, 1:] = polys[:, m - 1, :-1]
-        row -= _dot_mod(h[:, None, start:m, m - 1], polys[:, start:m], q3)[:, 0]
+        row = polys[:, m, :m + 1]
+        row[:, 1:] = polys[:, m - 1, :m]
+        row[:, :m] -= _dot_mod(h[:, None, start:m, m - 1], polys[:, start:m, :m], q3)[:, 0]
         row %= q
     return polys[:, n]
 

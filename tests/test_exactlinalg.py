@@ -38,10 +38,12 @@ from hmjoin.exactlinalg import (
     _dot_mod,
     _interpolate_mod,
     _inverses,
+    _is_prime,
     _lift_primes,
     _polymatrix_det_mod,
     _primes,
     _scaled_bound,
+    _scaled_rows,
     charpoly,
     rational_roots,
 )
@@ -241,6 +243,47 @@ def test_stacked_charpoly_single_member_and_empty_stacks():
         assert_stack_matches([[rng.choice([0, 0, 1, p]) for _ in range(n)] for _ in range(n)], [p])
     assert _charpoly_mod(np.zeros((3, 0, 0), dtype=np.int64), [p, 101, 103]).tolist() == [[1]] * 3
     assert assert_stack_matches([], [p]).shape == (1, 0, 0)
+
+
+def live_span_corpus(rng, p):
+    """Integer matrices whose subcolumns are non-zero on a few rows only:
+    banded, arrow, interleaved block-diagonal (zero rows between the first
+    and last live row), cycles with tails, the integer rows of rational
+    matrices, and entries divisible by p, 101 or 103 at pivots."""
+
+    def entry():
+        return rng.choice([-3, -1, 1, 2, 5, 9])
+
+    for n in range(2, 12):
+        w = rng.randint(1, 3)
+        yield [[entry() if abs(i - j) <= w else 0 for j in range(n)] for i in range(n)]
+        yield [[entry() if 0 in (i, j) or i == j else 0 for j in range(n)] for i in range(n)]
+        # a block-diagonal matrix with its rows and columns interleaved
+        cut = rng.randint(1, n - 1)
+        order = list(range(n))
+        rng.shuffle(order)
+        block = [[entry() if (i < cut) == (j < cut) else 0 for j in range(n)] for i in range(n)]
+        yield [[block[a][b] for b in order] for a in order]
+        # a cycle on the first c vertices with a path tail, as in a tadpole
+        c = rng.randint(2, n)
+        edges = [(i, (i + 1) % c) for i in range(c)] + [(i, i + 1) for i in range(c - 1, n - 1)]
+        yield [[entry() if (i, j) in edges or (j, i) in edges else 0 for j in range(n)] for i in range(n)]
+        dens = [rng.randint(1, 6) for _ in range(n)]
+        rational = [[Fraction(rng.randint(-7, 7) * (abs(i - j) <= 1), d) for j in range(n)] for i, d in enumerate(dens)]
+        yield _scaled_rows(rational)[1]
+        # subdiagonal entries that vanish modulo one prime of the stack
+        yield [[rng.choice([p, 101, 103, 101 * p]) if i == j + 1 else entry() * (i <= j) + (i == j + 2) * 7
+                for j in range(n)] for i in range(n)]
+
+
+def test_charpoly_engine_live_spans_match_bareiss_on_every_member():
+    p = next(_primes())
+    rng = random.Random(51)
+    for ps in ([p, 101, 103], [101], [p, 101, 103, 107, 109]):
+        for m in live_span_corpus(rng, p):
+            h = assert_stack_matches(m, ps)
+            assert not np.tril(h, -2).any()
+            assert set(np.diagonal(h, -1, 1, 2).flat) <= {0, 1}
 
 
 def row_hadamard_bound(rows):
@@ -567,6 +610,41 @@ def test_interpolate_mod_round_trip():
         ys = [[sum(c * x ** k for k, c in enumerate(row)) % p for x in xs] for row, p in zip(coeffs, ps)]
         assert _interpolate_mod(xs, ys, ps).tolist() == coeffs
         assert _interpolate_mod(xs, ys[:1], ps[:1]).tolist() == coeffs[:1]
+
+
+def trial_division(q, divisors=None):
+    return q > 1 and all(q % f for f in divisors or range(2, math.isqrt(q) + 1))
+
+
+def test_is_prime_matches_trial_division_below_2_26():
+    small = [f for f in range(2, math.isqrt(1 << 26) + 1) if trial_division(f)]
+    assert all(_is_prime(q) == trial_division(q) for q in range(2, 2000))
+    # every q here exceeds the largest small prime, so the small primes decide it
+    assert all(_is_prime(q) == trial_division(q, small) for q in range((1 << 26) - (1 << 16), 1 << 26))
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    strong = [2047, 3277, 4033, 4681, 8321, 1373653, 25326001]
+    # the last two have no factor up to 7, so only the Miller-Rabin rounds,
+    # which catch a square root of 1 other than -1, can reject them
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 46657, 75361]
+    assert not any(trial_division(q) for q in strong + carmichael)
+    assert not any(_is_prime(q) for q in strong + carmichael)
+
+
+def test_primes_match_trial_division_and_stay_below_the_exact_range():
+    first = list(itertools.islice(_primes(), 64))
+    expected, q = [], (1 << 26) - 1
+    while len(expected) < 64:
+        if trial_division(q):
+            expected.append(q)
+        q -= 1
+    assert first == expected
+    # 3,215,031,751 = 151 * 751 * 28351 passes Miller-Rabin to the bases 2,
+    # 3, 5 and 7; `_primes` counts down from below 2**26, far under it
+    pseudoprime = 151 * 751 * 28351
+    assert pseudoprime == 3215031751 and _is_prime(pseudoprime)
+    assert first[0] < 1 << 26 < pseudoprime and all(a > b for a, b in zip(first, first[1:]))
 
 
 def test_crt_lift_skips_bad_primes():
