@@ -56,23 +56,24 @@ formed either: with det(yI - R) = sum_j c_j y^(n-j), the walk lift runs
 Y_0 = R', Y_k = R Y_(k-1) + c_k R' on its stack, and L'^T Y_k holds the
 coefficients of y^(n-1-k).
 
-The block lift evaluates a matrix N of polynomials, from an integer
-coefficient stack, at points t: `_polymatrix_det_mod` reduces the
-coefficients mod p, evaluates the matrix at every point into one int64
-stack, takes the Schur complement S of a leading block D that the caller
-guarantees diagonal with unit entries, so that det = prod diag(D) * det S,
-and takes every det S at once by batched Gaussian elimination
-(`_det_mod`). It runs one prime at a time; the values of all primes, times
-the caller's factors top / bottom at each point, are interpolated in one
-stack (`_interpolate_mod`) and coefficient j is scaled by L^(n-j). A prime
-is rejected when it does not exceed the last point (the points must stay
-distinct mod p) or divides L or a bottom.
+The block lift evaluates a matrix N of polynomials, given as the integer
+coefficient table of its distinct entries and an index into it, at
+points t: `_polymatrix_det_mod` evaluates every table row at every point
+modulo every prime of a group at once, gathers the point matrices through
+the index into one int64 stack, takes the Schur complement S of a leading
+block D that the caller guarantees diagonal with unit entries, so that
+det = prod diag(D) * det S, and takes every det S at once by batched
+Gaussian elimination (`_det_mod`), both steps division-free
+(pivot * row i - a_ik * row k, the factors divided out at the end). The
+values of all groups, times the caller's factors top / bottom at each
+point, are interpolated in one stack (`_interpolate_mod`) and coefficient
+j is scaled by L^(n-j). A prime is rejected when it does not exceed the
+last point (the points must stay distinct mod p) or divides L or a bottom.
 
-Pivots and the diagonal of D are inverted modulo their prime, point
-differences and bottoms once modulo the product of all the primes of a
-lift and then reduced to each, always in one batch by Montgomery's trick
-(Math. Comp. 48, 1987; `_inverses`): prefix products, one `pow`, one sweep
-back.
+Those factors, point differences and bottoms are inverted in batches by
+Montgomery's trick (Math. Comp. 48, 1987; `_inverses`): prefix products,
+one `pow`, one sweep back; the last two once modulo the product of all the
+primes of a lift and then reduced to each.
 
 Rational roots have one scan, `_integer_roots`: for a monic divisor p of
 det(xI - M) and a common denominator s of M, s^d p(y / s) is monic in
@@ -87,6 +88,7 @@ and also returns the cofactor left after dividing every root out.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
@@ -155,6 +157,8 @@ _PRIMES: Tuple[int, ...] = ()
 # so each product is below 2**52 and an accumulator below p plus
 # _DOT_TERMS such products stays below 2**26 + (2**11 - 1) * 2**52 < 2**63.
 _DOT_TERMS = (1 << 11) - 1
+# Most entries (primes x points x order^2) of one block-lift stack; its primes go in groups that fit.
+_STACK_ENTRIES = 1 << 20
 # Largest row-sum bound B that `_integer_roots` scans [-B, B] for;
 # a scan at the cap takes about 2.5 s.
 _EIGEN_SCAN_LIMIT = 10 ** 6
@@ -362,68 +366,83 @@ def charpoly(m) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrices modulo a prime
+# polynomial matrices modulo primes
 
 
-def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """det(a[i]) mod p for every matrix of a stack of shape (B, n, n), int64
-    with entries in [0, p) (overwritten), by Gaussian elimination on all B
-    at once. At column k each member swaps its first row with a non-zero
-    entry there into row k (a member without one is singular: its pivot is
-    0 and its determinant stays 0), and the rows below take away multiples
-    of row k. Each step multiplies two residues below 2**26 and reduces
-    the product, so int64 never overflows."""
+def _det_mod(a: np.ndarray, q) -> Tuple[np.ndarray, np.ndarray]:
+    """(dets, scalings) with det(a[i]) = dets[i] / scalings[i] mod q[i] for
+    a stack of shape (B, n, n), int64 in [0, q[i]), q one prime or one per
+    member: division-free Gaussian elimination on a copy with the members
+    last, so that every step loops over them. At column k each member swaps
+    a row with a non-zero entry there into row k (none: pivot 0, singular),
+    and each row i below becomes pivot * row i - a_ik * row k, which the
+    scaling records. Products are of two residues below 2**26."""
     b, n = a.shape[0], a.shape[1]
-    det = np.ones(b, dtype=np.int64)
+    q = np.broadcast_to(np.asarray(q, dtype=np.int64), (b,))
+    a = np.ascontiguousarray(a.transpose(1, 2, 0))
+    det, scaling, before = np.ones((3, b), dtype=np.int64)
     for k in range(n):
-        pivot = a[:, k, k]  # a view: it sees the swaps
+        pivot = a[k, k]  # a view: it sees the swaps
         if not pivot.all():
-            first = k + np.argmax(a[:, k:, k] != 0, axis=1)
+            first = k + np.argmax(a[k:, k] != 0, axis=0)
             swap = np.flatnonzero(first != k)
             rows = first[swap]
-            top = a[swap, k]
-            a[swap, k] = a[swap, rows]
-            a[swap, rows] = top
-            det[swap] = (p - det[swap]) % p
-        det = det * pivot % p
+            a[k][:, swap], a[rows, :, swap] = a[rows, :, swap].T, a[k][:, swap].T
+            det[swap] = (q[swap] - det[swap]) % q[swap]
+        det = det * pivot % q
+        scaling = scaling * before % q
         if k + 1 < n:
-            inv = np.array(_inverses(pivot.tolist(), p), dtype=np.int64)
-            factors = a[:, k + 1:, k] * inv[:, None] % p
-            rest = a[:, k + 1:, k + 1:]
-            rest -= factors[:, :, None] * a[:, None, k, k + 1:]
-            rest %= p
-    return det
+            unit = np.where(pivot, pivot, 1)
+            before = before * unit % q
+            rest = a[k + 1:, k + 1:]
+            rest *= unit
+            rest += a[k + 1:, k, None] * (q - a[None, k, k + 1:])  # non-negative: a faster %
+            rest %= q
+    return det, scaling
 
 
-def _polymatrix_det_mod(num: np.ndarray, points: Sequence[int], p: int, lead: int) -> np.ndarray:
-    """det(N(t)) mod p at each integer t of `points` for an integer
-    coefficient stack N (int64 or Python ints) whose leading lead x lead
-    block is diagonal in every layer: the coefficients are reduced mod p
-    once, every point matrix is evaluated at once as the product of the
-    powers t^d mod p with the stack, and with D that diagonal block,
-    det N = prod diag(D) * det S for the Schur complement
-    S = N_rest - N_rest,D D^-1 N_D,rest, formed by one batched `_dot_mod`;
-    `_det_mod` takes all the determinants of S together. Every diagonal
-    entry of D must be a unit mod p at every point: ValueError otherwise."""
-    d, n = num.shape[0], num.shape[1]
-    coeffs = (num % p).astype(np.int64).reshape(d, n * n)
-    powers = np.ones((len(points), d), dtype=np.int64)
-    t = np.array(points, dtype=np.int64) % p
-    for e in range(1, d):
-        powers[:, e] = powers[:, e - 1] * t % p
-    a = _dot_mod(powers, coeffs, p).reshape(len(points), n, n)
-    pivots = np.diagonal(a[:, :lead, :lead], axis1=1, axis2=2)
+def _polymatrix_det_mod(table: np.ndarray, index: np.ndarray, points: Sequence[int], ps: Sequence[int],
+                        lead: int) -> np.ndarray:
+    """det(N(t)) mod p for every prime p of ps and integer t of `points`, a
+    (P, len(points)) int64 array, for N[i][j] = table[index[i, j]] (x^d in
+    column d, int64 or Python ints; -1 for 0) whose leading lead x lead
+    block D is diagonal: one `_dot_mod` evaluates every table row at every
+    point modulo every prime, and the point matrices are gathered through
+    the index. With d = prod diag(D) and e_a = d / D_aa, the Schur
+    complement S = C - B D^-1 E is formed as d S = d C - B diag(e) E by one
+    batched `_dot_mod`, so det N = d det(d S) / d^r with r its order;
+    `_det_mod` eliminates every d S, and one batch of `_inverses` per prime
+    divides out its scalings and d^r. Every entry of D must be a unit mod p
+    at every point: ValueError otherwise."""
+    r, t = index.shape[0] - lead, len(points)
+    q = _by_member(ps)
+    q4 = q[:, :, None, None]
+    x = np.array(points, dtype=np.int64) % q
+    powers = np.ones((len(ps), t, table.shape[1]), dtype=np.int64)
+    for e in range(1, table.shape[1]):
+        powers[:, :, e] = powers[:, :, e - 1] * x % q
+    # a zero row after the table, which the index -1 of a zero entry gathers
+    coeffs = np.zeros((len(ps), len(table) + 1, table.shape[1]), dtype=np.int64)
+    coeffs[:, :-1] = table % q[:, :, None]
+    values = _dot_mod(powers, coeffs.transpose(0, 2, 1), q[:, :, None])  # (P, points, rows + 1)
+    pivots = values[:, :, np.diagonal(index)[:lead]]
     if not pivots.all():
-        raise ValueError(f"a diagonal entry of the leading block is 0 mod {p}")
-    # the pivot rows of one block mostly share their entry: few are distinct
-    distinct, index = np.unique(pivots, return_inverse=True)
-    inv = np.array(_inverses(distinct.tolist(), p), dtype=np.int64)[index.reshape(pivots.shape)]
-    det = np.ones(len(points), dtype=np.int64)
-    for column in pivots.T:
-        det = det * column % p
-    schur = a[:, lead:, lead:] - _dot_mod(a[:, lead:, :lead] * inv[:, None, :] % p, a[:, :lead, lead:], p)
-    schur %= p
-    return det * _det_mod(schur, p) % p
+        raise ValueError(f"a diagonal entry of the leading block is 0 mod {ps[pivots.all(axis=(1, 2)).argmin()]}")
+    # d and every e_a from the prefix and suffix products of the pivots, by doubling scans
+    before, after = np.ones((2, len(ps), t, lead + 1), dtype=np.int64)
+    before[:, :, 1:] = after[:, :, :-1] = pivots
+    for s in (1 << k for k in range(lead.bit_length())):
+        before[:, :, s:] = before[:, :, s:] * before[:, :, :-s] % q[:, :, None]
+        after[:, :, :-s] = after[:, :, :-s] * after[:, :, s:] % q[:, :, None]
+    d = before[:, :, lead]
+    rest = values[:, :, index[lead:, lead:]]
+    if lead and r:
+        left = values[:, :, index[lead:, :lead]] * (before[:, :, None, :lead] * after[:, :, None, 1:] % q4) % q4
+        rest = (rest * d[:, :, None, None] + q4 - _dot_mod(left, values[:, :, index[:lead, lead:]], q4)) % q4
+    dets, scalings = _det_mod(rest.reshape(len(ps) * t, r, r), np.repeat(ps, t))
+    den = zip(scalings.reshape(len(ps), t).tolist(), d.tolist(), ps)
+    inverse = [_inverses([c * pow(dt, r, p) % p for c, dt in zip(cs, ds)], p) for cs, ds, p in den]
+    return d * dets.reshape(len(ps), t) % q * np.array(inverse, dtype=np.int64) % q
 
 
 def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
@@ -488,23 +507,26 @@ def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], left, right, b
     return [lifted[t * n:(t + 1) * n] for t in range(len(cells))]
 
 
-def _block_lift(num: np.ndarray, lead: int, points: Sequence[int], tops: Sequence[int],
+def _block_lift(table: np.ndarray, index: np.ndarray, lead: int, points: Sequence[int], tops: Sequence[int],
                 bottoms: Sequence[int], l: int, bound: int) -> List[int]:
-    """det(yI - L*M), in Z[y], from a coefficient stack N with
-    det(tI - M) = det N(t) * tops[j] / bottoms[j] at the points t = points[j],
-    n + 1 increasing non-negative integers for n = deg det(xI - M), and the
-    common denominator L and bound of `_scaled_bound(M)`: the block lift of
-    the module docstring. The factors tops / bottoms are taken once modulo
-    the product of the primes; `_polymatrix_det_mod` runs per prime."""
+    """det(yI - L*M), in Z[y], from the table and index of a polynomial
+    matrix N with det(tI - M) = det N(t) * tops[j] / bottoms[j] at the
+    points t = points[j], n + 1 increasing non-negative integers for
+    n = deg det(xI - M), and the common denominator L and bound of
+    `_scaled_bound(M)`: the block lift of the module docstring, with the
+    factors and the powers of L taken once modulo the product of the
+    primes and `_polymatrix_det_mod` run once per group of primes."""
     n = len(points) - 1
     ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(b % p == 0 for b in bottoms))
     modulus, q = math.prod(ps), _by_member(ps)
     inverses = _inverses([b % modulus for b in bottoms], modulus)
     factors = _residues([t * i % modulus for t, i in zip(tops, inverses)], (n + 1,), ps)
-    values = np.stack([_polymatrix_det_mod(num, points, p, lead) for p in ps]) * factors % q
+    group = max(1, _STACK_ENTRIES // max(1, len(points) * index.size))
+    values = np.concatenate([_polymatrix_det_mod(table, index, points, ps[i:i + group], lead)
+                             for i in range(0, len(ps), group)]) * factors % q
     # coefficient j of det(tI - M) times L^(n-j)
-    powers = _residues([pow(l, n - j, modulus) for j in range(n + 1)], (n + 1,), ps)
-    return _crt_lift(ps, (_interpolate_mod(points, values, ps) * powers % q).tolist())
+    powers = list(itertools.accumulate(range(n), lambda power, _: power * l % modulus, initial=1))
+    return _crt_lift(ps, (_interpolate_mod(points, values, ps) * _residues(powers[::-1], (n + 1,), ps) % q).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,10 @@ The block path evaluates the identity, not Phi: deg Phi is
 m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
 `reduced_block_charpoly`, which the blocks of generalized joins in
 `cospectral` share, keeps the Z[y] side of it. `_reduced_stack` builds
-the integer coefficients of the block once, straight from the main
-functions' integers, each row cleared by the lcm of its coefficient
-denominators. The points are the first n + 1 non-negative integers t
-where no g_i vanishes, and at each, det(tI - M) is det Phi(t) times
+the integer coefficients of the block straight from the main functions'
+integers, each row cleared by the lcm of its coefficient denominators, as
+a table of its few distinct entries and an index into it. The points
+are the first n + 1 non-negative integers t where no g_i vanishes, and at each, det(tI - M) is det Phi(t) times
 prod_i phi_i(t) / g_i(t)^m, a quotient of integers that the main
 functions give. `exactlinalg` evaluates Phi, interpolates and lifts
 (`_block_lift`) into det(yI - L*M), the integer lift, with L the common
@@ -86,17 +86,18 @@ M_i is a diagonal block of M, so its common denominator s_i divides L.
 Each determinant takes one Schur step before its Gaussian elimination
 (block elimination over an independent set: Rose 1972, George & Liu
 1981). `_reduced_stack` picks pivot rows greedily in row order, a row
-whenever no layer couples it in either direction to one already taken,
+whenever no entry couples it in either direction to one already taken,
 and moves them first. Rows of one block never couple, so every row of
 the first block is taken. With gamma = 0 a row couples only to rows of
 host-adjacent blocks, so a block whose neighbours have no taken row is
 taken whole (every block of an edgeless host); gamma != 0 couples every
 pair of blocks. The taken block D is diagonal, and
 det Phi(t) = prod diag(D) * det S with S the Schur complement of D, so
-only S is eliminated. Pivot row a of block i holds its row multiplier
-times s_i^(d_i) g_i(t), and every prime dividing a row multiplier, s_i or
-g_i(t) at a chosen point is skipped, so D is a unit modulo every prime
-used: the step needs no pivoting and changes no prime, point or value.
+only S is eliminated, for all points and primes in one division-free
+stack. Pivot row a of block i holds its row multiplier times
+s_i^(d_i) g_i(t), and every prime dividing a row multiplier, s_i or g_i(t)
+at a chosen point is skipped, so D is a unit modulo every prime used: the
+step needs no pivoting and changes no prime, point or value.
 
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
@@ -264,10 +265,11 @@ def main_function_bilinear(m, u, v) -> MainFunction:
     walk sums (module docstring): with M = M'/s, V = V'/s_v and U = U'/s_u,
     entry (a, b) is the n integer coefficients, lowest first, of
     V'^T adj(yI - M') U', that is of s_v s_u s^(n-1) N_ab(y / s), lifted by
-    `exactlinalg._walk_lift` on the cells (a, b): every entry, or a <= b
-    alone when M is symmetric and U = V, and none (scale 1) when a side has
-    no column. Then g = phi / h and f = N / h, with h = gcd(phi, every
-    non-zero N_ab) taken as one divide-first chain in Z[y] over the cells."""
+    `exactlinalg._walk_lift` on the cells (a, b) of non-zero columns a of V
+    and b of U (others are zero): all, or a <= b alone when M is symmetric
+    and U = V; scale 1 when a side has no column. Then g = phi / h and
+    f = N / h, with h = gcd(phi, every non-zero N_ab) taken as one
+    divide-first chain in Z[y] over the cells."""
     n = _require_square(m)
     rv, cv = mat_shape(v)
     ru, cu = mat_shape(u)
@@ -275,12 +277,17 @@ def main_function_bilinear(m, u, v) -> MainFunction:
         raise SizeMismatchError(f"side matrices must have {n} rows, got {rv} and {ru}")
     s, phi, rows, bound, symmetric = _resolvent(tuple(map(tuple, m)))
     mirror = symmetric and u == v
-    cells = [(a, b) for a in range(cv) for b in range(a if mirror else 0, cu)]
-    scale, numerators = 1, []
-    if cells:
+    scale, left, right, cells, numerators = 1, [], [], [], []
+    if cv and cu:
         sv, v_ints = _scaled_rows(v)
         su, u_ints = (sv, v_ints) if mirror else _scaled_rows(u)
-        scale, numerators = sv * su, _walk_lift(rows, phi, v_ints, u_ints, bound, cells)
+        scale = sv * su
+        left = [a for a, col in enumerate(zip(*v_ints)) if any(col)]
+        right = left if mirror else [b for b, col in enumerate(zip(*u_ints)) if any(col)]
+        cells = [(x, y) for x in range(len(left)) for y in range(x if mirror else 0, len(right))]
+    if cells:
+        sides = [[[row[a] for a in cols] for row in ints] for cols, ints in ((left, v_ints), (right, u_ints))]
+        numerators = _walk_lift(rows, phi, *sides, bound, cells)
     h, held = phi, {}
     for cell, p in zip(cells, numerators):
         if any(p[len(h) - 1:]):  # deg p >= deg h, so h may divide p
@@ -291,11 +298,12 @@ def main_function_bilinear(m, u, v) -> MainFunction:
                 pass
         if any(p):  # a zero entry leaves h as it is
             h = _int_gcd(h, p)
-    f = [[None] * cu for _ in range(cv)]
-    for (a, b), p in zip(cells, numerators):
+    f = [[(0,) * (n + 1 - len(h))] * cu for _ in range(cv)]
+    for (x, y), p in zip(cells, numerators):
         # h only shrinks, so a quotient taken at its final degree is p / h, the
-        # n - deg h coefficients of scale * s^(n-1-deg h) f(y / s)
-        size, q = held.get((a, b), (0, None))
+        # n - deg h coefficients of scale * s^(n-1-deg h) f(y / s), as a zero entry has
+        size, q = held.get((x, y), (0, None))
+        a, b = left[x], right[y]
         f[a][b] = tuple(q if size == len(h) else _int_divexact(p, h))
         if mirror:
             f[b][a] = f[a][b]
@@ -361,55 +369,65 @@ def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
 # block pipeline
 
 
-def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, int, int]:
-    """The coefficient stack N of the reduced block (N[d] holds those of
-    x^d; int64 when every one fits, else Python ints), the `scale` with
-    det(block(t)) = det(N(t)) / scale, and the number `lead` of pivot rows
-    that N puts first. Row a of block i times C = scale_i s_i^d W
+def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """The reduced block N as the integer coefficient table of its distinct
+    non-zero entries (x^d in column d; int64 when all fit, else Python ints)
+    and the index with N[i][j] = table[index[i, j]], -1 for 0, the `scale`
+    with det(block(t)) = det(N(t)) / scale, and the number `lead` of pivot
+    rows that N puts first. Row a of block i times C = scale_i s_i^d W
     (d = deg g_i, W the lcm of the weight denominators) is integral:
     G_k s^k scale_i W on the diagonal, -w_b W F_k s^(k+1) in column b of
-    block j. Divided by the gcd of C and those integers, it is cleared by
-    the lcm of its coefficient denominators. A row is a pivot row when no
-    layer couples it, in either direction, to an earlier pivot row; rows
-    and columns are permuted alike, pivot rows first, so det N is unchanged
-    and its leading lead x lead block is diagonal in every layer."""
+    block j; divided by the gcd of C and those integers, it is cleared by
+    the lcm of its coefficient denominators, and computed once per main
+    function and set of weights. A pivot row has no entry coupling it to an
+    earlier one; pivot rows go first, rows and columns permuted alike, so
+    det N is unchanged and its leading lead x lead block is diagonal."""
     offsets = [0]
     for mf in mfs:
         offsets.append(offsets[-1] + len(mf.f))
     depth = max((len(mf.g) for mf in mfs if mf.f), default=1)
-    num = np.zeros((depth, offsets[-1], offsets[-1]), dtype=object)
-    scale = 1
+    index = np.full((offsets[-1], offsets[-1]), -1, dtype=np.intp)
+    distinct, contents, scale = {}, {}, 1
+    def row(coeffs):
+        return distinct.setdefault(tuple(coeffs) + (0,) * (depth - len(coeffs)), len(distinct))
     for i, mf in enumerate(mfs):
-        powers = [mf.s ** k for k in range(len(mf.g) + 1)]
-        cross = [(j, weights(i, j)) for j in range(len(mfs)) if j != i]
-        cross = [(j, w) for j, w in cross if w is not None]
-        wden = math.lcm(*(wb.denominator for _, w in cross for wb in w))
-        common = mf.scale * powers[-2] * wden
-        diagonal = [c * p * mf.scale * wden for c, p in zip(mf.g, powers)]
-        for a, f_row in enumerate(mf.f):
-            entries = [(offsets[i] + a, diagonal)]
-            for j, w in cross:
-                for b, wb in enumerate(w):
-                    if wb and any(f_row[b]):
-                        q = -wb.numerator * (wden // wb.denominator)
-                        entries.append((offsets[j] + b, [q * c * p for c, p in zip(f_row[b], powers[1:])]))
-            cleared = math.gcd(common, *(c for _, p in entries for c in p))
-            scale *= common // cleared
-            for col, p in entries:
-                num[:len(p), offsets[i] + a, col] = [c // cleared for c in p]
+        cross = [(j, w) for j in range(len(mfs)) if j != i for w in [weights(i, j)] if w is not None]
+        key = id(mf), tuple(dict.fromkeys(w for _, w in cross))
+        if key not in contents:
+            powers = [mf.s ** k for k in range(len(mf.g) + 1)]
+            wden = math.lcm(*(wb.denominator for w in key[1] for wb in w))
+            common = mf.scale * powers[-2] * wden
+            diagonal = [c * p * mf.scale * wden for c, p in zip(mf.g, powers)]
+            scaled, contents[key] = {}, []  # (f_ab, multiplier of column b) -> its integers
+            for a, f_row in enumerate(mf.f):
+                cells = {w: [(b, (f_row[b], -wb.numerator * (wden // wb.denominator)))
+                             for b, wb in enumerate(w) if wb and any(f_row[b])] for w in key[1]}
+                entries = {e for cs in cells.values() for _, e in cs}
+                for f, q in entries.difference(scaled):
+                    scaled[f, q] = [q * c * p for c, p in zip(f, powers[1:])]
+                cleared = math.gcd(common, *diagonal, *(c for e in entries for c in scaled[e]))
+                ids = {e: row([c // cleared for c in scaled[e]]) for e in entries}
+                cells = {w: [(b, ids[e]) for b, e in cs] for w, cs in cells.items()}
+                cells[None] = [(a, row([c // cleared for c in diagonal]))]  # the own block, at the diagonal
+                contents[key].append((common // cleared, cells))
+        for a, (multiplier, cells) in enumerate(contents[key]):
+            scale *= multiplier
+            for j, w in [(i, None)] + cross:
+                for b, r in cells[w]:
+                    index[offsets[i] + a, offsets[j] + b] = r
     try:
-        num = num.astype(np.int64)
+        table = np.array(list(distinct), dtype=np.int64).reshape(len(distinct), depth)
     except OverflowError:
-        pass
-    # pivot rows, greedily in row order: none coupled to another in any layer
-    pattern = (num != 0).any(axis=0)
+        table = np.array(list(distinct), dtype=object).reshape(len(distinct), depth)
+    # pivot rows, greedily in row order: none coupled to another
+    pattern = index >= 0
     taken, coupled = np.zeros((2, len(pattern)), dtype=bool)
     for r in range(len(pattern)):
         if not coupled[r]:
             taken[r] = True
             coupled |= pattern[r] | pattern[:, r]
     order = np.concatenate([np.flatnonzero(taken), np.flatnonzero(~taken)])
-    return num[:, order[:, None], order], scale, int(taken.sum())
+    return table, index[order[:, None], order], scale, int(taken.sum())
 
 
 def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction], int, List[int]]:
@@ -433,8 +451,8 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
             mains[key] = main_function_bilinear(m, u, v)
         mfs.append(mains[key])
     l, rows, bound = _scaled_bound(matrix)
-    num, scale, lead = _reduced_stack(mfs, weights)
-    # det(tI - M) = det(num(t)) * top / bottom at each point t, in integers,
+    table, index, scale, lead = _reduced_stack(mfs, weights)
+    # det(tI - M) = det(N(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
     n = sum(len(mf.phi) - 1 for mf in mfs)
     points, tops, bottoms = [], [], []
@@ -450,7 +468,7 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
             tops.append(top)
             bottoms.append(bottom)
         t += 1
-    block = _block_lift(num, lead, points, tops, bottoms, l, bound)
+    block = _block_lift(table, index, lead, points, tops, bottoms, l, bound)
     direct = _charpoly_lift(rows, bound)
     if block != direct:
         bq, dq = _unscaled(block, l), _unscaled(direct, l)

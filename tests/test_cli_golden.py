@@ -4,7 +4,9 @@ the sha256 of stdout pinned in ``cli_golden.json``.
 
 ``numeric_spectrum`` (LAPACK floats) is removed from JSON output before
 hashing, so the digests hold across machines. Refusals must print exactly
-one stderr line, and that line is pinned too.
+one stderr line, and that line is pinned too. Every command runs a second
+time with each prime of the block lift in a group of its own, and must
+print the same bytes.
 
 After a deliberate change of output, rewrite the digests with
 
@@ -19,6 +21,8 @@ import pathlib
 import tempfile
 
 import pytest
+
+import hmjoin.exactlinalg as exactlinalg
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "cli_golden.json"
@@ -147,6 +151,15 @@ def test_cli_golden(argv, tmp_path):
     if code != 0:
         assert len(err.strip().splitlines()) == 1, err
         assert err.strip() == expected["stderr"]
+
+
+@pytest.mark.parametrize("argv", invocations(), ids=_key)
+def test_cli_golden_with_one_prime_per_block_group(argv, tmp_path, monkeypatch):
+    # the block lift's prime groups change no output byte
+    monkeypatch.setattr(exactlinalg, "_STACK_ENTRIES", 1)
+    expected = _golden()[_key(argv)]
+    code, out, _ = run(argv, tmp_path)
+    assert (code, _digest(out)) == (expected["exit"], expected["stdout_sha256"])
 
 
 def record():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hmjoin.exactlinalg as exactlinalg
-from conftest import stack_entries, walk_numerators
+from conftest import dense_stack, polymatrix_det_mod, stack_entries, walk_numerators
 from oracles import (
     bareiss_charpoly,
     det_bareiss,
@@ -458,10 +458,16 @@ def det_mod_oracle(stack, p):
     return [int(det_bareiss([[int(x) for x in row] for row in m])) % p for m in stack]
 
 
+def det_mod(stack, p):
+    """The determinants mod p that `_det_mod` gives as fractions."""
+    dets, scalings = _det_mod(stack, p)
+    return np.array([d * pow(s, -1, p) % p for d, s in zip(dets.tolist(), scalings.tolist())], dtype=np.int64)
+
+
 def assert_det_mod_matches(stack, p):
     stack = np.array(stack, dtype=np.int64)
     expected = det_mod_oracle(stack, p)
-    assert _det_mod(stack.copy(), p).tolist() == expected
+    assert det_mod(stack.copy(), p).tolist() == expected
     return expected
 
 
@@ -469,7 +475,7 @@ def test_det_mod_matches_bareiss_oracle():
     p = next(_primes())
     rng = random.Random(46)
     # 0 x 0 and 1 x 1
-    assert _det_mod(np.zeros((3, 0, 0), dtype=np.int64), p).tolist() == [1, 1, 1]
+    assert det_mod(np.zeros((3, 0, 0), dtype=np.int64), p).tolist() == [1, 1, 1]
     assert assert_det_mod_matches([[[0]], [[1]], [[p - 1]], [[12345]]], p) == [0, 1, p - 1, 12345]
     for n in range(2, 8):
         stack = [[[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(5)]
@@ -539,7 +545,7 @@ def test_polymatrix_det_mod_matches_bareiss_values():
             assert (num.dtype == object) == (span > 9 and any(p.coeffs for row in entries for p in row))
             exact = polymatrix_det_values(entries, points)
             for p in primes:
-                got = _polymatrix_det_mod(num, points, p, 0).tolist()
+                got = polymatrix_det_mod(num, points, p, 0)
                 inv = pow(scale, -1, p)
                 assert [d * inv % p for d in got] == [v.numerator * pow(v.denominator, -1, p) % p
                                                       for v in exact]
@@ -558,8 +564,8 @@ def test_polymatrix_det_mod_schur_step_matches_bareiss_values():
             num[:, :lead, :lead] = 0
             num[0, range(lead), range(lead)] = [rng.choice([1, -1, 2, -7, p + 3]) for _ in range(lead)]
             expected = [int(v) % p for v in polymatrix_det_values(stack_entries(num), points)]
-            assert _polymatrix_det_mod(num, points, p, lead).tolist() == expected
-            assert _polymatrix_det_mod(num, points, p, 0).tolist() == expected
+            assert polymatrix_det_mod(num, points, p, lead) == expected
+            assert polymatrix_det_mod(num, points, p, 0) == expected
 
 
 def test_polymatrix_det_mod_schur_complement_singular_and_swapping():
@@ -577,13 +583,62 @@ def test_polymatrix_det_mod_schur_complement_singular_and_swapping():
     expected = [(t - 2) % p for t in points]
     assert [int(v) % p for v in polymatrix_det_values(stack_entries(num), points)] == expected
     for lead in (0, 1, 2):
-        assert _polymatrix_det_mod(num, points, p, lead).tolist() == expected
+        assert polymatrix_det_mod(num, points, p, lead) == expected
     # a pivot that vanishes mod p raises instead of passing silently, at
     # every point or at one only: t - 3 vanishes at t = 3 alone
     for constant, linear in ((p, 0), (-3, 1)):
         num[0, 0, 0], num[1, 0, 0] = constant, linear
         with pytest.raises(ValueError):
-            _polymatrix_det_mod(num, points, p, 2)
+            polymatrix_det_mod(num, points, p, 2)
+
+
+def assert_table_matches_bareiss(table, index, points, ps, lead):
+    """`_polymatrix_det_mod` of a table and index against the Bareiss
+    values of its dense stack, for every member at every prime; the exact
+    values."""
+    exact = [int(v) for v in polymatrix_det_values(stack_entries(dense_stack(table, index)), points)]
+    assert _polymatrix_det_mod(table, index, points, ps, lead).tolist() == [[v % p for v in exact] for p in ps]
+    return exact
+
+
+def test_polymatrix_det_mod_tables_match_bareiss_at_every_prime():
+    # seeded tables and indices whose entries repeat table rows, int64 and
+    # beyond, every lead from 0 to N, at small primes where members are
+    # singular at some points or primes only, and at a large one
+    rng = random.Random(53)
+    ps = [7, 11, 13, next(_primes())]
+    points = [0, 1, 2, 3, 5]
+    singular = repeated = 0
+    for n in range(1, 6):
+        for lead in range(n + 1):
+            for span in (4, 4, 10 ** 30):
+                # the first rows are constants that are units modulo every prime
+                table = [[c, 0, 0] for c in (1, -1, 2, -3)]
+                table += [[rng.randint(-span, span) for _ in range(3)] for _ in range(rng.randint(1, 4))]
+                index = np.array([[rng.randrange(-1, len(table)) for _ in range(n)] for _ in range(n)])
+                index[:lead, :lead] = -1
+                index[range(lead), range(lead)] = [rng.randrange(4) for _ in range(lead)]
+                table = np.array(table, dtype=np.int64 if span < 2 ** 62 else object)
+                exact = assert_table_matches_bareiss(table, index, points, ps, lead)
+                repeated += (index >= 0).sum() > len(set(index[index >= 0].tolist()))
+                singular += any(any(v % p == 0 for v in exact) and any(v % p for v in exact) for p in ps)
+    assert singular > 10 and repeated > 10
+    # S = [[7, 1], [1, t]] after the pivot 1: it swaps rows modulo 7 alone,
+    # and det = 7t - 1 stays a unit there
+    table = np.array([[1, 0], [7, 0], [0, 1]], dtype=np.int64)
+    index = np.array([[0, -1, -1], [-1, 1, 0], [-1, 0, 2]])
+    assert assert_table_matches_bareiss(table, index, points, ps, 1) == [7 * t - 1 for t in points]
+
+
+def test_polymatrix_det_mod_refuses_a_leading_entry_that_vanishes_at_one_prime():
+    # the second pivot is 13: no unit modulo 13, in whichever group it falls
+    table = np.array([[1, 0], [13, 0], [2, 1]], dtype=np.int64)
+    index = np.array([[0, -1, 2], [-1, 1, 2], [2, 2, 2]])
+    points = [0, 1, 2]
+    assert_table_matches_bareiss(table, index, points, [7, 11], 2)
+    for ps in ([13], [7, 13], [13, 11]):
+        with pytest.raises(ValueError, match="mod 13"):
+            _polymatrix_det_mod(table, index, points, ps, 2)
 
 
 def test_charpoly_lift_rows_beyond_int64_take_the_object_route():

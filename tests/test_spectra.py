@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_indexing, random_spec, stack_entries, walk_numerators
+from conftest import dense_stack, polymatrix_det_mod, random_graph, random_indexing, random_spec, stack_entries, walk_numerators
 from oracles import (
     bareiss_charpoly,
     blockwise_adjacency,
@@ -328,11 +328,14 @@ def test_halved_divide_first_main_function_matches_the_oracles(monkeypatch):
     for m, u, v, halved in halved_main_function_cases():
         walks.clear()
         mf, phi, numerators = assert_matches_resolvent_oracle(m, u, v)
-        # the upper triangle when halved, every cell otherwise, and no walk for an n x 0 side
+        # the upper triangle when halved, every cell otherwise, both over the
+        # non-zero columns alone, and no walk for an n x 0 side
         cv, cu = len(v[0]), len(u[0])
-        cells = [(a, b) for a in range(cv) for b in range(a if halved else 0, cu)]
+        nv = sum(any(row[a] for row in v) for a in range(cv))
+        nu = nv if halved else sum(any(row[b] for row in u) for b in range(cu))
+        cells = [(a, b) for a in range(nv) for b in range(a if halved else 0, nu)]
         assert walks == ([cells] if cells else [])
-        if not cells:
+        if not cv or not cu:
             assert (mf.scale, mf.f) == (1, ((),) * cv)
         for a, row in enumerate(numerators):
             for b, p in enumerate(row):
@@ -620,7 +623,8 @@ def reduced_stack_of(spec, params=UniversalParams.preset("A")):
     else:
         blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
     mfs = [main_function_bilinear(*b) for b in blocks]
-    return mfs, spectra._reduced_stack(mfs, weights)
+    table, index, scale, lead = spectra._reduced_stack(mfs, weights)
+    return mfs, (dense_stack(table, index), scale, lead)
 
 
 def assert_schur_matches_bareiss(num, lead):
@@ -631,14 +635,15 @@ def assert_schur_matches_bareiss(num, lead):
     points = [t for t in range(20) if all(poly_eval(entries[r][r], t) % p for r in range(lead))][:4]
     assert len(points) == 4
     expected = [int(v) % p for v in polymatrix_det_values(entries, points)]
-    assert exactlinalg._polymatrix_det_mod(num, points, p, lead).tolist() == expected
-    assert exactlinalg._polymatrix_det_mod(num, points, p, 0).tolist() == expected
+    assert polymatrix_det_mod(num, points, p, lead) == expected
+    assert polymatrix_det_mod(num, points, p, 0) == expected
 
 
 def test_reduced_stack_leads_with_a_maximal_diagonal_block(corpus_specs, corpus_reports):
     for spec, report in zip(corpus_specs, corpus_reports):
         _, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), UniversalParams.preset("A"))
-        num, _, lead = spectra._reduced_stack(report.gammas, weights)
+        table, index, _, lead = spectra._reduced_stack(report.gammas, weights)
+        num = dense_stack(table, index)
         pattern = (num != 0).any(axis=0)
         # diagonal in every layer, with a non-zero diagonal
         assert not (num[:, :lead, :lead] != 0)[:, ~np.eye(lead, dtype=bool)].any()
@@ -647,6 +652,15 @@ def test_reduced_stack_leads_with_a_maximal_diagonal_block(corpus_specs, corpus_
         # every other row is coupled to one
         assert lead >= len(report.gammas[0].f)
         assert all(pattern[r, :lead].any() or pattern[:lead, r].any() for r in range(lead, len(pattern)))
+
+
+def test_reduced_stack_tables_hold_each_non_zero_entry_once(corpus_specs, corpus_reports):
+    for spec, report in zip(corpus_specs, corpus_reports):
+        _, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), UniversalParams.preset("A"))
+        table, index, _, _ = spectra._reduced_stack(report.gammas, weights)
+        rows = [tuple(row) for row in table.tolist()]
+        assert len(set(rows)) == len(rows) and all(any(row) for row in rows)
+        assert sorted(set(index[index >= 0].tolist())) == list(range(len(rows)))
 
 
 def test_schur_step_on_hosts_that_are_not_bipartite():
@@ -740,9 +754,9 @@ def record_block_primes(monkeypatch):
     used = []
     evaluate = exactlinalg._polymatrix_det_mod
 
-    def recording(num, points, p, lead):
-        used.append(p)
-        return evaluate(num, points, p, lead)
+    def recording(table, index, points, ps, lead):
+        used.extend(ps)
+        return evaluate(table, index, points, ps, lead)
 
     monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", recording)
     return used
@@ -789,11 +803,12 @@ def test_corrupted_block_residue_raises(monkeypatch):
     seen = []
     target = []
 
-    def corrupt(num, points, p, lead):
-        dets = evaluate(num, points, p, lead)
-        if len(seen) == target[0]:
-            dets[-1] = (dets[-1] + 1) % p
-        seen.append(p)
+    def corrupt(table, index, points, ps, lead):
+        dets = evaluate(table, index, points, ps, lead)
+        for i, p in enumerate(ps):
+            if len(seen) == target[0]:
+                dets[i, -1] = (dets[i, -1] + 1) % p
+            seen.append(p)
         return dets
 
     monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", corrupt)
@@ -812,6 +827,30 @@ def test_corrupted_block_residue_raises(monkeypatch):
         with pytest.raises(BlockFactorizationError):
             run()
         assert len(seen) > index
+
+
+def test_block_lift_prime_groups_give_the_same_integers(monkeypatch):
+    # several primes, which fit one stack; caps of one and of two primes' stacks
+    # split the same lift into groups
+    spec, params = generalized_petersen(11, 4).spec, UniversalParams.preset("Aalpha:97/100")
+    groups, sizes = [], []
+    evaluate = exactlinalg._polymatrix_det_mod
+
+    def recording(table, index, points, ps, lead):
+        groups.append(list(ps))
+        sizes.append(len(points) * index.size)
+        return evaluate(table, index, points, ps, lead)
+
+    monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", recording)
+    whole = universal_block_charpoly(spec, params)
+    assert len(groups) == 1 and len(groups[0]) > 4
+    primes = groups[0]
+    for cap, size in ((1, 1), (2 * sizes[0], 2), (2 * sizes[0] + 1, 2)):
+        groups.clear()
+        monkeypatch.setattr(exactlinalg, "_STACK_ENTRIES", cap)
+        split = universal_block_charpoly(spec, params)
+        assert groups == [primes[i:i + size] for i in range(0, len(primes), size)]
+        assert (split.charpoly_block, split.phi_polynomial) == (whole.charpoly_block, whole.phi_polynomial)
 
 
 def test_carry_forward_error_names_factor_class_and_degree(monkeypatch):
@@ -1002,11 +1041,54 @@ def test_bilinear_main_function_asymmetric_sides():
     assert mf.entry(0, 0) == ratfun([1], [0, -2, 0, 1])
 
 
+def test_zero_side_columns_leave_every_other_entry_unchanged():
+    rng = random.Random(54)
+
+    def rand(rows, cols):
+        return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+
+    def widen(side, zeros):
+        # the columns of side in order, with a zero column before each index in zeros
+        out = [[] for _ in side]
+        for c in range(len(side[0]) + 1):
+            for row, new in zip(out, side):
+                row.extend([0] * zeros.count(c) + new[c:c + 1])
+        return out, [c + sum(z <= c for z in zeros) for c in range(len(side[0]))]
+
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        m = rand(n, n)
+        symmetric = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        u, v = rand(n, 2), rand(n, 3)
+        for mat, left, right in ((m, v, u), (symmetric, u, u), (symmetric, v, u)):
+            mf = main_function_bilinear(mat, right, left)
+            for zl, zr in (([0], []), ([], [2, 2]), ([1, 3], [0])):
+                wide_left, cols_l = widen(left, zl)
+                wide_right, cols_r = (wide_left, cols_l) if right is left and zl else widen(right, zr)
+                wide = main_function_bilinear(mat, wide_right, wide_left)
+                assert (wide.s, wide.phi, wide.g, wide.scale) == (mf.s, mf.phi, mf.g, mf.scale)
+                kept = {(a, b): mf.f[i][j] for i, a in enumerate(cols_l) for j, b in enumerate(cols_r)}
+                zero = (0,) * (len(mf.g) - 1)
+                assert [[kept.get((a, b), zero) for b in range(len(wide_right[0]))]
+                        for a in range(len(wide_left[0]))] == [list(row) for row in wide.f]
+
+
+def test_declared_but_unused_labels_match_the_bareiss_charpoly():
+    # 200 declared labels, one used: the side columns of 199 are zero
+    m = 200
+    spec = JoinSpec(make_named("complete", [2]), [make_named("path", [3]), make_named("path", [3])], m,
+                    [IndexingMap([1, None, None], m), IndexingMap([None, 1, None], m)])
+    report = block_charpoly(spec)
+    assert report.charpoly_block == bareiss_charpoly(hm_join(spec).adjacency_matrix())
+    assert report.gammas[0].f[0][0] and not any(any(p) for row in report.gammas[0].f for p in row[1:])
+
+
 def test_spectra_and_cospectral_reach_no_modular_helper():
     # every multi-modular lift lives in `exactlinalg`: the block pipeline
-    # keeps the Z[y] bookkeeping and names none of the int64 helpers
+    # keeps the Z[y] bookkeeping and names none of the int64 helpers, nor
+    # the cap on the block lift's stacks
     helpers = {"_dot_mod", "_residues", "_crt_lift", "_lift_primes", "_inverses", "_interpolate_mod",
-               "_polymatrix_det_mod", "_det_mod", "_charpoly_mod"}
+               "_polymatrix_det_mod", "_det_mod", "_charpoly_mod", "_STACK_ENTRIES"}
     for module, anchor in ((spectra, "_scaled_bound"), (cospectral, "charpoly")):
         names = []
         for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))):
