@@ -5,6 +5,8 @@ returns its document; `main` renders and writes it.
 Exit status: 0 on success, 1 when a verified identity fails (the failed
 identity is named on stderr), 2 on input or hypothesis errors."""
 
+from __future__ import annotations
+
 import argparse
 import sys
 from typing import List, Optional, Tuple
@@ -184,23 +186,22 @@ def _build_family(name: str, raw_params: List[str]) -> FamilyRealization:
                 "cartesian expects two graph tokens, e.g. cartesian path:3 cycle:4")
         return cartesian_product(_graph_token(raw_params[0]), _graph_token(raw_params[1]))
     builders = {
-        "petersen": (generalized_petersen, 2),
-        "helm": (generalized_helm, 2),
-        "web": (generalized_web, 2),
-        "lollipop": (lollipop, 2),
-        "tadpole": (tadpole, 2),
+        "petersen": generalized_petersen,
+        "helm": generalized_helm,
+        "web": generalized_web,
+        "lollipop": lollipop,
+        "tadpole": tadpole,
     }
     if name not in builders:
         raise InvalidParametersError(
             "unknown family %r (expected cartesian, petersen, helm, web, lollipop, tadpole)" % name)
-    builder, arity = builders[name]
-    if len(raw_params) != arity:
-        raise InvalidParametersError("family %s expects %d integer parameters" % (name, arity))
+    if len(raw_params) != 2:
+        raise InvalidParametersError("family %s expects 2 integer parameters" % name)
     try:
         values = [int(x) for x in raw_params]
     except ValueError:
         raise InvalidParametersError("family %s expects integer parameters" % name)
-    return builder(*values)
+    return builders[name](*values)
 
 
 def _cmd_family(args) -> dict:

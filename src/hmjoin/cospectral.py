@@ -10,6 +10,8 @@ data. The main function feeds the block charpoly and is a certificate's
 witness; the hypothesis data gates `check_cospectral_conditions` pairwise
 and, as a tuple, groups the configurations of `search_pairs`."""
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from itertools import combinations

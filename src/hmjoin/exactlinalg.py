@@ -57,18 +57,27 @@ Y_0 = R', Y_k = R Y_(k-1) + c_k R' on its stack, and L'^T Y_k holds the
 coefficients of y^(n-1-k).
 
 The block lift evaluates a matrix N of polynomials, given as the integer
-coefficient table of its distinct entries and an index into it, at
-points t: `_polymatrix_det_mod` evaluates every table row at every point
-modulo every prime of a group at once, gathers the point matrices through
-the index into one int64 stack, takes the Schur complement S of a leading
-block D that the caller guarantees diagonal with unit entries, so that
-det = prod diag(D) * det S, and takes every det S at once by batched
-Gaussian elimination (`_det_mod`), both steps division-free
-(pivot * row i - a_ik * row k, the factors divided out at the end). The
-values of all groups, times the caller's factors top / bottom at each
-point, are interpolated in one stack (`_interpolate_mod`) and coefficient
-j is scaled by L^(n-j). A prime is rejected when it does not exceed the
-last point (the points must stay distinct mod p) or divides L or a bottom.
+coefficient rows of its distinct entries (row 0 zero) and an index into
+them, at points t; its caller guarantees that every diagonal entry of N
+is a unit at every point modulo every prime the lift keeps. The rows are
+reduced modulo all the primes once, and `_polymatrix_det_mod` evaluates
+every row at every point modulo every prime of a group at once into one
+int64 stack of point matrices. Each takes one Schur step before its
+Gaussian elimination (block elimination over an independent set: Rose
+1972, George & Liu 1981). `_schur_rows` moves rows first greedily in row
+order, a row whenever no entry couples it in either direction to one
+already taken: on the reduced block of a join in `spectra`, the whole
+first block, and with gamma = 0 every block whose host neighbours have
+no taken row (every block of an edgeless host), while gamma != 0 couples
+every pair of blocks. The taken block D is diagonal with unit entries, so
+det N = prod diag(D) * det S with S the Schur complement of D, and every
+det S is taken at once by batched Gaussian elimination (`_det_mod`), both
+steps division-free (pivot * row i - a_ik * row k, the factors divided
+out at the end). The values of all groups, times the caller's factors
+top / bottom at each point, are interpolated in one stack
+(`_interpolate_mod`) and coefficient j is scaled by L^(n-j). A prime is
+rejected when it does not exceed the last point (the points must stay
+distinct mod p) or divides L or a bottom.
 
 Those factors, point differences and bottoms are inverted in batches by
 Montgomery's trick (Math. Comp. 48, 1987; `_inverses`): prefix products,
@@ -401,30 +410,41 @@ def _det_mod(a: np.ndarray, q) -> Tuple[np.ndarray, np.ndarray]:
     return det, scaling
 
 
-def _polymatrix_det_mod(table: np.ndarray, index: np.ndarray, points: Sequence[int], ps: Sequence[int],
+def _schur_rows(pattern: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The order that puts the Schur rows of a square pattern of non-zero
+    entries first, and their number lead: a row, in row order, whenever no
+    entry couples it to one already taken, so that the leading
+    lead x lead block, rows and columns permuted alike, is diagonal."""
+    taken, coupled = np.zeros((2, len(pattern)), dtype=bool)
+    for r in range(len(pattern)):
+        if not coupled[r]:
+            taken[r] = True
+            coupled |= pattern[r] | pattern[:, r]
+    return np.concatenate([np.flatnonzero(taken), np.flatnonzero(~taken)]), int(taken.sum())
+
+
+def _polymatrix_det_mod(coeffs: np.ndarray, index: np.ndarray, points: Sequence[int], ps: Sequence[int],
                         lead: int) -> np.ndarray:
     """det(N(t)) mod p for every prime p of ps and integer t of `points`, a
-    (P, len(points)) int64 array, for N[i][j] = table[index[i, j]] (x^d in
-    column d, int64 or Python ints; -1 for 0) whose leading lead x lead
-    block D is diagonal: one `_dot_mod` evaluates every table row at every
-    point modulo every prime, and the point matrices are gathered through
-    the index. With d = prod diag(D) and e_a = d / D_aa, the Schur
-    complement S = C - B D^-1 E is formed as d S = d C - B diag(e) E by one
-    batched `_dot_mod`, so det N = d det(d S) / d^r with r its order;
-    `_det_mod` eliminates every d S, and one batch of `_inverses` per prime
-    divides out its scalings and d^r. Every entry of D must be a unit mod p
-    at every point: ValueError otherwise."""
+    (P, len(points)) int64 array, for N[i][j] the polynomial of row
+    index[i, j] of the (P, R, depth) int64 residues `coeffs` (x^d in column
+    d, member i modulo ps[i]) whose leading lead x lead block D is
+    diagonal: one `_dot_mod` evaluates every row at every point modulo
+    every prime, and the point matrices are gathered through the index.
+    With d = prod diag(D) and e_a = d / D_aa, the Schur complement
+    S = C - B D^-1 E is formed as d S = d C - B diag(e) E by one batched
+    `_dot_mod`, so det N = d det(d S) / d^r with r its order; `_det_mod`
+    eliminates every d S, and one batch of `_inverses` per prime divides out
+    its scalings and d^r. Every entry of D must be a unit mod p at every
+    point: ValueError otherwise."""
     r, t = index.shape[0] - lead, len(points)
     q = _by_member(ps)
     q4 = q[:, :, None, None]
     x = np.array(points, dtype=np.int64) % q
-    powers = np.ones((len(ps), t, table.shape[1]), dtype=np.int64)
-    for e in range(1, table.shape[1]):
+    powers = np.ones((len(ps), t, coeffs.shape[2]), dtype=np.int64)
+    for e in range(1, coeffs.shape[2]):
         powers[:, :, e] = powers[:, :, e - 1] * x % q
-    # a zero row after the table, which the index -1 of a zero entry gathers
-    coeffs = np.zeros((len(ps), len(table) + 1, table.shape[1]), dtype=np.int64)
-    coeffs[:, :-1] = table % q[:, :, None]
-    values = _dot_mod(powers, coeffs.transpose(0, 2, 1), q[:, :, None])  # (P, points, rows + 1)
+    values = _dot_mod(powers, coeffs.transpose(0, 2, 1), q[:, :, None])  # (P, points, rows)
     pivots = values[:, :, np.diagonal(index)[:lead]]
     if not pivots.all():
         raise ValueError(f"a diagonal entry of the leading block is 0 mod {ps[pivots.all(axis=(1, 2)).argmin()]}")
@@ -435,10 +455,9 @@ def _polymatrix_det_mod(table: np.ndarray, index: np.ndarray, points: Sequence[i
         before[:, :, s:] = before[:, :, s:] * before[:, :, :-s] % q[:, :, None]
         after[:, :, :-s] = after[:, :, :-s] * after[:, :, s:] % q[:, :, None]
     d = before[:, :, lead]
-    rest = values[:, :, index[lead:, lead:]]
-    if lead and r:
-        left = values[:, :, index[lead:, :lead]] * (before[:, :, None, :lead] * after[:, :, None, 1:] % q4) % q4
-        rest = (rest * d[:, :, None, None] + q4 - _dot_mod(left, values[:, :, index[:lead, lead:]], q4)) % q4
+    left = values[:, :, index[lead:, :lead]] * (before[:, :, None, :lead] * after[:, :, None, 1:] % q4) % q4
+    rest = (values[:, :, index[lead:, lead:]] * d[:, :, None, None] + q4
+            - _dot_mod(left, values[:, :, index[:lead, lead:]], q4)) % q4
     dets, scalings = _det_mod(rest.reshape(len(ps) * t, r, r), np.repeat(ps, t))
     den = zip(scalings.reshape(len(ps), t).tolist(), d.tolist(), ps)
     inverse = [_inverses([c * pow(dt, r, p) % p for c, dt in zip(cs, ds)], p) for cs, ds, p in den]
@@ -507,22 +526,27 @@ def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], left, right, b
     return [lifted[t * n:(t + 1) * n] for t in range(len(cells))]
 
 
-def _block_lift(table: np.ndarray, index: np.ndarray, lead: int, points: Sequence[int], tops: Sequence[int],
+def _block_lift(rows: Sequence[Sequence[int]], index: np.ndarray, points: Sequence[int], tops: Sequence[int],
                 bottoms: Sequence[int], l: int, bound: int) -> List[int]:
-    """det(yI - L*M), in Z[y], from the table and index of a polynomial
-    matrix N with det(tI - M) = det N(t) * tops[j] / bottoms[j] at the
-    points t = points[j], n + 1 increasing non-negative integers for
-    n = deg det(xI - M), and the common denominator L and bound of
-    `_scaled_bound(M)`: the block lift of the module docstring, with the
-    factors and the powers of L taken once modulo the product of the
-    primes and `_polymatrix_det_mod` run once per group of primes."""
+    """det(yI - L*M), in Z[y], from the integer coefficient rows, of one
+    length (row 0 zero), and the index of a polynomial matrix N,
+    N[i][j] = rows[index[i, j]], whose diagonal entries are units at every
+    point modulo every prime the lift keeps, with det(tI - M) =
+    det N(t) * tops[j] / bottoms[j] at the points t = points[j], n + 1
+    increasing non-negative integers for n = deg det(xI - M), and the
+    common denominator L and bound of `_scaled_bound(M)`: the block lift of
+    the module docstring, with the rows, factors and powers of L reduced
+    once for all the primes and `_polymatrix_det_mod` run once per group."""
     n = len(points) - 1
     ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(b % p == 0 for b in bottoms))
     modulus, q = math.prod(ps), _by_member(ps)
     inverses = _inverses([b % modulus for b in bottoms], modulus)
     factors = _residues([t * i % modulus for t, i in zip(tops, inverses)], (n + 1,), ps)
+    order, lead = _schur_rows(index > 0)
+    index = index[order[:, None], order]
+    coeffs = _residues(rows, (len(rows), len(rows[0])), ps)
     group = max(1, _STACK_ENTRIES // max(1, len(points) * index.size))
-    values = np.concatenate([_polymatrix_det_mod(table, index, points, ps[i:i + group], lead)
+    values = np.concatenate([_polymatrix_det_mod(coeffs[i:i + group], index, points, ps[i:i + group], lead)
                              for i in range(0, len(ps), group)]) * factors % q
     # coefficient j of det(tI - M) times L^(n-j)
     powers = list(itertools.accumulate(range(n), lambda power, _: power * l % modulus, initial=1))

@@ -116,7 +116,7 @@ def make_named(kind: str, params: Sequence[int]) -> Graph:
     The star's center comes first.
     """
     params = list(params)
-    if any(not isinstance(p, int) for p in params):
+    if any(type(p) is not int for p in params):
         raise InvalidParametersError(f"family parameters must be integers, got {params!r}")
 
     def need(count: int):
@@ -209,7 +209,7 @@ class UniversalParams:
     def __init__(self, alpha, beta, gamma, delta):
         values = (alpha, beta, gamma, delta)
         for name, v in zip(self.__slots__, values):
-            if not isinstance(v, (int, Fraction)):
+            if type(v) is not int and not isinstance(v, Fraction):
                 raise InvalidParametersError(f"{name} must be rational, got {type(v).__name__}")
         if alpha == 0:
             raise InvalidParametersError("alpha must be nonzero")

@@ -30,7 +30,7 @@ Scalar = Union[int, Fraction]
 def _coerce_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # not bool
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 

@@ -7,6 +7,8 @@ degree first.  Dumps use a fixed key order, two-space indentation, and a
 trailing newline, so identical inputs produce identical bytes.  Parsers
 report failures as SpecValidationError carrying a JSON-pointer path."""
 
+from __future__ import annotations
+
 import json
 import re
 import sys

@@ -60,8 +60,9 @@ m * sum_i deg g_i, often several times n, while det(xI - M) has degree n.
 `cospectral` share, keeps the Z[y] side of it. `_reduced_stack` builds
 the integer coefficients of the block straight from the main functions'
 integers, each row cleared by the lcm of its coefficient denominators, as
-a table of its few distinct entries and an index into it. The points
-are the first n + 1 non-negative integers t where no g_i vanishes, and at each, det(tI - M) is det Phi(t) times
+plain integer rows of its few distinct entries and an index into them.
+The points are the first n + 1 non-negative integers t where no g_i
+vanishes, and at each, det(tI - M) is det Phi(t) times
 prod_i phi_i(t) / g_i(t)^m, a quotient of integers that the main
 functions give. `exactlinalg` evaluates Phi, interpolates and lifts
 (`_block_lift`) into det(yI - L*M), the integer lift, with L the common
@@ -69,7 +70,10 @@ denominator of the assembled matrix M: its coefficient of y^(n-k) is that
 of x^(n-k) times L^k, inside the bound of the direct engine. The lift
 skips every prime that divides L or the denominator of a point's
 quotient, so every prime dividing a row multiplier, some s_i or some
-g_i(t). Before it returns, `reduced_block_charpoly` always computes the
+g_i(t). Row a of block i holds its row multiplier times s_i^(d_i) g_i(t)
+on the diagonal, so every diagonal entry of the block is a unit at every
+point modulo every prime the lift keeps, which is all `_block_lift` asks
+of it. Before it returns, `reduced_block_charpoly` always computes the
 direct lift from the integer rows of the assembled M it is given too, and
 any difference raises BlockFactorizationError naming the lowest power of
 x whose coefficients differ. A report computes that lift once and reads
@@ -82,22 +86,6 @@ first, taken over the integers: scaled by L (P(x) -> L^deg(P) P(y / L)),
 all these polynomials are monic in Z[y], so h_i and the quotient need
 integer products and exact divisions by monic integer polynomials. Each
 M_i is a diagonal block of M, so its common denominator s_i divides L.
-
-Each determinant takes one Schur step before its Gaussian elimination
-(block elimination over an independent set: Rose 1972, George & Liu
-1981). `_reduced_stack` picks pivot rows greedily in row order, a row
-whenever no entry couples it in either direction to one already taken,
-and moves them first. Rows of one block never couple, so every row of
-the first block is taken. With gamma = 0 a row couples only to rows of
-host-adjacent blocks, so a block whose neighbours have no taken row is
-taken whole (every block of an edgeless host); gamma != 0 couples every
-pair of blocks. The taken block D is diagonal, and
-det Phi(t) = prod diag(D) * det S with S the Schur complement of D, so
-only S is eliminated, for all points and primes in one division-free
-stack. Pivot row a of block i holds its row multiplier times
-s_i^(d_i) g_i(t), and every prime dividing a row multiplier, s_i or g_i(t)
-at a chosen point is skipped, so D is a unit modulo every prime used: the
-step needs no pivoting and changes no prime, point or value.
 
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
@@ -369,25 +357,22 @@ def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
 # block pipeline
 
 
-def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """The reduced block N as the integer coefficient table of its distinct
-    non-zero entries (x^d in column d; int64 when all fit, else Python ints)
-    and the index with N[i][j] = table[index[i, j]], -1 for 0, the `scale`
-    with det(block(t)) = det(N(t)) / scale, and the number `lead` of pivot
-    rows that N puts first. Row a of block i times C = scale_i s_i^d W
-    (d = deg g_i, W the lcm of the weight denominators) is integral:
-    G_k s^k scale_i W on the diagonal, -w_b W F_k s^(k+1) in column b of
-    block j; divided by the gcd of C and those integers, it is cleared by
-    the lcm of its coefficient denominators, and computed once per main
-    function and set of weights. A pivot row has no entry coupling it to an
-    earlier one; pivot rows go first, rows and columns permuted alike, so
-    det N is unchanged and its leading lead x lead block is diagonal."""
+def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[List[Tuple[int, ...]], np.ndarray, int]:
+    """The reduced block N as the integer coefficient rows of its distinct
+    entries (x^d in column d, all of one length, row 0 the zero polynomial)
+    and the index with N[i][j] = rows[index[i, j]], and the `scale` with
+    det(block(t)) = det(N(t)) / scale. Row a of block i times
+    C = scale_i s_i^d W (d = deg g_i, W the lcm of the weight denominators)
+    is integral: G_k s^k scale_i W on the diagonal, -w_b W F_k s^(k+1) in
+    column b of block j; divided by the gcd of C and those integers, it is
+    cleared by the lcm of its coefficient denominators, and computed once
+    per main function and set of weights."""
     offsets = [0]
     for mf in mfs:
         offsets.append(offsets[-1] + len(mf.f))
     depth = max((len(mf.g) for mf in mfs if mf.f), default=1)
-    index = np.full((offsets[-1], offsets[-1]), -1, dtype=np.intp)
-    distinct, contents, scale = {}, {}, 1
+    index = np.zeros((offsets[-1], offsets[-1]), dtype=np.intp)
+    distinct, contents, scale = {(0,) * depth: 0}, {}, 1
     def row(coeffs):
         return distinct.setdefault(tuple(coeffs) + (0,) * (depth - len(coeffs)), len(distinct))
     for i, mf in enumerate(mfs):
@@ -415,19 +400,7 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[np.ndarray, np
             for j, w in [(i, None)] + cross:
                 for b, r in cells[w]:
                     index[offsets[i] + a, offsets[j] + b] = r
-    try:
-        table = np.array(list(distinct), dtype=np.int64).reshape(len(distinct), depth)
-    except OverflowError:
-        table = np.array(list(distinct), dtype=object).reshape(len(distinct), depth)
-    # pivot rows, greedily in row order: none coupled to another
-    pattern = index >= 0
-    taken, coupled = np.zeros((2, len(pattern)), dtype=bool)
-    for r in range(len(pattern)):
-        if not coupled[r]:
-            taken[r] = True
-            coupled |= pattern[r] | pattern[:, r]
-    order = np.concatenate([np.flatnonzero(taken), np.flatnonzero(~taken)])
-    return table, index[order[:, None], order], scale, int(taken.sum())
+    return list(distinct), index, scale
 
 
 def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction], int, List[int]]:
@@ -451,7 +424,7 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
             mains[key] = main_function_bilinear(m, u, v)
         mfs.append(mains[key])
     l, rows, bound = _scaled_bound(matrix)
-    table, index, scale, lead = _reduced_stack(mfs, weights)
+    table, index, scale = _reduced_stack(mfs, weights)
     # det(tI - M) = det(N(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
     n = sum(len(mf.phi) - 1 for mf in mfs)
@@ -468,7 +441,7 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
             tops.append(top)
             bottoms.append(bottom)
         t += 1
-    block = _block_lift(table, index, lead, points, tops, bottoms, l, bound)
+    block = _block_lift(table, index, points, tops, bottoms, l, bound)
     direct = _charpoly_lift(rows, bound)
     if block != direct:
         bq, dq = _unscaled(block, l), _unscaled(direct, l)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hmjoin import Graph, IndexingMap, JoinSpec, Polynomial, block_charpoly
-from hmjoin.exactlinalg import _polymatrix_det_mod, _scaled_rows, _walk_lift
+from hmjoin.exactlinalg import _polymatrix_det_mod, _residues, _scaled_rows, _walk_lift
 from hmjoin.spectra import _resolvent
 
 
@@ -45,31 +45,35 @@ def stack_entries(num) -> List[List[Polynomial]]:
     return [[Polynomial([Fraction(int(c)) for c in num[:, r, col]]) for col in range(size)] for r in range(size)]
 
 
-def dense_stack(table, index):
+def dense_stack(rows, index):
     """The coefficient stack whose layer d holds the coefficients of x^d of
-    the entries table[index[i, j]] of a table and index (0 where the index
-    is -1): the dense form of a reduced block."""
-    padded = np.concatenate([table, np.zeros((1, table.shape[1]), dtype=table.dtype)])
-    return padded[index].transpose(2, 0, 1)
+    the entries rows[index[i, j]] of a reduced block's coefficient rows and
+    index: its dense form."""
+    return np.array(rows, dtype=object)[index].transpose(2, 0, 1)
 
 
 def table_and_index(num):
-    """The table of the distinct non-zero entries of a coefficient stack,
-    in row-major order of first use, and its index, -1 for zero: the form
-    that `_polymatrix_det_mod` takes."""
-    rows, size = {}, num.shape[1]
-    index = np.full((size, size), -1, dtype=np.intp)
+    """The coefficient rows of the distinct entries of a coefficient stack,
+    the zero row first and the others in row-major order of first use, and
+    its index: the form that `_block_lift` takes."""
+    rows, size = {(0,) * num.shape[0]: 0}, num.shape[1]
+    index = np.zeros((size, size), dtype=np.intp)
     for r in range(size):
         for col in range(size):
-            coeffs = tuple(int(c) for c in num[:, r, col])
-            if any(coeffs):
-                index[r, col] = rows.setdefault(coeffs, len(rows))
-    return np.array(list(rows), dtype=num.dtype).reshape(len(rows), num.shape[0]), index
+            index[r, col] = rows.setdefault(tuple(int(c) for c in num[:, r, col]), len(rows))
+    return list(rows), index
+
+
+def row_residues(rows, ps):
+    """Coefficient rows modulo every prime of ps, the (P, R, depth) stack
+    that `_polymatrix_det_mod` takes."""
+    return _residues(rows, (len(rows), len(rows[0])), ps)
 
 
 def polymatrix_det_mod(num, points, p, lead):
     """`_polymatrix_det_mod` of a coefficient stack at one prime, as a list."""
-    return _polymatrix_det_mod(*table_and_index(num), points, [p], lead)[0].tolist()
+    rows, index = table_and_index(num)
+    return _polymatrix_det_mod(row_residues(rows, [p]), index, points, [p], lead)[0].tolist()
 
 
 def walk_numerators(m, left, right):

@@ -28,8 +28,9 @@ t = 0..n. It shares no code with the multi-modular engine behind
 `polymatrix_det` is the determinant of a polynomial matrix by evaluation
 at 0..D over its row-degree bound D and interpolation, the Phi oracle of
 the block-path tests; the library only evaluates such determinants, given
-as a table of distinct entries and an index into it, modulo many primes
-at once at the points it picks (`hmjoin.exactlinalg._polymatrix_det_mod`).
+as the residues of the coefficient rows of their distinct entries and an
+index into them, modulo many primes at once at the points it picks
+(`hmjoin.exactlinalg._polymatrix_det_mod`).
 
 `classify_e_main_numeric` classifies eigenvalues as E-main from a float
 eigendecomposition and projection norms, independently of the exact gcd

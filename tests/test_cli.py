@@ -18,6 +18,7 @@ from hmjoin.cli import factored_charpoly_string, main
 from hmjoin.errors import CarryForwardError
 from hmjoin.graphs import make_named
 from hmjoin.polynomials import Polynomial, render_polynomial
+from hmjoin.serialize import parse_spec
 from oracles import poly_from_roots
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -364,6 +365,74 @@ def test_cospectral_check_rejects_empty_factor(capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "factor 1 has no vertices" in err
+
+
+@pytest.mark.parametrize("argv, factored", [
+    (["charpoly"], "1"),
+    (["verify"], None),
+    (["universal", "--preset", "L"], "1"),
+])
+def test_empty_host_reports_the_constant_charpoly(capsys, tmp_path, argv, factored):
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"host": {"n": 0, "edges": []}, "m": 0, "factors": [], "indexing": []}))
+    code, out, err = run_cli(capsys, argv[0], str(spec), *argv[1:])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc.get("charpoly_factored") == factored
+    assert doc["charpoly_direct"] == doc["charpoly_block"] == doc["phi_polynomial"] == ["1"]
+    assert doc["numeric_spectrum"] == []
+
+
+_PATH0 = {"host": {"n": 1, "edges": []}, "m": 1, "factors": [{"family": "path", "params": [0]}], "indexing": [[]]}
+_ALPHA0 = {"host": {"n": 2, "edges": [[0, 1]]}, "factors": [{"n": 2, "edges": [[0, 1]]}, {"n": 1, "edges": []}],
+           "subsets": [[0], [0]], "params": {"alpha": "0", "beta": "0", "gamma": "0", "delta": "0"}}
+_EMPTY_FACTOR = {"host": {"n": 2, "edges": [[0, 1]]}, "m": 1,
+                 "factors": [{"n": 0, "edges": []}, {"n": 1, "edges": []}], "indexing": [[], [1]]}
+_SHORT_LABELS = {"host": {"n": 2, "edges": [[0, 1]], "labels": ["left"]}, "m": 1,
+                 "factors": [{"n": 1, "edges": []}, {"n": 1, "edges": []}], "indexing": [[1], [1]]}
+
+
+@pytest.mark.parametrize("argv, document, message", [
+    (["family", "cartesian", "path3", "cycle:4"], None, "graph token 'path3' must look like kind:params, e.g. path:4"),
+    (["family", "petersen", "a", "b"], None, "family petersen expects integer parameters"),
+    (["family", "petersen", "5"], None, "family petersen expects 2 integer parameters"),
+    (["universal", "SPEC"], _ALPHA0, "/params: alpha must be nonzero"),
+    (["charpoly", "SPEC"], _EMPTY_FACTOR, "<document>: factor 0 has no vertices"),
+    (["charpoly", "SPEC"], _PATH0, "/factors/0: a path needs at least 1 vertex"),
+    (["charpoly", "SPEC"], _SHORT_LABELS, "/host: expected 2 labels, got 1"),
+], ids=["graph-token", "family-params", "family-arity", "alpha-zero", "empty-factor", "path-0", "labels"])
+def test_invalid_inputs_exit_two_with_one_stderr_line(capsys, tmp_path, argv, document, message):
+    spec = tmp_path / "spec.json"
+    if document is not None:
+        spec.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *[str(spec) if arg == "SPEC" else arg for arg in argv])
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_graph_labels_survive_reduce(capsys, tmp_path):
+    spec = tmp_path / "labels.json"
+    spec.write_text(json.dumps({
+        "host": {"n": 2, "edges": [[0, 1]], "labels": ["left", "right"]}, "m": 2,
+        "factors": [{"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}, {"n": 3, "edges": [[0, 1], [1, 2]]}],
+        "indexing": [[1, 2], [1, None, 1]]}))
+    code, out, _ = run_cli(capsys, "reduce", str(spec), "--mode", "global-exclusive")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["deleted_labels"] == [2]
+    assert doc["spec"]["host"]["labels"] == ["left", "right"]
+    assert doc["spec"]["factors"][0]["labels"] == ["a", "b"] and "labels" not in doc["spec"]["factors"][1]
+    reduced = parse_spec(json.dumps(doc["spec"]))
+    assert reduced.host.labels == ("left", "right") and reduced.factors[0].labels == ("a", "b")
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["charpoly", "--", EXAMPLE], ["charpoly", EXAMPLE]),
+    (["universal", "--params", "-1,0,0,1", "--", EXAMPLE], ["universal", EXAMPLE, "--params=-1,0,0,1"]),
+])
+def test_double_dash_before_the_positional_spec(capsys, argv, plain):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert (code, out, err) == run_cli(capsys, *plain)
 
 
 def test_exit_code_one_for_violations(capsys, monkeypatch):

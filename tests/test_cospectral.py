@@ -210,6 +210,13 @@ def test_isomorphism_srg_pair():
     assert isomorphism_test(a, a)
 
 
+def test_isomorphism_decides_order_and_edge_count_first():
+    p3 = make_named("path", [3])
+    assert not isomorphism_test(p3, make_named("path", [4]))
+    assert not isomorphism_test(p3, make_named("complete", [3]))
+    assert isomorphism_test(Graph(0), Graph(0))
+
+
 def test_isomorphism_size_limit():
     big = make_named("empty", [33])
     with pytest.raises(TooLargeError):
@@ -450,3 +457,6 @@ def test_search_pairs_deduplicates():
     certs = search_pairs(catalog, 1, "A")
     keys = [(c.charpoly.coeffs, c.isomorphic) for c in certs]
     assert len(keys) == len(set(keys))
+    # a graph listed twice adds no certificate
+    catalog = [make_named("cycle", [5]), make_named("cycle", [6]), make_named("complete", [4])]
+    assert search_pairs(catalog + catalog[:1], 2, "A") == search_pairs(catalog, 2, "A")

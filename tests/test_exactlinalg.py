@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hmjoin.exactlinalg as exactlinalg
-from conftest import dense_stack, polymatrix_det_mod, stack_entries, walk_numerators
+from conftest import dense_stack, polymatrix_det_mod, row_residues, stack_entries, walk_numerators
 from oracles import (
     bareiss_charpoly,
     det_bareiss,
@@ -106,6 +106,13 @@ def test_det_bareiss_singular_and_identity():
 def test_det_bareiss_rejects_non_square():
     with pytest.raises(SizeMismatchError):
         det_bareiss([[Fraction(1), Fraction(2)]])
+
+
+def test_charpoly_rejects_ragged_and_non_square_matrices():
+    with pytest.raises(SizeMismatchError, match="ragged matrix"):
+        charpoly([[1, 2], [3]])
+    with pytest.raises(SizeMismatchError, match="square matrix required, got 1x2"):
+        charpoly([[1, 2]])
 
 
 def naive_charpoly(m):
@@ -592,17 +599,18 @@ def test_polymatrix_det_mod_schur_complement_singular_and_swapping():
             polymatrix_det_mod(num, points, p, 2)
 
 
-def assert_table_matches_bareiss(table, index, points, ps, lead):
-    """`_polymatrix_det_mod` of a table and index against the Bareiss
-    values of its dense stack, for every member at every prime; the exact
-    values."""
-    exact = [int(v) for v in polymatrix_det_values(stack_entries(dense_stack(table, index)), points)]
-    assert _polymatrix_det_mod(table, index, points, ps, lead).tolist() == [[v % p for v in exact] for p in ps]
+def assert_table_matches_bareiss(rows, index, points, ps, lead):
+    """`_polymatrix_det_mod` of coefficient rows and an index against the
+    Bareiss values of their dense stack, for every member at every prime;
+    the exact values."""
+    exact = [int(v) for v in polymatrix_det_values(stack_entries(dense_stack(rows, index)), points)]
+    got = _polymatrix_det_mod(row_residues(rows, ps), index, points, ps, lead)
+    assert got.tolist() == [[v % p for v in exact] for p in ps]
     return exact
 
 
 def test_polymatrix_det_mod_tables_match_bareiss_at_every_prime():
-    # seeded tables and indices whose entries repeat table rows, int64 and
+    # seeded rows and indices whose entries repeat rows, int64 and
     # beyond, every lead from 0 to N, at small primes where members are
     # singular at some points or primes only, and at a large one
     rng = random.Random(53)
@@ -612,33 +620,32 @@ def test_polymatrix_det_mod_tables_match_bareiss_at_every_prime():
     for n in range(1, 6):
         for lead in range(n + 1):
             for span in (4, 4, 10 ** 30):
-                # the first rows are constants that are units modulo every prime
-                table = [[c, 0, 0] for c in (1, -1, 2, -3)]
-                table += [[rng.randint(-span, span) for _ in range(3)] for _ in range(rng.randint(1, 4))]
-                index = np.array([[rng.randrange(-1, len(table)) for _ in range(n)] for _ in range(n)])
-                index[:lead, :lead] = -1
-                index[range(lead), range(lead)] = [rng.randrange(4) for _ in range(lead)]
-                table = np.array(table, dtype=np.int64 if span < 2 ** 62 else object)
-                exact = assert_table_matches_bareiss(table, index, points, ps, lead)
-                repeated += (index >= 0).sum() > len(set(index[index >= 0].tolist()))
+                # row 0 is zero, the next rows are constants that are units modulo every prime
+                rows = [[0, 0, 0]] + [[c, 0, 0] for c in (1, -1, 2, -3)]
+                rows += [[rng.randint(-span, span) for _ in range(3)] for _ in range(rng.randint(1, 4))]
+                index = np.array([[rng.randrange(len(rows)) for _ in range(n)] for _ in range(n)])
+                index[:lead, :lead] = 0
+                index[range(lead), range(lead)] = [1 + rng.randrange(4) for _ in range(lead)]
+                exact = assert_table_matches_bareiss(rows, index, points, ps, lead)
+                repeated += (index > 0).sum() > len(set(index[index > 0].tolist()))
                 singular += any(any(v % p == 0 for v in exact) and any(v % p for v in exact) for p in ps)
     assert singular > 10 and repeated > 10
     # S = [[7, 1], [1, t]] after the pivot 1: it swaps rows modulo 7 alone,
     # and det = 7t - 1 stays a unit there
-    table = np.array([[1, 0], [7, 0], [0, 1]], dtype=np.int64)
-    index = np.array([[0, -1, -1], [-1, 1, 0], [-1, 0, 2]])
-    assert assert_table_matches_bareiss(table, index, points, ps, 1) == [7 * t - 1 for t in points]
+    rows = [[0, 0], [1, 0], [7, 0], [0, 1]]
+    index = np.array([[1, 0, 0], [0, 2, 1], [0, 1, 3]])
+    assert assert_table_matches_bareiss(rows, index, points, ps, 1) == [7 * t - 1 for t in points]
 
 
 def test_polymatrix_det_mod_refuses_a_leading_entry_that_vanishes_at_one_prime():
     # the second pivot is 13: no unit modulo 13, in whichever group it falls
-    table = np.array([[1, 0], [13, 0], [2, 1]], dtype=np.int64)
-    index = np.array([[0, -1, 2], [-1, 1, 2], [2, 2, 2]])
+    rows = [[0, 0], [1, 0], [13, 0], [2, 1]]
+    index = np.array([[1, 0, 3], [0, 2, 3], [3, 3, 3]])
     points = [0, 1, 2]
-    assert_table_matches_bareiss(table, index, points, [7, 11], 2)
+    assert_table_matches_bareiss(rows, index, points, [7, 11], 2)
     for ps in ([13], [7, 13], [13, 11]):
         with pytest.raises(ValueError, match="mod 13"):
-            _polymatrix_det_mod(table, index, points, ps, 2)
+            _polymatrix_det_mod(row_residues(rows, ps), index, points, ps, 2)
 
 
 def test_charpoly_lift_rows_beyond_int64_take_the_object_route():

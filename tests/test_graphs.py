@@ -31,6 +31,9 @@ def test_graph_equality_ignores_labels():
     a = Graph(2, [(0, 1)], labels=["x", "y"])
     b = Graph(2, [(0, 1)])
     assert a == b and hash(a) == hash(b)
+    assert a.labels == ("x", "y") and b.labels is None
+    with pytest.raises(SizeMismatchError, match="expected 2 labels, got 1"):
+        Graph(2, [(0, 1)], labels=["x"])
 
 
 def test_adjacency_lists_every_vertex_neighbors():

@@ -100,10 +100,18 @@ def test_value_types_refuse_what_the_readers_refuse():
         lambda: GeneralizedJoinSpec(Graph(1), [c3], [[0, "a"]], params),
         lambda: GeneralizedJoinSpec(Graph(1), [c3], [[1.0]], params),
         lambda: GeneralizedJoinSpec(Graph(1), [c3], [[True]], params),
+        lambda: UniversalParams(True, 0, 0, 0),
+        lambda: UniversalParams(1, 0, False, 0),
+        lambda: make_named("star", [True, 3]),
+        lambda: make_named("path", [True]),
     ]
     for build in bad:
         with pytest.raises(InvalidParametersError):
             build()
+    # a polynomial refuses a bool like any other non-rational coefficient
+    for coeffs in ([True, 1], [1, False]):
+        with pytest.raises(TypeError):
+            Polynomial(coeffs)
     for g in (Graph(0), Graph(1), Graph(3, [(2, 0)]), c3):
         assert graph_from_json(graph_to_json(g)) == g
     host = Graph(2, [(0, 1)])

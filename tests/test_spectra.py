@@ -35,7 +35,8 @@ import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import GeneralizedJoinSpec, generalized_universal_charpoly
 from hmjoin.families import cartesian_product, generalized_petersen, generalized_web
-from hmjoin.errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError
+from hmjoin.errors import (BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError,
+                           SizeMismatchError)
 from hmjoin.exactlinalg import charpoly
 from hmjoin.graphs import UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
@@ -444,6 +445,10 @@ def test_main_function_edge_shapes():
     for args, expected in cases:
         mf = main_function_bilinear(*args)
         assert (mf.s, mf.phi, mf.g, mf.f, mf.scale) == expected
+    # sides must have a row per row of M
+    for args in ((m, u, u[:2]), (m, u + [[0, 0]], u)):
+        with pytest.raises(SizeMismatchError, match="side matrices must have 3 rows"):
+            main_function_bilinear(*args)
 
 
 def test_classification_of_complete_factors():
@@ -623,8 +628,16 @@ def reduced_stack_of(spec, params=UniversalParams.preset("A")):
     else:
         blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
     mfs = [main_function_bilinear(*b) for b in blocks]
-    table, index, scale, lead = spectra._reduced_stack(mfs, weights)
-    return mfs, (dense_stack(table, index), scale, lead)
+    rows, index, scale = spectra._reduced_stack(mfs, weights)
+    index, lead = schur_first(index)
+    return mfs, (dense_stack(rows, index), scale, lead)
+
+
+def schur_first(index):
+    """A reduced block's index with the Schur rows of `_block_lift` first,
+    rows and columns permuted alike, and their number lead."""
+    order, lead = exactlinalg._schur_rows(index > 0)
+    return index[order[:, None], order], lead
 
 
 def assert_schur_matches_bareiss(num, lead):
@@ -642,8 +655,9 @@ def assert_schur_matches_bareiss(num, lead):
 def test_reduced_stack_leads_with_a_maximal_diagonal_block(corpus_specs, corpus_reports):
     for spec, report in zip(corpus_specs, corpus_reports):
         _, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), UniversalParams.preset("A"))
-        table, index, _, lead = spectra._reduced_stack(report.gammas, weights)
-        num = dense_stack(table, index)
+        rows, index, _ = spectra._reduced_stack(report.gammas, weights)
+        index, lead = schur_first(index)
+        num = dense_stack(rows, index)
         pattern = (num != 0).any(axis=0)
         # diagonal in every layer, with a non-zero diagonal
         assert not (num[:, :lead, :lead] != 0)[:, ~np.eye(lead, dtype=bool)].any()
@@ -657,10 +671,11 @@ def test_reduced_stack_leads_with_a_maximal_diagonal_block(corpus_specs, corpus_
 def test_reduced_stack_tables_hold_each_non_zero_entry_once(corpus_specs, corpus_reports):
     for spec, report in zip(corpus_specs, corpus_reports):
         _, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), UniversalParams.preset("A"))
-        table, index, _, _ = spectra._reduced_stack(report.gammas, weights)
-        rows = [tuple(row) for row in table.tolist()]
-        assert len(set(rows)) == len(rows) and all(any(row) for row in rows)
-        assert sorted(set(index[index >= 0].tolist())) == list(range(len(rows)))
+        rows, index, _ = spectra._reduced_stack(report.gammas, weights)
+        # plain ints, one length, the zero row first
+        assert len({len(row) for row in rows}) == 1 and all(type(c) is int for row in rows for c in row)
+        assert len(set(rows)) == len(rows) and not any(rows[0]) and all(any(row) for row in rows[1:])
+        assert sorted(set(index[index > 0].tolist())) == list(range(1, len(rows)))
 
 
 def test_schur_step_on_hosts_that_are_not_bipartite():
@@ -754,9 +769,9 @@ def record_block_primes(monkeypatch):
     used = []
     evaluate = exactlinalg._polymatrix_det_mod
 
-    def recording(table, index, points, ps, lead):
+    def recording(coeffs, index, points, ps, lead):
         used.extend(ps)
-        return evaluate(table, index, points, ps, lead)
+        return evaluate(coeffs, index, points, ps, lead)
 
     monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", recording)
     return used
@@ -803,8 +818,8 @@ def test_corrupted_block_residue_raises(monkeypatch):
     seen = []
     target = []
 
-    def corrupt(table, index, points, ps, lead):
-        dets = evaluate(table, index, points, ps, lead)
+    def corrupt(coeffs, index, points, ps, lead):
+        dets = evaluate(coeffs, index, points, ps, lead)
         for i, p in enumerate(ps):
             if len(seen) == target[0]:
                 dets[i, -1] = (dets[i, -1] + 1) % p
@@ -836,10 +851,10 @@ def test_block_lift_prime_groups_give_the_same_integers(monkeypatch):
     groups, sizes = [], []
     evaluate = exactlinalg._polymatrix_det_mod
 
-    def recording(table, index, points, ps, lead):
+    def recording(coeffs, index, points, ps, lead):
         groups.append(list(ps))
         sizes.append(len(points) * index.size)
-        return evaluate(table, index, points, ps, lead)
+        return evaluate(coeffs, index, points, ps, lead)
 
     monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", recording)
     whole = universal_block_charpoly(spec, params)
@@ -1083,12 +1098,18 @@ def test_declared_but_unused_labels_match_the_bareiss_charpoly():
     assert report.gammas[0].f[0][0] and not any(any(p) for row in report.gammas[0].f for p in row[1:])
 
 
+def overflow_handlers(tree):
+    """The `except` clauses under an AST node that name OverflowError."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "OverflowError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}]
+
+
 def test_spectra_and_cospectral_reach_no_modular_helper():
     # every multi-modular lift lives in `exactlinalg`: the block pipeline
     # keeps the Z[y] bookkeeping and names none of the int64 helpers, nor
-    # the cap on the block lift's stacks
+    # the cap on the block lift's stacks, nor its choice of Schur rows
     helpers = {"_dot_mod", "_residues", "_crt_lift", "_lift_primes", "_inverses", "_interpolate_mod",
-               "_polymatrix_det_mod", "_det_mod", "_charpoly_mod", "_STACK_ENTRIES"}
+               "_polymatrix_det_mod", "_det_mod", "_charpoly_mod", "_STACK_ENTRIES", "_schur_rows"}
     for module, anchor in ((spectra, "_scaled_bound"), (cospectral, "charpoly")):
         names = []
         for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))):
@@ -1101,3 +1122,19 @@ def test_spectra_and_cospectral_reach_no_modular_helper():
     # `names` are those of `cospectral`: `reduced_block_charpoly` takes the
     # main functions and the direct check's bound itself
     assert not {"_scaled_bound", "_block_main_functions"}.intersection(names)
+    # `spectra` hands the block over as plain integer rows: it picks no
+    # int64 form, catches no overflow and passes no count of Schur rows
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(spectra.__file__).parent.glob("*.py"))}
+    used = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+            for node in ast.walk(trees["spectra"]) if isinstance(node, (ast.Name, ast.Attribute, ast.arg))}
+    assert "_block_lift" in used
+    assert not {"int64", "OverflowError", "lead"}.intersection(used)
+    # and the one place that catches an integer too large for int64 is
+    # `exactlinalg._residues`, which every modular reduction goes through
+    handlers = {stem: overflow_handlers(tree) for stem, tree in trees.items()}
+    assert {stem: len(found) for stem, found in handlers.items() if found} == {"exactlinalg": 1}
+    residues = next(node for node in ast.walk(trees["exactlinalg"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "_residues")
+    assert overflow_handlers(residues) == handlers["exactlinalg"]
+
