@@ -44,7 +44,7 @@ from .spectra import (
     SpectralReport,
     block_charpoly,
     classify_e_main,
-    main_function_bilinear,
+    main_function,
     universal_block_charpoly,
 )
 from .families import (

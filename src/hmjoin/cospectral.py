@@ -30,7 +30,7 @@ from .polynomials import Polynomial, _unscaled
 from .spectra import (
     MainFunction,
     _universal_blocks,
-    main_function_bilinear,
+    main_function,
     reduced_block_charpoly,
 )
 
@@ -45,12 +45,12 @@ _KIND_PRESETS = {
 
 _ISOMORPHISM_LIMIT = 32
 # Most (graph, subset) configurations one pair search takes on. Each costs
-# one main function, two unless delta = gamma = 0; a whole search on
-# `fixtures/catalog.json` at budget 3 (1,613 configurations, in process,
-# least of two runs on a 2-core machine) takes about 0.6 ms per
-# configuration for kind A, 1.5 ms for kind L and 0.9 ms for kind S, so a
-# kind-L search at the cap runs about 15 s. The shipped catalog gives 5,313
-# at budget 4 (about 2.4, 8.2 and 4.1 s) and 30,083 at budget 6.
+# one main function, two unless delta = gamma = 0. A whole search on
+# `fixtures/catalog.json`, in process, least of two runs on a 2-core Xeon
+# (Python 3.11, one OpenBLAS thread), takes 1.0, 2.7 and 1.9 s for kinds A,
+# L and S at budget 3 (1,613 configurations: 0.6, 1.7 and 1.2 ms each) and
+# 2.4, 11.4 and 4.9 s at budget 4 (5,313), so a kind-L search at the cap
+# runs about 20 s. Budget 6 gives 30,083.
 _CONFIGURATION_LIMIT = 10_000
 
 
@@ -216,7 +216,11 @@ class CospectralCertificate:
     """Verified outcome of a cospectral construction: the two specs, the
     designated charpoly the joins share, the per-factor slot main functions
     as witnesses, and an isomorphism verdict (None when the joins exceed the
-    decision limit)."""
+    decision limit). A witness is 1_S^T (xI - M)^{-1} 1_S when gamma = 0
+    and S^T (xI - M)^{-1} S with S = [1 | 1_S] otherwise, M the slot's
+    block of the join's universal matrix (its factor's own when
+    delta = gamma = 0); `serialize.certificate_to_json` prints the latter
+    with row 0 times gamma."""
 
     kind: str
     spec_a: GeneralizedJoinSpec
@@ -247,21 +251,24 @@ def _slot_hypotheses(spec: GeneralizedJoinSpec, i: int, kind: str):
     Main functions compare by their normal form (g, f).  The last value is
     the slot's determinant witness: the subset main function itself when
     delta = gamma = 0 (the corrected matrix is then the designated one and
-    the sides are 1_S)."""
+    the side is 1_S), else the main function of the slot's block, on the
+    side [1 | 1_S] when gamma != 0. gamma != 0 is fixed within a check or
+    a search, so two such witnesses are equal exactly when their printed
+    forms, row 0 times gamma, are."""
     g, subset, params = spec.factors[i], spec.subsets[i], spec.params
     yield "vertex counts", g.n
     yield "subset sizes", len(subset)
     if kind in ("A", "S"):
         yield "regular degrees", g.is_regular()
     sides = spec.subset_indicators()
-    scalar = main_function_bilinear(universal_matrix(g, params), sides[i], sides[i])
+    scalar = main_function(universal_matrix(g, params), sides[i])
     yield "designated charpolys", scalar.charpoly
     yield "subset main functions", scalar
     if params.delta == 0 and params.gamma == 0:
         return
-    # V_i^T (xI - M_i)^{-1} U_i on block i of the join's universal matrix
+    # S_i^T (xI - M_i)^{-1} S_i on block i of the join's universal matrix
     blocks, _ = _universal_blocks(spec.host, spec.factors, sides, params)
-    witness = main_function_bilinear(*blocks[i])
+    witness = main_function(*blocks[i])
     if params.delta != 0:
         # cross edges shift the subset diagonal, so the corrected
         # matrices must agree as well

@@ -2,7 +2,7 @@
 roots, and every multi-modular lift of the join pipeline.
 
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
-values. The module checks their shape and symmetry but holds no general
+values. The module checks their shape but holds no general
 matrix products; the integer polynomial helpers it evaluates and divides
 with (`_int_coeff_eval`, `_int_divexact`, `_int_multiplicity`, `_scaled`)
 live in `polynomials`.
@@ -14,8 +14,8 @@ bound and returns the integers within that bound:
   ISSAC 2005; Cohen, A Course in Computational Algebraic Number Theory,
   section 2.2), under `charpoly` and every main function;
 - `_walk_lift`: the coefficients of the entries (a, b) of
-  L'^T adj(yI - R) R' that its caller names, for integer sides L' and R',
-  the numerators of the main functions in `spectra`;
+  E'^T adj(yI - R) E' that its caller names, for one integer side E', the
+  numerators of the main functions in `spectra`;
 - `_block_lift`: det(yI - R) once more, from the values of the reduced
   block determinant that `spectra` builds from the main functions.
 
@@ -28,9 +28,9 @@ max_k e_k by an exact recurrence over the rows. The coefficient of
 y^(n-1-k) in cofactor (a, b) of yI - R is a signed sum of k-minors of R
 on distinct row sets that omit row a (one per set of diagonal entries
 giving y), each within the same product, so that bound covers every
-cofactor too, and W = bound * max_a |L'_a|_1 * max_b |R'_b|_1 (the
-largest column 1-norms of the integer sides, each taken as at least 1)
-covers every coefficient of L'^T adj(yI - R) R'.
+cofactor too, and W = bound * (max_a |E'_a|_1)^2 (the largest column
+1-norm of the integer side, taken as at least 1) covers every coefficient
+of E'^T adj(yI - R) E'.
 
 Primes and the int64 argument. Primes below 2**26, largest first
 (`_primes`, each found by deterministic Miller-Rabin, `_is_prime`), are
@@ -53,8 +53,8 @@ from the pivot's on; the recurrence reads only the coefficients up to each
 polynomial's degree. No prime is bad: the characteristic polynomial of R
 mod p is always that of R reduced mod p. No adjugate of (yI - R) is ever
 formed either: with det(yI - R) = sum_j c_j y^(n-j), the walk lift runs
-Y_0 = R', Y_k = R Y_(k-1) + c_k R' on its stack, and L'^T Y_k holds the
-coefficients of y^(n-1-k).
+Y_0 = E', Y_k = R Y_(k-1) + c_k E' on its stack, one product with
+[R; E'^T] per step, and E'^T Y_k holds the coefficients of y^(n-1-k).
 
 The block lift evaluates a matrix N of polynomials, given as the integer
 coefficient rows of its distinct entries (row 0 zero) and an index into
@@ -122,11 +122,6 @@ def _require_square(m) -> int:
     if rows != cols:
         raise SizeMismatchError(f"square matrix required, got {rows}x{cols}")
     return rows
-
-
-def mat_is_symmetric(m) -> bool:
-    n = _require_square(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -490,35 +485,32 @@ def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
 # the walk and block lifts
 
 
-def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], left, right, bound: int,
+def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], side, bound: int,
                cells: Sequence[Tuple[int, int]]) -> List[List[int]]:
     """The n coefficients, lowest first, of each entry (a, b) of `cells`, in
-    that order, of L'^T adj(yI - R) R' for the integer rows R, the
-    coefficients phi of det(yI - R), constant term first, integer sides L'
-    and R' of at least one column and the bound of `_scaled_bound`: the walk
+    that order, of E'^T adj(yI - R) E' for the integer rows R, the
+    coefficients phi of det(yI - R), constant term first, an integer side E'
+    of at least one column and the bound of `_scaled_bound`: the walk
     recurrence of the module docstring modulo every prime of
-    `_lift_primes(W)` in one stack, one product with [R; L'^T] per step, one
+    `_lift_primes(W)` in one stack, one product with [R; E'^T] per step, one
     gather of the cells from the layers and one `_crt_lift`."""
-    n, cl, cr = len(rows), len(left[0]), len(right[0])
-
-    def norm(ints):
-        # the largest column 1-norm, at least 1 so that a zero side keeps a positive bound
-        return max(1, *(sum(map(abs, col)) for col in zip(*ints)))
-
-    ps = _lift_primes(bound * norm(left) * norm(right))
+    n, cols = len(rows), len(side[0])
+    # the largest column 1-norm, at least 1 so that a zero side keeps a positive bound
+    norm = max(1, *(sum(map(abs, col)) for col in zip(*side)))
+    ps = _lift_primes(bound * norm * norm)
     q = np.array(ps, dtype=np.int64)[:, None, None]
-    step = np.concatenate([_residues(rows, (n, n), ps), _residues(left, (n, cl), ps).transpose(0, 2, 1)], axis=1)
-    r0 = _residues(right, (n, cr), ps)
+    e0 = _residues(side, (n, cols), ps)
+    step = np.concatenate([_residues(rows, (n, n), ps), e0.transpose(0, 2, 1)], axis=1)
     c = _residues(phi, (n + 1,), ps)[:, :, None, None]
     # layers[d] holds the coefficients of y^d, layer k = n - 1 - d
-    layers = np.empty((n, len(ps), cl, cr), dtype=np.int64)
-    y = r0
+    layers = np.empty((n, len(ps), cols, cols), dtype=np.int64)
+    y = e0
     for k in range(n):
         walk = _dot_mod(step, y, q)
         layers[n - 1 - k] = walk[:, n:]
         if k + 1 < n:
             y = walk[:, :n]
-            y += c[:, n - 1 - k] * r0
+            y += c[:, n - 1 - k] * e0
             y %= q
     a, b = zip(*cells)
     by_cell = layers[:, :, list(a), list(b)].transpose(1, 2, 0)  # (P, cells, n)

@@ -196,6 +196,11 @@ def _indexing_from_json(data, m: int, pointer: str) -> IndexingMap:
     return IndexingMap(values, m)
 
 
+def _require_vertices(g: Graph, i: int, pointer: str):
+    if g.n == 0:
+        _fail("%s/factors/%d" % (pointer, i), "factor %d has no vertices" % i)
+
+
 def spec_from_json(data, pointer: str = "") -> JoinSpec:
     obj = _expect_object(data, pointer)
     _check_keys(obj, pointer, ("host", "m", "factors", "indexing"))
@@ -216,6 +221,9 @@ def spec_from_json(data, pointer: str = "") -> JoinSpec:
             _fail("%s/indexing/%d" % (pointer, i),
                   "factor %d has %d vertices but %d labels" % (i, factors[i].n, len(im)))
         indexing.append(im)
+    if len(factors) == host.n:  # a wrong factor count is refused first, at the document
+        for i, g in enumerate(factors):
+            _require_vertices(g, i, pointer)
     try:
         return JoinSpec(host, factors, m, indexing)
     except HmJoinError as exc:
@@ -243,6 +251,15 @@ def generalized_spec_from_json(data, pointer: str = "") -> GeneralizedJoinSpec:
         subsets.append([_expect_int(v, "%s/subsets/%d/%d" % (pointer, i, j))
                         for j, v in enumerate(arr)])
     params = params_from_json(obj["params"], pointer + "/params")
+    if len(factors) == len(subsets) == host.n:  # wrong counts are refused first, at the document
+        for i, (g, subset) in enumerate(zip(factors, subsets)):
+            _require_vertices(g, i, pointer)
+            if len(set(subset)) < len(subset):
+                break  # refused at the document, before any later subset
+            v = min((v for v in subset if not 0 <= v < g.n), default=None)
+            if v is not None:
+                _fail("%s/subsets/%d/%d" % (pointer, i, subset.index(v)),
+                      "subset %d contains %r, not a vertex of factor %d" % (i, v, i))
     try:
         return GeneralizedJoinSpec(host, factors, subsets, params)
     except HmJoinError as exc:
@@ -330,15 +347,18 @@ def report_to_json(report: SpectralReport) -> Dict[str, Any]:
     }
 
 
-def _entry_to_json(mf: MainFunction, a: int, b: int) -> Dict[str, List[str]]:
+def _entry_to_json(mf: MainFunction, a: int, b: int, factor: Fraction) -> Dict[str, List[str]]:
     num, den = mf.entry(a, b)
-    return {"num": polynomial_to_json(num), "den": polynomial_to_json(den)}
+    return {"num": [fraction_to_json(c * factor) for c in num.coeffs], "den": polynomial_to_json(den)}
 
 
 def certificate_to_json(cert: CospectralCertificate) -> Dict[str, Any]:
     """The witnesses are the slot main functions, entry by entry in lowest
-    terms as {"num", "den"}."""
-    witness = [[[_entry_to_json(mf, a, b) for b in range(len(row))]
+    terms as {"num", "den"}. A gamma != 0 witness S^T (xI - M)^{-1} S,
+    S = [1 | 1_S], prints as V^T (xI - M)^{-1} S with V = [gamma*1 | 1_S]:
+    its row 0 times gamma, which keeps each entry in lowest terms."""
+    gamma = cert.spec_a.params.gamma or 1
+    witness = [[[_entry_to_json(mf, a, b, gamma if a == 0 else 1) for b in range(len(row))]
                 for a, row in enumerate(mf.f)]
                for mf in cert.gamma_witness]
     return {

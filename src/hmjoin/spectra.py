@@ -19,24 +19,27 @@ f_i = g_i Gamma_i), giving the fully exact pipeline
 The universal matrix U = alpha*A + beta*I + gamma*J + delta*D of a join
 has this shape, built in one place (`_universal_blocks`): M_i is U(G_i)
 plus delta times the cross degrees diag(E_i t_i), t_i the sum of E_j^T 1
-over host neighbours j, and the cross blocks carry alpha. A gamma != 0
-couples every pair through gamma*J: the sides become [1 | E_i] and
-[gamma*1 | E_i] with weights (1, alpha*rho_ij, ...). A labeled join takes
-E_i = its indexing matrix, a generalized join in `cospectral` the subset
-indicator 1_{S_i}; `block_charpoly` is this pipeline at (1, 0, 0, 0).
+over host neighbours j, and the cross blocks carry alpha. Every block
+(i, j) is S_i diag(w) S_j^T with one side S_i per factor, so every main
+function is S_i^T (xI - M_i)^{-1} S_i of a symmetric M_i. A gamma != 0
+couples every pair through gamma*J: the side becomes S_i = [1 | E_i] and
+gamma moves into the weights (gamma, alpha*rho_ij, ...); otherwise
+S_i = E_i with weights alpha*rho_ij. A labeled join takes E_i = its
+indexing matrix, a generalized join in `cospectral` the subset indicator
+1_{S_i}; `block_charpoly` is this pipeline at (1, 0, 0, 0).
 
 Main functions come from walk sums, not from an adjugate. With
 phi = sum_j c_j x^(n-j) the characteristic polynomial of M and
-W_t = L^T M^t R the walk sums of the side matrices,
+W_t = E^T M^t E the walk sums of the side E,
 
-    L^T adj(xI - M) R = sum_k x^(n-1-k) sum_{j<=k} c_j W_(k-j),
+    E^T adj(xI - M) E = sum_k x^(n-1-k) sum_{j<=k} c_j W_(k-j),
 
-which Horner's rule accumulates as Y_0 = R, Y_k = M Y_(k-1) + c_k R, with
-layer k = L^T Y_k. With M = M'/s, L = L'/s_l and R = R'/s_r the same
-recurrence over M' and c_k s^k is integral, and its layers are the
-coefficients of L'^T adj(yI - M') R', that is of s_l s_r s^(n-1) N(y / s).
-`main_function_bilinear` hands M', the integer sides and its cells (a, b)
-to `exactlinalg._walk_lift`, which lifts those entries modulo primes (its
+which Horner's rule accumulates as Y_0 = E, Y_k = M Y_(k-1) + c_k E, with
+layer k = E^T Y_k. With M = M'/s and E = E'/s_e the same recurrence over
+M' and c_k s^k is integral, and its layers are the coefficients of
+E'^T adj(yI - M') E', that is of s_e^2 s^(n-1) N(y / s). `main_function`
+hands M', the integer side and its cells (a, b) to
+`exactlinalg._walk_lift`, which lifts those entries modulo primes (its
 module docstring gives the bound, the primes and the int64 argument).
 
 Every reduced entry denominator of these numerators N over phi divides
@@ -46,8 +49,8 @@ the lifted layers: s^n phi(y / s), the integer lift of the charpoly
 engine, is monic in Z[y], so h is monic there too and both quotients are
 exact integer divisions (`_int_gcd`, `_int_divexact`). The chain tries
 N_ab / h first, exact exactly when gcd(h, N_ab) = h, and takes the gcd
-only when that fails. The cells are every entry, or the entries a <= b
-alone when M is symmetric and the sides are equal, since N_ab = N_ba.
+only when that fails. The cells are the entries a <= b alone: M is
+symmetric, so N_ab = N_ba.
 `MainFunction` keeps phi, g and f in this scaled integer form, and every
 consumer (entries in lowest terms, eigenvalue classes, the reduced block,
 Phi) reads those integers; the polynomials over Q are views derived on
@@ -119,7 +122,6 @@ from .exactlinalg import (
     _scaled_bound,
     _scaled_rows,
     _walk_lift,
-    mat_is_symmetric,
     mat_shape,
 )
 from .graphs import UniversalParams, universal_matrix
@@ -139,15 +141,15 @@ from .polynomials import (
 
 @dataclass(frozen=True, eq=False)
 class MainFunction:
-    """Gamma = V^T (xI - M)^{-1} U in exact normal form (g, f), held in
-    Z[y] (module docstring).
+    """Gamma = E^T (xI - M)^{-1} E of a symmetric M in exact normal form
+    (g, f), held in Z[y] (module docstring).
 
     phi = det(xI - M) has degree n, g is the monic least common
     denominator of the reduced entries, of degree d (g divides phi, and
-    its roots are exactly the E-main eigenvalues when M is symmetric and
-    U = V = E), and f = g * Gamma is a polynomial matrix. With s the common
-    denominator of M and `scale` the product of those of U and V, the
-    integer lists, constant term first, are `phi` = s^n phi(y / s),
+    its roots are exactly the E-main eigenvalues), and f = g * Gamma is a
+    symmetric polynomial matrix. With s the common denominator of M and
+    `scale` = s_e^2 for the common denominator s_e of E, the integer
+    lists, constant term first, are `phi` = s^n phi(y / s),
     `g` = s^d g(y / s), both monic, and f[a][b], the d coefficients of
     scale * s^(d-1) f_ab(y / s). `charpoly`, `denominator` and `numerator`
     are phi, g and f over Q, derived once when first read. The form is
@@ -248,34 +250,27 @@ def _resolvent(key: tuple):
     return s, tuple(_charpoly_lift(rows, bound)), tuple(map(tuple, rows)), bound, key == tuple(zip(*key))
 
 
-def main_function_bilinear(m, u, v) -> MainFunction:
-    """V^T (xI - M)^{-1} U = N / phi in exact normal form. N comes from the
-    walk sums (module docstring): with M = M'/s, V = V'/s_v and U = U'/s_u,
-    entry (a, b) is the n integer coefficients, lowest first, of
-    V'^T adj(yI - M') U', that is of s_v s_u s^(n-1) N_ab(y / s), lifted by
-    `exactlinalg._walk_lift` on the cells (a, b) of non-zero columns a of V
-    and b of U (others are zero): all, or a <= b alone when M is symmetric
-    and U = V; scale 1 when a side has no column. Then g = phi / h and
+def main_function(m, e) -> MainFunction:
+    """E^T (xI - M)^{-1} E = N / phi in exact normal form, for a symmetric
+    M (NonSymmetricInputError otherwise). N comes from the walk sums (module
+    docstring): with M = M'/s and E = E'/s_e, entry (a, b) is the n integer
+    coefficients, lowest first, of E'^T adj(yI - M') E', that is of
+    s_e^2 s^(n-1) N_ab(y / s), lifted by `exactlinalg._walk_lift` on the
+    cells a <= b of the non-zero columns of E (others are zero), since
+    N_ab = N_ba; scale 1 when E has no column. Then g = phi / h and
     f = N / h, with h = gcd(phi, every non-zero N_ab) taken as one
     divide-first chain in Z[y] over the cells."""
     n = _require_square(m)
-    rv, cv = mat_shape(v)
-    ru, cu = mat_shape(u)
-    if rv != n or ru != n:
-        raise SizeMismatchError(f"side matrices must have {n} rows, got {rv} and {ru}")
+    r, c = mat_shape(e)
+    if r != n:
+        raise SizeMismatchError(f"the side must have {n} rows, got {r}")
     s, phi, rows, bound, symmetric = _resolvent(tuple(map(tuple, m)))
-    mirror = symmetric and u == v
-    scale, left, right, cells, numerators = 1, [], [], [], []
-    if cv and cu:
-        sv, v_ints = _scaled_rows(v)
-        su, u_ints = (sv, v_ints) if mirror else _scaled_rows(u)
-        scale = sv * su
-        left = [a for a, col in enumerate(zip(*v_ints)) if any(col)]
-        right = left if mirror else [b for b, col in enumerate(zip(*u_ints)) if any(col)]
-        cells = [(x, y) for x in range(len(left)) for y in range(x if mirror else 0, len(right))]
-    if cells:
-        sides = [[[row[a] for a in cols] for row in ints] for cols, ints in ((left, v_ints), (right, u_ints))]
-        numerators = _walk_lift(rows, phi, *sides, bound, cells)
+    if not symmetric:
+        raise NonSymmetricInputError("main functions need a symmetric matrix")
+    se, ints = _scaled_rows(e)
+    cols = [a for a, col in enumerate(zip(*ints)) if any(col)]
+    cells = [(x, y) for x in range(len(cols)) for y in range(x, len(cols))]
+    numerators = _walk_lift(rows, phi, [[row[a] for a in cols] for row in ints], bound, cells) if cells else []
     h, held = phi, {}
     for cell, p in zip(cells, numerators):
         if any(p[len(h) - 1:]):  # deg p >= deg h, so h may divide p
@@ -286,16 +281,13 @@ def main_function_bilinear(m, u, v) -> MainFunction:
                 pass
         if any(p):  # a zero entry leaves h as it is
             h = _int_gcd(h, p)
-    f = [[(0,) * (n + 1 - len(h))] * cu for _ in range(cv)]
+    f = [[(0,) * (n + 1 - len(h))] * c for _ in range(c)]
     for (x, y), p in zip(cells, numerators):
         # h only shrinks, so a quotient taken at its final degree is p / h, the
         # n - deg h coefficients of scale * s^(n-1-deg h) f(y / s), as a zero entry has
         size, q = held.get((x, y), (0, None))
-        a, b = left[x], right[y]
-        f[a][b] = tuple(q if size == len(h) else _int_divexact(p, h))
-        if mirror:
-            f[b][a] = f[a][b]
-    return MainFunction(s, phi, tuple(_int_divexact(phi, h)), tuple(map(tuple, f)), scale)
+        f[cols[x]][cols[y]] = f[cols[y]][cols[x]] = tuple(q if size == len(h) else _int_divexact(p, h))
+    return MainFunction(s, phi, tuple(_int_divexact(phi, h)), tuple(map(tuple, f)), se * se)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +297,7 @@ def main_function_bilinear(m, u, v) -> MainFunction:
 def _eigen_classes(m, mf: MainFunction) -> Tuple[EigenvalueClass, ...]:
     """Split phi into monic squarefree classes homogeneous in multiplicity
     and mainness (mainness = dividing g), extracting rational roots; in
-    Z[y] on the integers of `mf = main_function_bilinear(m, e, e)`, scaled
+    Z[y] on the integers of `mf = main_function(m, e)`, scaled
     by the common denominator s of M, where the rational roots are the
     integer roots y of `_integer_roots` and stand for y / s."""
     roots = _integer_roots(mf.phi, m, mf.s)
@@ -333,9 +325,7 @@ def classify_e_main(m, e) -> Tuple[EigenvalueClass, ...]:
     """Classify the eigenvalue classes of a symmetric rational matrix M as
     E-main or not: a class is E-main exactly when it divides the reduced
     common denominator of Gamma."""
-    if not mat_is_symmetric(m):
-        raise NonSymmetricInputError("classification needs a symmetric matrix")
-    return _eigen_classes(m, main_function_bilinear(m, e, e))
+    return _eigen_classes(m, main_function(m, e))
 
 
 def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
@@ -404,10 +394,11 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[List[Tuple[int
 
 
 def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction], int, List[int]]:
-    """The main functions of the diagonal blocks (M_i, U_i, V_i) of a block
-    matrix M, one per distinct block content, the common denominator L of
-    M and det(yI - L*M) in Z[y] from them, when each off-diagonal block
-    (i, j) is U_i diag(w) V_j^T with w = weights(i, j) (None: zero).
+    """The main functions S_i^T (xI - M_i)^{-1} S_i of the diagonal blocks
+    (M_i, S_i) of a block matrix M, one per distinct pair, the common
+    denominator L of M and det(yI - L*M) in Z[y] from them, when each
+    off-diagonal block (i, j) is S_i diag(w) S_j^T with w = weights(i, j)
+    (None: zero).
 
     The reduced matrix holds g_i I on diagonal block i and -w_b f_i[a][b] at
     row a of block i, column b of block j; its determinant Phi gives
@@ -418,10 +409,10 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
     lift of `matrix`: BlockFactorizationError names the lowest power of x
     whose coefficients differ."""
     mfs, mains = [], {}
-    for m, u, v in blocks:
-        key = tuple(map(tuple, m)), tuple(map(tuple, u)), tuple(map(tuple, v))
+    for m, e in blocks:
+        key = tuple(map(tuple, m)), tuple(map(tuple, e))
         if key not in mains:
-            mains[key] = main_function_bilinear(m, u, v)
+            mains[key] = main_function(m, e)
         mfs.append(mains[key])
     l, rows, bound = _scaled_bound(matrix)
     table, index, scale = _reduced_stack(mfs, weights)
@@ -475,10 +466,10 @@ def _phi_quotient(lift: Sequence[int], mfs: Sequence[MainFunction], m: int, l: i
 def _universal_blocks(host, factors, sides, params):
     """Blocks of U = alpha*A + beta*I + gamma*J + delta*D of the join with
     sides E_i = sides[i] on c columns (module docstring): blocks[i] =
-    (M_i, U_i, V_i) with M_i = U(G_i) + delta*diag(E_i t_i), and block (i, j)
-    of U is U_i diag(w) V_j^T for w = weights(i, j), None meaning zero:
-    U_i = V_i = E_i and w = (alpha,)*c on host edges when gamma = 0, else
-    U_i = [1 | E_i], V_i = [gamma*1 | E_i] and w = (1,) + (alpha*rho_ij,)*c."""
+    (M_i, S_i) with M_i = U(G_i) + delta*diag(E_i t_i), and block (i, j) of
+    U is S_i diag(w) S_j^T for w = weights(i, j), None meaning zero:
+    S_i = E_i and w = (alpha,)*c on host edges when gamma = 0, else
+    S_i = [1 | E_i] and w = (gamma,) + (alpha*rho_ij,)*c."""
     c = len(sides[0][0]) if sides else 0
     neighbors = host.adjacency()
     blocks = []
@@ -489,15 +480,12 @@ def _universal_blocks(host, factors, sides, params):
             t = [sum(col) for col in zip(*(row for j in neighbors[i] for row in sides[j]))]
             for v, row in enumerate(e):
                 m[v][v] += params.delta * sum(x * y for x, y in zip(row, t))
-        if params.gamma == 0:
-            blocks.append((m, e, e))
-        else:
-            blocks.append((m, [[1] + row for row in e], [[params.gamma] + row for row in e]))
+        blocks.append((m, e if params.gamma == 0 else [[1] + row for row in e]))
 
     def weights(i, j):
         if params.gamma == 0:
             return (params.alpha,) * c if j in neighbors[i] else None
-        return (1,) + ((params.alpha if j in neighbors[i] else 0),) * c
+        return (params.gamma,) + ((params.alpha if j in neighbors[i] else 0),) * c
 
     return blocks, weights
 
@@ -520,7 +508,7 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
     mfs, l, lift = reduced_block_charpoly(blocks, weights, matrix)
     char = _unscaled(lift, l)
     flags, carry, ledgers = [], [], {}
-    for i, ((mat, _, _), mf) in enumerate(zip(blocks, mfs)):
+    for i, ((mat, _), mf) in enumerate(zip(blocks, mfs)):
         if id(mf) not in ledgers:  # the first block with this main function
             classes, counts = _eigen_classes(mat, mf), []
             for c, cls in enumerate(classes):

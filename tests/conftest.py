@@ -76,18 +76,17 @@ def polymatrix_det_mod(num, points, p, lead):
     return _polymatrix_det_mod(row_residues(rows, [p]), index, points, [p], lead)[0].tolist()
 
 
-def walk_numerators(m, left, right):
-    """s, s^n phi(y / s), s_l s_r and the integer walk layers of
-    L^T adj(xI - M) R for M = M'/s, L = L'/s_l and R = R'/s_r: entry (a, b)
-    holds the n coefficients, lowest first, of L'^T adj(yI - M') R', the
-    numerators that `main_function_bilinear` reduces. Sides need at least
-    one column."""
+def walk_numerators(m, side):
+    """s, s^n phi(y / s), s_e^2 and the integer walk layers of
+    E^T adj(xI - M) E for M = M'/s and E = E'/s_e, any square M: entry
+    (a, b), every one walked, holds the n coefficients, lowest first, of
+    E'^T adj(yI - M') E', the numerators that `main_function` reduces. The
+    side needs at least one column."""
     s, phi, rows, bound, _ = _resolvent(tuple(map(tuple, m)))
-    sl, l_ints = _scaled_rows(left)
-    sr, r_ints = _scaled_rows(right)
-    cl, cr = len(left[0]), len(right[0])
-    lifted = _walk_lift(rows, phi, l_ints, r_ints, bound, [(a, b) for a in range(cl) for b in range(cr)])
-    return s, phi, sl * sr, [lifted[a * cr:(a + 1) * cr] for a in range(cl)]
+    se, ints = _scaled_rows(side)
+    c = len(side[0])
+    lifted = _walk_lift(rows, phi, ints, bound, [(a, b) for a in range(c) for b in range(c)])
+    return s, phi, se * se, [lifted[a * c:(a + 1) * c] for a in range(c)]
 
 
 def lattice_srg16() -> Graph:

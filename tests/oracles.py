@@ -40,8 +40,16 @@ route of `hmjoin.spectra.classify_e_main`.
 graph in closed form, |S| / (x - theta), from the graph's vertex count and
 regular degree and the four universal parameters alone (any objects with
 `n`, `is_regular()` and `alpha`, `beta`, `gamma`, `delta`): the tests
-compare it with the walk-sum route of
-`hmjoin.spectra.main_function_bilinear`.
+compare it with entry (0, 1) of the walk-sum route
+`hmjoin.spectra.main_function` on the side [1 | 1_S].
+
+`resolvent_bilinear_at` is det(tI - M) and V^T (tI - M)^{-1} U at one
+rational point t, any square M and any two sides, by Gauss-Jordan
+elimination over Q (`solve_with_det`). Interpolated over enough points
+(`resolvent_numerators`) it gives the numerators that the one-sided walk
+lift of
+`hmjoin.exactlinalg._walk_lift` computes, and the augmented witnesses that
+`hmjoin.serialize.certificate_to_json` prints.
 
 `poly_divmod` (long division over Q), `euclid_gcd` (Euclid over Q,
 renormalized to monic each step), `lowest_terms` (a quotient of
@@ -328,6 +336,62 @@ def polymatrix_det_values(entries, points: Sequence[int]) -> List[Fraction]:
         work = [[_int_coeff_eval(c, t) for c in row] for row in int_rows]
         values.append(Fraction(_det_int(work), scale))
     return values
+
+
+def solve_with_det(a, b):
+    """det(a) and X with a X = b, by Fraction Gauss-Jordan elimination
+    (X is None when a is singular)."""
+    n = len(a)
+    rows = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if p is None:
+            return Fraction(0), None
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det, [row[n:] for row in rows]
+
+
+def resolvent_bilinear_at(m, u, v, t):
+    """det(tI - M) and V^T (tI - M)^{-1} U (None when tI - M is singular)."""
+    n = len(m)
+    shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+    det, x = solve_with_det(shifted, u)
+    if x is None:
+        return det, None
+    cols_u = len(u[0]) if n else 0
+    cols_v = len(v[0]) if n else 0
+    return det, [[sum((v[i][a] * x[i][b] for i in range(n)), Fraction(0)) for b in range(cols_u)]
+                 for a in range(cols_v)]
+
+
+def resolvent_numerators(m, u, v):
+    """phi = det(xI - M) and the polynomial matrix N = phi * V^T (xI - M)^{-1} U,
+    interpolated from `resolvent_bilinear_at`: phi from n + 1 points, each
+    N_ab (degree below n) from the first n integers where tI - M is
+    invertible."""
+    n = len(m)
+    phi = interpolate([(t, resolvent_bilinear_at(m, u, v, t)[0]) for t in range(n + 1)])
+    samples = []
+    t = 0
+    while len(samples) < n:
+        det, value = resolvent_bilinear_at(m, u, v, Fraction(t))
+        if value is not None:
+            samples.append((t, det, value))
+        t += 1
+    cols_u = len(u[0]) if n else 0
+    cols_v = len(v[0]) if n else 0
+    return phi, [[interpolate([(t, det * value[a][b]) for t, det, value in samples]) for b in range(cols_u)]
+                 for a in range(cols_v)]
 
 
 def bareiss_charpoly(m) -> Polynomial:

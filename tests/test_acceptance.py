@@ -32,7 +32,7 @@ from hmjoin import (
     graph_from_json,
     hm_join,
     isomorphism_test,
-    main_function_bilinear,
+    main_function,
     parse_spec,
     reduce_labels,
     search_pairs,
@@ -337,10 +337,10 @@ def test_criterion_09_regular_closed_forms_match_first_principles():
             params = UniversalParams(alpha, beta, gamma_c, delta)
             closed = regular_gamma_closed_form(g, subset, params)
             u = universal_matrix(g, params)
-            ones = [[Fraction(1)] for _ in range(g.n)]
-            indicator = [[Fraction(1 if v in set(subset) else 0)]
-                         for v in range(g.n)]
-            first = main_function_bilinear(u, ones, indicator).entry(0, 0)
+            # 1_S^T (xI - U)^{-1} 1 is entry (0, 1) on the side [1 | 1_S]
+            side = [[Fraction(1), Fraction(1 if v in set(subset) else 0)]
+                    for v in range(g.n)]
+            first = main_function(u, side).entry(0, 1)
             assert closed == first
     print("PASS criterion 09: closed forms equal resolvent bilinears on "
           "50 instances per hypothesis case")

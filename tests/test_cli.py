@@ -397,7 +397,7 @@ _SHORT_LABELS = {"host": {"n": 2, "edges": [[0, 1]], "labels": ["left"]}, "m": 1
     (["family", "petersen", "a", "b"], None, "family petersen expects integer parameters"),
     (["family", "petersen", "5"], None, "family petersen expects 2 integer parameters"),
     (["universal", "SPEC"], _ALPHA0, "/params: alpha must be nonzero"),
-    (["charpoly", "SPEC"], _EMPTY_FACTOR, "<document>: factor 0 has no vertices"),
+    (["charpoly", "SPEC"], _EMPTY_FACTOR, "/factors/0: factor 0 has no vertices"),
     (["charpoly", "SPEC"], _PATH0, "/factors/0: a path needs at least 1 vertex"),
     (["charpoly", "SPEC"], _SHORT_LABELS, "/host: expected 2 labels, got 1"),
 ], ids=["graph-token", "family-params", "family-arity", "alpha-zero", "empty-factor", "path-0", "labels"])

@@ -48,6 +48,15 @@ _C6_ANCHOR = ('{"host": {"n": 2, "edges": [[0, 1]]}, '
 _INPUTS["c6_anchor_a.json"] = _C6_ANCHOR % "[0, 1]"
 _INPUTS["c6_anchor_b.json"] = _C6_ANCHOR % "[2, 3]"
 _INPUTS["c6_anchor_c.json"] = _C6_ANCHOR % "[0, 3]"
+# refusals of one factor or subset, reported at that item's pointer
+_INPUTS["empty_factor.json"] = ('{"host": {"n": 2, "edges": [[0, 1]]}, "m": 1, '
+                                '"factors": [{"n": 0, "edges": []}, {"n": 1, "edges": []}], "indexing": [[], [1]]}')
+_INPUTS["empty_factor_generalized.json"] = ('{"host": {"n": 2, "edges": [[0, 1]]}, '
+                                            '"factors": [{"n": 1, "edges": []}, {"n": 0, "edges": []}], '
+                                            '"subsets": [[0], []], "params": "A"}')
+_INPUTS["subset_outside_factor.json"] = ('{"host": {"n": 2, "edges": [[0, 1]]}, '
+                                         '"factors": [{"n": 2, "edges": [[0, 1]]}, {"n": 1, "edges": []}], '
+                                         '"subsets": [[1, 5], [0]], "params": "A"}')
 
 
 def invocations():
@@ -90,6 +99,8 @@ def invocations():
     out.append(["cospectral", "search", catalog, "--kind", "A", "--budget", "0"])
     out.append(["cospectral", "search", "@not_json_catalog.txt", "--kind", "A"])
     out.append(["charpoly", "@malformed_spec.json"])
+    for name in ("empty_factor", "empty_factor_generalized", "subset_outside_factor"):
+        out.append(["charpoly", "@%s.json" % name])
     out.append(["family", "moebius", "3"])
     out.append(["universal", "fixtures/p3_3.json", "--params", "1,2,3"])
     return out

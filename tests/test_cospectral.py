@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import exceptional_srg16, lattice_srg16, random_graph
-from oracles import regular_gamma_closed_form
+from oracles import bareiss_charpoly, lowest_terms, regular_gamma_closed_form, resolvent_numerators
 import hmjoin.cospectral as cospectral
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import (
@@ -33,8 +33,8 @@ from hmjoin.errors import (
 from hmjoin.exactlinalg import charpoly
 from hmjoin.graphs import Graph, UniversalParams, disjoint_union, make_named, universal_matrix
 from hmjoin.polynomials import Polynomial
-from hmjoin.serialize import generalized_spec_from_json, graph_from_json
-from hmjoin.spectra import main_function_bilinear
+from hmjoin.serialize import certificate_to_json, generalized_spec_from_json, graph_from_json, polynomial_to_json
+from hmjoin.spectra import main_function
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -114,6 +114,57 @@ def test_generalized_cross_check_names_first_differing_coefficient(monkeypatch):
     assert "direct path gives %s" % (true.coefficient(3) + 3) in message
 
 
+def random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
+    value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return value or (Fraction(1, 2) if nonzero else value)
+
+
+def random_gamma_spec(rng: random.Random, params: UniversalParams, kmax: int = 4,
+                      nmax: int = 5) -> GeneralizedJoinSpec:
+    """A generalized spec whose subsets are drawn empty, whole or of any size."""
+    k = rng.randint(1, kmax)
+    factors = [random_graph(rng, rng.randint(1, nmax)) for _ in range(k)]
+    subsets = [rng.sample(range(g.n), rng.choice([0, g.n, rng.randint(0, g.n)])) for g in factors]
+    return GeneralizedJoinSpec(random_graph(rng, k), factors, subsets, params)
+
+
+def test_gamma_corpus_matches_the_bareiss_charpoly():
+    # 200 seeded specs with random rational alpha != 0, beta, gamma != 0
+    # and delta: the blocks on the sides [1 | 1_S] with gamma in the weights
+    rng = random.Random(2929)
+    kinds = set()
+    for _ in range(200):
+        params = UniversalParams(random_rational(rng, True), random_rational(rng), random_rational(rng, True),
+                                 random_rational(rng))
+        spec = random_gamma_spec(rng, params)
+        kinds.update("empty" if not s else "whole" if len(s) == g.n else "part"
+                     for g, s in zip(spec.factors, spec.subsets))
+        assert generalized_universal_charpoly(spec) == bareiss_charpoly(universal_matrix(spec.join_graph(), params))
+    assert kinds == {"empty", "whole", "part"}
+
+
+@pytest.mark.parametrize("gamma, delta", [(Fraction(2), Fraction(-1, 2)), (Fraction(-1, 3), Fraction(1))])
+def test_printed_gamma_witnesses_match_the_resolvent_oracle(gamma, delta):
+    # each printed entry is that of V^T (xI - M_i)^{-1} U in lowest terms,
+    # V = [gamma*1 | 1_S] and U = [1 | 1_S], M_i the slot's block of the
+    # join's universal matrix
+    rng = random.Random(1729)
+    for _ in range(8):
+        params = UniversalParams(random_rational(rng, True), random_rational(rng), gamma, delta)
+        spec = random_gamma_spec(rng, params, kmax=3, nmax=4)
+        doc = certificate_to_json(check_cospectral_conditions(spec, spec, "U"))
+        join = universal_matrix(spec.join_graph(), params)
+        offset = 0
+        for g, subset, witness in zip(spec.factors, spec.subsets, doc["gamma_witness"]):
+            block = [row[offset:offset + g.n] for row in join[offset:offset + g.n]]
+            offset += g.n
+            u = [[1, int(v in subset)] for v in range(g.n)]
+            phi, numerators = resolvent_numerators(block, u, [[gamma, x] for _, x in u])
+            expected = [[lowest_terms(p, phi) for p in row] for row in numerators]
+            assert witness == [[{"num": polynomial_to_json(num), "den": polynomial_to_json(den)} for num, den in row]
+                               for row in expected]
+
+
 def join_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     """The designated charpoly of a join, straight from its universal matrix."""
     return charpoly(universal_matrix(spec.join_graph(), spec.params))
@@ -121,11 +172,11 @@ def join_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
 
 def closed_form_checked(g, subset, params):
     """The closed form of `oracles`, after asserting that it equals
-    1_S^T (xI - U(G))^{-1} 1 from `main_function_bilinear`."""
+    1_S^T (xI - U(G))^{-1} 1, entry (0, 1) of `main_function` on the side
+    [1 | 1_S]."""
     closed = regular_gamma_closed_form(g, subset, params)
-    ones = [[Fraction(1)] for _ in range(g.n)]
-    sel = [[Fraction(1 if v in set(subset) else 0)] for v in range(g.n)]
-    assert main_function_bilinear(universal_matrix(g, params), ones, sel).entry(0, 0) == closed
+    side = [[1, int(v in set(subset))] for v in range(g.n)]
+    assert main_function(universal_matrix(g, params), side).entry(0, 1) == closed
     return closed
 
 
@@ -312,7 +363,7 @@ def test_laplacian_kind_needs_corrected_gates():
 
     def uncorrected_scalar(g, subset):
         sel = [[Fraction(1 if v in set(subset) else 0)] for v in range(g.n)]
-        return main_function_bilinear(universal_matrix(g, params), sel, sel).entry(0, 0)
+        return main_function(universal_matrix(g, params), sel).entry(0, 0)
 
     assert uncorrected_scalar(ga, sa.subsets[0]) == uncorrected_scalar(gb, sb.subsets[0])
     with pytest.raises(HypothesisNotMetError, match="corrected charpolys differ"):

@@ -407,7 +407,7 @@ def test_adjugate_identity():
     rng = random.Random(4)
     for n in range(1, 6):
         m = random_fraction_matrix(rng, n)
-        s, phi, den, scaled = walk_numerators(m, identity_matrix(n), identity_matrix(n))
+        s, phi, den, scaled = walk_numerators(m, identity_matrix(n))
         p = _unscaled(phi, s)
         assert p == charpoly(m)
         adj = [[_unscaled(c, s, den) for c in row] for row in scaled]

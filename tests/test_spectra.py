@@ -29,6 +29,8 @@ from oracles import (
     poly_scale,
     polymatrix_det,
     polymatrix_det_values,
+    resolvent_bilinear_at,
+    resolvent_numerators,
 )
 import hmjoin.cospectral as cospectral
 import hmjoin.exactlinalg as exactlinalg
@@ -45,7 +47,7 @@ from hmjoin.spectra import (
     _universal_blocks,
     block_charpoly,
     classify_e_main,
-    main_function_bilinear,
+    main_function,
     universal_block_charpoly,
 )
 
@@ -75,7 +77,7 @@ def test_gamma_matrix_of_k2_with_one_label():
     g = make_named("complete", [2])
     im = IndexingMap([1, 1], 2)
     e = indexing_matrix(g, im)
-    mf = main_function_bilinear(g.adjacency_matrix(), e, e)
+    mf = main_function(g.adjacency_matrix(), e)
     assert mf.entry(0, 0) == ratfun([2], [-1, 1])
     assert mf.entry(0, 1) == ratfun([0], [1])
     assert mf.entry(1, 1) == ratfun([0], [1])
@@ -87,7 +89,7 @@ def test_gamma_matrix_of_k5_with_two_labels():
     g = make_named("complete", [5])
     im = IndexingMap([1, 1, 1, 2, 2], 2)
     e = indexing_matrix(g, im)
-    mf = main_function_bilinear(g.adjacency_matrix(), e, e)
+    mf = main_function(g.adjacency_matrix(), e)
     den = [-4, -3, 1]  # x^2 - 3x - 4
     assert mf.entry(0, 0) == ratfun([-3, 3], den)
     assert mf.entry(0, 1) == ratfun([6], den)
@@ -99,13 +101,13 @@ def test_gamma_matrix_of_k5_with_two_labels():
 def test_main_function_equality_ignores_the_scale():
     # both have Gamma = 1/x, one over s = 2 and one over s = 1
     e = [[0], [1]]
-    half = main_function_bilinear([[Fraction(1, 2), 0], [0, 0]], e, e)
-    zero = main_function_bilinear([[0, 0], [0, 0]], e, e)
+    half = main_function([[Fraction(1, 2), 0], [0, 0]], e)
+    zero = main_function([[0, 0], [0, 0]], e)
     assert (half.s, zero.s) == (2, 1)
     assert half == zero and hash(half) == hash(zero)
     assert half.entry(0, 0) == zero.entry(0, 0) == ratfun([1], [0, 1])
     e = [[0], [2]]
-    assert half != main_function_bilinear([[0, 0], [0, 0]], e, e)
+    assert half != main_function([[0, 0], [0, 0]], e)
 
 
 def test_main_function_invariants_on_random_specs():
@@ -114,7 +116,7 @@ def test_main_function_invariants_on_random_specs():
         spec = random_spec(rng)
         for g, im in zip(spec.factors, spec.indexing):
             e = indexing_matrix(g, im)
-            mf = main_function_bilinear(g.adjacency_matrix(), e, e)
+            mf = main_function(g.adjacency_matrix(), e)
             # the reduced common denominator divides the charpoly
             assert poly_divmod(mf.charpoly, mf.denominator)[1].is_zero
             # cleared numerators: f = g * Gamma entrywise, deg f < deg g
@@ -130,6 +132,11 @@ def oracle_lcm(a, b):
     return poly_monic(poly_divmod(poly_mul(a, b), euclid_gcd(a, b))[0])
 
 
+def symmetric(m):
+    """The symmetric matrix with the lower triangle of m."""
+    return [[m[max(i, j)][min(i, j)] for j in range(len(m))] for i in range(len(m))]
+
+
 def test_main_function_normal_form_against_oracle():
     # g is the monic lcm of the reduced entry denominators, and each entry
     # is f_ab / g in lowest terms, both by Euclid over Q
@@ -141,11 +148,9 @@ def test_main_function_normal_form_against_oracle():
 
     for _ in range(40):
         n = rng.randint(1, 5)
-        m = rand(n, n)
-        m = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-        u = rand(n, rng.randint(1, 3), span=1)
-        v = u if rng.random() < 0.5 else rand(n, len(u[0]), span=1)
-        mf = main_function_bilinear(m, u, v)
+        m = symmetric(rand(n, n))
+        e = rand(n, rng.randint(1, 3), span=1)
+        mf = main_function(m, e)
         assert mf.denominator.coeffs[-1] == 1
         lcm = Polynomial([1])
         for a, row in enumerate(mf.numerator):
@@ -156,42 +161,6 @@ def test_main_function_normal_form_against_oracle():
         assert mf.denominator == lcm
 
 
-def solve_with_det(a, b):
-    """det(a) and X with a X = b, by Fraction Gauss-Jordan elimination
-    (X is None when a is singular)."""
-    n = len(a)
-    rows = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if p is None:
-            return Fraction(0), None
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        pivot = rows[c][c]
-        det *= pivot
-        rows[c] = [x / pivot for x in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c] != 0:
-                factor = rows[r][c]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
-    return det, [row[n:] for row in rows]
-
-
-def resolvent_bilinear_at(m, u, v, t):
-    """det(tI - M) and V^T (tI - M)^{-1} U (None when tI - M is singular)."""
-    n = len(m)
-    shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-    det, x = solve_with_det(shifted, u)
-    if x is None:
-        return det, None
-    cols_u = len(u[0]) if n else 0
-    cols_v = len(v[0]) if n else 0
-    return det, [[sum((v[i][a] * x[i][b] for i in range(n)), Fraction(0)) for b in range(cols_u)]
-                 for a in range(cols_v)]
-
-
 def main_function_oracle_cases():
     rng = random.Random(33)
 
@@ -200,53 +169,39 @@ def main_function_oracle_cases():
                 for _ in range(rows)]
 
     cases = []
-    for n, cu, cv in ((1, 2, 1), (2, 1, 3), (3, 3, 2), (4, 2, 1), (5, 1, 2)):
-        cases.append((rand(n, n), rand(n, cu), rand(n, cv)))
-    # zero-width sides, an all-zero side (g = 1), and a 1 x 1 matrix
-    cases.append((rand(3, 3), [[] for _ in range(3)], rand(3, 2)))
-    cases.append((rand(3, 3), rand(3, 2), [[] for _ in range(3)]))
-    cases.append((rand(4, 4), [[0, 0] for _ in range(4)], rand(4, 1)))
-    cases.append(([[Fraction(-5, 2)]], [[Fraction(3)]], [[Fraction(1, 7), Fraction(0)]]))
+    for n, c in ((1, 2), (2, 3), (3, 2), (4, 1), (5, 2)):
+        cases.append((symmetric(rand(n, n)), rand(n, c)))
+    # a zero-width side, an all-zero side (g = 1), and a 1 x 1 matrix
+    cases.append((symmetric(rand(3, 3)), [[] for _ in range(3)]))
+    cases.append((symmetric(rand(4, 4)), [[0, 0] for _ in range(4)]))
+    cases.append(([[Fraction(-5, 2)]], [[Fraction(1, 7), Fraction(0)]]))
     # non-main eigenvalues: g is a proper factor of phi, and the two label
     # classes of a disjoint union see different parts of the spectrum, so
     # no single entry's denominator is the whole g
     union = make_named("path", [3]).adjacency_matrix()
     union = [row + [0, 0, 0] for row in union] + [[0, 0, 0] + [int(i != j) for j in range(3)]
                                                   for i in range(3)]
-    sides = [[1, 0], [0, 0], [1, 0], [0, 1], [0, 1], [0, 0]]
-    cases.append((union, sides, sides))
+    cases.append((union, [[1, 0], [0, 0], [1, 0], [0, 1], [0, 1], [0, 0]]))
     k5 = make_named("complete", [5])
-    e5 = indexing_matrix(k5, IndexingMap([1, 1, 1, 2, 2], 2))
-    cases.append((k5.adjacency_matrix(), e5, [row[:1] for row in e5]))
-    # denominators s = 12, s_r = 5 and s_l = 7, and a block the sides never
-    # see, so h = x - 5/6 is not constant
+    cases.append((k5.adjacency_matrix(), indexing_matrix(k5, IndexingMap([1, 1, 1, 2, 2], 2))))
+    # denominators s = 12 and s_e = 35, and a block the side never sees,
+    # so h = x - 5/6 is not constant
     f = Fraction
     m = [[f(1, 2), f(1, 3), 0], [f(1, 3), f(-1, 4), 0], [0, 0, f(5, 6)]]
-    cases.append((m, [[f(1, 5), 2], [f(3, 5), -1], [0, 0]], [[f(2, 7)], [1], [0]]))
+    cases.append((m, [[f(1, 5), f(2, 7), 2], [f(3, 5), 1, -1], [0, 0, 0]]))
     return cases
 
 
-def assert_matches_resolvent_oracle(m, u, v):
-    """main_function_bilinear(m, u, v) against the resolvent oracle; returns
-    the main function, phi and the oracle's numerators N = phi * Gamma."""
-    n = len(m)
-    cu, cv = len(u[0]), len(v[0])
-    mf = main_function_bilinear(m, u, v)
-    assert len(mf.numerator) == cv
-    assert all(len(row) == cu for row in mf.numerator)
-    # phi from n + 1 determinants, N = phi * V^T (xI - M)^{-1} U from its
-    # values at n integers where tI - M is invertible (deg N < n)
-    phi = interpolate([(t, resolvent_bilinear_at(m, u, v, t)[0]) for t in range(n + 1)])
+def assert_matches_resolvent_oracle(m, e):
+    """main_function(m, e) against the resolvent oracle with both sides E;
+    returns the main function, phi and the oracle's numerators
+    N = phi * Gamma."""
+    c = len(e[0])
+    mf = main_function(m, e)
+    assert len(mf.numerator) == c
+    assert all(len(row) == c for row in mf.numerator)
+    phi, numerators = resolvent_numerators(m, e, e)
     assert mf.charpoly == phi
-    samples = []
-    t = 0
-    while len(samples) < n:
-        det, value = resolvent_bilinear_at(m, u, v, Fraction(t))
-        if value is not None:
-            samples.append((t, det, value))
-        t += 1
-    numerators = [[interpolate([(t, det * value[a][b]) for t, det, value in samples])
-                   for b in range(cu)] for a in range(cv)]
     # the route through per-entry reduction: monic lcm of the reduced
     # denominators phi / gcd(N_ab, phi) of N / phi
     g = Polynomial([1])
@@ -255,14 +210,14 @@ def assert_matches_resolvent_oracle(m, u, v):
             den = poly_divmod(phi, euclid_gcd(p, phi))[0]
             g = poly_divmod(poly_mul(g, den), euclid_gcd(g, den))[0]
     assert mf.denominator == g
-    for a in range(cv):
-        for b in range(cu):
+    for a in range(c):
+        for b in range(c):
             quot, rem = poly_divmod(poly_mul(numerators[a][b], g), phi)
             assert rem.is_zero and mf.numerator[a][b] == quot
-    if cu and cv and all(p.is_zero for row in numerators for p in row):
+    if c and all(p.is_zero for row in numerators for p in row):
         assert mf.denominator == Polynomial([1])
     for t in (Fraction(1, 3), Fraction(-7, 2), Fraction(11, 5)):
-        _, value = resolvent_bilinear_at(m, u, v, t)
+        _, value = resolvent_bilinear_at(m, e, e, t)
         assert value is not None
         gt = poly_eval(mf.denominator, t)
         assert value == [[poly_eval(f, t) / gt for f in row] for row in mf.numerator]
@@ -270,17 +225,15 @@ def assert_matches_resolvent_oracle(m, u, v):
 
 
 def test_main_function_matches_resolvent_oracle():
-    for m, u, v in main_function_oracle_cases():
-        assert_matches_resolvent_oracle(m, u, v)
+    for m, e in main_function_oracle_cases():
+        assert_matches_resolvent_oracle(m, e)
 
 
 def halved_main_function_cases():
-    """(M, U, V, whether N_ab = N_ba lets the walk lift only a <= b): seeded
-    symmetric rational M whose sides have several columns, one of them
-    zero, passed once as one object and once as an equal copy; non-symmetric
-    M with one side object for both; n x 0 sides on either side and on both;
-    a gamma != 0 augmented block, whose symmetric M has sides U != V; and a
-    block-diagonal M on which the gcd chain divides two entries by
+    """(M, E): seeded symmetric rational M whose sides have several
+    columns, one of them zero; an n x 0 side; the gamma != 0 block
+    [1 | 1_S] of a join, which walks its upper triangle like any other; and
+    a block-diagonal M on which the gcd chain divides two entries by
     h = phi_2 before the last entry shrinks it to 1 (the oracle checks that
     h)."""
     rng = random.Random(2023)
@@ -292,28 +245,18 @@ def halved_main_function_cases():
     cases = []
     for _ in range(8):
         n = rng.randint(2, 5)
-        m = rand(n, n)
-        m = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        m = symmetric(rand(n, n))
         e = rand(n, rng.randint(2, 4), span=2)
         zero = rng.randrange(len(e[0]))
-        e = [row[:zero] + [0] + row[zero:] for row in e]
-        cases += [(m, e, e, True), (m, e, [list(row) for row in e], True)]
-    for _ in range(4):
-        n = rng.randint(2, 5)
-        m = rand(n, n)
-        m[0][1] = m[1][0] + 1
-        e = rand(n, rng.randint(2, 3), span=2)
-        cases.append((m, e, e, False))
-    m, e, none = cases[0][0], cases[0][1], [[] for _ in cases[0][0]]
-    cases += [(m, e, none, False), (m, none, e, False), (m, none, none, True)]
+        cases.append((m, [row[:zero] + [0] + row[zero:] for row in e]))
+    cases.append((cases[0][0], [[] for _ in cases[0][0]]))
     blocks, _ = _universal_blocks(make_named("path", [2]), [make_named("cycle", [4])] * 2,
                                   [[[1], [0], [1], [0]]] * 2, UniversalParams(1, 0, 2, 0))
-    assert blocks[0][1] != blocks[0][2]
-    cases.append(blocks[0] + (False,))
+    assert blocks[0][1] == [[1, 1], [1, 0], [1, 1], [1, 0]]
+    cases.append(blocks[0])
     half, f = Fraction(1, 2), Fraction
     m = [[0, half, 0, 0, 0], [half, 0, half, 0, 0], [0, half, 0, 0, 0], [0, 0, 0, f(1, 3), 1], [0, 0, 0, 1, 0]]
-    e = [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    cases.append((m, e, e, True))
+    cases.append((m, [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]))
     return cases
 
 
@@ -321,23 +264,22 @@ def test_halved_divide_first_main_function_matches_the_oracles(monkeypatch):
     walks = []
     walk = spectra._walk_lift
 
-    def spied(rows, phi, left, right, bound, cells):
+    def spied(rows, phi, side, bound, cells):
         walks.append(cells)
-        return walk(rows, phi, left, right, bound, cells)
+        return walk(rows, phi, side, bound, cells)
 
     monkeypatch.setattr(spectra, "_walk_lift", spied)
-    for m, u, v, halved in halved_main_function_cases():
+    for m, e in halved_main_function_cases():
         walks.clear()
-        mf, phi, numerators = assert_matches_resolvent_oracle(m, u, v)
-        # the upper triangle when halved, every cell otherwise, both over the
-        # non-zero columns alone, and no walk for an n x 0 side
-        cv, cu = len(v[0]), len(u[0])
-        nv = sum(any(row[a] for row in v) for a in range(cv))
-        nu = nv if halved else sum(any(row[b] for row in u) for b in range(cu))
-        cells = [(a, b) for a in range(nv) for b in range(a if halved else 0, nu)]
+        mf, phi, numerators = assert_matches_resolvent_oracle(m, e)
+        # the upper triangle over the non-zero columns alone, and no walk
+        # for an n x 0 side
+        c = len(e[0])
+        nonzero = sum(any(row[a] for row in e) for a in range(c))
+        cells = [(a, b) for a in range(nonzero) for b in range(a, nonzero)]
         assert walks == ([cells] if cells else [])
-        if not cv or not cu:
-            assert (mf.scale, mf.f) == (1, ((),) * cv)
+        if not c:
+            assert (mf.scale, mf.f) == (1, ())
         for a, row in enumerate(numerators):
             for b, p in enumerate(row):
                 assert mf.entry(a, b) == lowest_terms(p, phi)
@@ -345,16 +287,41 @@ def test_halved_divide_first_main_function_matches_the_oracles(monkeypatch):
     assert euclid_gcd(numerators[0][0], phi).degree == 2 and mf.denominator == phi
 
 
-def walk_bound(m, left, right):
-    """The bound of `_scaled_bound(M)` and W = bound * max_a |L'_a|_1 *
-    max_b |R'_b|_1 for the integer sides L' = s_l L and R' = s_r R, each
-    norm taken as at least 1."""
+def test_gamma_blocks_walk_only_the_upper_triangle(monkeypatch):
+    # every block [1 | 1_S] of a seidel join and every block [1 | E_i] of
+    # a labeled join at gamma != 0 lifts the cells a <= b alone
+    walks = []
+    walk = spectra._walk_lift
+
+    def spied(rows, phi, side, bound, cells):
+        walks.append((len(side[0]), cells))
+        return walk(rows, phi, side, bound, cells)
+
+    monkeypatch.setattr(spectra, "_walk_lift", spied)
+    seidel = UniversalParams.preset("seidel")
+    generalized = GeneralizedJoinSpec(make_named("cycle", [3]),
+                                      [make_named("cycle", [4]), make_named("path", [3]), make_named("star", [4])],
+                                      [[0, 2], [1], [0, 3]], seidel)
+    assert generalized_universal_charpoly(generalized) == bareiss_charpoly(
+        universal_matrix(generalized.join_graph(), seidel))
+    spec = example_3_10_spec()
+    blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), seidel)
+    matrix = universal_matrix(hm_join(spec), seidel)
+    _, l, lift = spectra.reduced_block_charpoly(blocks, weights, matrix)
+    assert _unscaled(lift, l) == bareiss_charpoly(matrix)
+    # [1 | 1_S] has two columns; [1 | E_i] up to four, less its zero columns
+    assert {c for c, _ in walks} == {2, 3, 4}
+    for c, cells in walks:
+        assert cells == [(a, b) for a in range(c) for b in range(a, c)]
+
+
+def walk_bound(m, side):
+    """The bound of `_scaled_bound(M)` and W = bound * max_a |E'_a|_1^2 for
+    the integer side E' = s_e E, its norm taken as at least 1."""
     _, _, bound = exactlinalg._scaled_bound(m)
-    w = bound
-    for side in (left, right):
-        den = exactlinalg._denominator(side)
-        w *= max(1, *(sum(abs(row[a] * den) for row in side) for a in range(len(side[0]))))
-    return bound, w
+    den = exactlinalg._denominator(side)
+    norm = max(1, *(sum(abs(row[a] * den) for row in side) for a in range(len(side[0]))))
+    return bound, bound * norm * norm
 
 
 def walk_bound_cases():
@@ -365,34 +332,34 @@ def walk_bound_cases():
                 for _ in range(rows)]
 
     cases = []
-    for _ in range(12):  # rational M and sides
+    for _ in range(12):  # rational M and sides; the walk needs no symmetric M
         n = rng.randint(1, 5)
-        cases.append((rand(n, n, 4, 3), rand(n, rng.randint(1, 3), 3, 2), rand(n, rng.randint(1, 3), 3, 2)))
+        cases.append((rand(n, n, 4, 3), rand(n, rng.randint(1, 3), 3, 2)))
     for _ in range(3):  # rows of M' beyond 2**63: the residues come from Python ints
         n = rng.randint(2, 4)
-        cases.append((rand(n, n, 2 ** 70, 2), rand(n, 2, 3), rand(n, 1, 3)))
+        cases.append((rand(n, n, 2 ** 70, 2), rand(n, 2, 3)))
     for _ in range(3):  # side entries of 2**26 and more
         n = rng.randint(2, 4)
-        cases.append((rand(n, n, 3), rand(n, 2, 2 ** 40), rand(n, 2, 2 ** 30, 3)))
+        cases.append((rand(n, n, 3), rand(n, 2, 2 ** 40, 3)))
     # bound 2 for this M, so the primes of the bound alone hold nothing near 2**80
-    cases.append(([[1]], [[2 ** 40]], [[2 ** 40 + 1]]))
+    cases.append(([[1]], [[2 ** 40]]))
     return cases
 
 
 def test_walk_stays_within_its_bound_and_matches_the_resolvent():
     big_rows = big_sides = 0
-    for m, left, right in walk_bound_cases():
+    for m, side in walk_bound_cases():
         n = len(m)
         big_rows += max(abs(x) for row in exactlinalg._scaled_bound(m)[1] for x in row) >= 2 ** 63
-        big_sides += max(abs(x) for side in (left, right) for row in side for x in row) >= 2 ** 26
-        s, _, scale, entries = walk_numerators(m, left, right)
-        bound, w = walk_bound(m, left, right)
+        big_sides += max(abs(x) for row in side for x in row) >= 2 ** 26
+        s, _, scale, entries = walk_numerators(m, side)
+        bound, w = walk_bound(m, side)
         largest = max(abs(c) for row in entries for p in row for c in p)
         assert largest <= w
         samples = []
         t = 0
         while len(samples) < n:
-            det, value = resolvent_bilinear_at(m, right, left, Fraction(t))
+            det, value = resolvent_bilinear_at(m, side, side, Fraction(t))
             if value is not None:
                 samples.append((t, det, value))
             t += 1
@@ -401,12 +368,12 @@ def test_walk_stays_within_its_bound_and_matches_the_resolvent():
                 assert len(p) == n
                 assert _unscaled(p, s, scale) == interpolate([(t, det * value[a][b]) for t, det, value in samples])
     assert big_rows >= 3 and big_sides >= 4
-    # the last case needs the side norms: the primes of its bound alone cannot lift it
+    # the last case needs the side norm: the primes of its bound alone cannot lift it
     assert math.prod(exactlinalg._lift_primes(bound)) <= 2 * largest
 
 
 def test_row_bound_covers_every_cofactor_coefficient():
-    # with identity sides the walk's layers are the coefficients of
+    # with the identity side the walk's layers are the coefficients of
     # adj(yI - M'), and every one lies within the bound of the charpoly:
     # rows of mixed magnitudes, zero rows, diagonal and rational matrices
     rng = random.Random(54)
@@ -420,35 +387,34 @@ def test_row_bound_covers_every_cofactor_coefficient():
             m = [[x if i == j else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
         if case % 4 == 3:
             m = [[Fraction(x, rng.choice([1, 3, 8, 10 ** 5])) for x in row] for row in m]
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        _, _, _, entries = walk_numerators(m, identity, identity)
+        _, _, _, entries = walk_numerators(m, [[int(i == j) for j in range(n)] for i in range(n)])
         _, _, bound = exactlinalg._scaled_bound(m)
         assert max(abs(c) for row in entries for p in row for c in p) <= bound
 
 
 def test_main_function_edge_shapes():
-    # zero-width sides, an all-zero side column, a zero side and 1 x 1
+    # a zero-width side, an all-zero side column, a zero side and 1 x 1
     # matrices, pinned as (s, phi, g, f, scale)
     f = Fraction
     m = [[f(1, 2), f(1, 3), 0], [f(1, 3), f(-1, 4), 1], [0, 1, f(5, 6)]]
-    u = [[f(1, 5), 2], [f(3, 5), -1], [0, 0]]
     phi = (1204, -148, -13, 1)
     cases = [
-        ((m, u, [[] for _ in range(3)]), (12, phi, (1,), (), 1)),
-        ((m, [[] for _ in range(3)], u), (12, phi, (1,), ((), ()), 1)),
-        ((m, [[0, 2], [0, -1], [0, f(1, 3)]], u),
-         (12, phi, phi, (((0, 0, 0), (-2352, 198, -3)), ((0, 0, 0), (-6300, -960, 75))), 15)),
-        ((m, [[0], [0], [0]], u), (12, phi, (1,), (((),), ((),)), 5)),
-        (([[f(-5, 2)]], [[f(3)]], [[f(1, 7), 0]]), (2, (5, 1), (5, 1), (((3,),), ((0,),)), 7)),
-        (([[7]], [[0]], [[0]]), (1, (-7, 1), (1,), (((),),), 1)),
+        ((m, [[] for _ in range(3)]), (12, phi, (1,), (), 1)),
+        ((m, [[0, 2], [0, -1], [0, f(1, 3)]]), (12, phi, phi, (((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (-3310, -615, 46))), 9)),
+        ((m, [[0], [0], [0]]), (12, phi, (1,), (((),),), 1)),
+        (([[f(-5, 2)]], [[f(1, 7), 0]]), (2, (5, 1), (5, 1), (((1,), (0,)), ((0,), (0,))), 49)),
+        (([[7]], [[0]]), (1, (-7, 1), (1,), (((),),), 1)),
     ]
     for args, expected in cases:
-        mf = main_function_bilinear(*args)
+        mf = main_function(*args)
         assert (mf.s, mf.phi, mf.g, mf.f, mf.scale) == expected
-    # sides must have a row per row of M
-    for args in ((m, u, u[:2]), (m, u + [[0, 0]], u)):
-        with pytest.raises(SizeMismatchError, match="side matrices must have 3 rows"):
-            main_function_bilinear(*args)
+    # the side must have a row per row of M, and M must be symmetric
+    u = [[f(1, 5), 2], [f(3, 5), -1], [0, 0]]
+    for side in (u[:2], u + [[0, 0]]):
+        with pytest.raises(SizeMismatchError, match="the side must have 3 rows"):
+            main_function(m, side)
+    with pytest.raises(NonSymmetricInputError):
+        main_function([[0, 1], [0, 0]], [[1], [1]])
 
 
 def test_classification_of_complete_factors():
@@ -482,7 +448,7 @@ def test_classification_of_rational_matrices_against_oracle():
                 for j in range(i, n):
                     m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
             e = [[Fraction(rng.randint(0, 1)) for _ in range(2)] for _ in range(n)]
-            mf = main_function_bilinear(m, e, e)
+            mf = main_function(m, e)
             rebuilt = Polynomial([1])
             for c in classify_e_main(m, e):
                 assert c.poly.coeffs[-1] == 1 and c.multiplicity >= 1
@@ -627,7 +593,7 @@ def reduced_stack_of(spec, params=UniversalParams.preset("A")):
         blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
     else:
         blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
-    mfs = [main_function_bilinear(*b) for b in blocks]
+    mfs = [main_function(*b) for b in blocks]
     rows, index, scale = spectra._reduced_stack(mfs, weights)
     index, lead = schur_first(index)
     return mfs, (dense_stack(rows, index), scale, lead)
@@ -953,18 +919,19 @@ def test_universal_blocks_worked_example():
     params = UniversalParams.preset("L")
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
     shifts = []
-    for g, (m, u, v) in zip(spec.factors, blocks):
+    for g, side, (m, e) in zip(spec.factors, spec.indexing_matrices(), blocks):
         base = universal_matrix(g, params)
         assert all(m[a][b] == base[a][b] for a in range(g.n) for b in range(g.n) if a != b)
         shifts.append([m[a][a] - base[a][a] for a in range(g.n)])
-        assert u == v
+        assert e == side
     assert shifts == [[3, 3], [2, 2, 2, 0, 0]]
     assert weights(0, 1) == weights(1, 0) == (-1, -1)
 
 
 def test_universal_blocks_match_assembled_matrix():
     # block (i, i) of the join's universal matrix is M_i and block (i, j)
-    # is U_i diag(w) V_j^T, or zero when w = weights(i, j) is None, for
+    # is S_i diag(w) S_j^T, or zero when w = weights(i, j) is None, with
+    # S_i = E_i, or [1 | E_i] when gamma != 0, for
     # labeled sides E_i (partial maps, m = 0..3) and subset sides 1_S
     # (empty subsets included), gamma = 0 or not, delta != 0
     rng = random.Random(34)
@@ -990,15 +957,16 @@ def test_universal_blocks_match_assembled_matrix():
         full = universal_matrix(joined, params)
         blocks, weights = _universal_blocks(host, factors, sides, params)
         offsets = [sum(g.n for g in factors[:i]) for i in range(k)]
-        for i, (mi, ui, _) in enumerate(blocks):
-            for j, (mj, _, vj) in enumerate(blocks):
+        for i, (mi, si) in enumerate(blocks):
+            assert si == (sides[i] if params.gamma == 0 else [[1] + row for row in sides[i]])
+            for j, (mj, sj) in enumerate(blocks):
                 got = [row[offsets[j]:offsets[j] + len(mj)] for row in full[offsets[i]:offsets[i] + len(mi)]]
                 if i == j:
                     assert got == mi
                     continue
                 w = weights(i, j)
                 assert got == [[0 if w is None else sum(c * x * y for c, x, y in zip(w, a, b))
-                                for b in vj] for a in ui]
+                                for b in sj] for a in si]
     assert seen >= {("labels", m) for m in range(4)} | {("subsets", True), ("gamma", True), ("gamma", False)}
 
 
@@ -1027,7 +995,7 @@ def test_a_report_computes_each_distinct_block_once(monkeypatch):
             return original(*args)
         monkeypatch.setattr(spectra, name, wrapper)
 
-    for name in ("_walk_lift", "_eigen_classes", "main_function_bilinear"):
+    for name in ("_walk_lift", "_eigen_classes", "main_function"):
         counted(name)
     c5 = make_named("cycle", [5])
     # C5 x C5 joins five equal blocks; web(3, 6) the wheel, three equal
@@ -1035,7 +1003,7 @@ def test_a_report_computes_each_distinct_block_once(monkeypatch):
     for spec, distinct in ((cartesian_product(c5, c5).spec, 1), (generalized_web(3, 6).spec, 3)):
         counts.clear()
         report = block_charpoly(spec)
-        assert counts == {"_walk_lift": distinct, "_eigen_classes": distinct, "main_function_bilinear": distinct}
+        assert counts == {"_walk_lift": distinct, "_eigen_classes": distinct, "main_function": distinct}
         assert report.charpoly_block == bareiss_charpoly(blockwise_adjacency(spec))
         assert len(report.gammas) == len(report.e_main_flags) == spec.k
     # a generalized join whose first and last slots are equal
@@ -1043,17 +1011,15 @@ def test_a_report_computes_each_distinct_block_once(monkeypatch):
     spec = GeneralizedJoinSpec(host, (c5, make_named("path", [4]), c5), ((0, 2), (1,), (0, 2)), params)
     counts.clear()
     assert generalized_universal_charpoly(spec) == bareiss_charpoly(universal_matrix(spec.join_graph(), params))
-    assert counts["main_function_bilinear"] == 2
+    assert counts["main_function"] == 2
 
 
-def test_bilinear_main_function_asymmetric_sides():
-    g = make_named("path", [3])
-    a = g.adjacency_matrix()
-    u = [[1], [0], [0]]
-    v = [[0], [0], [1]]
-    mf = main_function_bilinear(a, u, v)
-    # (xI - A)^{-1}[2][0] for P_3 equals 1 / (x^3 - 2x)
-    assert mf.entry(0, 0) == ratfun([1], [0, -2, 0, 1])
+def test_main_function_off_diagonal_entry():
+    a = make_named("path", [3]).adjacency_matrix()
+    mf = main_function(a, [[1, 0], [0, 0], [0, 1]])
+    # entry (0, 1) of the side [e_0 | e_2] is (xI - A)^{-1}[0][2], which
+    # for P_3 equals 1 / (x^3 - 2x)
+    assert mf.entry(0, 1) == mf.entry(1, 0) == ratfun([1], [0, -2, 0, 1])
 
 
 def test_zero_side_columns_leave_every_other_entry_unchanged():
@@ -1072,20 +1038,17 @@ def test_zero_side_columns_leave_every_other_entry_unchanged():
 
     for _ in range(6):
         n = rng.randint(2, 5)
-        m = rand(n, n)
-        symmetric = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-        u, v = rand(n, 2), rand(n, 3)
-        for mat, left, right in ((m, v, u), (symmetric, u, u), (symmetric, v, u)):
-            mf = main_function_bilinear(mat, right, left)
-            for zl, zr in (([0], []), ([], [2, 2]), ([1, 3], [0])):
-                wide_left, cols_l = widen(left, zl)
-                wide_right, cols_r = (wide_left, cols_l) if right is left and zl else widen(right, zr)
-                wide = main_function_bilinear(mat, wide_right, wide_left)
+        m = symmetric(rand(n, n))
+        for side in (rand(n, 2), rand(n, 3)):
+            mf = main_function(m, side)
+            for zeros in ([0], [2, 2], [1, 3]):
+                wide_side, cols = widen(side, zeros)
+                wide = main_function(m, wide_side)
                 assert (wide.s, wide.phi, wide.g, wide.scale) == (mf.s, mf.phi, mf.g, mf.scale)
-                kept = {(a, b): mf.f[i][j] for i, a in enumerate(cols_l) for j, b in enumerate(cols_r)}
+                kept = {(a, b): mf.f[i][j] for i, a in enumerate(cols) for j, b in enumerate(cols)}
                 zero = (0,) * (len(mf.g) - 1)
-                assert [[kept.get((a, b), zero) for b in range(len(wide_right[0]))]
-                        for a in range(len(wide_left[0]))] == [list(row) for row in wide.f]
+                width = len(wide_side[0])
+                assert [[kept.get((a, b), zero) for b in range(width)] for a in range(width)] == [list(row) for row in wide.f]
 
 
 def test_declared_but_unused_labels_match_the_bareiss_charpoly():
