@@ -7,13 +7,27 @@ mathematical equality. It has queries and one renderer (`render_polynomial`), an
 
 Every operation runs on integer coefficient lists in Z[y]: `_int_mul`
 (products), `_int_coeff_eval` (Horner's rule), `_int_divexact` (long
-division), `_int_gcd` (primitive remainder sequence), `_int_squarefree`
+division), `_int_gcd` (the gcd and both cofactors), `_int_squarefree`
 (Yun's algorithm) and `_int_multiplicity` (repeated exact division). The
 pipeline scales its polynomials by a matrix's common denominator L
 (`_scaled`, `_unscaled`), which makes every divisor monic in Z[y]; no
 factorization into irreducibles is performed anywhere. Main functions keep
 their polynomials in this scaled form and pass them to the core as they
 are.
+
+`_int_gcd(a, b)` is the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J.
+Symbolic Comput. 7, 1989). With A, B the primitive parts of a, b and N the
+smaller of their max-norms, it evaluates both at an integer xi >= 2N + 2,
+reads G off the balanced xi-adic digits of the integer gcd(A(xi), B(xi))
+and takes its primitive part g. The certificate is the two exact divisions
+a / g and b / g, which are also the cofactors every caller needs: once
+both succeed, g is the gcd. For g divides the gcd, g c say, and c(xi)
+divides the content of G, which is at most xi / 2; every root of c is a
+common root, below N + 1 <= xi / 2 in modulus by Cauchy's bound, so
+|c(xi)| > xi / 2 unless c is a constant. A failed division grows xi and
+tries again. That ends: the stray factor gcd(A(xi), B(xi)) / g(xi)
+divides the resultant of the cofactors, a fixed integer, so once xi is
+large enough the digits are g times that factor.
 """
 
 from __future__ import annotations
@@ -198,55 +212,53 @@ def _primitive(a: Sequence[int]) -> List[int]:
     return a if c == 1 else [x // c for x in a]
 
 
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """The gcd of a and b up to content: primitive, with a positive leading
-    coefficient, so the monic gcd over Q times the least positive integer
-    that clears it ([] when both are zero). A primitive remainder sequence:
-    each pseudo-remainder is divided by its content (von zur Gathen &
-    Gerhard, ch. 6). A divisor of a monic polynomial comes out monic."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        rem, lead, db = a, b[-1], len(b) - 1
-        while len(rem) > db:
-            # scale rem by lead / g and take away (top / g) y^shift b
-            g = math.gcd(rem[-1], lead)
-            top, mul, shift = rem[-1] // g, lead // g, len(rem) - 1 - db
-            if mul != 1:
-                rem = [x * mul for x in rem]
-            for j, y in enumerate(b):
-                rem[shift + j] -= top * y
-            while rem and not rem[-1]:
-                rem.pop()
-        a, b = b, _primitive(rem)
-    return a
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
+    """(g, a / g, b / g) for the gcd g of a and b up to content: primitive,
+    with a positive leading coefficient, so the monic gcd over Q times the
+    least positive integer that clears it. The cofactors are the quotients
+    of `_int_divexact`, top zeros of a and b kept. With one operand zero, g
+    is the primitive part of the other; with both, all three are []. A
+    divisor of a monic polynomial comes out monic. The heuristic gcd of the
+    module docstring: the two divisions certify g and give the cofactors,
+    and xi grows as in sympy's `dup_zz_heu_gcd` until they do."""
+    pa, pb = _primitive(a), _primitive(b)
+    if not pa or not pb:
+        g = pa or pb
+        return (g, _int_divexact(a, g), _int_divexact(b, g)) if g else ([], [], [])
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
+    while True:
+        v, digits = math.gcd(_int_coeff_eval(pa, xi), _int_coeff_eval(pb, xi)), []
+        while v:
+            v, r = divmod(v, xi)
+            if 2 * r > xi:
+                r -= xi
+                v += 1
+            digits.append(r)
+        g = _primitive(digits)
+        try:
+            return g, _int_divexact(a, g), _int_divexact(b, g)
+        except InexactDivisionError:
+            xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
 
 
 def _int_squarefree(p: Sequence[int]) -> List[Tuple[List[int], int]]:
     """Yun's squarefree decomposition of a monic p in Z[y]: the pairs
     (a_i, i), a_i monic, squarefree, pairwise coprime and of positive
     degree, with p = prod a_i^i. Every gcd taken divides p, so it is monic
-    and every division is exact in Z[y]."""
+    and the cofactors of `_int_gcd` are the exact quotients Yun divides by."""
 
     def deriv(a):
         return [k * c for k, c in enumerate(a)][1:]
 
-    def minus(a, b):
-        return [x - y for x, y in zip(a, b)]
-
-    dp = deriv(p)
-    g = _int_gcd(p, dp)
-    c = _int_divexact(p, g)
-    d = minus(_int_divexact(dp, g), deriv(c))
+    # c, e = p / g, p' / g for g = gcd(p, p'); then a = gcd(c, d), d = e - c',
+    # and c, e = c / a, d / a
+    _, c, e = _int_gcd(p, deriv(p))
     out = []
     i = 1
     while len(c) > 1:
-        a = _int_gcd(c, d)
+        a, c, e = _int_gcd(c, [x - y for x, y in zip(e, deriv(c))])
         if len(a) > 1:
             out.append((a, i))
-        c = _int_divexact(c, a)
-        d = minus(_int_divexact(d, a), deriv(c))
         i += 1
     return out
 

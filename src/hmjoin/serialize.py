@@ -254,8 +254,11 @@ def generalized_spec_from_json(data, pointer: str = "") -> GeneralizedJoinSpec:
     if len(factors) == len(subsets) == host.n:  # wrong counts are refused first, at the document
         for i, (g, subset) in enumerate(zip(factors, subsets)):
             _require_vertices(g, i, pointer)
-            if len(set(subset)) < len(subset):
-                break  # refused at the document, before any later subset
+            seen = set()
+            for j, v in enumerate(subset):  # refused at the second occurrence
+                if v in seen:
+                    _fail("%s/subsets/%d/%d" % (pointer, i, j), "subset %d repeats a vertex" % i)
+                seen.add(v)
             v = min((v for v in subset if not 0 <= v < g.n), default=None)
             if v is not None:
                 _fail("%s/subsets/%d/%d" % (pointer, i, subset.index(v)),

@@ -49,8 +49,10 @@ the lifted layers: s^n phi(y / s), the integer lift of the charpoly
 engine, is monic in Z[y], so h is monic there too and both quotients are
 exact integer divisions (`_int_gcd`, `_int_divexact`). The chain tries
 N_ab / h first, exact exactly when gcd(h, N_ab) = h, and takes the gcd
-only when that fails. The cells are the entries a <= b alone: M is
-symmetric, so N_ab = N_ba.
+only when that fails; `_int_gcd` certifies the gcd by the two exact
+divisions that give its cofactors, and the chain keeps N_ab / gcd as that
+cell's quotient, so a cell is divided again only when h shrinks later.
+The cells are the entries a <= b alone: M is symmetric, so N_ab = N_ba.
 `MainFunction` keeps phi, g and f in this scaled integer form, and every
 consumer (entries in lowest terms, eigenvalue classes, the reduced block,
 Phi) reads those integers; the polynomials over Q are views derived on
@@ -184,13 +186,13 @@ class MainFunction:
         return hash((self.denominator, self.numerator))
 
     def entry(self, a: int, b: int) -> Tuple[Polynomial, Polynomial]:
-        """Gamma_ab in lowest terms as (num, den), den monic: f_ab and g
-        divided in Z[y] by h = gcd(f_ab, g), which divides the monic g and
-        so is monic; a zero entry gives (0, 1)."""
-        h = _int_gcd(self.f[a][b], self.g)
-        # the quotient keeps its top zeros: scale * s^(e-1) num(y / s), e = deg den
-        num = _int_divexact(self.f[a][b], h)
-        return _unscaled(num, self.s, self.scale), _unscaled(_int_divexact(self.g, h), self.s)
+        """Gamma_ab in lowest terms as (num, den), den monic: the cofactors
+        f_ab / h and g / h that `_int_gcd` returns with h = gcd(f_ab, g),
+        which divides the monic g and so is monic; a zero entry gives
+        (0, 1)."""
+        _, num, den = _int_gcd(self.f[a][b], self.g)
+        # num keeps its top zeros: scale * s^(e-1) num(y / s), e = deg den
+        return _unscaled(num, self.s, self.scale), _unscaled(den, self.s)
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,8 @@ def main_function(m, e) -> MainFunction:
             except InexactDivisionError:
                 pass
         if any(p):  # a zero entry leaves h as it is
-            h = _int_gcd(h, p)
+            h, _, q = _int_gcd(h, p)
+            held[cell] = len(h), q
     f = [[(0,) * (n + 1 - len(h))] * c for _ in range(c)]
     for (x, y), p in zip(cells, numerators):
         # h only shrinks, so a quotient taken at its final degree is p / h, the
@@ -299,12 +302,14 @@ def _eigen_classes(m, mf: MainFunction) -> Tuple[EigenvalueClass, ...]:
     and mainness (mainness = dividing g), extracting rational roots; in
     Z[y] on the integers of `mf = main_function(m, e)`, scaled
     by the common denominator s of M, where the rational roots are the
-    integer roots y of `_integer_roots` and stand for y / s."""
+    integer roots y of `_integer_roots` and stand for y / s. Each Yun
+    layer splits into its main part gcd(layer, g) and the non-main rest,
+    the cofactor layer / main part that `_int_gcd` returns with it."""
     roots = _integer_roots(mf.phi, m, mf.s)
     classes: List[EigenvalueClass] = []
     for layer, mult in _int_squarefree(mf.phi):
-        main_part = _int_gcd(layer, mf.g)
-        for part, flag in ((main_part, True), (_int_divexact(layer, main_part), False)):
+        main_part, rest, _ = _int_gcd(layer, mf.g)
+        for part, flag in ((main_part, True), (rest, False)):
             for y, root_mult in roots:
                 if root_mult == mult and _int_coeff_eval(part, y) == 0:
                     root = Fraction(y, mf.s)

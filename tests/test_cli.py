@@ -388,6 +388,8 @@ _ALPHA0 = {"host": {"n": 2, "edges": [[0, 1]]}, "factors": [{"n": 2, "edges": [[
            "subsets": [[0], [0]], "params": {"alpha": "0", "beta": "0", "gamma": "0", "delta": "0"}}
 _EMPTY_FACTOR = {"host": {"n": 2, "edges": [[0, 1]]}, "m": 1,
                  "factors": [{"n": 0, "edges": []}, {"n": 1, "edges": []}], "indexing": [[], [1]]}
+_REPEATED_VERTEX = {"host": {"n": 2, "edges": [[0, 1]]}, "factors": [{"n": 2, "edges": [[0, 1]]}, {"n": 1, "edges": []}],
+                    "subsets": [[1, 1], [0]], "params": "A"}
 _SHORT_LABELS = {"host": {"n": 2, "edges": [[0, 1]], "labels": ["left"]}, "m": 1,
                  "factors": [{"n": 1, "edges": []}, {"n": 1, "edges": []}], "indexing": [[1], [1]]}
 
@@ -399,8 +401,10 @@ _SHORT_LABELS = {"host": {"n": 2, "edges": [[0, 1]], "labels": ["left"]}, "m": 1
     (["universal", "SPEC"], _ALPHA0, "/params: alpha must be nonzero"),
     (["charpoly", "SPEC"], _EMPTY_FACTOR, "/factors/0: factor 0 has no vertices"),
     (["charpoly", "SPEC"], _PATH0, "/factors/0: a path needs at least 1 vertex"),
+    (["charpoly", "SPEC"], _REPEATED_VERTEX, "/subsets/0/1: subset 0 repeats a vertex"),
     (["charpoly", "SPEC"], _SHORT_LABELS, "/host: expected 2 labels, got 1"),
-], ids=["graph-token", "family-params", "family-arity", "alpha-zero", "empty-factor", "path-0", "labels"])
+], ids=["graph-token", "family-params", "family-arity", "alpha-zero", "empty-factor", "path-0", "repeated-vertex",
+                      "labels"])
 def test_invalid_inputs_exit_two_with_one_stderr_line(capsys, tmp_path, argv, document, message):
     spec = tmp_path / "spec.json"
     if document is not None:

@@ -3,6 +3,7 @@ gcd, squarefree and multiplicity core against the Fraction oracles of
 `oracles`."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     poly_pow,
     poly_sub,
 )
+from hmjoin import polynomials
 from hmjoin.errors import InexactDivisionError, InvalidParametersError
 from hmjoin.polynomials import (
     Polynomial,
@@ -75,7 +77,9 @@ def cleared(p: Polynomial):
 @given(nonzero_polys_st, nonzero_polys_st)
 @settings(max_examples=80)
 def test_gcd_divides_and_is_monic(p, q):
-    h = _int_gcd(cleared(p), cleared(q))
+    a, b = cleared(p), cleared(q)
+    h, ca, cb = _int_gcd(a, b)
+    assert _int_mul(h, ca) == a and _int_mul(h, cb) == b
     # primitive with a positive leading coefficient, so its monic form
     # is the gcd over Q
     assert h[-1] > 0 and math.gcd(*h) == 1
@@ -206,14 +210,15 @@ def int_derivative(a):
 
 
 def test_int_gcd_zero_operands_and_signs():
-    assert _int_gcd([], []) == []
-    assert _int_gcd([], [-2, -4]) == [1, 2]
-    assert _int_gcd([0, 0], [3]) == [1]
+    assert _int_gcd([], []) == ([], [], [])
+    assert _int_gcd([], [-2, -4]) == ([1, 2], [], [-2])
+    # cofactors keep the operands' top zeros
+    assert _int_gcd([0, 0], [3]) == ([1], [0, 0], [3])
     # non-primitive operands with negative and non-unit leading coefficients
-    assert _int_gcd([-6, -12], [4, 8, 0]) == [1, 2]
-    assert _int_gcd([2, -6, 4], [-3, 3]) == [-1, 1]
+    assert _int_gcd([-6, -12], [4, 8, 0]) == ([1, 2], [-6], [4, 0])
+    assert _int_gcd([2, -6, 4], [-3, 3]) == ([-1, 1], [-2, 4], [3])
     # coprime
-    assert _int_gcd([1, 0, 1], [-1, 1]) == [1]
+    assert _int_gcd([1, 0, 1], [-1, 1]) == ([1], [1, 0, 1], [-1, 1])
 
 
 @given(int_polys_st, int_polys_st, int_polys_st, st.integers(-4, 4), st.integers(-4, 4))
@@ -223,8 +228,12 @@ def test_int_gcd_matches_euclid_oracle(common, a, b, ca, cb):
     left = [ca * x for x in _int_mul(common, a)]
     right = [cb * x for x in _int_mul(common, b)]
     expected = primitive_associate(euclid_gcd(Polynomial(left), Polynomial(right)))
-    assert _int_gcd(left, right) == expected
-    assert _int_gcd(right, left) == expected
+    for x, y in ((left, right), (right, left)):
+        g, cx, cy = _int_gcd(x, y)
+        assert g == expected
+        for p, c in ((x, cx), (y, cy)):
+            # a zero operand has the zero cofactor, top zeros and all
+            assert _int_mul(g, c) == p if any(p) else not any(c)
 
 
 @given(st.lists(st.tuples(monic_factors_st, st.integers(1, 4)), min_size=1, max_size=4))
@@ -250,6 +259,111 @@ def test_int_squarefree_layers(factors):
             assert euclid_gcd(Polynomial(a), Polynomial(b)) == Polynomial([1])
     assert _int_squarefree([5, 1]) == [([5, 1], 1)]
     assert _int_squarefree([1]) == []
+
+
+def scaled_factor(rng, s):
+    """A random monic factor in Z[y] of the scaled charpoly of a matrix
+    with denominator s: y - t or y^2 + u y + v, with roots up to about 9s."""
+    t = 9 * s
+    if rng.random() < 0.5:
+        return [rng.randint(-t, t), 1]
+    return [rng.randint(-t * t, t * t), rng.randint(-2 * t, 2 * t), 1]
+
+
+def int_product(factors):
+    p = [1]
+    for f in factors:
+        p = _int_mul(p, f)
+    return p
+
+
+def gcd_corpus():
+    rng = random.Random(30)
+    # zero and constant operands, top zeros, and pairs whose first evaluation
+    # point reads a divisor of one operand only (see the retry test)
+    cases = [([], []), ([0, 0], [0]), ([], [4, -6]), ([0], [5]), ([-6], [4, 2]), ([3], [0, 0, 9]),
+             ([0, -3, 1], [-6, -1, 1]), ([1, 1], [-3, 3, 1]), ([-2, 5, -6, 0, 1], [1, -1, 0, 3, 1])]
+
+    def small():
+        return [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]
+
+    for _ in range(60):  # a shared factor, signs and non-unit contents
+        common = small()
+        cases.append(tuple([c * x for x in _int_mul(common, small())] for c in rng.sample([-3, -1, 1, 2, 6], 2)))
+    for _ in range(20):  # p and p', non-monic, with repeated factors
+        factors = [scaled_factor(rng, rng.choice([1, 2, 6])) for _ in range(rng.randint(1, 3))]
+        c = rng.choice([-2, 1, 3])
+        p = [c * x for x in int_product(factors * rng.randint(1, 3))]
+        cases.append((p, int_derivative(p)))
+    for _ in range(8):  # about 300 bits at s = 100, repeated common factors
+        common = [scaled_factor(rng, 100) for _ in range(rng.randint(2, 6))]
+        common += common[:rng.randint(0, 2)]
+        cases.append(tuple(int_product(common + [scaled_factor(rng, 100) for _ in range(rng.randint(8, 16))])
+                           for _ in range(2)))
+    return cases
+
+
+def test_int_gcd_corpus_matches_euclid_oracle():
+    big = 0
+    for left, right in gcd_corpus():
+        expected = primitive_associate(euclid_gcd(Polynomial(left), Polynomial(right)))
+        big = max([big] + [abs(x).bit_length() for x in left + right])
+        for x, y in ((left, right), (right, left)):
+            g, cx, cy = _int_gcd(x, y)
+            assert g == expected
+            for p, c in ((x, cx), (y, cy)):
+                assert _int_mul(g, c) == p if any(p) else not any(c)
+    assert big >= 280
+
+
+def test_int_gcd_retries_at_a_second_evaluation_point(monkeypatch):
+    points = []
+    evaluate = polynomials._int_coeff_eval
+    monkeypatch.setattr(polynomials, "_int_coeff_eval", lambda a, t: points.append(t) or evaluate(a, t))
+    # xi = 2 min(6, 3) + 2 = 8 reads [3, 2, -3, 4] off gcd(a(8), b(8)) = 1875,
+    # which divides neither; the schedule's next point 8 * 73794 * 1 // 27011 = 21 succeeds
+    assert _int_gcd([-2, 5, -6, 0, 1], [1, -1, 0, 3, 1]) == ([1, -2, 2, 1], [-2, 1], [1, 1])
+    assert points == [8, 8, 21, 21]
+    # at xi = 8, y + 2 divides (y - 3)(y + 2) but not y (y - 3): both
+    # certificate divisions are needed, in either order
+    for a, b in (([0, -3, 1], [-6, -1, 1]), ([-6, -1, 1], [0, -3, 1])):
+        points.clear()
+        g, ca, cb = _int_gcd(a, b)
+        assert g == [-3, 1] and points == [8, 8, 21, 21]
+        assert {tuple(ca), tuple(cb)} == {(0, 1), (2, 1)}
+    # the content and sign do not enter the norms: 2 min(1, 3) + 2 = 4
+    points.clear()
+    assert _int_gcd([-4, -4], [-9, 9, 3]) == ([1], [-4, -4], [-9, 9, 3])
+    assert points == [4, 4, 10, 10]
+
+
+def squarefree_oracle(p):
+    """Yun's layers of the monic p over Q from `euclid_gcd` alone: with r the
+    squarefree part and q_i = gcd(p, r^i), the product of the factors of
+    multiplicity at least i is q_i / q_(i-1), and layer i is that over the
+    same for i + 1."""
+    p = Polynomial(p)
+    r = poly_divmod(p, euclid_gcd(p, Polynomial(int_derivative([int(c) for c in p.coeffs]))))[0]
+    q = [Polynomial([1])]
+    while q[-1] != p:
+        q.append(euclid_gcd(p, poly_pow(r, len(q))))
+    at_least = [poly_divmod(q[i], q[i - 1])[0] for i in range(1, len(q))] + [Polynomial([1])]
+    return [(poly_divmod(at_least[i - 1], at_least[i])[0], i) for i in range(1, len(q))]
+
+
+def test_int_squarefree_matches_the_gcd_and_multiplicity_oracles():
+    rng = random.Random(31)
+    for _ in range(40):
+        s = rng.choice([1, 2, 6, 100])
+        factors = [scaled_factor(rng, s) for _ in range(rng.randint(1, 5))]
+        p = int_product(f for f in factors for _ in range(rng.randint(1, 4)))
+        expected = [(primitive_associate(a), i) for a, i in squarefree_oracle(p) if a.degree > 0]
+        assert _int_squarefree(p) == expected
+        for a, i in expected:
+            assert multiplicity(Polynomial(p), Polynomial(a)) == i
+            for f in factors:
+                if poly_divmod(Polynomial(a), Polynomial(f))[1].is_zero:
+                    assert multiplicity(Polynomial(p), Polynomial(f)) == i
 
 
 @given(monic_factors_st, st.integers(0, 4), int_polys_st)
