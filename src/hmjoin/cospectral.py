@@ -26,7 +26,7 @@ from .errors import (
 from .exactlinalg import charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import IndexingMap, JoinSpec, hm_join
-from .polynomials import Polynomial, _unscaled
+from .polynomials import Polynomial, _unscaled, _Value
 from .spectra import (
     MainFunction,
     _universal_blocks,
@@ -54,51 +54,48 @@ _ISOMORPHISM_LIMIT = 32
 _CONFIGURATION_LIMIT = 10_000
 
 
-class GeneralizedJoinSpec:
+class GeneralizedJoinSpec(_Value):
     """A host graph, one factor per host vertex, one vertex subset per
     factor, and universal parameters.  Cross edges run between the chosen
-    subsets of factors joined by a host edge."""
+    subsets of factors joined by a host edge. A refused factor carries
+    `where` "/factors/<i>", a refused subset "/subsets/<i>/<j>": a repeated
+    vertex at its second occurrence, a vertex outside the factor at the
+    first position of the least such vertex."""
 
     __slots__ = ("host", "factors", "subsets", "params")
 
     def __init__(self, host: Graph, factors: Sequence[Graph],
                  subsets: Sequence[Sequence[int]], params: UniversalParams):
+        factors = tuple(factors)
+        subsets = tuple(tuple(s) for s in subsets)
         if len(factors) != host.n:
             raise InvalidParametersError(
                 "expected %d factors for the host, got %d" % (host.n, len(factors)))
         if len(subsets) != host.n:
             raise InvalidParametersError(
                 "expected %d subsets for the host, got %d" % (host.n, len(subsets)))
-        cleaned = []
-        for i, subset in enumerate(subsets):
-            if factors[i].n == 0:
-                raise InvalidParametersError("factor %d has no vertices" % i)
-            if not all(type(v) is int for v in subset):
-                raise InvalidParametersError("subset %d holds a vertex that is not an integer" % i)
-            seen = sorted(set(subset))
-            if len(seen) != len(tuple(subset)):
-                raise InvalidParametersError("subset %d repeats a vertex" % i)
-            for v in seen:
-                if not (0 <= v < factors[i].n):
-                    raise InvalidParametersError(
-                        "subset %d contains %r, not a vertex of factor %d" % (i, v, i))
-            cleaned.append(tuple(seen))
+        for i, (g, subset) in enumerate(zip(factors, subsets)):
+            if g.n == 0:
+                raise InvalidParametersError("factor %d has no vertices" % i, "/factors/%d" % i)
+            seen = set()
+            for j, v in enumerate(subset):
+                where = "/subsets/%d/%d" % (i, j)
+                if type(v) is not int:
+                    raise InvalidParametersError("subset %d holds a vertex that is not an integer" % i, where)
+                if v in seen:
+                    raise InvalidParametersError("subset %d repeats a vertex" % i, where)
+                seen.add(v)
+            v = min((v for v in subset if not 0 <= v < g.n), default=None)
+            if v is not None:
+                raise InvalidParametersError("subset %d contains %r, not a vertex of factor %d" % (i, v, i),
+                                             "/subsets/%d/%d" % (i, subset.index(v)))
         object.__setattr__(self, "host", host)
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "subsets", tuple(cleaned))
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "subsets", tuple(tuple(sorted(s)) for s in subsets))
         object.__setattr__(self, "params", params)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneralizedJoinSpec is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, GeneralizedJoinSpec):
-            return NotImplemented
-        return (self.host == other.host and self.factors == other.factors
-                and self.subsets == other.subsets and self.params == other.params)
-
-    def __hash__(self):
-        return hash((self.host, self.factors, self.subsets, self.params))
+    def _key(self):
+        return self.host, self.factors, self.subsets, self.params
 
     @property
     def k(self) -> int:

@@ -2,7 +2,18 @@
 
 
 class HmJoinError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    `where` is the JSON pointer of the faulty item inside the value being
+    built, relative to that value: "/factors/1" or "/subsets/0/2" for a
+    spec, "/3" for an indexing map, "" when the fault is not one item. The
+    constructors set it, so a reader that knows where the value sits in its
+    document reports the fault at its own pointer plus `where`.
+    """
+
+    def __init__(self, message="", where=""):
+        super().__init__(message)
+        self.where = where
 
 
 class InvalidParametersError(HmJoinError, ValueError):

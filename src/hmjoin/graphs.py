@@ -17,12 +17,12 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParametersError, SizeMismatchError
-from .polynomials import Scalar
+from .polynomials import Scalar, _Value
 
 Edge = Tuple[int, int]
 
 
-class Graph:
+class Graph(_Value):
     """Immutable simple graph on vertices 0..n-1."""
 
     __slots__ = ("n", "edges", "labels")
@@ -32,7 +32,10 @@ class Graph:
             raise InvalidParametersError(f"vertex count must be a non-negative integer, got {n!r}")
         normalized = set()
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise InvalidParametersError(f"an edge is a pair of vertex ids, got {e!r}") from None
             if type(u) is not int or type(v) is not int:
                 raise InvalidParametersError(f"edge endpoints must be integers, got {e!r}")
             if u == v:
@@ -48,8 +51,8 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "labels", labels)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
+    def _key(self):
+        return self.n, self.edges
 
     # ------------------------------------------------------------------
     def sorted_edges(self) -> Tuple[Edge, ...]:
@@ -84,14 +87,6 @@ class Graph:
         if not degs:
             return 0
         return degs[0] if all(d == degs[0] for d in degs) else None
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash(("Graph", self.n, self.edges))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)!r})"
@@ -196,7 +191,7 @@ def _exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
-class UniversalParams:
+class UniversalParams(_Value):
     """Exact parameters (alpha, beta, gamma, delta) of the universal
     adjacency matrix alpha*A + beta*I + gamma*J + delta*D, alpha != 0.
 
@@ -216,19 +211,10 @@ class UniversalParams:
         for name, v in zip(self.__slots__, values):
             object.__setattr__(self, name, _exact(v))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UniversalParams is immutable")
-
     def as_tuple(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
-    def __eq__(self, other):
-        if not isinstance(other, UniversalParams):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __hash__(self):
-        return hash(("UniversalParams", self.as_tuple()))
+    _key = as_tuple
 
     def __repr__(self):
         return f"UniversalParams{self.as_tuple()!r}"

@@ -25,14 +25,16 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .errors import InvalidParametersError, SizeMismatchError
 from .graphs import Graph, disjoint_union
+from .polynomials import _Value
 
 IndexingMatrix = List[List[int]]
 
 REDUCTION_MODES = ("unused", "global-exclusive", "neighbor-exclusive")
 
 
-class IndexingMap:
-    """Labels in 1..m for the vertices of one factor; None = unlabeled."""
+class IndexingMap(_Value):
+    """Labels in 1..m for the vertices of one factor; None = unlabeled. A
+    refused label carries its position as `where`, "/<pos>"."""
 
     __slots__ = ("values", "m")
 
@@ -43,27 +45,21 @@ class IndexingMap:
         for pos, v in enumerate(vals):
             if v is None:
                 continue
-            if type(v) is not int or not (1 <= v <= m):
-                raise InvalidParametersError(f"label at position {pos} must be in 1..{m} or None, got {v!r}")
+            if type(v) is not int:
+                raise InvalidParametersError(f"a label is an integer or None, got {v!r}", f"/{pos}")
+            if not 1 <= v <= m:
+                raise InvalidParametersError(f"label {v} out of range (labels are 1-based, at most {m})", f"/{pos}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "m", m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexingMap is immutable")
+    def _key(self):
+        return self.values, self.m
 
     def __len__(self):
         return len(self.values)
 
     def used_labels(self) -> Set[int]:
         return {v for v in self.values if v is not None}
-
-    def __eq__(self, other):
-        if not isinstance(other, IndexingMap):
-            return NotImplemented
-        return self.values == other.values and self.m == other.m
-
-    def __hash__(self):
-        return hash(("IndexingMap", self.values, self.m))
 
     def __repr__(self):
         return f"IndexingMap({list(self.values)!r}, m={self.m})"
@@ -83,34 +79,33 @@ def indexing_matrix(g: Graph, im: IndexingMap) -> IndexingMatrix:
     return rows
 
 
-class JoinSpec:
-    """Host graph, factor graphs, label count, and per-factor indexing maps."""
+class JoinSpec(_Value):
+    """Host graph, factor graphs, label count, and per-factor indexing maps.
+    A refused factor carries `where` "/factors/<i>", a refused map
+    "/indexing/<i>"."""
 
     __slots__ = ("host", "factors", "m", "indexing")
 
     def __init__(self, host: Graph, factors: Sequence[Graph], m: int, indexing: Sequence[IndexingMap]):
+        if type(m) is not int or m < 0:
+            raise InvalidParametersError(f"label count m must be a non-negative integer, got {m!r}")
         factors = tuple(factors)
         indexing = tuple(indexing)
         if len(factors) != host.n:
             raise SizeMismatchError(f"host has {host.n} vertices but {len(factors)} factors were given")
         if len(indexing) != host.n:
             raise SizeMismatchError(f"host has {host.n} vertices but {len(indexing)} indexing maps were given")
-        for i, g in enumerate(factors):
+        for i, (g, im) in enumerate(zip(factors, indexing)):
             if g.n == 0:
-                raise InvalidParametersError(f"factor {i} has no vertices")
-            if indexing[i].m != m:
-                raise SizeMismatchError(f"indexing map {i} uses m={indexing[i].m}, spec says m={m}")
-            if len(indexing[i]) != g.n:
-                raise SizeMismatchError(f"indexing map {i} covers {len(indexing[i])} vertices but factor {i} has {g.n}")
-        if type(m) is not int or m < 0:
-            raise InvalidParametersError(f"label count m must be a non-negative integer, got {m!r}")
+                raise InvalidParametersError(f"factor {i} has no vertices", f"/factors/{i}")
+            if im.m != m:
+                raise SizeMismatchError(f"indexing map {i} uses m={im.m}, spec says m={m}", f"/indexing/{i}")
+            if len(im) != g.n:
+                raise SizeMismatchError(f"factor {i} has {g.n} vertices but {len(im)} labels", f"/indexing/{i}")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "indexing", indexing)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JoinSpec is immutable")
 
     @property
     def k(self) -> int:
@@ -123,13 +118,8 @@ class JoinSpec:
     def indexing_matrices(self) -> List[IndexingMatrix]:
         return [indexing_matrix(g, im) for g, im in zip(self.factors, self.indexing)]
 
-    def __eq__(self, other):
-        if not isinstance(other, JoinSpec):
-            return NotImplemented
-        return (self.host, self.factors, self.m, self.indexing) == (other.host, other.factors, other.m, other.indexing)
-
-    def __hash__(self):
-        return hash(("JoinSpec", self.host, self.factors, self.m, self.indexing))
+    def _key(self):
+        return self.host, self.factors, self.m, self.indexing
 
     def __repr__(self):
         return f"JoinSpec(host={self.host!r}, factors={list(self.factors)!r}, m={self.m}, indexing={list(self.indexing)!r})"

@@ -4,6 +4,9 @@ core that does all their arithmetic.
 `Polynomial` is a value: `fractions.Fraction` coefficients stored densely,
 lowest degree first, with trailing zeros trimmed, so structural equality is
 mathematical equality. It has queries and one renderer (`render_polynomial`), and no arithmetic of its own.
+Its base `_Value` is the one refusal of assignment in the package, shared
+by graphs, indexing maps, specs and universal parameters, which also take
+their equality and hashing from it.
 
 Every operation runs on integer coefficient lists in Z[y]: `_int_mul`
 (products), `_int_coeff_eval` (Horner's rule), `_int_divexact` (long
@@ -49,7 +52,26 @@ def _coerce_fraction(value) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-class Polynomial:
+class _Value:
+    """Base of the package's immutable values. A constructor sets the slots
+    with object.__setattr__; equality and hashing compare `_key()`, and
+    only between values of exactly the same type."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Polynomial(_Value):
     """Dense univariate polynomial over Q, lowest-degree coefficient first."""
 
     __slots__ = ("coeffs",)
@@ -59,9 +81,6 @@ class Polynomial:
         while items and items[-1] == 0:
             items.pop()
         object.__setattr__(self, "coeffs", tuple(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # ------------------------------------------------------------------
     # basic queries

@@ -5,7 +5,11 @@ Every exact number is a decimal-free fraction string "p/q" ("p" when the
 denominator is 1); polynomials are arrays of coefficient strings, lowest
 degree first.  Dumps use a fixed key order, two-space indentation, and a
 trailing newline, so identical inputs produce identical bytes.  Parsers
-report failures as SpecValidationError carrying a JSON-pointer path."""
+report failures as SpecValidationError carrying a JSON-pointer path.  The
+readers check the JSON shape, and `m` because the indexing maps are built
+before their spec; every other rule is the constructor's, and its refusal
+is reported at the value's pointer plus the pointer the constructor gives
+the faulty item, `HmJoinError.where` (`_build`)."""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from .cospectral import CospectralCertificate, GeneralizedJoinSpec
 from .errors import HmJoinError, SpecValidationError
@@ -51,6 +55,14 @@ def _expect_string(data, pointer: str) -> str:
     if not isinstance(data, str):
         _fail(pointer, "expected a string")
     return data
+
+
+def _build(pointer: str, make, *args):
+    """make(*args), with a refusal failing at `pointer` + its `where`."""
+    try:
+        return make(*args)
+    except HmJoinError as exc:
+        _fail(pointer + exc.where, str(exc))
 
 
 def _check_keys(data: Dict[str, Any], pointer: str, required, optional=()):
@@ -115,10 +127,7 @@ def graph_from_json(data, pointer: str = "") -> Graph:
         arr = _expect_array(raw, pointer + "/params")
         params = [_expect_int(x, "%s/params/%d" % (pointer, i))
                   for i, x in enumerate(arr)]
-        try:
-            return make_named(name, params)
-        except HmJoinError as exc:
-            _fail(pointer, str(exc))
+        return _build(pointer, make_named, name, params)
     _check_keys(obj, pointer, ("n", "edges"), ("labels",))
     n = _expect_int(obj["n"], pointer + "/n")
     edges = []
@@ -133,10 +142,7 @@ def graph_from_json(data, pointer: str = "") -> Graph:
     if "labels" in obj:
         labels = [_expect_string(x, "%s/labels/%d" % (pointer, i))
                   for i, x in enumerate(_expect_array(obj["labels"], pointer + "/labels"))]
-    try:
-        return Graph(n, edges, labels)
-    except HmJoinError as exc:
-        _fail(pointer, str(exc))
+    return _build(pointer, Graph, n, edges, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +160,11 @@ def params_to_json(p: UniversalParams) -> Dict[str, str]:
 
 def params_from_json(data, pointer: str = "") -> UniversalParams:
     if isinstance(data, str):
-        try:
-            return UniversalParams.preset(data)
-        except HmJoinError as exc:
-            _fail(pointer, str(exc))
+        return _build(pointer, UniversalParams.preset, data)
     obj = _expect_object(data, pointer)
-    _check_keys(obj, pointer, ("alpha", "beta", "gamma", "delta"))
-    values = {key: fraction_from_json(obj[key], pointer + "/" + key)
-              for key in ("alpha", "beta", "gamma", "delta")}
-    try:
-        return UniversalParams(**values)
-    except HmJoinError as exc:
-        _fail(pointer, str(exc))
+    keys = ("alpha", "beta", "gamma", "delta")
+    _check_keys(obj, pointer, keys)
+    return _build(pointer, UniversalParams, *(fraction_from_json(obj[key], pointer + "/" + key) for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +181,9 @@ def spec_to_json(spec: JoinSpec) -> Dict[str, Any]:
 
 
 def _indexing_from_json(data, m: int, pointer: str) -> IndexingMap:
-    arr = _expect_array(data, pointer)
-    values: List[Optional[int]] = []
-    for j, raw in enumerate(arr):
-        here = "%s/%d" % (pointer, j)
-        if raw is None:
-            values.append(None)
-            continue
-        label = _expect_int(raw, here)
-        if not (1 <= label <= m):
-            _fail(here, "label %d out of range (labels are 1-based, at most %d)" % (label, m))
-        values.append(label)
-    return IndexingMap(values, m)
-
-
-def _require_vertices(g: Graph, i: int, pointer: str):
-    if g.n == 0:
-        _fail("%s/factors/%d" % (pointer, i), "factor %d has no vertices" % i)
+    values = [None if raw is None else _expect_int(raw, "%s/%d" % (pointer, j))
+              for j, raw in enumerate(_expect_array(data, pointer))]
+    return _build(pointer, IndexingMap, values, m)
 
 
 def spec_from_json(data, pointer: str = "") -> JoinSpec:
@@ -214,20 +199,9 @@ def spec_from_json(data, pointer: str = "") -> JoinSpec:
     if len(raw_indexing) != len(factors):
         _fail(pointer + "/indexing",
               "expected %d indexing rows, got %d" % (len(factors), len(raw_indexing)))
-    indexing = []
-    for i, row in enumerate(raw_indexing):
-        im = _indexing_from_json(row, m, "%s/indexing/%d" % (pointer, i))
-        if factors[i].n != len(im):
-            _fail("%s/indexing/%d" % (pointer, i),
-                  "factor %d has %d vertices but %d labels" % (i, factors[i].n, len(im)))
-        indexing.append(im)
-    if len(factors) == host.n:  # a wrong factor count is refused first, at the document
-        for i, g in enumerate(factors):
-            _require_vertices(g, i, pointer)
-    try:
-        return JoinSpec(host, factors, m, indexing)
-    except HmJoinError as exc:
-        _fail(pointer, str(exc))
+    indexing = [_indexing_from_json(row, m, "%s/indexing/%d" % (pointer, i))
+                for i, row in enumerate(raw_indexing)]
+    return _build(pointer, JoinSpec, host, factors, m, indexing)
 
 
 def generalized_spec_to_json(spec: GeneralizedJoinSpec) -> Dict[str, Any]:
@@ -251,22 +225,7 @@ def generalized_spec_from_json(data, pointer: str = "") -> GeneralizedJoinSpec:
         subsets.append([_expect_int(v, "%s/subsets/%d/%d" % (pointer, i, j))
                         for j, v in enumerate(arr)])
     params = params_from_json(obj["params"], pointer + "/params")
-    if len(factors) == len(subsets) == host.n:  # wrong counts are refused first, at the document
-        for i, (g, subset) in enumerate(zip(factors, subsets)):
-            _require_vertices(g, i, pointer)
-            seen = set()
-            for j, v in enumerate(subset):  # refused at the second occurrence
-                if v in seen:
-                    _fail("%s/subsets/%d/%d" % (pointer, i, j), "subset %d repeats a vertex" % i)
-                seen.add(v)
-            v = min((v for v in subset if not 0 <= v < g.n), default=None)
-            if v is not None:
-                _fail("%s/subsets/%d/%d" % (pointer, i, subset.index(v)),
-                      "subset %d contains %r, not a vertex of factor %d" % (i, v, i))
-    try:
-        return GeneralizedJoinSpec(host, factors, subsets, params)
-    except HmJoinError as exc:
-        _fail(pointer, str(exc))
+    return _build(pointer, GeneralizedJoinSpec, host, factors, subsets, params)
 
 
 def spec_document_from_json(data, pointer: str = "") -> Union[JoinSpec, GeneralizedJoinSpec]:

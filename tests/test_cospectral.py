@@ -75,6 +75,31 @@ def test_generalized_spec_validation():
     assert spec.k == 2
 
 
+def test_generalized_spec_refusals_carry_the_pointer_of_the_faulty_item():
+    host = make_named("complete", [2])
+    factors = [make_named("path", [3]), make_named("cycle", [3])]
+    params = kind_parameters("A")
+    cases = [
+        ([Graph(0), factors[1]], [[], [0]], "/factors/0", "factor 0 has no vertices"),
+        (factors, [[0, 1, 0], [0]], "/subsets/0/2", "subset 0 repeats a vertex"),
+        (factors, [[1, 5, -1], [0]], "/subsets/0/2", "subset 0 contains -1, not a vertex of factor 0"),
+        (factors, [[0], [2, 3, 3]], "/subsets/1/2", "subset 1 repeats a vertex"),
+        (factors, [[0], [4, 1, 3]], "/subsets/1/2", "subset 1 contains 3, not a vertex of factor 1"),
+        (factors, [[0], [1, "a"]], "/subsets/1/1", "subset 1 holds a vertex that is not an integer"),
+        (factors, [[0]], "", "expected 2 subsets for the host, got 1"),
+    ]
+    for graphs, subsets, where, message in cases:
+        with pytest.raises(InvalidParametersError) as info:
+            GeneralizedJoinSpec(host, graphs, subsets, params)
+        assert (info.value.where, str(info.value)) == (where, message)
+
+
+def test_generalized_spec_reads_a_one_shot_subset_once():
+    p1 = make_named("path", [1])
+    spec = GeneralizedJoinSpec(make_named("path", [2]), [p1] * 2, [iter([0]), [0]], kind_parameters("A"))
+    assert spec.subsets == ((0,), (0,))
+
+
 def test_generalized_universal_charpoly_matches_direct():
     rng = random.Random(32)
     for _ in range(12):

@@ -27,6 +27,12 @@ def test_graph_normalizes_edges_and_rejects_bad_input():
         Graph(-1)
 
 
+@pytest.mark.parametrize("edge", [5, (0, 1, 2)])
+def test_graph_refuses_an_edge_that_is_not_a_pair(edge):
+    with pytest.raises(InvalidParametersError, match="^an edge is a pair of vertex ids, got "):
+        Graph(3, [edge])
+
+
 def test_graph_equality_ignores_labels():
     a = Graph(2, [(0, 1)], labels=["x", "y"])
     b = Graph(2, [(0, 1)])

@@ -79,6 +79,31 @@ def test_spec_validation():
                  [IndexingMap([1, 1], 3), IndexingMap([1, 1], 2)])
 
 
+def test_join_spec_checks_m_before_using_it():
+    p1 = make_named("path", [1])
+    with pytest.raises(InvalidParametersError, match="^label count m must be a non-negative integer, got '1'$"):
+        JoinSpec(make_named("path", [2]), [p1] * 2, "1", [IndexingMap([1], 1)] * 2)
+
+
+def test_refusals_carry_the_pointer_of_the_faulty_item():
+    host, p1, p2 = make_named("path", [2]), make_named("path", [1]), make_named("path", [2])
+    cases = [
+        (lambda: IndexingMap([1, 3], 2), "/1", "label 3 out of range (labels are 1-based, at most 2)"),
+        (lambda: IndexingMap([None, "a"], 2), "/1", "a label is an integer or None, got 'a'"),
+        (lambda: JoinSpec(host, [Graph(0), p1], 1, [IndexingMap([1], 1)] * 2), "/factors/0",
+         "factor 0 has no vertices"),
+        (lambda: JoinSpec(host, [p1, p2], 1, [IndexingMap([1], 1)] * 2), "/indexing/1",
+         "factor 1 has 2 vertices but 1 labels"),
+        (lambda: JoinSpec(host, [p1, p1], 1, [IndexingMap([1], 1), IndexingMap([1], 2)]), "/indexing/1",
+         "indexing map 1 uses m=2, spec says m=1"),
+        (lambda: JoinSpec(host, [p1], 1, [IndexingMap([1], 1)]), "", "host has 2 vertices but 1 factors were given"),
+    ]
+    for build, where, message in cases:
+        with pytest.raises((InvalidParametersError, SizeMismatchError)) as info:
+            build()
+        assert (info.value.where, str(info.value)) == (where, message)
+
+
 def test_blockwise_equals_edge_rule_on_random_specs():
     rng = random.Random(11)
     for _ in range(40):

@@ -36,6 +36,18 @@ def test_value_types_refuse_mutation():
         "MainFunction", "SpectralReport", "CospectralCertificate"]
 
 
+def test_assignment_is_refused_in_one_place():
+    # every value type inherits its refusal from one base class; a second
+    # __setattr__ anywhere in the package would be a copy of that rule
+    found = []
+    for path in sorted(pathlib.Path(hmjoin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "__setattr__"]
+    assert found == [("polynomials.py", "_Value")]
+
+
 def test_every_export_is_used_inside_the_package():
     # a public name that no module of the package reaches, outside its own
     # def or class, is a test-only helper and belongs under tests/

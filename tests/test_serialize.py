@@ -180,6 +180,19 @@ def test_indexing_pointer_diagnostics():
     assert "/indexing/0" in info3.value.pointer
 
 
+def test_generalized_document_reports_the_first_faulty_subset_at_its_item():
+    doc = {"host": {"n": 2, "edges": [[0, 1]]},
+           "factors": [{"family": "path", "params": [3]}, {"family": "cycle", "params": [3]}],
+           "subsets": [[2, 0, 2], [1, 7]], "params": "A"}
+    with pytest.raises(SpecValidationError) as info:
+        generalized_spec_from_json(doc, "/spec_a")
+    assert str(info.value) == "/spec_a/subsets/0/2: subset 0 repeats a vertex"
+    doc["subsets"][0] = [2, 0]
+    with pytest.raises(SpecValidationError) as info:
+        generalized_spec_from_json(doc, "/spec_a")
+    assert str(info.value) == "/spec_a/subsets/1/1: subset 1 contains 7, not a vertex of factor 1"
+
+
 def test_label_count_zero_reads_and_negative_is_refused():
     doc = {"host": {"n": 2, "edges": [[0, 1]]}, "m": 0,
            "factors": [{"n": 1, "edges": []}, {"n": 2, "edges": []}],
