@@ -13,7 +13,6 @@ and, as a tuple, groups the configurations of `search_pairs`."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,12 +26,7 @@ from .exactlinalg import charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import IndexingMap, JoinSpec, hm_join
 from .polynomials import Polynomial, _unscaled, _Value
-from .spectra import (
-    MainFunction,
-    _universal_blocks,
-    main_function,
-    reduced_block_charpoly,
-)
+from .spectra import _universal_blocks, main_function, reduced_block_charpoly
 
 COSPECTRAL_KINDS = ("A", "S", "L", "U")
 
@@ -93,9 +87,6 @@ class GeneralizedJoinSpec(_Value):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "subsets", tuple(tuple(sorted(s)) for s in subsets))
         object.__setattr__(self, "params", params)
-
-    def _key(self):
-        return self.host, self.factors, self.subsets, self.params
 
     @property
     def k(self) -> int:
@@ -208,8 +199,7 @@ def _verdict(a: Graph, b: Graph) -> Optional[bool]:
     return None
 
 
-@dataclass(frozen=True)
-class CospectralCertificate:
+class CospectralCertificate(_Value):
     """Verified outcome of a cospectral construction: the two specs, the
     designated charpoly the joins share, the per-factor slot main functions
     as witnesses, and an isomorphism verdict (None when the joins exceed the
@@ -219,12 +209,7 @@ class CospectralCertificate:
     delta = gamma = 0); `serialize.certificate_to_json` prints the latter
     with row 0 times gamma."""
 
-    kind: str
-    spec_a: GeneralizedJoinSpec
-    spec_b: GeneralizedJoinSpec
-    charpoly: Polynomial
-    isomorphic: Optional[bool]
-    gamma_witness: Tuple[MainFunction, ...]
+    __slots__ = ("kind", "spec_a", "spec_b", "charpoly", "isomorphic", "gamma_witness")
 
 
 def kind_parameters(kind: str, params: Optional[UniversalParams] = None) -> UniversalParams:

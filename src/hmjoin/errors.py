@@ -37,13 +37,19 @@ class SpecValidationError(HmJoinError, ValueError):
     """A spec document failed validation.
 
     The `pointer` attribute holds a JSON-pointer path to the offending
-    field ("" for document-level problems).
+    field ("" for document-level problems), and the text reads
+    "<pointer>: <message>". Its args are (message, pointer), so a pickled
+    error rebuilds the same text.
     """
 
     def __init__(self, message, pointer=""):
-        super().__init__(f"{pointer or '<document>'}: {message}")
+        super().__init__(message)
+        self.args = (message, pointer)
         self.pointer = pointer
         self.message = message
+
+    def __str__(self):
+        return f"{self.pointer or '<document>'}: {self.message}"
 
 
 class BlockFactorizationError(HmJoinError, ArithmeticError):

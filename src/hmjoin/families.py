@@ -11,19 +11,16 @@ invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import InvalidParametersError
 from .graphs import Graph, disjoint_union, make_named
 from .joins import IndexingMap, JoinSpec, hm_join
+from .polynomials import _Value
 
 
-@dataclass(frozen=True)
-class FamilyRealization:
-    direct: Graph
-    spec: JoinSpec
-    alignment: Tuple[int, ...]
+class FamilyRealization(_Value):
+    __slots__ = ("direct", "spec", "alignment")
 
     def join_graph(self) -> Graph:
         """The joined graph with vertices renamed into direct order."""

@@ -23,7 +23,8 @@ Edge = Tuple[int, int]
 
 
 class Graph(_Value):
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1. A refused edge carries its
+    position as `where`, "/edges/<i>"."""
 
     __slots__ = ("n", "edges", "labels")
 
@@ -31,17 +32,17 @@ class Graph(_Value):
         if type(n) is not int or n < 0:
             raise InvalidParametersError(f"vertex count must be a non-negative integer, got {n!r}")
         normalized = set()
-        for e in edges:
+        for i, e in enumerate(edges):
             try:
                 u, v = e
             except (TypeError, ValueError):
-                raise InvalidParametersError(f"an edge is a pair of vertex ids, got {e!r}") from None
+                raise InvalidParametersError(f"an edge is a pair of vertex ids, got {e!r}", f"/edges/{i}") from None
             if type(u) is not int or type(v) is not int:
-                raise InvalidParametersError(f"edge endpoints must be integers, got {e!r}")
+                raise InvalidParametersError(f"edge endpoints must be integers, got {e!r}", f"/edges/{i}")
             if u == v:
-                raise InvalidParametersError(f"loops are not allowed: {e!r}")
+                raise InvalidParametersError(f"loops are not allowed: {e!r}", f"/edges/{i}")
             if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParametersError(f"edge {e!r} out of range for {n} vertices")
+                raise InvalidParametersError(f"edge {e!r} out of range for {n} vertices", f"/edges/{i}")
             normalized.add((u, v) if u < v else (v, u))
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -213,11 +214,6 @@ class UniversalParams(_Value):
 
     def as_tuple(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.alpha, self.beta, self.gamma, self.delta)
-
-    _key = as_tuple
-
-    def __repr__(self):
-        return f"UniversalParams{self.as_tuple()!r}"
 
     @classmethod
     def preset(cls, name: str) -> "UniversalParams":

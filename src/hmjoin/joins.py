@@ -52,17 +52,11 @@ class IndexingMap(_Value):
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "m", m)
 
-    def _key(self):
-        return self.values, self.m
-
     def __len__(self):
         return len(self.values)
 
     def used_labels(self) -> Set[int]:
         return {v for v in self.values if v is not None}
-
-    def __repr__(self):
-        return f"IndexingMap({list(self.values)!r}, m={self.m})"
 
 
 def indexing_matrix(g: Graph, im: IndexingMap) -> IndexingMatrix:
@@ -117,12 +111,6 @@ class JoinSpec(_Value):
 
     def indexing_matrices(self) -> List[IndexingMatrix]:
         return [indexing_matrix(g, im) for g, im in zip(self.factors, self.indexing)]
-
-    def _key(self):
-        return self.host, self.factors, self.m, self.indexing
-
-    def __repr__(self):
-        return f"JoinSpec(host={self.host!r}, factors={list(self.factors)!r}, m={self.m}, indexing={list(self.indexing)!r})"
 
 
 def hm_join(spec: JoinSpec) -> Graph:

@@ -4,9 +4,8 @@ core that does all their arithmetic.
 `Polynomial` is a value: `fractions.Fraction` coefficients stored densely,
 lowest degree first, with trailing zeros trimmed, so structural equality is
 mathematical equality. It has queries and one renderer (`render_polynomial`), and no arithmetic of its own.
-Its base `_Value` is the one refusal of assignment in the package, shared
-by graphs, indexing maps, specs and universal parameters, which also take
-their equality and hashing from it.
+Its base `_Value` is the one way the package declares a value: graphs,
+specs, main functions and every report or certificate record subclass it.
 
 Every operation runs on integer coefficient lists in Z[y]: `_int_mul`
 (products), `_int_coeff_eval` (Horner's rule), `_int_divexact` (long
@@ -53,14 +52,41 @@ def _coerce_fraction(value) -> Fraction:
 
 
 class _Value:
-    """Base of the package's immutable values. A constructor sets the slots
-    with object.__setattr__; equality and hashing compare `_key()`, and
-    only between values of exactly the same type."""
+    """Base of the package's immutable values. A value type subclasses it
+    and declares its fields as `__slots__`, in order; a `__dict__` slot
+    holds cached views and is not a field.
+
+    The constructor takes one value per field, positionally, and refuses
+    any other count. A type that checks or normalizes its input defines
+    its own `__init__` and sets its fields with object.__setattr__, since
+    assignment is refused. Equality and hashing compare `_key()`, by
+    default the fields, and only between values of exactly the same type;
+    the repr lists the fields. `copy` and `pickle` restore a value's state
+    through object.__setattr__, without running a constructor."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # the default state of a slotted object: (its __dict__ or None, its slots)
+        for part in state:
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -69,6 +95,10 @@ class _Value:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class Polynomial(_Value):

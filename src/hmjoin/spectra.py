@@ -108,10 +108,9 @@ each class scaled by L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -138,11 +137,11 @@ from .polynomials import (
     _int_squarefree,
     _scaled,
     _unscaled,
+    _Value,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class MainFunction:
+class MainFunction(_Value):
     """Gamma = E^T (xI - M)^{-1} E of a symmetric M in exact normal form
     (g, f), held in Z[y] (module docstring).
 
@@ -159,11 +158,7 @@ class MainFunction:
     functions are equal exactly when their Gamma are, whatever their s.
     """
 
-    s: int
-    phi: Tuple[int, ...]
-    g: Tuple[int, ...]
-    f: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    scale: int
+    __slots__ = ("s", "phi", "g", "f", "scale", "__dict__")
 
     @cached_property
     def charpoly(self) -> Polynomial:
@@ -177,13 +172,8 @@ class MainFunction:
     def numerator(self) -> Tuple[Tuple[Polynomial, ...], ...]:
         return tuple(tuple(_unscaled(p, self.s, self.scale) for p in row) for row in self.f)
 
-    def __eq__(self, other):
-        if not isinstance(other, MainFunction):
-            return NotImplemented
-        return (self.denominator, self.numerator) == (other.denominator, other.numerator)
-
-    def __hash__(self):
-        return hash((self.denominator, self.numerator))
+    def _key(self):
+        return self.denominator, self.numerator
 
     def entry(self, a: int, b: int) -> Tuple[Polynomial, Polynomial]:
         """Gamma_ab in lowest terms as (num, den), den monic: the cofactors
@@ -195,8 +185,7 @@ class MainFunction:
         return _unscaled(num, self.s, self.scale), _unscaled(den, self.s)
 
 
-@dataclass(frozen=True)
-class EigenvalueClass:
+class EigenvalueClass(_Value):
     """A set of conjugate eigenvalues sharing multiplicity and mainness.
 
     `poly` is monic and squarefree; rational classes are linear with the
@@ -204,35 +193,21 @@ class EigenvalueClass:
     characteristic polynomial.
     """
 
-    poly: Polynomial
-    rational: Optional[Fraction]
-    multiplicity: int
-    is_main: bool
+    __slots__ = ("poly", "rational", "multiplicity", "is_main")
 
 
-@dataclass(frozen=True)
-class CarryForwardRow:
+class CarryForwardRow(_Value):
     """Guaranteed vs observed multiplicity of one factor eigenvalue class
     in the join."""
 
-    factor: int
-    eigen_class: EigenvalueClass
-    guaranteed: int
-    observed: int
+    __slots__ = ("factor", "eigen_class", "guaranteed", "observed")
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(_Value):
     """Everything the block pipeline produces for one join spec."""
 
-    charpoly_direct: Polynomial
-    charpoly_block: Polynomial
-    factor_charpolys: Tuple[Polynomial, ...]
-    phi_polynomial: Polynomial
-    gammas: Tuple[MainFunction, ...]
-    e_main_flags: Tuple[Tuple[EigenvalueClass, ...], ...]
-    carry_forward: Tuple[CarryForwardRow, ...]
-    numeric_spectrum: Tuple[Tuple[float, int], ...]
+    __slots__ = ("charpoly_direct", "charpoly_block", "factor_charpolys", "phi_polynomial", "gammas",
+                 "e_main_flags", "carry_forward", "numeric_spectrum")
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +506,5 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
         flags.append(classes)
         for row in counts:
             carry.append(CarryForwardRow(i, *row))
-    return SpectralReport(
-        charpoly_direct=char,
-        charpoly_block=char,
-        factor_charpolys=tuple(mf.charpoly for mf in mfs),
-        phi_polynomial=_phi_quotient(lift, mfs, spec.m, l),
-        gammas=tuple(mfs),
-        e_main_flags=tuple(flags),
-        carry_forward=tuple(carry),
-        numeric_spectrum=_numeric_spectrum(matrix),
-    )
+    return SpectralReport(char, char, tuple(mf.charpoly for mf in mfs), _phi_quotient(lift, mfs, spec.m, l),
+                          tuple(mfs), tuple(flags), tuple(carry), _numeric_spectrum(matrix))

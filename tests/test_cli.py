@@ -390,6 +390,8 @@ _EMPTY_FACTOR = {"host": {"n": 2, "edges": [[0, 1]]}, "m": 1,
                  "factors": [{"n": 0, "edges": []}, {"n": 1, "edges": []}], "indexing": [[], [1]]}
 _REPEATED_VERTEX = {"host": {"n": 2, "edges": [[0, 1]]}, "factors": [{"n": 2, "edges": [[0, 1]]}, {"n": 1, "edges": []}],
                     "subsets": [[1, 1], [0]], "params": "A"}
+_BAD_EDGE = {"host": {"n": 2, "edges": [[0, 1]]}, "m": 1,
+             "factors": [{"n": 2, "edges": [[0, 2]]}, {"n": 1, "edges": []}], "indexing": [[1, 1], [1]]}
 _SHORT_LABELS = {"host": {"n": 2, "edges": [[0, 1]], "labels": ["left"]}, "m": 1,
                  "factors": [{"n": 1, "edges": []}, {"n": 1, "edges": []}], "indexing": [[1], [1]]}
 
@@ -403,8 +405,9 @@ _SHORT_LABELS = {"host": {"n": 2, "edges": [[0, 1]], "labels": ["left"]}, "m": 1
     (["charpoly", "SPEC"], _PATH0, "/factors/0: a path needs at least 1 vertex"),
     (["charpoly", "SPEC"], _REPEATED_VERTEX, "/subsets/0/1: subset 0 repeats a vertex"),
     (["charpoly", "SPEC"], _SHORT_LABELS, "/host: expected 2 labels, got 1"),
+    (["charpoly", "SPEC"], _BAD_EDGE, "/factors/0/edges/0: edge (0, 2) out of range for 2 vertices"),
 ], ids=["graph-token", "family-params", "family-arity", "alpha-zero", "empty-factor", "path-0", "repeated-vertex",
-                      "labels"])
+                      "labels", "edge-range"])
 def test_invalid_inputs_exit_two_with_one_stderr_line(capsys, tmp_path, argv, document, message):
     spec = tmp_path / "spec.json"
     if document is not None:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hmjoin.errors import InvalidParametersError, SizeMismatchError
+from hmjoin.errors import HmJoinError, InvalidParametersError, SizeMismatchError
 from hmjoin.graphs import (
     Graph,
     UniversalParams,
@@ -31,6 +31,19 @@ def test_graph_normalizes_edges_and_rejects_bad_input():
 def test_graph_refuses_an_edge_that_is_not_a_pair(edge):
     with pytest.raises(InvalidParametersError, match="^an edge is a pair of vertex ids, got "):
         Graph(3, [edge])
+
+
+@pytest.mark.parametrize("edges, labels, where", [
+    ([(0, 1), 5], None, "/edges/1"),
+    ([(0, 1.0)], None, "/edges/0"),
+    ([(0, 1), (1, 1)], None, "/edges/1"),
+    ([(1, 0), (0, 2)], None, "/edges/1"),
+    ([(0, 1)], ["x"], ""),
+], ids=["not-a-pair", "not-an-integer", "loop", "out-of-range", "label-count"])
+def test_edge_refusals_carry_the_edge_position(edges, labels, where):
+    with pytest.raises(HmJoinError) as info:
+        Graph(2, edges, labels)
+    assert info.value.where == where
 
 
 def test_graph_equality_ignores_labels():

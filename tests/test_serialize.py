@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -286,3 +287,11 @@ def test_certificate_keys():
     assert generalized_spec_from_json(doc["spec_a"]) == sa
     assert len(doc["gamma_witness"]) == 2
     json.dumps(doc)
+
+
+def test_errors_keep_their_text_and_pointers_through_pickle():
+    err = pickle.loads(pickle.dumps(SpecValidationError("bad", "/x")))
+    assert (str(err), err.pointer, err.message) == ("/x: bad", "/x", "bad")
+    assert str(pickle.loads(pickle.dumps(SpecValidationError("bad")))) == "<document>: bad"
+    err = pickle.loads(pickle.dumps(InvalidParametersError("bad", "/factors/1")))
+    assert (type(err), str(err), err.where) == (InvalidParametersError, "bad", "/factors/1")
