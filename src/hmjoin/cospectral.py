@@ -7,14 +7,27 @@ A generalized join is the join whose side E_i is the subset indicator
 of a labeled join. `_slot_hypotheses` is the only place that knows,
 for factor slot i, its main function on those blocks and its hypothesis
 data. The main function feeds the block charpoly and is a certificate's
-witness; the hypothesis data gates `check_cospectral_conditions` pairwise
-and, as a tuple, groups the configurations of `search_pairs`."""
+witness; the hypothesis data gates `check_cospectral_conditions` pairwise.
+
+`search_pairs` groups (graph, subset) configurations by that data with
+walk sums for main functions: Z^T (xI - M)^{-1} Z = sum_t x^(-t-1) Z^T M^t Z,
+and by Cayley-Hamilton phi = det(xI - M) and the walk sums for t < n give
+the rest (Godsil, Algebraic Combinatorics, 1993, ch. 4). The key of (G, S)
+holds n, |S|, for kinds A and S the regular degree (an irregular G has
+none), phi of U = U(G) and 1_S^T U^t 1_S; with gamma != 0 = delta also
+1^T U^t 1_S and 1^T U^t 1 (the side [1 | 1_S]); with delta != 0 also phi
+of the corrected U + delta diag(1_S) and its walk sums on the side 1_S, or
+[1 | 1_S] if gamma != 0. All are integers of d*U, d the common denominator
+of the parameters, one scale for the whole search."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     HypothesisNotMetError,
@@ -26,7 +39,7 @@ from .exactlinalg import charpoly
 from .graphs import Graph, UniversalParams, make_named, universal_matrix
 from .joins import IndexingMap, JoinSpec, hm_join
 from .polynomials import Polynomial, _unscaled, _Value
-from .spectra import _universal_blocks, main_function, reduced_block_charpoly
+from .spectra import _resolvent, _universal_blocks, main_function, reduced_block_charpoly
 
 COSPECTRAL_KINDS = ("A", "S", "L", "U")
 
@@ -39,12 +52,12 @@ _KIND_PRESETS = {
 
 _ISOMORPHISM_LIMIT = 32
 # Most (graph, subset) configurations one pair search takes on. Each costs
-# one main function, two unless delta = gamma = 0. A whole search on
+# its walk sums, and a charpoly when delta != 0. A whole search on
 # `fixtures/catalog.json`, in process, least of two runs on a 2-core Xeon
-# (Python 3.11, one OpenBLAS thread), takes 1.0, 2.7 and 1.9 s for kinds A,
-# L and S at budget 3 (1,613 configurations: 0.6, 1.7 and 1.2 ms each) and
-# 2.4, 11.4 and 4.9 s at budget 4 (5,313), so a kind-L search at the cap
-# runs about 20 s. Budget 6 gives 30,083.
+# (Python 3.11, one OpenBLAS thread), takes 0.33, 1.5 and 0.35 s for kinds
+# A, L and S at budget 3 (1,613 configurations: 0.20, 0.94 and 0.22 ms
+# each) and 0.46, 4.7 and 0.59 s at budget 4 (5,313), so a kind-L search at
+# the cap runs about 9 s. Budget 6 gives 30,083.
 _CONFIGURATION_LIMIT = 10_000
 
 
@@ -149,15 +162,8 @@ def isomorphism_test(a: Graph, b: Graph) -> bool:
             "isomorphism testing is limited to %d vertices" % _ISOMORPHISM_LIMIT)
     if a.n != b.n or len(a.edges) != len(b.edges):
         return False
-    if a.n == 0:
-        return True
     (ca, cb), adjacency = _joint_color_refinement(a, b)
-    hist_a: Dict[int, int] = {}
-    hist_b: Dict[int, int] = {}
-    for c in ca:
-        hist_a[c] = hist_a.get(c, 0) + 1
-    for c in cb:
-        hist_b[c] = hist_b.get(c, 0) + 1
+    hist_a, hist_b = Counter(ca), Counter(cb)
     if hist_a != hist_b:
         return False
     adj_a, adj_b = ([set(nb) for nb in adj] for adj in adjacency)
@@ -174,19 +180,14 @@ def isomorphism_test(a: Graph, b: Graph) -> bool:
         for w in candidates[pos]:
             if used[w]:
                 continue
-            ok = True
-            for earlier in order[:pos]:
-                if (earlier in adj_a[v]) != (image[earlier] in adj_b[w]):
-                    ok = False
+            for u in order[:pos]:
+                if (u in adj_a[v]) != (image[u] in adj_b[w]):
                     break
-            if not ok:
-                continue
-            image[v] = w
-            used[w] = True
-            if extend(pos + 1):
-                return True
-            image[v] = -1
-            used[w] = False
+            else:
+                image[v], used[w] = w, True
+                if extend(pos + 1):
+                    return True
+                image[v], used[w] = -1, False
         return False
 
     return extend(0)
@@ -303,18 +304,44 @@ def _certify(spec_a: GeneralizedJoinSpec, spec_b: GeneralizedJoinSpec, kind: str
     return CospectralCertificate(kind, normalized_a, normalized_b, pa, verdict, tuple(witnesses))
 
 
-def _config_key(g: Graph, subset: Tuple[int, ...], kind: str,
-                params: UniversalParams, host: Graph, anchor: Graph):
-    """Hypothesis data of one (graph, subset) slot against the fixed anchor,
-    or None for a graph the kind rejects as irregular: configurations
-    sharing a key always combine into a verified pair."""
-    spec = GeneralizedJoinSpec(host, (g, anchor), (subset, (0,)), params)
-    key = []
-    for _, value in _slot_hypotheses(spec, 0, kind):
-        if value is None:
-            return None
-        key.append(value)
-    return tuple(key)
+def _powers(m: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
+    """y, m y, ..., m^(count-1) y for integer m of order n and 0/1 y: in
+    int64 when rho and rho^(count-1) n^2 are below 2^62 for rho the largest
+    row 1-norm of m, which bounds every entry, partial sum and sum of n^2
+    entries of a power, else in Python ints."""
+    n, rho = m.shape[-1], int(np.abs(m).sum(-1).max())
+    dtype = np.int64 if max(rho, rho ** (count - 1) * n * n) < 1 << 62 else object
+    m, out = m.astype(dtype), [y.astype(dtype)]
+    for _ in range(count - 1):
+        out.append(m @ out[-1])
+    return np.stack(out)
+
+
+def _walk_keys(g: Graph, sizes: Sequence[int], kind: str, params: UniversalParams):
+    """(S, key) for every subset S of g of each size in turn, in the order
+    of `combinations` (none when the kind needs a regular graph and g is
+    not): the walk-sum key of the module docstring."""
+    r = g.is_regular() if kind in ("A", "S") else 0
+    if r is None:
+        return
+    d, n = math.lcm(*(v.denominator for v in params.as_tuple())), g.n
+    m = np.array([[int(x * d) for x in row] for row in universal_matrix(g, params)], dtype=object)
+    phi = _resolvent(tuple(map(tuple, m.tolist())))[1]
+    table = _powers(m, np.eye(n, dtype=np.int64), n)  # table[t] = (dU)^t
+    for size in sizes:
+        idx = np.array(list(combinations(range(n), size)))
+        rows = [table[:, idx[:, :, None], idx[:, None, :]].sum((2, 3))]  # [t, S]: 1_S^T (dU)^t 1_S
+        if params.delta != 0:
+            x = (idx[:, :, None] == np.arange(n)).sum(1)  # [S, v]: 1_S
+            corrected = m + int(d * params.delta) * (x[:, :, None] * np.eye(n, dtype=object))
+            side = x[:, :, None] if params.gamma == 0 else np.stack((np.ones_like(x), x), 2)
+            walks = np.swapaxes(side, 1, 2) @ _powers(corrected, side, n)  # [t, S, a, b]
+            rows.append(walks.transpose(0, 2, 3, 1).reshape(-1, len(idx)))
+            rows.append(np.array([_resolvent(tuple(map(tuple, c)))[1] for c in corrected.tolist()], dtype=object).T)
+        elif params.gamma != 0:  # the side [1 | 1_S] of U(g) itself
+            rows += [table.sum(1)[:, idx].sum(2), np.repeat(table.sum((1, 2))[:, None], len(idx), 1)]
+        for subset, walk in zip(idx.tolist(), np.concatenate(rows).T.tolist()):
+            yield tuple(subset), (n, size, r, phi, tuple(walk))
 
 
 def _subset_sizes(n: int, subset_budget: int) -> List[int]:
@@ -353,32 +380,30 @@ def search_pairs(catalog: Sequence[Graph], subset_budget: int, kind: str,
         raise TooLargeError(
             "subset budget %d gives %d (graph, subset) configurations; the search is limited to %d"
             % (subset_budget, count, _CONFIGURATION_LIMIT))
-    host = make_named("complete", [2])
-    anchor = make_named("complete", [1])
+    host, anchor = make_named("complete", [2]), make_named("complete", [1])
     groups: Dict[tuple, List[Tuple[Graph, Tuple[int, ...]]]] = {}
     for g in catalog:
-        for size in _subset_sizes(g.n, subset_budget):
-            for subset in combinations(range(g.n), size):
-                key = _config_key(g, subset, kind, chosen, host, anchor)
-                if key is not None:
-                    groups.setdefault(key, []).append((g, subset))
+        for subset, key in _walk_keys(g, _subset_sizes(g.n, subset_budget), kind, chosen):
+            groups.setdefault(key, []).append((g, subset))
     results: List[CospectralCertificate] = []
     seen_pairs = set()
     for members in groups.values():
         verdicts_seen: set = set()
-        for (i, (ga, sa)), (_, (gb, sb)) in combinations(enumerate(members), 2):
-            if ga == gb and sa == sb:
+        built: Dict[int, tuple] = {}  # each member's spec and join, built once
+        for i, j in combinations(range(len(members)), 2):
+            if members[i] == members[j]:
                 continue
             if None in verdicts_seen or verdicts_seen == {True, False} or (i and False not in verdicts_seen):
                 break
-            spec_a = GeneralizedJoinSpec(host, (ga, anchor), (sa, (0,)), chosen)
-            spec_b = GeneralizedJoinSpec(host, (gb, anchor), (sb, (0,)), chosen)
-            joins = spec_a.join_graph(), spec_b.join_graph()
-            verdict = _verdict(*joins)
+            for x in {i, j} - built.keys():
+                spec = GeneralizedJoinSpec(host, (members[x][0], anchor), (members[x][1], (0,)), chosen)
+                built[x] = spec, spec.join_graph()
+            (spec_a, join_a), (spec_b, join_b) = built[i], built[j]
+            verdict = _verdict(join_a, join_b)
             if verdict in verdicts_seen:
                 continue
             verdicts_seen.add(verdict)
-            cert = _certify(spec_a, spec_b, kind, joins + (verdict,))
+            cert = _certify(spec_a, spec_b, kind, (join_a, join_b, verdict))
             dedup = (cert.charpoly.coeffs, cert.isomorphic)
             if dedup in seen_pairs:
                 continue

@@ -7,10 +7,11 @@ import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import exceptional_srg16, lattice_srg16, random_graph
-from oracles import bareiss_charpoly, lowest_terms, regular_gamma_closed_form, resolvent_numerators
+from oracles import bareiss_charpoly, lowest_terms, mat_mul, regular_gamma_closed_form, resolvent_numerators
 import hmjoin.cospectral as cospectral
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import (
@@ -18,6 +19,7 @@ from hmjoin.cospectral import (
     GeneralizedJoinSpec,
     _CONFIGURATION_LIMIT,
     _configuration_count,
+    _subset_sizes,
     check_cospectral_conditions,
     generalized_universal_charpoly,
     isomorphism_test,
@@ -459,18 +461,143 @@ def test_search_pairs_configuration_cap():
         search_pairs(catalog, 16, "A")
 
 
+def config_key_oracle(g: Graph, subset, kind: str, params: UniversalParams):
+    """The grouping key of the search before walk sums: the hypothesis data
+    of slot 0 of the two-factor join of (g, subset) with the fixed anchor,
+    main functions included, or None for a graph the kind rejects as
+    irregular. It needs `_slot_hypotheses`, so it lives here and not in
+    `oracles`, which imports nothing from the library but `Polynomial` and
+    the errors."""
+    spec = GeneralizedJoinSpec(make_named("complete", [2]), (g, make_named("complete", [1])),
+                               (subset, (0,)), params)
+    key = []
+    for _, value in cospectral._slot_hypotheses(spec, 0, kind):
+        if value is None:
+            return None
+        key.append(value)
+    return tuple(key)
+
+
+def walk_partition(catalog, budget: int, kind: str, params: UniversalParams):
+    """The groups of `search_pairs`, members in order, by `_walk_keys`."""
+    groups = {}
+    for g in catalog:
+        for subset, key in cospectral._walk_keys(g, _subset_sizes(g.n, budget), kind, params):
+            groups.setdefault(key, []).append((g, subset))
+    return list(groups.values())
+
+
+def oracle_partition(catalog, budget: int, kind: str, params: UniversalParams, keys: dict):
+    """The same groups by `config_key_oracle`, each key computed once into
+    `keys`, since a key does not depend on the budget."""
+    groups = {}
+    for i, g in enumerate(catalog):
+        for size in _subset_sizes(g.n, budget):
+            for subset in itertools.combinations(range(g.n), size):
+                if (i, subset) not in keys:
+                    keys[i, subset] = config_key_oracle(g, subset, kind, params)
+                if keys[i, subset] is not None:
+                    groups.setdefault(keys[i, subset], []).append((g, subset))
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("kind, params, budgets", [
+    ("A", None, (1, 2, 3)),
+    ("S", None, (1, 2)),
+    ("L", None, (1, 2)),
+    ("U", UniversalParams(1, 0, 2, 0), (1, 2)),
+    ("U", UniversalParams(-1, 1, Fraction(1, 2), 1), (1, 2)),
+    ("U", UniversalParams.preset("Q"), (1, 2)),
+], ids=["A", "S", "L", "U-gamma", "U-gamma-delta", "U-Q"])
+def test_walk_keys_group_the_catalog_as_the_main_function_oracle(kind, params, budgets):
+    doc = json.loads((FIXTURES / "catalog.json").read_text(encoding="utf-8"))
+    catalog = [graph_from_json(g) for g in doc["graphs"]]
+    chosen, keys = kind_parameters(kind, params), {}
+    for budget in budgets:
+        groups = walk_partition(catalog, budget, kind, chosen)
+        assert groups == oracle_partition(catalog, budget, kind, chosen, keys)
+        assert any(len(members) > 1 for members in groups)
+
+
+@pytest.mark.parametrize("catalog, kind, params, budget", [
+    # the factor of the L gap fixtures: S = {1, 2} and {1, 4} agree but for
+    # the corrected matrices
+    ([Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)])], "L", None, 2),
+    # K5 with a pendant vertex: S = {0, 5} and {1, 2} agree but for 1^T U^t 1_S
+    ([Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])],
+     "U", UniversalParams(1, 0, -1, 0), 2),
+    # S = {0, 1, 4} and {1, 2, 4} agree but for the corrected walks
+    ([Graph(6, [(0, 4), (0, 5), (1, 2), (1, 3), (2, 3)])], "U", UniversalParams(-1, 1, Fraction(1, 2), 1), 3),
+], ids=["corrected-charpoly", "augmented-walks", "corrected-walks"])
+def test_walk_keys_separate_what_only_a_witness_tells_apart(catalog, kind, params, budget):
+    chosen = kind_parameters(kind, params)
+    assert walk_partition(catalog, budget, kind, chosen) == oracle_partition(catalog, budget, kind, chosen, {})
+    search_pairs(catalog, budget, kind, params)  # a merged group would fail its hypotheses
+
+
+def test_walk_keys_run_in_python_ints_beyond_int64(monkeypatch):
+    # L(K20) = 20I - J has rho = 38 and 38^19 > 2^63, so its powers run in
+    # Python ints; those of L(C5) (rho = 4) run in int64
+    powers, dtypes = cospectral._powers, []
+
+    def spied(m, y, count):
+        out = powers(m, y, count)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(cospectral, "_powers", spied)
+    params = kind_parameters("L")
+    k20 = make_named("complete", [20])
+    keys = dict(cospectral._walk_keys(k20, [1, 20], "L", params))
+    assert dtypes == [object] * 3
+    # 1_v^T L^t 1_v = 19 * 20^(t-1) for t >= 1, exact past 2^63
+    assert keys[(0,)][4][:20] == (1,) + tuple(19 * 20 ** (t - 1) for t in range(1, 20))
+    # and the corrected walks of L + diag(1_S), S = {0}, follow them
+    corrected = [[20 * (u == v) - 1 + (u == v == 0) for v in range(20)] for u in range(20)]
+    y, walks = [[int(v == 0)] for v in range(20)], []
+    for _ in range(20):
+        walks.append(y[0][0])
+        y = mat_mul(corrected, y)
+    assert keys[(0,)][4][20:40] == tuple(walks)
+    assert walk_partition([k20], 1, "L", params) == oracle_partition([k20], 1, "L", params, {})
+    dtypes.clear()
+    c5 = make_named("cycle", [5])
+    assert len(list(cospectral._walk_keys(c5, [1, 2, 5], "L", params))) == 16
+    assert dtypes == [np.dtype(np.int64)] * 4
+    # the corrected matrices hold entries beyond int64, whatever the order
+    huge = UniversalParams(10 ** 20, 1, 3, 10 ** 20 + 1)
+    dtypes.clear()
+    assert walk_partition([c5, Graph(1)], 2, "U", huge) == oracle_partition([c5, Graph(1)], 2, "U", huge, {})
+    assert object in dtypes
+
+
+def test_search_pairs_runs_main_functions_only_to_certify(monkeypatch):
+    doc = json.loads((FIXTURES / "catalog.json").read_text(encoding="utf-8"))
+    catalog = [graph_from_json(g) for g in doc["graphs"]]
+    calls = []
+    counted = cospectral.main_function
+
+    def counting(m, e):
+        calls.append(1)
+        return counted(m, e)
+
+    monkeypatch.setattr(cospectral, "main_function", counting)
+    certs = search_pairs(catalog, 1, "A")
+    # 8 certified pairs, one main function per slot of each of their two specs
+    assert (len(certs), len(calls)) == (8, 32)
+
+
 def test_search_pairs_stops_a_group_at_its_first_undecided_pair(monkeypatch):
     # every member of a group has the same vertex count, so once one pair of
     # joins is beyond the isomorphism limit every pair is
-    c33 = make_named("cycle", [33])
-    host, anchor, params = make_named("complete", [2]), make_named("complete", [1]), kind_parameters("A")
+    c33, params = make_named("cycle", [33]), kind_parameters("A")
     calls = {}
     verdict = cospectral._verdict
 
     def counted(a, b):
         # the anchor is the join's last vertex, adjacent to exactly the subset
         subset = tuple(sorted(a.adjacency()[c33.n]))
-        key = cospectral._config_key(c33, subset, "A", params, host, anchor)
+        key = config_key_oracle(c33, subset, "A", params)
         calls[key] = calls.get(key, 0) + 1
         return verdict(a, b)
 
@@ -526,6 +653,22 @@ def test_search_pairs_decides_each_certified_pair_once(monkeypatch):
     assert all(decided.count(pair) == 1 for pair in certified)
     monkeypatch.undo()
     assert certs == [check_cospectral_conditions(c.spec_a, c.spec_b, "A") for c in certs]
+
+
+def test_search_pairs_builds_each_member_join_once(monkeypatch):
+    doc = json.loads((FIXTURES / "catalog.json").read_text(encoding="utf-8"))
+    catalog = [graph_from_json(g) for g in doc["graphs"]]
+    built = []
+    join_graph = GeneralizedJoinSpec.join_graph
+
+    def counted(spec):
+        built.append(spec)
+        return join_graph(spec)
+
+    monkeypatch.setattr(GeneralizedJoinSpec, "join_graph", counted)
+    search_pairs(catalog, 1, "A")
+    # the 39 screened pairs take 46 distinct joins; two per pair would be 78
+    assert len(built) == len(set(built)) == 46
 
 
 def test_search_pairs_deduplicates():
