@@ -17,7 +17,8 @@ bound and returns the integers within that bound:
   E'^T adj(yI - R) E' that its caller names, for one integer side E', the
   numerators of the main functions in `spectra`;
 - `_block_lift`: det(yI - R) once more, from the values of the reduced
-  block determinant that `spectra` builds from the main functions.
+  block determinant that `spectra` builds from the main functions, as a
+  check of the direct lift.
 
 Bounds. With L the common denominator of a rational matrix M and R the
 integer rows of L*M (`_scaled_rows`), c_k(M) = c_k(R) / L^k. Each c_k(R)
@@ -73,16 +74,22 @@ every pair of blocks. The taken block D is diagonal with unit entries, so
 det N = prod diag(D) * det S with S the Schur complement of D, and every
 det S is taken at once by batched Gaussian elimination (`_det_mod`), both
 steps division-free (pivot * row i - a_ik * row k, the factors divided
-out at the end). The values of all groups, times the caller's factors
-top / bottom at each point, are interpolated in one stack
-(`_interpolate_mod`) and coefficient j is scaled by L^(n-j). A prime is
-rejected when it does not exceed the last point (the points must stay
-distinct mod p) or divides L or a bottom.
+out at the end). A prime is rejected when it does not exceed the last
+point or divides L or a bottom. Modulo each prime left, L and every bottom
+are then units and the points L*t distinct, so for the direct lift
+c = det(yI - R), det N(t) * top(t) * L^n = c(L*t) * bottom(t) at all
+n + 1 points exactly when c is the interpolant of the values times
+top / bottom, coefficient j scaled by L^(n-j); at every prime, with every
+|c_j| below half their product, exactly when c is that interpolant's CRT
+lift. The lift checks this, with c at every L*t from one table of powers
+built by doubling and one `_dot_mod`, and only when it fails interpolates
+(`_interpolate_mod`), scales and lifts (`_crt_lift`) the block's own
+integers, for its caller to name the lowest coefficient that differs.
 
-Those factors, point differences and bottoms are inverted in batches by
-Montgomery's trick (Math. Comp. 48, 1987; `_inverses`): prefix products,
-one `pow`, one sweep back; the last two once modulo the product of all the
-primes of a lift and then reduced to each.
+The Schur scalings, bottoms and point differences are inverted in batches
+by Montgomery's trick (Math. Comp. 48, 1987; `_inverses`): prefix
+products, one `pow`, one sweep back; the last once modulo the product of
+all the primes of a lift and then reduced to each.
 
 Rational roots have one scan, `_integer_roots`: for a monic divisor p of
 det(xI - M) and a common denominator s of M, s^d p(y / s) is monic in
@@ -519,30 +526,41 @@ def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], side, bound: i
 
 
 def _block_lift(rows: Sequence[Sequence[int]], index: np.ndarray, points: Sequence[int], tops: Sequence[int],
-                bottoms: Sequence[int], l: int, bound: int) -> List[int]:
+                bottoms: Sequence[int], l: int, bound: int, direct: Sequence[int]) -> List[int]:
     """det(yI - L*M), in Z[y], from the integer coefficient rows, of one
     length (row 0 zero), and the index of a polynomial matrix N,
     N[i][j] = rows[index[i, j]], whose diagonal entries are units at every
     point modulo every prime the lift keeps, with det(tI - M) =
     det N(t) * tops[j] / bottoms[j] at the points t = points[j], n + 1
-    increasing non-negative integers for n = deg det(xI - M), and the
-    common denominator L and bound of `_scaled_bound(M)`: the block lift of
-    the module docstring, with the rows, factors and powers of L reduced
-    once for all the primes and `_polymatrix_det_mod` run once per group."""
+    increasing non-negative integers for n = deg det(xI - M), the common
+    denominator L and bound of `_scaled_bound(M)`: the `direct` lift,
+    constant term first, when the check of the module docstring passes,
+    else the block's own integers. `_polymatrix_det_mod` runs once per
+    group of primes, on rows reduced once for all of them."""
     n = len(points) - 1
     ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(b % p == 0 for b in bottoms))
     modulus, q = math.prod(ps), _by_member(ps)
-    inverses = _inverses([b % modulus for b in bottoms], modulus)
-    factors = _residues([t * i % modulus for t, i in zip(tops, inverses)], (n + 1,), ps)
     order, lead = _schur_rows(index > 0)
     index = index[order[:, None], order]
     coeffs = _residues(rows, (len(rows), len(rows[0])), ps)
     group = max(1, _STACK_ENTRIES // max(1, len(points) * index.size))
-    values = np.concatenate([_polymatrix_det_mod(coeffs[i:i + group], index, points, ps[i:i + group], lead)
-                             for i in range(0, len(ps), group)]) * factors % q
+    dets = np.concatenate([_polymatrix_det_mod(coeffs[i:i + group], index, points, ps[i:i + group], lead)
+                           for i in range(0, len(ps), group)])
+    top, bottom = (_residues(f, (n + 1,), ps) for f in (tops, bottoms))
+    if len(direct) == n + 1 and all(2 * abs(c) < modulus for c in direct):
+        # columns s to 2s - 1 of the powers of L*t are columns 0 to s - 1 times (L*t)^s
+        x = np.array(points, dtype=np.int64) * _by_member([l % p for p in ps]) % q
+        powers, s = np.ones((len(ps), n + 1, len(points)), dtype=np.int64), 1
+        while s <= n:
+            powers[:, s:2 * s] = powers[:, :min(s, n + 1 - s)] * x[:, None] % q[:, None]
+            x, s = x * x % q, 2 * s
+        value = _dot_mod(_residues(direct, (1, n + 1), ps), powers, q[:, :, None])[:, 0]  # direct(L*t)
+        if np.array_equal(dets * top % q * _by_member([pow(l, n, p) for p in ps]) % q, value * bottom % q):
+            return list(direct)
+    factors = top * np.array([_inverses(row, p) for row, p in zip(bottom.tolist(), ps)]) % q
     # coefficient j of det(tI - M) times L^(n-j)
-    powers = list(itertools.accumulate(range(n), lambda power, _: power * l % modulus, initial=1))
-    return _crt_lift(ps, (_interpolate_mod(points, values, ps) * _residues(powers[::-1], (n + 1,), ps) % q).tolist())
+    scales = list(itertools.accumulate(range(n), lambda power, _: power * l % modulus, initial=1))
+    return _crt_lift(ps, (_interpolate_mod(points, dets * factors % q, ps) * _residues(scales[::-1], (n + 1,), ps) % q).tolist())
 
 
 # ---------------------------------------------------------------------------

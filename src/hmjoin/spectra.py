@@ -69,20 +69,18 @@ plain integer rows of its few distinct entries and an index into them.
 The points are the first n + 1 non-negative integers t where no g_i
 vanishes, and at each, det(tI - M) is det Phi(t) times
 prod_i phi_i(t) / g_i(t)^m, a quotient of integers that the main
-functions give. `exactlinalg` evaluates Phi, interpolates and lifts
-(`_block_lift`) into det(yI - L*M), the integer lift, with L the common
-denominator of the assembled matrix M: its coefficient of y^(n-k) is that
-of x^(n-k) times L^k, inside the bound of the direct engine. The lift
-skips every prime that divides L or the denominator of a point's
-quotient, so every prime dividing a row multiplier, some s_i or some
-g_i(t). Row a of block i holds its row multiplier times s_i^(d_i) g_i(t)
-on the diagonal, so every diagonal entry of the block is a unit at every
-point modulo every prime the lift keeps, which is all `_block_lift` asks
-of it. Before it returns, `reduced_block_charpoly` always computes the
-direct lift from the integer rows of the assembled M it is given too, and
-any difference raises BlockFactorizationError naming the lowest power of
-x whose coefficients differ. A report computes that lift once and reads
-Phi, the carry-forward multiplicities and its charpoly over Q off it.
+functions give. `reduced_block_charpoly` always computes the direct lift
+det(yI - L*M) from the integer rows of the assembled matrix M, with L its
+common denominator, and `exactlinalg` evaluates Phi and checks that lift
+against these values (`_block_lift`); any difference raises
+BlockFactorizationError naming the lowest power of x whose coefficients
+differ. The check skips every prime that divides L or the denominator of
+a point's quotient, so every prime dividing a row multiplier, some s_i or
+some g_i(t). Row a of block i holds its row multiplier times
+s_i^(d_i) g_i(t) on the diagonal, so every diagonal entry of the block is
+a unit at every point modulo every prime the check keeps, which is all
+`_block_lift` asks of it. A report computes that lift once and reads Phi,
+the carry-forward multiplicities and its charpoly over Q off it.
 
 Phi itself, kept in the report, is then the exact quotient
 det(xI - M) * prod_i g_i^(m-1) / prod_i h_i with h_i = phi_i / g_i, that
@@ -309,7 +307,7 @@ def classify_e_main(m, e) -> Tuple[EigenvalueClass, ...]:
 
 
 def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
-    dense = np.array([[float(x) for x in row] for row in matrix], dtype=float)
+    dense = np.array(matrix, dtype=float)
     if dense.size == 0:
         return ()
     w = np.linalg.eigvalsh(dense)
@@ -318,7 +316,7 @@ def _numeric_spectrum(matrix) -> Tuple[Tuple[float, int], ...]:
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or abs(w[i] - w[start]) > 1e-8 * scale:
-            clusters.append((float(np.mean(w[start:i])), i - start))
+            clusters.append((float(np.mean(w[start:i]) if i - start > 1 else w[start]), i - start))
             start = i
     return tuple(clusters)
 
@@ -383,11 +381,10 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
     The reduced matrix holds g_i I on diagonal block i and -w_b f_i[a][b] at
     row a of block i, column b of block j; its determinant Phi gives
     det(xI - M) = prod_i phi_i * Phi / prod_i g_i^(m_i) with m_i the size
-    of block i. That has degree n = sum_i deg phi_i, so it is interpolated
-    from its values at the first n + 1 non-negative integers where no g_i
-    vanishes, by `exactlinalg._block_lift`, then checked against the direct
-    lift of `matrix`: BlockFactorizationError names the lowest power of x
-    whose coefficients differ."""
+    of block i. The direct lift of `matrix`, of degree n = sum_i deg phi_i,
+    is checked against it at the first n + 1 non-negative integers where no
+    g_i vanishes, by `exactlinalg._block_lift`: BlockFactorizationError
+    names the lowest power of x whose coefficients differ."""
     mfs, mains = [], {}
     for m, e in blocks:
         key = tuple(map(tuple, m)), tuple(map(tuple, e))
@@ -395,6 +392,7 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
             mains[key] = main_function(m, e)
         mfs.append(mains[key])
     l, rows, bound = _scaled_bound(matrix)
+    direct = _charpoly_lift(rows, bound)
     table, index, scale = _reduced_stack(mfs, weights)
     # det(tI - M) = det(N(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)
@@ -412,8 +410,7 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
             tops.append(top)
             bottoms.append(bottom)
         t += 1
-    block = _block_lift(table, index, points, tops, bottoms, l, bound)
-    direct = _charpoly_lift(rows, bound)
+    block = _block_lift(table, index, points, tops, bottoms, l, bound, direct)
     if block != direct:
         bq, dq = _unscaled(block, l), _unscaled(direct, l)
         k = next(k for k in range(max(len(block), len(direct))) if bq.coefficient(k) != dq.coefficient(k))

@@ -10,6 +10,7 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
+import hmjoin.exactlinalg as exactlinalg
 from hmjoin import Graph, IndexingMap, JoinSpec, Polynomial, block_charpoly
 from hmjoin.exactlinalg import _polymatrix_det_mod, _residues, _scaled_rows, _walk_lift
 from hmjoin.spectra import _resolvent
@@ -74,6 +75,29 @@ def polymatrix_det_mod(num, points, p, lead):
     """`_polymatrix_det_mod` of a coefficient stack at one prime, as a list."""
     rows, index = table_and_index(num)
     return _polymatrix_det_mod(row_residues(rows, [p]), index, points, [p], lead)[0].tolist()
+
+
+def record_calls(monkeypatch, module, name, calls=None, note=None):
+    """Wrap module.name so that each call first extends `calls` by
+    note(*args), or by [(name, args)] when `note` is None, then runs the
+    original; returns `calls`, a new list when None. Recorders given one
+    list log their calls in the order they happen."""
+    calls = [] if calls is None else calls
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.extend([(name, args)] if note is None else note(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def record_block_primes(monkeypatch):
+    """The primes at which the block path evaluates its reduced matrix, in
+    the order of its calls."""
+    return record_calls(monkeypatch, exactlinalg, "_polymatrix_det_mod",
+                        note=lambda coeffs, index, points, ps, lead: ps)
 
 
 def walk_numerators(m, side):

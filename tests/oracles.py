@@ -36,6 +36,11 @@ index into them, modulo many primes at once at the points it picks
 eigendecomposition and projection norms, independently of the exact gcd
 route of `hmjoin.spectra.classify_e_main`.
 
+`numeric_spectrum` is the float diagnostic spectrum of a report built
+entry by entry through float() and averaged by np.mean over every cluster,
+the construction that `hmjoin.spectra._numeric_spectrum` must repeat bit
+for bit.
+
 `regular_gamma_closed_form` is 1_S^T (xI - U(G))^{-1} 1 on a regular
 graph in closed form, |S| / (x - theta), from the graph's vertex count and
 regular degree and the four universal parameters alone (any objects with
@@ -443,6 +448,25 @@ def classify_e_main_numeric(m, e, tol: float = 1e-9) -> List[Tuple[float, int, b
             out.append((float(np.mean(w[start:i])), i - start, norm > tol * scale))
             start = i
     return out
+
+
+def numeric_spectrum(m) -> Tuple[Tuple[float, int], ...]:
+    """The diagnostic spectrum of a symmetric rational matrix M, built the
+    plain way: every entry through float(), numpy's eigvalsh, and each
+    cluster of eigenvalues within 1e-8 times the largest modulus (at least
+    1) given as its np.mean and its size."""
+    dense = np.array([[float(x) for x in row] for row in m], dtype=float)
+    if dense.size == 0:
+        return ()
+    w = np.linalg.eigvalsh(dense)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    clusters = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or abs(w[i] - w[start]) > 1e-8 * scale:
+            clusters.append((float(np.mean(w[start:i])), i - start))
+            start = i
+    return tuple(clusters)
 
 
 def regular_gamma_closed_form(g, subset: Sequence[int], params) -> Tuple[Polynomial, Polynomial]:

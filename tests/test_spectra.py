@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dense_stack, polymatrix_det_mod, random_graph, random_indexing, random_spec, stack_entries, walk_numerators
+from conftest import (dense_stack, polymatrix_det_mod, random_graph, random_indexing, random_spec, record_block_primes,
+                      record_calls, stack_entries, walk_numerators)
 from oracles import (
     bareiss_charpoly,
     blockwise_adjacency,
@@ -20,6 +21,7 @@ from oracles import (
     interpolate,
     lowest_terms,
     multiplicity,
+    numeric_spectrum,
     poly_divmod,
     poly_eval,
     poly_from_roots,
@@ -730,17 +732,78 @@ def test_block_factorization_error_names_first_differing_coefficient(monkeypatch
     assert "direct path gives %s" % (true.coefficient(2) + 5) in message
 
 
-def record_block_primes(monkeypatch):
-    """The primes at which the block path evaluates its reduced matrix."""
-    used = []
-    evaluate = exactlinalg._polymatrix_det_mod
+def off_direct_lift(monkeypatch, n, change):
+    """Make the direct lift of every matrix with n rows return its
+    coefficient k plus change(k); the factors' own lifts, on fewer rows,
+    stay true."""
+    lift = spectra._charpoly_lift
+    monkeypatch.setattr(spectra, "_charpoly_lift", lambda rows, bound: lift(rows, bound) if len(rows) != n else
+                        [c + change(k) for k, c in enumerate(lift(rows, bound))])
 
-    def recording(coeffs, index, points, ps, lead):
-        used.extend(ps)
-        return evaluate(coeffs, index, points, ps, lead)
 
-    monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", recording)
-    return used
+def test_direct_lift_off_by_the_first_block_prime_is_caught_at_the_second(monkeypatch):
+    # generalized_petersen(11, 4) takes two block primes; a direct lift off by
+    # the first at x^3 agrees with the block's values modulo that prime only
+    spec = generalized_petersen(11, 4).spec
+    used = record_block_primes(monkeypatch)
+    true = block_charpoly(spec).charpoly_direct
+    assert len(used) == 2
+    p = used[0]
+    off_direct_lift(monkeypatch, true.degree, lambda k: p if k == 3 else 0)
+    with pytest.raises(BlockFactorizationError) as info:
+        block_charpoly(spec)
+    assert str(info.value) == ("block factorization identity violated: the coefficients of x^3 differ, "
+                               f"block path gives {true.coefficient(3)}, direct path gives {true.coefficient(3) + p}")
+
+
+def test_agreeing_paths_neither_interpolate_nor_lift_the_block(monkeypatch):
+    # the block's integers are interpolated and lifted only when its values
+    # and the direct lift's differ; the walk and direct lifts run first
+    log = []
+    for name in ("_polymatrix_det_mod", "_interpolate_mod", "_crt_lift"):
+        record_calls(monkeypatch, exactlinalg, name, log)
+
+    def block_side():
+        names = [name for name, _ in log]
+        return names[names.index("_polymatrix_det_mod"):]
+
+    spec = generalized_petersen(11, 4).spec
+    n = block_charpoly(spec).charpoly_direct.degree
+    assert block_side() == ["_polymatrix_det_mod"]
+    log.clear()
+    off_direct_lift(monkeypatch, n, lambda k: k == 0)
+    with pytest.raises(BlockFactorizationError):
+        block_charpoly(spec)
+    assert block_side() == ["_polymatrix_det_mod", "_interpolate_mod", "_crt_lift"]
+
+
+def test_interpolation_route_recovers_the_direct_integers(monkeypatch, corpus_specs):
+    # the route that names a differing coefficient runs only when the check
+    # fails: force it with a direct lift off by one at the constant term,
+    # which differs at every point modulo every prime, and require the
+    # block's own integers to be the true ones, on valid inputs of every kind
+    lift, agreed = spectra._block_lift, []
+
+    def forced(table, index, points, tops, bottoms, l, bound, direct):
+        block = lift(table, index, points, tops, bottoms, l, bound, [direct[0] + 1, *direct[1:]])
+        agreed.append(block == direct)
+        return block
+
+    monkeypatch.setattr(spectra, "_block_lift", forced)
+    interpolations = record_calls(monkeypatch, exactlinalg, "_interpolate_mod")
+    rng, aalpha, seidel = random.Random(5813), UniversalParams.preset("Aalpha:97/100"), UniversalParams.preset("seidel")
+    generalized = []
+    for _ in range(20):
+        factors = [random_graph(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+        subsets = [rng.sample(range(g.n), rng.randint(1, g.n)) for g in factors]
+        generalized.append(GeneralizedJoinSpec(random_graph(rng, len(factors)), factors, subsets, seidel))
+    runs = ([lambda spec=spec: block_charpoly(spec) for spec in corpus_specs]
+            + [lambda spec=spec: universal_block_charpoly(spec, aalpha) for spec in corpus_specs[:40]]
+            + [lambda spec=spec: generalized_universal_charpoly(spec) for spec in generalized])
+    for run in runs:
+        run()
+    assert agreed == [True] * len(runs)
+    assert len(interpolations) == len(runs)
 
 
 def test_block_path_skips_prime_dividing_a_denominator(monkeypatch):
@@ -814,22 +877,17 @@ def test_block_lift_prime_groups_give_the_same_integers(monkeypatch):
     # several primes, which fit one stack; caps of one and of two primes' stacks
     # split the same lift into groups
     spec, params = generalized_petersen(11, 4).spec, UniversalParams.preset("Aalpha:97/100")
-    groups, sizes = [], []
-    evaluate = exactlinalg._polymatrix_det_mod
-
-    def recording(coeffs, index, points, ps, lead):
-        groups.append(list(ps))
-        sizes.append(len(points) * index.size)
-        return evaluate(coeffs, index, points, ps, lead)
-
-    monkeypatch.setattr(exactlinalg, "_polymatrix_det_mod", recording)
+    calls = record_calls(monkeypatch, exactlinalg, "_polymatrix_det_mod",
+                         note=lambda coeffs, index, points, ps, lead: [(list(ps), len(points) * index.size)])
     whole = universal_block_charpoly(spec, params)
+    groups, sizes = [g for g, _ in calls], [size for _, size in calls]
     assert len(groups) == 1 and len(groups[0]) > 4
     primes = groups[0]
     for cap, size in ((1, 1), (2 * sizes[0], 2), (2 * sizes[0] + 1, 2)):
-        groups.clear()
+        calls.clear()
         monkeypatch.setattr(exactlinalg, "_STACK_ENTRIES", cap)
         split = universal_block_charpoly(spec, params)
+        groups = [g for g, _ in calls]
         assert groups == [primes[i:i + size] for i in range(0, len(primes), size)]
         assert (split.charpoly_block, split.phi_polynomial) == (whole.charpoly_block, whole.phi_polynomial)
 
@@ -982,6 +1040,30 @@ def test_numeric_spectrum_matches_charpoly_degree():
     values = sorted(v for v, _ in report.numeric_spectrum)
     assert abs(values[0] + 2.0) < 1e-9
     assert abs(values[-1] - 5.0) < 1e-9
+
+
+def test_numeric_spectrum_repeats_the_plain_construction_bit_for_bit():
+    # rational entries, eigenvalues repeated by copies of one block and by
+    # complete graphs, and the empty matrix: the same floats, compared by repr
+    rng = random.Random(3410)
+    matrices = [[], universal_matrix(hm_join(example_3_7_spec()), UniversalParams.preset("Aalpha:97/100")),
+                universal_matrix(hm_join(generalized_petersen(11, 4).spec), UniversalParams.preset("L"))]
+    for _ in range(30):
+        b, copies = rng.randint(1, 4), rng.randint(1, 3)
+        block = [[Fraction(0)] * b for _ in range(b)]
+        for i in range(b):
+            for j in range(i, b):
+                block[i][j] = block[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        matrices.append([[block[i % b][j % b] if i // b == j // b else Fraction(0) for j in range(b * copies)]
+                         for i in range(b * copies)])
+        n = rng.randint(2, 6)
+        matrices.append(universal_matrix(make_named("complete", [n]), UniversalParams.preset(rng.choice(["A", "Aalpha:97/100"]))))
+    sizes = set()
+    for m in matrices:
+        spectrum = spectra._numeric_spectrum(m)
+        assert repr(spectrum) == repr(numeric_spectrum(m))
+        sizes.update(size > 1 for _, size in spectrum)
+    assert sizes == {False, True}
 
 
 def test_a_report_computes_each_distinct_block_once(monkeypatch):
