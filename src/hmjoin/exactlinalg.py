@@ -95,7 +95,7 @@ Rational roots have one scan, `_integer_roots`: for a monic divisor p of
 det(xI - M) and a common denominator s of M, s^d p(y / s) is monic in
 Z[y], so the rational roots of p are y / s for its integer roots y. Those
 lie within the Gershgorin bound of the integer rows of s*M and divide the
-lowest non-zero coefficient; multiplicities come from repeated exact
+lowest non-zero coefficient; multiplicities come from synthetic
 division by y - root. The scan takes time linear in that bound, so a bound
 above `_EIGEN_SCAN_LIMIT` raises TooLargeError instead. `spectra` runs it
 on the integers of a main function; `rational_roots` scales p by L itself

@@ -8,14 +8,15 @@ Its base `_Value` is the one way the package declares a value: graphs,
 specs, main functions and every report or certificate record subclass it.
 
 Every operation runs on integer coefficient lists in Z[y]: `_int_mul`
-(products), `_int_coeff_eval` (Horner's rule), `_int_divexact` (long
-division), `_int_gcd` (the gcd and both cofactors), `_int_squarefree`
-(Yun's algorithm) and `_int_multiplicity` (repeated exact division). The
-pipeline scales its polynomials by a matrix's common denominator L
-(`_scaled`, `_unscaled`), which makes every divisor monic in Z[y]; no
-factorization into irreducibles is performed anywhere. Main functions keep
-their polynomials in this scaled form and pass them to the core as they
-are.
+(products), `_int_pow` (J. C. P. Miller's power recurrence),
+`_int_coeff_eval` (Horner's rule), `_int_divexact` (long division),
+`_int_gcd` (the gcd and both cofactors), `_int_squarefree` (Yun's
+algorithm) and `_int_multiplicity` (synthetic division by y - r, repeated
+exact division by other divisors). The pipeline scales its polynomials by
+a matrix's common denominator L (`_scaled`, `_unscaled`), which makes
+every divisor monic in Z[y]; no factorization into irreducibles is
+performed anywhere. Main functions keep their polynomials in this scaled
+form and pass them to the core as they are.
 
 `_int_gcd(a, b)` is the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J.
 Symbolic Comput. 7, 1989). With A, B the primitive parts of a, b and N the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import InexactDivisionError, InvalidParametersError
@@ -215,6 +217,20 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def _int_pow(a: Sequence[int], e: int) -> List[int]:
+    """a^e for a non-zero a and e >= 0, top zeros included as `_int_mul`
+    leaves them. With a = y^z c and c_0 != 0, b = c^e comes from J. C. P.
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), which c b' = e c' b
+    gives: k c_0 b_k = sum_(i >= 1) ((e + 1) i - k) c_i b_(k-i), exact in Z."""
+    z = next(i for i, x in enumerate(a) if x)
+    c = a[z:]
+    terms = [(i, x) for i, x in enumerate(c) if i and x]
+    b = [c[0] ** e]
+    for k in range(1, (len(c) - 1) * e + 1):
+        b.append(sum(((e + 1) * i - k) * x * b[k - i] for i, x in terms if i <= k) // (k * c[0]))
+    return [0] * (z * e) + b
+
+
 def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:
     """The integer polynomial at the integer t, by Horner's rule."""
     acc = 0
@@ -314,10 +330,19 @@ def _int_squarefree(p: Sequence[int]) -> List[Tuple[List[int], int]]:
 
 def _int_multiplicity(a: Sequence[int], b: Sequence[int]) -> int:
     """The largest e with b^e dividing a in Z[y], for a non-zero a and a
-    monic b of positive degree, by repeated exact division."""
+    monic b of positive degree: for b = y - r by synthetic division at r,
+    up to the first remainder a(r) that is not zero, otherwise by repeated
+    exact division."""
     if not any(a) or len(b) < 2:
         raise InvalidParametersError("root multiplicity needs a non-zero polynomial and a divisor of positive degree")
     e = 0
+    if len(b) == 2 and b[1] == 1:
+        r = -b[0]
+        while True:
+            quot = list(accumulate(reversed(a), lambda acc, c: acc * r + c))
+            if quot.pop():
+                return e
+            a, e = quot[::-1], e + 1
     try:
         while True:
             a = _int_divexact(a, b)

@@ -82,13 +82,15 @@ a unit at every point modulo every prime the check keeps, which is all
 `_block_lift` asks of it. A report computes that lift once and reads Phi,
 the carry-forward multiplicities and its charpoly over Q off it.
 
-Phi itself, kept in the report, is then the exact quotient
-det(xI - M) * prod_i g_i^(m-1) / prod_i h_i with h_i = phi_i / g_i, that
-is det(xI - M) * prod_i g_i^m / prod_i phi_i with each g_i cancelled
-first, taken over the integers: scaled by L (P(x) -> L^deg(P) P(y / L)),
-all these polynomials are monic in Z[y], so h_i and the quotient need
-integer products and exact divisions by monic integer polynomials. Each
-M_i is a diagonal block of M, so its common denominator s_i divides L.
+Phi itself, kept in the report, is then det(xI - M) * G^(m-1) / H with
+G = prod_i g_i and H = prod_i phi_i / g_i, taken over the integers: scaled
+by L (P(x) -> L^deg(P) P(y / L)), all these polynomials are monic in Z[y],
+as each s_i divides L (M_i is a diagonal block of M). The lift cancels
+against H before any power: with w = gcd(lift, H), rest = lift / w and the
+monic H' = H / w are coprime and Phi * H' = rest * G^(m-1), so H' divides
+G^(m-1) exactly in Z[y] and Phi = rest * (G^(m-1) / H'), with G^(m-1) from
+one power recurrence (`_int_pow`), not m - 1 ever longer products. m <= 1
+gives Phi = lift / H (at m = 0 every side is empty and g_i = 1).
 
 An eigenvalue class of M_i is E-main when its eigenspace is not
 orthogonal to the column space of E_i; exactly the roots of g_i are
@@ -99,15 +101,15 @@ by the common denominator s_i of M_i, where the rational roots are the
 integer roots of `exactlinalg._integer_roots`. Main classes of
 multiplicity e are guaranteed multiplicity >= e - m in the join, non-main
 classes >= e; reports check the observed multiplicities against those
-bounds on the join's integer lift, by repeated exact division in Z[y] by
-each class scaled by L.
+bounds on the join's integer lift, dividing it in Z[y] by each class
+scaled by L, synthetically when the class is linear (`_int_multiplicity`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -132,6 +134,7 @@ from .polynomials import (
     _int_gcd,
     _int_mul,
     _int_multiplicity,
+    _int_pow,
     _int_squarefree,
     _scaled,
     _unscaled,
@@ -422,22 +425,19 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
 
 
 def _phi_quotient(lift: Sequence[int], mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:
-    """Phi = det(xI - M) * prod_i g_i^(m-1) / prod_i h_i over the integers,
-    with h_i = phi_i / g_i exact in Z[y], each polynomial scaled by L
-    (module docstring), then unscaled; `lift` is det(xI - M) so scaled.
-    That is det(xI - M) * prod_i g_i^m / prod_i phi_i with g_i cancelled
-    first (m = 0 leaves every side empty, so g_i = 1). Each s_i divides L,
-    so the list P = s_i^d p(y / s_i) scales to
-    L^d p(y / L) = (L / s_i)^(d-k) P_k."""
-    numerator, divisor = [1], [1]
+    """Phi of the module docstring from `lift`, det(xI - M) scaled by L,
+    then unscaled. Each s_i divides L, so the list P = s_i^d p(y / s_i)
+    scales to L^d p(y / L) = (L / s_i)^(d-k) P_k."""
+    gs, h = [], [1]
     for mf in mfs:
         r = l // mf.s
         g, phi = ([c * r ** (len(p) - 1 - k) for k, c in enumerate(p)] for p in (mf.g, mf.phi))
-        for _ in range(m - 1):
-            numerator = _int_mul(numerator, g)
-        divisor = _int_mul(divisor, _int_divexact(phi, g))
-    numerator = _int_mul(numerator, lift)
-    return _unscaled(_int_divexact(numerator, divisor), l)
+        gs.append(g)
+        h = _int_mul(h, _int_divexact(phi, g))
+    if m <= 1:
+        return _unscaled(_int_divexact(lift, h), l)
+    _, rest, h = _int_gcd(lift, h)
+    return _unscaled(_int_mul(rest, _int_divexact(_int_pow(reduce(_int_mul, gs, [1]), m - 1), h)), l)
 
 
 def _universal_blocks(host, factors, sides, params):

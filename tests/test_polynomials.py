@@ -31,6 +31,7 @@ from hmjoin.polynomials import (
     _int_gcd,
     _int_multiplicity,
     _int_mul,
+    _int_pow,
     _int_squarefree,
     _scaled,
     _unscaled,
@@ -375,6 +376,43 @@ def test_int_multiplicity_matches_oracle(b, e, c):
     for _ in range(e):
         a = _int_mul(a, b)
     assert _int_multiplicity(a, b) == multiplicity(Polynomial(a), Polynomial(b)) >= e
+
+
+def test_linear_multiplicity_by_synthetic_division_matches_repeated_division():
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(400):
+        r = rng.choice([0, 0, 1, -1, -2, 3, rng.randint(-60, 60)])
+        c = [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]
+        c[0] = c[0] or rng.choice([-7, 7])  # y does not divide c
+        a = c
+        for _ in range(rng.randint(0, 4)):
+            a = _int_mul(a, [-r, 1])
+        a = a + [0] * rng.choice([0, 0, 1, 3])  # a run of zeros at the top
+        b = [-rng.choice([r, r, r + 1, -r]), 1]
+        e = _int_multiplicity(a, b)
+        assert e == multiplicity(Polynomial(a), Polynomial(b))
+        seen.add((b[0] == 0, b[0] > 0, e > 0, a[-1] == 0))
+    # roots at 0 and negative roots, present and absent, with and without top zeros
+    assert len(seen) == 12
+    # the divisors of higher degree still divide repeatedly
+    assert _int_multiplicity(_int_mul([1, 0, 1], [1, 0, 1]) + [0], [1, 0, 1]) == 2
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 7])
+def test_int_pow_matches_repeated_products(e):
+    rng = random.Random(350 + e)
+    cases = [[5], [-3], [0, 0, 2], [0, 1], [-(2 ** 200) - 1, 3, 1], [2 ** 200 + 7, 0, -1, 0]]
+    for _ in range(40):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        a[0] = rng.choice([0, -rng.getrandbits(200), a[0]])
+        a[-1] = a[-1] or 1
+        cases.append(a)
+    for a in cases:
+        expected = [1]
+        for _ in range(e):
+            expected = _int_mul(expected, a)
+        assert _int_pow(a, e) == expected
 
 
 @given(st.lists(fractions_st, min_size=1, max_size=5))

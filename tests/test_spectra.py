@@ -2,6 +2,7 @@
 block characteristic polynomials, carry-forward bounds, universal variants."""
 
 import ast
+import functools
 import itertools
 import math
 import pathlib
@@ -42,7 +43,7 @@ from hmjoin.families import cartesian_product, generalized_petersen, generalized
 from hmjoin.errors import (BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError,
                            SizeMismatchError)
 from hmjoin.exactlinalg import charpoly
-from hmjoin.graphs import UniversalParams, make_named, universal_matrix
+from hmjoin.graphs import Graph, UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
 from hmjoin.polynomials import Polynomial, _unscaled
 from hmjoin.spectra import (
@@ -586,6 +587,50 @@ def reduced_block_oracle(spec: JoinSpec, report, off_scale=1) -> Polynomial:
 def test_phi_matches_reduced_block_determinant_on_corpus(corpus_specs, corpus_reports):
     for spec, report in zip(corpus_specs, corpus_reports):
         assert report.phi_polynomial == reduced_block_oracle(spec, report)
+
+
+def cancelled_part(report) -> Polynomial:
+    """H = prod_i phi_i / g_i, the part of prod_i phi_i that Phi divides
+    out of det(xI - M)."""
+    return functools.reduce(poly_mul, (poly_divmod(mf.charpoly, mf.denominator)[0] for mf in report.gammas))
+
+
+def test_phi_matches_reduced_block_when_h_does_not_divide_the_charpoly():
+    # H = x^2 (x + 1), but x divides det(xI - M) once: the gcd leaves H' = x
+    # to divide G^(m-1)
+    spec = JoinSpec(Graph(3, [(0, 1), (0, 2)]), [make_named("path", [3]), Graph(2, []), make_named("path", [2])], 2,
+                    [IndexingMap([1, 2, 1], 2), IndexingMap([1, 2], 2), IndexingMap([1, 1], 2)])
+    report = block_charpoly(spec)
+    assert cancelled_part(report) == Polynomial([0, 0, 1, 1])
+    assert not poly_divmod(report.charpoly_direct, cancelled_part(report))[1].is_zero
+    assert report.phi_polynomial == reduced_block_oracle(spec, report)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_phi_matches_reduced_block_with_at_most_one_label(m):
+    # no power of G: Phi = det(xI - M) / H
+    labels = [[1, None, 1], [None, 1], [1, 1, None, 1]] if m else [[None] * 3, [None] * 2, [None] * 4]
+    spec = JoinSpec(make_named("path", [3]), [make_named("path", [3]), make_named("path", [2]), make_named("cycle", [4])],
+                    m, [IndexingMap(v, m) for v in labels])
+    report = block_charpoly(spec)
+    assert report.phi_polynomial.degree == m * sum(mf.denominator.degree for mf in report.gammas)
+    assert poly_mul(report.phi_polynomial, cancelled_part(report)) == report.charpoly_direct
+    assert report.phi_polynomial == reduced_block_oracle(spec, report)
+
+
+def test_phi_takes_as_many_products_at_a_thousand_labels_as_at_three(monkeypatch):
+    # two P3 factors on K2, one of m labels in use: deg Phi = 6m, and
+    # G^(m-1) comes from one power recurrence, not from m - 1 products
+    products = {}
+    for m in (3, 1000):
+        spec = JoinSpec(make_named("complete", [2]), [make_named("path", [3])] * 2, m, [IndexingMap([1, None, None], m)] * 2)
+        calls = record_calls(monkeypatch, spectra, "_int_mul")
+        report = block_charpoly(spec)
+        monkeypatch.undo()
+        products[m] = len(calls)
+        assert report.phi_polynomial.degree == 6 * m
+    assert report.phi_polynomial.coeffs[-1] == 1
+    assert products[1000] == products[3] == 5
 
 
 def reduced_stack_of(spec, params=UniversalParams.preset("A")):
