@@ -4,8 +4,8 @@ roots, and every multi-modular lift of the join pipeline.
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
 values. The module checks their shape but holds no general
 matrix products; the integer polynomial helpers it evaluates and divides
-with (`_int_coeff_eval`, `_int_divexact`, `_int_multiplicity`, `_scaled`)
-live in `polynomials`.
+with (`_int_coeff_eval`, `_int_divexact`, `_int_multiplicity`, `_int_shift`,
+`_scaled`) live in `polynomials`.
 
 Three lifts recover integers modulo primes. Each takes integers and a
 bound and returns the integers within that bound:
@@ -31,7 +31,13 @@ on distinct row sets that omit row a (one per set of diagonal entries
 giving y), each within the same product, so that bound covers every
 cofactor too, and W = bound * (max_a |E'_a|_1)^2 (the largest column
 1-norm of the integer side, taken as at least 1) covers every coefficient
-of E'^T adj(yI - R) E'.
+of E'^T adj(yI - R) E'. L, Q and A_alpha carry the degrees on the
+diagonal, which dominate the norms, so `_scaled_bound` also takes K', the
+bound of R - aI for the most common diagonal entry a. Where K' saves two
+primes or more (one measured slower), the charpoly and walk lifts run on
+R - aI under K', and an exact Taylor shift in Z[y] (`_int_shift`; von zur
+Gathen & Gerhard, ISSAC 1997) moves their integers back: c(y) = c'(y - a)
+for c'(y) = det(yI - (R - aI)) = c(y + a). The block lift keeps K.
 
 Primes and the int64 argument. Primes below 2**26, largest first
 (`_primes`, each found by deterministic Miller-Rabin, `_is_prime`), are
@@ -106,13 +112,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SizeMismatchError, TooLargeError
-from .polynomials import Polynomial, _int_coeff_eval, _int_divexact, _int_multiplicity, _scaled, _unscaled
+from .polynomials import Polynomial, _int_coeff_eval, _int_divexact, _int_multiplicity, _int_shift, _scaled, _unscaled
 
 
 def mat_shape(m) -> Tuple[int, int]:
@@ -135,29 +143,36 @@ def _require_square(m) -> int:
 # denominators and primes
 
 
-def _denominator(m) -> int:
-    """The common denominator of the entries (ints or Fractions) of a
-    matrix: the least positive integer L with L*M integral."""
-    return math.lcm(*(x.denominator for row in m for x in row))
-
-
 def _scaled_rows(m) -> Tuple[int, List[List[int]]]:
-    """L, the common denominator of the entries of M, and the integer rows
-    of L*M."""
-    l = _denominator(m)
+    """L, the common denominator of the entries (ints or Fractions) of M,
+    the least positive integer with L*M integral, and the rows of L*M."""
+    l = math.lcm(*(x.denominator for row in m for x in row))
     return l, [[x.numerator * (l // x.denominator) for x in row] for row in m]
 
 
-def _scaled_bound(m) -> Tuple[int, List[List[int]], int]:
-    """`_scaled_rows(M)` and max_k e_k(r_1, ..., r_n) for
-    r_i = ceil(|row i|_2), which bounds every coefficient of det(xI - L*M)
-    and of every cofactor of xI - L*M (module docstring)."""
+def _scaled_bound(m) -> Tuple[int, List[List[int]], int, Tuple[int, int]]:
+    """`_scaled_rows(M)`, the bound K of the module docstring for its rows R,
+    and the centring (a, K') of the charpoly and walk lifts: a the most common
+    diagonal entry (ties to the smaller |a|, then a), K' the bound of R - aI;
+    (0, K) unless K' needs two primes fewer."""
     l, rows = _scaled_rows(m)
-    e = [1]  # e[k] = e_k of the norm ceilings of the rows so far
-    for row in rows:
-        r = math.isqrt(sum(x * x for x in row) - 1) + 1 if any(row) else 0
-        e = [a + r * b for a, b in zip(e + [0], [0] + e)]
-    return l, rows, max(e)
+    def ceilings(squares):  # of the row norms, from the rows' sums of squares
+        return [math.isqrt(s - 1) + 1 if s else 0 for s in squares]
+    def hadamard(rs):  # max_k e_k(r_1, ..., r_n), row by row: e_k += r e_(k-1)
+        return max(reduce(lambda e, r: [x + r * y for x, y in zip(e + [0], [0] + e)], rs, [1]))
+    squares = [sum(x * x for x in row) for row in rows]
+    bound = hadamard(ceilings(squares))
+    fewer = len(_lift_primes(bound)) - 2  # K' takes a prime at least, so K needs three for it to save two
+    if fewer > 0:
+        counts = Counter(row[i] for i, row in enumerate(rows))
+        a = min(counts, key=lambda x: (-counts[x], abs(x), x))
+        rs = ceilings([s - 2 * a * row[i] + a * a for i, (s, row) in enumerate(zip(squares, rows))])
+        # K' >= prod (1 + r'_i) / (n + 1), its largest of n + 1 terms e_k: recur only if that can save two primes
+        if a and len(_lift_primes(math.prod(1 + r for r in rs) // (len(rows) + 1))) <= fewer:
+            centred = hadamard(rs)
+            if len(_lift_primes(centred)) <= fewer:
+                return l, rows, bound, (a, centred)
+    return l, rows, bound, (0, bound)
 
 
 # Primes below 2**26, largest first, found by `_is_prime`. The list is a
@@ -359,21 +374,29 @@ def _residues(values, shape: Tuple[int, ...], ps: Sequence[int]) -> np.ndarray:
     return (big % q).astype(np.int64, copy=False)
 
 
-def _charpoly_lift(rows: Sequence[Sequence[int]], bound: int) -> List[int]:
-    """The coefficients, constant term first, of det(yI - R), monic in Z[y],
-    for the integer rows R of L*M and the bound of `_scaled_bound(M)`: R
-    modulo every prime of `_lift_primes` in one stack (`_residues`) for
-    `_charpoly_mod`."""
-    ps, n = _lift_primes(bound), len(rows)
-    return _crt_lift(ps, _charpoly_mod(_residues(rows, (n, n), ps), ps).tolist())
+def _centred(rows: Sequence[Sequence[int]], a: int, ps: Sequence[int]) -> np.ndarray:
+    """R - aI modulo every prime of ps, a (P, n, n) int64 stack."""
+    r, d = _residues(rows, (len(rows),) * 2, ps), np.arange(len(rows))
+    if a:
+        r[:, d, d] = (r[:, d, d] - _by_member([a % p for p in ps])) % _by_member(ps)
+    return r
+
+
+def _charpoly_lift(rows: Sequence[Sequence[int]], centring: Tuple[int, int]) -> List[int]:
+    """The coefficients, constant term first, of c(y) = det(yI - R), monic
+    in Z[y], for the integer rows R of L*M and the centring (a, K') of
+    `_scaled_bound(M)`: c(y + a) = det(yI - (R - aI)) modulo every prime of
+    `_lift_primes(K')` in one stack for `_charpoly_mod`, lifted, shifted."""
+    a, ps = centring[0], _lift_primes(centring[1])
+    return _int_shift(_crt_lift(ps, _charpoly_mod(_centred(rows, a, ps), ps).tolist()), -a)
 
 
 def charpoly(m) -> Polynomial:
     """det(xI - M) of a rational matrix, exactly, by the multi-modular
     engine (module docstring): c_k(M) = c_k(L*M) / L^k."""
     _require_square(m)
-    l, rows, bound = _scaled_bound(m)
-    return _unscaled(_charpoly_lift(rows, bound), l)
+    l, rows, _, centring = _scaled_bound(m)
+    return _unscaled(_charpoly_lift(rows, centring), l)
 
 
 # ---------------------------------------------------------------------------
@@ -492,23 +515,23 @@ def _interpolate_mod(xs: Sequence[int], ys, ps: Sequence[int]) -> np.ndarray:
 # the walk and block lifts
 
 
-def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], side, bound: int,
+def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], side, centring: Tuple[int, int],
                cells: Sequence[Tuple[int, int]]) -> List[List[int]]:
     """The n coefficients, lowest first, of each entry (a, b) of `cells`, in
     that order, of E'^T adj(yI - R) E' for the integer rows R, the
     coefficients phi of det(yI - R), constant term first, an integer side E'
-    of at least one column and the bound of `_scaled_bound`: the walk
-    recurrence of the module docstring modulo every prime of
-    `_lift_primes(W)` in one stack, one product with [R; E'^T] per step, one
-    gather of the cells from the layers and one `_crt_lift`."""
+    of at least one column and the centring (a, K') of `_scaled_bound`: the
+    module docstring's walk on R - aI and phi(y + a) modulo the primes of
+    K' * norm^2 in one stack, then one `_crt_lift`, each entry shifted back."""
     n, cols = len(rows), len(side[0])
+    a, bound = centring
     # the largest column 1-norm, at least 1 so that a zero side keeps a positive bound
     norm = max(1, *(sum(map(abs, col)) for col in zip(*side)))
     ps = _lift_primes(bound * norm * norm)
     q = np.array(ps, dtype=np.int64)[:, None, None]
     e0 = _residues(side, (n, cols), ps)
-    step = np.concatenate([_residues(rows, (n, n), ps), e0.transpose(0, 2, 1)], axis=1)
-    c = _residues(phi, (n + 1,), ps)[:, :, None, None]
+    step = np.concatenate([_centred(rows, a, ps), e0.transpose(0, 2, 1)], axis=1)
+    c = _residues(_int_shift(phi, a), (n + 1,), ps)[:, :, None, None]
     # layers[d] holds the coefficients of y^d, layer k = n - 1 - d
     layers = np.empty((n, len(ps), cols, cols), dtype=np.int64)
     y = e0
@@ -519,10 +542,10 @@ def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], side, bound: i
             y = walk[:, :n]
             y += c[:, n - 1 - k] * e0
             y %= q
-    a, b = zip(*cells)
-    by_cell = layers[:, :, list(a), list(b)].transpose(1, 2, 0)  # (P, cells, n)
-    lifted = _crt_lift(ps, by_cell.reshape(len(ps), -1).tolist())
-    return [lifted[t * n:(t + 1) * n] for t in range(len(cells))]
+    i, j = zip(*cells)
+    lifted = _crt_lift(ps, layers[:, :, list(i), list(j)].transpose(1, 2, 0).reshape(len(ps), -1).tolist())
+    lifted = [lifted[t * n:(t + 1) * n] for t in range(len(cells))]
+    return [_int_shift(p, -a) for p in lifted] if a else lifted
 
 
 def _block_lift(rows: Sequence[Sequence[int]], index: np.ndarray, points: Sequence[int], tops: Sequence[int],
@@ -567,12 +590,12 @@ def _block_lift(rows: Sequence[Sequence[int]], index: np.ndarray, points: Sequen
 # rational eigenvalues
 
 
-def _integer_roots(coeffs: Sequence[int], m, s: int) -> List[Tuple[int, int]]:
+def _integer_roots(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
     """The integer roots y, ascending, with multiplicities, of
-    coeffs = s^d p(y / s) for a monic divisor p of det(xI - M) and a common
-    denominator s of M, by the scan of the module docstring; TooLargeError
-    when its Gershgorin bound exceeds `_EIGEN_SCAN_LIMIT`."""
-    bound = max((sum(abs(x.numerator) * (s // x.denominator) for x in row) for row in m), default=0)
+    coeffs = s^d p(y / s) for a monic divisor p of det(xI - M) and the
+    integer rows of s*M, s a common denominator of M, by the scan of the
+    module docstring; TooLargeError when its Gershgorin bound exceeds `_EIGEN_SCAN_LIMIT`."""
+    bound = max((sum(map(abs, row)) for row in rows), default=0)
     if bound > _EIGEN_SCAN_LIMIT:
         raise TooLargeError(
             f"rational eigenvalue scan over [-{bound}, {bound}] exceeds the limit of {_EIGEN_SCAN_LIMIT}")
@@ -589,9 +612,9 @@ def rational_roots(p: Polynomial, m) -> Tuple[Tuple[Tuple[Fraction, int], ...], 
     roots y (`_integer_roots`) give the roots y / L, and each division by
     y - root is exact there."""
     _require_square(m)
-    l = _denominator(m)
+    l, rows = _scaled_rows(m)
     coeffs = _scaled(p, l)
-    roots = _integer_roots(coeffs, m, l)
+    roots = _integer_roots(coeffs, rows)
     for y, e in roots:
         for _ in range(e):
             coeffs = _int_divexact(coeffs, [-y, 1])

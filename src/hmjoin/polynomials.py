@@ -8,15 +8,15 @@ Its base `_Value` is the one way the package declares a value: graphs,
 specs, main functions and every report or certificate record subclass it.
 
 Every operation runs on integer coefficient lists in Z[y]: `_int_mul`
-(products), `_int_pow` (J. C. P. Miller's power recurrence),
-`_int_coeff_eval` (Horner's rule), `_int_divexact` (long division),
-`_int_gcd` (the gcd and both cofactors), `_int_squarefree` (Yun's
-algorithm) and `_int_multiplicity` (synthetic division by y - r, repeated
-exact division by other divisors). The pipeline scales its polynomials by
-a matrix's common denominator L (`_scaled`, `_unscaled`), which makes
-every divisor monic in Z[y]; no factorization into irreducibles is
-performed anywhere. Main functions keep their polynomials in this scaled
-form and pass them to the core as they are.
+(products), `_int_pow` (J. C. P. Miller's power recurrence), `_int_shift`
+(Taylor shifts), `_int_coeff_eval` (Horner's rule), `_int_divexact` (long
+division), `_int_gcd` (the gcd and both cofactors), `_int_squarefree`
+(Yun's algorithm) and `_int_multiplicity` (synthetic division by y - r,
+repeated exact division by other divisors). The pipeline scales its
+polynomials by a matrix's common denominator L (`_scaled`, `_unscaled`),
+which makes every divisor monic in Z[y]; no factorization into
+irreducibles is performed anywhere. Main functions keep their polynomials
+in this scaled form and pass them to the core as they are.
 
 `_int_gcd(a, b)` is the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J.
 Symbolic Comput. 7, 1989). With A, B the primitive parts of a, b and N the
@@ -229,6 +229,17 @@ def _int_pow(a: Sequence[int], e: int) -> List[int]:
     for k in range(1, (len(c) - 1) * e + 1):
         b.append(sum(((e + 1) * i - k) * x * b[k - i] for i, x in terms if i <= k) // (k * c[0]))
     return [0] * (z * e) + b
+
+
+def _int_shift(a: Sequence[int], r: int) -> List[int]:
+    """The coefficients of a(y + r), top zeros kept: b(y) = a(ry) shifted by 1
+    through synthetic divisions by y - 1, which only add, then divided by r^k."""
+    powers = [r ** k for k in range(len(a))] if r else []  # r = 0 leaves a as it is
+    b, out = [c * p for c, p in zip(a, powers)][::-1], []
+    while b:
+        b = list(accumulate(b))
+        out.append(b.pop())
+    return [c // p for c, p in zip(out, powers)] if r else list(a)
 
 
 def _int_coeff_eval(coeffs: Sequence[int], t: int) -> int:

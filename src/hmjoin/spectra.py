@@ -220,12 +220,12 @@ def _resolvent(key: tuple):
     """The integer data of the walk recurrence for M = M'/s: s, the
     coefficients, constant term first, of s^n phi(y / s) for
     phi = det(xI - M), so entry n - j is c_j s^j for phi = sum_j c_j x^(n-j),
-    the rows of M', the bound of `_scaled_bound(M)` (`exactlinalg`
+    the rows of M', the centring of `_scaled_bound(M)` (`exactlinalg`
     says what it bounds) and whether M is symmetric. Cached on matrix
     content, so factors and pair searches that revisit a matrix pay for its
     characteristic polynomial once."""
-    s, rows, bound = _scaled_bound(key)
-    return s, tuple(_charpoly_lift(rows, bound)), tuple(map(tuple, rows)), bound, key == tuple(zip(*key))
+    s, rows, _, centring = _scaled_bound(key)
+    return s, tuple(_charpoly_lift(rows, centring)), tuple(map(tuple, rows)), centring, key == tuple(zip(*key))
 
 
 def main_function(m, e) -> MainFunction:
@@ -242,13 +242,13 @@ def main_function(m, e) -> MainFunction:
     r, c = mat_shape(e)
     if r != n:
         raise SizeMismatchError(f"the side must have {n} rows, got {r}")
-    s, phi, rows, bound, symmetric = _resolvent(tuple(map(tuple, m)))
+    s, phi, rows, centring, symmetric = _resolvent(tuple(map(tuple, m)))
     if not symmetric:
         raise NonSymmetricInputError("main functions need a symmetric matrix")
     se, ints = _scaled_rows(e)
     cols = [a for a, col in enumerate(zip(*ints)) if any(col)]
     cells = [(x, y) for x in range(len(cols)) for y in range(x, len(cols))]
-    numerators = _walk_lift(rows, phi, [[row[a] for a in cols] for row in ints], bound, cells) if cells else []
+    numerators = _walk_lift(rows, phi, [[row[a] for a in cols] for row in ints], centring, cells) if cells else []
     h, held = phi, {}
     for cell, p in zip(cells, numerators):
         if any(p[len(h) - 1:]):  # deg p >= deg h, so h may divide p
@@ -276,12 +276,12 @@ def main_function(m, e) -> MainFunction:
 def _eigen_classes(m, mf: MainFunction) -> Tuple[EigenvalueClass, ...]:
     """Split phi into monic squarefree classes homogeneous in multiplicity
     and mainness (mainness = dividing g), extracting rational roots; in
-    Z[y] on the integers of `mf = main_function(m, e)`, scaled
-    by the common denominator s of M, where the rational roots are the
-    integer roots y of `_integer_roots` and stand for y / s. Each Yun
-    layer splits into its main part gcd(layer, g) and the non-main rest,
-    the cofactor layer / main part that `_int_gcd` returns with it."""
-    roots = _integer_roots(mf.phi, m, mf.s)
+    Z[y] on the integers of `mf = main_function(m, e)`, scaled by the
+    common denominator s of M, where the rational roots are the integer
+    roots y of `_integer_roots` on the rows of `_resolvent` and stand for
+    y / s. Each Yun layer splits into its main part gcd(layer, g) and the
+    non-main rest, the cofactor layer / main part that `_int_gcd` returns."""
+    roots = _integer_roots(mf.phi, _resolvent(tuple(map(tuple, m)))[2])
     classes: List[EigenvalueClass] = []
     for layer, mult in _int_squarefree(mf.phi):
         main_part, rest, _ = _int_gcd(layer, mf.g)
@@ -337,7 +337,8 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[List[Tuple[int
     is integral: G_k s^k scale_i W on the diagonal, -w_b W F_k s^(k+1) in
     column b of block j; divided by the gcd of C and those integers, it is
     cleared by the lcm of its coefficient denominators, and computed once
-    per main function and set of weights."""
+    per main function and set of weights, rows of zero side columns once,
+    over the columns b with f_bb != 0 (M_i is symmetric: f_bb = 0 iff E_b = 0)."""
     offsets = [0]
     for mf in mfs:
         offsets.append(offsets[-1] + len(mf.f))
@@ -354,21 +355,26 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[List[Tuple[int
             wden = math.lcm(*(wb.denominator for w in key[1] for wb in w))
             common = mf.scale * powers[-2] * wden
             diagonal = [c * p * mf.scale * wden for c, p in zip(mf.g, powers)]
-            scaled, contents[key] = {}, []  # (f_ab, multiplier of column b) -> its integers
+            scaled, contents[key], memo = {}, [], {}  # (f_ab, multiplier of column b) -> its integers
+            live = [b for b, f_row in enumerate(mf.f) if any(f_row[b])]
             for a, f_row in enumerate(mf.f):
-                cells = {w: [(b, (f_row[b], -wb.numerator * (wden // wb.denominator)))
-                             for b, wb in enumerate(w) if wb and any(f_row[b])] for w in key[1]}
-                entries = {e for cs in cells.values() for _, e in cs}
-                for f, q in entries.difference(scaled):
-                    scaled[f, q] = [q * c * p for c, p in zip(f, powers[1:])]
-                cleared = math.gcd(common, *diagonal, *(c for e in entries for c in scaled[e]))
-                ids = {e: row([c // cleared for c in scaled[e]]) for e in entries}
-                cells = {w: [(b, ids[e]) for b, e in cs] for w, cs in cells.items()}
-                cells[None] = [(a, row([c // cleared for c in diagonal]))]  # the own block, at the diagonal
-                contents[key].append((common // cleared, cells))
-        for a, (multiplier, cells) in enumerate(contents[key]):
+                part = a if any(f_row[a]) else None  # the rows of zero side columns are alike
+                if part not in memo:
+                    cells = [[(b, (f_row[b], -w[b].numerator * (wden // w[b].denominator)))
+                              for b in live if w[b] and any(f_row[b])] for w in key[1]]
+                    entries = {e for cs in cells for _, e in cs}
+                    for f, q in entries.difference(scaled):
+                        scaled[f, q] = [q * c * p for c, p in zip(f, powers[1:])]
+                    cleared = math.gcd(common, *diagonal, *(c for e in entries for c in scaled[e]))
+                    ids = {e: row([c // cleared for c in scaled[e]]) for e in entries}
+                    memo[part] = (common // cleared, row([c // cleared for c in diagonal]),
+                                  [[(b, ids[e]) for b, e in cs] for cs in cells])
+                contents[key].append(memo[part])
+        cross = [(j, key[1].index(w)) for j, w in cross]  # cells by the position of their weights
+        for a, (multiplier, own, cells) in enumerate(contents[key]):
             scale *= multiplier
-            for j, w in [(i, None)] + cross:
+            index[offsets[i] + a, offsets[i] + a] = own
+            for j, w in cross:
                 for b, r in cells[w]:
                     index[offsets[i] + a, offsets[j] + b] = r
     return list(distinct), index, scale
@@ -394,8 +400,8 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
         if key not in mains:
             mains[key] = main_function(m, e)
         mfs.append(mains[key])
-    l, rows, bound = _scaled_bound(matrix)
-    direct = _charpoly_lift(rows, bound)
+    l, rows, bound, centring = _scaled_bound(matrix)
+    direct = _charpoly_lift(rows, centring)
     table, index, scale = _reduced_stack(mfs, weights)
     # det(tI - M) = det(N(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)

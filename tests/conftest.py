@@ -13,6 +13,7 @@ import pytest
 import hmjoin.exactlinalg as exactlinalg
 from hmjoin import Graph, IndexingMap, JoinSpec, Polynomial, block_charpoly
 from hmjoin.exactlinalg import _polymatrix_det_mod, _residues, _scaled_rows, _walk_lift
+from hmjoin.graphs import UniversalParams, universal_matrix
 from hmjoin.spectra import _resolvent
 
 
@@ -111,6 +112,39 @@ def walk_numerators(m, side):
     c = len(side[0])
     lifted = _walk_lift(rows, phi, ints, bound, [(a, b) for a in range(c) for b in range(c)])
     return s, phi, se * se, [lifted[a * c:(a + 1) * c] for a in range(c)]
+
+
+def centring_corpus(rng: random.Random) -> list:
+    """Square matrices for the centred lifts: L, Q, A_alpha and U at the
+    rational parameters (3/2, 1, 0, -1/3) of random graphs, each once more
+    with some zero rows; n = 0 and 1; multiples of I; tied diagonal modes;
+    and rows beyond int64."""
+    presets = [UniversalParams.preset(name) for name in ("L", "Q", "Aalpha:97/100")]
+    presets.append(UniversalParams(Fraction(3, 2), 1, 0, Fraction(-1, 3)))
+    out = [[], [[7]], [[Fraction(-5, 3)]], [[0]]]
+    # a 24-cycle with a chord and a tail: most degrees 2, so A_alpha centres
+    tadpole = Graph(28, [(i, (i + 1) % 24) for i in range(24)] + [(0, 12)] + [(i, i + 1) for i in range(23, 27)])
+    for g in [random_graph(rng, rng.randint(2, 7), 0.6) for _ in range(5)] + [tadpole]:
+        for params in presets:
+            m = universal_matrix(g, params)
+            dead = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+            out += [m, [[0] * g.n if i in dead else row for i, row in enumerate(m)]]
+    for a in (5, -3, 2 ** 70):
+        out.append([[a * (i == j) for j in range(4)] for i in range(4)])
+    for diagonal in ([3, 3, -2, -2, 9], [2, -2, 5], [-40, 40, 40, -40], [2 ** 80, -(2 ** 80)] * 2):
+        n = len(diagonal)
+        out.append([[diagonal[i] if i == j else rng.randint(-2, 2) for j in range(n)] for i in range(n)])
+    for big in (2 ** 63, 2 ** 70 + 1, -(2 ** 90)):
+        n = rng.randint(2, 5)
+        out.append([[big if i == j else rng.randint(-2 ** 40, 2 ** 40) for j in range(n)] for i in range(n)])
+    return out
+
+
+def diagonal_mode(rows) -> int:
+    """The most common diagonal entry, ties to the smaller |a| and then to
+    the smaller a; 0 for no rows."""
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    return min(diagonal, key=lambda x: (-diagonal.count(x), abs(x), x), default=0)
 
 
 def lattice_srg16() -> Graph:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hmjoin.exactlinalg as exactlinalg
-from conftest import dense_stack, polymatrix_det_mod, row_residues, stack_entries, walk_numerators
+from conftest import centring_corpus, dense_stack, diagonal_mode, polymatrix_det_mod, row_residues, stack_entries, walk_numerators
 from oracles import (
     bareiss_charpoly,
     det_bareiss,
@@ -32,6 +32,7 @@ from hmjoin.errors import InexactDivisionError, InvalidParametersError, SizeMism
 from hmjoin.exactlinalg import (
     _EIGEN_SCAN_LIMIT,
     _charpoly_lift,
+    _integer_roots,
     _charpoly_mod,
     _crt_lift,
     _det_mod,
@@ -47,10 +48,10 @@ from hmjoin.exactlinalg import (
     charpoly,
     rational_roots,
 )
-from hmjoin.families import generalized_helm, generalized_web
+from hmjoin.families import generalized_helm, generalized_web, tadpole
 from hmjoin.graphs import UniversalParams, universal_matrix
 from hmjoin.joins import hm_join
-from hmjoin.polynomials import Polynomial, _unscaled
+from hmjoin.polynomials import Polynomial, _scaled, _unscaled
 
 
 def identity_matrix(n):
@@ -319,7 +320,7 @@ def test_charpoly_primes_cover_twice_the_hadamard_bound():
         span = 10 ** rng.randint(0, 12)
         rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
         bound = row_hadamard_bound(rows)
-        assert _scaled_bound(rows) == (1, rows, bound)
+        assert _scaled_bound(rows)[:3] == (1, rows, bound)
         primes = _lift_primes(bound)
         assert math.prod(primes) > 2 * bound + 1
         assert math.prod(primes[:-1]) <= 2 * bound + 1
@@ -342,7 +343,7 @@ def test_row_bound_covers_the_bareiss_charpoly_within_the_largest_row_bound():
             m[i] = [0] * n
         if case % 3 == 2:
             m = [[Fraction(x, rng.choice([1, 2, 3, 7, 10 ** 6])) for x in row] for row in m]
-        l, rows, bound = _scaled_bound(m)
+        l, rows, bound, _ = _scaled_bound(m)
         assert rows == [[int(x * l) for x in row] for row in m]
         assert bound == row_hadamard_bound(rows) <= largest_row_bound(rows)
         tighter += bound < largest_row_bound(rows)
@@ -350,8 +351,8 @@ def test_row_bound_covers_the_bareiss_charpoly_within_the_largest_row_bound():
         assert all(abs(poly.coefficient(n - k) * l ** k) <= bound for k in range(n + 1))
         assert charpoly(m) == poly
     assert tighter >= 50
-    assert _scaled_bound([]) == (1, [], 1)
-    assert _scaled_bound([[0, 0], [0, 0]]) == (1, [[0, 0], [0, 0]], 1)
+    assert _scaled_bound([]) == (1, [], 1, (0, 1))
+    assert _scaled_bound([[0, 0], [0, 0]]) == (1, [[0, 0], [0, 0]], 1, (0, 1))
 
 
 def test_row_bound_prime_counts_on_large_joins():
@@ -360,8 +361,79 @@ def test_row_bound_prime_counts_on_large_joins():
     cases = [(generalized_helm(30, 8), "A", 30, 16), (generalized_helm(30, 8), "L", 53, 22),
              (generalized_web(3, 6), "A", 3, 2)]
     for family, preset, before, after in cases:
-        _, rows, bound = _scaled_bound(universal_matrix(hm_join(family.spec), UniversalParams.preset(preset)))
+        _, rows, bound, _ = _scaled_bound(universal_matrix(hm_join(family.spec), UniversalParams.preset(preset)))
         assert (len(_lift_primes(largest_row_bound(rows))), len(_lift_primes(bound))) == (before, after)
+
+
+def test_centred_bound_prime_counts_on_large_joins():
+    # the direct lift's primes under K and under K' = the bound of R - aI:
+    # L and A_alpha of the helm centre, A has a zero diagonal, and the
+    # tadpole's L would save fewer than two primes
+    cases = [(generalized_helm(30, 8), "L", 2, 22, 18), (generalized_helm(30, 8), "Aalpha:97/100", 194, 80, 38),
+             (generalized_helm(30, 8), "A", 0, 16, 16), (tadpole(36, 8), "Aalpha:97/100", 194, 13, 5),
+             (tadpole(36, 8), "L", 0, 4, 4)]
+    for family, preset, a, before, after in cases:
+        _, _, bound, (centre, centred) = _scaled_bound(universal_matrix(hm_join(family.spec), UniversalParams.preset(preset)))
+        assert (centre, len(_lift_primes(bound)), len(_lift_primes(centred))) == (a, before, after)
+
+
+def centred_rows(rows, a):
+    return [[x - a * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def product_bound(rows):
+    """max_k e_k of the ceilings r_i of the rows' 2-norms, as the largest
+    coefficient of prod_i (1 + r_i y): `row_hadamard_bound` for many rows."""
+    e = Polynomial([1])
+    for row in rows:
+        s = sum(x * x for x in row)
+        e = poly_mul(e, Polynomial([1, math.isqrt(s) + (math.isqrt(s) ** 2 < s)]))
+    return int(max(e.coeffs))
+
+
+def test_centred_and_uncentred_charpoly_lifts_match_bareiss():
+    # every lift, centred when the rule adopts it, uncentred, and centred on
+    # every diagonal mode whatever it saves, gives the Bareiss integers; the
+    # centred integers lie within K'
+    adopted = declined = 0
+    for m in centring_corpus(random.Random(3601)):
+        l, rows, bound, centring = _scaled_bound(m)
+        a = diagonal_mode(rows)
+        forced = (a, product_bound(centred_rows(rows, a)))
+        assert len(rows) > 9 or forced[1] == row_hadamard_bound(centred_rows(rows, a))
+        fewer = a != 0 and len(_lift_primes(forced[1])) <= len(_lift_primes(bound)) - 2
+        assert centring == (forced if fewer else (0, bound))
+        adopted += fewer
+        declined += a != 0 and not fewer
+        assert all(abs(c) <= forced[1] for c in bareiss_charpoly(centred_rows(rows, a)).coeffs)
+        expected = [int(c) for c in bareiss_charpoly(rows).coeffs]
+        for k in {(0, bound), centring, forced}:
+            assert _charpoly_lift(rows, k) == expected
+        assert charpoly(m) == bareiss_charpoly(m)
+    assert adopted >= 6 and declined >= 20
+
+
+def test_centred_lift_faults_are_caught(monkeypatch):
+    # R - aI = t [[0, 1], [1, 0]] meets Hadamard's inequality with equality:
+    # its constant term is -K' itself
+    t, a = 2 ** 100, 2 ** 200
+    rows = [[a, t], [t, a]]
+    assert _scaled_bound(rows)[3] == (a, t * t)
+    expected = [a * a - t * t, -2 * a, 1]
+    assert _charpoly_lift(rows, (a, t * t)) == expected
+    corpus = [_scaled_bound(m) for m in centring_corpus(random.Random(3601))]
+    # a Taylor shift with its sign flipped lifts c(y + 2a) on every centred matrix
+    shift = exactlinalg._int_shift
+    monkeypatch.setattr(exactlinalg, "_int_shift", lambda p, r: shift(p, -r))
+    assert _charpoly_lift(rows, (a, t * t)) != expected
+    for _, r, _, centring in corpus:
+        if centring[0]:
+            assert _charpoly_lift(r, centring) != [int(c) for c in bareiss_charpoly(r).coeffs]
+    monkeypatch.undo()
+    # one prime too few under K'
+    primes = exactlinalg._lift_primes
+    monkeypatch.setattr(exactlinalg, "_lift_primes", lambda bound, bad=lambda p: False: primes(bound, bad)[:-1])
+    assert _charpoly_lift(rows, (a, t * t)) != expected
 
 
 def test_inverses_match_pow_element_by_element():
@@ -659,8 +731,9 @@ def test_charpoly_lift_rows_beyond_int64_take_the_object_route():
                 # such rows are no int64 array: the residues come from Python ints
                 with pytest.raises(OverflowError):
                     np.array(rows, dtype=np.int64)
-            _, _, bound = _scaled_bound(rows)
-            assert _charpoly_lift(rows, bound) == [int(c) for c in bareiss_charpoly(rows).coeffs]
+            _, _, bound, centring = _scaled_bound(rows)
+            for k in ((0, bound), centring):
+                assert _charpoly_lift(rows, k) == [int(c) for c in bareiss_charpoly(rows).coeffs]
 
 
 def test_interpolate_mod_round_trip():
@@ -787,6 +860,26 @@ def test_rational_roots_of_divisors_against_oracles():
             assert rebuilt == p
             assert all(poly_eval(cofactor, Fraction(y, l)) != 0 for y in range(-bound, bound + 1))
         assert set(planted) <= {r for r, _ in rational_roots(bareiss_charpoly(m), m)[0]}
+
+
+def test_integer_roots_scan_the_row_sums_of_the_integer_rows(monkeypatch):
+    # the bound read off the integer rows of s*M is the largest row 1-norm
+    # of s*M over the Fractions, as the refusal names it, and the roots are
+    # every integer root within it
+    rng = random.Random(3603)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        m = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(n)] for _ in range(n)]
+        l, rows = _scaled_rows(m)
+        bound = int(max(sum(abs(x) * l for x in row) for row in m))
+        coeffs = _scaled(bareiss_charpoly(m), l)
+        p = Polynomial(coeffs)
+        assert _integer_roots(coeffs, rows) == [(y, multiplicity(p, Polynomial([-y, 1])))
+                                                 for y in range(-bound, bound + 1) if poly_eval(p, y) == 0]
+        monkeypatch.setattr(exactlinalg, "_EIGEN_SCAN_LIMIT", bound - 1)
+        with pytest.raises(TooLargeError, match=rf"over \[-{bound}, {bound}\]"):
+            _integer_roots(coeffs, rows)
+        monkeypatch.undo()
 
 
 def test_rational_eigenvalues_refuses_scan_above_cap():

@@ -32,6 +32,7 @@ from hmjoin.polynomials import (
     _int_multiplicity,
     _int_mul,
     _int_pow,
+    _int_shift,
     _int_squarefree,
     _scaled,
     _unscaled,
@@ -413,6 +414,24 @@ def test_int_pow_matches_repeated_products(e):
         for _ in range(e):
             expected = _int_mul(expected, a)
         assert _int_pow(a, e) == expected
+
+
+def test_int_shift_matches_the_binomial_expansion():
+    # a(y + r) = sum_j a_j (y + r)^j, expanded by repeated products; top
+    # zeros stay, r = 0 and the empty list give their input back, and a
+    # shift by -r undoes one by r
+    rng = random.Random(360)
+    cases = [([], 5), ([7], -3), ([0, 0, 1], 2), ([1, 2, 0, 0], -1), ([3, 1], 0), ([2 ** 200 + 1, -5, 1], 2 ** 70)]
+    for _ in range(60):
+        a = [rng.randint(-9, 9) * rng.choice([1, 2 ** 100]) for _ in range(rng.randint(1, 9))]
+        cases.append((a, rng.choice([rng.randint(-300, 300), -(2 ** 64) - 1, 194])))
+    for a, r in cases:
+        expected = [0] * len(a)
+        for j, c in enumerate(a):
+            for k, x in enumerate(_int_pow([r, 1], j)):
+                expected[k] += c * x
+        assert _int_shift(a, r) == expected
+        assert _int_shift(expected, -r) == list(a)
 
 
 @given(st.lists(fractions_st, min_size=1, max_size=5))

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (dense_stack, polymatrix_det_mod, random_graph, random_indexing, random_spec, record_block_primes,
-                      record_calls, stack_entries, walk_numerators)
+from conftest import (centring_corpus, dense_stack, diagonal_mode, polymatrix_det_mod, random_graph, random_indexing,
+                      random_spec, record_block_primes, record_calls, stack_entries, walk_numerators)
 from oracles import (
     bareiss_charpoly,
     blockwise_adjacency,
@@ -39,7 +39,7 @@ import hmjoin.cospectral as cospectral
 import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import GeneralizedJoinSpec, generalized_universal_charpoly
-from hmjoin.families import cartesian_product, generalized_petersen, generalized_web
+from hmjoin.families import cartesian_product, generalized_petersen, generalized_web, tadpole
 from hmjoin.errors import (BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError,
                            SizeMismatchError)
 from hmjoin.exactlinalg import charpoly
@@ -47,6 +47,7 @@ from hmjoin.graphs import Graph, UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
 from hmjoin.polynomials import Polynomial, _unscaled
 from hmjoin.spectra import (
+    MainFunction,
     _universal_blocks,
     block_charpoly,
     classify_e_main,
@@ -321,8 +322,8 @@ def test_gamma_blocks_walk_only_the_upper_triangle(monkeypatch):
 def walk_bound(m, side):
     """The bound of `_scaled_bound(M)` and W = bound * max_a |E'_a|_1^2 for
     the integer side E' = s_e E, its norm taken as at least 1."""
-    _, _, bound = exactlinalg._scaled_bound(m)
-    den = exactlinalg._denominator(side)
+    _, _, bound, _ = exactlinalg._scaled_bound(m)
+    den = exactlinalg._scaled_rows(side)[0]
     norm = max(1, *(sum(abs(row[a] * den) for row in side) for a in range(len(side[0]))))
     return bound, bound * norm * norm
 
@@ -375,6 +376,62 @@ def test_walk_stays_within_its_bound_and_matches_the_resolvent():
     assert math.prod(exactlinalg._lift_primes(bound)) <= 2 * largest
 
 
+def test_centred_and_uncentred_walks_match_the_resolvent_oracle(monkeypatch):
+    # the walk on R - aI and phi(y + a), for the centring the rule adopts,
+    # none, and every diagonal mode whatever it saves, lifts the same
+    # integers, those of the resolvent oracle; a Taylor shift with its sign
+    # flipped gives others
+    rng, walked = random.Random(3602), []
+    for m in centring_corpus(random.Random(3601)):
+        n = len(m)
+        if not n:
+            continue
+        c = rng.randint(1, 3)
+        side = [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(c)] for _ in range(n)]
+        s, phi, rows, centring, _ = spectra._resolvent(tuple(map(tuple, m)))
+        _, _, bound, _ = exactlinalg._scaled_bound(m)
+        a = diagonal_mode(rows)
+        forced = (a, exactlinalg._scaled_bound([[x - a * (i == j) for j, x in enumerate(row)]
+                                                for i, row in enumerate(rows)])[2])
+        se, ints = exactlinalg._scaled_rows(side)
+        cells = [(x, y) for x in range(c) for y in range(c)]
+        lifts = [exactlinalg._walk_lift(rows, phi, ints, k, cells) for k in ((0, bound), centring, forced)]
+        assert lifts[1] == lifts[2] == lifts[0]
+        walked.append((rows, phi, ints, forced, cells, lifts[0]))
+        if n <= 8:
+            oracle_phi, numerators = resolvent_numerators(m, side, side)
+            assert _unscaled(phi, s) == oracle_phi
+            for (x, y), p in zip(cells, lifts[0]):
+                assert _unscaled(p, s, se * se) == numerators[x][y]
+    shift = exactlinalg._int_shift
+    monkeypatch.setattr(exactlinalg, "_int_shift", lambda p, r: shift(p, -r))
+    # n = 1 and zero sides have constant entries, which no shift moves
+    moved = [w for w in walked if w[3][0] and len(w[0]) > 1 and any(map(any, w[5]))]
+    assert len(moved) >= 20
+    for rows, phi, ints, forced, cells, lifted in moved:
+        assert exactlinalg._walk_lift(rows, phi, ints, forced, cells) != lifted
+
+
+def test_centring_keeps_the_block_primes(monkeypatch):
+    # tadpole(36, 8) under A_alpha: centred, the direct lift takes 5 primes,
+    # not 13, and the C36 factor 4, not 11, while the block path evaluates
+    # at the same primes and the report is the same
+    spec, params = tadpole(36, 8).spec, UniversalParams.preset("Aalpha:97/100")
+    direct = record_calls(monkeypatch, exactlinalg, "_charpoly_mod", note=lambda h, ps: [(h.shape[1], len(ps))])
+    used, runs, bound = record_block_primes(monkeypatch), [], spectra._scaled_bound
+    for centre in (True, False):
+        if not centre:
+            monkeypatch.setattr(spectra, "_scaled_bound", lambda m: (*bound(m)[:3], (0, bound(m)[2])))
+        spectra._resolvent.cache_clear()
+        direct.clear()
+        used.clear()
+        runs.append((universal_block_charpoly(spec, params), dict(direct), list(used)))
+    spectra._resolvent.cache_clear()
+    (centred, counts, primes), (plain, plain_counts, plain_primes) = runs
+    assert centred == plain and primes == plain_primes
+    assert (counts[44], counts[36], plain_counts[44], plain_counts[36]) == (5, 4, 13, 11)
+
+
 def test_row_bound_covers_every_cofactor_coefficient():
     # with the identity side the walk's layers are the coefficients of
     # adj(yI - M'), and every one lies within the bound of the charpoly:
@@ -391,7 +448,7 @@ def test_row_bound_covers_every_cofactor_coefficient():
         if case % 4 == 3:
             m = [[Fraction(x, rng.choice([1, 3, 8, 10 ** 5])) for x in row] for row in m]
         _, _, _, entries = walk_numerators(m, [[int(i == j) for j in range(n)] for i in range(n)])
-        _, _, bound = exactlinalg._scaled_bound(m)
+        _, _, bound, _ = exactlinalg._scaled_bound(m)
         assert max(abs(c) for row in entries for p in row for c in p) <= bound
 
 
@@ -631,6 +688,26 @@ def test_phi_takes_as_many_products_at_a_thousand_labels_as_at_three(monkeypatch
         assert report.phi_polynomial.degree == 6 * m
     assert report.phi_polynomial.coeffs[-1] == 1
     assert products[1000] == products[3] == 5
+
+
+def test_reduced_stack_reads_only_the_non_zero_side_columns():
+    # the unused-label spec at m = 1000: each row of f is read at its own
+    # column, to find the non-zero ones, and the one row in use at the one
+    # column in use, not at all 1000 columns, with the same stack
+    spec = JoinSpec(make_named("complete", [2]), [make_named("path", [3])] * 2, 1000, [IndexingMap([1, None, None], 1000)] * 2)
+    blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), UniversalParams.preset("A"))
+    mf, reads = main_function(*blocks[0]), []
+
+    class Row(tuple):
+        def __getitem__(self, b):
+            reads.append(b)
+            return tuple.__getitem__(self, b)
+
+    counted = MainFunction(mf.s, mf.phi, mf.g, tuple(map(Row, mf.f)), mf.scale)
+    rows, index, scale = spectra._reduced_stack([counted] * 2, weights)
+    assert len(reads) <= 2 * 1000 + 4 and set(reads) == set(range(1000))
+    expected = spectra._reduced_stack([mf] * 2, weights)
+    assert (rows, scale) == (expected[0], expected[2]) and np.array_equal(index, expected[1])
 
 
 def reduced_stack_of(spec, params=UniversalParams.preset("A")):
