@@ -54,8 +54,8 @@ class SpecValidationError(HmJoinError, ValueError):
 
 class BlockFactorizationError(HmJoinError, ArithmeticError):
     """The block path and the direct path disagree: the characteristic
-    polynomial computed from factor data does not match the one computed
-    from the assembled matrix."""
+    polynomial from factor data differs from the one from the assembled
+    matrix, or that one lacks 1 at x^n or -trace(M) at x^(n-1)."""
 
 
 class CarryForwardError(HmJoinError, ArithmeticError):

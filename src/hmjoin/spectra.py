@@ -42,17 +42,17 @@ hands M', the integer side and its cells (a, b) to
 `exactlinalg._walk_lift`, which lifts those entries modulo primes (its
 module docstring gives the bound, the primes and the int64 argument).
 
-Every reduced entry denominator of these numerators N over phi divides
-phi, so one gcd chain h = gcd(phi, every non-zero N_ab) gives the reduced
-common denominator g = phi / h and f = N / h. The chain runs in Z[y] on
-the lifted layers: s^n phi(y / s), the integer lift of the charpoly
-engine, is monic in Z[y], so h is monic there too and both quotients are
-exact integer divisions (`_int_gcd`, `_int_divexact`). The chain tries
-N_ab / h first, exact exactly when gcd(h, N_ab) = h, and takes the gcd
-only when that fails; `_int_gcd` certifies the gcd by the two exact
-divisions that give its cofactors, and the chain keeps N_ab / gcd as that
-cell's quotient, so a cell is divided again only when h shrinks later.
-The cells are the entries a <= b alone: M is symmetric, so N_ab = N_ba.
+M is symmetric, so Gamma = N / phi is the sum of R_lambda / (x - lambda)
+over its distinct eigenvalues, each residue
+R_lambda = (P_lambda E)^T (P_lambda E) positive semidefinite for the
+orthogonal eigenprojection P_lambda, so zero exactly when its trace is
+(the main angles of Cvetkovic, Rowlinson and Simic, Eigenspaces of Graphs,
+1997). Then h = gcd(phi, tr N), tr N = sum_a N_aa, not zero when E is not
+(its top coefficient is |E|^2), gives the reduced common denominator
+g = phi / h and f = N / h. On the lifted layers s^n phi(y / s) is monic in
+Z[y], so h is too, `_int_gcd` gives g as its cofactor and each N_ab / h is
+an exact `_int_divexact`. The cells are the entries a <= b alone: M is
+symmetric, so N_ab = N_ba.
 `MainFunction` keeps phi, g and f in this scaled integer form, and every
 consumer (entries in lowest terms, eigenvalue classes, the reduced block,
 Phi) reads those integers; the polynomials over Q are views derived on
@@ -74,8 +74,10 @@ det(yI - L*M) from the integer rows of the assembled matrix M, with L its
 common denominator, and `exactlinalg` evaluates Phi and checks that lift
 against these values (`_block_lift`); any difference raises
 BlockFactorizationError naming the lowest power of x whose coefficients
-differ. The check skips every prime that divides L or the denominator of
-a point's quotient, so every prime dividing a row multiplier, some s_i or
+differ. First the lift must be monic with -trace(L*M) at y^(n-1), which
+reads the rows alone and so sees a fault in a lift both paths share. The
+value check skips every prime that divides L or the denominator of a
+point's quotient, so every prime dividing a row multiplier, some s_i or
 some g_i(t). Row a of block i holds its row multiplier times
 s_i^(d_i) g_i(t) on the diagonal, so every diagonal entry of the block is
 a unit at every point modulo every prime the check keeps, which is all
@@ -114,7 +116,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BlockFactorizationError, CarryForwardError, InexactDivisionError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
+from .errors import BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError, SizeMismatchError
 from .exactlinalg import (
     _block_lift,
     _charpoly_lift,
@@ -236,8 +238,8 @@ def main_function(m, e) -> MainFunction:
     s_e^2 s^(n-1) N_ab(y / s), lifted by `exactlinalg._walk_lift` on the
     cells a <= b of the non-zero columns of E (others are zero), since
     N_ab = N_ba; scale 1 when E has no column. Then g = phi / h and
-    f = N / h, with h = gcd(phi, every non-zero N_ab) taken as one
-    divide-first chain in Z[y] over the cells."""
+    f = N / h, with h = gcd(phi, tr N): M is symmetric, so Gamma and
+    tr Gamma have the same poles (module docstring)."""
     n = _require_square(m)
     r, c = mat_shape(e)
     if r != n:
@@ -249,24 +251,13 @@ def main_function(m, e) -> MainFunction:
     cols = [a for a, col in enumerate(zip(*ints)) if any(col)]
     cells = [(x, y) for x in range(len(cols)) for y in range(x, len(cols))]
     numerators = _walk_lift(rows, phi, [[row[a] for a in cols] for row in ints], centring, cells) if cells else []
-    h, held = phi, {}
-    for cell, p in zip(cells, numerators):
-        if any(p[len(h) - 1:]):  # deg p >= deg h, so h may divide p
-            try:
-                held[cell] = len(h), _int_divexact(p, h)
-                continue
-            except InexactDivisionError:
-                pass
-        if any(p):  # a zero entry leaves h as it is
-            h, _, q = _int_gcd(h, p)
-            held[cell] = len(h), q
-    f = [[(0,) * (n + 1 - len(h))] * c for _ in range(c)]
+    trace = [sum(k) for k in zip(*(p for (x, y), p in zip(cells, numerators) if x == y))]
+    h, g, _ = _int_gcd(phi, trace)  # g = phi / h
+    # a zero entry is the d = deg g coefficients of zero, as p / h is
+    f = [[(0,) * (len(g) - 1)] * c for _ in range(c)]
     for (x, y), p in zip(cells, numerators):
-        # h only shrinks, so a quotient taken at its final degree is p / h, the
-        # n - deg h coefficients of scale * s^(n-1-deg h) f(y / s), as a zero entry has
-        size, q = held.get((x, y), (0, None))
-        f[cols[x]][cols[y]] = f[cols[y]][cols[x]] = tuple(q if size == len(h) else _int_divexact(p, h))
-    return MainFunction(s, phi, tuple(_int_divexact(phi, h)), tuple(map(tuple, f)), se * se)
+        f[cols[x]][cols[y]] = f[cols[y]][cols[x]] = tuple(_int_divexact(p, h))
+    return MainFunction(s, phi, tuple(g), tuple(map(tuple, f)), se * se)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +384,8 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
     of block i. The direct lift of `matrix`, of degree n = sum_i deg phi_i,
     is checked against it at the first n + 1 non-negative integers where no
     g_i vanishes, by `exactlinalg._block_lift`: BlockFactorizationError
-    names the lowest power of x whose coefficients differ."""
+    names the lowest power of x whose coefficients differ, or x^n or
+    x^(n-1) when the lift is not monic or lacks -trace(M) at x^(n-1)."""
     mfs, mains = [], {}
     for m, e in blocks:
         key = tuple(map(tuple, m)), tuple(map(tuple, e))
@@ -402,6 +394,12 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
         mfs.append(mains[key])
     l, rows, bound, centring = _scaled_bound(matrix)
     direct = _charpoly_lift(rows, centring)
+    d = len(rows)  # the lift must be monic with -trace(R) at y^(d-1), read off the rows, not lifted
+    for k, want in ((d, 1), (d - 1, -sum(row[i] for i, row in enumerate(rows)))):
+        if k >= 0 and direct[k] != want:
+            raise BlockFactorizationError(f"block factorization identity violated: the direct path gives "
+                                          f"{Fraction(direct[k], l ** (d - k))} as the coefficient of x^{k}, "
+                                          f"which must be {Fraction(want, l ** (d - k))}")
     table, index, scale = _reduced_stack(mfs, weights)
     # det(tI - M) = det(N(t)) * top / bottom at each point t, in integers,
     # with phi_i(t) = Phi_i(s_i t) / s_i^(n_i) and g_i(t) = G_i(s_i t) / s_i^(d_i)

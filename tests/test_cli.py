@@ -461,6 +461,25 @@ def test_carry_forward_violation_is_one_stderr_line(capsys, monkeypatch):
                    "multiplicity 0 below the guaranteed bound 1\n")
 
 
+def test_direct_lift_trace_violation_is_one_stderr_line(capsys, monkeypatch, tmp_path):
+    # a Taylor shift with its sign flipped, shared by every lift of the report
+    import hmjoin.exactlinalg as exactlinalg
+    import hmjoin.spectra as spectra
+    code, out, _ = run_cli(capsys, "family", "tadpole", "36", "8")
+    spec_path = tmp_path / "tadpole.json"
+    spec_path.write_text(json.dumps(json.loads(out)["spec"]))
+    shift = exactlinalg._int_shift
+    monkeypatch.setattr(exactlinalg, "_int_shift", lambda p, r: shift(p, -r))
+    spectra._resolvent.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "universal", str(spec_path), "--preset", "Aalpha:97/100")
+    finally:
+        spectra._resolvent.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == ("violation: block factorization identity violated: the direct path gives 2134/25 as the "
+                   "coefficient of x^43, which must be -2134/25\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["universal", str(FIXTURES / "p3_3.json")],
     ["universal", str(FIXTURES / "p4_generalized.json")],

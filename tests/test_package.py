@@ -99,6 +99,22 @@ def test_no_module_declares_a_dataclass():
     assert found == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # a name bound by an import and never read again is left over from code
+    # that went; __init__ imports to re-export, __future__ to switch features
+    unused = []
+    for path in sorted(pathlib.Path(hmjoin.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - read)]
+    assert unused == []
+
+
 def test_every_export_is_used_inside_the_package():
     # a public name that no module of the package reaches, outside its own
     # def or class, is a test-only helper and belongs under tests/

@@ -193,7 +193,30 @@ def main_function_oracle_cases():
     f = Fraction
     m = [[f(1, 2), f(1, 3), 0], [f(1, 3), f(-1, 4), 0], [0, 0, f(5, 6)]]
     cases.append((m, [[f(1, 5), f(2, 7), 2], [f(3, 5), 1, -1], [0, 0, 0]]))
+    # eigenspaces of dimension 5 and 4 (Petersen), 3 (the 3-cube) and 4
+    # (K_3,3 scaled by 3/2), seen by sides of 2 and 3 columns: residues
+    # E^T P_lambda E of rank above 1
+    petersen = generalized_petersen(5, 2).direct.adjacency_matrix()
+    cube = cartesian_product(make_named("complete", [2]), make_named("cycle", [4])).direct.adjacency_matrix()
+    k33 = [[f(3, 2) * x for x in row] for row in make_named("complete_bipartite", [3, 3]).adjacency_matrix()]
+    for m, c in ((petersen, 2), (cube, 2), (cube, 3)):
+        cases.append((m, [[rng.randint(0, 1) for _ in range(c)] for _ in m]))
+    cases.append((petersen, rand(10, 3, span=2)))
+    cases.append((k33, rand(6, 3)))
     return cases
+
+
+def residue_ranks(m, e):
+    """The ranks of the residues E^T P_lambda E of Gamma at the distinct
+    eigenvalues lambda of M, numerically: rank P_lambda E."""
+    w, v = np.linalg.eigh(np.array(m, dtype=float))
+    side = np.array(e, dtype=float).reshape(len(m), -1)
+    ranks, start = [], 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[start] > 1e-8:
+            ranks.append(int(np.linalg.matrix_rank(v[:, start:i].T @ side, tol=1e-8)))
+            start = i
+    return ranks
 
 
 def assert_matches_resolvent_oracle(m, e):
@@ -229,17 +252,29 @@ def assert_matches_resolvent_oracle(m, e):
 
 
 def test_main_function_matches_resolvent_oracle():
-    for m, e in main_function_oracle_cases():
+    cases = main_function_oracle_cases()
+    for m, e in cases:
         assert_matches_resolvent_oracle(m, e)
+    assert sum(max(residue_ranks(m, e)) > 1 for m, e in cases) >= 5
+
+
+def test_main_function_takes_one_gcd(monkeypatch):
+    # h = gcd(phi, tr N), one gcd whatever the side, zero sides included
+    gcds = record_calls(monkeypatch, spectra, "_int_gcd")
+    for m, e in main_function_oracle_cases() + halved_main_function_cases():
+        gcds.clear()
+        mf = main_function(m, e)
+        assert len(gcds) == 1 and gcds[0][1][0] == mf.phi
 
 
 def halved_main_function_cases():
     """(M, E): seeded symmetric rational M whose sides have several
     columns, one of them zero; an n x 0 side; the gamma != 0 block
     [1 | 1_S] of a join, which walks its upper triangle like any other; and
-    a block-diagonal M on which the gcd chain divides two entries by
-    h = phi_2 before the last entry shrinks it to 1 (the oracle checks that
-    h)."""
+    a block-diagonal M whose first two side columns see its first block
+    alone, so gcd(phi, N_00) = phi_2, the charpoly of its second block,
+    while the third column sees that block and g = phi (the oracle checks
+    g)."""
     rng = random.Random(2023)
 
     def rand(rows, cols, span=3):
@@ -264,7 +299,7 @@ def halved_main_function_cases():
     return cases
 
 
-def test_halved_divide_first_main_function_matches_the_oracles(monkeypatch):
+def test_halved_main_function_matches_the_oracles(monkeypatch):
     walks = []
     walk = spectra._walk_lift
 
@@ -430,6 +465,32 @@ def test_centring_keeps_the_block_primes(monkeypatch):
     (centred, counts, primes), (plain, plain_counts, plain_primes) = runs
     assert centred == plain and primes == plain_primes
     assert (counts[44], counts[36], plain_counts[44], plain_counts[36]) == (5, 4, 13, 11)
+
+
+def test_a_fault_shared_by_every_lift_is_caught_by_the_trace(monkeypatch):
+    # a Taylor shift with its sign flipped moves the factor charpolys, the
+    # walks and the direct lift alike, so block and direct still agree; the
+    # direct lift's coefficient of x^(n-1) against -trace(M) does not
+    spec, params = tadpole(36, 8).spec, UniversalParams.preset("Aalpha:97/100")
+    shift = exactlinalg._int_shift
+    monkeypatch.setattr(exactlinalg, "_int_shift", lambda p, r: shift(p, -r))
+    spectra._resolvent.cache_clear()
+    try:
+        with pytest.raises(BlockFactorizationError) as info:
+            universal_block_charpoly(spec, params)
+    finally:
+        spectra._resolvent.cache_clear()
+    assert str(info.value) == ("block factorization identity violated: the direct path gives 2134/25 as the "
+                               "coefficient of x^43, which must be -2134/25")
+
+
+def test_direct_lift_must_be_monic(monkeypatch):
+    spec = example_3_7_spec()
+    off_direct_lift(monkeypatch, 7, lambda k: k == 7)
+    with pytest.raises(BlockFactorizationError) as info:
+        block_charpoly(spec)
+    assert str(info.value) == ("block factorization identity violated: the direct path gives 2 as the "
+                               "coefficient of x^7, which must be 1")
 
 
 def test_row_bound_covers_every_cofactor_coefficient():
