@@ -2,10 +2,9 @@
 roots, and every multi-modular lift of the join pipeline.
 
 Matrices are plain lists of lists holding ints or `fractions.Fraction`
-values. The module checks their shape but holds no general
-matrix products; the integer polynomial helpers it evaluates and divides
-with (`_int_coeff_eval`, `_int_divexact`, `_int_multiplicity`, `_int_shift`,
-`_scaled`) live in `polynomials`.
+values. The module checks their shape but holds no general matrix
+products; its integer polynomial helpers (`_int_*`, `_scaled`, `_unscaled`)
+live in `polynomials`.
 
 Three lifts recover integers modulo primes. Each takes integers and a
 bound and returns the integers within that bound:
@@ -24,20 +23,24 @@ Bounds. With L the common denominator of a rational matrix M and R the
 integer rows of L*M (`_scaled_rows`), c_k(M) = c_k(R) / L^k. Each c_k(R)
 is a signed sum of principal k-minors, each at most the product of its
 rows' norms by Hadamard's inequality, so |c_k(R)| <= e_k(r_1, ..., r_n)
-for the ceilings r_i of the row norms; `_scaled_bound` takes
-max_k e_k by an exact recurrence over the rows. The coefficient of
-y^(n-1-k) in cofactor (a, b) of yI - R is a signed sum of k-minors of R
-on distinct row sets that omit row a (one per set of diagonal entries
-giving y), each within the same product, so that bound covers every
-cofactor too, and W = bound * (max_a |E'_a|_1)^2 (the largest column
-1-norm of the integer side, taken as at least 1) covers every coefficient
-of E'^T adj(yI - R) E'. L, Q and A_alpha carry the degrees on the
-diagonal, which dominate the norms, so `_scaled_bound` also takes K', the
-bound of R - aI for the most common diagonal entry a. Where K' saves two
-primes or more (one measured slower), the charpoly and walk lifts run on
-R - aI under K', and an exact Taylor shift in Z[y] (`_int_shift`; von zur
-Gathen & Gerhard, ISSAC 1997) moves their integers back: c(y) = c'(y - a)
-for c'(y) = det(yI - (R - aI)) = c(y + a). The block lift keeps K.
+for any r_i at least the row norms. `_scaled_bound` takes fixed-point
+ceilings r_i = ceil(2^16 |row_i|) / 2^16 (by `isqrt`) and max_k e_k as the
+largest coefficient of prod_s (1 + r_s z)^c over the distinct row sums of
+squares s, c rows each, every term C(c, j) r_s^j rounded up to an integer:
+non-negative terms rounded up keep every product coefficient at least e_k,
+and no larger than with integer ceilings, as r_s <= ceil(|row|). The
+coefficient of y^(n-1-k) in cofactor (a, b) of yI - R is a signed sum of
+k-minors of R on distinct row sets that omit row a (one per set of
+diagonal entries giving y), each within the same product, so that bound
+covers every cofactor too, and W = bound * (max_a |E'_a|_1)^2 (the largest
+column 1-norm of the integer side, taken as at least 1) covers every
+coefficient of E'^T adj(yI - R) E'. L, Q and A_alpha carry the degrees on
+the diagonal, which dominate the norms, so `_scaled_bound` also takes K',
+the bound of R - aI for the most common diagonal entry a. Where K' saves
+two primes or more (one measured slower), the charpoly and walk lifts run
+on R - aI under K', and an exact Taylor shift in Z[y] (`_int_shift`; von
+zur Gathen & Gerhard, ISSAC 1997) moves their integers back: c(y) =
+c'(y - a) for c'(y) = det(yI - (R - aI)) = c(y + a). The block lift keeps K.
 
 Primes and the int64 argument. Primes below 2**26, largest first
 (`_primes`, each found by deterministic Miller-Rabin, `_is_prime`), are
@@ -114,13 +117,13 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from operator import getitem, mul
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SizeMismatchError, TooLargeError
-from .polynomials import Polynomial, _int_coeff_eval, _int_divexact, _int_multiplicity, _int_shift, _scaled, _unscaled
+from .polynomials import Polynomial, _int_coeff_eval, _int_divexact, _int_mul, _int_multiplicity, _int_shift, _scaled, _unscaled
 
 
 def mat_shape(m) -> Tuple[int, int]:
@@ -146,32 +149,44 @@ def _require_square(m) -> int:
 def _scaled_rows(m) -> Tuple[int, List[List[int]]]:
     """L, the common denominator of the entries (ints or Fractions) of M,
     the least positive integer with L*M integral, and the rows of L*M."""
-    l = math.lcm(*(x.denominator for row in m for x in row))
-    return l, [[x.numerator * (l // x.denominator) for x in row] for row in m]
+    if all({*map(type, row)} <= {int} for row in m):
+        return 1, [list(row) for row in m]
+    l = math.lcm(*{x.denominator for row in m for x in row if type(x) is not int})
+    return l, [[x * l if type(x) is int else x.numerator * (l // x.denominator) for x in row] for row in m]
 
 
 def _scaled_bound(m) -> Tuple[int, List[List[int]], int, Tuple[int, int]]:
     """`_scaled_rows(M)`, the bound K of the module docstring for its rows R,
     and the centring (a, K') of the charpoly and walk lifts: a the most common
     diagonal entry (ties to the smaller |a|, then a), K' the bound of R - aI;
-    (0, K) unless K' needs two primes fewer."""
+    (0, K) unless K' needs two primes fewer. Both take fixed-point ceilings."""
     l, rows = _scaled_rows(m)
-    def ceilings(squares):  # of the row norms, from the rows' sums of squares
-        return [math.isqrt(s - 1) + 1 if s else 0 for s in squares]
-    def hadamard(rs):  # max_k e_k(r_1, ..., r_n), row by row: e_k += r e_(k-1)
-        return max(reduce(lambda e, r: [x + r * y for x, y in zip(e + [0], [0] + e)], rs, [1]))
-    squares = [sum(x * x for x in row) for row in rows]
-    bound = hadamard(ceilings(squares))
+    def hadamard(counts):  # max_k e_k(r_1, ..., r_n) or more, one product per distinct norm
+        e = [1]
+        for s, c in counts.items():
+            if c == 1:  # 1 + r_s z, r_s rounded up: the integer ceiling
+                r = math.isqrt(s - 1) + 1 if s else 0
+                e = [x + r * y for x, y in zip(e + [0], [0] + e)]
+            elif s:
+                r, t, terms = math.isqrt((s << 32) - 1) + 1, 1, [1]  # 2^16 r_s
+                for j in range(1, c + 1):
+                    t = t * r * (c - j + 1) // j  # C(c, j) (2^16 r_s)^j
+                    terms.append(-(-t >> 16 * j))  # rounded up, so no product coefficient falls
+                e = _int_mul(e, terms) if len(e) > 1 else terms
+        return max(e)
+    squares = [sum(map(mul, row, row)) for row in rows]
+    bound = hadamard(Counter(squares))
     fewer = len(_lift_primes(bound)) - 2  # K' takes a prime at least, so K needs three for it to save two
     if fewer > 0:
-        counts = Counter(row[i] for i, row in enumerate(rows))
+        diagonal = list(map(getitem, rows, itertools.count()))
+        counts = Counter(diagonal)
         a = min(counts, key=lambda x: (-counts[x], abs(x), x))
-        rs = ceilings([s - 2 * a * row[i] + a * a for i, (s, row) in enumerate(zip(squares, rows))])
-        # K' >= prod (1 + r'_i) / (n + 1), its largest of n + 1 terms e_k: recur only if that can save two primes
-        if a and len(_lift_primes(math.prod(1 + r for r in rs) // (len(rows) + 1))) <= fewer:
-            centred = hadamard(rs)
-            if len(_lift_primes(centred)) <= fewer:
-                return l, rows, bound, (a, centred)
+        centred = Counter(s - (2 * d - a) * a for s, d in zip(squares, diagonal))
+        # K' >= prod (1 + r'_i) / (n + 1) >= prod (1 + isqrt(s'_i)) / (n + 1): recur only if that can save two
+        if a and len(_lift_primes(math.prod((1 + math.isqrt(s)) ** c for s, c in centred.items()) // (len(rows) + 1))) <= fewer:
+            k = hadamard(centred)
+            if len(_lift_primes(k)) <= fewer:
+                return l, rows, bound, (a, k)
     return l, rows, bound, (0, bound)
 
 

@@ -2,6 +2,7 @@
 polynomial-matrix determinants modulo primes, checked against naive
 cofactor oracles and the Bareiss oracles of `oracles`."""
 
+import collections
 import itertools
 import math
 import operator
@@ -295,15 +296,31 @@ def test_charpoly_engine_live_spans_match_bareiss_on_every_member():
 
 
 def row_hadamard_bound(rows):
-    """max_k e_k(r_1, ..., r_n) for the ceilings r_i of the rows' 2-norms,
-    each e_k summed over its row sets: a principal k-minor is at most the
-    product of its rows' norms (Hadamard), so e_k bounds c_k."""
+    """max_k e_k(r_1, ..., r_n) for the integer ceilings r_i of the rows'
+    2-norms, each e_k summed over its row sets: a principal k-minor is at
+    most the product of its rows' norms (Hadamard), so e_k bounds c_k."""
     ceilings = []
     for row in rows:
         s = sum(x * x for x in row)
         r = math.isqrt(s)
         ceilings.append(r + (r * r < s))
     return max(sum(math.prod(c) for c in itertools.combinations(ceilings, k)) for k in range(len(rows) + 1))
+
+
+def fixed_point_ceiling(s):
+    """ceil(2^16 sqrt(s)) / 2^16 as a Fraction: the least multiple of 2^-16
+    whose square is at least s."""
+    r = math.isqrt(s << 32)
+    return Fraction(r + (r * r < s << 32), 1 << 16)
+
+
+def fixed_point_hadamard_bound(rows):
+    """max_k e_k(r_1, ..., r_n), rounded up, for the fixed-point ceilings r_i
+    of the rows' 2-norms, each e_k summed over its row sets: the bound
+    `_scaled_bound` may round up further, never below this."""
+    ceilings = [fixed_point_ceiling(sum(x * x for x in row)) for row in rows]
+    return math.ceil(max(sum(math.prod(c) for c in itertools.combinations(ceilings, k))
+                         for k in range(len(rows) + 1)))
 
 
 def largest_row_bound(rows):
@@ -319,8 +336,9 @@ def test_charpoly_primes_cover_twice_the_hadamard_bound():
     for n in range(1, 12):
         span = 10 ** rng.randint(0, 12)
         rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
-        bound = row_hadamard_bound(rows)
-        assert _scaled_bound(rows)[:3] == (1, rows, bound)
+        l, scaled, bound, _ = _scaled_bound(rows)
+        assert (l, scaled) == (1, rows)
+        assert fixed_point_hadamard_bound(rows) <= bound <= row_hadamard_bound(rows)
         primes = _lift_primes(bound)
         assert math.prod(primes) > 2 * bound + 1
         assert math.prod(primes[:-1]) <= 2 * bound + 1
@@ -345,7 +363,7 @@ def test_row_bound_covers_the_bareiss_charpoly_within_the_largest_row_bound():
             m = [[Fraction(x, rng.choice([1, 2, 3, 7, 10 ** 6])) for x in row] for row in m]
         l, rows, bound, _ = _scaled_bound(m)
         assert rows == [[int(x * l) for x in row] for row in m]
-        assert bound == row_hadamard_bound(rows) <= largest_row_bound(rows)
+        assert fixed_point_hadamard_bound(rows) <= bound <= row_hadamard_bound(rows) <= largest_row_bound(rows)
         tighter += bound < largest_row_bound(rows)
         poly = bareiss_charpoly(m)
         assert all(abs(poly.coefficient(n - k) * l ** k) <= bound for k in range(n + 1))
@@ -355,10 +373,68 @@ def test_row_bound_covers_the_bareiss_charpoly_within_the_largest_row_bound():
     assert _scaled_bound([[0, 0], [0, 0]]) == (1, [[0, 0], [0, 0]], 1, (0, 1))
 
 
+def repeated_norm_corpus(rng):
+    """Rows whose norms repeat, as the rows of a graph's matrices do, so that
+    the bound's product per distinct norm and its rounding show: permuted
+    rows of one pool of entries (non-symmetric), some rows zeroed, rational
+    pools, and dense rows from two pools."""
+    for n in range(1, 10):
+        pool = [rng.randint(-3, 3) for _ in range(n)]
+        m = [rng.sample(pool, n) for _ in range(n)]
+        yield m
+        yield [row if rng.random() < 0.6 else [0] * n for row in m]
+        fractions = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+        yield [rng.sample(fractions, n) for _ in range(n)]
+        pools = [[rng.randint(-9, 9) or 1 for _ in range(n)] for _ in range(2)]
+        yield [rng.sample(pools[i % 2], n) for i in range(n)]
+
+
+def test_fixed_point_bound_covers_the_bareiss_charpoly_on_repeated_norms():
+    # the bound lies between the fixed-point oracle and the integer-ceiling
+    # one and covers every coefficient of det(xI - L*M); K' is checked on
+    # `centring_corpus`, whose matrices are large enough to centre
+    tighter = 0
+    for m in repeated_norm_corpus(random.Random(1901)):
+        n = len(m)
+        l, rows, bound, _ = _scaled_bound(m)
+        assert fixed_point_hadamard_bound(rows) <= bound <= row_hadamard_bound(rows)
+        assert len(_lift_primes(bound)) <= len(_lift_primes(row_hadamard_bound(rows)))
+        tighter += bound < row_hadamard_bound(rows)
+        poly = bareiss_charpoly(m)
+        assert all(abs(poly.coefficient(n - j) * l ** j) <= bound for j in range(n + 1))
+        assert charpoly(m) == poly
+    assert tighter >= 20
+
+
+def sylvester_hadamard(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_bound_covers_hadamard_matrices_that_meet_the_inequality():
+    # a +-1 Sylvester Hadamard matrix of order n has |det H| = n^(n/2), the
+    # product of its row norms; at n = 4 the norms are 2 and the fixed-point
+    # ceilings exact, so the bound is max_k C(4, k) 2^k = 32; at n = 2 and 8
+    # the norms sqrt(2) and sqrt(8) no longer round up to 2 and 3
+    for n in (2, 4, 8):
+        h = sylvester_hadamard(n)
+        assert abs(det_bareiss(h)) ** 2 == n ** n
+        _, rows, bound, _ = _scaled_bound(h)
+        assert fixed_point_hadamard_bound(rows) <= bound <= row_hadamard_bound(rows)
+        assert bound < row_hadamard_bound(rows) or n == 4
+        poly = bareiss_charpoly(h)
+        assert abs(poly.coefficient(0)) == abs(det_bareiss(h)) <= bound
+        assert all(abs(c) <= bound for c in poly.coeffs)
+        assert charpoly(h) == poly
+    assert _scaled_bound(sylvester_hadamard(4))[2] == 32
+
+
 def test_row_bound_prime_counts_on_large_joins():
     # the lift primes of the direct charpoly, with the largest-row bound's
     # count before them
-    cases = [(generalized_helm(30, 8), "A", 30, 16), (generalized_helm(30, 8), "L", 53, 22),
+    cases = [(generalized_helm(30, 8), "A", 30, 14), (generalized_helm(30, 8), "L", 53, 19),
              (generalized_web(3, 6), "A", 3, 2)]
     for family, preset, before, after in cases:
         _, rows, bound, _ = _scaled_bound(universal_matrix(hm_join(family.spec), UniversalParams.preset(preset)))
@@ -369,9 +445,9 @@ def test_centred_bound_prime_counts_on_large_joins():
     # the direct lift's primes under K and under K' = the bound of R - aI:
     # L and A_alpha of the helm centre, A has a zero diagonal, and the
     # tadpole's L would save fewer than two primes
-    cases = [(generalized_helm(30, 8), "L", 2, 22, 18), (generalized_helm(30, 8), "Aalpha:97/100", 194, 80, 38),
-             (generalized_helm(30, 8), "A", 0, 16, 16), (tadpole(36, 8), "Aalpha:97/100", 194, 13, 5),
-             (tadpole(36, 8), "L", 0, 4, 4)]
+    cases = [(generalized_helm(30, 8), "L", 2, 19, 15), (generalized_helm(30, 8), "Aalpha:97/100", 194, 80, 37),
+             (generalized_helm(30, 8), "A", 0, 14, 14), (tadpole(36, 8), "Aalpha:97/100", 194, 13, 5),
+             (tadpole(36, 8), "L", 0, 3, 3), (tadpole(200, 100), "A", 0, 15, 15)]
     for family, preset, a, before, after in cases:
         _, _, bound, (centre, centred) = _scaled_bound(universal_matrix(hm_join(family.spec), UniversalParams.preset(preset)))
         assert (centre, len(_lift_primes(bound)), len(_lift_primes(centred))) == (a, before, after)
@@ -382,12 +458,14 @@ def centred_rows(rows, a):
 
 
 def product_bound(rows):
-    """max_k e_k of the ceilings r_i of the rows' 2-norms, as the largest
-    coefficient of prod_i (1 + r_i y): `row_hadamard_bound` for many rows."""
+    """The largest coefficient of prod_s (1 + r_s y)^c over the distinct
+    row sums of squares s, of multiplicity c, with r_s the fixed-point
+    ceiling of sqrt(s) and each term C(c, j) r_s^j rounded up to an integer:
+    the bound `_scaled_bound` takes, at least `fixed_point_hadamard_bound`."""
     e = Polynomial([1])
-    for row in rows:
-        s = sum(x * x for x in row)
-        e = poly_mul(e, Polynomial([1, math.isqrt(s) + (math.isqrt(s) ** 2 < s)]))
+    for s, c in collections.Counter(sum(x * x for x in row) for row in rows).items():
+        r = fixed_point_ceiling(s)
+        e = poly_mul(e, Polynomial([math.ceil(math.comb(c, j) * r ** j) for j in range(c + 1)]))
     return int(max(e.coeffs))
 
 
@@ -400,7 +478,9 @@ def test_centred_and_uncentred_charpoly_lifts_match_bareiss():
         l, rows, bound, centring = _scaled_bound(m)
         a = diagonal_mode(rows)
         forced = (a, product_bound(centred_rows(rows, a)))
-        assert len(rows) > 9 or forced[1] == row_hadamard_bound(centred_rows(rows, a))
+        assert product_bound(rows) == bound
+        assert len(rows) > 9 or fixed_point_hadamard_bound(centred_rows(rows, a)) <= forced[1] <= row_hadamard_bound(
+            centred_rows(rows, a))
         fewer = a != 0 and len(_lift_primes(forced[1])) <= len(_lift_primes(bound)) - 2
         assert centring == (forced if fewer else (0, bound))
         adopted += fewer

@@ -1,11 +1,13 @@
 """Package-wide rules: value types are immutable, copy and pickle, and are
-declared one way, and every public name is used by the package itself, not
-only by its tests."""
+declared one way, every public name is used by the package itself, not
+only by its tests, and the package imports nothing beyond the standard
+library and numpy."""
 
 import ast
 import copy
 import pathlib
 import pickle
+import sys
 import types
 
 import pytest
@@ -137,3 +139,18 @@ def test_every_export_is_used_inside_the_package():
             visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     assert "graph_to_edgelist" in exported and "Graph" in used
     assert sorted(exported - used) == []
+
+
+def test_modules_import_only_the_standard_library_numpy_and_hmjoin():
+    # the package depends on numpy alone; anything else installed beside it
+    # (scipy, say) must not creep in through an import
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hmjoin"}
+    found = []
+    for path in sorted(pathlib.Path(hmjoin.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.append((path.name, node.module))
+    assert {name.partition(".")[0] for _, name in found} >= {"numpy", "math", "fractions"}
+    assert [(module, name) for module, name in found if name.partition(".")[0] not in allowed] == []
