@@ -128,7 +128,7 @@ def generalized_universal_charpoly(spec: GeneralizedJoinSpec) -> Polynomial:
     cross-checked against the direct vertex-level computation."""
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.subset_indicators(), spec.params)
     matrix = universal_matrix(spec.join_graph(), spec.params)
-    _, l, lift = reduced_block_charpoly(blocks, weights, matrix)
+    _, l, lift, _ = reduced_block_charpoly(blocks, weights, matrix)
     return _unscaled(lift, l)
 
 

@@ -15,9 +15,9 @@ bound and returns the integers within that bound:
 - `_walk_lift`: the coefficients of the entries (a, b) of
   E'^T adj(yI - R) E' that its caller names, for one integer side E', the
   numerators of the main functions in `spectra`;
-- `_block_lift`: det(yI - R) once more, from the values of the reduced
+- `_block_lift`: the direct lift once more, from the values of the reduced
   block determinant that `spectra` builds from the main functions, as a
-  check of the direct lift.
+  check of it.
 
 Bounds. With L the common denominator of a rational matrix M and R the
 integer rows of L*M (`_scaled_rows`), c_k(M) = c_k(R) / L^k. Each c_k(R)
@@ -39,8 +39,10 @@ the diagonal, which dominate the norms, so `_scaled_bound` also takes K',
 the bound of R - aI for the most common diagonal entry a. Where K' saves
 two primes or more (one measured slower), the charpoly and walk lifts run
 on R - aI under K', and an exact Taylor shift in Z[y] (`_int_shift`; von
-zur Gathen & Gerhard, ISSAC 1997) moves their integers back: c(y) =
-c'(y - a) for c'(y) = det(yI - (R - aI)) = c(y + a). The block lift keeps K.
+zur Gathen & Gerhard, ISSAC 1997) moves integers back: c(y) = c'(y - a)
+for c'(y) = det(yI - (R - aI)) = c(y + a). The charpoly lift returns c',
+its callers shift back only what they output, and the block lift checks
+c' under K' (below): the argument under K with a = 0, K' for K.
 
 Primes and the int64 argument. Primes below 2**26, largest first
 (`_primes`, each found by deterministic Miller-Rabin, `_is_prime`), are
@@ -83,17 +85,19 @@ every pair of blocks. The taken block D is diagonal with unit entries, so
 det N = prod diag(D) * det S with S the Schur complement of D, and every
 det S is taken at once by batched Gaussian elimination (`_det_mod`), both
 steps division-free (pivot * row i - a_ik * row k, the factors divided
-out at the end). A prime is rejected when it does not exceed the last
-point or divides L or a bottom. Modulo each prime left, L and every bottom
-are then units and the points L*t distinct, so for the direct lift
-c = det(yI - R), det N(t) * top(t) * L^n = c(L*t) * bottom(t) at all
-n + 1 points exactly when c is the interpolant of the values times
-top / bottom, coefficient j scaled by L^(n-j); at every prime, with every
-|c_j| below half their product, exactly when c is that interpolant's CRT
-lift. The lift checks this, with c at every L*t from one table of powers
-built by doubling and one `_dot_mod`, and only when it fails interpolates
-(`_interpolate_mod`), scales and lifts (`_crt_lift`) the block's own
-integers, for its caller to name the lowest coefficient that differs.
+out at the end). The check takes the primes of K' it does not reject: a
+prime that does not exceed the last point or divides L or a bottom. Modulo
+each prime left, L and every bottom are then units and the points L*t - a
+distinct, so det N(t) * top(t) * L^n = c'(L*t - a) * bottom(t) at all
+n + 1 points exactly when c' is the interpolant of the values times
+top / bottom at the points L*t - a; at every prime, with every |c'_j|
+below half their product (> K'), exactly when c' is that interpolant's
+CRT lift, which for a correct block is det(yI - (R - aI)), within K'. The
+lift checks this, with c' at every L*t - a from one table of powers built
+by doubling and one `_dot_mod`. Only when it fails does it interpolate
+(`_interpolate_mod`), scale and lift (`_crt_lift`) the block's own
+integers, c modulo that product, and shift them by a, each taken
+symmetric, for its caller to name the lowest coefficient that differs.
 
 The Schur scalings, bottoms and point differences are inverted in batches
 by Montgomery's trick (Math. Comp. 48, 1987; `_inverses`): prefix
@@ -102,13 +106,14 @@ all the primes of a lift and then reduced to each.
 
 Rational roots have one scan, `_integer_roots`: for a monic divisor p of
 det(xI - M) and a common denominator s of M, s^d p(y / s) is monic in
-Z[y], so the rational roots of p are y / s for its integer roots y. Those
-lie within the Gershgorin bound of the integer rows of s*M and divide the
-lowest non-zero coefficient; multiplicities come from synthetic
-division by y - root. The scan takes time linear in that bound, so a bound
-above `_EIGEN_SCAN_LIMIT` raises TooLargeError instead. `spectra` runs it
-on the integers of a main function; `rational_roots` scales p by L itself
-and also returns the cofactor left after dividing every root out.
+Z[y], so the rational roots of p are y / s for its integer roots y, which
+lie within the Gershgorin bound B of the integer rows R of s*M and divide
+the lowest non-zero coefficient; multiplicities come from synthetic
+division by y - root. On those integers shifted by a it finds the y - a,
+also within the bound B' of R - aI. The scan takes time linear in
+min(B, B'), so above `_EIGEN_SCAN_LIMIT` it raises TooLargeError instead.
+`spectra` runs it on a factor's centred lift; `rational_roots` scales p by
+L itself and also returns the cofactor left after dividing every root out.
 """
 
 from __future__ import annotations
@@ -398,12 +403,12 @@ def _centred(rows: Sequence[Sequence[int]], a: int, ps: Sequence[int]) -> np.nda
 
 
 def _charpoly_lift(rows: Sequence[Sequence[int]], centring: Tuple[int, int]) -> List[int]:
-    """The coefficients, constant term first, of c(y) = det(yI - R), monic
-    in Z[y], for the integer rows R of L*M and the centring (a, K') of
-    `_scaled_bound(M)`: c(y + a) = det(yI - (R - aI)) modulo every prime of
-    `_lift_primes(K')` in one stack for `_charpoly_mod`, lifted, shifted."""
+    """The coefficients, constant term first, of c(y + a) = det(yI - (R - aI)),
+    monic in Z[y], for the integer rows R of L*M and the centring (a, K') of
+    `_scaled_bound(M)`: modulo every prime of `_lift_primes(K')` in one stack
+    for `_charpoly_mod`, lifted; `_int_shift(lift, -a)` is c(y) = det(yI - R)."""
     a, ps = centring[0], _lift_primes(centring[1])
-    return _int_shift(_crt_lift(ps, _charpoly_mod(_centred(rows, a, ps), ps).tolist()), -a)
+    return _crt_lift(ps, _charpoly_mod(_centred(rows, a, ps), ps).tolist())
 
 
 def charpoly(m) -> Polynomial:
@@ -411,7 +416,7 @@ def charpoly(m) -> Polynomial:
     engine (module docstring): c_k(M) = c_k(L*M) / L^k."""
     _require_square(m)
     l, rows, _, centring = _scaled_bound(m)
-    return _unscaled(_charpoly_lift(rows, centring), l)
+    return _unscaled(_int_shift(_charpoly_lift(rows, centring), -centring[0]), l)
 
 
 # ---------------------------------------------------------------------------
@@ -564,18 +569,19 @@ def _walk_lift(rows: Sequence[Sequence[int]], phi: Sequence[int], side, centring
 
 
 def _block_lift(rows: Sequence[Sequence[int]], index: np.ndarray, points: Sequence[int], tops: Sequence[int],
-                bottoms: Sequence[int], l: int, bound: int, direct: Sequence[int]) -> List[int]:
-    """det(yI - L*M), in Z[y], from the integer coefficient rows, of one
-    length (row 0 zero), and the index of a polynomial matrix N,
-    N[i][j] = rows[index[i, j]], whose diagonal entries are units at every
-    point modulo every prime the lift keeps, with det(tI - M) =
-    det N(t) * tops[j] / bottoms[j] at the points t = points[j], n + 1
-    increasing non-negative integers for n = deg det(xI - M), the common
-    denominator L and bound of `_scaled_bound(M)`: the `direct` lift,
-    constant term first, when the check of the module docstring passes,
-    else the block's own integers. `_polymatrix_det_mod` runs once per
-    group of primes, on rows reduced once for all of them."""
-    n = len(points) - 1
+                bottoms: Sequence[int], l: int, centring: Tuple[int, int], direct: Sequence[int]) -> List[int]:
+    """c(y + a) for c(y) = det(yI - L*M), in Z[y], from the integer
+    coefficient rows, of one length (row 0 zero), and the index of a
+    polynomial matrix N, N[i][j] = rows[index[i, j]], whose diagonal entries
+    are units at every point modulo every prime the lift keeps, with
+    det(tI - M) = det N(t) * tops[j] / bottoms[j] at the points
+    t = points[j], n + 1 increasing non-negative integers for
+    n = deg det(xI - M), the common denominator L and centring (a, K') of
+    `_scaled_bound(M)`: the `direct` lift c(y + a), constant term first,
+    when the check of the module docstring passes, else the block's own
+    integers, shifted alike. `_polymatrix_det_mod` runs once per group of
+    primes, on rows reduced once for all of them."""
+    n, (a, bound) = len(points) - 1, centring
     ps = _lift_primes(bound, lambda p: p <= points[-1] or l % p == 0 or any(b % p == 0 for b in bottoms))
     modulus, q = math.prod(ps), _by_member(ps)
     order, lead = _schur_rows(index > 0)
@@ -586,37 +592,42 @@ def _block_lift(rows: Sequence[Sequence[int]], index: np.ndarray, points: Sequen
                            for i in range(0, len(ps), group)])
     top, bottom = (_residues(f, (n + 1,), ps) for f in (tops, bottoms))
     if len(direct) == n + 1 and all(2 * abs(c) < modulus for c in direct):
-        # columns s to 2s - 1 of the powers of L*t are columns 0 to s - 1 times (L*t)^s
-        x = np.array(points, dtype=np.int64) * _by_member([l % p for p in ps]) % q
+        # columns s to 2s - 1 of the powers of L*t - a are columns 0 to s - 1 times (L*t - a)^s
+        x = (_by_member([l % p for p in ps]) * points - _by_member([a % p for p in ps])) % q
         powers, s = np.ones((len(ps), n + 1, len(points)), dtype=np.int64), 1
         while s <= n:
             powers[:, s:2 * s] = powers[:, :min(s, n + 1 - s)] * x[:, None] % q[:, None]
             x, s = x * x % q, 2 * s
-        value = _dot_mod(_residues(direct, (1, n + 1), ps), powers, q[:, :, None])[:, 0]  # direct(L*t)
+        value = _dot_mod(_residues(direct, (1, n + 1), ps), powers, q[:, :, None])[:, 0]  # direct(L*t - a)
         if np.array_equal(dets * top % q * _by_member([pow(l, n, p) for p in ps]) % q, value * bottom % q):
             return list(direct)
     factors = top * np.array([_inverses(row, p) for row, p in zip(bottom.tolist(), ps)]) % q
     # coefficient j of det(tI - M) times L^(n-j)
     scales = list(itertools.accumulate(range(n), lambda power, _: power * l % modulus, initial=1))
-    return _crt_lift(ps, (_interpolate_mod(points, dets * factors % q, ps) * _residues(scales[::-1], (n + 1,), ps) % q).tolist())
+    c = _interpolate_mod(points, dets * factors % q, ps) * _residues(scales[::-1], (n + 1,), ps) % q
+    return [(x + modulus // 2) % modulus - modulus // 2 for x in _int_shift(_crt_lift(ps, c.tolist()), a)]
 
 
 # ---------------------------------------------------------------------------
 # rational eigenvalues
 
 
-def _integer_roots(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
-    """The integer roots y, ascending, with multiplicities, of
-    coeffs = s^d p(y / s) for a monic divisor p of det(xI - M) and the
-    integer rows of s*M, s a common denominator of M, by the scan of the
-    module docstring; TooLargeError when its Gershgorin bound exceeds `_EIGEN_SCAN_LIMIT`."""
-    bound = max((sum(map(abs, row)) for row in rows), default=0)
-    if bound > _EIGEN_SCAN_LIMIT:
-        raise TooLargeError(
-            f"rational eigenvalue scan over [-{bound}, {bound}] exceeds the limit of {_EIGEN_SCAN_LIMIT}")
+def _integer_roots(coeffs: Sequence[int], rows: Sequence[Sequence[int]], a: int = 0) -> List[Tuple[int, int]]:
+    """The integer roots z, ascending, with multiplicities, of
+    coeffs = P(z + a), P = s^d p(y / s) for a monic divisor p of
+    det(xI - M), the integer rows R of s*M and a common denominator s of M:
+    the scan of the module docstring over the z with |z + a| and |z| within
+    the Gershgorin bounds of R and R - aI, TooLargeError when both exceed
+    `_EIGEN_SCAN_LIMIT`."""
+    sums = [(sum(map(abs, row)), abs(row[i] - a) - abs(row[i])) for i, row in enumerate(rows)]
+    bound, centred = max((r for r, _ in sums), default=0), max((r + d for r, d in sums), default=0)
+    b = min(bound, centred)
+    if b > _EIGEN_SCAN_LIMIT:
+        raise TooLargeError(f"rational eigenvalue scan over [-{b}, {b}] exceeds the limit of {_EIGEN_SCAN_LIMIT}")
+    lo, hi = max(-centred, -bound - a), min(centred, bound - a)
     trailing = next((c for c in coeffs if c), 0)
-    return [(y, _int_multiplicity(coeffs, [-y, 1])) for y in range(-bound, bound + 1)
-            if (y == 0 or trailing % y == 0) and _int_coeff_eval(coeffs, y) == 0]
+    return [(z, _int_multiplicity(coeffs, [-z, 1])) for z in range(lo, hi + 1)
+            if (z == 0 or trailing % z == 0) and _int_coeff_eval(coeffs, z) == 0]
 
 
 def rational_roots(p: Polynomial, m) -> Tuple[Tuple[Tuple[Fraction, int], ...], Polynomial]:

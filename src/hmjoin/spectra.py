@@ -71,8 +71,9 @@ vanishes, and at each, det(tI - M) is det Phi(t) times
 prod_i phi_i(t) / g_i(t)^m, a quotient of integers that the main
 functions give. `reduced_block_charpoly` always computes the direct lift
 det(yI - L*M) from the integer rows of the assembled matrix M, with L its
-common denominator, and `exactlinalg` evaluates Phi and checks that lift
-against these values (`_block_lift`); any difference raises
+common denominator, centred on a as `exactlinalg` lifts it, and
+`exactlinalg` evaluates Phi and checks that centred lift against these
+values under its own bound (`_block_lift`); any difference raises
 BlockFactorizationError naming the lowest power of x whose coefficients
 differ. First the lift must be monic with -trace(L*M) at y^(n-1), which
 reads the rows alone and so sees a fault in a lift both paths share. The
@@ -81,8 +82,9 @@ point's quotient, so every prime dividing a row multiplier, some s_i or
 some g_i(t). Row a of block i holds its row multiplier times
 s_i^(d_i) g_i(t) on the diagonal, so every diagonal entry of the block is
 a unit at every point modulo every prime the check keeps, which is all
-`_block_lift` asks of it. A report computes that lift once and reads Phi,
-the carry-forward multiplicities and its charpoly over Q off it.
+`_block_lift` asks of it. A report computes that lift once and reads Phi
+and its charpoly over Q off it shifted back, the carry-forward
+multiplicities off the centred lift.
 
 Phi itself, kept in the report, is then det(xI - M) * G^(m-1) / H with
 G = prod_i g_i and H = prod_i phi_i / g_i, taken over the integers: scaled
@@ -99,12 +101,15 @@ orthogonal to the column space of E_i; exactly the roots of g_i are
 E-main, so classification is gcd arithmetic, no root finding: the
 squarefree layers of phi_i, their gcds with g_i and the rational roots
 peeled off them are taken in Z[y] on the main function's integers, scaled
-by the common denominator s_i of M_i, where the rational roots are the
-integer roots of `exactlinalg._integer_roots`. Main classes of
+by the common denominator s_i of M_i and centred on a_i as its lift is,
+where the rational roots are the integer roots of
+`exactlinalg._integer_roots` within the Gershgorin bound of
+s_i M_i - a_i I; only irrational classes shift back. Main classes of
 multiplicity e are guaranteed multiplicity >= e - m in the join, non-main
 classes >= e; reports check the observed multiplicities against those
-bounds on the join's integer lift, dividing it in Z[y] by each class
-scaled by L, synthetically when the class is linear (`_int_multiplicity`).
+bounds on the join's centred lift c(y + a), dividing it in Z[y] by each
+class scaled by L and shifted by a, synthetically at L*r - a when the
+class is x - r (`_int_multiplicity`).
 """
 
 from __future__ import annotations
@@ -137,6 +142,7 @@ from .polynomials import (
     _int_mul,
     _int_multiplicity,
     _int_pow,
+    _int_shift,
     _int_squarefree,
     _scaled,
     _unscaled,
@@ -220,14 +226,15 @@ class SpectralReport(_Value):
 @lru_cache(maxsize=256)
 def _resolvent(key: tuple):
     """The integer data of the walk recurrence for M = M'/s: s, the
-    coefficients, constant term first, of s^n phi(y / s) for
+    coefficients, constant term first, of P(y) = s^n phi(y / s) for
     phi = det(xI - M), so entry n - j is c_j s^j for phi = sum_j c_j x^(n-j),
-    the rows of M', the centring of `_scaled_bound(M)` (`exactlinalg`
-    says what it bounds) and whether M is symmetric. Cached on matrix
-    content, so factors and pair searches that revisit a matrix pay for its
-    characteristic polynomial once."""
+    the rows of M', the centring (a, K') of `_scaled_bound(M)` (`exactlinalg`
+    says what it bounds), whether M is symmetric and the lift P(y + a).
+    Cached on matrix content, so factors and pair searches that revisit a
+    matrix pay for its characteristic polynomial once."""
     s, rows, _, centring = _scaled_bound(key)
-    return s, tuple(_charpoly_lift(rows, centring)), tuple(map(tuple, rows)), centring, key == tuple(zip(*key))
+    lift = tuple(_charpoly_lift(rows, centring))
+    return s, tuple(_int_shift(lift, -centring[0])), tuple(map(tuple, rows)), centring, key == tuple(zip(*key)), lift
 
 
 def main_function(m, e) -> MainFunction:
@@ -244,7 +251,7 @@ def main_function(m, e) -> MainFunction:
     r, c = mat_shape(e)
     if r != n:
         raise SizeMismatchError(f"the side must have {n} rows, got {r}")
-    s, phi, rows, centring, symmetric = _resolvent(tuple(map(tuple, m)))
+    s, phi, rows, centring, symmetric, _ = _resolvent(tuple(map(tuple, m)))
     if not symmetric:
         raise NonSymmetricInputError("main functions need a symmetric matrix")
     se, ints = _scaled_rows(e)
@@ -268,22 +275,25 @@ def _eigen_classes(m, mf: MainFunction) -> Tuple[EigenvalueClass, ...]:
     """Split phi into monic squarefree classes homogeneous in multiplicity
     and mainness (mainness = dividing g), extracting rational roots; in
     Z[y] on the integers of `mf = main_function(m, e)`, scaled by the
-    common denominator s of M, where the rational roots are the integer
-    roots y of `_integer_roots` on the rows of `_resolvent` and stand for
-    y / s. Each Yun layer splits into its main part gcd(layer, g) and the
-    non-main rest, the cofactor layer / main part that `_int_gcd` returns."""
-    roots = _integer_roots(mf.phi, _resolvent(tuple(map(tuple, m)))[2])
+    common denominator s of M and shifted by the centring a of `_resolvent`:
+    its lift phi(y + a) and g(y + a). The rational roots are the integer
+    roots z of `_integer_roots` on the rows of `_resolvent` and stand for
+    (z + a) / s; other classes shift back once. Each Yun layer splits into
+    its main part gcd(layer, g) and the non-main rest, the cofactor
+    layer / main part that `_int_gcd` returns."""
+    _, _, rows, (a, _), _, phi = _resolvent(tuple(map(tuple, m)))
+    g, roots = _int_shift(mf.g, a), _integer_roots(phi, rows, a)
     classes: List[EigenvalueClass] = []
-    for layer, mult in _int_squarefree(mf.phi):
-        main_part, rest, _ = _int_gcd(layer, mf.g)
+    for layer, mult in _int_squarefree(phi):
+        main_part, rest, _ = _int_gcd(layer, g)
         for part, flag in ((main_part, True), (rest, False)):
-            for y, root_mult in roots:
-                if root_mult == mult and _int_coeff_eval(part, y) == 0:
-                    root = Fraction(y, mf.s)
+            for z, root_mult in roots:
+                if root_mult == mult and _int_coeff_eval(part, z) == 0:
+                    root = Fraction(z + a, mf.s)
                     classes.append(EigenvalueClass(Polynomial((-root, 1)), root, mult, flag))
-                    part = _int_divexact(part, [-y, 1])
+                    part = _int_divexact(part, [-z, 1])
             if len(part) > 1:
-                classes.append(EigenvalueClass(_unscaled(part, mf.s), None, mult, flag))
+                classes.append(EigenvalueClass(_unscaled(_int_shift(part, -a), mf.s), None, mult, flag))
     return tuple(sorted(classes, key=_class_sort_key))
 
 
@@ -371,29 +381,31 @@ def _reduced_stack(mfs: Sequence[MainFunction], weights) -> Tuple[List[Tuple[int
     return list(distinct), index, scale
 
 
-def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction], int, List[int]]:
+def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction], int, List[int], tuple]:
     """The main functions S_i^T (xI - M_i)^{-1} S_i of the diagonal blocks
     (M_i, S_i) of a block matrix M, one per distinct pair, the common
-    denominator L of M and det(yI - L*M) in Z[y] from them, when each
-    off-diagonal block (i, j) is S_i diag(w) S_j^T with w = weights(i, j)
-    (None: zero).
+    denominator L of M, c(y) = det(yI - L*M) in Z[y] from them and
+    (a, c(y + a)) for the centring a of its lift, when each off-diagonal
+    block (i, j) is S_i diag(w) S_j^T with w = weights(i, j) (None: zero).
 
     The reduced matrix holds g_i I on diagonal block i and -w_b f_i[a][b] at
     row a of block i, column b of block j; its determinant Phi gives
     det(xI - M) = prod_i phi_i * Phi / prod_i g_i^(m_i) with m_i the size
-    of block i. The direct lift of `matrix`, of degree n = sum_i deg phi_i,
-    is checked against it at the first n + 1 non-negative integers where no
-    g_i vanishes, by `exactlinalg._block_lift`: BlockFactorizationError
-    names the lowest power of x whose coefficients differ, or x^n or
-    x^(n-1) when the lift is not monic or lacks -trace(M) at x^(n-1)."""
+    of block i. The direct lift c(y + a) of `matrix`, of degree
+    n = sum_i deg phi_i, is checked against it at the first n + 1
+    non-negative integers where no g_i vanishes, by `exactlinalg._block_lift`:
+    BlockFactorizationError names the lowest power of x whose coefficients
+    differ, or x^n or x^(n-1) when the lift is not monic or lacks -trace(M)
+    at x^(n-1)."""
     mfs, mains = [], {}
     for m, e in blocks:
         key = tuple(map(tuple, m)), tuple(map(tuple, e))
         if key not in mains:
             mains[key] = main_function(m, e)
         mfs.append(mains[key])
-    l, rows, bound, centring = _scaled_bound(matrix)
-    direct = _charpoly_lift(rows, centring)
+    l, rows, _, centring = _scaled_bound(matrix)
+    a, centred = centring[0], _charpoly_lift(rows, centring)
+    direct = _int_shift(centred, -a)
     d = len(rows)  # the lift must be monic with -trace(R) at y^(d-1), read off the rows, not lifted
     for k, want in ((d, 1), (d - 1, -sum(row[i] for i, row in enumerate(rows)))):
         if k >= 0 and direct[k] != want:
@@ -417,15 +429,15 @@ def reduced_block_charpoly(blocks, weights, matrix) -> Tuple[List[MainFunction],
             tops.append(top)
             bottoms.append(bottom)
         t += 1
-    block = _block_lift(table, index, points, tops, bottoms, l, bound, direct)
-    if block != direct:
-        bq, dq = _unscaled(block, l), _unscaled(direct, l)
+    block = _block_lift(table, index, points, tops, bottoms, l, centring, centred)
+    if block != centred:
+        bq, dq = _unscaled(_int_shift(block, -a), l), _unscaled(direct, l)
         k = next(k for k in range(max(len(block), len(direct))) if bq.coefficient(k) != dq.coefficient(k))
         raise BlockFactorizationError(
             f"block factorization identity violated: the coefficients of x^{k} differ, "
             f"block path gives {bq.coefficient(k)}, direct path gives {dq.coefficient(k)}"
         )
-    return mfs, l, block
+    return mfs, l, direct, (a, centred)
 
 
 def _phi_quotient(lift: Sequence[int], mfs: Sequence[MainFunction], m: int, l: int) -> Polynomial:
@@ -486,7 +498,7 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
         raise InvalidParametersError("universal block factorization needs gamma = 0 (the all-ones block couples all factor pairs); use the generalized-join pipeline instead")
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), params)
     matrix = universal_matrix(hm_join(spec), params)
-    mfs, l, lift = reduced_block_charpoly(blocks, weights, matrix)
+    mfs, l, lift, (a, centred) = reduced_block_charpoly(blocks, weights, matrix)
     char = _unscaled(lift, l)
     flags, carry, ledgers = [], [], {}
     for i, ((mat, _), mf) in enumerate(zip(blocks, mfs)):
@@ -494,8 +506,8 @@ def universal_block_charpoly(spec: JoinSpec, params: UniversalParams) -> Spectra
             classes, counts = _eigen_classes(mat, mf), []
             for c, cls in enumerate(classes):
                 guaranteed = max(0, cls.multiplicity - spec.m) if cls.is_main else cls.multiplicity
-                # M_i is a diagonal block of M, so s_i divides L and the class scales into Z[y]
-                observed = _int_multiplicity(lift, _scaled(cls.poly, l))
+                # M_i is a diagonal block of M, so s_i divides L and the class scales into Z[y], shifted by a
+                observed = _int_multiplicity(centred, _int_shift(_scaled(cls.poly, l), a))
                 if observed < guaranteed:
                     raise CarryForwardError(
                         f"factor {i}, eigenvalue class {c} of degree {cls.poly.degree}: observed "

@@ -107,7 +107,7 @@ def walk_numerators(m, side):
     (a, b), every one walked, holds the n coefficients, lowest first, of
     E'^T adj(yI - M') E', the numerators that `main_function` reduces. The
     side needs at least one column."""
-    s, phi, rows, bound, _ = _resolvent(tuple(map(tuple, m)))
+    s, phi, rows, bound = _resolvent(tuple(map(tuple, m)))[:4]
     se, ints = _scaled_rows(side)
     c = len(side[0])
     lifted = _walk_lift(rows, phi, ints, bound, [(a, b) for a in range(c) for b in range(c)])

@@ -469,7 +469,8 @@ def test_direct_lift_trace_violation_is_one_stderr_line(capsys, monkeypatch, tmp
     spec_path = tmp_path / "tadpole.json"
     spec_path.write_text(json.dumps(json.loads(out)["spec"]))
     shift = exactlinalg._int_shift
-    monkeypatch.setattr(exactlinalg, "_int_shift", lambda p, r: shift(p, -r))
+    for module in (exactlinalg, spectra):
+        monkeypatch.setattr(module, "_int_shift", lambda p, r: shift(p, -r))
     spectra._resolvent.cache_clear()
     try:
         code, out, err = run_cli(capsys, "universal", str(spec_path), "--preset", "Aalpha:97/100")

@@ -52,7 +52,7 @@ from hmjoin.exactlinalg import (
 from hmjoin.families import generalized_helm, generalized_web, tadpole
 from hmjoin.graphs import UniversalParams, universal_matrix
 from hmjoin.joins import hm_join
-from hmjoin.polynomials import Polynomial, _scaled, _unscaled
+from hmjoin.polynomials import Polynomial, _int_shift, _scaled, _unscaled
 
 
 def identity_matrix(n):
@@ -471,8 +471,8 @@ def product_bound(rows):
 
 def test_centred_and_uncentred_charpoly_lifts_match_bareiss():
     # every lift, centred when the rule adopts it, uncentred, and centred on
-    # every diagonal mode whatever it saves, gives the Bareiss integers; the
-    # centred integers lie within K'
+    # every diagonal mode whatever it saves, gives the Bareiss integers of
+    # R - aI, and shifted back those of R; the centred integers lie within K'
     adopted = declined = 0
     for m in centring_corpus(random.Random(3601)):
         l, rows, bound, centring = _scaled_bound(m)
@@ -488,7 +488,8 @@ def test_centred_and_uncentred_charpoly_lifts_match_bareiss():
         assert all(abs(c) <= forced[1] for c in bareiss_charpoly(centred_rows(rows, a)).coeffs)
         expected = [int(c) for c in bareiss_charpoly(rows).coeffs]
         for k in {(0, bound), centring, forced}:
-            assert _charpoly_lift(rows, k) == expected
+            assert _charpoly_lift(rows, k) == [int(c) for c in bareiss_charpoly(centred_rows(rows, k[0])).coeffs]
+            assert _int_shift(_charpoly_lift(rows, k), -k[0]) == expected
         assert charpoly(m) == bareiss_charpoly(m)
     assert adopted >= 6 and declined >= 20
 
@@ -499,21 +500,22 @@ def test_centred_lift_faults_are_caught(monkeypatch):
     t, a = 2 ** 100, 2 ** 200
     rows = [[a, t], [t, a]]
     assert _scaled_bound(rows)[3] == (a, t * t)
-    expected = [a * a - t * t, -2 * a, 1]
-    assert _charpoly_lift(rows, (a, t * t)) == expected
-    corpus = [_scaled_bound(m) for m in centring_corpus(random.Random(3601))]
-    # a Taylor shift with its sign flipped lifts c(y + 2a) on every centred matrix
+    expected, centred = [a * a - t * t, -2 * a, 1], [-t * t, 0, 1]
+    assert _charpoly_lift(rows, (a, t * t)) == centred
+    assert charpoly(rows) == Polynomial(expected)
+    corpus = centring_corpus(random.Random(3601))
+    # a Taylor shift with its sign flipped gives c(y + 2a) on every centred matrix
     shift = exactlinalg._int_shift
     monkeypatch.setattr(exactlinalg, "_int_shift", lambda p, r: shift(p, -r))
-    assert _charpoly_lift(rows, (a, t * t)) != expected
-    for _, r, _, centring in corpus:
-        if centring[0]:
-            assert _charpoly_lift(r, centring) != [int(c) for c in bareiss_charpoly(r).coeffs]
+    assert charpoly(rows) != Polynomial(expected)
+    for m in corpus:
+        if _scaled_bound(m)[3][0]:
+            assert charpoly(m) != bareiss_charpoly(m)
     monkeypatch.undo()
     # one prime too few under K'
     primes = exactlinalg._lift_primes
     monkeypatch.setattr(exactlinalg, "_lift_primes", lambda bound, bad=lambda p: False: primes(bound, bad)[:-1])
-    assert _charpoly_lift(rows, (a, t * t)) != expected
+    assert _charpoly_lift(rows, (a, t * t)) != centred
 
 
 def test_inverses_match_pow_element_by_element():
@@ -813,7 +815,7 @@ def test_charpoly_lift_rows_beyond_int64_take_the_object_route():
                     np.array(rows, dtype=np.int64)
             _, _, bound, centring = _scaled_bound(rows)
             for k in ((0, bound), centring):
-                assert _charpoly_lift(rows, k) == [int(c) for c in bareiss_charpoly(rows).coeffs]
+                assert _int_shift(_charpoly_lift(rows, k), -k[0]) == [int(c) for c in bareiss_charpoly(rows).coeffs]
 
 
 def test_interpolate_mod_round_trip():

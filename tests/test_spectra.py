@@ -39,9 +39,9 @@ import hmjoin.cospectral as cospectral
 import hmjoin.exactlinalg as exactlinalg
 import hmjoin.spectra as spectra
 from hmjoin.cospectral import GeneralizedJoinSpec, generalized_universal_charpoly
-from hmjoin.families import cartesian_product, generalized_petersen, generalized_web, tadpole
+from hmjoin.families import cartesian_product, generalized_helm, generalized_petersen, generalized_web, tadpole
 from hmjoin.errors import (BlockFactorizationError, CarryForwardError, InvalidParametersError, NonSymmetricInputError,
-                           SizeMismatchError)
+                           SizeMismatchError, TooLargeError)
 from hmjoin.exactlinalg import charpoly
 from hmjoin.graphs import Graph, UniversalParams, make_named, universal_matrix
 from hmjoin.joins import IndexingMap, JoinSpec, hm_join, indexing_matrix
@@ -346,7 +346,7 @@ def test_gamma_blocks_walk_only_the_upper_triangle(monkeypatch):
     spec = example_3_10_spec()
     blocks, weights = _universal_blocks(spec.host, spec.factors, spec.indexing_matrices(), seidel)
     matrix = universal_matrix(hm_join(spec), seidel)
-    _, l, lift = spectra.reduced_block_charpoly(blocks, weights, matrix)
+    _, l, lift, _ = spectra.reduced_block_charpoly(blocks, weights, matrix)
     assert _unscaled(lift, l) == bareiss_charpoly(matrix)
     # [1 | 1_S] has two columns; [1 | E_i] up to four, less its zero columns
     assert {c for c, _ in walks} == {2, 3, 4}
@@ -423,7 +423,7 @@ def test_centred_and_uncentred_walks_match_the_resolvent_oracle(monkeypatch):
             continue
         c = rng.randint(1, 3)
         side = [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(c)] for _ in range(n)]
-        s, phi, rows, centring, _ = spectra._resolvent(tuple(map(tuple, m)))
+        s, phi, rows, centring = spectra._resolvent(tuple(map(tuple, m)))[:4]
         _, _, bound, _ = exactlinalg._scaled_bound(m)
         a = diagonal_mode(rows)
         forced = (a, exactlinalg._scaled_bound([[x - a * (i == j) for j, x in enumerate(row)]
@@ -447,12 +447,14 @@ def test_centred_and_uncentred_walks_match_the_resolvent_oracle(monkeypatch):
         assert exactlinalg._walk_lift(rows, phi, ints, forced, cells) != lifted
 
 
-def test_centring_keeps_the_block_primes(monkeypatch):
+def test_block_check_takes_the_direct_lifts_centred_primes(monkeypatch):
     # tadpole(36, 8) under A_alpha: centred, the direct lift takes 5 primes,
-    # not 13, and the C36 factor 4, not 11, while the block path evaluates
-    # at the same primes and the report is the same
+    # not 13, and the C36 factor 4, not 11; the block check evaluates at the
+    # primes of K', 5 and not 13, passes without interpolating, and the
+    # report is the same
     spec, params = tadpole(36, 8).spec, UniversalParams.preset("Aalpha:97/100")
     direct = record_calls(monkeypatch, exactlinalg, "_charpoly_mod", note=lambda h, ps: [(h.shape[1], len(ps))])
+    interpolations = record_calls(monkeypatch, exactlinalg, "_interpolate_mod")
     used, runs, bound = record_block_primes(monkeypatch), [], spectra._scaled_bound
     for centre in (True, False):
         if not centre:
@@ -463,8 +465,13 @@ def test_centring_keeps_the_block_primes(monkeypatch):
         runs.append((universal_block_charpoly(spec, params), dict(direct), list(used)))
     spectra._resolvent.cache_clear()
     (centred, counts, primes), (plain, plain_counts, plain_primes) = runs
-    assert centred == plain and primes == plain_primes
+    assert centred == plain
     assert (counts[44], counts[36], plain_counts[44], plain_counts[36]) == (5, 4, 13, 11)
+    # no prime is rejected here: the check takes the first primes of K', and of K uncentred
+    _, _, k, (a, k_centred) = bound(universal_matrix(hm_join(spec), params))
+    assert a and (primes, plain_primes) == (exactlinalg._lift_primes(k_centred), exactlinalg._lift_primes(k))
+    assert (len(primes), len(plain_primes)) == (5, 13)
+    assert interpolations == []
 
 
 def test_a_fault_shared_by_every_lift_is_caught_by_the_trace(monkeypatch):
@@ -473,7 +480,8 @@ def test_a_fault_shared_by_every_lift_is_caught_by_the_trace(monkeypatch):
     # direct lift's coefficient of x^(n-1) against -trace(M) does not
     spec, params = tadpole(36, 8).spec, UniversalParams.preset("Aalpha:97/100")
     shift = exactlinalg._int_shift
-    monkeypatch.setattr(exactlinalg, "_int_shift", lambda p, r: shift(p, -r))
+    for module in (exactlinalg, spectra):
+        monkeypatch.setattr(module, "_int_shift", lambda p, r: shift(p, -r))
     spectra._resolvent.cache_clear()
     try:
         with pytest.raises(BlockFactorizationError) as info:
@@ -582,6 +590,76 @@ def test_classification_of_rational_matrices_against_oracle():
                 assert poly_divmod(mf.denominator, c.poly)[1].is_zero == c.is_main
                 rebuilt = poly_mul(rebuilt, poly_pow(c.poly, c.multiplicity))
             assert rebuilt == charpoly(m)
+
+
+def symmetric_centring_corpus(rng: random.Random) -> list:
+    """`centring_corpus` made symmetric, each matrix mirrored from its upper
+    triangle, with a side of one to three rational columns: n = 0 and 1,
+    multiples of I, tied diagonal modes, rows beyond int64, and each matrix
+    once more with some rows and columns zeroed."""
+    out = []
+    for m in centring_corpus(rng):
+        n = len(m)
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        dead = set(rng.sample(range(n), rng.randint(0, n - 1))) if n > 1 else set()
+        for mat in (m, [[0 if {i, j} & dead else x for j, x in enumerate(row)] for i, row in enumerate(m)]):
+            c = rng.randint(1, 3)
+            out.append((mat, [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(c)] for _ in range(n)]))
+    return out
+
+
+def test_classes_on_centred_integers_match_uncentred_and_the_oracle(monkeypatch):
+    # classification on phi(y + a), g(y + a) and the Gershgorin bound of
+    # R - aI, with the centring forced onto every diagonal mode, gives the
+    # classes of the uncentred integers; both match the oracle, and the
+    # uncentred scan alone may refuse, when the rows' bound exceeds the cap
+    bound = exactlinalg._scaled_bound
+
+    def forced(m):
+        l, rows, k, _ = bound(m)
+        a = diagonal_mode(rows)
+        return l, rows, k, (a, bound([[x - a * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)])[2])
+
+    results, shifted = {}, 0
+    corpus = symmetric_centring_corpus(random.Random(3604))
+    for centre in (forced, lambda m: (*bound(m)[:3], (0, bound(m)[2]))):
+        monkeypatch.setattr(spectra, "_scaled_bound", centre)
+        spectra._resolvent.cache_clear()
+        for i, (m, e) in enumerate(corpus):
+            try:
+                results.setdefault(i, []).append(classify_e_main(m, e))
+            except TooLargeError:
+                results.setdefault(i, []).append(None)
+    spectra._resolvent.cache_clear()
+    monkeypatch.undo()
+    for i, (m, e) in enumerate(corpus):
+        centred, plain = results[i]
+        rows = bound(m)[1]
+        if plain is None:  # only the uncentred scan meets the cap
+            assert max((sum(map(abs, row)) for row in rows), default=0) > exactlinalg._EIGEN_SCAN_LIMIT
+        else:
+            assert centred == plain
+        shifted += diagonal_mode(rows) != 0
+        if centred is None or len(m) > 8:
+            continue
+        phi, numerators = resolvent_numerators(m, e, e)
+        g = Polynomial([1])
+        for row in numerators:
+            for p in row:
+                den = lowest_terms(p, phi)[1]
+                g = poly_mul(g, poly_divmod(den, euclid_gcd(g, den))[0])
+        rebuilt = Polynomial([1])
+        for c in centred:
+            assert c.poly.coeffs[-1] == 1 and multiplicity(phi, c.poly) == c.multiplicity >= 1
+            derivative = Polynomial([k * x for k, x in enumerate(c.poly.coeffs)][1:])
+            assert euclid_gcd(c.poly, derivative) == Polynomial([1])
+            assert (c.rational is not None) == (c.poly.degree == 1)
+            if c.rational is not None:
+                assert poly_eval(c.poly, c.rational) == 0
+            assert poly_divmod(g, c.poly)[1].is_zero == c.is_main
+            rebuilt = poly_mul(rebuilt, poly_pow(c.poly, c.multiplicity))
+        assert rebuilt == phi == bareiss_charpoly(m)
+    assert shifted >= 40 and sum(r[1] is None for r in results.values()) >= 3
 
 
 def test_numeric_classification_agrees_with_exact():
@@ -964,12 +1042,14 @@ def test_interpolation_route_recovers_the_direct_integers(monkeypatch, corpus_sp
     # the route that names a differing coefficient runs only when the check
     # fails: force it with a direct lift off by one at the constant term,
     # which differs at every point modulo every prime, and require the
-    # block's own integers to be the true ones, on valid inputs of every kind
-    lift, agreed = spectra._block_lift, []
+    # block's own integers to be the true ones, on valid inputs of every kind,
+    # centred ones among them: there they are lifted under K' alone
+    lift, agreed, centred = spectra._block_lift, [], []
 
-    def forced(table, index, points, tops, bottoms, l, bound, direct):
-        block = lift(table, index, points, tops, bottoms, l, bound, [direct[0] + 1, *direct[1:]])
+    def forced(table, index, points, tops, bottoms, l, centring, direct):
+        block = lift(table, index, points, tops, bottoms, l, centring, [direct[0] + 1, *direct[1:]])
         agreed.append(block == direct)
+        centred.append(centring[0] != 0)
         return block
 
     monkeypatch.setattr(spectra, "_block_lift", forced)
@@ -982,11 +1062,14 @@ def test_interpolation_route_recovers_the_direct_integers(monkeypatch, corpus_sp
         generalized.append(GeneralizedJoinSpec(random_graph(rng, len(factors)), factors, subsets, seidel))
     runs = ([lambda spec=spec: block_charpoly(spec) for spec in corpus_specs]
             + [lambda spec=spec: universal_block_charpoly(spec, aalpha) for spec in corpus_specs[:40]]
+            + [lambda spec=spec: universal_block_charpoly(spec, aalpha)
+               for spec in (tadpole(36, 8).spec, generalized_helm(6, 3).spec, generalized_web(3, 6).spec)]
             + [lambda spec=spec: generalized_universal_charpoly(spec) for spec in generalized])
     for run in runs:
         run()
     assert agreed == [True] * len(runs)
     assert len(interpolations) == len(runs)
+    assert sum(centred) >= 5
 
 
 def test_block_path_skips_prime_dividing_a_denominator(monkeypatch):
@@ -1059,7 +1142,7 @@ def test_corrupted_block_residue_raises(monkeypatch):
 def test_block_lift_prime_groups_give_the_same_integers(monkeypatch):
     # several primes, which fit one stack; caps of one and of two primes' stacks
     # split the same lift into groups
-    spec, params = generalized_petersen(11, 4).spec, UniversalParams.preset("Aalpha:97/100")
+    spec, params = generalized_petersen(11, 4).spec, UniversalParams(Fraction(5, 7), 0, 0, Fraction(3, 11))
     calls = record_calls(monkeypatch, exactlinalg, "_polymatrix_det_mod",
                          note=lambda coeffs, index, points, ps, lead: [(list(ps), len(points) * index.size)])
     whole = universal_block_charpoly(spec, params)
@@ -1093,6 +1176,65 @@ def test_carry_forward_worked_example():
     assert table[(0, "x-1")] == (0, 1)
     assert table[(1, "x+1")] == (2, 4)
     assert table[(1, "x-4")] == (0, 0)
+
+
+def test_centred_direct_lift_off_by_one_names_the_same_coefficient(monkeypatch):
+    # tadpole(10, 4) under A_alpha is centred at a = 194: its direct lift
+    # c(y + a) off by one at y^3 is c + (y - a)^3 shifted back, which first
+    # differs at x^0; the block's own integers name the true coefficient
+    spec, params = tadpole(10, 4).spec, UniversalParams.preset("Aalpha:97/100")
+    matrix = universal_matrix(hm_join(spec), params)
+    l, rows, _, (a, _) = exactlinalg._scaled_bound(matrix)
+    true, n = bareiss_charpoly(matrix), len(matrix)
+    assert a == 194 and l == 100
+    mod = exactlinalg._charpoly_mod
+
+    def off(h, ps):
+        out = mod(h, ps)
+        if h.shape[1] == n:
+            out[:, 3] = (out[:, 3] + 1) % np.array(ps)
+        return out
+
+    monkeypatch.setattr(exactlinalg, "_charpoly_mod", off)
+    with pytest.raises(BlockFactorizationError) as info:
+        universal_block_charpoly(spec, params)
+    wrong = true.coefficient(0) + Fraction((-a) ** 3, l ** n)
+    assert str(info.value) == ("block factorization identity violated: the coefficients of x^0 differ, "
+                               f"block path gives {true.coefficient(0)}, direct path gives {wrong}")
+
+
+def test_block_check_on_a_matrix_at_hadamards_bound(monkeypatch):
+    # R - aI = t [[0, 1], [1, 0]] meets Hadamard's inequality with equality:
+    # the centred constant term is -K' itself, so the check needs every
+    # prime of K' (one fewer lifts it wrong), and no more
+    t, a = 2 ** 100, 2 ** 200
+    spec = JoinSpec(make_named("complete", [2]), [make_named("complete", [1])] * 2, 1,
+                    [IndexingMap([1], 1), IndexingMap([1], 1)])
+    params = UniversalParams(Fraction(t), Fraction(a), Fraction(0), Fraction(0))
+    assert universal_matrix(hm_join(spec), params) == [[a, t], [t, a]]
+    used = record_block_primes(monkeypatch)
+    report = universal_block_charpoly(spec, params)
+    assert report.charpoly_block == report.charpoly_direct == Polynomial([a * a - t * t, -2 * a, 1])
+    assert used == exactlinalg._lift_primes(t * t) and len(used) < len(exactlinalg._lift_primes((a + t) ** 2))
+    assert [r.eigen_class.rational for r in report.carry_forward] == [a, a]
+
+
+def test_observed_multiplicities_on_centred_lifts_match_the_oracle(corpus_specs):
+    # the ledger divides c(y + a) by each class shifted by a; the counts are
+    # those of the uncentred charpoly, on L, Q, A_alpha and a rational U
+    presets = [UniversalParams.preset(name) for name in ("L", "Q", "Aalpha:97/100")]
+    presets.append(UniversalParams(Fraction(3, 2), 1, 0, Fraction(-1, 3)))
+    specs = corpus_specs[:25] + [tadpole(10, 4).spec, tadpole(16, 4).spec, generalized_helm(6, 3).spec,
+                                 generalized_web(3, 6).spec, generalized_petersen(11, 4).spec]
+    rows = centred = 0
+    for params in presets:
+        for spec in specs:
+            report = universal_block_charpoly(spec, params)
+            centred += exactlinalg._scaled_bound(universal_matrix(hm_join(spec), params))[3][0] != 0
+            for row in report.carry_forward:
+                assert row.observed == multiplicity(report.charpoly_direct, row.eigen_class.poly)
+                rows += 1
+    assert centred >= 7 and rows >= 500
 
 
 def test_carry_forward_bounds_hold_on_random_specs():
